@@ -18,8 +18,9 @@ of the fine-grained-search PR on the scalability workloads
   --check`` gates in CI);
 * **a lower total-bits front at the same budget** — the edge-granularity
   greedy search must end strictly below the node-level search's total
-  fractional bits on the same bank and noise budget, with the
-  incremental and sequential modes bit-identical at edge granularity.
+  fractional bits on the same bank and noise budget, with the memoized
+  and cold (:func:`memoization_disabled`) searches bit-identical at edge
+  granularity.
 
 Every timed comparison asserts the per-candidate noise powers are
 bitwise identical between the memoized and the memo-blind runs before
@@ -108,14 +109,15 @@ def test_fine_grained_search(benchmark, bench_config, results_dir):
     edge_result = WordLengthOptimizer(
         build_scalability_bank(branches=widths[0]), n_psd=n_psd,
         granularity="edge").optimize(budget)
-    sequential = WordLengthOptimizer(
-        build_scalability_bank(branches=widths[0]), n_psd=n_psd,
-        granularity="edge", mode="sequential").optimize(budget)
-    assert edge_result.assignment == sequential.assignment
-    assert edge_result.noise_power == sequential.noise_power
-    assert edge_result.evaluations == sequential.evaluations
+    with memoization_disabled():
+        cold = WordLengthOptimizer(
+            build_scalability_bank(branches=widths[0]), n_psd=n_psd,
+            granularity="edge").optimize(budget)
+    assert edge_result.assignment == cold.assignment
+    assert edge_result.noise_power == cold.noise_power
+    assert edge_result.evaluations == cold.evaluations
     assert edge_result.cone_recomputes > 0
-    assert sequential.cone_recomputes == 0
+    assert cold.cone_recomputes == 0
     assert edge_result.noise_power <= budget
 
     # --- report and payload ----------------------------------------------
@@ -138,8 +140,8 @@ def test_fine_grained_search(benchmark, bench_config, results_dir):
         f"({node_result.evaluations} evaluations)",
         f"  edge granularity: {edge_result.total_bits} total bits "
         f"({edge_result.evaluations} evaluations, "
-        f"{edge_result.cone_recomputes} cone recomputes; incremental and "
-        "sequential modes bit-identical)",
+        f"{edge_result.cone_recomputes} cone recomputes; memoized and "
+        "cold runs bit-identical)",
     ]
     write_report(results_dir, "fine_grained_search.txt",
                  table.render() + "\n\n" + "\n".join(search_lines))

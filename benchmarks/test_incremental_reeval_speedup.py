@@ -17,10 +17,11 @@ ablation-scalability workloads (:mod:`repro.systems.families`):
   --check`` gates in CI via the registered ``incremental_reeval`` bench);
 * the **chain** — the worst case (an edit's cone is every downstream
   block), reported for scale but not floored;
-* the **optimizer end to end** — ``WordLengthOptimizer`` in incremental
-  vs sequential mode on a reduced bank: identical assignment and noise
-  power, with the work split (``full_walks`` vs ``cone_recomputes``)
-  recorded in the payload.
+* the **optimizer end to end** — ``WordLengthOptimizer`` with and
+  without the memo (:func:`memoization_disabled`) on a reduced bank:
+  identical assignment and noise power, with the work split
+  (``full_walks`` vs ``cone_recomputes``, batched rows computed vs
+  copied from the memo) recorded in the payload.
 
 Every timed comparison asserts the per-candidate noise powers are
 bitwise identical between the memoized and the memo-blind runs before
@@ -106,19 +107,22 @@ def test_incremental_reeval_speedup(benchmark, bench_config, results_dir):
                                             repeat)
     chain_speedup = chain_cold / chain_warm
 
-    # --- optimizer end to end: incremental vs sequential mode ------------
+    # --- optimizer end to end: memoized vs cold ---------------------------
     small = build_scalability_bank(branches=16)
     budget = float(evaluate_psd(small, n_psd).total_power) * 4.0
-    incremental = WordLengthOptimizer(small, n_psd=n_psd,
-                                      mode="incremental").optimize(budget)
-    sequential = WordLengthOptimizer(small, n_psd=n_psd,
-                                     mode="sequential").optimize(budget)
-    assert incremental.assignment == sequential.assignment
-    assert incremental.noise_power == sequential.noise_power
-    assert incremental.evaluations == sequential.evaluations
+    small_memo = plan_memo(compile_plan(small))
+    incremental = WordLengthOptimizer(small, n_psd=n_psd).optimize(budget)
+    rows = small_memo.counters()
+    with memoization_disabled():
+        cold = WordLengthOptimizer(build_scalability_bank(branches=16),
+                                   n_psd=n_psd).optimize(budget)
+    assert incremental.assignment == cold.assignment
+    assert incremental.noise_power == cold.noise_power
+    assert incremental.evaluations == cold.evaluations
     assert incremental.cone_recomputes > 0
     assert incremental.full_walks < incremental.evaluations
-    assert sequential.cone_recomputes == 0
+    assert rows["rows_computed"] < rows["rows_copied"]
+    assert cold.full_walks == cold.cone_recomputes == 0
 
     # --- report and payload ----------------------------------------------
     counters = plan_memo(bank_plan).counters()
@@ -138,11 +142,13 @@ def test_incremental_reeval_speedup(benchmark, bench_config, results_dir):
                   round(chain_speedup, 1))
     optimizer_lines = [
         f"optimizer on scalability-bank-16 (budget {budget:.3e}): "
-        f"{incremental.evaluations} evaluations in both modes, identical "
-        "assignment and noise power",
-        f"  incremental mode: {incremental.full_walks} full walks + "
-        f"{incremental.cone_recomputes} cone recomputes",
-        f"  sequential mode:  {sequential.full_walks} full walks",
+        f"{incremental.evaluations} evaluations memoized and cold, "
+        "identical assignment and noise power",
+        f"  memoized: {incremental.full_walks} full walks + "
+        f"{incremental.cone_recomputes} cone recomputes; batched rounds "
+        f"computed {rows['rows_computed']} rows, copied "
+        f"{rows['rows_copied']} from the memo",
+        "  cold: every walk and every batched row computed from scratch",
     ]
     write_report(results_dir, "incremental_reeval.txt",
                  table.render() + "\n\n" + "\n".join(optimizer_lines))
@@ -154,7 +160,9 @@ def test_incremental_reeval_speedup(benchmark, bench_config, results_dir):
                           "steps_reused": counters["steps_reused"],
                           "optimizer_full_walks": incremental.full_walks,
                           "optimizer_cone_recomputes":
-                          incremental.cone_recomputes},
+                          incremental.cone_recomputes,
+                          "optimizer_rows_computed": rows["rows_computed"],
+                          "optimizer_rows_copied": rows["rows_copied"]},
                 seconds={"bank_full_walks": bank_cold,
                          "bank_dirty_cones": bank_warm,
                          "chain_full_walks": chain_cold,

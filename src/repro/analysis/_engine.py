@@ -32,11 +32,12 @@ fuzzes that equivalence, and ``ARCHITECTURE.md`` spells out the exactness
 argument.  This is what turns the word-length optimizer's one-node
 candidate edits from O(nodes) walks into O(depth) cone updates.
 
-The batched walks pull the scalar memo as their baseline: only the steps
-whose stacked word lengths deviate from the plan's live configuration —
-plus their downstream cone — are recomputed with the vectorized rules;
-every other step broadcasts its cached scalar value across the config
-axis (bit-identical by the batched-walk row contract pinned in
+The batched walks pull the scalar memo as their baseline and are
+row-sparse: config ``k``'s row is computed only inside its own cone (the
+downstream cone of the steps where its word lengths deviate from the
+plan's live configuration) and copied from the memo everywhere else, so
+a stack of one-key deltas costs the sum of the candidates' cones
+(bit-identical by the batched-walk row contract pinned in
 ``tests/test_analysis_batch.py``).
 
 Memoization is on by default and exact, so there is normally no reason to
@@ -77,13 +78,6 @@ from repro.sfg.nodes import (
 from repro.sfg.plan import CompiledPlan, ConfigStack, compile_plan, walk_plan
 
 
-def node_noise_sources(system: SignalFlowGraph | CompiledPlan
-                       ) -> dict[str, NoiseStats]:
-    """Moments of the noise source generated at each node (if any)."""
-    plan = compile_plan(system)
-    return {step.name: step.noise for step in plan.noise_steps}
-
-
 # ----------------------------------------------------------------------
 # Memoization switch
 # ----------------------------------------------------------------------
@@ -102,9 +96,10 @@ def memoization_disabled():
     """Force full cold walks for the duration of the block.
 
     Used by the honest baselines: the differential ``incremental`` check's
-    reference side, the timing harnesses that must not measure cache hits,
-    and the optimizer's ``sequential`` mode.  Results are bit-identical
-    either way; only the amount of recomputation differs.
+    reference side and the timing harnesses and tests that must not
+    measure cache hits (batched walks then compute every row at every
+    step).  Results are bit-identical either way; only the amount of
+    recomputation differs.
     """
     _MEMO_STATE.append(False)
     try:
@@ -237,8 +232,11 @@ class NoiseMemo:
     counters make the work split observable: ``full_walks`` counts cold
     channel builds, ``cone_recomputes`` counts pulls that re-evaluated a
     dirty cone, and ``steps_recomputed`` / ``steps_reused`` count the
-    per-step work either way — the word-length optimizer surfaces their
-    deltas in :class:`~repro.systems.wordlength.WordLengthResult`.
+    per-step work either way — the word-length optimizer surfaces the
+    first two in :class:`~repro.systems.wordlength.WordLengthResult`.
+    The batched walks that use the memo as their baseline add
+    ``rows_computed`` (config rows a walk evaluated) and ``rows_copied``
+    (config rows served from the memo's value instead).
 
     The counters are backed by a private (always-on) metrics registry;
     the attribute names remain the public surface as read-only views,
@@ -263,6 +261,8 @@ class NoiseMemo:
         self._cone_recomputes = self.metrics.counter("memo.cone_recomputes")
         self._steps_recomputed = self.metrics.counter("memo.steps_recomputed")
         self._steps_reused = self.metrics.counter("memo.steps_reused")
+        self._rows_computed = self.metrics.counter("memo.rows_computed")
+        self._rows_copied = self.metrics.counter("memo.rows_copied")
 
     @property
     def full_walks(self) -> int:
@@ -285,7 +285,16 @@ class NoiseMemo:
         return {"full_walks": self.full_walks,
                 "cone_recomputes": self.cone_recomputes,
                 "steps_recomputed": self.steps_recomputed,
-                "steps_reused": self.steps_reused}
+                "steps_reused": self.steps_reused,
+                "rows_computed": self._rows_computed.value,
+                "rows_copied": self._rows_copied.value}
+
+    def count_rows(self, computed: int, copied: int) -> None:
+        """Record one batched walk's row split."""
+        self._rows_computed.inc(computed)
+        self._rows_copied.inc(copied)
+        metric_inc("memo.rows_computed", computed)
+        metric_inc("memo.rows_copied", copied)
 
     def _pull(self, key: tuple, compute_step) -> list:
         """Per-step values of one channel, recomputing only dirty cones.
@@ -435,193 +444,215 @@ def walk_tracked(plan: CompiledPlan, n_psd: int) -> dict[str, TrackedSpectrum]:
 
 
 # ----------------------------------------------------------------------
-# Batched plan walks (one pass per configuration stack)
+# Batched plan walks (row-sparse over a configuration stack)
 # ----------------------------------------------------------------------
-def _psd_batch_inputs(stack: ConfigStack, step, slots) -> list:
-    """Predecessor PSD stacks with per-config fanout-tap noise injected.
+def _inject(acc, own, noise, fields: tuple[str, ...]):
+    """``acc + own``, except that configs whose source is silent (zero
+    ``noise`` moments) keep ``acc`` untouched.
 
-    Mirrors :func:`_psd_inputs` row by row: a port is injected when *any*
-    config taps it (silent configs add exact zeros, the same contract as
-    the own-noise injection below).
+    The scalar walk skips a silent source instead of adding zeros, and
+    adding zeros would flip a ``-0.0`` mean to ``+0.0``.
     """
-    inputs = [slots[i] for i in step.predecessors]
-    noise = stack.edge_noise(step)
+    means, variances = noise
+    quiet = ~((variances > 0.0) | (means != 0.0))
+    total = acc + own
+    if quiet.any():
+        for name in fields:
+            getattr(total, name)[quiet] = getattr(acc, name)[quiet]
+    return total
+
+
+def _psd_batch_inputs(stack: ConfigStack, step, rows, inputs) -> list:
+    """Predecessor PSD stacks with per-config fanout-tap noise injected
+    (mirrors :func:`_psd_inputs` row by row)."""
+    noise = stack.edge_noise(step, rows)
     if noise:
-        for port, (means, variances) in noise.items():
+        inputs = list(inputs)
+        for port, moments in noise.items():
             psd = inputs[port]
-            inputs[port] = psd + PsdStack.white(means, variances, psd.n_bins)
+            inputs[port] = _inject(psd, PsdStack.white(*moments, psd.n_bins),
+                                   moments, ("ac", "mean"))
     return inputs
 
 
-def _psd_batch_step(plan: CompiledPlan, n_psd: int, stack: ConfigStack,
-                    step, slots) -> PsdStack:
+def _psd_batch_step(n_psd: int, stack: ConfigStack, step, rows,
+                    inputs) -> PsdStack:
     node = step.node
+    inputs = _psd_batch_inputs(stack, step, rows, inputs)
     if step.is_source:
-        acc = PsdStack.zero(stack.size, n_psd)
+        acc = PsdStack.zero(len(rows), n_psd)
     elif isinstance(node, _LtiMixin):
-        (psd,) = _psd_batch_inputs(stack, step, slots)
-        acc = psd.filtered(stack.block_response(step, psd.n_bins))
+        (psd,) = inputs
+        acc = psd.filtered(stack.block_response(step, psd.n_bins, rows))
     elif isinstance(node, AddNode):
-        inputs = _psd_batch_inputs(stack, step, slots)
-        acc = PsdStack.zero(stack.size, inputs[0].n_bins)
+        acc = PsdStack.zero(len(rows), inputs[0].n_bins)
         for sign, psd in zip(node.signs, inputs):
             acc = acc + psd.scaled(sign)
     elif isinstance(node, OutputNode):
-        (psd,) = _psd_batch_inputs(stack, step, slots)
+        (psd,) = inputs
         acc = psd.copy()
     elif isinstance(node, DownsampleNode):
-        (psd,) = _psd_batch_inputs(stack, step, slots)
+        (psd,) = inputs
         acc = psd.downsampled(node.factor)
     elif isinstance(node, UpsampleNode):
-        (psd,) = _psd_batch_inputs(stack, step, slots)
+        (psd,) = inputs
         acc = psd.upsampled(node.factor)
     else:
         raise NotImplementedError(
             f"batched PSD propagation does not support node type "
             f"{type(node).__name__}")
-    noise = stack.noise(step)
+    noise = stack.noise(step, rows)
     if noise is not None:
-        means, variances = noise
-        own = PsdStack.white(means, variances, acc.n_bins)
+        own = PsdStack.white(*noise, acc.n_bins)
         if isinstance(node, IirNode):
-            own = own.filtered(stack.shaping_response(step, acc.n_bins))
-        acc = acc + own
+            own = own.filtered(stack.shaping_response(step, acc.n_bins,
+                                                      rows))
+        acc = _inject(acc, own, noise, ("ac", "mean"))
     return acc
 
 
-def _stats_batch_inputs(stack: ConfigStack, step, slots) -> list:
-    inputs = [slots[i] for i in step.predecessors]
-    noise = stack.edge_noise(step)
+def _stats_batch_inputs(stack: ConfigStack, step, rows, inputs) -> list:
+    noise = stack.edge_noise(step, rows)
     if noise:
+        inputs = list(inputs)
         for port, (means, variances) in noise.items():
-            inputs[port] = inputs[port] + NoiseStats(mean=means,
-                                                     variance=variances)
+            inputs[port] = _inject(
+                inputs[port], NoiseStats(mean=means, variance=variances),
+                (means, variances), ("mean", "variance"))
     return inputs
 
 
-def _stats_batch_step(plan: CompiledPlan, stack: ConfigStack, step,
-                      slots) -> NoiseStats:
+def _stats_batch_step(stack: ConfigStack, step, rows,
+                      inputs) -> NoiseStats:
     node = step.node
+    inputs = _stats_batch_inputs(stack, step, rows, inputs)
     if step.is_source:
-        zeros = np.zeros(stack.size)
-        acc = NoiseStats(mean=zeros, variance=zeros)
+        acc = NoiseStats(mean=np.zeros(len(rows)),
+                         variance=np.zeros(len(rows)))
     elif isinstance(node, _LtiMixin):
-        (stats,) = _stats_batch_inputs(stack, step, slots)
-        energy, dc = stack.block_gains(step)
+        (stats,) = inputs
+        energy, dc = stack.block_gains(step, rows)
         acc = NoiseStats(mean=stats.mean * dc,
                          variance=stats.variance * energy)
     else:
-        acc = node.propagate_stats(_stats_batch_inputs(stack, step, slots))
-    noise = stack.noise(step)
+        acc = node.propagate_stats(inputs)
+    noise = stack.noise(step, rows)
     if noise is not None:
         means, variances = noise
         if isinstance(node, IirNode):
-            energy, dc = stack.shaping_gains(step)
+            energy, dc = stack.shaping_gains(step, rows)
             own = NoiseStats(mean=means * dc, variance=variances * energy)
         else:
             own = NoiseStats(mean=means, variance=variances)
-        acc = acc + own
+        acc = _inject(acc, own, noise, ("mean", "variance"))
     return acc
 
 
-def _deviant_cone(plan: CompiledPlan, stack: ConfigStack) -> set[int]:
-    """Steps the batched walk must actually vectorize.
+def _gather_psd(value, value_rows, scalar: DiscretePsd, rows) -> PsdStack:
+    """The ``rows`` of one step's PSD stack: computed rows where the walk
+    has them, the memo's scalar value everywhere else.
 
-    A step is *deviant* when some config of the stack gives it a word
-    length — its own, or a tap on one of its incoming edges — other than
-    the plan's live one; outside the downstream cone of the deviant
-    steps, every config's row provably equals the scalar walk of the
-    live configuration, so the cached scalar value can be broadcast
-    instead of recomputed.
+    ``value_rows`` (the rows computed at the step) is a subset of
+    ``rows``: cones are downstream-closed.
     """
-    deviant = []
-    for step in plan.steps:
-        if any(b != step.node.quantization.fractional_bits
-               for b in stack.bits(step)):
-            deviant.append(step.index)
-            continue
-        edge_bits = stack.edge_bits(step)
-        if edge_bits:
-            taps = step.edge_taps
-            for port, bits in edge_bits.items():
-                live = None
-                if taps is not None and taps[port] is not None:
-                    live = taps[port].bits
-                if any(b != live for b in bits):
-                    deviant.append(step.index)
-                    break
-    return set(plan.downstream_cone(deviant)) if deviant else set()
-
-
-def _broadcast_psd(psd: DiscretePsd, size: int) -> PsdStack:
+    if value_rows is not None and len(value_rows) == len(rows):
+        return value
     # broadcast_to keeps the scalar bins as a read-only view: every
-    # downstream PsdStack operation allocates fresh arrays, so sharing is
-    # safe and the boundary injection costs O(1) memory per step.
-    return PsdStack(np.broadcast_to(psd.ac, (size, psd.ac.shape[0])),
-                    np.full(size, psd.mean))
+    # PsdStack operation allocates fresh arrays, so sharing is safe.
+    ac = np.broadcast_to(scalar.ac, (len(rows), scalar.n_bins))
+    mean = np.full(len(rows), scalar.mean)
+    if value_rows is not None:
+        positions = np.searchsorted(rows, value_rows)
+        ac = ac.copy()
+        ac[positions] = value.ac
+        mean[positions] = value.mean
+    return PsdStack(ac, mean)
 
 
-def _broadcast_stats(stats: NoiseStats, size: int) -> NoiseStats:
-    return NoiseStats(mean=np.full(size, stats.mean),
-                      variance=np.full(size, stats.variance))
+def _gather_stats(value, value_rows, scalar: NoiseStats, rows) -> NoiseStats:
+    """Moment counterpart of :func:`_gather_psd`."""
+    if value_rows is not None and len(value_rows) == len(rows):
+        return value
+    mean = np.full(len(rows), scalar.mean)
+    variance = np.full(len(rows), scalar.variance)
+    if value_rows is not None:
+        positions = np.searchsorted(rows, value_rows)
+        mean[positions] = value.mean
+        variance[positions] = value.variance
+    return NoiseStats(mean=mean, variance=variance)
 
 
-def walk_psd_batch(plan: CompiledPlan, n_psd: int,
-                   stack: ConfigStack) -> dict[str, PsdStack]:
-    """PSD propagation of a whole configuration stack in one pass.
+def _walk_batch(plan: CompiledPlan, stack: ConfigStack, representation: str,
+                base, compute_step, gather, output: int):
+    """Row-sparse batched walk; returns the output's full K-row value.
 
-    Row ``k`` of every returned :class:`PsdStack` is bit-identical to the
+    With a memo baseline (``base``: the scalar per-step values of the
+    live plan), config ``k``'s row is computed only at the steps of its
+    own cone (:meth:`ConfigStack.cone_rows`) and copied from ``base``
+    everywhere else — exact, because outside its cone config ``k``
+    walks the live plan's operands.  Without one, every row is computed
+    at every step (the dense cold walk).
+    """
+    everything = np.arange(stack.size)
+    memoized = base is not None
+    if memoized:
+        rows = stack.cone_rows()
+    else:
+        rows = [everything] * len(plan.steps)
+        base = [None] * len(plan.steps)
+    values: list = [None] * len(plan.steps)
+    computed = 0
+    with span("analysis.walk_batch", representation=representation,
+              configs=stack.size, steps=len(plan.steps)) as live:
+        for step in plan.steps:
+            selected = rows[step.index]
+            if selected is None:
+                continue
+            inputs = [gather(values[i], rows[i], base[i], selected)
+                      for i in step.predecessors]
+            values[step.index] = compute_step(step, selected, inputs)
+            computed += len(selected)
+        live.set(rows_computed=computed)
+        result = gather(values[output], rows[output], base[output],
+                        everything)
+    if memoized:
+        plan_memo(plan).count_rows(computed,
+                                   stack.size * len(plan.steps) - computed)
+    return result
+
+
+def walk_psd_batch(plan: CompiledPlan, n_psd: int, stack: ConfigStack,
+                   output: str) -> PsdStack:
+    """PSD propagation of a whole configuration stack, at one output.
+
+    Row ``k`` of the returned :class:`PsdStack` is bit-identical to the
     scalar :func:`walk_psd` of configuration ``k``: each operation applies
     the same operand pairs in the same order, only vectorized along the
     leading config axis, and the per-node responses come from the same
-    plan cache the scalar walk uses.  When memoization is enabled, only
-    the deviant cone of the stack (see :func:`_deviant_cone`) is
-    vectorized; every other step broadcasts the scalar memo's cached
-    value.  The stack must have been resolved against the plan's current
+    plan cache the scalar walk uses.  When memoization is enabled the
+    walk is row-sparse (see :func:`_walk_batch`), so a stack of one-key
+    deltas costs the sum of the candidates' cones, not ``K x steps``
+    rows.  The stack must have been resolved against the plan's current
     spec state (every in-repo caller constructs it immediately before
     walking).
     """
-    if memoization_enabled():
-        base = plan_memo(plan).psd(n_psd)
-        cone = _deviant_cone(plan, stack)
-    else:
-        base, cone = None, set(range(len(plan.steps)))
-    with span("analysis.walk_batch", representation="psd",
-              configs=stack.size, cone=len(cone)):
-        slots: list = [None] * len(plan.steps)
-        for step in plan.steps:
-            if step.index in cone:
-                slots[step.index] = _psd_batch_step(plan, n_psd, stack, step,
-                                                    slots)
-            else:
-                slots[step.index] = _broadcast_psd(base[step.index],
-                                                   stack.size)
-    return {step.name: slots[step.index] for step in plan.steps}
+    base = plan_memo(plan).psd(n_psd) if memoization_enabled() else None
+    return _walk_batch(plan, stack, "psd", base,
+                       partial(_psd_batch_step, n_psd, stack), _gather_psd,
+                       plan.index_of[output])
 
 
-def walk_stats_batch(plan: CompiledPlan,
-                     stack: ConfigStack) -> dict[str, NoiseStats]:
-    """Moment propagation of a whole configuration stack in one pass.
+def walk_stats_batch(plan: CompiledPlan, stack: ConfigStack,
+                     output: str) -> NoiseStats:
+    """Moment propagation of a whole configuration stack, at one output.
 
-    Returns :class:`NoiseStats` objects whose ``mean`` / ``variance``
-    fields are ``(K,)`` arrays (the dataclass arithmetic is elementwise,
-    so every propagation rule applies unchanged).  Entry ``k`` is
-    bit-identical to the scalar :func:`walk_stats` of configuration ``k``.
-    Deviant-cone reuse mirrors :func:`walk_psd_batch`.
+    Returns a :class:`NoiseStats` whose ``mean`` / ``variance`` fields
+    are ``(K,)`` arrays (the dataclass arithmetic is elementwise, so
+    every propagation rule applies unchanged).  Entry ``k`` is
+    bit-identical to the scalar :func:`walk_stats` of configuration
+    ``k``; row sparsity mirrors :func:`walk_psd_batch`.
     """
-    if memoization_enabled():
-        base = plan_memo(plan).stats()
-        cone = _deviant_cone(plan, stack)
-    else:
-        base, cone = None, set(range(len(plan.steps)))
-    with span("analysis.walk_batch", representation="stats",
-              configs=stack.size, cone=len(cone)):
-        slots: list = [None] * len(plan.steps)
-        for step in plan.steps:
-            if step.index in cone:
-                slots[step.index] = _stats_batch_step(plan, stack, step,
-                                                      slots)
-            else:
-                slots[step.index] = _broadcast_stats(base[step.index],
-                                                     stack.size)
-    return {step.name: slots[step.index] for step in plan.steps}
+    base = plan_memo(plan).stats() if memoization_enabled() else None
+    return _walk_batch(plan, stack, "stats", base,
+                       partial(_stats_batch_step, stack), _gather_stats,
+                       plan.index_of[output])

@@ -70,5 +70,4 @@ def evaluate_agnostic_batch(system: SignalFlowGraph | CompiledPlan,
     """
     plan = compile_plan(system)
     stack = plan.config_stack(assignments)
-    results = walk_stats_batch(plan, stack)
-    return results[plan.resolve_output(output)]
+    return walk_stats_batch(plan, stack, plan.resolve_output(output))

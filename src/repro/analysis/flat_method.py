@@ -171,9 +171,11 @@ def evaluate_flat_batch(system: SignalFlowGraph | CompiledPlan,
     stack = plan.config_stack(assignments)
     means = np.zeros(stack.size)
     variances = np.zeros(stack.size)
-    noise_by_name = {step.name: stack.noise(step)
-                     for step in plan.steps
-                     if stack.noise(step) is not None}
+    noise_by_name = {}
+    for step in plan.steps:
+        noise = stack.noise(step)
+        if noise is not None:
+            noise_by_name[step.name] = noise
     noise_by_name.update(stack.edge_noise_sources())
 
     with plan.preserve_quantization():
@@ -183,7 +185,12 @@ def evaluate_flat_batch(system: SignalFlowGraph | CompiledPlan,
             # allow_enable: a stack config may legitimately enable a
             # node the live plan leaves unquantized.
             plan.requantize(stack.resolved(members[0]), allow_enable=True)
-            noisy_names = _group_noisy_names(plan, stack, members)
+            # Sources (steps and fanout taps) noisy for some member.
+            noisy_names = {
+                name for name, (source_means, source_variances)
+                in noise_by_name.items()
+                if any(source_variances[k] != 0.0 or source_means[k] != 0.0
+                       for k in members)}
             path_functions = source_path_functions(plan, output,
                                                    sources=noisy_names)
             energies = {name: tf.energy()
@@ -205,25 +212,6 @@ def evaluate_flat_batch(system: SignalFlowGraph | CompiledPlan,
                 means[k] = float(np.sum(mean_contributions))
                 variances[k] = total_variance
     return NoiseStats(mean=means, variance=variances)
-
-
-def _group_noisy_names(plan: CompiledPlan, stack, members) -> set[str]:
-    """Sources (steps and fanout taps) noisy for some group member."""
-    names = set()
-    for step in plan.steps:
-        noise = stack.noise(step)
-        if noise is None:
-            continue
-        source_means, source_variances = noise
-        if any(source_variances[k] != 0.0 or source_means[k] != 0.0
-               for k in members):
-            names.add(step.name)
-    for key, (source_means, source_variances) in \
-            stack.edge_noise_sources().items():
-        if any(source_variances[k] != 0.0 or source_means[k] != 0.0
-               for k in members):
-            names.add(key)
-    return names
 
 
 def _propagate_paths(node: Node,

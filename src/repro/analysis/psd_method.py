@@ -106,8 +106,7 @@ def evaluate_psd_batch(system: SignalFlowGraph | CompiledPlan, n_psd: int,
     _check_bins(n_psd)
     plan = compile_plan(system)
     stack = plan.config_stack(assignments)
-    results = walk_psd_batch(plan, n_psd, stack)
-    return results[plan.resolve_output(output)]
+    return walk_psd_batch(plan, n_psd, stack, plan.resolve_output(output))
 
 
 def evaluate_psd_tracked(system: SignalFlowGraph | CompiledPlan, n_psd: int,

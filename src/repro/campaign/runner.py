@@ -12,9 +12,10 @@ Execution strategy:
   word-length grid costs one batched walk instead of one walk per grid
   point — and because all of a scenario's jobs share that one plan, they
   also share its :class:`~repro.analysis._engine.NoiseMemo`: the batched
-  walks recompute only each grid's deviant cone, and the per-assignment
-  ``psd_tracked`` loop pays one dirty-cone delta per grid point (the
-  intra-graph counterpart of the cross-run content cache);
+  walks compute each grid point's rows only inside its own cone (a point
+  at the scenario's live widths is copied from the memo), and the
+  per-assignment ``psd_tracked`` loop pays one dirty-cone delta per grid
+  point (the intra-graph counterpart of the cross-run content cache);
 * with ``workers > 1`` the per-scenario payloads run on a
   :class:`~concurrent.futures.ProcessPoolExecutor` (payloads are plain
   JSON-compatible dicts, so they pickle under any start method);

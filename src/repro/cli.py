@@ -190,10 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--validate-samples", type=int, default=0,
                        help="cross-validate every point by a Monte-Carlo "
                             "run of this many samples (0 disables)")
-    sweep.add_argument("--sequential", action="store_true",
-                       help="disable configuration batching and memoized "
-                            "re-evaluation (the timing baseline; results "
-                            "are identical)")
 
     campaign = commands.add_parser(
         "campaign",
@@ -453,7 +449,6 @@ def _command_sweep(args) -> int:
         graph, budgets,
         method=args.method, n_psd=args.n_psd,
         min_bits=args.min_bits, max_bits=args.max_bits,
-        mode="sequential" if args.sequential else None,
         granularity=args.granularity,
         validate_samples=args.validate_samples, seed=args.seed)
     if not front.points:

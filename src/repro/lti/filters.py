@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from repro.fixedpoint.quantizer import Quantizer, RoundingMode
 from repro.fixedpoint.qformat import QFormat
@@ -82,6 +81,7 @@ def _causal_fir(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """
     if x.ndim == 1:
         return np.convolve(x, taps)[:len(x)]
+    from scipy.signal import lfilter  # deferred: slow import
     return lfilter(taps, [1.0], x, axis=-1)
 
 
@@ -180,6 +180,7 @@ class IirFilter:
     # ------------------------------------------------------------------
     def process(self, x: np.ndarray) -> np.ndarray:
         """Double-precision filtering."""
+        from scipy.signal import lfilter  # deferred: slow import
         return lfilter(self.b, self.a, np.asarray(x, dtype=float))
 
     def process_fixed_point(self, x: np.ndarray,

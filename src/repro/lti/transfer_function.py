@@ -16,7 +16,6 @@ be assembled from block transfer functions.
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import lfilter
 
 
 class TransferFunction:
@@ -193,6 +192,7 @@ class TransferFunction:
         if self.is_fir and x.ndim == 1:
             full = np.convolve(x, self.b)
             return full[:len(x)]
+        from scipy.signal import lfilter  # deferred: slow import
         return lfilter(self.b, self.a, x, axis=-1)
 
     # ------------------------------------------------------------------

@@ -118,6 +118,10 @@ class PsdStack:
 
     def scaled(self, gain: float) -> "PsdStack":
         """PSDs after multiplication of the signal by a constant gain."""
+        if gain == 1.0:
+            # x * 1.0 is exactly x (signed zeros included), so the
+            # adders' unit signs skip three array passes.
+            return self
         return PsdStack(self.ac * gain * gain, self.mean * gain)
 
     def filtered(self, frequency_response: np.ndarray) -> "PsdStack":

@@ -911,11 +911,22 @@ class ConfigStack:
     The batched analytical walks evaluate ``K`` word-length configurations
     of the *same* graph structure in a single pass: noise-source moments
     gain a leading config axis, and per-node frequency responses are
-    shared across the stack whenever the configs agree on the node's
-    effective coefficient precision (they always do when
-    ``coefficient_fractional_bits`` is pinned; otherwise only the configs
-    that change that node's data bits get their own response row, served
-    from the plan's memoized cache).
+    shared across the configs that agree on the node's effective
+    coefficient precision (they always do when
+    ``coefficient_fractional_bits`` is pinned; otherwise each distinct
+    precision gets its own response row, served from the plan's memoized
+    cache).
+
+    The stack is stored *sparsely*, as each config's deviations from the
+    plan's live quantization, so building it costs O(assignment keys)
+    rather than O(K x steps) — a round of one-key optimizer candidates
+    stays cheap on a wide graph.  A config's *cone* is the downstream
+    cone of the steps where its own or incoming-tap word lengths differ
+    from the live plan; outside it the config's walk provably equals the
+    live one.  :meth:`cone_rows` indexes those cones per step, and every
+    per-step query takes an optional ``rows`` array of config indices
+    (default: the whole stack) so the walks ask only for the rows they
+    compute.
 
     Parameters
     ----------
@@ -931,153 +942,178 @@ class ConfigStack:
         do not retroactively change the stack.
     """
 
-    __slots__ = ("plan", "size", "_bits", "_noise", "_edge_keys",
-                 "_resolved_edges", "_edge_bits_by_step",
-                 "_edge_noise_by_step", "_edge_key_by_slot")
+    __slots__ = ("plan", "size", "_live_bits", "_live_noise", "_deltas",
+                 "_edge_slots", "_edge_ports", "_live_edge_bits",
+                 "_edge_deltas", "_seeds", "_rows")
 
     def __init__(self, plan: CompiledPlan, assignments):
         assignments = list(assignments)
         if not assignments:
             raise ValueError("the configuration stack is empty")
         plan.refresh()
-        known = set(plan.graph.nodes)
-        unknown = set()
-        edge_keys = set()
-        for assignment in assignments:
-            for key in assignment:
-                if key in known or key in edge_keys:
-                    continue
-                try:
-                    plan._resolve_edge(*parse_edge_key(key))
-                except ValueError:
-                    unknown.add(key)
-                else:
-                    edge_keys.add(key)
-        if unknown:
-            raise ValueError(
-                f"assignment names unknown to the graph: {sorted(unknown)}")
+        self.plan = plan
+        self.size = len(assignments)
+        self._live_bits = tuple(step.node.quantization.fractional_bits
+                                for step in plan.steps)
+        self._live_noise = tuple(step.noise for step in plan.steps)
         # Live taps join the edge axis so resolved() fully overrides the
         # plan's tap state (a config that omits a live tap's key keeps it,
         # one that maps it to None removes it — exactly the node-default
-        # semantics).
+        # semantics).  Slots are (target step, input port): tap noise is
+        # injected where the target consumes the tapped value.
+        self._edge_slots: dict[str, tuple[int, int]] = {}
+        self._live_edge_bits: dict[tuple[int, int], int] = {}
         for step in plan.steps:
-            if step.edge_taps:
-                for tap in step.edge_taps:
-                    if tap is not None:
-                        edge_keys.add(tap.key)
-        self.plan = plan
-        self.size = len(assignments)
-        self._bits: list[tuple] = []
-        self._noise: list[tuple[np.ndarray, np.ndarray] | None] = []
-        for step in plan.steps:
-            default = step.node.quantization.fractional_bits
-            bits = tuple(assignment.get(step.name, default)
-                         for assignment in assignments)
-            self._bits.append(bits)
-            per_bits: dict = {}
-            means = np.zeros(self.size)
-            variances = np.zeros(self.size)
-            any_noise = False
-            for k, b in enumerate(bits):
-                stats = per_bits.get(b)
-                if stats is None:
-                    stats = plan.noise_for_bits(step, b)
-                    per_bits[b] = stats
-                means[k] = stats.mean
-                variances[k] = stats.variance
-                if stats.variance > 0.0 or stats.mean != 0.0:
-                    any_noise = True
-            self._noise.append((means, variances) if any_noise else None)
-        # Per-edge axis: per-config tap bits and tap noise, stored on the
-        # *target* step per input port (where the batched walks inject
-        # them).  The tap-noise input grid is the source's word length in
-        # the same config, mirroring the scalar EdgeTap exactly.
-        self._edge_keys: tuple[str, ...] = tuple(sorted(edge_keys))
-        self._resolved_edges: dict[str, tuple] = {}
-        self._edge_bits_by_step: list = [None] * len(plan.steps)
-        self._edge_noise_by_step: list = [None] * len(plan.steps)
-        self._edge_key_by_slot: dict[tuple[int, int], str] = {}
-        for key in self._edge_keys:
-            source, target = parse_edge_key(key)
-            target_index, port = plan._resolve_edge(source, target)
-            source_index = plan.index_of[source]
-            source_spec = plan.steps[source_index].node.quantization
-            default = source_spec.edge_bits_for(target)
-            bits = tuple(assignment.get(key, default)
-                         for assignment in assignments)
-            source_bits = self._bits[source_index]
-            means = np.zeros(self.size)
-            variances = np.zeros(self.size)
-            any_noise = False
-            per_pair: dict = {}
-            for k, b in enumerate(bits):
-                if b is None:
+            for port, tap in enumerate(step.edge_taps or ()):
+                if tap is not None:
+                    self._edge_slots[tap.key] = (step.index, port)
+                    self._live_edge_bits[(step.index, port)] = tap.bits
+        # Deviations from the live plan: {step or slot: {config: bits}},
+        # and per config the seed steps of its cone.
+        self._deltas: dict[int, dict] = {}
+        self._edge_deltas: dict[tuple[int, int], dict] = {}
+        self._seeds: list[list[int]] = []
+        unknown = set()
+        for config, assignment in enumerate(assignments):
+            seeds = []
+            for key, bits in assignment.items():
+                index = plan.index_of.get(key)
+                if index is not None:
+                    if bits != self._live_bits[index]:
+                        self._deltas.setdefault(index, {})[config] = bits
+                        seeds.append(index)
                     continue
-                pair = (b, source_bits[k])
-                stats = per_pair.get(pair)
-                if stats is None:
-                    stats = quantization_noise_stats(
-                        int(b), rounding=source_spec.rounding,
-                        input_fractional_bits=source_bits[k])
-                    per_pair[pair] = stats
-                means[k] = stats.mean
-                variances[k] = stats.variance
-                if stats.variance > 0.0 or stats.mean != 0.0:
-                    any_noise = True
-            self._resolved_edges[key] = bits
-            self._edge_key_by_slot[(target_index, port)] = key
-            by_step = self._edge_bits_by_step[target_index] or {}
-            by_step[port] = bits
-            self._edge_bits_by_step[target_index] = by_step
-            if any_noise:
-                noise_by_step = self._edge_noise_by_step[target_index] or {}
-                noise_by_step[port] = (means, variances)
-                self._edge_noise_by_step[target_index] = noise_by_step
+                slot = self._edge_slots.get(key)
+                if slot is None:
+                    try:
+                        slot = plan._resolve_edge(*parse_edge_key(key))
+                    except ValueError:
+                        unknown.add(key)
+                        continue
+                    self._edge_slots[key] = slot
+                if bits != self._live_edge_bits.get(slot):
+                    self._edge_deltas.setdefault(slot, {})[config] = bits
+                    seeds.append(slot[0])
+            self._seeds.append(seeds)
+        if unknown:
+            raise ValueError(
+                f"assignment names unknown to the graph: {sorted(unknown)}")
+        self._edge_ports: dict[int, dict[int, str]] = {}
+        for key in sorted(self._edge_slots):
+            target, port = self._edge_slots[key]
+            self._edge_ports.setdefault(target, {})[port] = key
+        self._rows = None
+
+    # ------------------------------------------------------------------
+    # Per-config cones
+    # ------------------------------------------------------------------
+    def cone_rows(self) -> list:
+        """Per-step row selections of the row-sparse batched walk.
+
+        Entry ``i`` is the sorted ``intp`` array of the configs whose cone
+        contains step ``i``, or ``None`` when no config's does.  Cones are
+        downstream-closed, so a step's rows include the rows of every
+        predecessor in the stack.
+        """
+        if self._rows is None:
+            members: list[list[int]] = [[] for _ in self.plan.steps]
+            cones: dict[tuple, list[int]] = {}
+            for config, seeds in enumerate(self._seeds):
+                if not seeds:
+                    continue
+                key = tuple(seeds)
+                cone = cones.get(key)
+                if cone is None:
+                    cone = cones[key] = self.plan.downstream_cone(key)
+                for index in cone:
+                    members[index].append(config)
+            self._rows = [np.array(configs, dtype=np.intp) if configs
+                          else None for configs in members]
+        return self._rows
 
     # ------------------------------------------------------------------
     # Per-step queries
     # ------------------------------------------------------------------
-    def bits(self, step: PlanStep) -> tuple:
+    def _configs(self, rows):
+        return range(self.size) if rows is None else rows.tolist()
+
+    def bits(self, step: PlanStep, rows=None) -> tuple:
         """Per-config data-path fractional bits of one step."""
-        return self._bits[step.index]
+        live = self._live_bits[step.index]
+        deltas = self._deltas.get(step.index)
+        configs = self._configs(rows)
+        if not deltas:
+            return (live,) * len(configs)
+        return tuple(deltas.get(config, live) for config in configs)
 
-    def noise(self, step: PlanStep):
-        """Per-config noise moments ``(means, variances)`` of one step.
+    def noise(self, step: PlanStep, rows=None):
+        """Per-config own-noise moments ``(means, variances)`` of one step.
 
-        ``None`` when no config generates noise at this step; configs with
-        a silent quantizer carry exact zeros.
+        ``None`` when no selected config generates noise at this step;
+        configs with a silent quantizer carry exact zeros.
         """
-        return self._noise[step.index]
+        if step.index not in self._deltas:
+            live = self._live_noise[step.index]
+            if live is None:
+                return None
+            count = self.size if rows is None else len(rows)
+            return np.full(count, live.mean), np.full(count, live.variance)
+        per_bits: dict = {}
+        moments = []
+        for bits in self.bits(step, rows):
+            stats = per_bits.get(bits)
+            if stats is None:
+                stats = per_bits[bits] = self.plan.noise_for_bits(step,
+                                                                  bits)
+            moments.append(stats)
+        return _noisy_moments(moments)
 
-    def edge_bits(self, step: PlanStep):
-        """Per-config tap bits of one step's incoming edges.
+    def edge_noise(self, step: PlanStep, rows=None):
+        """Per-config tap-noise moments of one step's incoming edges.
 
-        ``None`` when the stack's edge axis does not touch this step;
-        otherwise ``{input port: (bits per config, ...)}`` (entries may be
-        ``None`` where a config removes the tap).
+        ``None`` when no selected config injects tap noise at this step;
+        otherwise ``{input port: (means, variances)}`` with exact zeros
+        for silent configs.  A tap's noise sees the source's word length
+        *in the same config* as its input grid, mirroring the scalar
+        :class:`EdgeTap` exactly.
         """
-        return self._edge_bits_by_step[step.index]
-
-    def edge_noise(self, step: PlanStep):
-        """Per-config tap-noise arrays of one step's incoming edges.
-
-        ``None`` when no config injects tap noise at this step; otherwise
-        ``{input port: (means, variances)}`` with exact zeros for silent
-        configs.
-        """
-        return self._edge_noise_by_step[step.index]
-
-    def edge_key(self, step: PlanStep, port: int) -> str:
-        """The ``"source->target"`` key of one tapped input port."""
-        return self._edge_key_by_slot[(step.index, port)]
+        ports = self._edge_ports.get(step.index)
+        if not ports:
+            return None
+        result = None
+        configs = self._configs(rows)
+        for port in ports:
+            slot = (step.index, port)
+            source = self.plan.steps[step.predecessors[port]]
+            rounding = source.node.quantization.rounding
+            live = self._live_edge_bits.get(slot)
+            deltas = self._edge_deltas.get(slot, {})
+            per_pair: dict = {}
+            moments = []
+            for config, source_bits in zip(configs, self.bits(source, rows)):
+                bits = deltas.get(config, live)
+                pair = (bits, source_bits)
+                stats = per_pair.get(pair)
+                if stats is None:
+                    stats = per_pair[pair] = (
+                        NoiseStats(0.0, 0.0) if bits is None else
+                        quantization_noise_stats(
+                            int(bits), rounding=rounding,
+                            input_fractional_bits=source_bits))
+                moments.append(stats)
+            noise = _noisy_moments(moments)
+            if noise is not None:
+                result = result or {}
+                result[port] = noise
+        return result
 
     def edge_noise_sources(self) -> dict[str, tuple]:
         """``{edge key: (means, variances)}`` of taps noisy in some config."""
         result = {}
-        for index, noise in enumerate(self._edge_noise_by_step):
-            if noise:
-                for port, arrays in noise.items():
-                    result[self._edge_key_by_slot[(index, port)]] = arrays
+        for target, ports in self._edge_ports.items():
+            noise = self.edge_noise(self.plan.steps[target]) or {}
+            for port, arrays in noise.items():
+                result[ports[port]] = arrays
         return result
 
     def resolved(self, config: int) -> dict:
@@ -1085,12 +1121,16 @@ class ConfigStack:
         included), suitable for ``plan.requantize(...,
         allow_enable=True)`` to reproduce the config's complete
         quantization state."""
-        result = {step.name: self._bits[step.index][config]
-                  for step in self.plan.steps
-                  if step.node.quantization.enabled
-                  or self._bits[step.index][config] is not None}
-        for key in self._edge_keys:
-            result[key] = self._resolved_edges[key][config]
+        result = {}
+        for step in self.plan.steps:
+            live = self._live_bits[step.index]
+            bits = self._deltas.get(step.index, {}).get(config, live)
+            if live is not None or bits is not None:
+                result[step.name] = bits
+        for key in sorted(self._edge_slots):
+            slot = self._edge_slots[key]
+            result[key] = self._edge_deltas.get(slot, {}).get(
+                config, self._live_edge_bits.get(slot))
         return result
 
     def coefficient_signatures(self) -> list[tuple]:
@@ -1104,12 +1144,11 @@ class ConfigStack:
         coefficient-free nodes would otherwise split groups that share
         identical transfer behaviour.
         """
-        dependent = [step for step in self.plan.steps
-                     if isinstance(step.node, (GainNode, FirNode, IirNode))]
-        return [tuple(self.plan.coeff_key_for_bits(step,
-                                                   self._bits[step.index][k])
-                      for step in dependent)
-                for k in range(self.size)]
+        columns = [tuple(self.plan.coeff_key_for_bits(step, bits)
+                         for bits in self.bits(step))
+                   for step in self.plan.steps
+                   if isinstance(step.node, (GainNode, FirNode, IirNode))]
+        return list(zip(*columns)) if columns else [()] * self.size
 
     def coefficient_groups(self) -> list[list[int]]:
         """Config indices grouped by equal coefficient signature.
@@ -1126,47 +1165,65 @@ class ConfigStack:
     # ------------------------------------------------------------------
     # Per-step responses / gains (scalar when shared, stacked otherwise)
     # ------------------------------------------------------------------
-    def _stacked(self, step: PlanStep, lookup):
-        bits = self._bits[step.index]
+    def _stacked(self, step: PlanStep, lookup, rows):
+        if step.index not in self._deltas:
+            return lookup(self._live_bits[step.index])
+        bits = self.bits(step, rows)
         keys = {self.plan.coeff_key_for_bits(step, b) for b in bits}
         if len(keys) == 1:
             return lookup(bits[0])
         return [lookup(b) for b in bits]
 
-    def block_response(self, step: PlanStep, n_bins: int) -> np.ndarray:
-        """Block response: ``(n_bins,)`` when shared, ``(K, n_bins)`` else."""
-        rows = self._stacked(
-            step, lambda b: self.plan.block_response_for_bits(step, b, n_bins))
-        return rows if isinstance(rows, np.ndarray) else np.stack(rows)
+    def block_response(self, step: PlanStep, n_bins: int,
+                       rows=None) -> np.ndarray:
+        """Block response: ``(n_bins,)`` when shared, one row per config
+        otherwise."""
+        responses = self._stacked(
+            step, lambda b: self.plan.block_response_for_bits(step, b, n_bins),
+            rows)
+        return (responses if isinstance(responses, np.ndarray)
+                else np.stack(responses))
 
-    def shaping_response(self, step: PlanStep, n_bins: int) -> np.ndarray:
+    def shaping_response(self, step: PlanStep, n_bins: int,
+                         rows=None) -> np.ndarray:
         """Noise-shaping response, shared or per-config stacked."""
-        rows = self._stacked(
+        responses = self._stacked(
             step,
-            lambda b: self.plan.shaping_response_for_bits(step, b, n_bins))
-        return rows if isinstance(rows, np.ndarray) else np.stack(rows)
+            lambda b: self.plan.shaping_response_for_bits(step, b, n_bins),
+            rows)
+        return (responses if isinstance(responses, np.ndarray)
+                else np.stack(responses))
 
-    def block_gains(self, step: PlanStep):
-        """``(energy, dc)`` scalars when shared, ``(K,)`` arrays else."""
-        pairs = self._stacked(
-            step, lambda b: self.plan.block_gains_for_bits(step, b))
-        if isinstance(pairs, tuple):
-            return pairs
-        return (np.array([p[0] for p in pairs]),
-                np.array([p[1] for p in pairs]))
+    def block_gains(self, step: PlanStep, rows=None):
+        """``(energy, dc)`` scalars when shared, per-config arrays else."""
+        return _stacked_gains(self._stacked(
+            step, lambda b: self.plan.block_gains_for_bits(step, b), rows))
 
-    def shaping_gains(self, step: PlanStep):
+    def shaping_gains(self, step: PlanStep, rows=None):
         """Noise-shaping ``(energy, dc)``, shared or per-config arrays."""
-        pairs = self._stacked(
-            step, lambda b: self.plan.shaping_gains_for_bits(step, b))
-        if isinstance(pairs, tuple):
-            return pairs
-        return (np.array([p[0] for p in pairs]),
-                np.array([p[1] for p in pairs]))
+        return _stacked_gains(self._stacked(
+            step, lambda b: self.plan.shaping_gains_for_bits(step, b), rows))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"ConfigStack(size={self.size}, "
                 f"plan={self.plan.graph.name!r})")
+
+
+def _noisy_moments(moments: list[NoiseStats]):
+    """``(means, variances)`` arrays of per-config moments, ``None`` when
+    every config is silent."""
+    means = np.array([stats.mean for stats in moments], dtype=float)
+    variances = np.array([stats.variance for stats in moments], dtype=float)
+    if not np.any((variances > 0.0) | (means != 0.0)):
+        return None
+    return means, variances
+
+
+def _stacked_gains(pairs):
+    if isinstance(pairs, tuple):
+        return pairs
+    return (np.array([pair[0] for pair in pairs]),
+            np.array([pair[1] for pair in pairs]))
 
 
 # ----------------------------------------------------------------------

@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.signal import lfilter
 
 from repro.fixedpoint.quantizer import RoundingMode, apply_rounding
 from repro.lti.filters import _causal_fir
@@ -217,6 +216,7 @@ def _compile_iir(op, constants):
     dst = op.dst
     (src,) = op.srcs
     if not constants.step:
+        from scipy.signal import lfilter  # deferred: slow import
         b, a = constants.b, constants.a
 
         def fn(slots):

@@ -49,6 +49,8 @@ from repro.obs import metric_inc, span
 from repro.simkernel.backend import numba_available
 
 logger = logging.getLogger("repro.simkernel.codegen")
+# The numba-missing degradation is logged once per process, not per plan.
+_numba_missing_warned = False
 
 #: Tape op codes (shared with the packed numba kernel).
 OP_INPUT = 0
@@ -273,7 +275,9 @@ def lower_plan(plan) -> PlanTape:
                         for name in plan.input_names)
     tape = PlanTape(tuple(ops), input_slots)
     tape.bind(plan)
-    if not numba_available():
+    global _numba_missing_warned
+    if not numba_available() and not _numba_missing_warned:
+        _numba_missing_warned = True
         logger.warning(
             "codegen backend: numba is not installed; op tapes will run "
             "through the pure-NumPy tape interpreter instead of the fused "

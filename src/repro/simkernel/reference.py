@@ -14,7 +14,6 @@ speedup of the optimized engine against an honest baseline.
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import lfilter
 
 from repro.fixedpoint.quantizer import RoundingMode, round_half_away
 
@@ -23,6 +22,7 @@ def causal_fir_reference(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Causal FIR filtering truncated to the input length (legacy path)."""
     if x.ndim == 1:
         return np.convolve(x, taps)[:x.shape[-1]]
+    from scipy.signal import lfilter  # deferred: slow import
     return lfilter(taps, [1.0], x, axis=-1)
 
 

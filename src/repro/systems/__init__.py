@@ -45,7 +45,11 @@ from repro.systems.families import (
     build_scalability_bank,
     build_scalability_chain,
 )
-from repro.systems.random_graphs import build_random_graph, random_assignments
+from repro.systems.random_graphs import (
+    build_random_graph,
+    random_assignments,
+    random_deltas,
+)
 from repro.systems.wordlength import WordLengthOptimizer, WordLengthResult
 from repro.systems.pareto import (
     ParetoFront,
@@ -75,6 +79,7 @@ __all__ = [
     "build_scalability_chain",
     "build_random_graph",
     "random_assignments",
+    "random_deltas",
     "WordLengthOptimizer",
     "WordLengthResult",
     "ParetoFront",

@@ -182,8 +182,6 @@ def budget_range(loosest: float, tightest: float, count: int) -> np.ndarray:
 def sweep_noise_budgets(system: SignalFlowGraph, budgets,
                         method: str = "psd", n_psd: int = 256,
                         min_bits: int = 4, max_bits: int = 24,
-                        batch: bool | None = None,
-                        mode: str | None = None,
                         granularity: str = "node",
                         validate_samples: int = 0,
                         seed: int = 0) -> ParetoFront:
@@ -200,12 +198,11 @@ def sweep_noise_budgets(system: SignalFlowGraph, budgets,
         nowhere — the front only holds feasible points).  An empty budget
         sequence yields a well-formed empty front; duplicate budgets are
         collapsed.
-    method, n_psd, min_bits, max_bits, batch, mode, granularity:
+    method, n_psd, min_bits, max_bits, granularity:
         Forwarded to :class:`WordLengthOptimizer`; one optimizer (hence
-        one compiled plan, one response cache and — in the default
-        incremental mode — one noise memo) serves every budget: each
-        point after the first starts from the previous optimum's memo
-        and pays only dirty-cone deltas.
+        one compiled plan, one response cache and one noise memo) serves
+        every budget: each point after the first starts from the
+        previous optimum's memo and pays only dirty-cone deltas.
     validate_samples:
         When positive, cross-validate every swept point by a Monte-Carlo
         run of that many samples (batched, reference runs shared).
@@ -232,7 +229,6 @@ def sweep_noise_budgets(system: SignalFlowGraph, budgets,
         return ParetoFront(system=system.name, method=method)
     optimizer = WordLengthOptimizer(system, method=method, n_psd=n_psd,
                                     min_bits=min_bits, max_bits=max_bits,
-                                    batch=batch, mode=mode,
                                     granularity=granularity)
     front = ParetoFront(system=system.name, method=method)
     for budget in budgets:

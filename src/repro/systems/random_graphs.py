@@ -291,24 +291,13 @@ def random_assignments(graph: SignalFlowGraph, seed: int, count: int,
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
     rng = np.random.default_rng(seed)
-    quantized = [node_name for node_name, node in graph.nodes.items()
-                 if node.quantization.enabled]
+    quantized = _quantized_nodes(graph)
     tapped: list[str] = []
     edge_rng = None
     if edges:
         edge_rng = np.random.default_rng([seed, 2_654_435_769])
-        pair_counts = Counter((edge.source, edge.target)
-                              for edge in graph.edges)
-        eligible = []
-        for edge in graph.edges:
-            key = f"{edge.source}->{edge.target}"
-            if (key in eligible
-                    or pair_counts[edge.source, edge.target] != 1
-                    or not graph.nodes[edge.source].quantization.enabled
-                    or isinstance(graph.nodes[edge.target], OutputNode)):
-                continue
-            eligible.append(key)
-        tapped = [key for key in eligible if edge_rng.random() < 0.25]
+        tapped = [key for key in _tappable_edges(graph)
+                  if edge_rng.random() < 0.25]
     stack = []
     for _ in range(count):
         assignment: dict[str, int | None] = {}
@@ -326,3 +315,54 @@ def random_assignments(graph: SignalFlowGraph, seed: int, count: int,
                                                         max_bits + 1))
         stack.append(assignment)
     return stack
+
+
+def random_deltas(graph: SignalFlowGraph, seed: int,
+                  count: int) -> list[dict]:
+    """Seeded stack of one-key deltas against the graph's current word
+    lengths — the shape of a greedy optimizer round.
+
+    The first config changes nothing; the others cycle through setting
+    one fanout tap (a ``"source->target"`` key; a node when the graph has
+    no tappable edge), setting one quantized node's fractional bits, and
+    disabling one quantized node (``None``), with seeded keys and widths
+    (6 to 16 fractional bits, the :func:`random_assignments` range).
+    Every config's cone is then the downstream cone of a single step,
+    which is what the row-sparse batched walks exploit.
+    """
+    if count < 1:
+        raise ValueError(f"count must be positive, got {count}")
+    rng = np.random.default_rng(seed)
+    quantized = _quantized_nodes(graph)
+    tappable = _tappable_edges(graph)
+    stack: list[dict] = [{}]
+    while len(stack) < count:
+        kind = (len(stack) - 1) % 3
+        if kind == 0 and tappable:
+            key = tappable[rng.integers(len(tappable))]
+        else:
+            key = quantized[rng.integers(len(quantized))]
+        bits = None if kind == 2 else int(rng.integers(6, 17))
+        stack.append({key: bits})
+    return stack
+
+
+def _quantized_nodes(graph: SignalFlowGraph) -> list[str]:
+    return [name for name, node in graph.nodes.items()
+            if node.quantization.enabled]
+
+
+def _tappable_edges(graph: SignalFlowGraph) -> list[str]:
+    """``"source->target"`` keys a fanout tap can name: unique node
+    pairs with a quantized source and a non-output target."""
+    pair_counts = Counter((edge.source, edge.target) for edge in graph.edges)
+    eligible = []
+    for edge in graph.edges:
+        key = f"{edge.source}->{edge.target}"
+        if (key in eligible
+                or pair_counts[edge.source, edge.target] != 1
+                or not graph.nodes[edge.source].quantization.enabled
+                or isinstance(graph.nodes[edge.target], OutputNode)):
+            continue
+        eligible.append(key)
+    return eligible

@@ -19,22 +19,19 @@ The cost model is the total number of fractional bits across all
 quantized nodes, a standard proxy for datapath area / energy.
 
 The optimizer compiles the graph into a
-:class:`~repro.sfg.plan.CompiledPlan` once and re-quantizes it in place
-across search iterations, so the topological schedule and the memoized
-per-node frequency responses are shared by the (typically hundreds of)
-candidate evaluations.  Three evaluation modes cover the cost/diagnosis
-trade-offs, all bit-identical in their results:
-
-* ``incremental`` (default) — each greedy candidate is a single-node
-  delta against the incumbent :class:`~repro.analysis._engine.NoiseMemo`:
-  the plan marks the edited node dirty and the evaluator re-walks only
-  its downstream cone, O(depth) instead of O(nodes) per candidate.
-* ``batch`` — every round's single-bit-decrement candidates run as one
-  configuration-batched pass (``evaluate_*_batch``), the amortized
-  cross-check of the incremental path.
-* ``sequential`` — one *cold* full walk per candidate (the memo is
-  disabled), the honest O(nodes) baseline the speed-up benchmarks
-  measure against.
+:class:`~repro.sfg.plan.CompiledPlan` once and keeps it requantized to the
+incumbent assignment, so the topological schedule, the memoized per-node
+frequency responses and the plan's
+:class:`~repro.analysis._engine.NoiseMemo` are shared by the (typically
+thousands of) candidate evaluations.  Each greedy round is one
+configuration-batched evaluation (``evaluate_*_batch``) of one-key
+deltas against that incumbent: the row-sparse batched walk computes each
+candidate's row only inside its own downstream cone and copies the
+memo's value everywhere else, so a round costs the sum of the
+candidates' cones rather than candidates x nodes.  Under
+:func:`~repro.analysis._engine.memoization_disabled` the same search runs
+on cold dense walks — bit-identical results, the honest baseline of the
+tests and benchmarks.
 """
 
 from __future__ import annotations
@@ -45,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.analysis._engine import memoization_disabled, plan_memo
+from repro.analysis._engine import plan_memo
 from repro.analysis.agnostic_method import (
     evaluate_agnostic,
     evaluate_agnostic_batch,
@@ -58,7 +55,6 @@ from repro.sfg.nodes import OutputNode
 from repro.sfg.plan import compile_plan
 
 _METHODS = ("psd", "flat", "agnostic")
-_MODES = ("incremental", "batch", "sequential")
 _GRANULARITIES = ("node", "edge")
 
 
@@ -93,17 +89,15 @@ class WordLengthResult:
         Sequence of ``(assignment cost, noise power)`` pairs recorded
         after every accepted move.
     full_walks:
-        How many of the evaluations re-walked the whole graph: cold
-        memo builds in ``incremental``/``batch`` mode, every evaluation
-        in ``sequential`` mode.  Together with ``cone_recomputes`` this
-        makes the work actually saved by incremental re-evaluation
-        reportable, instead of hiding delta evaluations and full walks
-        behind one number.
+        Cold builds of the plan's
+        :class:`~repro.analysis._engine.NoiseMemo` channels during the
+        run (0 for later budgets of a sweep, which reuse the memo).
     cone_recomputes:
-        How many evaluations were served as dirty-cone deltas against
-        the incumbent :class:`~repro.analysis._engine.NoiseMemo`
-        (always 0 in ``sequential`` mode; ``flat``-method savings show
-        up as path-function cache hits instead of cone recomputes).
+        Memo pulls that re-propagated a dirty cone: the uniform-search
+        points and the incumbent's move after each accepted round.
+        Both counters stay 0 under
+        :func:`~repro.analysis._engine.memoization_disabled` and for the
+        ``flat`` method, whose savings are path-function cache hits.
     """
 
     assignment: dict[str, int]
@@ -132,18 +126,6 @@ class WordLengthOptimizer:
         PSD bins for the PSD-based evaluator.
     min_bits, max_bits:
         Search range for every node's fractional word length.
-    mode:
-        Candidate-evaluation strategy: ``"incremental"`` (default —
-        per-candidate dirty-cone deltas against the plan's noise memo),
-        ``"batch"`` (one configuration-batched pass per greedy round) or
-        ``"sequential"`` (one cold full walk per candidate, memoization
-        disabled).  All three return bit-identical assignments; the
-        non-default modes exist as the cross-check and the honest
-        timing baseline.
-    batch:
-        Back-compat alias: ``batch=True`` means ``mode="batch"``,
-        ``batch=False`` means ``mode="sequential"``.  Leave both unset
-        for the incremental default.
     granularity:
         ``"node"`` (default) tunes one fractional width per quantized
         node — the classical search.  ``"edge"`` additionally tunes a
@@ -157,7 +139,6 @@ class WordLengthOptimizer:
 
     def __init__(self, graph: SignalFlowGraph, method: str = "psd",
                  n_psd: int = 256, min_bits: int = 4, max_bits: int = 24,
-                 batch: bool | None = None, mode: str | None = None,
                  granularity: str = "node"):
         if min_bits < 1 or max_bits < min_bits:
             raise ValueError(
@@ -165,17 +146,6 @@ class WordLengthOptimizer:
         if method not in _METHODS:
             raise ValueError(
                 f"unknown method {method!r}; expected one of {_METHODS}")
-        if mode is None:
-            mode = ("incremental" if batch is None
-                    else "batch" if batch else "sequential")
-        elif mode not in _MODES:
-            raise ValueError(
-                f"unknown mode {mode!r}; expected one of {_MODES}")
-        elif batch is not None and mode != ("batch" if batch
-                                            else "sequential"):
-            raise ValueError(
-                f"conflicting batch={batch!r} and mode={mode!r}; pass "
-                "only mode (batch is the legacy alias)")
         if granularity not in _GRANULARITIES:
             raise ValueError(
                 f"unknown granularity {granularity!r}; expected one of "
@@ -185,13 +155,11 @@ class WordLengthOptimizer:
         self.n_psd = n_psd
         self.min_bits = min_bits
         self.max_bits = max_bits
-        self.mode = mode
-        self.batch = mode == "batch"
         self.granularity = granularity
         self._evaluations = 0
         # The graph is compiled once; the search re-quantizes the plan in
-        # place, so the schedule and the memoized per-node frequency
-        # responses are shared by every candidate evaluation.
+        # place, so the schedule, the memoized per-node frequency
+        # responses and the noise memo are shared by every evaluation.
         self._plan = compile_plan(graph)
         # Only nodes with an enabled spec are tuned: handing bits to an
         # unquantized node would trip requantize's allow_enable guard
@@ -222,55 +190,30 @@ class WordLengthOptimizer:
     # ------------------------------------------------------------------
     # Evaluation plumbing
     # ------------------------------------------------------------------
-    def _apply(self, assignment: dict[str, int]) -> None:
-        self._plan.requantize(assignment)
-
     def _noise_power(self, assignment: dict[str, int]) -> float:
-        """Evaluate one assignment (requantizes the plan in place).
-
-        In ``sequential`` mode the per-plan noise memo is disabled for
-        the evaluation, so every candidate costs one cold full walk —
-        the honest O(nodes) baseline.  The other modes pull from the
-        memo: a one-node candidate edit recomputes only its dirty
-        downstream cone.
-        """
-        self._apply(assignment)
+        """Requantize the plan to ``assignment`` and evaluate it (one
+        dirty-cone memo pull)."""
+        self._plan.requantize(assignment)
         self._evaluations += 1
-        metric_inc("optimizer.evaluations", mode=self.mode)
-        with span("optimizer.candidate", mode=self.mode):
-            if self.mode == "sequential":
-                with memoization_disabled():
-                    return self._evaluate_current()
-            return self._evaluate_current()
-
-    def _evaluate_current(self) -> float:
+        metric_inc("optimizer.evaluations")
         if self.method == "psd":
             return evaluate_psd(self._plan, self.n_psd).total_power
         if self.method == "flat":
             return evaluate_flat(self._plan).power
         return evaluate_agnostic(self._plan).power
 
-    def _noise_powers(self, candidates: list[dict]) -> np.ndarray:
-        """Evaluate a whole candidate round (strategy per ``mode``)."""
-        with span("optimizer.round", mode=self.mode,
-                  candidates=len(candidates)):
-            if self.mode != "batch":
-                # incremental: each candidate is a single-node delta
-                # against the incumbent memo; sequential: one cold walk
-                # each.
-                return np.array([self._noise_power(candidate)
-                                 for candidate in candidates])
-            self._evaluations += len(candidates)
-            metric_inc("optimizer.evaluations", len(candidates),
-                       mode=self.mode)
+    def _noise_powers(self, deltas: list[dict]) -> np.ndarray:
+        """Evaluate one greedy round of deltas against the live plan."""
+        self._evaluations += len(deltas)
+        metric_inc("optimizer.evaluations", len(deltas))
+        with span("optimizer.round", candidates=len(deltas)):
             if self.method == "psd":
-                result = evaluate_psd_batch(self._plan, self.n_psd,
-                                            candidates)
+                result = evaluate_psd_batch(self._plan, self.n_psd, deltas)
                 return np.asarray(result.total_power, dtype=float)
             if self.method == "flat":
-                result = evaluate_flat_batch(self._plan, candidates)
+                result = evaluate_flat_batch(self._plan, deltas)
             else:
-                result = evaluate_agnostic_batch(self._plan, candidates)
+                result = evaluate_agnostic_batch(self._plan, deltas)
             return np.asarray(result.power, dtype=float)
 
     def assignment_cost(self, assignment: dict[str, int]) -> int:
@@ -333,23 +276,22 @@ class WordLengthOptimizer:
 
     def optimize(self, budget: float) -> WordLengthResult:
         """Run the full greedy refinement under a noise-power budget."""
-        with span("optimizer.optimize", budget=budget, mode=self.mode,
-                  method=self.method):
+        with span("optimizer.optimize", budget=budget, method=self.method):
             return self._optimize(budget)
 
     def _optimize(self, budget: float) -> WordLengthResult:
         self._evaluations = 0
-        memo = (plan_memo(self._plan) if self.mode != "sequential"
-                else None)
-        counters_before = memo.counters() if memo is not None else None
+        memo = plan_memo(self._plan)
+        counters_before = memo.counters()
         assignment, current_power = self._uniform_search(budget)
         history = [(self.assignment_cost(assignment), current_power)]
+        # The plan tracks the incumbent from here on, so every candidate
+        # is a one-key delta whose batched row costs only its own cone.
+        self._plan.requantize(assignment)
 
         base_cost = self.assignment_cost(assignment)
-        improved = True
-        while improved:
-            improved = False
-            candidates = []
+        while True:
+            deltas = []
             for name in self._tunable:
                 source = self._edge_sources.get(name)
                 # An edge tap wider than its source is a no-op, so the
@@ -359,19 +301,21 @@ class WordLengthOptimizer:
                            else min(assignment[name], assignment[source]))
                 if current <= self.min_bits:
                     continue
-                candidate = dict(assignment)
-                candidate[name] = current - 1
                 # Only strict cost improvements compete: narrowing a
                 # node that already carries a narrower fanout tap can
                 # be cost-neutral (the tapped branch stays at the tap
                 # width), and accepting such a move would burn noise
-                # slack without buying anything.
-                if self.assignment_cost(candidate) >= base_cost:
-                    continue
-                candidates.append(candidate)
-            if not candidates:
+                # slack without buying anything.  Without edge
+                # tunables every decrement saves exactly one bit.
+                if self._edge_sources:
+                    candidate = dict(assignment)
+                    candidate[name] = current - 1
+                    if self.assignment_cost(candidate) >= base_cost:
+                        continue
+                deltas.append({name: current - 1})
+            if not deltas:
                 break
-            powers = self._noise_powers(candidates)
+            powers = self._noise_powers(deltas)
             best_index = None
             best_power = None
             for index, power in enumerate(powers):
@@ -380,28 +324,16 @@ class WordLengthOptimizer:
                                         or power < best_power):
                     best_index = index
                     best_power = power
-            if best_index is not None:
-                assignment = candidates[best_index]
-                current_power = best_power
-                base_cost = self.assignment_cost(assignment)
-                history.append((base_cost, best_power))
-                improved = True
+            if best_index is None:
+                break
+            move = deltas[best_index]
+            assignment.update(move)
+            self._plan.requantize(move)
+            current_power = best_power
+            base_cost = self.assignment_cost(assignment)
+            history.append((base_cost, best_power))
 
-        # The final power is already known from the round that accepted
-        # the assignment (or from the uniform search) — re-quantize the
-        # plan to the winner without paying another evaluation.
-        self._apply(assignment)
-        if memo is not None:
-            counters = memo.counters()
-            full_walks = (counters["full_walks"]
-                          - counters_before["full_walks"])
-            cone_recomputes = (counters["cone_recomputes"]
-                               - counters_before["cone_recomputes"])
-        else:
-            # Sequential mode walks the whole graph once per evaluation
-            # by construction.
-            full_walks = self._evaluations
-            cone_recomputes = 0
+        counters = memo.counters()
         return WordLengthResult(
             assignment=dict(assignment),
             noise_power=current_power,
@@ -409,6 +341,7 @@ class WordLengthOptimizer:
             total_bits=self.assignment_cost(assignment),
             evaluations=self._evaluations,
             history=history,
-            full_walks=full_walks,
-            cone_recomputes=cone_recomputes,
+            full_walks=counters["full_walks"] - counters_before["full_walks"],
+            cone_recomputes=(counters["cone_recomputes"]
+                             - counters_before["cone_recomputes"]),
         )

@@ -19,7 +19,10 @@ graphs of :mod:`repro.systems.random_graphs`):
    Numba JIT kernels;
 4. **batch_vs_sequential** — the configuration-batched evaluation paths
    equal the sequential requantize-and-evaluate loop, row for row, bit
-   for bit (analytical engines and the Monte-Carlo reference);
+   for bit (analytical engines and the Monte-Carlo reference), and a
+   stack of one-key deltas against a random incumbent — the row-sparse
+   path of the memo-backed batched walks — equals cold scalar walks
+   bit for bit, signed zeros included;
 5. **ed_band** — the proposed PSD estimate tracks the Monte-Carlo
    measurement within the paper's sub-one-bit ``Ed`` band
    ``(-300 %, +75 %)``;
@@ -62,7 +65,11 @@ from repro.sfg.executor import SfgExecutor
 from repro.sfg.graph import SignalFlowGraph, is_multirate
 from repro.sfg.plan import CompiledPlan, compile_plan
 from repro.sfg.serialization import graph_fingerprint, graph_from_dict, graph_to_dict
-from repro.systems.random_graphs import COMPATIBLE_N_PSD, random_assignments
+from repro.systems.random_graphs import (
+    COMPATIBLE_N_PSD,
+    random_assignments,
+    random_deltas,
+)
 from repro.verify.legacy import (
     legacy_agnostic,
     legacy_flat,
@@ -244,7 +251,38 @@ def _check_batch_vs_sequential(graph, plan, *, samples, seed, n_psd,
                      == measured.num_samples,
                      f"simulation batch row {index} differs from the "
                      "sequential evaluation")
-    return f"{len(assignments)} configs bit-identical across all engines"
+
+    # One-key deltas against a random incumbent have small per-config
+    # cones, so the memoized batched walks run row-sparse here.
+    incumbent = random_assignments(graph, seed + 5, 1, edges=True)[0]
+    with plan.preserve_quantization():
+        plan.requantize(incumbent, allow_enable=True)
+        deltas = random_deltas(graph, seed + 6, 2 * batch_configs + 1)
+        psd_stack = evaluate_psd_batch(plan, n_psd, deltas)
+        agnostic_stack = evaluate_agnostic_batch(plan, deltas)
+        for index, delta in enumerate(deltas):
+            with plan.preserve_quantization(), memoization_disabled():
+                plan.requantize(delta, allow_enable=True)
+                scalar_psd = evaluate_psd(plan, n_psd)
+                scalar_stats = evaluate_agnostic(plan)
+            _require(_bitwise(psd_stack.ac[index], scalar_psd.ac)
+                     and _bitwise(psd_stack.mean[index], scalar_psd.mean),
+                     f"psd delta row {index} ({delta}) differs from the "
+                     "cold scalar walk")
+            _require(_bitwise(agnostic_stack.mean[index], scalar_stats.mean)
+                     and _bitwise(agnostic_stack.variance[index],
+                                  scalar_stats.variance),
+                     f"agnostic delta row {index} ({delta}) differs from "
+                     "the cold scalar walk")
+    return (f"{len(assignments)} configs + {len(deltas)} deltas "
+            "bit-identical across all engines")
+
+
+def _bitwise(a, b) -> bool:
+    """Equal values and equal zero signs (``-0.0`` is not ``+0.0``)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
 
 
 def _check_ed_band(graph, plan, *, seed, n_psd, ed_samples,
@@ -324,8 +362,8 @@ def _check_incremental(graph, plan, *, seed, n_psd, batch_configs,
                  "incrementally maintained state differs from a freshly "
                  "compiled plan")
 
-        # The batched walks broadcast the memo's values outside each
-        # stack's deviant cone; the rows must still match the
+        # The batched walks copy the memo's values outside each config's
+        # cone; the rows must still match the
         # memo-blind batched evaluation bit for bit.
         stacks = random_assignments(graph, seed + 4, batch_configs)
         warm_psd_stack = evaluate_psd_batch(plan, n_psd, stacks)

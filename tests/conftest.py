@@ -24,3 +24,51 @@ def small_image(rng) -> np.ndarray:
     from repro.data.images import natural_image
 
     return natural_image(32, seed=7)
+
+
+@pytest.fixture
+def sequential_rounds(monkeypatch):
+    """Switch the word-length search to its sequential baseline.
+
+    Calling the returned function swaps the optimizer's batched round
+    evaluators for one requantize + cold scalar evaluation per candidate
+    (memoization disabled, quantization restored after each) — the
+    baseline the row-sparse batched rounds must reproduce bit for bit.
+    """
+    from types import SimpleNamespace
+
+    import repro.systems.wordlength as wordlength
+    from repro.analysis._engine import memoization_disabled
+    from repro.analysis.agnostic_method import evaluate_agnostic
+    from repro.analysis.flat_method import evaluate_flat
+    from repro.analysis.psd_method import evaluate_psd
+
+    def one_by_one(evaluate, plan, deltas, *options):
+        rows = []
+        with memoization_disabled():
+            for delta in deltas:
+                with plan.preserve_quantization():
+                    plan.requantize(delta)
+                    rows.append(evaluate(plan, *options))
+        return rows
+
+    def psd_rounds(plan, n_psd, deltas):
+        rows = one_by_one(evaluate_psd, plan, deltas, n_psd)
+        return SimpleNamespace(
+            total_power=np.array([row.total_power for row in rows]))
+
+    def stats_rounds(evaluate):
+        def rounds(plan, deltas):
+            rows = one_by_one(evaluate, plan, deltas)
+            return SimpleNamespace(power=np.array([row.power
+                                                   for row in rows]))
+        return rounds
+
+    def activate():
+        monkeypatch.setattr(wordlength, "evaluate_psd_batch", psd_rounds)
+        monkeypatch.setattr(wordlength, "evaluate_flat_batch",
+                            stats_rounds(evaluate_flat))
+        monkeypatch.setattr(wordlength, "evaluate_agnostic_batch",
+                            stats_rounds(evaluate_agnostic))
+
+    return activate

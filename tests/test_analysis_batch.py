@@ -7,9 +7,12 @@ same floating-point operations as the scalar walk of that configuration,
 so the comparisons below use strict equality, not tolerances.
 """
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
+from repro.analysis._engine import memoization_disabled, plan_memo
 from repro.analysis.agnostic_method import (
     evaluate_agnostic,
     evaluate_agnostic_batch,
@@ -21,7 +24,14 @@ from repro.lti.fir_design import design_fir_highpass, design_fir_lowpass
 from repro.lti.iir_design import design_iir_filter
 from repro.psd.batch import PsdStack
 from repro.sfg.builder import SfgBuilder
-from repro.sfg.plan import compile_plan
+from repro.sfg.plan import compile_plan, parse_edge_key
+from repro.systems.families import build_scalability_bank
+from repro.systems.random_graphs import (
+    COMPATIBLE_N_PSD,
+    build_random_graph,
+    random_assignments,
+    random_deltas,
+)
 
 
 def _cascade_graph(bits=12):
@@ -190,6 +200,119 @@ class TestSimulationBatch:
         evaluator = SimulationEvaluator(Protocol())
         with pytest.raises(TypeError):
             evaluator.evaluate_batch([{"x": 8}], np.zeros(16))
+
+
+def _bitwise(a, b) -> bool:
+    """Equal values *and* equal zero signs (``-0.0`` is not ``+0.0``)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def _cone_size(plan, delta) -> int:
+    """Steps a one-key delta can change: the downstream cone of the step
+    it deviates at, or nothing when it restates the live width."""
+    if not delta:
+        return 0
+    ((key, bits),) = delta.items()
+    if key in plan.index_of:
+        index = plan.index_of[key]
+        live = plan.steps[index].node.quantization.fractional_bits
+    else:
+        source, target = parse_edge_key(key)
+        index = plan.index_of[target]
+        live = plan.graph.node(source).quantization.edge_bits_for(target)
+    return 0 if bits == live else len(plan.downstream_cone([index]))
+
+
+class TestRowSparseWalk:
+    """Memo-backed batched walks compute a config's row only in its cone
+    and copy the memo's value everywhere else — still bit-identical."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_graph_rows_equal_cold_scalar(self, seed):
+        self._check(build_random_graph(seed, blocks=6, multirate=True), seed)
+
+    def test_bank_rows_equal_cold_scalar(self):
+        self._check(build_scalability_bank(branches=16), 7)
+
+    @staticmethod
+    def _check(graph, seed):
+        plan = compile_plan(graph)
+        # The incumbent the deltas deviate from, fanout taps included.
+        plan.requantize(random_assignments(graph, seed, 1, edges=True)[0],
+                        allow_enable=True)
+        deltas = random_deltas(graph, seed + 1, 13)
+        kinds = {"edge" if "->" in key else "off" if bits is None
+                 else "node" for delta in deltas
+                 for key, bits in delta.items()}
+        assert {} in deltas and {"node", "off"} <= kinds
+        cones = sum(_cone_size(plan, delta) for delta in deltas)
+        memo = plan_memo(plan)
+        before = memo.counters()
+        psd = evaluate_psd_batch(plan, COMPATIBLE_N_PSD, deltas)
+        stats = evaluate_agnostic_batch(plan, deltas)
+        after = memo.counters()
+        assert after["rows_computed"] - before["rows_computed"] == 2 * cones
+        assert (after["rows_copied"] - before["rows_copied"]
+                == 2 * (len(deltas) * len(plan.steps) - cones))
+        for k, delta in enumerate(deltas):
+            with plan.preserve_quantization(), memoization_disabled():
+                plan.requantize(delta, allow_enable=True)
+                scalar_psd = evaluate_psd(plan, COMPATIBLE_N_PSD)
+                scalar_stats = evaluate_agnostic(plan)
+            assert _bitwise(psd.ac[k], scalar_psd.ac), delta
+            assert _bitwise(psd.mean[k], scalar_psd.mean), delta
+            assert _bitwise(stats.mean[k], scalar_stats.mean), delta
+            assert _bitwise(stats.variance[k], scalar_stats.variance), delta
+
+    def test_greedy_round_on_the_bank_computes_only_its_cones(self):
+        # One optimizer round on the 64-branch bank: 65 one-key
+        # decrements against a uniform incumbent.  Dense, that would be
+        # 65 x 129 rows; row-sparse, it is the sum of the cones.
+        plan = compile_plan(build_scalability_bank(branches=64))
+        tunable = [step.name for step in plan.steps
+                   if step.node.quantization.enabled]
+        plan.requantize({name: 12 for name in tunable})
+        deltas = [{name: 11} for name in tunable]
+        memo = plan_memo(plan)
+        before = memo.counters()
+        evaluate_psd_batch(plan, 64, deltas)
+        computed = memo.counters()["rows_computed"] - before["rows_computed"]
+        assert (len(deltas), len(plan.steps)) == (65, 129)
+        assert computed == sum(_cone_size(plan, delta)
+                               for delta in deltas) == 641
+
+    def test_silent_rows_keep_negative_zero_means(self):
+        # The zero mean of x turns into -0.0 through the negative gain.
+        # Only the second config quantizes g; the first must skip the
+        # injection like the scalar walk does, not add +0.0.
+        builder = SfgBuilder("negative-zero")
+        x = builder.input("x", fractional_bits=12)
+        builder.output("y", builder.gain("g", -0.5, x))
+        plan = compile_plan(builder.build())
+        deltas = [{"x": 9}, {"x": 9, "g": 10}]
+        for memoized in (True, False):
+            with nullcontext() if memoized else memoization_disabled():
+                psd = evaluate_psd_batch(plan, 16, deltas)
+                stats = evaluate_agnostic_batch(plan, deltas)
+            assert np.signbit(psd.mean[0]) and np.signbit(stats.mean[0])
+            for k, delta in enumerate(deltas):
+                with plan.preserve_quantization(), memoization_disabled():
+                    plan.requantize(delta, allow_enable=True)
+                    assert _bitwise(psd.mean[k], evaluate_psd(plan, 16).mean)
+                    assert _bitwise(stats.mean[k],
+                                    evaluate_agnostic(plan).mean)
+
+    def test_disabled_memo_computes_every_row(self):
+        plan = compile_plan(build_scalability_bank(branches=4))
+        deltas = [{"branch0": 9}, {}]
+        warm = evaluate_psd_batch(plan, 64, deltas)
+        counters = plan_memo(plan).counters()
+        with memoization_disabled():
+            cold = evaluate_psd_batch(plan, 64, deltas)
+        assert plan_memo(plan).counters() == counters
+        assert _bitwise(warm.ac, cold.ac) and _bitwise(warm.mean, cold.mean)
 
 
 class TestPsdStackContainer:

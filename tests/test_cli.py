@@ -13,10 +13,15 @@ codes) instead.
 """
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.sfg.serialization import save_graph
 from repro.systems.filter_bank import build_filter_graph, generate_iir_bank
@@ -237,3 +242,17 @@ class TestErrorPaths:
         assert "--seed 17 --count 1" in out
         data = json.loads((tmp_path / "seed17.json").read_text())
         assert data["name"] == "random-sfg-seed17"
+
+
+class TestStartup:
+    def test_import_leaves_scipy_signal_unloaded(self):
+        # scipy.signal takes over a second to import and only the
+        # simulation paths call lfilter, so a fresh CLI process (e.g. a
+        # warm-cache campaign or an analytical optimize) must not pay it.
+        source_root = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": source_root}
+        output = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.cli; print('scipy.signal' in sys.modules)"],
+            capture_output=True, text=True, env=env, check=True)
+        assert output.stdout.strip() == "False"

@@ -5,8 +5,8 @@ Covers the whole-plan fusion path of :mod:`repro.simkernel.codegen`:
 * backend precedence (explicit override > ``REPRO_SIMD_BACKEND`` >
   auto-detected default) with ``codegen`` in the registry;
 * graceful degradation when numba is missing — the op tape runs through
-  the NumPy tape interpreter and logs one warning (on the
-  ``repro.simkernel.codegen`` logger) at lowering time;
+  the NumPy tape interpreter and logs one warning per process (on the
+  ``repro.simkernel.codegen`` logger), however many plans are lowered;
 * bitwise equality of the codegen backend against the per-node numpy
   walk on every rounding mode, single-trial, batched and ``run_pair``;
 * the constants/structure split: requantizing a plan in place rebinds
@@ -42,6 +42,7 @@ from repro.simkernel import (
 from repro.simkernel.backend import BACKEND_ENV
 from repro.simkernel.codegen import UnsupportedPlanError, lower_plan
 from repro.simkernel.codegen import _njit, interpreter
+from repro.simkernel.codegen import lowering as lowering_module
 
 
 def _mixed_graph(bits: int = 10,
@@ -112,10 +113,17 @@ class TestNumbaMissingDegradation:
     @pytest.mark.skipif(numba_available(),
                         reason="numba installed; the degradation path is "
                                "inactive")
-    def test_lowering_warns_once_and_matches_numpy(self, caplog):
+    def test_lowering_warns_once_and_matches_numpy(self, caplog,
+                                                   monkeypatch):
+        # Start from a process that has not warned yet (earlier tests may
+        # already have lowered plans).
+        monkeypatch.setattr(lowering_module, "_numba_missing_warned", False)
         plan = compile_plan(_mixed_graph(name="codegen-warn"))
+        other = compile_plan(_mixed_graph(rounding=RoundingMode.TRUNCATE,
+                                          name="codegen-warn-other"))
         stimulus = _stimulus()
         expected = _run_fixed(plan, stimulus, "numpy")
+        expected_other = _run_fixed(other, stimulus, "numpy")
         with use_backend("codegen"):
             with caplog.at_level(logging.WARNING,
                                  logger="repro.simkernel.codegen"):
@@ -124,15 +132,18 @@ class TestNumbaMissingDegradation:
                             if "numba is not installed" in record.message]
             assert len(degradations) == 1
             assert degradations[0].name == "repro.simkernel.codegen"
-            # The warning fires at lowering time only — the cached tape
-            # must re-execute silently.
+            # Once per process: neither re-running the cached tape nor
+            # lowering a second, distinct plan warns again.
             caplog.clear()
             with caplog.at_level(logging.WARNING,
                                  logger="repro.simkernel.codegen"):
                 again = plan.run(stimulus, mode="fixed").output("y")
+                second = other.run(stimulus, mode="fixed").output("y")
+            assert other._tape is not None
             assert not caplog.records
         assert np.array_equal(first, expected)
         assert np.array_equal(again, expected)
+        assert np.array_equal(second, expected_other)
 
 
 # ----------------------------------------------------------------------

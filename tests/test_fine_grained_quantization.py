@@ -264,14 +264,23 @@ class TestEdgeGranularitySearch:
         assert edge_result.noise_power <= budget
         assert any("->" in key for key in edge_result.assignment)
 
-    def test_three_modes_identical_at_edge_granularity(self):
+    def test_three_modes_identical_at_edge_granularity(
+            self, sequential_rounds):
+        # Memo-backed row-sparse rounds, cold dense rounds, and one cold
+        # scalar evaluation per candidate.
         probe = build_scalability_bank(branches=4, taps=9)
         budget = float(evaluate_psd(probe, 128).total_power) * 16.0
-        results = [
-            WordLengthOptimizer(build_scalability_bank(branches=4, taps=9),
-                                n_psd=128, granularity="edge",
-                                mode=mode).optimize(budget)
-            for mode in ("incremental", "batch", "sequential")]
+
+        def search():
+            return WordLengthOptimizer(
+                build_scalability_bank(branches=4, taps=9), n_psd=128,
+                granularity="edge").optimize(budget)
+
+        results = [search()]
+        with memoization_disabled():
+            results.append(search())
+        sequential_rounds()
+        results.append(search())
         for other in results[1:]:
             assert other.assignment == results[0].assignment
             assert other.noise_power == results[0].noise_power

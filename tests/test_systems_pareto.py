@@ -91,12 +91,12 @@ class TestSweep:
         assert len(front.points) == 1
         assert front.points[0].budget == 1e-5
 
-    def test_batched_and_sequential_fronts_identical(self):
+    def test_batched_and_sequential_fronts_identical(self,
+                                                     sequential_rounds):
         budgets = budget_range(1e-5, 1e-8, 3)
-        batched = sweep_noise_budgets(_graph(), budgets, n_psd=128,
-                                      batch=True)
-        sequential = sweep_noise_budgets(_graph(), budgets, n_psd=128,
-                                         batch=False)
+        batched = sweep_noise_budgets(_graph(), budgets, n_psd=128)
+        sequential_rounds()
+        sequential = sweep_noise_budgets(_graph(), budgets, n_psd=128)
         for a, b in zip(batched.points, sequential.points):
             assert a.assignment == b.assignment
             assert a.noise_power == b.noise_power

@@ -3,6 +3,7 @@
 import pytest
 
 import repro.systems.wordlength as wordlength_module
+from repro.analysis._engine import memoization_disabled
 from repro.analysis.psd_method import evaluate_psd
 from repro.lti.fir_design import design_fir_highpass, design_fir_lowpass
 from repro.sfg.builder import SfgBuilder
@@ -108,91 +109,138 @@ class TestGreedyOptimization:
             WordLengthOptimizer(_two_stage_graph(), method="psychic")
 
 
+def _fork_graph(bits=12):
+    """A lowpass feeding a highpass and a gain branch: one fanout node,
+    so edge granularity has taps to tune."""
+    builder = SfgBuilder("wl-fork")
+    x = builder.input("x", fractional_bits=bits)
+    lp = builder.fir("lp", design_fir_lowpass(15, 0.4), x,
+                     fractional_bits=bits)
+    hp = builder.fir("hp", design_fir_highpass(9, 0.5), lp,
+                     fractional_bits=bits)
+    g = builder.gain("g", 0.5, lp, fractional_bits=bits)
+    builder.output("y", builder.add("s", [hp, g], fractional_bits=bits))
+    return builder.build()
+
+
+def _same_search(result, other):
+    assert result.assignment == other.assignment
+    assert result.noise_power == other.noise_power
+    assert result.evaluations == other.evaluations
+    assert result.history == other.history
+
+
 class TestBatchedGreedyEquivalence:
     """Batched rounds must be bit-identical to the sequential baseline."""
 
     @pytest.mark.parametrize("method", ["psd", "flat", "agnostic"])
-    def test_identical_on_cascade(self, method):
+    def test_identical_on_cascade(self, method, sequential_rounds):
         budget = 1e-6
         batched = WordLengthOptimizer(_two_stage_graph(), method=method,
-                                      n_psd=128, batch=True).optimize(budget)
+                                      n_psd=128).optimize(budget)
+        sequential_rounds()
         sequential = WordLengthOptimizer(_two_stage_graph(), method=method,
-                                         n_psd=128,
-                                         batch=False).optimize(budget)
-        assert batched.assignment == sequential.assignment
-        assert batched.noise_power == sequential.noise_power
-        assert batched.evaluations == sequential.evaluations
-        assert batched.history == sequential.history
+                                         n_psd=128).optimize(budget)
+        _same_search(batched, sequential)
 
-    def test_identical_on_table1_filter_bank(self):
+    def test_identical_on_table1_filter_bank(self, sequential_rounds):
         # The Table-I graphs tie coefficient precision to the data path,
         # so the batched rounds exercise per-config frequency responses.
         entries = generate_fir_bank(2) + generate_iir_bank(2)
-        for entry in entries:
-            budget = 1e-7
-            batched = WordLengthOptimizer(
-                build_filter_graph(entry, 16), n_psd=128,
-                batch=True).optimize(budget)
+        budget = 1e-7
+        batched = [WordLengthOptimizer(build_filter_graph(entry, 16),
+                                       n_psd=128).optimize(budget)
+                   for entry in entries]
+        sequential_rounds()
+        for entry, result in zip(entries, batched):
             sequential = WordLengthOptimizer(
-                build_filter_graph(entry, 16), n_psd=128,
-                batch=False).optimize(budget)
-            assert batched.assignment == sequential.assignment, entry.name
-            assert batched.noise_power == sequential.noise_power, entry.name
-            assert batched.history == sequential.history, entry.name
+                build_filter_graph(entry, 16), n_psd=128).optimize(budget)
+            assert result.assignment == sequential.assignment, entry.name
+            assert result.noise_power == sequential.noise_power, entry.name
+            assert result.history == sequential.history, entry.name
+
+    @pytest.mark.parametrize("granularity", ["node", "edge"])
+    @pytest.mark.parametrize("method", ["psd", "flat", "agnostic"])
+    def test_identical_to_cold_run(self, method, granularity):
+        # Memo-backed row-sparse rounds vs the same search on cold, dense
+        # walks.
+        budget = 1e-6
+        warm = WordLengthOptimizer(_fork_graph(), method=method, n_psd=128,
+                                   granularity=granularity).optimize(budget)
+        with memoization_disabled():
+            cold = WordLengthOptimizer(
+                _fork_graph(), method=method, n_psd=128,
+                granularity=granularity).optimize(budget)
+        _same_search(warm, cold)
+        assert (granularity == "edge") == any("->" in key
+                                              for key in warm.assignment)
 
 
 class TestIncrementalMode:
-    """The default incremental mode: bit-identical, with work accounting."""
+    """Rounds of one-key deltas against the incumbent's noise memo."""
 
     @pytest.mark.parametrize("method", ["psd", "flat", "agnostic"])
-    def test_incremental_identical_to_sequential(self, method):
+    def test_incremental_identical_to_sequential(self, method,
+                                                 sequential_rounds):
+        # Edge granularity: candidates mix node and fanout-tap deltas.
         budget = 1e-6
         incremental = WordLengthOptimizer(
-            _two_stage_graph(), method=method, n_psd=128).optimize(budget)
+            _fork_graph(), method=method, n_psd=128,
+            granularity="edge").optimize(budget)
+        sequential_rounds()
         sequential = WordLengthOptimizer(
-            _two_stage_graph(), method=method, n_psd=128,
-            mode="sequential").optimize(budget)
-        assert incremental.assignment == sequential.assignment
-        assert incremental.noise_power == sequential.noise_power
-        assert incremental.evaluations == sequential.evaluations
-        assert incremental.history == sequential.history
+            _fork_graph(), method=method, n_psd=128,
+            granularity="edge").optimize(budget)
+        _same_search(incremental, sequential)
 
-    def test_mode_resolution_and_alias(self):
-        assert WordLengthOptimizer(_two_stage_graph()).mode == "incremental"
-        assert WordLengthOptimizer(_two_stage_graph(),
-                                   batch=True).mode == "batch"
-        assert WordLengthOptimizer(_two_stage_graph(),
-                                   batch=False).mode == "sequential"
-        assert WordLengthOptimizer(_two_stage_graph(), batch=True,
-                                   mode="batch").mode == "batch"
+    def test_plan_tracks_the_incumbent(self, monkeypatch):
+        # After every accepted move the plan holds the incumbent, so the
+        # next round's candidates deviate at one key each.
+        optimizer = WordLengthOptimizer(_two_stage_graph(), n_psd=128)
+        seen = []
+        real = wordlength_module.evaluate_psd_batch
 
-    def test_unknown_and_conflicting_modes_rejected(self):
-        with pytest.raises(ValueError, match="unknown mode"):
-            WordLengthOptimizer(_two_stage_graph(), mode="psychic")
-        with pytest.raises(ValueError, match="conflicting"):
-            WordLengthOptimizer(_two_stage_graph(), batch=True,
-                                mode="sequential")
+        def spy(plan, n_psd, deltas):
+            live = {name: plan.graph.node(name).quantization.fractional_bits
+                    for name in optimizer._tunable}
+            seen.append((live, deltas))
+            return real(plan, n_psd, deltas)
+
+        monkeypatch.setattr(wordlength_module, "evaluate_psd_batch", spy)
+        result = optimizer.optimize(1e-6)
+        assert len(seen) == len(result.history)
+        for live, deltas in seen:
+            assert all(len(delta) == 1 for delta in deltas)
+            for delta in deltas:
+                ((name, bits),) = delta.items()
+                assert bits == live[name] - 1
+        assert seen[-1][0] == result.assignment
 
     def test_work_split_counters(self):
         budget = 1e-6
-        incremental = WordLengthOptimizer(_two_stage_graph(),
-                                          n_psd=128).optimize(budget)
-        sequential = WordLengthOptimizer(_two_stage_graph(), n_psd=128,
-                                         mode="sequential").optimize(budget)
-        # Incremental: one cold memo build, then dirty-cone deltas.
-        assert incremental.cone_recomputes > 0
-        assert (incremental.full_walks + incremental.cone_recomputes
-                == incremental.evaluations)
-        assert incremental.full_walks < incremental.evaluations
-        # Sequential: every evaluation is a cold full walk by definition.
-        assert sequential.full_walks == sequential.evaluations
-        assert sequential.cone_recomputes == 0
+        optimizer = WordLengthOptimizer(_two_stage_graph(), n_psd=128)
+        first = optimizer.optimize(budget)
+        # One cold memo build; every later pull — uniform-search points,
+        # the incumbent after each move — recomputes a dirty cone.
+        assert first.full_walks == 1
+        assert first.cone_recomputes >= len(first.history)
+        # A second budget on the same optimizer reuses the memo.
+        second = optimizer.optimize(budget / 4)
+        assert second.full_walks == 0
+        assert second.cone_recomputes > 0
+        # Cold runs never touch the memo.
+        with memoization_disabled():
+            cold = WordLengthOptimizer(_two_stage_graph(),
+                                       n_psd=128).optimize(budget)
+        assert cold.full_walks == cold.cone_recomputes == 0
 
 
 class TestEvaluationAccounting:
     """`evaluations` must count distinct candidate evaluations exactly."""
 
-    def _counting_optimizer(self, monkeypatch, batch):
+    def _counting_optimizer(self, monkeypatch, sequential_rounds, batched):
+        if not batched:
+            sequential_rounds()
         counter = {"evaluations": 0}
         real_scalar = wordlength_module.evaluate_psd
         real_batch = wordlength_module.evaluate_psd_batch
@@ -210,21 +258,25 @@ class TestEvaluationAccounting:
         monkeypatch.setattr(wordlength_module, "evaluate_psd_batch",
                             counting_batch)
         optimizer = WordLengthOptimizer(_two_stage_graph(), method="psd",
-                                        n_psd=128, batch=batch)
+                                        n_psd=128)
         return optimizer, counter
 
-    @pytest.mark.parametrize("batch", [True, False])
-    def test_reported_count_matches_actual_calls(self, monkeypatch, batch):
-        optimizer, counter = self._counting_optimizer(monkeypatch, batch)
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_reported_count_matches_actual_calls(self, monkeypatch,
+                                                 sequential_rounds, batched):
+        optimizer, counter = self._counting_optimizer(
+            monkeypatch, sequential_rounds, batched)
         result = optimizer.optimize(1e-7)
         assert result.evaluations == counter["evaluations"]
 
-    @pytest.mark.parametrize("batch", [True, False])
-    def test_no_reevaluation_of_known_powers(self, monkeypatch, batch):
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_no_reevaluation_of_known_powers(self, monkeypatch,
+                                             sequential_rounds, batched):
         # history[0] comes from the binary search and the final power from
         # the accepting round: the count is exactly the uniform-search
         # evaluations plus one per greedy candidate, nothing on top.
-        optimizer, counter = self._counting_optimizer(monkeypatch, batch)
+        optimizer, counter = self._counting_optimizer(
+            monkeypatch, sequential_rounds, batched)
         result = optimizer.optimize(1e-7)
         # Every accepted move comes from one full candidate round, plus one
         # final round that accepted nothing; on this graph no node reaches
