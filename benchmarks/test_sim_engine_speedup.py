@@ -1,4 +1,4 @@
-"""Simulation-engine speedup — legacy loops vs the vectorized kernels.
+"""Simulation-engine speedup — legacy loops vs the default backend.
 
 The paper's headline figure (Fig. 6) measures bit-true Monte-Carlo
 simulation as the slow reference the PSD estimate is compared against; in
@@ -10,22 +10,18 @@ Fig. 6 F.F. workload:
 
 * the 60 000-sample bit-true simulation of the Fig. 2 frequency-domain
   filter, single stream — the legacy streaming loops (``reference``
-  backend) against the vectorized kernels (``numpy`` backend), asserted
-  to be **>= 5x** faster and bitwise identical;
+  backend) against the default backend, asserted to be **>= 5x** faster
+  and bitwise identical;
 * a 64-trial batched run of the same system;
-* the direct-form IIR recursion of a Table-I filter (the scaled-integer
-  kernel workload), single stream and 64-trial batched — also under the
-  ``codegen`` backend (whole-plan fusion into a linear op tape), whose
-  single-stream run must be **>= 5x** faster than the reference loops;
-* every backend row is asserted bitwise identical to the reference.
+* the direct-form IIR recursion of a Table-I filter, single stream and
+  64-trial batched, where the default backend runs the plan's op tape;
+  its single-stream run must be **>= 5x** faster than the reference
+  loops, with or without numba;
+* every row is asserted bitwise identical to the reference.
 
 Each backend gets one untimed warm-up call before the timed run so
-one-time compile cost (numba JIT, codegen plan lowering) never pollutes
-the ratios.  When numba is installed its JIT backend is measured and
-reported as a separate row; it never participates in the pure-NumPy
->= 5x assertion.  The codegen >= 5x assertion holds with or without
-numba: the op tape falls back to the NumPy tape interpreter, which
-still fuses the plan walk.
+one-time costs (tape lowering, numba JIT compilation when installed)
+never pollute the ratios.
 """
 
 from __future__ import annotations
@@ -36,7 +32,7 @@ import numpy as np
 
 from repro.analysis.simulation_method import SimulationEvaluator
 from repro.data.signals import uniform_white_noise
-from repro.simkernel import available_backends, use_backend
+from repro.simkernel import use_backend
 from repro.systems.filter_bank import build_filter_graph, generate_iir_bank
 from repro.systems.freq_filter import FrequencyDomainFilter
 from repro.utils.tables import TextTable
@@ -45,14 +41,11 @@ from conftest import write_bench, write_report
 
 
 def _time_backends(evaluator, stimulus):
-    """Error-signal wall time and output per available backend.
-
-    One untimed warm-up call precedes each timed run so JIT compilation
-    and codegen tape lowering are excluded from the ratios.
-    """
+    """Error-signal wall time and output under ``reference`` and the
+    default backend, each after one untimed warm-up call."""
     seconds = {}
     outputs = {}
-    for backend in available_backends():
+    for backend in ("reference", "fast"):
         with use_backend(backend):
             evaluator.error_signal(stimulus)
             start = time.perf_counter()
@@ -82,7 +75,7 @@ def test_sim_engine_speedup(bench_config, results_dir):
     workloads.append((f"F.F. {trials}-trial", trials * trial_samples,
                       ffb_seconds, ffb_outputs))
 
-    # --- direct-form IIR (scaled-integer kernel) -------------------------
+    # --- direct-form IIR (the op tape on the default path) ---------------
     graph = build_filter_graph(generate_iir_bank(3)[2], fractional_bits=bits)
     iir_evaluator = SimulationEvaluator(graph)
     iir_stimulus = {"x": uniform_white_noise(samples, seed=3)}
@@ -98,37 +91,22 @@ def test_sim_engine_speedup(bench_config, results_dir):
 
     # --- report -----------------------------------------------------------
     table = TextTable(
-        ["workload", "samples", "reference [s]", "numpy [s]", "speedup",
-         "codegen [s]", "codegen speedup"]
-        + (["numba [s]", "numba speedup"]
-           if "numba" in available_backends() else []),
+        ["workload", "samples", "reference [s]", "default [s]", "speedup"],
         title=(f"simulation-engine speedup ({bench_config['mode']} mode, "
-               f"d = {bits}; legacy loops vs vectorized kernels, bitwise "
+               f"d = {bits}; legacy loops vs the default backend, bitwise "
                "identical outputs)"))
     seconds_payload = {}
     speedup_payload = {}
     for label, size, seconds, outputs in workloads:
-        for backend, output in outputs.items():
-            assert np.array_equal(output, outputs["reference"]), \
-                f"{label}: {backend} backend is not bitwise identical"
+        assert np.array_equal(outputs["fast"], outputs["reference"]), \
+            f"{label}: the default backend is not bitwise identical"
         key = label.replace(" ", "_").replace(".", "").lower()
-        speedup = seconds["reference"] / seconds["numpy"]
-        codegen_speedup = seconds["reference"] / seconds["codegen"]
-        row = [label, size, round(seconds["reference"], 4),
-               round(seconds["numpy"], 4), round(speedup, 1),
-               round(seconds["codegen"], 4), round(codegen_speedup, 1)]
+        speedup = seconds["reference"] / seconds["fast"]
+        table.add_row(label, size, round(seconds["reference"], 4),
+                      round(seconds["fast"], 4), round(speedup, 1))
         seconds_payload[f"{key}_reference"] = seconds["reference"]
-        seconds_payload[f"{key}_numpy"] = seconds["numpy"]
-        seconds_payload[f"{key}_codegen"] = seconds["codegen"]
+        seconds_payload[f"{key}_fast"] = seconds["fast"]
         speedup_payload[key] = speedup
-        speedup_payload[f"{key}_codegen"] = codegen_speedup
-        if "numba" in seconds:
-            row += [round(seconds["numba"], 4),
-                    round(seconds["reference"] / seconds["numba"], 1)]
-            seconds_payload[f"{key}_numba"] = seconds["numba"]
-            speedup_payload[f"{key}_numba"] = (seconds["reference"]
-                                               / seconds["numba"])
-        table.add_row(*row)
 
     write_report(results_dir, "sim_engine_speedup.txt", table.render())
     write_bench(results_dir, "sim_engine_speedup",
@@ -138,23 +116,17 @@ def test_sim_engine_speedup(bench_config, results_dir):
                 seconds=seconds_payload, speedup=speedup_payload,
                 tags=("sim", "smoke"))
 
-    # The acceptance claim: the Fig. 6 F.F. bit-true simulation is at
-    # least 5x faster in pure NumPy, with bitwise-identical outputs
-    # (asserted above for every workload and backend).
+    # The acceptance claims: the Fig. 6 F.F. bit-true simulation and the
+    # single-stream IIR recursion are each at least 5x faster on the
+    # default path, with bitwise-identical outputs (asserted above for
+    # every workload).
     assert speedup_payload["ff_single"] >= 5.0, \
         (f"F.F. single-stream speedup {speedup_payload['ff_single']:.1f}x "
          "fell below the required 5x")
     assert speedup_payload["ff_64-trial"] > 1.0, \
         "batched F.F. run must beat the legacy loops"
-    assert speedup_payload["iir_single"] > 1.0, \
-        "IIR recursion must beat the legacy per-sample loop"
-    # The codegen acceptance claim: fusing the whole plan into one op
-    # tape closes the IIR gap — at least 5x over the reference loops on
-    # the single-stream IIR workload, bitwise identical (asserted above),
-    # with or without numba installed.
-    assert speedup_payload["iir_single_codegen"] >= 5.0, \
-        (f"IIR single-stream codegen speedup "
-         f"{speedup_payload['iir_single_codegen']:.1f}x fell below the "
-         "required 5x")
-    assert speedup_payload["iir_64-trial_codegen"] > 1.0, \
-        "batched IIR codegen run must beat the legacy loops"
+    assert speedup_payload["iir_single"] >= 5.0, \
+        (f"IIR single-stream speedup {speedup_payload['iir_single']:.1f}x "
+         "fell below the required 5x")
+    assert speedup_payload["iir_64-trial"] > 1.0, \
+        "batched IIR run must beat the legacy loops"

@@ -14,11 +14,9 @@ Run with::
 
     python examples/quickstart.py
 
-The bit-true Monte-Carlo half of the comparison is backend-selectable;
-force the whole-plan fused simulation backend (see ARCHITECTURE.md,
-"Codegen backend") with::
-
-    REPRO_SIMD_BACKEND=codegen python examples/quickstart.py
+The bit-true Monte-Carlo half of the comparison runs the compiled plan's
+op tape, a whole-plan fused simulation (see ARCHITECTURE.md, "Simulation
+engine").
 """
 
 from __future__ import annotations

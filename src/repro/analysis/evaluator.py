@@ -109,7 +109,7 @@ class AccuracyEvaluator:
         if method not in _ANALYTICAL_METHODS:
             raise ValueError(
                 f"unknown method {method!r}; expected one of {_ANALYTICAL_METHODS}")
-        bins = n_psd or self.n_psd
+        bins = self.n_psd if n_psd is None else n_psd
         # Re-resolving picks up in-place quantization / coefficient changes
         # and structural rewires made since the last call.
         plan = self._resolve_plan()
@@ -156,9 +156,10 @@ class AccuracyEvaluator:
                 discard_transient: int = 0,
                 metadata: dict | None = None) -> MethodComparison:
         """Compare analytical estimates against the simulation reference."""
-        simulation = self.simulate(stimulus, output=output,
-                                   n_psd=n_psd or self.n_psd,
-                                   discard_transient=discard_transient)
+        simulation = self.simulate(
+            stimulus, output=output,
+            n_psd=self.n_psd if n_psd is None else n_psd,
+            discard_transient=discard_transient)
         reports: dict[str, AccuracyReport] = {}
         for method in methods:
             estimate = self.estimate(method, n_psd=n_psd, output=output)

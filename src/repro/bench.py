@@ -11,7 +11,7 @@ Two halves:
 * **Registry + checker** — a small set of quick, tagged benchmark
   functions runnable without pytest (the ``repro bench`` subcommand).
   Each times the *reference* backend (the preserved legacy loops of
-  :mod:`repro.simkernel.reference`) against the optimized kernels on the
+  :mod:`repro.simkernel.reference`) against the default path on the
   same workload, asserts the outputs are bitwise identical, and reports
   the speedup.  ``repro bench --check`` then compares the measured
   speedups against the committed floors in
@@ -134,9 +134,10 @@ def _timed(function, *args):
 def _timed_warm(function, *args):
     """Time one call after one untimed warm-up call.
 
-    JIT backends (numba, codegen) compile kernels and lower plans to op
-    tapes on first use; the warm-up absorbs that one-time cost so the
-    sampled seconds measure steady-state throughput.  Returns
+    The default backend lowers plans to op tapes (and numba, when
+    installed, compiles its kernels) on first use; the warm-up absorbs
+    that one-time cost so the sampled seconds measure steady-state
+    throughput.  Returns
     ``(result, seconds, warmup_seconds)`` — the warm-up duration is
     reported separately in the payload's ``warmup_s`` field.
     """
@@ -159,7 +160,7 @@ def _require_bitwise(label: str, reference, optimized) -> None:
 # ----------------------------------------------------------------------
 @_registered("sim_engine_ff", tags=("smoke", "sim"),
              description="Fig. 6 frequency-filter bit-true simulation: "
-                         "legacy loops vs vectorized kernels")
+                         "legacy loops vs the default backend")
 def bench_sim_engine_ff(samples: int = 60_000, seed: int = 1) -> dict:
     """The Fig. 6 F.F. workload: dual-mode simulation of the Fig. 2 system."""
     from repro.analysis.simulation_method import SimulationEvaluator
@@ -174,27 +175,26 @@ def bench_sim_engine_ff(samples: int = 60_000, seed: int = 1) -> dict:
     with use_backend("reference"):
         reference, reference_seconds, warmup["reference"] = _timed_warm(
             evaluator.error_signal, stimulus)
-    with use_backend("numpy"):
-        optimized, numpy_seconds, warmup["numpy"] = _timed_warm(
-            evaluator.error_signal, stimulus)
+    optimized, fast_seconds, warmup["fast"] = _timed_warm(
+        evaluator.error_signal, stimulus)
     _require_bitwise("sim_engine_ff", reference, optimized)
     return bench_payload(
         "sim_engine_ff",
         workload={"system": "frequency-domain-filter", "samples": samples,
                   "fractional_bits": 12},
-        seconds={"reference": reference_seconds, "numpy": numpy_seconds},
-        speedup={"bit_true_simulation": reference_seconds / numpy_seconds},
+        seconds={"reference": reference_seconds, "fast": fast_seconds},
+        speedup={"bit_true_simulation": reference_seconds / fast_seconds},
         warmup_s=warmup, tags=("smoke", "sim"))
 
 
 @_registered("sim_engine_iir", tags=("smoke", "sim"),
              description="Direct-form IIR bit-true recursion: legacy "
-                         "per-sample loop vs scaled-integer kernels")
+                         "per-sample loop vs the default backend")
 def bench_sim_engine_iir(samples: int = 60_000, seed: int = 3) -> dict:
     """Single-stream and 64-trial batched IIR recursion."""
     from repro.analysis.simulation_method import SimulationEvaluator
     from repro.data.signals import uniform_white_noise
-    from repro.simkernel import available_backends, use_backend
+    from repro.simkernel import use_backend
     from repro.systems.filter_bank import build_filter_graph, generate_iir_bank
 
     graph = build_filter_graph(generate_iir_bank(3)[2], fractional_bits=12)
@@ -208,27 +208,17 @@ def bench_sim_engine_iir(samples: int = 60_000, seed: int = 3) -> dict:
     seconds: dict = {}
     outputs: dict = {}
     warmup: dict = {}
-    for backend in available_backends():
+    for backend in ("reference", "fast"):
         with use_backend(backend):
             outputs[backend], seconds[backend], warmup[backend] = _timed_warm(
                 evaluator.error_signal, stimulus)
             _, seconds[f"{backend}_batched"] = _timed(
                 evaluator.error_signal, batched)
-    for backend in outputs:
-        _require_bitwise(f"sim_engine_iir[{backend}]", outputs["reference"],
-                         outputs[backend])
+    _require_bitwise("sim_engine_iir", outputs["reference"], outputs["fast"])
     speedup = {
-        "single_stream": seconds["reference"] / seconds["numpy"],
-        "batched_64": (seconds["reference_batched"]
-                       / seconds["numpy_batched"]),
-        "single_stream_codegen": (seconds["reference"]
-                                  / seconds["codegen"]),
-        "batched_64_codegen": (seconds["reference_batched"]
-                               / seconds["codegen_batched"]),
+        "single_stream": seconds["reference"] / seconds["fast"],
+        "batched_64": seconds["reference_batched"] / seconds["fast_batched"],
     }
-    if "numba" in seconds:
-        speedup["single_stream_numba"] = (seconds["reference"]
-                                          / seconds["numba"])
     return bench_payload(
         "sim_engine_iir",
         workload={"system": "table1-iir", "samples": samples,
@@ -480,10 +470,6 @@ def check_against_baseline(payloads: list[dict], baseline: dict) -> list[str]:
         for key, floor in sorted(floors.items()):
             value = measured[name].get(key)
             if value is None:
-                if key.endswith("_numba"):
-                    from repro.simkernel import numba_available
-                    if not numba_available():
-                        continue  # optional-backend floor, backend absent
                 regressions.append(
                     f"{name}.{key}: no measurement (floor {floor:g}x)")
             elif value < float(floor):
@@ -514,9 +500,7 @@ def baseline_diff(payloads: list[dict], baseline: dict) -> list[dict]:
 
     One row per ``floors.<name>.<key>`` whose benchmark was measured:
     the committed floor, the measured speedup, the margin ratio
-    (``measured / floor``) and a verdict.  Optional-backend floors (the
-    ``*_numba`` keys) with the backend absent are reported as skipped
-    rather than failed, matching :func:`check_against_baseline`.
+    (``measured / floor``) and a verdict.
     """
     measured = {payload["name"]: payload.get("speedup", {})
                 for payload in payloads}
@@ -531,11 +515,6 @@ def baseline_diff(payloads: list[dict], baseline: dict) -> list[dict]:
                    "measured": value,
                    "margin": value / floor if value is not None else None,
                    "ok": value is not None and value >= floor}
-            if value is None and key.endswith("_numba"):
-                from repro.simkernel import numba_available
-                if not numba_available():
-                    row["ok"] = True
-                    row["skipped"] = "numba backend unavailable"
             rows.append(row)
     return rows
 

@@ -10,7 +10,6 @@ Usage::
     python -m repro.cli campaign --scenarios polyphase_decimator \
         fft_butterfly --methods psd simulation --wordlengths 8 12 16
     python -m repro.cli fuzz --count 200 --seed 0 --artifacts fuzz-out
-    python -m repro.cli fuzz --count 200 --backend codegen
     python -m repro.cli bench --tags smoke --check
     python -m repro.cli bench --tags smoke --check --json
     python -m repro.cli campaign --scenarios fft_butterfly \
@@ -96,9 +95,8 @@ def _add_log_level_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--log-level", default=None, choices=_LOG_LEVELS,
                         help="configure logging at this level (the "
                              "namespaced repro.* loggers report cache "
-                             "healing, codegen degradation, campaign "
-                             "summaries, ...); unset leaves logging "
-                             "unconfigured")
+                             "healing, campaign summaries, ...); unset "
+                             "leaves logging unconfigured")
 
 
 def _add_obs_options(parser: argparse.ArgumentParser) -> None:
@@ -282,11 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="first generator seed of the run (a failure "
                            "reproduces with --seed <failing seed> "
                            "--count 1)")
-    fuzz.add_argument("--backend", default=None,
-                      choices=("reference", "numpy", "numba", "codegen"),
-                      help="force a simulation backend for the whole run "
-                           "(errors out if the backend is not available "
-                           "in this environment)")
 
     bench = commands.add_parser(
         "bench",
@@ -314,11 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--baseline", default=None,
                        help="baseline JSON with the speedup floors "
                             f"(default: {DEFAULT_BASELINE})")
-    bench.add_argument("--backend", default=None,
-                       choices=("reference", "numpy", "numba", "codegen"),
-                       help="force a simulation backend for the whole run "
-                            "(errors out if the backend is not available "
-                            "in this environment)")
     bench.add_argument("--json", action="store_true", dest="json_output",
                        help="emit the measured payloads — and, with "
                             "--check, the full measured-vs-floor diff "
@@ -345,30 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name != "obs":
             _add_obs_options(subparser)
     return parser
-
-
-def _forced_backend(args):
-    """Context manager pinning the backend a command runs under.
-
-    ``--backend`` forces the named backend for the lifetime of the
-    command (taking precedence over ``REPRO_SIMD_BACKEND``); without it
-    the normal resolution order applies.  Requesting a backend that is
-    not available in this environment (e.g. ``numba`` without numba
-    installed) raises a ValueError listing the available ones, which
-    :func:`main` turns into a clear CLI error.
-    """
-    import contextlib
-
-    from repro.simkernel.backend import available_backends, use_backend
-
-    requested = getattr(args, "backend", None)
-    if requested is None:
-        return contextlib.nullcontext()
-    if requested not in available_backends():
-        raise ValueError(
-            f"backend {requested!r} is not available in this environment; "
-            f"available backends: {', '.join(available_backends())}")
-    return use_backend(requested)
 
 
 def _command_evaluate(args) -> int:
@@ -589,17 +553,16 @@ def _command_fuzz(args) -> int:
     if args.n_psd is not None and args.n_psd < 2:
         print("error: --n-psd must be at least 2", file=sys.stderr)
         return 1
-    with _forced_backend(args):
-        report = run_fuzz(
-            range(args.seed, args.seed + args.count),
-            blocks=args.blocks,
-            multirate=not args.single_rate,
-            artifacts_dir=args.artifacts,
-            shrink=not args.no_shrink,
-            n_psd=args.n_psd if args.n_psd is not None else COMPATIBLE_N_PSD,
-            samples=args.samples,
-            ed_samples=args.ed_samples,
-            batch_configs=args.batch_configs)
+    report = run_fuzz(
+        range(args.seed, args.seed + args.count),
+        blocks=args.blocks,
+        multirate=not args.single_rate,
+        artifacts_dir=args.artifacts,
+        shrink=not args.no_shrink,
+        n_psd=args.n_psd if args.n_psd is not None else COMPATIBLE_N_PSD,
+        samples=args.samples,
+        ed_samples=args.ed_samples,
+        batch_configs=args.batch_configs)
     print(report.describe())
     return 0 if report.passed else 1
 
@@ -655,12 +618,11 @@ def _command_bench(args) -> int:
         print("error: no registered benchmark matches the requested tags "
               f"{tags} / names {args.names}", file=sys.stderr)
         return 1
-    with _forced_backend(args):
-        payloads = run_benches(entries, args.results, samples=args.samples)
+    payloads = run_benches(entries, args.results, samples=args.samples)
     if not args.json_output:
         table = TextTable(["benchmark", "speedups", "s"],
                           title="simulation-engine benchmarks (reference "
-                                "backend vs optimized kernels)")
+                                "backend vs the default)")
         for payload in payloads:
             speedups = ", ".join(f"{key} {value:.1f}x" for key, value
                                  in sorted(payload["speedup"].items()))

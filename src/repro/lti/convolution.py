@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.simkernel.backend import resolve_backend
+from repro.simkernel.backend import get_backend
 from repro.simkernel.fft import overlap_save_assemble, overlap_save_blocks
 
 
@@ -73,7 +73,7 @@ def overlap_save(x: np.ndarray, h: np.ndarray, fft_size: int,
     if len(h) > fft_size:
         raise ValueError(f"impulse response ({len(h)} taps) does not fit in "
                          f"an FFT of size {fft_size}")
-    if fft is None and ifft is None and resolve_backend() != "reference":
+    if fft is None and ifft is None and get_backend() != "reference":
         # Default numpy kernels: transform every block (of every stream)
         # in one batched pass — bitwise identical to the streaming loop
         # below; the FFT of each block and the elementwise product are

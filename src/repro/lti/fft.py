@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.fixedpoint.quantizer import Quantizer, RoundingMode
 from repro.fixedpoint.qformat import QFormat
-from repro.simkernel.backend import resolve_backend
+from repro.simkernel.backend import get_backend
 from repro.simkernel.fft import (
     bit_reverse_permutation as _bit_reverse_permutation,
     fixed_fft_forward,
@@ -136,7 +136,7 @@ class FixedPointFft:
         if x.shape[-1] != self.size:
             raise ValueError(f"expected a block of {self.size} samples, "
                              f"got {x.shape[-1]}")
-        if resolve_backend() == "reference":
+        if get_backend() == "reference":
             if x.ndim == 1:
                 return self._forward_reference(x)
             flat = x.reshape(-1, self.size)
@@ -151,7 +151,7 @@ class FixedPointFft:
         if x.shape[-1] != self.size:
             raise ValueError(f"expected a block of {self.size} samples, "
                              f"got {x.shape[-1]}")
-        if resolve_backend() == "reference":
+        if get_backend() == "reference":
             result = np.conj(self.forward(np.conj(x))) / self.size
             return self._quantize_complex(result)
         return fixed_fft_inverse(x, self.size, self._twiddle_cache,

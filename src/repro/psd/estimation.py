@@ -79,6 +79,12 @@ def _welch_stack(records: np.ndarray, n_bins: int, window: str,
 
     win = get_window(window, n_bins)
     window_power = float(np.mean(win ** 2))
+    if not window_power > 0.0:
+        # e.g. a 2-point Hann window is all zeros: every segment would
+        # be blanked out and the estimate silently all-zero.
+        raise ValueError(
+            f"the {window!r} window has zero power on {n_bins} bins; use "
+            "more bins or another window")
     hop = max(1, int(round(n_bins * (1.0 - overlap))))
 
     # One strided view per record: (trials, segments, n_bins), every

@@ -68,6 +68,8 @@ from repro.sfg.nodes import (
     UpsampleNode,
     _LtiMixin,
 )
+from repro.simkernel.backend import get_backend
+from repro.simkernel.codegen import UnsupportedPlanError, lower_plan
 
 
 def parse_edge_key(key: str) -> tuple[str, str]:
@@ -237,7 +239,6 @@ class CompiledPlan:
                 edge_index.setdefault((edge.source, name), []).append(
                     (index_of[name], edge.port))
         self._edge_index = edge_index
-        self._any_edge_taps = False
         # Signatures iterate graph.nodes in insertion order while steps are
         # topologically ordered; this maps signature position -> step index.
         self._node_order: tuple[int, ...] = tuple(
@@ -262,12 +263,12 @@ class CompiledPlan:
         self._response_cache: dict[tuple, np.ndarray] = {}
         self._tf_cache: dict[tuple, TransferFunction] = {}
         self._gain_cache: dict[tuple, tuple[float, float]] = {}
-        # Lowered op tape for the codegen backend.  The tape structure is
-        # built lazily (first fixed run under the codegen backend) and
-        # lives as long as the plan — structural edits always produce a
-        # new plan, so only its *constants* ever go stale, which refresh()
-        # tracks through _tape_bound.  Plans that cannot be lowered record
-        # the reason once and keep using the per-node schedule walk.
+        # Lowered op tape of the fixed-point path.  The tape structure is
+        # built lazily (first fixed run) and lives as long as the plan —
+        # structural edits always produce a new plan, so only its
+        # *constants* ever go stale, which refresh() tracks through
+        # _tape_bound.  Plans that cannot be lowered record the reason
+        # once and keep using the per-node schedule walk.
         self._tape = None
         self._tape_bound = False
         self._tape_error: str | None = None
@@ -366,15 +367,13 @@ class CompiledPlan:
                 stamped.append(index)
         self.noise_steps = tuple(step for step in self.steps
                                  if step.noise is not None)
-        self._any_edge_taps = any(step.edge_taps is not None
-                                  for step in self.steps)
         if stamped:
             self._epoch += 1
             self._step_epochs[stamped] = self._epoch
-        # The codegen tape closes over quantized coefficients and steps:
-        # mark its constants stale so the next fixed run rebinds them (the
-        # tape *structure* is never rebuilt — satisfying the requantize
-        # hot loop).
+        # The op tape closes over quantized coefficients, steps and edge
+        # taps: mark its constants stale so the next fixed run rebinds
+        # them (the tape *structure* is never rebuilt — satisfying the
+        # requantize hot loop).
         self._tape_bound = False
         return True
 
@@ -745,6 +744,17 @@ class CompiledPlan:
                 f"missing stimulus for input node(s) {sorted(missing)}")
         slots = [np.asarray(inputs[name], dtype=float)
                  for name in self.input_names]
+        for name, slot in zip(self.input_names, slots):
+            # One NaN or inf sample would turn every measured power and
+            # Ed into NaN (or a plausible-looking wrong value) silently.
+            # min/max propagate NaN and reach +-inf, so they catch both
+            # without a stimulus-sized mask (which measurably raises the
+            # peak RSS of long stimuli).
+            if slot.size and not (np.isfinite(slot.min())
+                                  and np.isfinite(slot.max())):
+                raise ValueError(
+                    f"stimulus for input node {name!r} holds NaN or "
+                    "infinite samples")
         # Batched stimuli must agree on the trial axes: a 1-D stimulus is
         # broadcast to every trial, but two stacked stimuli with
         # different leading shapes would silently mis-pair trials inside
@@ -764,22 +774,13 @@ class CompiledPlan:
         compute = node.simulate_fixed if fixed else node.simulate
         return compute(node_inputs)
 
-    def _codegen_tape(self):
-        """The bound op tape when the codegen backend should run this
-        plan's fixed simulation, ``None`` otherwise (backend inactive, or
-        the plan contains nodes the tape cannot express)."""
-        from repro.simkernel.backend import get_backend
-
-        if get_backend() != "codegen" or self._tape_error is not None:
-            return None
-        if self._any_edge_taps:
-            # The tape has no edge-tap semantics; fall back to the
-            # per-node walk without latching an error — the taps may be
-            # removed by a later requantize, re-enabling the tape.
+    def _fixed_tape(self):
+        """The bound op tape that runs this plan's fixed-point simulation,
+        or ``None`` for the per-node walk: under the ``reference``
+        backend, and for plans holding nodes the tape cannot express."""
+        if get_backend() == "reference" or self._tape_error is not None:
             return None
         if self._tape is None:
-            from repro.simkernel.codegen import (UnsupportedPlanError,
-                                                 lower_plan)
             try:
                 with span("tape.lower", graph=self.graph.name,
                           steps=len(self.steps)):
@@ -811,7 +812,7 @@ class CompiledPlan:
         self.refresh()
         fixed = mode == "fixed"
         stimulus = dict(zip(self.input_names, self._stimulus_slots(inputs)))
-        tape = self._codegen_tape() if fixed else None
+        tape = self._fixed_tape() if fixed else None
         engine = "tape" if tape is not None else "walk"
         metric_inc("plan.runs", mode=mode, engine=engine)
         with span("plan.run", mode=mode, engine=engine):
@@ -857,7 +858,7 @@ class CompiledPlan:
         self.refresh()
         stimulus = dict(zip(self.input_names, self._stimulus_slots(inputs)))
         reference: list = [None] * len(self.steps)
-        tape = self._codegen_tape()
+        tape = self._fixed_tape()
         engine = "tape" if tape is not None else "walk"
         metric_inc("plan.runs", mode="pair", engine=engine)
         with span("plan.run_pair", engine=engine):

@@ -3,37 +3,28 @@
 This package is the performance layer of the bit-true simulation path:
 scaled-integer-domain IIR recursion kernels (:mod:`repro.simkernel.iir`),
 vectorized fixed-point FFT butterflies and overlap-save framing
-(:mod:`repro.simkernel.fft`), the preserved legacy loops every kernel is
-differentially verified against (:mod:`repro.simkernel.reference`), and
-the backend selection machinery (:mod:`repro.simkernel.backend`):
-``reference`` (legacy loops), ``numpy`` (always available, bitwise
-identical to the reference by construction), ``numba`` (optional JIT,
-auto-detected) and ``codegen`` (whole-plan fusion into a linear op tape,
-:mod:`repro.simkernel.codegen`; JIT-compiled when numba is installed,
-pure-NumPy tape interpretation otherwise).  Force a backend with
-``REPRO_SIMD_BACKEND`` or :func:`use_backend`.
+(:mod:`repro.simkernel.fft`), whole-plan op tapes
+(:mod:`repro.simkernel.codegen`), the preserved legacy loops every kernel
+is differentially verified against (:mod:`repro.simkernel.reference`),
+and the two-way backend switch (:mod:`repro.simkernel.backend`):
+``reference`` (the legacy loops, the oracle) and ``fast`` (the default).
+Under ``fast`` every lowerable fixed-point plan runs its op tape, and
+numba, when importable, JIT-compiles the tape and the IIR recursion
+automatically.  :func:`use_backend` forces the oracle for a block.
 """
 
 from repro.simkernel.backend import (
-    BACKEND_ENV,
-    available_backends,
     default_backend,
     get_backend,
     numba_available,
-    resolve_backend,
-    set_backend,
     use_backend,
 )
 from repro.simkernel.iir import iir_df1_fixed
 
 __all__ = [
-    "BACKEND_ENV",
-    "available_backends",
     "default_backend",
     "get_backend",
     "iir_df1_fixed",
     "numba_available",
-    "resolve_backend",
-    "set_backend",
     "use_backend",
 ]

@@ -1,47 +1,31 @@
 """Backend selection for the simulation kernel layer.
 
-Four backends implement the bit-true kernels:
+Two backends produce the same bits:
 
 * ``reference`` — the original per-sample / per-block Python loops,
   preserved verbatim (:mod:`repro.simkernel.reference` and the
   ``*_reference`` paths of the FFT and overlap-save engines).  Slow, but
-  the ground truth every other backend is differentially verified
-  against.
-* ``numpy`` — vectorized scaled-integer-domain kernels.  Always
-  available, bitwise identical to ``reference`` by construction (see
-  ARCHITECTURE.md, "Simulation engine").
-* ``numba`` — JIT-compiled scalar kernels for the inherently serial IIR
-  feedback recursion.  A soft dependency: auto-detected at import time
-  and silently unavailable when :mod:`numba` is not installed; the numpy
-  kernels are the fallback for everything the JIT does not cover.
-* ``codegen`` — whole-plan fusion: a :class:`~repro.sfg.plan.CompiledPlan`
-  is lowered once into a linear op tape which then executes with zero
-  per-node Python dispatch (:mod:`repro.simkernel.codegen`).  Always
-  available; the tape runs through a JIT-compiled interpreter when numba
-  is installed and degrades to a tape-walking NumPy/Python interpreter
-  (with a one-time warning) when it is not.  Nodes a plan cannot lower
-  fall back to the per-node default kernels.
+  the oracle every fast path is differentially verified against, and the
+  honest baseline of every speedup measurement.
+* ``fast`` — the default.  Fixed-point plans run their lowered op tape
+  (:mod:`repro.simkernel.codegen`); the per-node kernels serve the nodes
+  a tape cannot express and the double-precision walk.  numba is a tier
+  inside it, not a backend: the fused tape kernel and the IIR recursion
+  kernel switch to their JIT versions automatically when numba is
+  importable.
 
-The active backend is resolved, in priority order, from
-
-1. an explicit :func:`set_backend` / :func:`use_backend` override,
-2. the ``REPRO_SIMD_BACKEND`` environment variable,
-3. the default: ``numba`` when importable, ``numpy`` otherwise.
+:func:`use_backend` forces a backend for the duration of a block; that is
+how the tests, the bench and the differential fuzz reach the oracle.
 """
 
 from __future__ import annotations
 
 import importlib.util
-import os
 from contextlib import contextmanager
 
 from repro.obs import metric_inc
 
-#: Environment variable forcing a backend for the whole process.
-BACKEND_ENV = "REPRO_SIMD_BACKEND"
-
-#: Backends that are always implemented (numba is appended when found).
-_ALWAYS_AVAILABLE = ("reference", "numpy")
+_BACKENDS = ("reference", "fast")
 
 _forced: str | None = None
 _numba_available: bool | None = None
@@ -55,61 +39,30 @@ def numba_available() -> bool:
     return _numba_available
 
 
-def available_backends() -> tuple[str, ...]:
-    """The backends usable in this process, reference first."""
-    if numba_available():
-        return _ALWAYS_AVAILABLE + ("numba", "codegen")
-    return _ALWAYS_AVAILABLE + ("codegen",)
-
-
 def default_backend() -> str:
     """The backend used when nothing forces a choice."""
-    return "numba" if numba_available() else "numpy"
-
-
-def _validate(name: str) -> str:
-    name = str(name).lower()
-    if name not in _ALWAYS_AVAILABLE + ("numba", "codegen"):
-        raise ValueError(
-            f"unknown simulation backend {name!r}; expected one of "
-            f"{_ALWAYS_AVAILABLE + ('numba', 'codegen')}")
-    if name == "numba" and not numba_available():
-        raise ValueError(
-            "the numba backend was requested but numba is not installed")
-    return name
+    return "fast"
 
 
 def get_backend() -> str:
-    """Resolve the active backend (override > environment > default)."""
-    if _forced is not None:
-        name = _forced
-    else:
-        env = os.environ.get(BACKEND_ENV, "").strip()
-        name = _validate(env) if env else default_backend()
+    """The active backend: the :func:`use_backend` override, else the
+    default."""
+    name = _forced if _forced is not None else default_backend()
     metric_inc("sim.backend_dispatch", backend=name)
     return name
 
 
-def set_backend(name: str | None) -> None:
-    """Force a backend for the process (``None`` restores auto-selection)."""
-    global _forced
-    _forced = None if name is None else _validate(name)
-
-
 @contextmanager
 def use_backend(name: str | None):
-    """Context manager forcing a backend for the duration of a block."""
+    """Context manager forcing a backend for the duration of a block
+    (``None`` restores the default)."""
     global _forced
+    if name is not None and name not in _BACKENDS:
+        raise ValueError(f"unknown simulation backend {name!r}; expected "
+                         f"one of {_BACKENDS}")
     saved = _forced
-    _forced = None if name is None else _validate(name)
+    _forced = name
     try:
         yield
     finally:
         _forced = saved
-
-
-def resolve_backend(name: str | None = None) -> str:
-    """Validate an explicit backend name, or resolve the active one."""
-    if name is None:
-        return get_backend()
-    return _validate(name)

@@ -1,12 +1,13 @@
-"""Plan-to-kernel codegen backend.
+"""Plan-to-tape lowering: the fixed-point path of the ``fast`` backend.
 
 Lowers whole :class:`~repro.sfg.plan.CompiledPlan` schedules into linear
-op tapes (:mod:`repro.simkernel.codegen.lowering`) executed either by a
-single fused numba kernel (:mod:`repro.simkernel.codegen._njit`) or by
+op tapes (:mod:`repro.simkernel.codegen.lowering`) executed either by
 the always-available NumPy tape interpreter
-(:mod:`repro.simkernel.codegen.interpreter`).  Activate with
-``REPRO_SIMD_BACKEND=codegen`` or ``use_backend("codegen")``; see
-ARCHITECTURE.md, "Codegen backend".
+(:mod:`repro.simkernel.codegen.interpreter`) or, when numba is
+importable, by a single fused JIT kernel
+(:mod:`repro.simkernel.codegen._njit`).  Every fixed-point run of a
+lowerable plan uses it unless ``use_backend("reference")`` is active;
+see ARCHITECTURE.md, "Simulation engine".
 """
 
 from repro.simkernel.codegen.lowering import (

@@ -1,4 +1,4 @@
-"""Fused whole-tape JIT kernel for the codegen backend.
+"""Fused whole-tape JIT kernel, the numba tier of the op tape.
 
 The tape is packed into flat typed arrays — an ``int64`` op table (op
 code, destination slot, input-slot pool offsets, rounding-mode ids,
@@ -18,7 +18,8 @@ without numba.  Two further guards keep the JIT path honest:
 * **eligibility** — tapes whose FIR/IIR ops are not coefficient-quantized
   are never packed (their convolutions would have to match ``np.convolve``
   / ``lfilter`` outside the exact fixed-point domain, where accumulation
-  order matters);
+  order matters), and neither are tapes with edge taps (the packed
+  encoding has no per-input quantizers);
 * **probe** — before a compiled kernel is adopted for a binding, it runs
   a small deterministic stimulus and must match the NumPy tape
   interpreter bitwise; any mismatch or compile failure silently pins the
@@ -237,7 +238,7 @@ def pack(tape):
     be coefficient-quantized, otherwise their in-kernel sequential
     convolutions could differ from ``np.convolve`` / ``lfilter`` in the
     last bit (outside the exact fixed-point domain accumulation order
-    matters).
+    matters), and no op may read through an edge tap.
     """
     n_ops = len(tape.ops)
     ops = np.zeros((n_ops, _OP_COLS), dtype=np.int64)
@@ -245,6 +246,8 @@ def pack(tape):
     in_pool: list[int] = []
     coeff_pool: list[float] = []
     for i, (op, constants) in enumerate(zip(tape.ops, tape.constants)):
+        if constants.edge_quantizers is not None:
+            return None  # tapped inputs run through the interpreter
         row = ops[i]
         row[_COL_OPCODE] = op.opcode
         row[_COL_DST] = op.dst

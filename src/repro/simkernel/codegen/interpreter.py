@@ -1,35 +1,26 @@
 """Tape-walking NumPy interpreter for lowered plans.
 
-This is the always-available execution engine of the codegen backend: at
-bind time every :class:`~repro.simkernel.codegen.lowering.TapeOp` is
-compiled into one Python closure with its constants (quantization step,
-rounding mode, quantized coefficients) captured as locals, so the run
-loop is a bare ``for fn in program: fn(slots)`` — no node objects, no
-isinstance dispatch, no quantizer construction per call.
+This is the always-available execution engine of the op tape: at bind
+time every :class:`~repro.simkernel.codegen.lowering.TapeOp` is compiled
+into one Python closure with its constants (quantization step, rounding
+mode, quantized coefficients, edge-tap quantizers) captured as locals, so
+the run loop is a bare ``for fn in program: fn(slots)`` — no node
+objects, no isinstance dispatch, no quantizer construction per call.
 
-Bit-exactness strategy: every closure re-issues *the same* vectorized
-NumPy calls as the per-node path (``_causal_fir``/``np.convolve``,
-``lfilter``, the ``apply_rounding`` mantissa pass), so those ops are
-bitwise identical by construction.  The one place that diverges is the
-serial 1-D IIR recursion: instead of the per-sample ``np.dot`` call of
-the numpy backend it runs a *generated* pure-Python recurrence with the
-feedback taps unrolled into the source as literals.  Inside the library's
-fixed-point domain every feedback product and partial sum is an exact
-multiple of the common quantization step within a double's 53-bit
-significand, so the sum is exact and accumulation-order independent —
-the same argument (and the same empirical ``backend_equality`` fuzz
-guard) that makes the numba backend bitwise identical to BLAS
-``np.dot``.  Removing the ~1 µs/sample ``np.dot`` call overhead is what
-lifts the IIR workload past the 5x bench floor even without numba.
+Bit-exactness strategy: every closure re-issues *the same* calls as the
+per-node path (``_causal_fir``/``np.convolve``, ``lfilter``,
+``iir_df1_fixed``, the ``apply_rounding`` mantissa pass, the edge taps'
+``Quantizer.quantize``), so the interpreter is bitwise identical to the
+per-node walk by construction.
 """
 
 from __future__ import annotations
 
-import math
+from operator import itemgetter
 
 import numpy as np
 
-from repro.fixedpoint.quantizer import RoundingMode, apply_rounding
+from repro.fixedpoint.quantizer import apply_rounding
 from repro.lti.filters import _causal_fir
 from repro.lti.multirate import downsample, upsample
 from repro.simkernel.codegen.lowering import (
@@ -44,63 +35,6 @@ from repro.simkernel.codegen.lowering import (
     OP_UP,
 )
 from repro.simkernel.iir import iir_df1_fixed
-from repro.simkernel.reference import iir_df1_reference
-
-
-# ----------------------------------------------------------------------
-# Generated 1-D IIR recurrences
-# ----------------------------------------------------------------------
-_RECURRENCE_CACHE: dict = {}
-
-_ROUND_EXPR = {
-    RoundingMode.TRUNCATE: "_floor(acc)",
-    # round-half-away-from-zero, the same formula as the scalar rounder
-    # of repro.simkernel.iir.
-    RoundingMode.ROUND: "_copysign(_floor(_abs(acc) + 0.5), acc)",
-    # Python round() is correctly-rounded half-to-even, same as np.rint.
-    RoundingMode.CONVERGENT: "_round(acc)",
-}
-
-
-def _compile_recurrence(feedback_taps: np.ndarray, rounding: RoundingMode):
-    """Source-generate the serial recursion for one tap set.
-
-    The taps are closed over as individual locals and the feedback dot
-    product is unrolled into one expression, so the per-sample body is a
-    handful of float operations with no array indexing or function-call
-    overhead.  Takes/returns plain Python lists of step mantissas.
-    """
-    key = (feedback_taps.tobytes(), rounding)
-    kernel = _RECURRENCE_CACHE.get(key)
-    if kernel is not None:
-        return kernel
-    order = len(feedback_taps)
-    taps = ", ".join(f"t{j}" for j in range(order))
-    dot = " + ".join(f"t{j} * y{j}" for j in range(order))
-    lines = [
-        f"def _make({taps}, _floor, _copysign, _abs, _round):",
-        "    def _kernel(values):",
-        "        " + " = ".join(f"y{j}" for j in range(order)) + " = 0.0",
-        "        out = []",
-        "        _append = out.append",
-        "        for acc in values:",
-        f"            acc = acc - ({dot})",
-        f"            m = {_ROUND_EXPR[rounding]}",
-        "            _append(m)",
-    ]
-    for j in range(order - 1, 0, -1):
-        lines.append(f"            y{j} = y{j - 1}")
-    lines += [
-        "            y0 = m",
-        "        return out",
-        "    return _kernel",
-    ]
-    namespace: dict = {}
-    exec("\n".join(lines), namespace)  # noqa: S102 - trusted generated source
-    kernel = namespace["_make"](*(float(tap) for tap in feedback_taps),
-                                math.floor, math.copysign, abs, round)
-    _RECURRENCE_CACHE[key] = kernel
-    return kernel
 
 
 # ----------------------------------------------------------------------
@@ -124,6 +58,21 @@ def _quantize_fn(constants):
     return quantize
 
 
+def _tapped(src, quantizer):
+    def read(slots):
+        return quantizer.quantize(slots[src])
+
+    return read
+
+
+def _readers(op, constants):
+    """One reader per input port: the source slot's signal, re-quantized
+    by the port's edge tap when it has one."""
+    taps = constants.edge_quantizers or (None,) * len(op.srcs)
+    return tuple(itemgetter(src) if tap is None else _tapped(src, tap)
+                 for src, tap in zip(op.srcs, taps))
+
+
 def _compile_input(op, constants):
     quantize = _quantize_fn(constants)
     if quantize is None:
@@ -139,10 +88,10 @@ def _compile_input(op, constants):
 def _compile_copy(op, constants):
     quantize = _quantize_fn(constants)
     dst = op.dst
-    (src,) = op.srcs
+    (read,) = _readers(op, constants)
 
     def fn(slots):
-        value = slots[src]
+        value = read(slots)
         slots[dst] = quantize(value) if quantize is not None else value
 
     return fn
@@ -151,11 +100,11 @@ def _compile_copy(op, constants):
 def _compile_add(op, constants):
     quantize = _quantize_fn(constants)
     dst = op.dst
-    srcs = op.srcs
+    readers = _readers(op, constants)
     signs = constants.signs
 
     def fn(slots):
-        arrays = [slots[index] for index in srcs]
+        arrays = [read(slots) for read in readers]
         length = max(x.shape[-1] for x in arrays)
         leading = np.broadcast_shapes(*[x.shape[:-1] for x in arrays])
         output = np.zeros(leading + (length,))
@@ -169,11 +118,11 @@ def _compile_add(op, constants):
 def _compile_gain(op, constants):
     quantize = _quantize_fn(constants)
     dst = op.dst
-    (src,) = op.srcs
+    (read,) = _readers(op, constants)
     gain = constants.gain
 
     def fn(slots):
-        output = slots[src] * gain
+        output = read(slots) * gain
         slots[dst] = quantize(output) if quantize is not None else output
 
     return fn
@@ -182,11 +131,11 @@ def _compile_gain(op, constants):
 def _compile_delay(op, constants):
     quantize = _quantize_fn(constants)
     dst = op.dst
-    (src,) = op.srcs
+    (read,) = _readers(op, constants)
     delay = constants.delay
 
     def fn(slots):
-        x = slots[src]
+        x = read(slots)
         if delay == 0:
             output = x.copy()
         elif delay >= x.shape[-1]:
@@ -202,11 +151,11 @@ def _compile_delay(op, constants):
 def _compile_fir(op, constants):
     quantize = _quantize_fn(constants)
     dst = op.dst
-    (src,) = op.srcs
+    (read,) = _readers(op, constants)
     taps = constants.taps
 
     def fn(slots):
-        exact = _causal_fir(slots[src], taps)
+        exact = _causal_fir(read(slots), taps)
         slots[dst] = quantize(exact) if quantize is not None else exact
 
     return fn
@@ -214,46 +163,21 @@ def _compile_fir(op, constants):
 
 def _compile_iir(op, constants):
     dst = op.dst
-    (src,) = op.srcs
+    (read,) = _readers(op, constants)
+    b, a = constants.b, constants.a
     if not constants.step:
         from scipy.signal import lfilter  # deferred: slow import
-        b, a = constants.b, constants.a
 
         def fn(slots):
-            slots[dst] = lfilter(b, a, slots[src])
+            slots[dst] = lfilter(b, a, read(slots))
 
         return fn
 
-    b, a = constants.b, constants.a
     step = constants.step
     mode = constants.rounding
-    scaled_b = constants.scaled_b
-    feedback = constants.feedback
-    if len(feedback) == 0:
-        # No recursion: the scaled-integer kernel is one vectorized pass.
-        def fn(slots):
-            slots[dst] = iir_df1_fixed(slots[src], b, a, step, mode)
-
-        return fn
-
-    recurrence = _compile_recurrence(feedback, mode)
 
     def fn(slots):
-        x = slots[src]
-        if x.ndim != 1:
-            # Batched trials: the vectorized per-sample kernels (numba
-            # when installed) already amortize dispatch across rows.
-            slots[dst] = iir_df1_fixed(x, b, a, step, mode)
-            return
-        scaled_ff = np.convolve(x, scaled_b)[:len(x)]
-        try:
-            mantissas = recurrence(scaled_ff.tolist())
-        except (OverflowError, ValueError):
-            # Non-finite accumulators (diverging filters): defer to the
-            # reference loop, mirroring repro.simkernel.iir.
-            slots[dst] = iir_df1_reference(x, b, a, step, mode)
-            return
-        slots[dst] = np.array(mantissas, dtype=float) * step
+        slots[dst] = iir_df1_fixed(read(slots), b, a, step, mode)
 
     return fn
 
@@ -261,11 +185,11 @@ def _compile_iir(op, constants):
 def _compile_down(op, constants):
     quantize = _quantize_fn(constants)
     dst = op.dst
-    (src,) = op.srcs
+    (read,) = _readers(op, constants)
     factor, phase = constants.factor, constants.phase
 
     def fn(slots):
-        output = downsample(slots[src], factor, phase)
+        output = downsample(read(slots), factor, phase)
         slots[dst] = quantize(output) if quantize is not None else output
 
     return fn
@@ -274,11 +198,11 @@ def _compile_down(op, constants):
 def _compile_up(op, constants):
     quantize = _quantize_fn(constants)
     dst = op.dst
-    (src,) = op.srcs
+    (read,) = _readers(op, constants)
     factor = constants.factor
 
     def fn(slots):
-        output = upsample(slots[src], factor)
+        output = upsample(read(slots), factor)
         slots[dst] = quantize(output) if quantize is not None else output
 
     return fn

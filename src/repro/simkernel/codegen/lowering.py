@@ -1,37 +1,36 @@
 """Lowering of compiled plans into linear op tapes.
 
-The codegen backend splits a :class:`~repro.sfg.plan.CompiledPlan` the
-same way the plan itself splits the graph: an immutable *structure* — a
-flat tuple of :class:`TapeOp` instructions (op code plus integer signal
-slots, one per schedule step) — and rebindable *constants* — the
-quantized coefficients, power-of-two quantization steps and rounding-mode
-ids each op needs.  The structure is lowered once per plan and can never
-change (a structural graph edit always produces a new plan); the
-constants are rebuilt by :meth:`PlanTape.bind` whenever the plan's
-quantization or coefficient signature moves, which is the word-length
-optimizer's requantize loop.
+The op tape is the fixed-point simulation path of the ``fast`` backend.
+It splits a :class:`~repro.sfg.plan.CompiledPlan` the same way the plan
+itself splits the graph: an immutable *structure* — a flat tuple of
+:class:`TapeOp` instructions (op code plus integer signal slots, one per
+schedule step) — and rebindable *constants* — the quantized
+coefficients, power-of-two quantization steps, rounding-mode ids and
+edge-tap quantizers each op needs.  The structure is lowered once per
+plan and can never change (a structural graph edit always produces a new
+plan); the constants are rebuilt by :meth:`PlanTape.bind` whenever the
+plan's quantization or coefficient signature moves, which is the
+word-length optimizer's requantize loop.  A per-edge word-length edit is
+one of those: the tap re-quantizes the value an op reads on that input
+port, so slot ``i`` stays step ``i`` and only the constants change.
 
 Execution is delegated to two interpreters over the same tape:
 
 * :mod:`repro.simkernel.codegen.interpreter` — the always-available
-  NumPy/Python tape walker (per-op closures compiled at bind time, with a
-  generated, coefficient-specialized recurrence for the serial IIR loop);
+  NumPy/Python tape walker (per-op closures compiled at bind time);
 * :mod:`repro.simkernel.codegen._njit` — a single fused kernel over a
-  packed integer/float encoding of the whole tape, JIT-compiled with
-  numba when it is installed and self-validated against the NumPy
+  packed integer/float encoding of the whole tape, used automatically
+  when numba is importable, and self-validated against the NumPy
   interpreter before adoption.
 
 Only the node vocabulary with closed-form tape semantics is lowerable:
 inputs, outputs, adders, gains, delays, FIR/IIR blocks and the two
 resamplers.  Plans containing anything else (generic ``LtiNode`` blocks,
 the FFT-based frequency-domain FIR) raise :class:`UnsupportedPlanError`
-and the plan silently falls back to the per-node schedule walk, where
-``iir_df1_fixed`` maps the codegen backend to the per-node default.
+and the plan keeps the per-node schedule walk.
 """
 
 from __future__ import annotations
-
-import logging
 
 from repro.lti.filters import FixedPointFilterConfig
 from repro.sfg.nodes import (
@@ -47,10 +46,6 @@ from repro.sfg.nodes import (
 )
 from repro.obs import metric_inc, span
 from repro.simkernel.backend import numba_available
-
-logger = logging.getLogger("repro.simkernel.codegen")
-# The numba-missing degradation is logged once per process, not per plan.
-_numba_missing_warned = False
 
 #: Tape op codes (shared with the packed numba kernel).
 OP_INPUT = 0
@@ -111,11 +106,14 @@ class TapeConstants:
     output quantization; ``0.0`` disables it.  For IIR ops the step and
     rounding mode describe the quantizer *inside* the recursion instead
     (the recursion output is already on the grid, so no uniform pass
-    runs).
+    runs).  ``edge_quantizers`` is ``None`` when no input edge is
+    tapped, else one :class:`~repro.fixedpoint.quantizer.Quantizer` (or
+    ``None``) per input port, applied to the value read on that port.
     """
 
     __slots__ = ("step", "rounding", "signs", "gain", "delay", "factor",
-                 "phase", "taps", "b", "a", "scaled_b", "feedback")
+                 "phase", "taps", "b", "a", "scaled_b", "feedback",
+                 "edge_quantizers")
 
     def __init__(self):
         self.step = 0.0
@@ -130,6 +128,7 @@ class TapeConstants:
         self.a = None
         self.scaled_b = None
         self.feedback = None
+        self.edge_quantizers = None
 
 
 def _bind_step(step) -> TapeConstants:
@@ -142,6 +141,10 @@ def _bind_step(step) -> TapeConstants:
     if spec.enabled:
         constants.step = spec.quantizer().fmt.step
         constants.rounding = spec.rounding
+    if step.edge_taps is not None:
+        constants.edge_quantizers = tuple(
+            None if tap is None else tap.quantizer
+            for tap in step.edge_taps)
     node_type = type(node)
     if node_type is AddNode:
         constants.signs = tuple(node.signs)
@@ -236,12 +239,10 @@ class PlanTape:
                 from repro.simkernel.codegen import _njit
                 signals = _njit.try_execute(self, stimulus)
                 if signals is not None:
-                    metric_inc("tape.executions", backend="codegen",
-                               engine="njit")
+                    metric_inc("tape.executions", engine="njit")
                     execute_span.set(engine="njit")
                     return signals
-            metric_inc("tape.executions", backend="codegen",
-                       engine="interpreter")
+            metric_inc("tape.executions", engine="interpreter")
             execute_span.set(engine="interpreter")
             return interpreter.run(self, stimulus)
 
@@ -265,21 +266,9 @@ def lower_plan(plan) -> PlanTape:
             raise UnsupportedPlanError(
                 f"node {step.name!r} of type {type(step.node).__name__} "
                 "cannot be lowered to a tape op")
-        if step.edge_taps is not None:
-            raise UnsupportedPlanError(
-                f"step {step.name!r} has per-edge fanout taps, which "
-                "have no tape semantics yet; run the per-node schedule "
-                "walk instead")
         ops.append(TapeOp(opcode, step.index, step.predecessors, step.name))
     input_slots = tuple((name, plan.index_of[name])
                         for name in plan.input_names)
     tape = PlanTape(tuple(ops), input_slots)
     tape.bind(plan)
-    global _numba_missing_warned
-    if not numba_available() and not _numba_missing_warned:
-        _numba_missing_warned = True
-        logger.warning(
-            "codegen backend: numba is not installed; op tapes will run "
-            "through the pure-NumPy tape interpreter instead of the fused "
-            "JIT kernel")
     return tape

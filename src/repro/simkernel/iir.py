@@ -13,23 +13,29 @@ two),
 * the recursion state holds output *mantissas* ``Y[n] = y[n] / step``;
 * the per-sample body is one multiply-accumulate against the feedback
   taps plus a single scalar rounding op, with the rounding-mode branch
-  hoisted out of the loop into mode-specialized rounders;
+  hoisted out of the loop;
 * the final output is ``Y * step``.
 
 Because ``step`` is a power of two, every one of those rescalings is
-*exact* in binary floating point — scaling by a power of two multiplies
+*exact* in binary floating point: scaling by a power of two multiplies
 the significand grid uniformly, so it commutes with every IEEE-754
-addition, multiplication and rounding the loop performs.  The kernels
-are therefore bitwise identical to the legacy loop (asserted by
-``tests/test_simkernel.py`` and by the fuzz harness's
-``backend_equality`` check), while running ~3x faster single-stream in
-pure NumPy and much faster again under the optional Numba backend.
+addition, multiplication and rounding the loop performs.
 
-The feedback dot product deliberately keeps the *same* ``np.dot`` /
-``@`` call pattern (contiguous taps against a reversed history view) as
-the legacy loop: BLAS may use FMA and unrolled accumulation internally,
-so replicating the call — not re-deriving the sum — is what guarantees
-bit-equality on every platform.
+A single stream runs a *generated* pure-Python recurrence with the
+feedback taps unrolled into the source as literals, so the per-sample
+body is a handful of float operations with no array indexing or NumPy
+call overhead.  It sums the feedback products left to right instead of
+replaying the legacy loop's ``np.dot`` call.  Inside the library's
+fixed-point domain every product and partial sum is an exact multiple of
+the common quantization grid within a double's 53-bit significand, so the
+sum is exact and independent of accumulation order: the kernel is bitwise
+identical to the legacy loop there (``tests/test_simkernel.py`` and the
+fuzz harness's ``backend_equality`` check pin it).  Beyond that domain —
+roughly 40+ fractional bits on the data and coefficient words together —
+the last bit may differ; see ARCHITECTURE.md, "Simulation engine".
+Stacked Monte-Carlo trials run one vectorized rounding pass per sample
+across all rows.  When numba is importable, both shapes run through the
+JIT recursion of :mod:`repro.simkernel._numba` instead.
 """
 
 from __future__ import annotations
@@ -39,30 +45,9 @@ import math
 import numpy as np
 
 from repro.fixedpoint.quantizer import RoundingMode
-from repro.simkernel.backend import resolve_backend
+from repro.simkernel.backend import get_backend, numba_available
 from repro.simkernel.reference import causal_fir_reference as causal_fir
-
-
-# ----------------------------------------------------------------------
-# Mode-specialized rounding
-# ----------------------------------------------------------------------
-def _scalar_round(value: float) -> float:
-    # round-half-away-from-zero (MATLAB round); identical to the
-    # vectorized round_half_away for every double.
-    return math.copysign(math.floor(abs(value) + 0.5), value)
-
-
-def _scalar_convergent(value) -> float:
-    # Python's round() is round-half-to-even, the same correctly-rounded
-    # function as np.rint for every double.
-    return round(float(value))
-
-
-_SCALAR_ROUNDERS = {
-    RoundingMode.TRUNCATE: math.floor,
-    RoundingMode.ROUND: _scalar_round,
-    RoundingMode.CONVERGENT: _scalar_convergent,
-}
+from repro.simkernel.reference import iir_df1_reference
 
 #: Integer codes shared with the Numba kernels.
 ROUNDING_CODES = {
@@ -87,30 +72,68 @@ def _round_array(rounding: RoundingMode, values: np.ndarray,
 
 
 # ----------------------------------------------------------------------
-# NumPy kernels
+# Generated single-stream recurrences
 # ----------------------------------------------------------------------
-def _iir_df1_numpy_1d(scaled_ff: np.ndarray, feedback_taps: np.ndarray,
-                      rounding: RoundingMode) -> np.ndarray:
-    mantissas = np.zeros(scaled_ff.shape[-1])
-    values = scaled_ff.tolist()
-    rounder = _SCALAR_ROUNDERS[rounding]
-    dot = np.dot
-    na = len(feedback_taps)
-    warm = min(na, len(values))
-    for n in range(warm):
-        acc = values[n]
-        if n:
-            acc = acc - float(dot(feedback_taps[:n], mantissas[:n][::-1]))
-        mantissas[n] = rounder(acc)
-    for n in range(warm, len(values)):
-        acc = values[n] - float(dot(feedback_taps,
-                                    mantissas[n - na:n][::-1]))
-        mantissas[n] = rounder(acc)
-    return mantissas
+#: Generated kernels keyed by (tap bytes, rounding mode).  The oldest is
+#: evicted first, so a long search over many coefficient sets stays
+#: bounded.
+_RECURRENCE_CACHE: dict = {}
+_RECURRENCE_CACHE_SIZE = 256
+
+_ROUND_EXPR = {
+    RoundingMode.TRUNCATE: "_floor(acc)",
+    # round-half-away-from-zero: the scalar form of round_half_away.
+    RoundingMode.ROUND: "_copysign(_floor(_abs(acc) + 0.5), acc)",
+    # Python round() is correctly-rounded half-to-even, same as np.rint.
+    RoundingMode.CONVERGENT: "_round(acc)",
+}
 
 
-def _iir_df1_numpy_batched(scaled_ff: np.ndarray, feedback_taps: np.ndarray,
-                           rounding: RoundingMode) -> np.ndarray:
+def _compile_recurrence(feedback_taps: np.ndarray, rounding: RoundingMode):
+    """Source-generate the serial recursion for one tap set.
+
+    The taps are closed over as individual locals and the feedback dot
+    product is unrolled into one expression.  Takes and returns plain
+    Python lists of step mantissas; the math rounders raise on non-finite
+    accumulators.
+    """
+    key = (feedback_taps.tobytes(), rounding)
+    kernel = _RECURRENCE_CACHE.get(key)
+    if kernel is not None:
+        return kernel
+    order = len(feedback_taps)
+    taps = ", ".join(f"t{j}" for j in range(order))
+    dot = " + ".join(f"t{j} * y{j}" for j in range(order))
+    lines = [
+        f"def _make({taps}, _floor, _copysign, _abs, _round):",
+        "    def _kernel(values):",
+        "        " + " = ".join(f"y{j}" for j in range(order)) + " = 0.0",
+        "        out = []",
+        "        _append = out.append",
+        "        for acc in values:",
+        f"            acc = acc - ({dot})",
+        f"            m = {_ROUND_EXPR[rounding]}",
+        "            _append(m)",
+    ]
+    for j in range(order - 1, 0, -1):
+        lines.append(f"            y{j} = y{j - 1}")
+    lines += [
+        "            y0 = m",
+        "        return out",
+        "    return _kernel",
+    ]
+    namespace: dict = {}
+    exec("\n".join(lines), namespace)  # noqa: S102 - trusted generated source
+    kernel = namespace["_make"](*(float(tap) for tap in feedback_taps),
+                                math.floor, math.copysign, abs, round)
+    if len(_RECURRENCE_CACHE) >= _RECURRENCE_CACHE_SIZE:
+        del _RECURRENCE_CACHE[next(iter(_RECURRENCE_CACHE))]
+    _RECURRENCE_CACHE[key] = kernel
+    return kernel
+
+
+def _iir_df1_batched(scaled_ff: np.ndarray, feedback_taps: np.ndarray,
+                     rounding: RoundingMode) -> np.ndarray:
     mantissas = np.zeros_like(scaled_ff)
     na = len(feedback_taps)
     num_samples = scaled_ff.shape[-1]
@@ -131,8 +154,7 @@ def _iir_df1_numpy_batched(scaled_ff: np.ndarray, feedback_taps: np.ndarray,
 # Public entry point
 # ----------------------------------------------------------------------
 def iir_df1_fixed(x: np.ndarray, b: np.ndarray, a: np.ndarray, step: float,
-                  rounding: RoundingMode,
-                  backend: str | None = None) -> np.ndarray:
+                  rounding: RoundingMode) -> np.ndarray:
     """Bit-true direct-form-I IIR filtering.
 
     Parameters
@@ -147,19 +169,10 @@ def iir_df1_fixed(x: np.ndarray, b: np.ndarray, a: np.ndarray, step: float,
         Data-path quantization step (a power of two).
     rounding:
         Rounding mode of the output quantizer inside the recursion.
-    backend:
-        Kernel backend override; defaults to the active backend of
-        :mod:`repro.simkernel.backend`.
+
+    Under the ``reference`` backend this is the legacy loop.
     """
-    backend = resolve_backend(backend)
-    if backend == "codegen":
-        # Whole-plan fusion happens one level up (CompiledPlan.run); a
-        # per-node call under the codegen backend means the plan could not
-        # be lowered, so run the best per-node kernel instead.
-        from repro.simkernel.backend import default_backend
-        backend = default_backend()
-    if backend == "reference":
-        from repro.simkernel.reference import iir_df1_reference
+    if get_backend() == "reference":
         return iir_df1_reference(x, b, a, step, rounding)
 
     x = np.asarray(x, dtype=float)
@@ -167,7 +180,7 @@ def iir_df1_fixed(x: np.ndarray, b: np.ndarray, a: np.ndarray, step: float,
     # the convolution exactly, so the recursion runs on output mantissas
     # and the per-sample division disappears.
     scaled_ff = causal_fir(x, b / step)
-    feedback_taps = a[1:]
+    feedback_taps = np.asarray(a[1:], dtype=float)
     if len(feedback_taps) == 0:
         # No recursion: the whole "loop" collapses to one vectorized
         # rounding pass over the feed-forward mantissas.
@@ -175,7 +188,7 @@ def iir_df1_fixed(x: np.ndarray, b: np.ndarray, a: np.ndarray, step: float,
         _round_array(rounding, scaled_ff, mantissas)
         return mantissas * step
 
-    if backend == "numba":
+    if numba_available():
         from repro.simkernel import _numba
         kernel = _numba.get_kernel()
         if kernel is not None:
@@ -184,19 +197,17 @@ def iir_df1_fixed(x: np.ndarray, b: np.ndarray, a: np.ndarray, step: float,
                                np.ascontiguousarray(feedback_taps),
                                ROUNDING_CODES[rounding])
             return mantissas.reshape(scaled_ff.shape) * step
-        # JIT unavailable or failed to compile: numpy fallback below.
+        # JIT failed to compile: the NumPy kernels below.
 
+    if x.ndim != 1:
+        return _iir_df1_batched(scaled_ff, feedback_taps, rounding) * step
     try:
-        if x.ndim == 1:
-            mantissas = _iir_df1_numpy_1d(scaled_ff, feedback_taps, rounding)
-        else:
-            mantissas = _iir_df1_numpy_batched(scaled_ff, feedback_taps,
-                                               rounding)
+        mantissas = _compile_recurrence(feedback_taps, rounding)(
+            scaled_ff.tolist())
     except (OverflowError, ValueError):
         # The scalar math rounders raise on non-finite accumulators
         # (diverging filters) where the legacy numpy ufuncs silently
         # propagate NaN/inf; defer to the reference loop so both paths
         # keep identical behaviour on degenerate systems.
-        from repro.simkernel.reference import iir_df1_reference
         return iir_df1_reference(x, b, a, step, rounding)
-    return mantissas * step
+    return np.array(mantissas, dtype=float) * step

@@ -3,12 +3,12 @@
 These are the original bit-true implementations that predate the
 vectorized kernel layer, preserved verbatim: every optimized kernel in
 :mod:`repro.simkernel` is required to be **bitwise identical** to the
-loops in this module, and the differential fuzz harness
-(:mod:`repro.verify.differential`, ``backend_equality`` check) asserts
-that equality on randomized graphs.  Selecting the ``reference`` backend
-(``REPRO_SIMD_BACKEND=reference``) routes all execution through these
-loops, which is also how the perf-regression benchmarks measure the
-speedup of the optimized engine against an honest baseline.
+loops in this module inside the documented fixed-point domain, and the
+differential fuzz harness (:mod:`repro.verify.differential`,
+``backend_equality`` check) asserts that equality on randomized graphs.
+``use_backend("reference")`` routes all execution through these loops,
+which is also how the perf-regression benchmarks measure the speedup of
+the optimized engine against an honest baseline.
 """
 
 from __future__ import annotations

@@ -39,7 +39,7 @@ from repro.fixedpoint.quantizer import Quantizer, RoundingMode
 from repro.fixedpoint.qformat import QFormat
 from repro.lti.convolution import overlap_save
 from repro.lti.fft import FixedPointFft
-from repro.simkernel.backend import resolve_backend
+from repro.simkernel.backend import get_backend
 from repro.simkernel.fft import overlap_save_assemble, overlap_save_blocks
 from repro.lti.fir_design import design_fir_highpass, design_fir_lowpass
 from repro.sfg.builder import SfgBuilder
@@ -86,7 +86,7 @@ class FrequencyDomainFirNode(FirNode):
         (x,) = inputs
         x = np.asarray(x, dtype=float)
         taps = self._effective_transfer_function().b
-        if resolve_backend() == "reference":
+        if get_backend() == "reference":
             # The streaming loop is 1-D; replay it per trial.
             return self._map_trials(
                 lambda row: overlap_save(row, taps, self.fft_size), x)
@@ -104,7 +104,7 @@ class FrequencyDomainFirNode(FirNode):
         x = np.asarray(x, dtype=float)
         if not self.quantization.enabled:
             return self.simulate(inputs)
-        if resolve_backend() == "reference":
+        if get_backend() == "reference":
             return self._map_trials(self._simulate_fixed_reference, x)
 
         data_quantizer, coeff_quantizer = self._pipeline_quantizers()

@@ -12,11 +12,11 @@ graphs of :mod:`repro.systems.random_graphs`):
    (:mod:`repro.verify.legacy`): the PSD and moments walks, the flat and
    tracked engines (single-rate graphs) and both simulation modes;
 3. **backend_equality** — the bit-true simulation produces identical
-   bits under every available simulation-kernel backend
-   (:mod:`repro.simkernel`): the preserved legacy per-sample loops
-   (``reference``), the vectorized scaled-integer kernels (``numpy``),
-   the whole-plan fused op tapes (``codegen``) and, when installed, the
-   Numba JIT kernels;
+   bits under both simulation backends (:mod:`repro.simkernel`): the
+   preserved legacy per-sample loops (``reference``) and the default
+   path (the plan's op tape, JIT-compiled when numba is installed), on
+   the generated graph and again after a seeded assignment with per-edge
+   fanout taps;
 4. **batch_vs_sequential** — the configuration-batched evaluation paths
    equal the sequential requantize-and-evaluate loop, row for row, bit
    for bit (analytical engines and the Monte-Carlo reference), and a
@@ -189,22 +189,28 @@ def _check_plan_vs_legacy(graph, plan, *, samples, seed, n_psd, **options):
 
 
 def _check_backend_equality(graph, plan, *, samples, seed, **options):
-    from repro.simkernel import available_backends, use_backend
+    from repro.simkernel import use_backend
 
     stimulus = _stimulus(graph, samples, seed)
     executor = SfgExecutor(plan)
-    outputs = {}
-    for backend in available_backends():
-        with use_backend(backend):
-            outputs[backend] = executor.run(stimulus, mode="fixed").output(None)
-    baseline = outputs["numpy"]
-    for backend, output in outputs.items():
-        _require(output.shape == baseline.shape
-                 and np.array_equal(output, baseline),
-                 f"{backend} backend differs bitwise from the numpy "
-                 "kernels")
-    return (f"{len(outputs)} backends bitwise identical "
-            f"({', '.join(outputs)})")
+
+    def compare(label):
+        with use_backend("reference"):
+            expected = executor.run(stimulus, mode="fixed").output(None)
+        output = executor.run(stimulus, mode="fixed").output(None)
+        _require(output.shape == expected.shape
+                 and np.array_equal(output, expected),
+                 f"default backend differs bitwise from the reference "
+                 f"loops {label}")
+
+    compare("on the generated graph")
+    # edges=True: the assignment may tap fanout edges, which the default
+    # path binds as per-input quantizers of the tape ops.
+    assignment = random_assignments(graph, seed + 7, 1, edges=True)[0]
+    with plan.preserve_quantization():
+        plan.requantize(assignment, allow_enable=True)
+        compare("after an edge-keyed requantize")
+    return "default backend bitwise identical to the reference loops"
 
 
 def _check_batch_vs_sequential(graph, plan, *, samples, seed, n_psd,

@@ -31,6 +31,13 @@ class TestEstimate:
         assert evaluator.estimate("psd", n_psd=64).n_psd == 64
         assert evaluator.estimate("flat").n_psd is None
 
+    def test_zero_n_psd_rejected_not_defaulted(self, short_white_noise):
+        evaluator = AccuracyEvaluator(_graph(), n_psd=128)
+        with pytest.raises(ValueError, match="n_psd must be at least 2"):
+            evaluator.estimate("psd", n_psd=0)
+        with pytest.raises(ValueError, match="n_psd must be at least 2"):
+            evaluator.compare(short_white_noise, methods=("psd",), n_psd=0)
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             AccuracyEvaluator(_graph()).estimate("magic")

@@ -47,6 +47,14 @@ class TestWithGraphs:
         trimmed = evaluator.evaluate(short_white_noise, discard_transient=100)
         assert trimmed.num_samples == full.num_samples - 100
 
+    def test_non_finite_stimulus_rejected(self, short_white_noise):
+        evaluator = SimulationEvaluator(_graph())
+        for bad in (np.nan, np.inf):
+            x = short_white_noise.copy()
+            x[7] = bad
+            with pytest.raises(ValueError, match="'x' holds NaN"):
+                evaluator.evaluate(x)
+
     def test_transient_longer_than_record_rejected(self):
         evaluator = SimulationEvaluator(_graph())
         with pytest.raises(ValueError):

@@ -2,7 +2,7 @@
 
 The CLI smoke tests drive one bench end to end; this suite pins the
 pieces individually — schema writer/loader, registry filtering, the
-baseline comparison rules (missing measurements, optional numba floors)
+baseline comparison rules (missing measurements, unknown benchmarks)
 and each registered benchmark on a reduced workload, including the
 bitwise-identity guard that refuses to report a speedup for a kernel
 that drifted.
@@ -29,7 +29,6 @@ from repro.bench import (
     required_floor,
     write_bench_json,
 )
-from repro.simkernel import numba_available
 
 
 class TestSchema:
@@ -100,17 +99,6 @@ class TestBaselineComparison:
         baseline = {"schema": 1, "floors": {"renamed_bench": {"k": 1.0}}}
         regressions = check_against_baseline(payloads, baseline)
         assert regressions and "unknown benchmark" in regressions[0]
-
-    def test_numba_floor_skipped_when_numba_absent(self):
-        payloads = [bench_payload("b1", workload={}, seconds={},
-                                  speedup={})]
-        baseline = {"schema": 1,
-                    "floors": {"b1": {"speed_numba": 2.0}}}
-        regressions = check_against_baseline(payloads, baseline)
-        if numba_available():
-            assert regressions  # backend present, measurement required
-        else:
-            assert regressions == []
 
 
 class TestBaselineGating:

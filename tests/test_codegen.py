@@ -1,14 +1,14 @@
-"""The codegen backend: plan lowering, tape execution and rebinding.
+"""The op tape: plan lowering, tape execution and rebinding.
 
-Covers the whole-plan fusion path of :mod:`repro.simkernel.codegen`:
+Covers the fixed-point path of the default backend
+(:mod:`repro.simkernel.codegen`):
 
-* backend precedence (explicit override > ``REPRO_SIMD_BACKEND`` >
-  auto-detected default) with ``codegen`` in the registry;
-* graceful degradation when numba is missing — the op tape runs through
-  the NumPy tape interpreter and logs one warning per process (on the
-  ``repro.simkernel.codegen`` logger), however many plans are lowered;
-* bitwise equality of the codegen backend against the per-node numpy
-  walk on every rounding mode, single-trial, batched and ``run_pair``;
+* the tape is always available and the ``reference`` override keeps the
+  per-node walk;
+* without numba the op tape runs through the NumPy tape interpreter
+  silently — it is the normal path, not a degradation;
+* bitwise equality of the tape against the ``reference`` walk on every
+  rounding mode, single-trial, batched and ``run_pair``;
 * the constants/structure split: requantizing a plan in place rebinds
   only the tape constants (same tape object, same op tuple) and the
   rebound tape is bit-identical to a cold lowering at the new precision;
@@ -16,11 +16,12 @@ Covers the whole-plan fusion path of :mod:`repro.simkernel.codegen`:
   per-node schedule walk without changing results;
 * the packed whole-tape kernel (the numba entry point, exercised here as
   plain Python) against the tape interpreter;
-* the ``--backend`` CLI flag on ``fuzz`` and ``bench``.
+* the CLI fuzz on the default path, and the retired ``--backend`` flag.
 """
 
 from __future__ import annotations
 
+import json
 import logging
 
 import numpy as np
@@ -31,18 +32,9 @@ from repro.data.signals import uniform_white_noise
 from repro.fixedpoint.quantizer import RoundingMode
 from repro.sfg.builder import SfgBuilder
 from repro.sfg.plan import compile_plan
-from repro.simkernel import (
-    available_backends,
-    default_backend,
-    get_backend,
-    numba_available,
-    set_backend,
-    use_backend,
-)
-from repro.simkernel.backend import BACKEND_ENV
+from repro.simkernel import use_backend
 from repro.simkernel.codegen import UnsupportedPlanError, lower_plan
 from repro.simkernel.codegen import _njit, interpreter
-from repro.simkernel.codegen import lowering as lowering_module
 
 
 def _mixed_graph(bits: int = 10,
@@ -79,71 +71,45 @@ def _run_fixed(plan, stimulus, backend):
 
 
 # ----------------------------------------------------------------------
-# Backend precedence and registry
+# Backend precedence
 # ----------------------------------------------------------------------
 class TestBackendPrecedence:
     def test_codegen_is_always_available(self):
-        backends = available_backends()
-        assert backends[0] == "reference"
-        assert "codegen" in backends
-        # codegen is always implemented, independent of numba.
-        assert ("numba" in backends) == numba_available()
+        # The tape needs no optional dependency: a default fixed run
+        # lowers the plan whether or not numba is installed.
+        plan = compile_plan(_mixed_graph(name="codegen-available"))
+        _run_fixed(plan, _stimulus(samples=64), "fast")
+        assert plan._tape is not None
+        assert plan._tape_error is None
 
-    def test_explicit_override_beats_environment(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "reference")
-        with use_backend("codegen"):
-            assert get_backend() == "codegen"
-        assert get_backend() == "reference"
-
-    def test_environment_beats_default(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "codegen")
-        assert get_backend() == "codegen"
-        monkeypatch.delenv(BACKEND_ENV)
-        assert get_backend() == default_backend()
-
-    def test_unknown_backend_error_lists_codegen(self):
-        with pytest.raises(ValueError, match="codegen"):
-            set_backend("fortran")
+    def test_reference_override_keeps_the_walk(self):
+        plan = compile_plan(_mixed_graph(name="codegen-override"))
+        stimulus = _stimulus(samples=64)
+        with use_backend("reference"):
+            plan.run(stimulus, mode="fixed")
+            plan.run_pair(stimulus)
+        assert plan._tape is None
+        plan.run(stimulus, mode="fixed")
+        assert plan._tape is not None
 
 
 # ----------------------------------------------------------------------
-# Degradation without numba
+# Without numba the interpreter is the normal path, not a degradation
 # ----------------------------------------------------------------------
-class TestNumbaMissingDegradation:
-    @pytest.mark.skipif(numba_available(),
-                        reason="numba installed; the degradation path is "
-                               "inactive")
-    def test_lowering_warns_once_and_matches_numpy(self, caplog,
-                                                   monkeypatch):
-        # Start from a process that has not warned yet (earlier tests may
-        # already have lowered plans).
-        monkeypatch.setattr(lowering_module, "_numba_missing_warned", False)
-        plan = compile_plan(_mixed_graph(name="codegen-warn"))
+class TestSilentLowering:
+    def test_lowering_is_silent_and_matches_reference(self, caplog):
+        plan = compile_plan(_mixed_graph(name="codegen-silent"))
         other = compile_plan(_mixed_graph(rounding=RoundingMode.TRUNCATE,
-                                          name="codegen-warn-other"))
+                                          name="codegen-silent-other"))
         stimulus = _stimulus()
-        expected = _run_fixed(plan, stimulus, "numpy")
-        expected_other = _run_fixed(other, stimulus, "numpy")
-        with use_backend("codegen"):
-            with caplog.at_level(logging.WARNING,
-                                 logger="repro.simkernel.codegen"):
-                first = plan.run(stimulus, mode="fixed").output("y")
-            degradations = [record for record in caplog.records
-                            if "numba is not installed" in record.message]
-            assert len(degradations) == 1
-            assert degradations[0].name == "repro.simkernel.codegen"
-            # Once per process: neither re-running the cached tape nor
-            # lowering a second, distinct plan warns again.
-            caplog.clear()
-            with caplog.at_level(logging.WARNING,
-                                 logger="repro.simkernel.codegen"):
-                again = plan.run(stimulus, mode="fixed").output("y")
-                second = other.run(stimulus, mode="fixed").output("y")
-            assert other._tape is not None
-            assert not caplog.records
-        assert np.array_equal(first, expected)
-        assert np.array_equal(again, expected)
-        assert np.array_equal(second, expected_other)
+        with caplog.at_level(logging.DEBUG):
+            first = _run_fixed(plan, stimulus, "fast")
+            second = _run_fixed(other, stimulus, "fast")
+        assert plan._tape is not None and other._tape is not None
+        assert not caplog.records
+        assert np.array_equal(first, _run_fixed(plan, stimulus, "reference"))
+        assert np.array_equal(second,
+                              _run_fixed(other, stimulus, "reference"))
 
 
 # ----------------------------------------------------------------------
@@ -156,26 +122,25 @@ class TestCodegenEquality:
                              name=f"codegen-{rounding.value}")
         plan = compile_plan(graph)
         stimulus = _stimulus()
-        expected = _run_fixed(plan, stimulus, "numpy")
-        result = _run_fixed(plan, stimulus, "codegen")
+        expected = _run_fixed(plan, stimulus, "reference")
+        result = _run_fixed(plan, stimulus, "fast")
         assert result.shape == expected.shape
         assert np.array_equal(result, expected)
 
     def test_batched_trials(self):
         plan = compile_plan(_mixed_graph(name="codegen-batched"))
         stimulus = _stimulus(samples=256, trials=5)
-        expected = _run_fixed(plan, stimulus, "numpy")
-        result = _run_fixed(plan, stimulus, "codegen")
+        expected = _run_fixed(plan, stimulus, "reference")
+        result = _run_fixed(plan, stimulus, "fast")
         assert result.shape == expected.shape
         assert np.array_equal(result, expected)
 
     def test_run_pair_matches_per_node_walk(self):
         plan = compile_plan(_mixed_graph(name="codegen-pair"))
         stimulus = _stimulus()
-        with use_backend("numpy"):
+        with use_backend("reference"):
             ref_double, ref_fixed = plan.run_pair(stimulus)
-        with use_backend("codegen"):
-            cg_double, cg_fixed = plan.run_pair(stimulus)
+        cg_double, cg_fixed = plan.run_pair(stimulus)
         assert np.array_equal(cg_double.output("y"), ref_double.output("y"))
         assert np.array_equal(cg_fixed.output("y"), ref_fixed.output("y"))
 
@@ -184,8 +149,8 @@ class TestCodegenEquality:
         # double-precision semantics of every node.
         plan = compile_plan(_mixed_graph(bits=None, name="codegen-double"))
         stimulus = _stimulus()
-        expected = _run_fixed(plan, stimulus, "numpy")
-        result = _run_fixed(plan, stimulus, "codegen")
+        expected = _run_fixed(plan, stimulus, "reference")
+        result = _run_fixed(plan, stimulus, "fast")
         assert np.array_equal(result, expected)
 
 
@@ -196,7 +161,7 @@ class TestTapeRebinding:
     def test_requantize_rebinds_constants_only(self):
         plan = compile_plan(_mixed_graph(bits=12, name="codegen-rebind"))
         stimulus = _stimulus()
-        _run_fixed(plan, stimulus, "codegen")
+        _run_fixed(plan, stimulus, "fast")
         tape = plan._tape
         assert tape is not None
         ops = tape.ops
@@ -204,7 +169,7 @@ class TestTapeRebinding:
 
         new_bits = {name: 9 for name in ("x", "g", "h", "v", "s")}
         plan.requantize(new_bits)
-        rebound = _run_fixed(plan, stimulus, "codegen")
+        rebound = _run_fixed(plan, stimulus, "fast")
 
         # Same tape, same structure, fresh constants.
         assert plan._tape is tape
@@ -213,18 +178,18 @@ class TestTapeRebinding:
 
         # Bit-identical to a cold lowering of a fresh 9-bit graph.
         cold_plan = compile_plan(_mixed_graph(bits=9, name="codegen-cold"))
-        cold = _run_fixed(cold_plan, stimulus, "codegen")
+        cold = _run_fixed(cold_plan, stimulus, "fast")
         assert cold_plan._tape is not tape
         assert np.array_equal(rebound, cold)
         # And to the per-node walk at the new precision.
-        assert np.array_equal(rebound, _run_fixed(plan, stimulus, "numpy"))
+        assert np.array_equal(rebound, _run_fixed(plan, stimulus, "reference"))
 
     def test_untouched_plan_does_not_rebind(self):
         plan = compile_plan(_mixed_graph(name="codegen-stable"))
         stimulus = _stimulus()
-        _run_fixed(plan, stimulus, "codegen")
+        _run_fixed(plan, stimulus, "fast")
         binding = plan._tape.binding
-        _run_fixed(plan, stimulus, "codegen")
+        _run_fixed(plan, stimulus, "fast")
         assert plan._tape.binding == binding
 
 
@@ -238,8 +203,8 @@ class TestUnsupportedPlanFallback:
         system = FrequencyDomainFilter(fractional_bits=10, n_psd=256)
         plan = system.evaluator.plan
         stimulus = {"x": uniform_white_noise(512, seed=4)}
-        expected = _run_fixed(plan, stimulus, "numpy")
-        result = _run_fixed(plan, stimulus, "codegen")
+        expected = _run_fixed(plan, stimulus, "reference")
+        result = _run_fixed(plan, stimulus, "fast")
         assert np.array_equal(result, expected)
         # The failed lowering is recorded once; no tape is kept.
         assert plan._tape is None
@@ -293,6 +258,13 @@ class TestPackedKernel:
         tape = self._tape(_mixed_graph(bits=None, name="codegen-nojit"))
         assert _njit.pack(tape) is None
 
+    def test_tapped_tapes_are_not_jit_eligible(self):
+        # The packed encoding has no per-input quantizers: a tape with an
+        # edge tap stays on the interpreter.
+        plan = compile_plan(_mixed_graph(name="codegen-tapped-nojit"))
+        plan.requantize({"x->s": 7})
+        assert _njit.pack(lower_plan(plan)) is None
+
     def test_probe_validates_kernel_bitwise(self):
         tape = self._tape(_mixed_graph(name="codegen-probe"))
         packed = _njit.pack(tape)
@@ -300,34 +272,25 @@ class TestPackedKernel:
 
 
 # ----------------------------------------------------------------------
-# CLI --backend flag
+# CLI
 # ----------------------------------------------------------------------
 class TestCliBackendFlag:
-    def test_fuzz_runs_under_codegen(self, capsys):
+    def test_fuzz_runs_under_codegen(self, capsys, tmp_path):
+        metrics = tmp_path / "metrics.json"
         code = main(["fuzz", "--count", "2", "--seed", "0",
                      "--blocks", "4", "--samples", "1152",
                      "--ed-samples", "4608", "--n-psd", "96",
-                     "--backend", "codegen"])
+                     "--metrics", str(metrics)])
         out = capsys.readouterr().out
         assert code == 0, out
         assert "all passed" in out
-
-    @pytest.mark.skipif(numba_available(),
-                        reason="numba installed; every backend is "
-                               "available")
-    def test_unavailable_backend_is_clear_cli_error(self, capsys):
-        code = main(["fuzz", "--count", "1", "--backend", "numba"])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "not available" in err
-        assert "codegen" in err
-
-        code = main(["bench", "--names", "sim_engine_iir",
-                     "--backend", "numba"])
-        assert code == 1
-        assert "not available" in capsys.readouterr().err
+        counts = json.loads(metrics.read_text())["metrics"]
+        assert any(name.startswith("tape.executions") and value > 0
+                   for name, value in counts.items())
 
     def test_unknown_backend_rejected_by_argparse(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["fuzz", "--count", "1", "--backend", "fortran"])
-        assert "invalid choice" in capsys.readouterr().err
+        # There is no backend flag left to choose with.
+        for name in ("fortran", "codegen"):
+            with pytest.raises(SystemExit):
+                main(["fuzz", "--count", "1", "--backend", name])
+            assert "unrecognized arguments" in capsys.readouterr().err

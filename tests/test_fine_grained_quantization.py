@@ -2,8 +2,8 @@
 
 Covers the fine-grained quantization tentpole end to end: edge-key
 requantize and fanout taps on :class:`CompiledPlan`, dirty-cone targeting
-of tap edits, scalar/batch/simulation agreement with taps in play, the
-codegen fallback, integer-width pinning from range analysis, and the
+of tap edits, scalar/batch/simulation agreement with taps in play, taps
+bound into the op tape, integer-width pinning from range analysis, and the
 edge-granularity word-length search.
 """
 
@@ -168,28 +168,40 @@ class TestTapSimulation:
         assert np.array_equal(reference,
                               plan.run(stimulus, mode="fixed").output("y"))
 
-    def test_codegen_declines_taps_and_matches_walk(self):
-        from repro.simkernel.codegen.lowering import (
-            UnsupportedPlanError,
-            lower_plan,
-        )
+    def test_tape_binds_taps_and_matches_walk(self):
+        from repro.simkernel import use_backend
 
         graph = _fork_graph()
         stimulus = _stimulus(graph)
+        batched = {"x": np.stack([stimulus["x"][:512] * scale
+                                  for scale in (1.0, -0.5, 0.25)])}
         plan = compile_plan(graph)
-        plan.requantize({"lp->g": 7})
-        with pytest.raises(UnsupportedPlanError, match="fanout taps"):
-            lower_plan(plan)
-        tapped = plan.run(stimulus, mode="fixed").output("y")
-        # Removing the tap re-enables the tape; both paths bitwise agree.
-        plan.requantize({"lp->g": None})
+
+        def walk(inputs):
+            with use_backend("reference"):
+                return plan.run(inputs, mode="fixed").output("y")
+
         untapped = plan.run(stimulus, mode="fixed").output("y")
+        tape = plan._tape
+        assert tape is not None
+        binding = tape.binding
+        # Adding the tap rebinds the same tape: the tapped plan lowers
+        # and equals the reference walk bitwise, batched and paired too.
         plan.requantize({"lp->g": 7})
-        assert np.array_equal(tapped,
-                              plan.run(stimulus, mode="fixed").output("y"))
+        tapped = plan.run(stimulus, mode="fixed").output("y")
+        assert plan._tape is tape and tape.binding == binding + 1
+        assert np.array_equal(tapped, walk(stimulus))
+        assert not np.array_equal(tapped, untapped)
+        assert np.array_equal(plan.run_pair(stimulus)[1].output("y"),
+                              tapped)
+        assert np.array_equal(
+            plan.run(batched, mode="fixed").output("y"), walk(batched))
+        # Removing it rebinds again and restores the untapped bits.
         plan.requantize({"lp->g": None})
-        assert np.array_equal(untapped,
-                              plan.run(stimulus, mode="fixed").output("y"))
+        assert np.array_equal(plan.run(stimulus, mode="fixed").output("y"),
+                              untapped)
+        assert plan._tape is tape and tape.binding == binding + 2
+        assert np.array_equal(untapped, walk(stimulus))
 
 
 class TestTapAnalysis:

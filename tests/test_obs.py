@@ -71,14 +71,15 @@ def _campaign_spec(**overrides):
 class TestRegistry:
     def test_counter_identity_is_name_plus_labels(self):
         registry = MetricsRegistry()
-        a = registry.counter("tape.executions", backend="codegen")
-        b = registry.counter("tape.executions", backend="codegen")
-        c = registry.counter("tape.executions", backend="numpy")
+        a = registry.counter("tape.executions", engine="interpreter")
+        b = registry.counter("tape.executions", engine="interpreter")
+        c = registry.counter("tape.executions", engine="njit")
         assert a is b and a is not c
         a.inc()
         a.inc(2)
-        assert registry.count_of("tape.executions", backend="codegen") == 3
-        assert registry.count_of("tape.executions", backend="numpy") == 0
+        assert registry.count_of("tape.executions",
+                                 engine="interpreter") == 3
+        assert registry.count_of("tape.executions", engine="njit") == 0
 
     def test_counter_rejects_negative_increment(self):
         with pytest.raises(ValueError):
@@ -430,24 +431,20 @@ class TestBenchJson:
                          "floor": 1.2, "measured": 2.4,
                          "margin": pytest.approx(2.0), "ok": True}]
 
-    def test_baseline_diff_flags_shortfall_and_optional_numba(self):
+    def test_baseline_diff_flags_shortfall_and_missing_measurement(self):
         from repro.bench import baseline_diff
-        from repro.simkernel import numba_available
 
         payloads = [{"name": "sim_engine_iir",
                      "speedup": {"single_stream": 0.5}}]
         baseline = {"floors": {"sim_engine_iir": {
-            "single_stream": 1.5, "single_stream_numba": 1.5}}}
+            "single_stream": 1.5, "batched_64": 1.05}}}
         rows = {row["key"]: row for row in baseline_diff(payloads, baseline)}
         assert rows["single_stream"]["ok"] is False
         assert rows["single_stream"]["margin"] == pytest.approx(1 / 3)
-        numba_row = rows["single_stream_numba"]
-        assert numba_row["measured"] is None
-        if numba_available():
-            assert numba_row["ok"] is False
-        else:
-            assert numba_row["ok"] is True
-            assert numba_row["skipped"] == "numba backend unavailable"
+        missing = rows["batched_64"]
+        assert missing["measured"] is None
+        assert missing["margin"] is None
+        assert missing["ok"] is False
 
     def test_cli_bench_json_emits_payloads(self, tmp_path, capsys):
         status = main(["bench", "--names", "welch_psd",

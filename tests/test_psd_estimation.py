@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.psd.estimation import estimate_psd, estimate_psd_2d, periodogram, welch
+from repro.psd.estimation import (
+    estimate_psd,
+    estimate_psd_2d,
+    periodogram,
+    welch,
+    welch_batched,
+)
 
 
 class TestWelch:
@@ -41,6 +47,13 @@ class TestWelch:
     def test_empty_record_rejected(self):
         with pytest.raises(ValueError):
             welch(np.array([]), 16)
+
+    def test_zero_power_window_rejected(self, rng):
+        # A 2-point Hann window is all zeros.
+        with pytest.raises(ValueError, match="zero power on 2 bins"):
+            welch(rng.standard_normal(100), 2)
+        with pytest.raises(ValueError, match="zero power on 2 bins"):
+            welch_batched(rng.standard_normal((3, 100)), 2)
 
     def test_invalid_overlap_rejected(self, rng):
         with pytest.raises(ValueError):

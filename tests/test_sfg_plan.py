@@ -15,6 +15,7 @@ from repro.sfg.plan import (
     quantization_signature,
     structure_signature,
 )
+from repro.simkernel import use_backend
 
 
 def _graph(bits=10):
@@ -221,6 +222,19 @@ class TestExecution:
         with pytest.raises(ValueError):
             SfgExecutor(_graph()).run({})
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_stimulus_rejected(self, rng, bad):
+        plan = compile_plan(_graph(bits=8))
+        x = rng.uniform(-0.9, 0.9, 256)
+        x[100] = bad
+        for stimulus in ({"x": x}, {"x": np.stack([x[::-1], x])}):
+            for run in (lambda s: plan.run(s, mode="fixed"),
+                        lambda s: plan.run(s, mode="double"),
+                        plan.run_pair):
+                with pytest.raises(ValueError,
+                                   match="'x' holds NaN or infinite"):
+                    run(stimulus)
+
     def test_run_error_rejects_shape_mismatch(self, rng, monkeypatch):
         graph = _graph(bits=8)
         executor = SfgExecutor(CompiledPlan(graph))
@@ -229,5 +243,8 @@ class TestExecution:
         monkeypatch.setattr(
             type(node), "simulate_fixed",
             lambda self, inputs: original(self, inputs)[:-1])
-        with pytest.raises(ValueError, match="different shapes"):
-            executor.run_error({"x": rng.uniform(-0.9, 0.9, 64)})
+        # The fault is planted in the per-node walk, which the default
+        # backend's op tape never calls.
+        with use_backend("reference"):
+            with pytest.raises(ValueError, match="different shapes"):
+                executor.run_error({"x": rng.uniform(-0.9, 0.9, 64)})

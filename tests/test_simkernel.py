@@ -11,14 +11,10 @@ within a tolerance.  This suite pins that contract as a matrix over
 * extreme Q-formats (1 fractional bit, deep fractional words, inputs
   pushed to the saturation edge of the Q15 range),
 
-plus the backend selection machinery itself (env var, context manager,
-numba auto-detection) and the vectorized Welch estimator against its
+plus the backend selection machinery itself (the two names, the
+context manager) and the vectorized Welch estimator against its
 per-segment reference loop.
 """
-
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -38,13 +34,9 @@ from repro.psd.estimation import (
 )
 from repro.sfg.executor import SfgExecutor
 from repro.simkernel import (
-    available_backends,
     default_backend,
     get_backend,
     iir_df1_fixed,
-    numba_available,
-    resolve_backend,
-    set_backend,
     use_backend,
 )
 from repro.simkernel.reference import iir_df1_reference
@@ -77,7 +69,7 @@ class TestIirKernelBitExactness:
         shape = (5, 600) if batched else (1500,)
         x = rng.uniform(-0.9, 0.9, shape)
         expected = iir_df1_reference(x, b, a, step, mode)
-        result = iir_df1_fixed(x, b, a, step, mode, backend="numpy")
+        result = iir_df1_fixed(x, b, a, step, mode)
         assert np.array_equal(result, expected)
 
     @pytest.mark.parametrize("mode", MODES)
@@ -89,7 +81,7 @@ class TestIirKernelBitExactness:
         step = 2.0 ** -10
         x = rng.uniform(-1.0, 1.0, 900) * (2.0 ** 14)
         expected = iir_df1_reference(x, b, a, step, mode)
-        result = iir_df1_fixed(x, b, a, step, mode, backend="numpy")
+        result = iir_df1_fixed(x, b, a, step, mode)
         assert np.array_equal(result, expected)
 
     def test_pure_feed_forward_fast_path(self, rng):
@@ -100,8 +92,7 @@ class TestIirKernelBitExactness:
         x = rng.uniform(-0.9, 0.9, 500)
         for mode in MODES:
             expected = iir_df1_reference(x, b, a, 2.0 ** -12, mode)
-            result = iir_df1_fixed(x, b, a, 2.0 ** -12, mode,
-                                   backend="numpy")
+            result = iir_df1_fixed(x, b, a, 2.0 ** -12, mode)
             assert np.array_equal(result, expected)
 
     def test_filter_object_matches_reference_backend(self, rng):
@@ -109,8 +100,7 @@ class TestIirKernelBitExactness:
         x = rng.uniform(-0.9, 0.9, 1200)
         config = FixedPointFilterConfig(data_fractional_bits=12,
                                         rounding=RoundingMode.ROUND)
-        with use_backend("numpy"):
-            fast = iir.process_fixed_point(x, config)
+        fast = iir.process_fixed_point(x, config)
         with use_backend("reference"):
             slow = iir.process_fixed_point(x, config)
         assert np.array_equal(fast, slow)
@@ -120,8 +110,7 @@ class TestIirKernelBitExactness:
         x = rng.uniform(-0.9, 0.9, (3, 400))
         config = FixedPointFilterConfig(data_fractional_bits=10,
                                         rounding=RoundingMode.TRUNCATE)
-        with use_backend("numpy"):
-            fast = fir.process_fixed_point(x, config)
+        fast = fir.process_fixed_point(x, config)
         with use_backend("reference"):
             slow = fir.process_fixed_point(x, config)
         assert np.array_equal(fast, slow)
@@ -137,8 +126,7 @@ class TestIirKernelBitExactness:
         stimulus = {"x": uniform_white_noise(2000, seed=9)}
         for system in (graph, direct):
             executor = SfgExecutor(system)
-            with use_backend("numpy"):
-                fast = executor.run(stimulus, mode="fixed").output("y")
+            fast = executor.run(stimulus, mode="fixed").output("y")
             with use_backend("reference"):
                 slow = executor.run(stimulus, mode="fixed").output("y")
             assert np.array_equal(fast, slow)
@@ -149,23 +137,23 @@ class TestIirKernelBitExactness:
         b, a = _iir_coefficients(3)
         step = 2.0 ** -12
         x = rng.uniform(-0.9, 0.9, (4, 700))
-        batched = iir_df1_fixed(x, b, a, step, RoundingMode.ROUND,
-                                backend="numpy")
+        batched = iir_df1_fixed(x, b, a, step, RoundingMode.ROUND)
         for t in range(x.shape[0]):
-            row = iir_df1_fixed(x[t], b, a, step, RoundingMode.ROUND,
-                                backend="numpy")
+            row = iir_df1_fixed(x[t], b, a, step, RoundingMode.ROUND)
             assert np.array_equal(batched[t], row)
 
-    @pytest.mark.skipif(not numba_available(), reason="numba not installed")
-    def test_numba_backend_equals_numpy(self, rng):
-        b, a = _iir_coefficients(3)
-        step = 2.0 ** -12
-        for shape in (1200, (4, 500)):
-            x = rng.uniform(-0.9, 0.9, shape)
-            for mode in MODES:
-                fast = iir_df1_fixed(x, b, a, step, mode, backend="numba")
-                ref = iir_df1_fixed(x, b, a, step, mode, backend="numpy")
-                assert np.array_equal(fast, ref)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_diverging_filter_matches_reference(self, mode):
+        # An unstable pole drives the accumulator to inf and NaN, where
+        # the scalar rounders raise; the kernel defers to the legacy
+        # loop, so both backends return the same non-finite samples.
+        b, a = np.array([1.0]), np.array([1.0, -4.0])
+        x = np.ones(600)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = iir_df1_reference(x, b, a, 2.0 ** -8, mode)
+            result = iir_df1_fixed(x, b, a, 2.0 ** -8, mode)
+        assert not np.isfinite(expected).all()
+        assert np.array_equal(result, expected, equal_nan=True)
 
 
 # ----------------------------------------------------------------------
@@ -345,60 +333,35 @@ class TestWelchVectorization:
 # ----------------------------------------------------------------------
 class TestBackendSelection:
     def test_default_backend_consistent_with_numba_detection(self):
-        assert default_backend() == ("numba" if numba_available()
-                                     else "numpy")
-        assert "numpy" in available_backends()
-        assert "reference" in available_backends()
+        # One default, with or without numba: the JIT is a tier inside
+        # it, not a backend of its own.
+        assert default_backend() == "fast"
+        assert get_backend() == "fast"
 
     def test_use_backend_restores_previous_choice(self):
         before = get_backend()
         with use_backend("reference"):
             assert get_backend() == "reference"
-            with use_backend("numpy"):
-                assert get_backend() == "numpy"
+            with use_backend("fast"):
+                assert get_backend() == "fast"
             assert get_backend() == "reference"
         assert get_backend() == before
 
-    def test_set_backend_and_reset(self):
-        set_backend("reference")
-        try:
-            assert get_backend() == "reference"
-        finally:
-            set_backend(None)
-        assert get_backend() == default_backend()
-
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown simulation backend"):
-            resolve_backend("fortran")
-        with pytest.raises(ValueError):
-            set_backend("fortran")
+        # The retired kernel names are unknown too.
+        for name in ("fortran", "numpy", "codegen"):
+            with pytest.raises(ValueError,
+                               match="unknown simulation backend"):
+                with use_backend(name):
+                    pass
+        assert get_backend() == "fast"
 
     def test_numba_request_without_numba_rejected(self):
-        if numba_available():
-            pytest.skip("numba installed; the rejection path is inactive")
-        with pytest.raises(ValueError, match="numba is not installed"):
-            resolve_backend("numba")
-
-    def test_environment_variable_forces_backend(self):
-        # The env var is read per resolution, so a subprocess is the
-        # honest end-to-end check of the documented switch.
-        env = dict(os.environ, REPRO_SIMD_BACKEND="reference",
-                   PYTHONPATH="src")
-        output = subprocess.run(
-            [sys.executable, "-c",
-             "from repro.simkernel import get_backend; print(get_backend())"],
-            capture_output=True, text=True, env=env, check=True)
-        assert output.stdout.strip() == "reference"
-
-    def test_explicit_argument_beats_active_backend(self, rng):
-        b, a = _iir_coefficients(2)
-        x = rng.uniform(-0.9, 0.9, 300)
-        with use_backend("numpy"):
-            via_argument = iir_df1_fixed(x, b, a, 2.0 ** -8,
-                                         RoundingMode.ROUND,
-                                         backend="reference")
-        expected = iir_df1_reference(x, b, a, 2.0 ** -8, RoundingMode.ROUND)
-        assert np.array_equal(via_argument, expected)
+        # numba switches on inside the default backend when importable;
+        # it is never requested by name.
+        with pytest.raises(ValueError, match="'reference', 'fast'"):
+            with use_backend("numba"):
+                pass
 
 
 # ----------------------------------------------------------------------

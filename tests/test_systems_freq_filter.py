@@ -109,6 +109,25 @@ class TestSystemGraph:
         assert abs(comparison.reports["psd"].ed) < abs(
             comparison.reports["agnostic"].ed)
 
+    def test_compare_rejects_non_finite_stimulus(self):
+        # One bad sample used to yield a NaN simulated power and NaN Ed.
+        system = FrequencyDomainFilter(fractional_bits=12, n_psd=256)
+        for bad in (np.nan, np.inf):
+            x = uniform_white_noise(20_000, seed=11)
+            x[12_345] = bad
+            with pytest.raises(ValueError, match="'x' holds NaN"):
+                system.compare(x)
+
+    def test_compare_rejects_degenerate_n_psd(self):
+        # n_psd=0 used to mean the default; n_psd=2 gives a zero-power
+        # Hann window that blanked the simulated error PSD.
+        system = FrequencyDomainFilter(fractional_bits=12, n_psd=256)
+        x = uniform_white_noise(4_000, seed=11)
+        with pytest.raises(ValueError, match="n_psd must be at least 2"):
+            system.compare(x, n_psd=0)
+        with pytest.raises(ValueError, match="zero power"):
+            system.compare(x, n_psd=2)
+
     def test_run_helpers_shapes(self, rng):
         system = FrequencyDomainFilter(fractional_bits=10)
         x = rng.uniform(-0.9, 0.9, 500)
