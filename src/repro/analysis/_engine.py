@@ -1,12 +1,9 @@
 """Shared graph-walking machinery of the analytical evaluation engines.
 
-All three analytical methods traverse the acyclic signal-flow graph in
+All analytical methods traverse the acyclic signal-flow graph in
 topological order, maintaining one noise representation per node output
 (moments, PSD, or per-source tracked spectra) and injecting each node's own
-quantization-noise source at its output.  The only thing that changes
-between methods is the *representation* and its propagation rules, which
-are already encapsulated in the node classes; this module factors the
-traversal itself.
+quantization-noise source at its output.
 
 The traversal runs over a :class:`~repro.sfg.plan.CompiledPlan`:
 validation, topological ordering and noise-source discovery happen once at
@@ -16,36 +13,52 @@ responses) come from the plan's memoized cache, so repeated evaluations of
 the same graph — the word-length optimizer's inner loop, the execution-time
 benchmark — skip every FFT-sized computation after the first call.
 
+One noise algebra
+-----------------
+The PSD and moment walks have one set of step rules,
+:func:`_psd_batch_step` and :func:`_stats_batch_step`, written over a
+leading configuration axis: white injection (Eq. 10), ``|H|^2`` shaping
+(Eq. 11), uncorrelated addition (Eq. 14), folding and imaging at rate
+changes, and their collapse to ``(mu, sigma^2)`` for the PSD-agnostic
+baseline.  A batched evaluation runs them over a
+:class:`~repro.sfg.plan.ConfigStack` of ``K`` word-length assignments.  A
+scalar evaluation is the ``K = 1`` case: a stack of the live plan with no
+deltas, whose row 0 the public APIs hand back as a plain
+:class:`~repro.psd.spectrum.DiscretePsd` or
+:class:`~repro.fixedpoint.noise_model.NoiseStats`.
+
 Incremental re-evaluation
 -------------------------
 On top of the response cache, each plan carries one :class:`NoiseMemo`: a
-pull-based cache of the *propagated* per-node representations themselves,
-one channel per ``(representation, n_bins)``.  A pull first folds pending
-spec/coefficient mutations into the plan (``plan.refresh()``, which stamps
-the edited steps with a new plan epoch), then recomputes only the
+pull-based cache of the *propagated* per-node ``K = 1`` values themselves,
+one channel per ``(representation, n_bins)``.  A pull recomputes only the
 downstream cone of the steps dirtied since the channel last synced,
-reusing every other node's cached value as-is.  Because a cone recompute
-replays exactly the same operations the full walk would, on bit-identical
-cached inputs, the result is bit-identical to a cold walk — the
-``incremental`` check of :func:`repro.verify.differential.verify_graph`
-fuzzes that equivalence, and ``ARCHITECTURE.md`` spells out the exactness
-argument.  This is what turns the word-length optimizer's one-node
-candidate edits from O(nodes) walks into O(depth) cone updates.
+reusing every other node's cached value as-is.  It expects the plan to be
+refreshed already: every public entry point compiles its system first,
+and :func:`~repro.sfg.plan.compile_plan` folds pending spec/coefficient
+mutations in (``plan.refresh()``, which stamps the edited steps with a
+new plan epoch) — once per evaluation.  Because a cone recompute replays
+exactly the same operations the full walk would, on bit-identical cached
+inputs, the result is bit-identical to a cold walk — the ``incremental``
+check of :func:`repro.verify.differential.verify_graph` fuzzes that
+equivalence, and ``ARCHITECTURE.md`` spells out the exactness argument.
+This is what turns the word-length optimizer's one-node candidate edits
+from O(nodes) walks into O(depth) cone updates.
 
-The batched walks pull the scalar memo as their baseline and are
-row-sparse: config ``k``'s row is computed only inside its own cone (the
-downstream cone of the steps where its word lengths deviate from the
-plan's live configuration) and copied from the memo everywhere else, so
-a stack of one-key deltas costs the sum of the candidates' cones
+The batched walks pull the memo as their baseline and are row-sparse:
+config ``k``'s row is computed only inside its own cone (the downstream
+cone of the steps where its word lengths deviate from the plan's live
+configuration) and copied from row 0 of the memo everywhere else, so a
+stack of one-key deltas costs the sum of the candidates' cones
 (bit-identical by the batched-walk row contract pinned in
 ``tests/test_analysis_batch.py``).
 
 Memoization is on by default and exact, so there is normally no reason to
 turn it off; :func:`memoization_disabled` exists for honest cold-cache
 baselines (timing harnesses, the differential check's reference side) and
-restores the previous state on exit.  The generic :func:`walk` with
-user-supplied callbacks is never memoized: arbitrary callbacks are opaque,
-so there is no sound cache key for them.
+restores the previous state on exit.  With it off, the scalar walks run
+the dense ``K = 1`` walk and the batched ones compute every row at every
+step.
 
 Returned representations are shared with the memo: treat them as
 immutable (which every representation class already is by convention).
@@ -56,13 +69,11 @@ from __future__ import annotations
 from collections import OrderedDict
 from contextlib import contextmanager
 from functools import partial
-from typing import Callable
 
 import numpy as np
 
 from repro.fixedpoint.noise_model import NoiseStats
 from repro.obs import MetricsRegistry, metric_inc, span
-from repro.psd.batch import PsdStack
 from repro.psd.spectrum import DiscretePsd
 from repro.psd.propagation import TrackedSpectrum
 from repro.sfg.graph import SignalFlowGraph
@@ -70,12 +81,11 @@ from repro.sfg.nodes import (
     AddNode,
     DownsampleNode,
     IirNode,
-    Node,
     OutputNode,
     UpsampleNode,
     _LtiMixin,
 )
-from repro.sfg.plan import CompiledPlan, ConfigStack, compile_plan, walk_plan
+from repro.sfg.plan import CompiledPlan, ConfigStack, compile_plan
 
 
 # ----------------------------------------------------------------------
@@ -109,69 +119,139 @@ def memoization_disabled():
 
 
 # ----------------------------------------------------------------------
-# Per-step evaluation rules (shared by cold walks and memo pulls)
+# Per-step evaluation rules (shared by cold walks, memo pulls and
+# batched walks)
 # ----------------------------------------------------------------------
-def _psd_inputs(step, values) -> list:
-    """Predecessor PSDs of a step, with fanout-tap noise injected.
+def _inject(acc, own, noise, fields: tuple[str, ...]):
+    """``acc + own``, except that configs whose source is silent (zero
+    ``noise`` moments) keep ``acc`` untouched.
+
+    A silent source is skipped, not added as zeros, exactly as the
+    config's own ``K = 1`` walk skips it (its stack reports no noise
+    there): adding zeros would flip a ``-0.0`` mean to ``+0.0``.
+    """
+    means, variances = noise
+    quiet = ~((variances > 0.0) | (means != 0.0))
+    total = acc + own
+    if quiet.any():
+        for name in fields:
+            getattr(total, name)[quiet] = getattr(acc, name)[quiet]
+    return total
+
+
+def _psd_batch_inputs(stack: ConfigStack, step, rows, inputs) -> list:
+    """Predecessor PSD stacks with per-config fanout-tap noise injected.
 
     A tapped edge re-quantizes the value it carries, so its white PQN
     noise enters *before* the node's propagation rule — an IIR target
     shapes it with the full block transfer function, not the internal
-    noise-shaping response.  No-op taps (``tap.noise is None``) are
-    skipped entirely, keeping tap-free plans bitwise untouched.
+    noise-shaping response.
     """
-    inputs = [values[i] for i in step.predecessors]
-    taps = step.edge_taps
-    if taps is not None:
-        for port, tap in enumerate(taps):
-            if tap is not None and tap.noise is not None:
-                psd = inputs[port]
-                inputs[port] = psd + DiscretePsd.white(tap.noise, psd.n_bins)
+    noise = stack.edge_noise(step, rows)
+    if noise:
+        inputs = list(inputs)
+        for port, moments in noise.items():
+            psd = inputs[port]
+            inputs[port] = _inject(
+                psd, DiscretePsd.from_moments(*moments, psd.n_bins),
+                moments, ("ac", "mean"))
     return inputs
 
 
-def _psd_step(plan: CompiledPlan, n_psd: int, step, values) -> DiscretePsd:
+def _psd_batch_step(n_psd: int, stack: ConfigStack, step, rows,
+                    inputs) -> DiscretePsd:
+    """One step of the PSD walk for the config ``rows`` of a stack."""
     node = step.node
+    inputs = _psd_batch_inputs(stack, step, rows, inputs)
     if step.is_source:
-        acc = DiscretePsd.zero(n_psd)
+        acc = DiscretePsd.zero(n_psd, len(rows))
     elif isinstance(node, _LtiMixin):
-        # Same rule as Node.propagate_psd, but the block response is
-        # sampled once per (node, bins) and memoized on the plan.  The
-        # input PSD may live on fewer bins than n_psd when the signal
-        # was decimated upstream.
-        (psd,) = _psd_inputs(step, values)
-        acc = psd.filtered(plan.block_response(step, psd.n_bins))
+        # The input PSD may live on fewer bins than n_psd when the
+        # signal was decimated upstream.
+        (psd,) = inputs
+        acc = psd.filtered(stack.block_response(step, psd.n_bins, rows))
+    elif isinstance(node, AddNode):
+        acc = DiscretePsd.zero(inputs[0].n_bins, len(rows))
+        for sign, psd in zip(node.signs, inputs):
+            acc = acc + psd.scaled(sign)
+    elif isinstance(node, OutputNode):
+        (psd,) = inputs
+        acc = psd.copy()
+    elif isinstance(node, DownsampleNode):
+        (psd,) = inputs
+        acc = psd.downsampled(node.factor)
+    elif isinstance(node, UpsampleNode):
+        (psd,) = inputs
+        acc = psd.upsampled(node.factor)
     else:
-        acc = node.propagate_psd(_psd_inputs(step, values), n_psd)
-    if step.noise is not None:
-        acc = acc + plan.shaped_noise_psd(step, acc.n_bins)
+        raise NotImplementedError(
+            f"batched PSD propagation does not support node type "
+            f"{type(node).__name__}")
+    noise = stack.noise(step, rows)
+    if noise is not None:
+        own = DiscretePsd.from_moments(*noise, acc.n_bins)
+        if isinstance(node, IirNode):
+            own = own.filtered(stack.shaping_response(step, acc.n_bins,
+                                                      rows))
+        acc = _inject(acc, own, noise, ("ac", "mean"))
     return acc
 
 
-def _stats_inputs(step, values) -> list:
-    inputs = [values[i] for i in step.predecessors]
-    taps = step.edge_taps
-    if taps is not None:
-        for port, tap in enumerate(taps):
-            if tap is not None and tap.noise is not None:
-                inputs[port] = inputs[port] + tap.noise
+def _stats_batch_inputs(stack: ConfigStack, step, rows, inputs) -> list:
+    noise = stack.edge_noise(step, rows)
+    if noise:
+        inputs = list(inputs)
+        for port, (means, variances) in noise.items():
+            inputs[port] = _inject(
+                inputs[port], NoiseStats(mean=means, variance=variances),
+                (means, variances), ("mean", "variance"))
     return inputs
 
 
-def _stats_step(plan: CompiledPlan, step, values) -> NoiseStats:
+def _stats_batch_step(stack: ConfigStack, step, rows,
+                      inputs) -> NoiseStats:
+    """One step of the moment walk for the config ``rows`` of a stack."""
     node = step.node
+    inputs = _stats_batch_inputs(stack, step, rows, inputs)
     if step.is_source:
-        acc = NoiseStats(0.0, 0.0)
+        acc = NoiseStats(mean=np.zeros(len(rows)),
+                         variance=np.zeros(len(rows)))
     elif isinstance(node, _LtiMixin):
-        (stats,) = _stats_inputs(step, values)
-        energy, dc = plan.block_gains(step)
+        (stats,) = inputs
+        energy, dc = stack.block_gains(step, rows)
         acc = NoiseStats(mean=stats.mean * dc,
                          variance=stats.variance * energy)
     else:
-        acc = node.propagate_stats(_stats_inputs(step, values))
-    if step.noise is not None:
-        acc = acc + plan.shaped_noise_stats(step)
+        acc = node.propagate_stats(inputs)
+    noise = stack.noise(step, rows)
+    if noise is not None:
+        means, variances = noise
+        if isinstance(node, IirNode):
+            energy, dc = stack.shaping_gains(step, rows)
+            own = NoiseStats(mean=means * dc, variance=variances * energy)
+        else:
+            own = NoiseStats(mean=means, variance=variances)
+        acc = _inject(acc, own, noise, ("mean", "variance"))
     return acc
+
+
+#: The single row of a ``K = 1`` walk.
+_ROW0 = np.zeros(1, dtype=np.intp)
+
+
+def _live_rule(plan: CompiledPlan, batch_step):
+    """A batched rule at ``K = 1`` on the live plan, as the
+    ``compute_step(step, values)`` of a memo pull or cold walk.
+
+    The stack holds one config with no deltas, so every query answers
+    with the plan's live word lengths and responses.
+    """
+    stack = ConfigStack(plan, [{}])
+
+    def compute_step(step, values):
+        return batch_step(stack, step, _ROW0,
+                          [values[i] for i in step.predecessors])
+    return compute_step
 
 
 def _tracked_inputs(step, values, n_psd: int) -> list:
@@ -203,7 +283,6 @@ def _tracked_step(plan: CompiledPlan, n_psd: int, step,
 
 def _full_walk(plan: CompiledPlan, compute_step) -> list:
     """Cold walk: evaluate every step, no cache involved."""
-    plan.refresh()
     with span("analysis.walk", kind="uncached", steps=len(plan.steps)):
         values: list = [None] * len(plan.steps)
         for step in plan.steps:
@@ -296,8 +375,13 @@ class NoiseMemo:
         metric_inc("memo.rows_computed", computed)
         metric_inc("memo.rows_copied", copied)
 
-    def _pull(self, key: tuple, compute_step) -> list:
+    def _pull(self, key: tuple, make_step) -> list:
         """Per-step values of one channel, recomputing only dirty cones.
+
+        ``make_step()`` returns the channel's ``compute_step(step,
+        values)`` rule; it runs only when the pull has something to
+        compute, so a clean pull builds nothing.  The plan must be
+        refreshed already (see the module docstring).
 
         Exception-safe: values are computed into a private list and
         committed (together with the sync epoch) only when the whole
@@ -305,9 +389,9 @@ class NoiseMemo:
         rejecting tracked propagation — never half-updates the channel.
         """
         plan = self.plan
-        plan.refresh()
         channel = self._channels.get(key)
         if channel is None:
+            compute_step = make_step()
             with span("analysis.walk", kind="cold", channel=key[0],
                       steps=len(plan.steps)):
                 values: list = [None] * len(plan.steps)
@@ -321,6 +405,7 @@ class NoiseMemo:
             return values
         dirty = plan.steps_dirty_since(channel.epoch)
         if len(dirty):
+            compute_step = make_step()
             cone = plan.downstream_cone(dirty)
             with span("analysis.cone_pull", channel=key[0], cone=len(cone),
                       steps=len(plan.steps)):
@@ -337,19 +422,6 @@ class NoiseMemo:
         channel.epoch = plan.epoch
         return channel.values
 
-    def psd(self, n_psd: int) -> list:
-        """Per-step :class:`DiscretePsd` values (index-aligned)."""
-        return self._pull(("psd", n_psd), partial(_psd_step, self.plan, n_psd))
-
-    def stats(self) -> list:
-        """Per-step :class:`NoiseStats` values (index-aligned)."""
-        return self._pull(("stats",), partial(_stats_step, self.plan))
-
-    def tracked(self, n_psd: int) -> list:
-        """Per-step :class:`TrackedSpectrum` values (index-aligned)."""
-        return self._pull(("tracked", n_psd),
-                          partial(_tracked_step, self.plan, n_psd))
-
 
 _MEMO_ATTRIBUTE = "_noise_memo"
 
@@ -359,9 +431,11 @@ def plan_memo(system: SignalFlowGraph | CompiledPlan) -> NoiseMemo:
 
     The memo lives on the plan object, so everything evaluating the same
     graph — optimizer rounds, Pareto budgets, campaign jobs — shares one
-    cache, and it is reclaimed together with the plan.
+    cache, and it is reclaimed together with the plan.  A graph is
+    compiled; a plan is taken as it stands, without another refresh.
     """
-    plan = compile_plan(system)
+    plan = (system if isinstance(system, CompiledPlan)
+            else compile_plan(system))
     memo = getattr(plan, _MEMO_ATTRIBUTE, None)
     if memo is None or memo.plan is not plan:
         memo = NoiseMemo(plan)
@@ -369,212 +443,71 @@ def plan_memo(system: SignalFlowGraph | CompiledPlan) -> NoiseMemo:
     return memo
 
 
-def walk(system: SignalFlowGraph | CompiledPlan, n_bins: int,
-         zero: Callable[[Node], object],
-         propagate: Callable[[Node, list], object],
-         inject: Callable[[Node, NoiseStats, object], object],
-         ) -> dict[str, object]:
-    """Generic noise-propagation traversal (node-level callbacks).
-
-    Never memoized: the callbacks are opaque, so no sound cache key
-    exists.  The typed walks below are the memoized fast paths.
-
-    Parameters
-    ----------
-    system:
-        Acyclic signal-flow graph, or a plan compiled from one; a bare
-        graph is compiled (and the compiled plan cached per graph), so
-        validation happens once per structure, not once per walk.
-    n_bins:
-        Number of PSD bins (unused by moment-only representations but part
-        of the shared signature).
-    zero:
-        ``zero(node)`` returns the representation of "no noise" for a node
-        with no predecessors.
-    propagate:
-        ``propagate(node, input_representations)`` applies the node's
-        propagation rule.
-    inject:
-        ``inject(node, stats, representation)`` adds the node's own noise
-        source (already known to be non-trivial) to the representation at
-        the node output.
-
-    Returns
-    -------
-    dict
-        Mapping from node name to the noise representation at its output.
-    """
-    plan = compile_plan(system)
-    return walk_plan(
-        plan,
-        zero=lambda step: zero(step.node),
-        propagate=lambda step, inputs: propagate(step.node, inputs),
-        inject=lambda step, acc: inject(step.node, step.noise, acc),
-    )
-
-
 # ----------------------------------------------------------------------
-# Cached plan walks, one per noise representation
+# Plan walks of the live configuration, one per noise representation
 # ----------------------------------------------------------------------
-def walk_psd(plan: CompiledPlan, n_psd: int) -> dict[str, DiscretePsd]:
-    """PSD propagation over a compiled plan, incremental when memoized."""
+def _walk(plan: CompiledPlan, channel: tuple, make_step) -> list:
+    """Per-step values of the live plan (index-aligned): a memo pull of
+    ``channel``, or a cold walk when memoization is disabled."""
     if memoization_enabled():
-        values = plan_memo(plan).psd(n_psd)
-    else:
-        values = _full_walk(plan, partial(_psd_step, plan, n_psd))
-    return {step.name: values[step.index] for step in plan.steps}
+        return plan_memo(plan)._pull(channel, make_step)
+    return _full_walk(plan, make_step())
 
 
-def walk_stats(plan: CompiledPlan) -> dict[str, NoiseStats]:
-    """Moment propagation over a compiled plan, incremental when memoized."""
-    if memoization_enabled():
-        values = plan_memo(plan).stats()
-    else:
-        values = _full_walk(plan, partial(_stats_step, plan))
-    return {step.name: values[step.index] for step in plan.steps}
+def walk_psd(plan: CompiledPlan, n_psd: int) -> list:
+    """Per-step ``K = 1`` :class:`DiscretePsd` stacks of the live plan."""
+    return _walk(plan, ("psd", n_psd),
+                 partial(_live_rule, plan, partial(_psd_batch_step, n_psd)))
 
 
-def walk_tracked(plan: CompiledPlan, n_psd: int) -> dict[str, TrackedSpectrum]:
-    """Per-source tracked propagation, incremental when memoized."""
-    if memoization_enabled():
-        values = plan_memo(plan).tracked(n_psd)
-    else:
-        values = _full_walk(plan, partial(_tracked_step, plan, n_psd))
-    return {step.name: values[step.index] for step in plan.steps}
+def walk_stats(plan: CompiledPlan) -> list:
+    """Per-step ``K = 1`` :class:`NoiseStats` stacks of the live plan."""
+    return _walk(plan, ("stats",),
+                 partial(_live_rule, plan, _stats_batch_step))
+
+
+def walk_tracked(plan: CompiledPlan, n_psd: int) -> list:
+    """Per-step :class:`TrackedSpectrum` values of the live plan."""
+    return _walk(plan, ("tracked", n_psd),
+                 lambda: partial(_tracked_step, plan, n_psd))
+
+
+def stats_row(stats: NoiseStats, config: int = 0) -> NoiseStats:
+    """Entry ``config`` of a moment stack, as plain floats."""
+    return NoiseStats(mean=float(stats.mean[config]),
+                      variance=float(stats.variance[config]))
 
 
 # ----------------------------------------------------------------------
 # Batched plan walks (row-sparse over a configuration stack)
 # ----------------------------------------------------------------------
-def _inject(acc, own, noise, fields: tuple[str, ...]):
-    """``acc + own``, except that configs whose source is silent (zero
-    ``noise`` moments) keep ``acc`` untouched.
-
-    The scalar walk skips a silent source instead of adding zeros, and
-    adding zeros would flip a ``-0.0`` mean to ``+0.0``.
-    """
-    means, variances = noise
-    quiet = ~((variances > 0.0) | (means != 0.0))
-    total = acc + own
-    if quiet.any():
-        for name in fields:
-            getattr(total, name)[quiet] = getattr(acc, name)[quiet]
-    return total
-
-
-def _psd_batch_inputs(stack: ConfigStack, step, rows, inputs) -> list:
-    """Predecessor PSD stacks with per-config fanout-tap noise injected
-    (mirrors :func:`_psd_inputs` row by row)."""
-    noise = stack.edge_noise(step, rows)
-    if noise:
-        inputs = list(inputs)
-        for port, moments in noise.items():
-            psd = inputs[port]
-            inputs[port] = _inject(psd, PsdStack.white(*moments, psd.n_bins),
-                                   moments, ("ac", "mean"))
-    return inputs
-
-
-def _psd_batch_step(n_psd: int, stack: ConfigStack, step, rows,
-                    inputs) -> PsdStack:
-    node = step.node
-    inputs = _psd_batch_inputs(stack, step, rows, inputs)
-    if step.is_source:
-        acc = PsdStack.zero(len(rows), n_psd)
-    elif isinstance(node, _LtiMixin):
-        (psd,) = inputs
-        acc = psd.filtered(stack.block_response(step, psd.n_bins, rows))
-    elif isinstance(node, AddNode):
-        acc = PsdStack.zero(len(rows), inputs[0].n_bins)
-        for sign, psd in zip(node.signs, inputs):
-            acc = acc + psd.scaled(sign)
-    elif isinstance(node, OutputNode):
-        (psd,) = inputs
-        acc = psd.copy()
-    elif isinstance(node, DownsampleNode):
-        (psd,) = inputs
-        acc = psd.downsampled(node.factor)
-    elif isinstance(node, UpsampleNode):
-        (psd,) = inputs
-        acc = psd.upsampled(node.factor)
-    else:
-        raise NotImplementedError(
-            f"batched PSD propagation does not support node type "
-            f"{type(node).__name__}")
-    noise = stack.noise(step, rows)
-    if noise is not None:
-        own = PsdStack.white(*noise, acc.n_bins)
-        if isinstance(node, IirNode):
-            own = own.filtered(stack.shaping_response(step, acc.n_bins,
-                                                      rows))
-        acc = _inject(acc, own, noise, ("ac", "mean"))
-    return acc
-
-
-def _stats_batch_inputs(stack: ConfigStack, step, rows, inputs) -> list:
-    noise = stack.edge_noise(step, rows)
-    if noise:
-        inputs = list(inputs)
-        for port, (means, variances) in noise.items():
-            inputs[port] = _inject(
-                inputs[port], NoiseStats(mean=means, variance=variances),
-                (means, variances), ("mean", "variance"))
-    return inputs
-
-
-def _stats_batch_step(stack: ConfigStack, step, rows,
-                      inputs) -> NoiseStats:
-    node = step.node
-    inputs = _stats_batch_inputs(stack, step, rows, inputs)
-    if step.is_source:
-        acc = NoiseStats(mean=np.zeros(len(rows)),
-                         variance=np.zeros(len(rows)))
-    elif isinstance(node, _LtiMixin):
-        (stats,) = inputs
-        energy, dc = stack.block_gains(step, rows)
-        acc = NoiseStats(mean=stats.mean * dc,
-                         variance=stats.variance * energy)
-    else:
-        acc = node.propagate_stats(inputs)
-    noise = stack.noise(step, rows)
-    if noise is not None:
-        means, variances = noise
-        if isinstance(node, IirNode):
-            energy, dc = stack.shaping_gains(step, rows)
-            own = NoiseStats(mean=means * dc, variance=variances * energy)
-        else:
-            own = NoiseStats(mean=means, variance=variances)
-        acc = _inject(acc, own, noise, ("mean", "variance"))
-    return acc
-
-
-def _gather_psd(value, value_rows, scalar: DiscretePsd, rows) -> PsdStack:
+def _gather_psd(value, value_rows, live: DiscretePsd, rows) -> DiscretePsd:
     """The ``rows`` of one step's PSD stack: computed rows where the walk
-    has them, the memo's scalar value everywhere else.
+    has them, row 0 of the memo's ``K = 1`` value everywhere else.
 
     ``value_rows`` (the rows computed at the step) is a subset of
     ``rows``: cones are downstream-closed.
     """
     if value_rows is not None and len(value_rows) == len(rows):
         return value
-    # broadcast_to keeps the scalar bins as a read-only view: every
-    # PsdStack operation allocates fresh arrays, so sharing is safe.
-    ac = np.broadcast_to(scalar.ac, (len(rows), scalar.n_bins))
-    mean = np.full(len(rows), scalar.mean)
+    # broadcast_to keeps the live bins as a read-only view: every
+    # operation of the algebra allocates fresh arrays, so sharing is safe.
+    ac = np.broadcast_to(live.ac, (len(rows), live.n_bins))
+    mean = np.full(len(rows), live.mean[0])
     if value_rows is not None:
         positions = np.searchsorted(rows, value_rows)
         ac = ac.copy()
         ac[positions] = value.ac
         mean[positions] = value.mean
-    return PsdStack(ac, mean)
+    return DiscretePsd._trusted(ac, mean)
 
 
-def _gather_stats(value, value_rows, scalar: NoiseStats, rows) -> NoiseStats:
+def _gather_stats(value, value_rows, live: NoiseStats, rows) -> NoiseStats:
     """Moment counterpart of :func:`_gather_psd`."""
     if value_rows is not None and len(value_rows) == len(rows):
         return value
-    mean = np.full(len(rows), scalar.mean)
-    variance = np.full(len(rows), scalar.variance)
+    mean = np.full(len(rows), live.mean[0])
+    variance = np.full(len(rows), live.variance[0])
     if value_rows is not None:
         positions = np.searchsorted(rows, value_rows)
         mean[positions] = value.mean
@@ -586,7 +519,7 @@ def _walk_batch(plan: CompiledPlan, stack: ConfigStack, representation: str,
                 base, compute_step, gather, output: int):
     """Row-sparse batched walk; returns the output's full K-row value.
 
-    With a memo baseline (``base``: the scalar per-step values of the
+    With a memo baseline (``base``: the per-step ``K = 1`` values of the
     live plan), config ``k``'s row is computed only at the steps of its
     own cone (:meth:`ConfigStack.cone_rows`) and copied from ``base``
     everywhere else — exact, because outside its cone config ``k``
@@ -622,21 +555,20 @@ def _walk_batch(plan: CompiledPlan, stack: ConfigStack, representation: str,
 
 
 def walk_psd_batch(plan: CompiledPlan, n_psd: int, stack: ConfigStack,
-                   output: str) -> PsdStack:
+                   output: str) -> DiscretePsd:
     """PSD propagation of a whole configuration stack, at one output.
 
-    Row ``k`` of the returned :class:`PsdStack` is bit-identical to the
-    scalar :func:`walk_psd` of configuration ``k``: each operation applies
-    the same operand pairs in the same order, only vectorized along the
-    leading config axis, and the per-node responses come from the same
-    plan cache the scalar walk uses.  When memoization is enabled the
-    walk is row-sparse (see :func:`_walk_batch`), so a stack of one-key
-    deltas costs the sum of the candidates' cones, not ``K x steps``
-    rows.  The stack must have been resolved against the plan's current
-    spec state (every in-repo caller constructs it immediately before
-    walking).
+    Row ``k`` of the returned stacked :class:`DiscretePsd` is
+    bit-identical to :func:`walk_psd` after requantizing the plan to
+    configuration ``k``: both run the same rules, and the algebra applies
+    every operation row by row along the leading config axis.  When
+    memoization is enabled the walk is row-sparse (see
+    :func:`_walk_batch`), so a stack of one-key deltas costs the sum of
+    the candidates' cones, not ``K x steps`` rows.  The stack must have
+    been resolved against the plan's current spec state (every in-repo
+    caller constructs it immediately before walking).
     """
-    base = plan_memo(plan).psd(n_psd) if memoization_enabled() else None
+    base = walk_psd(plan, n_psd) if memoization_enabled() else None
     return _walk_batch(plan, stack, "psd", base,
                        partial(_psd_batch_step, n_psd, stack), _gather_psd,
                        plan.index_of[output])
@@ -649,10 +581,10 @@ def walk_stats_batch(plan: CompiledPlan, stack: ConfigStack,
     Returns a :class:`NoiseStats` whose ``mean`` / ``variance`` fields
     are ``(K,)`` arrays (the dataclass arithmetic is elementwise, so
     every propagation rule applies unchanged).  Entry ``k`` is
-    bit-identical to the scalar :func:`walk_stats` of configuration
-    ``k``; row sparsity mirrors :func:`walk_psd_batch`.
+    bit-identical to :func:`walk_stats` after requantizing the plan to
+    configuration ``k``; row sparsity mirrors :func:`walk_psd_batch`.
     """
-    base = plan_memo(plan).stats() if memoization_enabled() else None
+    base = walk_stats(plan) if memoization_enabled() else None
     return _walk_batch(plan, stack, "stats", base,
                        partial(_stats_batch_step, stack), _gather_stats,
                        plan.index_of[output])

@@ -20,10 +20,10 @@ of the paper whenever an upstream block has colored the noise.
 
 from __future__ import annotations
 
-from repro.analysis._engine import walk_stats, walk_stats_batch
+from repro.analysis._engine import stats_row, walk_stats, walk_stats_batch
 from repro.fixedpoint.noise_model import NoiseStats
 from repro.sfg.graph import SignalFlowGraph
-from repro.sfg.plan import CompiledPlan, compile_plan
+from repro.sfg.plan import CompiledPlan, ConfigStack, compile_plan
 
 
 def evaluate_agnostic(system: SignalFlowGraph | CompiledPlan,
@@ -47,14 +47,16 @@ def evaluate_agnostic(system: SignalFlowGraph | CompiledPlan,
         estimated noise power is ``result.power``.
     """
     plan = compile_plan(system)
-    results = walk_stats(plan)
-    return results[plan.resolve_output(output)]
+    index = plan.index_of[plan.resolve_output(output)]
+    return stats_row(walk_stats(plan)[index])
 
 
 def evaluate_agnostic_all(system: SignalFlowGraph | CompiledPlan
                           ) -> dict[str, NoiseStats]:
     """Per-node noise moments (useful for word-length refinement loops)."""
-    return walk_stats(compile_plan(system))
+    plan = compile_plan(system)
+    values = walk_stats(plan)
+    return {step.name: stats_row(values[step.index]) for step in plan.steps}
 
 
 def evaluate_agnostic_batch(system: SignalFlowGraph | CompiledPlan,
@@ -62,12 +64,13 @@ def evaluate_agnostic_batch(system: SignalFlowGraph | CompiledPlan,
                             output: str | None = None) -> NoiseStats:
     """Estimate the output moments of a stack of word-length assignments.
 
-    One graph walk evaluates every configuration.  The returned
-    :class:`NoiseStats` carries ``(K,)`` arrays in its ``mean`` /
+    One graph walk evaluates every configuration, with the same step
+    rules :func:`evaluate_agnostic` runs at one configuration.  The
+    returned :class:`NoiseStats` carries ``(K,)`` arrays in its ``mean`` /
     ``variance`` fields (``result.power`` is the per-config power array);
     entry ``k`` is bit-identical to ``evaluate_agnostic(plan)`` after
     ``plan.requantize(assignments[k])``.
     """
     plan = compile_plan(system)
-    stack = plan.config_stack(assignments)
-    return walk_stats_batch(plan, stack, plan.resolve_output(output))
+    return walk_stats_batch(plan, ConfigStack(plan, assignments),
+                            plan.resolve_output(output))

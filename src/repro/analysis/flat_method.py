@@ -25,6 +25,7 @@ from repro.analysis._engine import (
     NoiseMemo,
     memoization_enabled,
     plan_memo,
+    stats_row,
 )
 from repro.fixedpoint.noise_model import NoiseStats
 from repro.lti.transfer_function import TransferFunction
@@ -38,7 +39,12 @@ from repro.sfg.nodes import (
     UpsampleNode,
     _LtiMixin,
 )
-from repro.sfg.plan import CompiledPlan, compile_plan, parse_edge_key
+from repro.sfg.plan import (
+    CompiledPlan,
+    ConfigStack,
+    compile_plan,
+    parse_edge_key,
+)
 
 
 def source_path_functions(system: SignalFlowGraph | CompiledPlan,
@@ -61,16 +67,23 @@ def source_path_functions(system: SignalFlowGraph | CompiledPlan,
         Graph (or plan) and the output node to reach.
     sources:
         Optional explicit set of source names (node names and/or edge
-        keys).  The default — the plan's current noise-generating steps
-        plus its noise-injecting fanout taps — is what
-        :func:`evaluate_flat` needs; the batched evaluation passes the
-        union of the stack's noisy sources instead.
+        keys).  The default is the plan's current noise-generating steps
+        plus its noise-injecting fanout taps; the flat evaluations pass
+        the union of their stack's noisy sources instead (the same set
+        for the one-config stack of :func:`evaluate_flat`).
     """
     plan = compile_plan(system)
     output_name = plan.resolve_output(output)
     if sources is None:
         sources = ({step.name for step in plan.noise_steps}
                    | {tap.key for _, _, tap in plan.active_edge_taps()})
+    return _path_functions(plan, output_name, sources)
+
+
+def _path_functions(plan: CompiledPlan, output_name: str,
+                    sources) -> dict[str, TransferFunction]:
+    """:func:`source_path_functions` on the plan as it stands (no
+    refresh), memoized per coefficient fingerprint."""
     cache = key = None
     if memoization_enabled():
         # Path functions depend only on the coefficient fingerprint (the
@@ -132,24 +145,14 @@ def source_path_functions(system: SignalFlowGraph | CompiledPlan,
 
 def evaluate_flat(system: SignalFlowGraph | CompiledPlan,
                   output: str | None = None) -> NoiseStats:
-    """Estimate the output-noise moments with the flat method (Eq. 4)."""
+    """Estimate the output-noise moments with the flat method (Eq. 4).
+
+    The one-configuration case of :func:`evaluate_flat_batch`: a stack of
+    the live plan with no deltas, read back as plain floats.
+    """
     plan = compile_plan(system)
-    path_functions = source_path_functions(plan, output)
-    sources = {step.name: step.noise for step in plan.noise_steps}
-    for _, _, tap in plan.active_edge_taps():
-        sources[tap.key] = tap.noise
-
-    total_variance = 0.0
-    mean_contributions = []
-    for name, tf in path_functions.items():
-        stats = sources[name]
-        total_variance += stats.variance * tf.energy()        # K_i sigma_i^2
-        mean_contributions.append(stats.mean * tf.coefficient_sum())
-
-    # The double sum over L_ij mu_i mu_j is exactly the square of the sum
-    # of the propagated means (Eq. 6 with time-invariant paths).
-    total_mean = float(np.sum(mean_contributions))
-    return NoiseStats(mean=total_mean, variance=total_variance)
+    return stats_row(_evaluate_stack(plan, ConfigStack(plan, [{}]),
+                                     output))
 
 
 def evaluate_flat_batch(system: SignalFlowGraph | CompiledPlan,
@@ -168,50 +171,76 @@ def evaluate_flat_batch(system: SignalFlowGraph | CompiledPlan,
     ``evaluate_flat(plan)`` after ``plan.requantize(assignments[k])``.
     """
     plan = compile_plan(system)
-    stack = plan.config_stack(assignments)
-    means = np.zeros(stack.size)
-    variances = np.zeros(stack.size)
+    return _evaluate_stack(plan, ConfigStack(plan, assignments), output)
+
+
+def _evaluate_stack(plan: CompiledPlan, stack: ConfigStack,
+                    output: str | None) -> NoiseStats:
+    """Per-config output moments of a stack, one coefficient group at a
+    time.
+
+    The group sharing the live plan's coefficient signature runs on the
+    plan as it stands.  Every other group requantizes the plan to its
+    representative config, which fixes every coefficient precision of the
+    group; the caller's quantization state is restored afterwards.
+    """
+    output_name = plan.resolve_output(output)
     noise_by_name = {}
     for step in plan.steps:
         noise = stack.noise(step)
         if noise is not None:
             noise_by_name[step.name] = noise
     noise_by_name.update(stack.edge_noise_sources())
-
-    with plan.preserve_quantization():
-        for members in stack.coefficient_groups():
-            # The representative config fixes every coefficient precision
-            # of the group; path functions are computed once under it.
-            # allow_enable: a stack config may legitimately enable a
-            # node the live plan leaves unquantized.
-            plan.requantize(stack.resolved(members[0]), allow_enable=True)
-            # Sources (steps and fanout taps) noisy for some member.
-            noisy_names = {
-                name for name, (source_means, source_variances)
-                in noise_by_name.items()
-                if any(source_variances[k] != 0.0 or source_means[k] != 0.0
-                       for k in members)}
-            path_functions = source_path_functions(plan, output,
-                                                   sources=noisy_names)
-            energies = {name: tf.energy()
-                        for name, tf in path_functions.items()}
-            dc_sums = {name: tf.coefficient_sum()
-                       for name, tf in path_functions.items()}
-            for k in members:
-                # Same accumulation order (schedule order over this
-                # config's own noisy sources) as the scalar evaluation.
-                total_variance = 0.0
-                mean_contributions = []
-                for name in path_functions:
-                    source_means, source_variances = noise_by_name[name]
-                    if (source_variances[k] == 0.0
-                            and source_means[k] == 0.0):
-                        continue
-                    total_variance += source_variances[k] * energies[name]
-                    mean_contributions.append(source_means[k] * dc_sums[name])
-                means[k] = float(np.sum(mean_contributions))
-                variances[k] = total_variance
+    means = np.zeros(stack.size)
+    variances = np.zeros(stack.size)
+    groups: dict[tuple, list[int]] = {}
+    for config, signature in enumerate(stack.coefficient_signatures()):
+        groups.setdefault(signature, []).append(config)
+    live = groups.pop(stack.live_coefficient_signature(), None)
+    if live:
+        _evaluate_group(plan, output_name, noise_by_name, live, means,
+                        variances)
+    if groups:
+        with plan.preserve_quantization():
+            for members in groups.values():
+                # allow_enable: a stack config may legitimately enable a
+                # node the live plan leaves unquantized.
+                plan.requantize(stack.resolved(members[0]),
+                                allow_enable=True)
+                _evaluate_group(plan, output_name, noise_by_name, members,
+                                means, variances)
     return NoiseStats(mean=means, variance=variances)
+
+
+def _evaluate_group(plan: CompiledPlan, output_name: str,
+                    noise_by_name: dict, members: list[int],
+                    means: np.ndarray, variances: np.ndarray) -> None:
+    """Eq. 4 for the configs of one coefficient group, on the plan as it
+    stands (it carries the group's coefficient precisions)."""
+    # Sources (steps and fanout taps) noisy for some member.
+    noisy_names = {
+        name for name, (source_means, source_variances)
+        in noise_by_name.items()
+        if any(source_variances[k] != 0.0 or source_means[k] != 0.0
+               for k in members)}
+    path_functions = _path_functions(plan, output_name, noisy_names)
+    energies = {name: tf.energy() for name, tf in path_functions.items()}
+    dc_sums = {name: tf.coefficient_sum()
+               for name, tf in path_functions.items()}
+    for k in members:
+        # Schedule order over this config's own noisy sources.
+        total_variance = 0.0
+        mean_contributions = []
+        for name in path_functions:
+            source_means, source_variances = noise_by_name[name]
+            if source_variances[k] == 0.0 and source_means[k] == 0.0:
+                continue
+            total_variance += source_variances[k] * energies[name]  # K_i s_i^2
+            mean_contributions.append(source_means[k] * dc_sums[name])
+        # The double sum over L_ij mu_i mu_j is exactly the square of the
+        # sum of the propagated means (Eq. 6 with time-invariant paths).
+        means[k] = float(np.sum(mean_contributions))
+        variances[k] = total_variance
 
 
 def _propagate_paths(node: Node,

@@ -22,6 +22,11 @@ the edited nodes' downstream cone is re-propagated, so one-node edits
 (the optimizer's inner loop) cost O(depth), not O(nodes), per call —
 bit-identical to a cold walk.
 
+:func:`evaluate_psd` and :func:`evaluate_psd_batch` run the same step
+rules: a scalar evaluation is the one-configuration case of the batched
+walk, read back as an unstacked :class:`DiscretePsd`, and the batched one
+returns a :class:`DiscretePsd` stacked along a leading configuration axis.
+
 :func:`evaluate_psd_tracked` additionally keeps, for every noise source,
 the complex response of the path to the output, which makes re-convergent
 (correlated) paths exact (Eqs. 12–13) at the cost of one spectrum per
@@ -32,11 +37,10 @@ is used in the correlation ablation.
 from __future__ import annotations
 
 from repro.analysis._engine import walk_psd, walk_psd_batch, walk_tracked
-from repro.psd.batch import PsdStack
 from repro.psd.spectrum import DiscretePsd
 from repro.sfg.graph import SignalFlowGraph
 from repro.sfg.nodes import DownsampleNode, UpsampleNode
-from repro.sfg.plan import CompiledPlan, compile_plan
+from repro.sfg.plan import CompiledPlan, ConfigStack, compile_plan
 
 
 def evaluate_psd(system: SignalFlowGraph | CompiledPlan, n_psd: int,
@@ -63,19 +67,21 @@ def evaluate_psd(system: SignalFlowGraph | CompiledPlan, n_psd: int,
     """
     _check_bins(n_psd)
     plan = compile_plan(system)
-    results = walk_psd(plan, n_psd)
-    return results[plan.resolve_output(output)]
+    index = plan.index_of[plan.resolve_output(output)]
+    return walk_psd(plan, n_psd)[index].select(0)
 
 
 def evaluate_psd_all(system: SignalFlowGraph | CompiledPlan,
                      n_psd: int) -> dict[str, DiscretePsd]:
     """Per-node noise PSDs (useful for refinement and for Fig. 7-style maps)."""
     _check_bins(n_psd)
-    return walk_psd(compile_plan(system), n_psd)
+    plan = compile_plan(system)
+    values = walk_psd(plan, n_psd)
+    return {step.name: values[step.index].select(0) for step in plan.steps}
 
 
 def evaluate_psd_batch(system: SignalFlowGraph | CompiledPlan, n_psd: int,
-                       assignments, output: str | None = None) -> PsdStack:
+                       assignments, output: str | None = None) -> DiscretePsd:
     """Estimate the output PSDs of a stack of word-length assignments.
 
     One graph walk evaluates every configuration: noise-source moments
@@ -99,14 +105,15 @@ def evaluate_psd_batch(system: SignalFlowGraph | CompiledPlan, n_psd: int,
 
     Returns
     -------
-    PsdStack
-        Per-config output-noise PSDs; the per-config powers are
+    DiscretePsd
+        Per-config output-noise PSDs stacked along a leading config axis
+        (``result.select(k)`` is row ``k``); the per-config powers are
         ``result.total_power`` (a ``(K,)`` array).
     """
     _check_bins(n_psd)
     plan = compile_plan(system)
-    stack = plan.config_stack(assignments)
-    return walk_psd_batch(plan, n_psd, stack, plan.resolve_output(output))
+    return walk_psd_batch(plan, n_psd, ConfigStack(plan, assignments),
+                          plan.resolve_output(output))
 
 
 def evaluate_psd_tracked(system: SignalFlowGraph | CompiledPlan, n_psd: int,
@@ -120,9 +127,8 @@ def evaluate_psd_tracked(system: SignalFlowGraph | CompiledPlan, n_psd: int,
     _check_bins(n_psd)
     plan = compile_plan(system)
     _reject_multirate(plan.graph, "evaluate_psd_tracked")
-    results = walk_tracked(plan, n_psd)
-    tracked = results[plan.resolve_output(output)]
-    return tracked.to_psd()
+    index = plan.index_of[plan.resolve_output(output)]
+    return walk_tracked(plan, n_psd)[index].to_psd()
 
 
 def _reject_multirate(graph: SignalFlowGraph, caller: str) -> None:

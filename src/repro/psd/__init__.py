@@ -8,7 +8,8 @@ provides:
 
 * :class:`~repro.psd.spectrum.DiscretePsd` — the noise-spectrum container
   and its algebra (filtering, addition, scaling, resampling, multirate
-  transformations).
+  transformations), written once over an optional leading configuration
+  axis so the batched analytical walks and the scalar ones share it.
 * :mod:`~repro.psd.estimation` — periodogram / Welch estimation of a
   :class:`DiscretePsd` from sample data (used to build reference spectra
   from simulation).
@@ -20,7 +21,6 @@ provides:
 """
 
 from repro.psd.spectrum import DiscretePsd
-from repro.psd.batch import PsdStack
 from repro.psd.estimation import (
     estimate_psd,
     estimate_psd_batch,
@@ -33,7 +33,6 @@ from repro.psd.cross_spectrum import cross_power_spectrum
 
 __all__ = [
     "DiscretePsd",
-    "PsdStack",
     "estimate_psd",
     "estimate_psd_batch",
     "periodogram",

@@ -20,6 +20,17 @@ only formed when the total power is requested.  The
 (DC bin = ``mu^2 + ac[0]``) for display and comparison purposes.
 
 The total power is ``E[x^2] = mean**2 + sum(ac)``.
+
+Configuration axis
+------------------
+A PSD may be *stacked*: ``ac`` of shape ``(K, n)`` and ``mean`` of shape
+``(K,)``, one spectrum per word-length configuration of a batched
+evaluation.  The algebra is written once over that leading axis, so the
+analytical engine runs a scalar evaluation as the ``K = 1`` case of the
+batched one and :meth:`DiscretePsd.select` hands back an unstacked row.
+The public constructor validates and clips its bins (it receives outside
+data such as Welch estimates); results of the algebra are built without
+re-validating, since every operation preserves non-negative bins.
 """
 
 from __future__ import annotations
@@ -30,68 +41,129 @@ from repro.fixedpoint.noise_model import NoiseStats
 
 
 class DiscretePsd:
-    """Discrete PSD (plus signed mean) of a noise signal.
+    """Discrete PSD (plus signed mean) of a noise signal, optionally stacked.
+
+    A PSD may carry a leading *configuration axis*: ``K`` spectra of the
+    same signal under ``K`` word-length configurations, as produced by
+    the batched analytical walks.  Every operation below is written once
+    and applies row by row along that axis, so row ``k`` of a result is
+    bit-identical to the same operation on the unstacked row ``k``.
 
     Parameters
     ----------
     ac:
-        Per-bin power of the zero-mean part of the signal (length
-        ``n_bins``, non-negative).
+        Per-bin power of the zero-mean part of the signal (non-negative):
+        ``(n_bins,)``, or ``(K, n_bins)`` for a stack of ``K`` spectra.
     mean:
-        Signed mean of the signal.
+        Signed mean of the signal: a float, or a ``(K,)`` array for a
+        stack.
     """
 
     __slots__ = ("ac", "mean")
 
-    def __init__(self, ac: np.ndarray, mean: float = 0.0):
+    def __init__(self, ac: np.ndarray, mean=0.0):
         ac = np.asarray(ac, dtype=float)
-        if ac.ndim != 1 or len(ac) < 1:
-            raise ValueError("ac must be a non-empty 1-D array")
+        if ac.ndim not in (1, 2) or 0 in ac.shape:
+            raise ValueError(
+                f"ac must be a non-empty (n_bins,) or (configs, n_bins) "
+                f"array, got shape {ac.shape}")
+        if ac.ndim == 1:
+            if np.ndim(mean) != 0:
+                raise ValueError(
+                    f"an unstacked PSD needs a scalar mean, got shape "
+                    f"{np.shape(mean)}")
+            mean = float(mean)
+        else:
+            mean = np.asarray(mean, dtype=float)
+            if mean.shape != ac.shape[:1]:
+                raise ValueError(
+                    f"mean must have shape ({ac.shape[0]},), got "
+                    f"{mean.shape}")
         if np.any(ac < -1e-15):
             raise ValueError("PSD bins must be non-negative")
         self.ac = np.clip(ac, 0.0, None)
-        self.mean = float(mean)
+        self.mean = mean
+
+    @classmethod
+    def _trusted(cls, ac: np.ndarray, mean) -> "DiscretePsd":
+        """Build a PSD without validating it.
+
+        For producers whose bins are non-negative by construction: every
+        operation of the algebra below (white spreading, squared-magnitude
+        filtering, sums of non-negative bins, folding and imaging) and the
+        analytical engine's row gathers.
+        """
+        psd = cls.__new__(cls)
+        psd.ac = ac
+        psd.mean = float(mean) if ac.ndim == 1 else mean
+        return psd
 
     # ------------------------------------------------------------------
     # Constructors
     # ------------------------------------------------------------------
     @classmethod
-    def zero(cls, n_bins: int) -> "DiscretePsd":
-        """The PSD of an identically-zero signal."""
+    def zero(cls, n_bins: int, configs: int | None = None) -> "DiscretePsd":
+        """The PSD of an identically-zero signal (``configs`` stacked
+        copies when given)."""
         _check_bins(n_bins)
-        return cls(np.zeros(n_bins), 0.0)
+        if configs is not None and configs < 1:
+            raise ValueError(f"a PSD stack needs at least one config, "
+                             f"got {configs}")
+        shape = (n_bins,) if configs is None else (configs, n_bins)
+        return cls._trusted(np.zeros(shape), np.zeros(shape[:-1]))
 
     @classmethod
     def white(cls, stats: NoiseStats, n_bins: int) -> "DiscretePsd":
         """The PSD of a white noise with the given moments (Eq. 10).
 
         The variance is spread uniformly over all bins; the mean is kept
-        signed and separate.
+        signed and separate.  ``stats`` fields that are ``(K,)`` arrays
+        give a stack with one white PSD per config.
         """
         _check_bins(n_bins)
-        ac = np.full(n_bins, stats.variance / n_bins)
-        return cls(ac, stats.mean)
+        spread = np.asarray(stats.variance, dtype=float) / n_bins
+        if np.any(spread < -1e-15):
+            raise ValueError("PSD bins must be non-negative")
+        ac = np.repeat(spread[..., None], n_bins, axis=-1)
+        return cls._trusted(ac, np.array(stats.mean, dtype=float))
 
     @classmethod
-    def from_moments(cls, mean: float, variance: float, n_bins: int) -> "DiscretePsd":
-        """White PSD from raw moments."""
+    def from_moments(cls, mean, variance, n_bins: int) -> "DiscretePsd":
+        """White PSD from raw moments (floats, or ``(K,)`` arrays)."""
         return cls.white(NoiseStats(mean=mean, variance=variance), n_bins)
 
     # ------------------------------------------------------------------
-    # Scalar summaries
+    # Shape and summaries
     # ------------------------------------------------------------------
     @property
     def n_bins(self) -> int:
         """Number of frequency bins."""
-        return len(self.ac)
+        return self.ac.shape[-1]
 
     @property
-    def variance(self) -> float:
-        """Variance (power of the zero-mean part)."""
-        return float(np.sum(self.ac))
+    def stacked(self) -> bool:
+        """Whether the PSD carries a leading configuration axis."""
+        return self.ac.ndim == 2
 
     @property
-    def total_power(self) -> float:
+    def size(self) -> int:
+        """Number of stacked configurations (1 for an unstacked PSD)."""
+        return self.ac.shape[0] if self.stacked else 1
+
+    def select(self, config: int) -> "DiscretePsd":
+        """Row ``config`` of a stack, as an unstacked PSD (a view)."""
+        if not self.stacked:
+            raise ValueError("select() needs a stacked PSD")
+        return self._trusted(self.ac[config], self.mean[config])
+
+    @property
+    def variance(self):
+        """Variance (power of the zero-mean part); ``(K,)`` for a stack."""
+        variance = np.sum(self.ac, axis=-1)
+        return variance if self.stacked else float(variance)
+
+    @property
+    def total_power(self):
         """Total power ``E[x^2] = mean^2 + variance``."""
         return self.mean ** 2 + self.variance
 
@@ -99,7 +171,7 @@ class DiscretePsd:
     def values(self) -> np.ndarray:
         """PSD bins in the paper's convention (DC bin includes ``mean^2``)."""
         values = self.ac.copy()
-        values[0] += self.mean ** 2
+        values[..., 0] += self.mean ** 2
         return values
 
     def to_stats(self) -> NoiseStats:
@@ -116,7 +188,7 @@ class DiscretePsd:
     # ------------------------------------------------------------------
     def copy(self) -> "DiscretePsd":
         """An independent copy."""
-        return DiscretePsd(self.ac.copy(), self.mean)
+        return self._trusted(self.ac.copy(), np.copy(self.mean))
 
     def __add__(self, other: "DiscretePsd") -> "DiscretePsd":
         """Sum of two *uncorrelated* noise signals (Eq. 14).
@@ -126,14 +198,18 @@ class DiscretePsd:
         """
         if not isinstance(other, DiscretePsd):
             return NotImplemented
-        if other.n_bins != self.n_bins:
-            raise ValueError(
-                f"cannot add PSDs with {self.n_bins} and {other.n_bins} bins")
-        return DiscretePsd(self.ac + other.ac, self.mean + other.mean)
+        if other.ac.shape != self.ac.shape:
+            raise ValueError(f"cannot add PSDs of shapes {self.ac.shape} "
+                             f"and {other.ac.shape}")
+        return self._trusted(self.ac + other.ac, self.mean + other.mean)
 
     def scaled(self, gain: float) -> "DiscretePsd":
         """PSD after multiplication of the signal by a constant ``gain``."""
-        return DiscretePsd(self.ac * gain * gain, self.mean * gain)
+        if gain == 1.0:
+            # x * 1.0 is exactly x (signed zeros included), so the
+            # adders' unit signs skip three array passes.
+            return self
+        return self._trusted(self.ac * gain * gain, self.mean * gain)
 
     def __mul__(self, gain):
         if np.isscalar(gain):
@@ -149,18 +225,24 @@ class DiscretePsd:
         ----------
         frequency_response:
             Complex (or magnitude) frequency response of the system sampled
-            on the same ``n_bins`` full-circle grid as this PSD.  The
+            on the same ``n_bins`` full-circle grid as this PSD: one
+            ``(n_bins,)`` response shared by every row, or (for a stack) a
+            ``(K, n_bins)`` array with one response per config.  The
             squared magnitude shapes the AC part; the real part of the DC
             response scales the mean.
         """
         response = np.asarray(frequency_response)
-        if len(response) != self.n_bins:
+        if response.shape[-1] != self.n_bins:
             raise ValueError(
-                f"frequency response has {len(response)} points, expected "
-                f"{self.n_bins}")
+                f"frequency response has {response.shape[-1]} points, "
+                f"expected {self.n_bins}")
+        if response.ndim > 1 and response.shape[:-1] != self.ac.shape[:-1]:
+            raise ValueError(
+                f"a response stack of shape {response.shape} does not fit "
+                f"PSDs of shape {self.ac.shape}")
         magnitude_sq = np.abs(response) ** 2
-        dc_gain = float(np.real(response[0]))
-        return DiscretePsd(self.ac * magnitude_sq, self.mean * dc_gain)
+        dc_gain = np.real(response[..., 0])
+        return self._trusted(self.ac * magnitude_sq, self.mean * dc_gain)
 
     def delayed(self) -> "DiscretePsd":
         """PSD after a pure delay (unchanged — delays are all-pass)."""
@@ -177,7 +259,8 @@ class DiscretePsd:
         the mean is preserved.
         """
         from repro.lti.multirate import downsample_psd
-        return DiscretePsd(downsample_psd(self.ac, factor), self.mean)
+        return self._trusted(downsample_psd(self.ac, factor),
+                             np.copy(self.mean))
 
     def upsampled(self, factor: int = 2) -> "DiscretePsd":
         """PSD after zero-insertion up-sampling by ``factor`` (imaging).
@@ -187,7 +270,8 @@ class DiscretePsd:
         ``factor`` times.
         """
         from repro.lti.multirate import upsample_psd
-        return DiscretePsd(upsample_psd(self.ac, factor), self.mean / factor)
+        return self._trusted(upsample_psd(self.ac, factor),
+                             self.mean / factor)
 
     # ------------------------------------------------------------------
     # Resampling of the frequency grid
@@ -203,20 +287,24 @@ class DiscretePsd:
         if n_bins == self.n_bins:
             return self.copy()
         old_n = self.n_bins
+        rows = self.ac.shape[:-1]
         if n_bins < old_n and old_n % n_bins == 0:
             group = old_n // n_bins
-            ac = self.ac.reshape(n_bins, group).sum(axis=1)
-            return DiscretePsd(ac, self.mean)
-        if n_bins > old_n and n_bins % old_n == 0:
+            ac = self.ac.reshape(rows + (n_bins, group)).sum(axis=-1)
+        elif n_bins > old_n and n_bins % old_n == 0:
             expand = n_bins // old_n
-            ac = np.repeat(self.ac / expand, expand)
-            return DiscretePsd(ac, self.mean)
-        # General case: piecewise-constant density re-binning.
-        edges_old = np.linspace(0.0, 1.0, old_n + 1)
-        edges_new = np.linspace(0.0, 1.0, n_bins + 1)
-        cumulative = np.concatenate([[0.0], np.cumsum(self.ac)])
-        cumulative_at = np.interp(edges_new, edges_old, cumulative)
-        ac = np.diff(cumulative_at)
+            ac = np.repeat(self.ac / expand, expand, axis=-1)
+        else:
+            # General case: piecewise-constant density re-binning.
+            edges_old = np.linspace(0.0, 1.0, old_n + 1)
+            edges_new = np.linspace(0.0, 1.0, n_bins + 1)
+            cumulative = np.concatenate(
+                [np.zeros(rows + (1,)), np.cumsum(self.ac, axis=-1)],
+                axis=-1)
+            cumulative_at = np.apply_along_axis(
+                lambda row: np.interp(edges_new, edges_old, row), -1,
+                cumulative)
+            ac = np.diff(cumulative_at, axis=-1)
         return DiscretePsd(ac, self.mean)
 
     # ------------------------------------------------------------------
@@ -225,11 +313,13 @@ class DiscretePsd:
     def allclose(self, other: "DiscretePsd", rtol: float = 1e-9,
                  atol: float = 1e-12) -> bool:
         """Whether two PSDs are numerically identical."""
-        return (self.n_bins == other.n_bins
+        return (self.ac.shape == other.ac.shape
                 and np.allclose(self.ac, other.ac, rtol=rtol, atol=atol)
-                and np.isclose(self.mean, other.mean, rtol=rtol, atol=atol))
+                and np.allclose(self.mean, other.mean, rtol=rtol, atol=atol))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        if self.stacked:
+            return f"DiscretePsd(configs={self.size}, n_bins={self.n_bins})"
         return (f"DiscretePsd(n_bins={self.n_bins}, mean={self.mean:.3e}, "
                 f"variance={self.variance:.3e})")
 

@@ -52,7 +52,6 @@ import numpy as np
 from repro.fixedpoint.noise_model import NoiseStats, quantization_noise_stats
 from repro.lti.transfer_function import TransferFunction
 from repro.obs import metric_inc, span
-from repro.psd.spectrum import DiscretePsd
 from repro.psd.propagation import TrackedSpectrum
 from repro.sfg.graph import SignalFlowGraph
 from repro.sfg.nodes import (
@@ -664,16 +663,6 @@ class CompiledPlan:
             self._gain_cache[key] = gains
         return gains
 
-    def block_gains(self, step: PlanStep) -> tuple[float, float]:
-        """``(energy, coefficient_sum)`` of a block's transfer function."""
-        return self.block_gains_for_bits(step,
-                                         step.node.quantization.fractional_bits)
-
-    def shaping_gains(self, step: PlanStep) -> tuple[float, float]:
-        """``(energy, coefficient_sum)`` of an IIR noise-shaping function."""
-        return self.shaping_gains_for_bits(
-            step, step.node.quantization.fractional_bits)
-
     def noise_for_bits(self, step: PlanStep, bits: int | None) -> NoiseStats:
         """Moments the step would generate with ``bits`` fractional bits."""
         if bits == step.node.quantization.fractional_bits:
@@ -687,29 +676,15 @@ class CompiledPlan:
         ``assignments`` is a sequence of ``{node name: fractional bits}``
         mappings (``None`` disables quantization; unnamed nodes keep their
         current word length).  The returned :class:`ConfigStack` is what
-        the batched analytical walks consume.
+        the batched analytical walks consume.  Pending in-place spec or
+        coefficient mutations are folded in first.
         """
+        self.refresh()
         return ConfigStack(self, assignments)
 
     # ------------------------------------------------------------------
-    # Own-noise injection helpers (used by the analytical engines)
+    # Own-noise injection helper (used by the tracked analytical walk)
     # ------------------------------------------------------------------
-    def shaped_noise_stats(self, step: PlanStep) -> NoiseStats:
-        """Moments of a step's own noise as seen at the node output."""
-        stats = step.noise
-        if isinstance(step.node, IirNode):
-            energy, dc = self.shaping_gains(step)
-            return NoiseStats(mean=stats.mean * dc,
-                              variance=stats.variance * energy)
-        return stats
-
-    def shaped_noise_psd(self, step: PlanStep, n_bins: int) -> DiscretePsd:
-        """PSD of a step's own noise as seen at the node output."""
-        psd = DiscretePsd.white(step.noise, n_bins)
-        if isinstance(step.node, IirNode):
-            psd = psd.filtered(self.shaping_response(step, n_bins))
-        return psd
-
     def shaped_noise_tracked(self, step: PlanStep,
                              n_bins: int) -> TrackedSpectrum:
         """Tracked spectrum of a step's own noise at the node output."""
@@ -940,7 +915,9 @@ class ConfigStack:
         removes the tap); names absent from a mapping keep their current
         word length.  The assignments are *resolved* against the plan
         state at construction time — later mutations of the graph's specs
-        do not retroactively change the stack.
+        do not retroactively change the stack.  Construction does not
+        refresh the plan: go through :meth:`CompiledPlan.config_stack`
+        (or :func:`compile_plan` first) to fold pending mutations in.
     """
 
     __slots__ = ("plan", "size", "_live_bits", "_live_noise", "_deltas",
@@ -951,7 +928,6 @@ class ConfigStack:
         assignments = list(assignments)
         if not assignments:
             raise ValueError("the configuration stack is empty")
-        plan.refresh()
         self.plan = plan
         self.size = len(assignments)
         self._live_bits = tuple(step.node.quantization.fractional_bits
@@ -1147,9 +1123,23 @@ class ConfigStack:
         """
         columns = [tuple(self.plan.coeff_key_for_bits(step, bits)
                          for bits in self.bits(step))
-                   for step in self.plan.steps
-                   if isinstance(step.node, (GainNode, FirNode, IirNode))]
+                   for step in self._coefficient_steps()]
         return list(zip(*columns)) if columns else [()] * self.size
+
+    def live_coefficient_signature(self) -> tuple:
+        """The coefficient signature of the plan's live configuration.
+
+        A config group with this signature shares the live plan's
+        transfer behaviour, so it can be evaluated on the plan as it
+        stands, without requantizing it.
+        """
+        return tuple(self.plan.coeff_key_for_bits(
+                         step, self._live_bits[step.index])
+                     for step in self._coefficient_steps())
+
+    def _coefficient_steps(self):
+        return (step for step in self.plan.steps
+                if isinstance(step.node, (GainNode, FirNode, IirNode)))
 
     def coefficient_groups(self) -> list[list[int]]:
         """Config indices grouped by equal coefficient signature.
@@ -1225,43 +1215,6 @@ def _stacked_gains(pairs):
         return pairs
     return (np.array([pair[0] for pair in pairs]),
             np.array([pair[1] for pair in pairs]))
-
-
-# ----------------------------------------------------------------------
-# Plan walking (shared by the analytical engines)
-# ----------------------------------------------------------------------
-def walk_plan(plan: CompiledPlan, zero, propagate, inject) -> dict[str, object]:
-    """Generic noise-propagation traversal over a compiled schedule.
-
-    Parameters
-    ----------
-    plan:
-        The compiled plan to traverse.
-    zero:
-        ``zero(step)`` — representation of "no noise" at a source node.
-    propagate:
-        ``propagate(step, inputs)`` — the node's propagation rule applied
-        to the representations of its predecessors.
-    inject:
-        ``inject(step, representation)`` — add the step's own (non-trivial)
-        noise source to the representation at the node output.
-
-    Returns
-    -------
-    dict
-        Mapping from node name to the noise representation at its output.
-    """
-    slots: list = [None] * len(plan.steps)
-    for step in plan.steps:
-        if step.is_source:
-            representation = zero(step)
-        else:
-            representation = propagate(
-                step, [slots[i] for i in step.predecessors])
-        if step.noise is not None:
-            representation = inject(step, representation)
-        slots[step.index] = representation
-    return {step.name: slots[step.index] for step in plan.steps}
 
 
 # ----------------------------------------------------------------------

@@ -17,12 +17,16 @@ graphs of :mod:`repro.systems.random_graphs`):
    path (the plan's op tape, JIT-compiled when numba is installed), on
    the generated graph and again after a seeded assignment with per-edge
    fanout taps;
-4. **batch_vs_sequential** — the configuration-batched evaluation paths
-   equal the sequential requantize-and-evaluate loop, row for row, bit
-   for bit (analytical engines and the Monte-Carlo reference), and a
-   stack of one-key deltas against a random incumbent — the row-sparse
-   path of the memo-backed batched walks — equals cold scalar walks
-   bit for bit, signed zeros included;
+4. **batch_vs_sequential** — a K-slice consistency property.  Scalar
+   evaluations are the ``K = 1`` case of the batched step rules, so the
+   check guards what only a ``K > 1`` walk does — the row-sparse gathers
+   from the memo and the per-row skipping of silent sources — against
+   ``K = 1`` evaluations: the configuration-batched paths equal the
+   sequential requantize-and-evaluate loop, row for row, bit for bit
+   (analytical engines and the Monte-Carlo reference), and a stack of
+   one-key deltas against a random incumbent equals cold ``K = 1``
+   evaluations bit for bit, signed zeros included.  Check 2 is the
+   independent anchor of both sides;
 5. **ed_band** — the proposed PSD estimate tracks the Monte-Carlo
    measurement within the paper's sub-one-bit ``Ed`` band
    ``(-300 %, +75 %)``;

@@ -10,10 +10,9 @@ traversals are re-implemented here — deliberately naive, sharing no code
 with the plan layer — as the reference semantics of the differential
 checks.
 
-They started life as test-only helpers (``tests/legacy_reference.py``
-still re-exports them for the fixture suites); they live in the package
-because the fuzzing harness (:mod:`repro.verify.differential`) runs the
-same plan-vs-legacy comparison from the ``fuzz`` CLI, outside pytest.
+They live in the package, rather than in the test suites that also use
+them, because the fuzzing harness (:mod:`repro.verify.differential`) runs
+the same plan-vs-legacy comparison from the ``fuzz`` CLI, outside pytest.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Configuration-batched evaluation must be bit-identical to sequential.
 
-The batched walks promise more than closeness: every row of a
-:class:`~repro.psd.batch.PsdStack` (and every entry of a batched
+The batched walks promise more than closeness: every row of a stacked
+:class:`~repro.psd.spectrum.DiscretePsd` (and every entry of a batched
 :class:`~repro.fixedpoint.noise_model.NoiseStats`) applies exactly the
 same floating-point operations as the scalar walk of that configuration,
 so the comparisons below use strict equality, not tolerances.
@@ -22,7 +22,6 @@ from repro.analysis.psd_method import evaluate_psd, evaluate_psd_batch
 from repro.analysis.simulation_method import SimulationEvaluator
 from repro.lti.fir_design import design_fir_highpass, design_fir_lowpass
 from repro.lti.iir_design import design_iir_filter
-from repro.psd.batch import PsdStack
 from repro.sfg.builder import SfgBuilder
 from repro.sfg.plan import compile_plan, parse_edge_key
 from repro.systems.families import build_scalability_bank
@@ -313,33 +312,3 @@ class TestRowSparseWalk:
             cold = evaluate_psd_batch(plan, 64, deltas)
         assert plan_memo(plan).counters() == counters
         assert _bitwise(warm.ac, cold.ac) and _bitwise(warm.mean, cold.mean)
-
-
-class TestPsdStackContainer:
-    def test_white_matches_scalar_white(self):
-        from repro.fixedpoint.noise_model import NoiseStats
-        from repro.psd.spectrum import DiscretePsd
-        stack = PsdStack.white(np.array([0.5, 0.0]), np.array([1.0, 2.0]), 8)
-        scalar = DiscretePsd.white(NoiseStats(0.5, 1.0), 8)
-        np.testing.assert_array_equal(stack.ac[0], scalar.ac)
-        assert stack.mean[0] == scalar.mean
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            PsdStack(np.zeros(8), np.zeros(1))
-        with pytest.raises(ValueError):
-            PsdStack(np.zeros((2, 8)), np.zeros(3))
-        with pytest.raises(ValueError):
-            PsdStack.zero(0, 8)
-
-    def test_mismatched_addition_rejected(self):
-        with pytest.raises(ValueError):
-            PsdStack.zero(2, 8) + PsdStack.zero(2, 16)
-        with pytest.raises(ValueError):
-            PsdStack.zero(2, 8) + PsdStack.zero(3, 8)
-
-    def test_filtered_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            PsdStack.zero(2, 8).filtered(np.ones(4))
-        with pytest.raises(ValueError):
-            PsdStack.zero(2, 8).filtered(np.ones((3, 8)))

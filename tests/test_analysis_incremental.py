@@ -17,7 +17,10 @@ from repro.analysis._engine import (
     memoization_enabled,
     plan_memo,
 )
-from repro.analysis.agnostic_method import evaluate_agnostic
+from repro.analysis.agnostic_method import (
+    evaluate_agnostic,
+    evaluate_agnostic_batch,
+)
 from repro.analysis.flat_method import evaluate_flat, source_path_functions
 from repro.analysis.psd_method import (
     evaluate_psd,
@@ -184,6 +187,62 @@ class TestMemoizationToggle:
         with memoization_disabled():
             evaluate_psd(plan, 64)
         assert plan_memo(plan).counters()["full_walks"] == 0
+
+
+_EVALUATIONS = {
+    "evaluate_psd": lambda plan: evaluate_psd(plan, 64),
+    "evaluate_agnostic": evaluate_agnostic,
+    "evaluate_psd_batch": lambda plan: evaluate_psd_batch(
+        plan, 64, [{"branch0": 9}, {}]),
+    "evaluate_agnostic_batch": lambda plan: evaluate_agnostic_batch(
+        plan, [{"branch0": 9}, {}]),
+}
+
+
+class TestOneRefreshPerEvaluation:
+    """An analytical evaluation folds pending edits in exactly once: the
+    entry's compile_plan is the only CompiledPlan.refresh on its way."""
+
+    @staticmethod
+    def _count_refreshes(monkeypatch) -> list:
+        calls = []
+        original = CompiledPlan.refresh
+
+        def counting(plan):
+            calls.append(plan)
+            return original(plan)
+        monkeypatch.setattr(CompiledPlan, "refresh", counting)
+        return calls
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("name", sorted(_EVALUATIONS))
+    def test_exactly_one_refresh_on_the_bank(self, monkeypatch, name, warm):
+        plan = compile_plan(build_scalability_bank(branches=64))
+        if warm:
+            _EVALUATIONS[name](plan)
+        calls = self._count_refreshes(monkeypatch)
+        _EVALUATIONS[name](plan)
+        assert calls == [plan]
+
+    def test_pending_edit_is_picked_up_by_that_one_refresh(self):
+        plan = compile_plan(_fork_graph(bits=12))
+        before = evaluate_psd(plan, 64)
+        node = plan.graph.node("hp")
+        node.quantization = node.quantization.with_fractional_bits(8)
+        after = evaluate_psd(plan, 64)
+        with memoization_disabled():
+            cold = evaluate_psd(plan, 64)
+        assert after.total_power > before.total_power
+        np.testing.assert_array_equal(after.ac, cold.ac)
+
+    def test_config_stack_folds_pending_edits_in(self):
+        plan = compile_plan(_fork_graph(bits=12))
+        node = plan.graph.node("hp")
+        node.quantization = node.quantization.with_fractional_bits(8)
+        index = plan.index_of["hp"]
+        means, variances = plan.config_stack([{}]).noise(plan.steps[index])
+        fresh = CompiledPlan(plan.graph).steps[index].noise
+        assert (means[0], variances[0]) == (fresh.mean, fresh.variance)
 
 
 class TestFlatPathFunctionCache:

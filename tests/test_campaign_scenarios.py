@@ -17,8 +17,6 @@ contract the campaign layer relies on:
 import numpy as np
 import pytest
 
-from legacy_reference import legacy_agnostic, legacy_psd, legacy_run
-
 from repro.analysis.agnostic_method import evaluate_agnostic
 from repro.analysis.evaluator import AccuracyEvaluator
 from repro.analysis.metrics import is_sub_one_bit
@@ -37,6 +35,7 @@ from repro.systems.families import (
     build_interpolator_chain,
     build_polyphase_decimator,
 )
+from repro.verify.legacy import legacy_agnostic, legacy_psd, legacy_run
 
 # The four new families, built small enough for fast bitwise checks.
 NEW_FAMILIES = {

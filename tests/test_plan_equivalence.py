@@ -7,10 +7,10 @@ its memoized frequency responses and index-based schedule) must produce
 library used before (validate, re-derive the topological order, resolve
 predecessors by name, call every node's propagation rule directly).
 
-The legacy traversals live in :mod:`legacy_reference` (shared with the
-campaign scenario-family tests); here they are exercised on the paper's
-Table-I filter-bank systems and on a DWT-style multirate filter-bank
-graph.
+The legacy traversals live in :mod:`repro.verify.legacy` (shared with the
+campaign scenario-family tests and the differential fuzz); here they are
+exercised on the paper's Table-I filter-bank systems and on a DWT-style
+multirate filter-bank graph.
 """
 
 import numpy as np
@@ -26,13 +26,7 @@ from repro.systems.filter_bank import (
     generate_fir_bank,
     generate_iir_bank,
 )
-
-
-# ----------------------------------------------------------------------
-# Legacy reference implementations (shared with the campaign scenario
-# tests; see tests/legacy_reference.py)
-# ----------------------------------------------------------------------
-from legacy_reference import (
+from repro.verify.legacy import (
     legacy_agnostic as _legacy_agnostic,
     legacy_flat as _legacy_flat,
     legacy_psd as _legacy_psd,

@@ -1,4 +1,5 @@
-"""Unit and property tests for :class:`repro.psd.spectrum.DiscretePsd`."""
+"""Unit and property tests for :class:`repro.psd.spectrum.DiscretePsd`,
+unstacked and stacked along a leading configuration axis."""
 
 import numpy as np
 import pytest
@@ -164,3 +165,142 @@ class TestProperties:
             psd = psd.downsampled(2).upsampled(2)
             expected /= 2.0
         assert psd.variance == pytest.approx(expected, rel=1e-9)
+
+
+def _bitwise(a, b) -> bool:
+    """Equal values *and* equal zero signs (``-0.0`` is not ``+0.0``)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def _stack() -> DiscretePsd:
+    """Three configs on 16 bins; the first mean is a negative zero."""
+    ac = np.random.default_rng(7).uniform(0.0, 1.0, (3, 16))
+    return DiscretePsd(ac, np.array([-0.0, 0.25, -0.5]))
+
+
+def _rows(stack: DiscretePsd) -> list:
+    return [DiscretePsd(stack.ac[k], stack.mean[k])
+            for k in range(stack.size)]
+
+
+def _assert_row_by_row(stacked: DiscretePsd, rows: list) -> None:
+    assert stacked.stacked and stacked.size == len(rows)
+    for k, row in enumerate(rows):
+        assert not row.stacked
+        assert _bitwise(stacked.ac[k], row.ac), k
+        assert _bitwise(stacked.mean[k], row.mean), k
+
+
+_RESPONSE = TransferFunction.fir([-0.5, 0.25, 0.125]).frequency_response(16)
+
+#: Every operation of the algebra, applied to a stack and to its rows.
+_OPERATIONS = {
+    "copy": lambda psd: psd.copy(),
+    "delayed": lambda psd: psd.delayed(),
+    "scaled(1.0)": lambda psd: psd.scaled(1.0),
+    "scaled(-1.0)": lambda psd: psd.scaled(-1.0),
+    "scaled(0.5)": lambda psd: psd.scaled(0.5),
+    "mul": lambda psd: 3.0 * psd,
+    "add": lambda psd: psd + psd.scaled(-2.0),
+    "filtered": lambda psd: psd.filtered(_RESPONSE),
+    "downsampled": lambda psd: psd.downsampled(2),
+    "upsampled": lambda psd: psd.upsampled(4),
+    "resampled(4)": lambda psd: psd.resampled(4),
+    "resampled(32)": lambda psd: psd.resampled(32),
+    "resampled(12)": lambda psd: psd.resampled(12),
+}
+
+
+class TestStacked:
+    """A stacked PSD is row ``k`` for row ``k``, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(_OPERATIONS))
+    def test_operation_row_by_row(self, name):
+        operation = _OPERATIONS[name]
+        stack = _stack()
+        _assert_row_by_row(operation(stack),
+                           [operation(row) for row in _rows(stack)])
+
+    def test_filtered_per_row_response(self):
+        stack = _stack()
+        responses = np.stack([
+            TransferFunction.fir(taps).frequency_response(16)
+            for taps in ([1.0, -1.0], [0.5, 0.5], [-0.25, 0.75, 0.5])])
+        _assert_row_by_row(stack.filtered(responses),
+                           [row.filtered(response) for row, response
+                            in zip(_rows(stack), responses)])
+
+    def test_white_and_zero_row_by_row(self):
+        means = np.array([-0.0, 0.5, -0.125])
+        variances = np.array([1.0, 0.0, 3.0])
+        _assert_row_by_row(
+            DiscretePsd.from_moments(means, variances, 8),
+            [DiscretePsd.white(NoiseStats(mean, variance), 8)
+             for mean, variance in zip(means, variances)])
+        _assert_row_by_row(DiscretePsd.zero(8, 3),
+                           [DiscretePsd.zero(8)] * 3)
+
+    def test_summaries_row_by_row(self):
+        stack = _stack()
+        for k, row in enumerate(_rows(stack)):
+            assert _bitwise(stack.variance[k], row.variance)
+            assert _bitwise(stack.total_power[k], row.total_power)
+            assert _bitwise(stack.values[k], row.values)
+            stats, row_stats = stack.to_stats(), row.to_stats()
+            assert _bitwise(stats.mean[k], row_stats.mean)
+            assert _bitwise(stats.variance[k], row_stats.variance)
+
+    def test_unstacked_summaries_stay_floats(self):
+        row = _stack().select(2)
+        assert type(row.mean) is float and type(row.variance) is float
+        assert type(row.total_power) is float
+
+    def test_select_returns_the_row(self):
+        stack = _stack()
+        for k, row in enumerate(_rows(stack)):
+            selected = stack.select(k)
+            assert _bitwise(selected.ac, row.ac)
+            assert _bitwise(selected.mean, row.mean)
+        with pytest.raises(ValueError):
+            stack.select(0).select(0)
+
+    def test_white_rejects_negative_variance(self):
+        with pytest.raises(ValueError):
+            DiscretePsd.white(NoiseStats(0.0, -1.0), 8)
+        with pytest.raises(ValueError):
+            DiscretePsd.from_moments(np.zeros(2), np.array([1.0, -1.0]), 8)
+
+    def test_white_matches_scalar_white(self):
+        stack = DiscretePsd.from_moments(np.array([0.5, 0.0]),
+                                         np.array([1.0, 2.0]), 8)
+        scalar = DiscretePsd.white(NoiseStats(0.5, 1.0), 8)
+        np.testing.assert_array_equal(stack.ac[0], scalar.ac)
+        assert stack.mean[0] == scalar.mean
+
+    def test_shape_validation(self):
+        with pytest.raises(ValueError):
+            DiscretePsd(np.zeros(8), np.zeros(1))
+        with pytest.raises(ValueError):
+            DiscretePsd(np.zeros((2, 8)), np.zeros(3))
+        with pytest.raises(ValueError):
+            DiscretePsd(np.zeros((2, 3, 8)), np.zeros(2))
+        with pytest.raises(ValueError):
+            DiscretePsd.zero(8, 0)
+
+    def test_mismatched_addition_rejected(self):
+        with pytest.raises(ValueError):
+            DiscretePsd.zero(8, 2) + DiscretePsd.zero(16, 2)
+        with pytest.raises(ValueError):
+            DiscretePsd.zero(8, 2) + DiscretePsd.zero(8, 3)
+        with pytest.raises(ValueError):
+            DiscretePsd.zero(8, 2) + DiscretePsd.zero(8)
+
+    def test_filtered_rejects_wrong_length(self):
+        with pytest.raises(ValueError):
+            DiscretePsd.zero(8, 2).filtered(np.ones(4))
+        with pytest.raises(ValueError):
+            DiscretePsd.zero(8, 2).filtered(np.ones((3, 8)))
+        with pytest.raises(ValueError):
+            DiscretePsd.zero(8).filtered(np.ones((2, 8)))

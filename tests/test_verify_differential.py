@@ -191,14 +191,6 @@ class TestFuzzDriver:
 
 
 class TestLegacyShim:
-    def test_tests_module_reexports_package_implementations(self):
-        import legacy_reference
-        from repro.verify import legacy
-
-        for name in ("legacy_walk", "legacy_psd", "legacy_agnostic",
-                     "legacy_tracked", "legacy_flat", "legacy_run"):
-            assert getattr(legacy_reference, name) is getattr(legacy, name)
-
     def test_legacy_reference_still_disagrees_with_broken_graphs(self):
         # Sanity: the reference is independent enough to catch a
         # mutation — quantization specs differing between two otherwise
