@@ -8,19 +8,14 @@ noise is the difference of the two runs.  Its power is the ground truth
 spectrum is the ground truth for the frequency-repartition comparison of
 Fig. 7.
 
-The evaluator accepts either
-
-* a :class:`~repro.sfg.graph.SignalFlowGraph` or a pre-compiled
-  :class:`~repro.sfg.plan.CompiledPlan` (executed with
-  :class:`~repro.sfg.executor.SfgExecutor`, both precision modes in one
-  traversal), or
-* any object implementing the :class:`FixedPointSystem` protocol —
-  ``run_reference(stimulus)`` and ``run_fixed_point(stimulus)`` — which is
-  how the frequency-domain filter and the DWT codec plug in.
-
-For SFG systems the stimulus may be a 2-D array of shape ``(trials,
-samples)``: the whole Monte-Carlo batch then runs as one vectorized pass
-and the measured moments aggregate over all trials.
+The evaluator runs a :class:`~repro.sfg.graph.SignalFlowGraph` through its
+:class:`~repro.sfg.plan.CompiledPlan` (or takes the plan directly): every
+measurement, of one configuration or of a stack of them, is one
+``run(mode="double")`` leg — the reference, memoized per coefficient
+state and stimulus — and one ``run(mode="fixed")`` leg.  The stimulus may
+be a 2-D array of shape ``(trials, samples)``: the whole Monte-Carlo
+batch then runs as one vectorized pass and the measured moments
+aggregate over all trials.
 """
 
 from __future__ import annotations
@@ -28,7 +23,6 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 
@@ -37,9 +31,8 @@ from repro.analysis.metrics import noise_power
 from repro.obs import metric_inc, span
 from repro.psd.estimation import estimate_psd, estimate_psd_batch
 from repro.psd.spectrum import DiscretePsd
-from repro.sfg.executor import SfgExecutor
 from repro.sfg.graph import SignalFlowGraph
-from repro.sfg.plan import CompiledPlan
+from repro.sfg.plan import CompiledPlan, compile_plan
 
 
 # ----------------------------------------------------------------------
@@ -49,10 +42,10 @@ from repro.sfg.plan import CompiledPlan
 # coefficient fingerprint and the stimulus content — not on the data-path
 # word lengths the optimizer actually searches over — so it is cached on
 # the plan (shared by every evaluator of the same plan) and the memoized
-# error measurement reruns only the bit-true pass.  ``run_pair``'s two
-# legs execute exactly the per-mode operations of ``run``, so mixing a
-# cached reference with a fresh fixed run is bit-identical to a fresh
-# pair.  Bounded LRU: reference records are sample-sized arrays.
+# error measurement reruns only the bit-true pass.  The two legs are
+# independent ``plan.run`` calls either way, so a cached reference paired
+# with a fresh fixed run is bit-identical to a fresh measurement.
+# Bounded LRU: reference records are sample-sized arrays.
 _REFERENCE_MEMO_ATTRIBUTE = "_reference_memo"
 REFERENCE_MEMO_LIMIT = 8
 
@@ -76,21 +69,12 @@ def _stimulus_digest(stimulus: dict) -> str:
     return digest.hexdigest()
 
 
-def _memo_store(memo: OrderedDict, key: tuple, reference) -> None:
-    memo[key] = reference
-    while len(memo) > REFERENCE_MEMO_LIMIT:
-        memo.popitem(last=False)
-
-
-@runtime_checkable
-class FixedPointSystem(Protocol):
-    """Protocol for systems that can be simulated in both precisions."""
-
-    def run_reference(self, stimulus):
-        """Execute the system in double precision."""
-
-    def run_fixed_point(self, stimulus):
-        """Execute the system in bit-true fixed point."""
+def _check_measurement(n_psd: int | None, discard_transient: int) -> None:
+    if n_psd is not None and n_psd < 2:
+        raise ValueError(f"n_psd must be at least 2, got {n_psd}")
+    if discard_transient < 0:
+        raise ValueError(
+            f"discard_transient must be non-negative, got {discard_transient}")
 
 
 @dataclass
@@ -122,21 +106,14 @@ class SimulationResult:
 
 
 class SimulationEvaluator:
-    """Monte-Carlo evaluation of the output quantization noise."""
+    """Monte-Carlo evaluation of the output quantization noise.
 
-    def __init__(self, system):
-        """``system`` is a :class:`SignalFlowGraph`, a
-        :class:`CompiledPlan` or a :class:`FixedPointSystem`."""
-        if isinstance(system, (SignalFlowGraph, CompiledPlan)):
-            self._executor = SfgExecutor(system)
-            self._system = None
-        elif isinstance(system, FixedPointSystem):
-            self._executor = None
-            self._system = system
-        else:
-            raise TypeError(
-                "system must be a SignalFlowGraph, a CompiledPlan or "
-                "implement run_reference / run_fixed_point")
+    ``system`` is a :class:`SignalFlowGraph` (compiled with
+    :func:`~repro.sfg.plan.compile_plan`) or a :class:`CompiledPlan`.
+    """
+
+    def __init__(self, system: SignalFlowGraph | CompiledPlan):
+        self.plan = compile_plan(system)
 
     # ------------------------------------------------------------------
     # Error signal
@@ -147,50 +124,21 @@ class SimulationEvaluator:
         Parameters
         ----------
         stimulus:
-            For SFG systems, a mapping from input-node name to its sample
-            vector (a bare array is accepted for single-input graphs); 2-D
-            arrays of shape ``(trials, samples)`` run the whole batch in
-            one pass and produce a 2-D error record.
-            For protocol systems, whatever their ``run_*`` methods expect.
+            Mapping from input-node name to its sample vector (a bare
+            array is accepted for single-input graphs); 2-D arrays of
+            shape ``(trials, samples)`` run the whole batch in one pass
+            and produce a 2-D error record.
         output:
-            Output-node name for multi-output SFGs.
+            Output-node name for multi-output graphs.
         """
-        if self._executor is not None:
-            stimulus = self._normalize_stimulus(stimulus)
-            plan = self._executor.plan
-            memo = key = reference = None
-            if memoization_enabled():
-                plan.refresh()
-                memo = _reference_memo(plan)
-                key = (plan.coefficient_fingerprint(),
-                       _stimulus_digest(stimulus), output)
-                reference = memo.get(key)
-            with span("sim.error_signal", output=output or "") as sim_span:
-                if reference is not None:
-                    # Reference hit: only the bit-true pass reruns.
-                    memo.move_to_end(key)
-                    metric_inc("sim.reference_memo.hits")
-                    sim_span.set(reference_cached=True)
-                    fixed = plan.run(stimulus, mode="fixed").output(output)
-                else:
-                    metric_inc("sim.reference_memo.misses")
-                    sim_span.set(reference_cached=False)
-                    pair = self._executor.run_pair(stimulus)
-                    reference = pair[0].output(output)
-                    fixed = pair[1].output(output)
-                    if memo is not None:
-                        _memo_store(memo, key, reference)
-        else:
-            reference = np.asarray(self._system.run_reference(stimulus), dtype=float)
-            fixed = np.asarray(self._system.run_fixed_point(stimulus), dtype=float)
-        if reference.shape != fixed.shape:
-            raise ValueError(
-                "reference and fixed-point outputs have different shapes: "
-                f"{reference.shape} vs {fixed.shape}")
-        error = fixed - reference
-        if self._executor is not None and error.ndim > 1:
-            return error
-        return error.ravel()
+        stimulus = self._normalize_stimulus(stimulus)
+        output = self.plan.resolve_output(output)
+        digest = (_stimulus_digest(stimulus)
+                  if memoization_enabled() else None)
+        with span("sim.error_signal", output=output) as sim_span:
+            reference, cached = self._reference(stimulus, digest, output)
+            sim_span.set(reference_cached=cached)
+            return self._fixed_error(stimulus, reference, output)
 
     def evaluate(self, stimulus, output: str | None = None,
                  n_psd: int | None = None,
@@ -202,15 +150,16 @@ class SimulationEvaluator:
         stimulus:
             Input samples (see :meth:`error_signal`).
         output:
-            Output-node name for multi-output SFGs.
+            Output-node name for multi-output graphs.
         n_psd:
             When given, also estimate the error PSD on that many bins
-            (averaged over trials for batched runs).
+            (at least 2; averaged over trials for batched runs).
         discard_transient:
             Number of leading output samples to drop before measuring
             (filters have a start-up transient during which the noise is
             not yet stationary); applied per trial for batched runs.
         """
+        _check_measurement(n_psd, discard_transient)
         error = self.error_signal(stimulus, output=output)
         return self._measure(error, n_psd, discard_transient)
 
@@ -225,7 +174,7 @@ class SimulationEvaluator:
         coefficient precision and the double-precision reference is run
         *once per group* (the reference only depends on the quantized
         coefficients), so ``K`` configs sharing coefficients cost
-        ``1 + K`` traversals instead of ``2 K``.  The plan's quantization
+        ``1 + K`` runs instead of ``2 K``.  The plan's quantization
         state is restored afterwards.
 
         Parameters
@@ -241,48 +190,67 @@ class SimulationEvaluator:
         list of SimulationResult
             One measurement per assignment, in order.
         """
-        if self._executor is None:
-            raise TypeError(
-                "evaluate_batch requires an SFG-backed evaluator; protocol "
-                "systems have no word-length assignment to re-quantize")
-        plan = self._executor.plan
+        _check_measurement(n_psd, discard_transient)
+        plan = self.plan
+        output = plan.resolve_output(output)
         stack = plan.config_stack(assignments)
         stimulus = self._normalize_stimulus(stimulus)
-
         digest = (_stimulus_digest(stimulus)
                   if memoization_enabled() else None)
         results: list[SimulationResult | None] = [None] * stack.size
         with span("sim.evaluate_batch", configs=stack.size,
-                  output=output or ""), plan.preserve_quantization():
+                  output=output), plan.preserve_quantization():
             for members in stack.coefficient_groups():
                 plan.requantize(stack.resolved(members[0]),
                                 allow_enable=True)
-                memo = key = reference = None
-                if digest is not None:
-                    memo = _reference_memo(plan)
-                    key = (plan.coefficient_fingerprint(), digest, output)
-                    reference = memo.get(key)
-                if reference is not None:
-                    memo.move_to_end(key)
-                    metric_inc("sim.reference_memo.hits")
-                else:
-                    metric_inc("sim.reference_memo.misses")
-                    reference = plan.run(stimulus,
-                                         mode="double").output(output)
-                    if memo is not None:
-                        _memo_store(memo, key, reference)
+                reference, _ = self._reference(stimulus, digest, output)
                 for k in members:
                     plan.requantize(stack.resolved(k), allow_enable=True)
-                    fixed = plan.run(stimulus, mode="fixed").output(output)
-                    if reference.shape != fixed.shape:
-                        raise ValueError(
-                            "reference and fixed-point outputs have "
-                            f"different shapes: {reference.shape} vs "
-                            f"{fixed.shape}")
-                    error = fixed - reference
+                    error = self._fixed_error(stimulus, reference, output)
                     results[k] = self._measure(error, n_psd,
                                                discard_transient)
         return results
+
+    # ------------------------------------------------------------------
+    # The two legs of a measurement
+    # ------------------------------------------------------------------
+    def _reference(self, stimulus: dict, digest: str | None,
+                   output: str) -> tuple[np.ndarray, bool]:
+        """Double-precision output of the plan's current coefficient state.
+
+        Served from the plan's reference memo when ``digest`` (the
+        stimulus digest, ``None`` with memoization off) finds a record;
+        the second value tells whether it did.
+        """
+        plan = self.plan
+        if digest is not None:
+            plan.refresh()
+            memo = _reference_memo(plan)
+            key = (plan.coefficient_fingerprint(), digest, output)
+            reference = memo.get(key)
+            if reference is not None:
+                memo.move_to_end(key)
+                metric_inc("sim.reference_memo.hits")
+                return reference, True
+        metric_inc("sim.reference_memo.misses")
+        reference = plan.run(stimulus, mode="double").output(output)
+        if digest is not None:
+            memo[key] = reference
+            while len(memo) > REFERENCE_MEMO_LIMIT:
+                memo.popitem(last=False)
+        return reference, False
+
+    def _fixed_error(self, stimulus: dict, reference: np.ndarray,
+                     output: str) -> np.ndarray:
+        """Bit-true output of the plan's current state minus ``reference``."""
+        fixed = self.plan.run(stimulus, mode="fixed").output(output)
+        if reference.shape != fixed.shape:
+            # Both modes run the same schedule on the same stimulus, so a
+            # length mismatch can only be a node implementation bug.
+            raise ValueError(
+                "reference and fixed-point outputs have different shapes: "
+                f"{reference.shape} vs {fixed.shape}")
+        return fixed - reference
 
     def _measure(self, error: np.ndarray, n_psd: int | None,
                  discard_transient: int) -> SimulationResult:
@@ -292,7 +260,7 @@ class SimulationEvaluator:
                     f"cannot discard {discard_transient} samples from a "
                     f"record of length {error.shape[-1]}")
             error = error[..., discard_transient:]
-        psd = self._error_psd(error, n_psd) if n_psd else None
+        psd = self._error_psd(error, n_psd) if n_psd is not None else None
         return SimulationResult(
             error_power=noise_power(error),
             error_mean=float(np.mean(error)),
@@ -317,9 +285,9 @@ class SimulationEvaluator:
     def _normalize_stimulus(self, stimulus) -> dict:
         if isinstance(stimulus, dict):
             return stimulus
-        input_names = self._executor.graph.input_names()
+        input_names = self.plan.input_names
         if len(input_names) != 1:
             raise ValueError(
                 "a bare stimulus array is only accepted for single-input "
-                f"graphs; this graph has inputs {input_names}")
+                f"graphs; this graph has inputs {list(input_names)}")
         return {input_names[0]: stimulus}

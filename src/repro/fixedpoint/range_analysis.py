@@ -375,11 +375,11 @@ def simulate_ranges(graph: SignalFlowGraph, stimulus: dict,
     """Measured per-node ranges for a concrete stimulus (for comparison).
 
     Range analysis is conservative by construction; this helper runs the
-    executor once and reports the observed min/max of every node signal so
+    graph once and reports the observed min/max of every node signal so
     that tests and examples can quantify the pessimism.
     """
-    from repro.sfg.executor import SfgExecutor
+    from repro.sfg.plan import compile_plan
 
-    result = SfgExecutor(graph).run(stimulus, mode=mode, keep_signals=True)
+    result = compile_plan(graph).run(stimulus, mode=mode, keep_signals=True)
     return {name: Interval(float(np.min(signal)), float(np.max(signal)))
             for name, signal in result.signals.items()}

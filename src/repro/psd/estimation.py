@@ -46,7 +46,7 @@ def periodogram(x: np.ndarray, n_bins: int) -> DiscretePsd:
         are used and averaged (rectangular window, no overlap), which makes
         this a Bartlett estimate; if shorter, the record is zero-padded.
     n_bins:
-        Number of frequency bins of the estimate.
+        Number of frequency bins of the estimate (at least 2).
     """
     return welch(x, n_bins, window="rectangular", overlap=0.0)
 
@@ -63,6 +63,8 @@ def _welch_stack(records: np.ndarray, n_bins: int, window: str,
     periodograms along the segment axis accumulates in the same order as
     the sequential ``+=``.
     """
+    if n_bins < 2:
+        raise ValueError(f"n_bins must be at least 2, got {n_bins}")
     if records.shape[-1] == 0:
         raise ValueError("cannot estimate the PSD of an empty record")
     if not 0.0 <= overlap < 1.0:
@@ -129,7 +131,8 @@ def welch(x: np.ndarray, n_bins: int, window: str = "hann",
     x:
         Sample record (flattened to 1-D).
     n_bins:
-        Segment length and number of frequency bins of the estimate.
+        Segment length and number of frequency bins of the estimate (at
+        least 2).
     window:
         Window applied to each segment (see :mod:`repro.lti.windows`).
     overlap:

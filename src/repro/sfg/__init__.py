@@ -17,10 +17,9 @@ subpackage provides:
   freezes the validated topological schedule (index-based wiring,
   pre-constructed quantizers, precomputed noise sources, memoized
   frequency responses) so every evaluation engine runs it many times
-  without re-deriving structure.
-* :mod:`~repro.sfg.executor` — dual-mode execution (double-precision
-  reference and bit-true fixed point) of a compiled plan, including
-  batched (trials × samples) Monte-Carlo runs.
+  without re-deriving structure.  :meth:`CompiledPlan.run` is the one
+  graph executor: double-precision reference or bit-true fixed point,
+  including batched (trials × samples) Monte-Carlo runs.
 * :mod:`~repro.sfg.builder` — a small fluent API for assembling graphs in
   examples and tests.
 """
@@ -41,8 +40,7 @@ from repro.sfg.nodes import (
 )
 from repro.sfg.graph import Edge, SignalFlowGraph, is_multirate
 from repro.sfg.cycles import break_feedback_loops, find_cycles
-from repro.sfg.plan import CompiledPlan, PlanStep, compile_plan
-from repro.sfg.executor import ExecutionResult, SfgExecutor
+from repro.sfg.plan import CompiledPlan, ExecutionResult, PlanStep, compile_plan
 from repro.sfg.builder import SfgBuilder
 from repro.sfg.serialization import (
     assignment_fingerprint,
@@ -82,7 +80,6 @@ __all__ = [
     "CompiledPlan",
     "PlanStep",
     "compile_plan",
-    "SfgExecutor",
     "ExecutionResult",
     "SfgBuilder",
 ]

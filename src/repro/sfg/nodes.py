@@ -194,13 +194,10 @@ class Node:
     Batched execution is part of the node contract: :meth:`simulate` and
     :meth:`simulate_fixed` must accept stacked stimuli — arrays whose
     *last* axis is time and whose leading axes are independent trials —
-    and vectorize over them.  The executor runs a whole Monte-Carlo
-    batch through every node in one call; there is no per-trial
-    fallback.  (``supports_batch`` is retained for introspection and is
-    always true.)
+    and vectorize over them.  :meth:`~repro.sfg.plan.CompiledPlan.run`
+    passes a whole Monte-Carlo batch through every node in one call;
+    there is no per-trial fallback.
     """
-
-    supports_batch = True
 
     def __init__(self, name: str, num_inputs: int,
                  quantization: QuantizationSpec | None = None):
@@ -305,7 +302,7 @@ class InputNode(Node):
         super().__init__(name, num_inputs=0, quantization=quantization)
 
     def simulate(self, inputs: list[np.ndarray]) -> np.ndarray:
-        raise RuntimeError("InputNode values are supplied by the executor")
+        raise RuntimeError("InputNode values are supplied by the stimulus")
 
     def propagate_stats(self, inputs: list[NoiseStats]) -> NoiseStats:
         return NoiseStats(0.0, 0.0)
@@ -413,13 +410,6 @@ class GainNode(_LtiMixin, Node):
         # noise source.
         (x,) = inputs
         return np.asarray(x, dtype=float) * self._quantized_gain()
-
-    def simulate_fixed(self, inputs: list[np.ndarray]) -> np.ndarray:
-        (x,) = inputs
-        output = np.asarray(x, dtype=float) * self._quantized_gain()
-        if self.quantization.enabled:
-            output = self.quantization.quantizer().quantize(output)
-        return output
 
 
 class DelayNode(_LtiMixin, Node):

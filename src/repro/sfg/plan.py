@@ -46,6 +46,7 @@ analytical walks (``evaluate_*_batch``) consume.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -181,6 +182,40 @@ class PlanStep:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"PlanStep({self.index}, {self.name!r})"
+
+
+@dataclass
+class ExecutionResult:
+    """Signals produced by one execution of a graph.
+
+    Attributes
+    ----------
+    outputs:
+        Mapping from output-node name to its signal.
+    signals:
+        Mapping from every node name to its output signal (only populated
+        when the run is asked to keep intermediate signals).
+    """
+
+    outputs: dict[str, np.ndarray]
+    signals: dict[str, np.ndarray] = field(default_factory=dict)
+
+    def output(self, name: str | None = None) -> np.ndarray:
+        """Return a single output signal.
+
+        Parameters
+        ----------
+        name:
+            Output-node name; may be omitted when the graph has exactly
+            one output.
+        """
+        if name is None:
+            if len(self.outputs) != 1:
+                raise ValueError(
+                    "graph has several outputs; specify which one to read "
+                    f"among {sorted(self.outputs)}")
+            return next(iter(self.outputs.values()))
+        return self.outputs[name]
 
 
 class CompiledPlan:
@@ -771,15 +806,26 @@ class CompiledPlan:
         return self._tape
 
     def run(self, inputs: dict, mode: str = "double",
-            keep_signals: bool = False):
-        """Execute the schedule on one stimulus (1-D) or a batch (2-D).
+            keep_signals: bool = False) -> ExecutionResult:
+        """Execute the schedule on one stimulus.
 
-        Parameters mirror :meth:`repro.sfg.executor.SfgExecutor.run`; a
-        2-D stimulus of shape ``(trials, samples)`` runs all trials in one
-        vectorized pass.
+        This is the only way a graph is executed: both precision modes,
+        every backend and the batched trial axis go through it.
+
+        Parameters
+        ----------
+        inputs:
+            Mapping from input-node name to its sample vector; a 2-D array
+            of shape ``(trials, samples)`` runs every trial in one
+            vectorized batch.
+        mode:
+            ``double`` for the infinite-precision reference or ``fixed``
+            for bit-true fixed-point execution.
+        keep_signals:
+            Whether to retain every intermediate node output in the
+            result (useful for debugging, range measurement and
+            block-level validation tests).
         """
-        from repro.sfg.executor import ExecutionResult
-
         if mode not in ("double", "fixed"):
             raise ValueError(f"unknown execution mode {mode!r}")
         # Pick up quantization-spec mutations made since the last run (a
@@ -820,58 +866,11 @@ class CompiledPlan:
             if keep_signals else {},
         )
 
-    def run_pair(self, inputs: dict, keep_signals: bool = False):
-        """Execute both precision modes in a single traversal.
-
-        Returns ``(reference, fixed)`` :class:`ExecutionResult` objects.
-        The stimulus is resolved, and the schedule walked, once; each step
-        evaluates its double-precision and bit-true behaviour side by side,
-        which is what the simulation-based error measurement needs.
-        """
-        from repro.sfg.executor import ExecutionResult
-
-        self.refresh()
-        stimulus = dict(zip(self.input_names, self._stimulus_slots(inputs)))
-        reference: list = [None] * len(self.steps)
-        tape = self._fixed_tape()
-        engine = "tape" if tape is not None else "walk"
-        metric_inc("plan.runs", mode="pair", engine=engine)
-        with span("plan.run_pair", engine=engine):
-            fixed: list = (tape.execute(stimulus) if tape is not None
-                           else [None] * len(self.steps))
-            for step in self.steps:
-                if isinstance(step.node, InputNode):
-                    value = stimulus[step.name]
-                    reference[step.index] = value
-                    if tape is None:
-                        fixed[step.index] = (
-                            step.quantizer.quantize(value)
-                            if step.quantizer is not None else value)
-                    continue
-                reference[step.index] = self._simulate(
-                    step.node, [reference[i] for i in step.predecessors],
-                    False)
-                if tape is None:
-                    fixed_inputs = [fixed[i] for i in step.predecessors]
-                    if step.edge_taps is not None:
-                        fixed_inputs = [
-                            tap.quantizer.quantize(value)
-                            if tap is not None else value
-                            for tap, value in zip(step.edge_taps,
-                                                  fixed_inputs)]
-                    fixed[step.index] = self._simulate(
-                        step.node, fixed_inputs, True)
-        results = []
-        for signals in (reference, fixed):
-            outputs = {name: signals[index]
-                       for name, index in zip(self.output_names,
-                                              self.output_indices)}
-            results.append(ExecutionResult(
-                outputs=outputs,
-                signals={step.name: signals[step.index]
-                         for step in self.steps} if keep_signals else {},
-            ))
-        return tuple(results)
+    def run_pair(self, inputs: dict, keep_signals: bool = False
+                 ) -> tuple[ExecutionResult, ExecutionResult]:
+        """``(reference, fixed)``: a ``double`` run, then a ``fixed`` run."""
+        return (self.run(inputs, mode="double", keep_signals=keep_signals),
+                self.run(inputs, mode="fixed", keep_signals=keep_signals))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"CompiledPlan({self.graph.name!r}, steps={len(self.steps)}, "

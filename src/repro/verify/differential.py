@@ -65,7 +65,6 @@ from repro.analysis.psd_method import (
 from repro.analysis.simulation_method import SimulationEvaluator
 from repro.data.signals import uniform_white_noise
 from repro.obs import span
-from repro.sfg.executor import SfgExecutor
 from repro.sfg.graph import SignalFlowGraph, is_multirate
 from repro.sfg.plan import CompiledPlan, compile_plan
 from repro.sfg.serialization import graph_fingerprint, graph_from_dict, graph_to_dict
@@ -182,9 +181,8 @@ def _check_plan_vs_legacy(graph, plan, *, samples, seed, n_psd, **options):
                  "tracked engine differs from the legacy traversal")
 
     stimulus = _stimulus(graph, samples, seed)
-    executor = SfgExecutor(plan)
     for mode in ("double", "fixed"):
-        via_plan = executor.run(stimulus, mode=mode).output(None)
+        via_plan = plan.run(stimulus, mode=mode).output(None)
         reference = legacy_run(graph, stimulus, mode)
         _require(np.array_equal(via_plan, reference),
                  f"{mode}-precision simulation differs from the legacy "
@@ -196,12 +194,11 @@ def _check_backend_equality(graph, plan, *, samples, seed, **options):
     from repro.simkernel import use_backend
 
     stimulus = _stimulus(graph, samples, seed)
-    executor = SfgExecutor(plan)
 
     def compare(label):
         with use_backend("reference"):
-            expected = executor.run(stimulus, mode="fixed").output(None)
-        output = executor.run(stimulus, mode="fixed").output(None)
+            expected = plan.run(stimulus, mode="fixed").output(None)
+        output = plan.run(stimulus, mode="fixed").output(None)
         _require(output.shape == expected.shape
                  and np.array_equal(output, expected),
                  f"default backend differs bitwise from the reference "

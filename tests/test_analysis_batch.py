@@ -188,18 +188,6 @@ class TestSimulationBatch:
         ])
         assert stack.coefficient_groups() == [[0, 2], [1]]
 
-    def test_protocol_systems_rejected(self):
-        class Protocol:
-            def run_reference(self, stimulus):
-                return stimulus
-
-            def run_fixed_point(self, stimulus):
-                return stimulus
-
-        evaluator = SimulationEvaluator(Protocol())
-        with pytest.raises(TypeError):
-            evaluator.evaluate_batch([{"x": 8}], np.zeros(16))
-
 
 def _bitwise(a, b) -> bool:
     """Equal values *and* equal zero signs (``-0.0`` is not ``+0.0``)."""

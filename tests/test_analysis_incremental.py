@@ -276,6 +276,19 @@ class TestFlatPathFunctionCache:
         assert len(plan_memo(plan).path_functions) == 0
 
 
+def _count_double_runs(monkeypatch, plan) -> dict:
+    """Count ``plan.run(mode="double")`` calls from now on."""
+    real_run = plan.run
+    calls = {"double": 0}
+
+    def counting_run(inputs, mode="double", **kwargs):
+        calls["double"] += mode == "double"
+        return real_run(inputs, mode=mode, **kwargs)
+
+    monkeypatch.setattr(plan, "run", counting_run)
+    return calls
+
+
 class TestSimulationReferenceMemo:
     def _evaluator_and_stimulus(self):
         plan = compile_plan(_fork_graph())
@@ -286,17 +299,9 @@ class TestSimulationReferenceMemo:
     def test_reference_run_reused_across_data_path_edits(self, monkeypatch):
         plan, evaluator, stimulus = self._evaluator_and_stimulus()
         first = evaluator.error_signal(stimulus)
-        executor = evaluator._executor
-        real_run_pair = executor.run_pair
-        calls = {"run_pair": 0}
-
-        def counting_run_pair(*args, **kwargs):
-            calls["run_pair"] += 1
-            return real_run_pair(*args, **kwargs)
-
-        monkeypatch.setattr(executor, "run_pair", counting_run_pair)
+        calls = _count_double_runs(monkeypatch, plan)
         second = evaluator.error_signal(stimulus)
-        assert calls["run_pair"] == 0  # reference leg served from memo
+        assert calls["double"] == 0  # reference leg served from memo
         assert np.array_equal(first, second)
 
     def test_memo_results_match_disabled_runs_bitwise(self):
@@ -310,14 +315,30 @@ class TestSimulationReferenceMemo:
     def test_different_stimulus_misses(self, monkeypatch):
         plan, evaluator, stimulus = self._evaluator_and_stimulus()
         evaluator.error_signal(stimulus)
-        executor = evaluator._executor
-        real_run_pair = executor.run_pair
-        calls = {"run_pair": 0}
-
-        def counting_run_pair(*args, **kwargs):
-            calls["run_pair"] += 1
-            return real_run_pair(*args, **kwargs)
-
-        monkeypatch.setattr(executor, "run_pair", counting_run_pair)
+        calls = _count_double_runs(monkeypatch, plan)
         evaluator.error_signal({"x": uniform_white_noise(512, seed=4)})
-        assert calls["run_pair"] == 1
+        assert calls["double"] == 1
+
+    def test_in_place_coefficient_edit_misses(self):
+        # A gain edited on the graph, with no requantize or run in
+        # between, must change the memo key before the lookup.
+        plan, evaluator, stimulus = self._evaluator_and_stimulus()
+        evaluator.error_signal(stimulus)
+        plan.graph.node("g").gain = 0.75
+        memoized = evaluator.error_signal(stimulus)
+        with memoization_disabled():
+            cold = evaluator.error_signal(stimulus)
+        assert np.array_equal(memoized, cold)
+
+    def test_disabled_batch_runs_double_once_per_coefficient_group(
+            self, monkeypatch):
+        # hp's coefficients follow its data word length, so the two hp
+        # widths form two coefficient groups; the input widths share one.
+        plan, evaluator, stimulus = self._evaluator_and_stimulus()
+        assignments = [{"x": 10}, {"x": 8}, {"hp": 9}, {"hp": 9, "x": 8}]
+        assert plan.config_stack(assignments).coefficient_groups() == \
+            [[0, 1], [2, 3]]
+        calls = _count_double_runs(monkeypatch, plan)
+        with memoization_disabled():
+            evaluator.evaluate_batch(assignments, stimulus)
+        assert calls["double"] == 2

@@ -1,8 +1,12 @@
 """Unit tests for the simulation-based evaluator."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
+from repro.analysis._engine import memoization_disabled
+from repro.analysis.evaluator import AccuracyEvaluator
 from repro.analysis.simulation_method import SimulationEvaluator
 from repro.lti.fir_design import design_fir_lowpass
 from repro.sfg.builder import SfgBuilder
@@ -14,20 +18,6 @@ def _graph(bits=8):
     h = builder.fir("h", design_fir_lowpass(9, 0.5), x, fractional_bits=bits)
     builder.output("y", h)
     return builder.build()
-
-
-class _CallableSystem:
-    """Minimal FixedPointSystem protocol implementation for the tests."""
-
-    def __init__(self, bits):
-        self.step = 2.0 ** -bits
-
-    def run_reference(self, stimulus):
-        return np.asarray(stimulus, dtype=float) * 0.5
-
-    def run_fixed_point(self, stimulus):
-        exact = np.asarray(stimulus, dtype=float) * 0.5
-        return np.floor(exact / self.step + 0.5) * self.step
 
 
 class TestWithGraphs:
@@ -122,25 +112,87 @@ class TestBatchedStimulus:
         assert result.error_power > 0.0
 
 
-class TestWithProtocolSystems:
-    def test_protocol_object_accepted(self, rng):
-        system = _CallableSystem(bits=8)
-        evaluator = SimulationEvaluator(system)
-        result = evaluator.evaluate(rng.uniform(-1, 1, 20_000))
-        expected = (2.0 ** -8) ** 2 / 12
-        assert result.error_power == pytest.approx(expected, rel=0.1)
+def _two_output_graph(bits=8):
+    builder = SfgBuilder("two-outputs")
+    x = builder.input("x", fractional_bits=bits)
+    h = builder.fir("h", design_fir_lowpass(9, 0.5), x, fractional_bits=bits)
+    builder.output("y1", h)
+    builder.output("y2", x)
+    return builder.build()
 
+
+def _psd_fields(psd):
+    return None if psd is None else (psd.ac.tobytes(), psd.mean)
+
+
+class TestValidation:
     def test_invalid_system_rejected(self):
         with pytest.raises(TypeError):
             SimulationEvaluator(42)
 
-    def test_shape_mismatch_detected(self, rng):
-        class Broken:
-            def run_reference(self, stimulus):
-                return np.zeros(10)
+    @pytest.mark.parametrize("entry", ["evaluate", "evaluate_batch",
+                                       "simulate", "compare"])
+    def test_negative_transient_rejected(self, short_white_noise, entry):
+        graph = _graph()
+        calls = {
+            "evaluate": lambda: SimulationEvaluator(graph).evaluate(
+                short_white_noise, discard_transient=-10),
+            "evaluate_batch": lambda: SimulationEvaluator(graph)
+            .evaluate_batch([{}], short_white_noise, discard_transient=-10),
+            "simulate": lambda: AccuracyEvaluator(graph).simulate(
+                short_white_noise, discard_transient=-10),
+            "compare": lambda: AccuracyEvaluator(graph).compare(
+                short_white_noise, discard_transient=-10),
+        }
+        with pytest.raises(ValueError, match="non-negative"):
+            calls[entry]()
 
-            def run_fixed_point(self, stimulus):
-                return np.zeros(11)
+    @pytest.mark.parametrize("n_psd", [0, 1, -4])
+    def test_bin_count_below_two_rejected(self, short_white_noise, n_psd):
+        evaluator = SimulationEvaluator(_graph())
+        with pytest.raises(ValueError, match="n_psd must be at least 2"):
+            evaluator.evaluate(short_white_noise, n_psd=n_psd)
+        with pytest.raises(ValueError, match="n_psd must be at least 2"):
+            evaluator.evaluate_batch([{}], short_white_noise, n_psd=n_psd)
 
-        with pytest.raises(ValueError):
-            SimulationEvaluator(Broken()).error_signal(np.zeros(10))
+    def test_unknown_output_rejected_before_any_run(self, short_white_noise,
+                                                    monkeypatch):
+        evaluator = SimulationEvaluator(_graph())
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the plan ran before the output check")
+
+        monkeypatch.setattr(evaluator.plan, "run", no_run)
+        match = "'nope' is not an output node"
+        with pytest.raises(ValueError, match=match):
+            evaluator.evaluate(short_white_noise, output="nope")
+        with pytest.raises(ValueError, match=match):
+            evaluator.error_signal(short_white_noise, output="nope")
+        with pytest.raises(ValueError, match=match):
+            evaluator.evaluate_batch([{}], short_white_noise, output="nope")
+
+    def test_multi_output_graph_needs_an_output_name(self, short_white_noise):
+        evaluator = SimulationEvaluator(_two_output_graph())
+        with pytest.raises(ValueError, match="specify which"):
+            evaluator.error_signal(short_white_noise)
+        assert evaluator.evaluate(short_white_noise,
+                                  output="y2").error_power > 0.0
+
+
+class TestOneMeasurementPath:
+    @pytest.mark.parametrize("memoized", [True, False])
+    def test_evaluate_equals_one_config_batch(self, short_white_noise,
+                                              memoized):
+        evaluator = SimulationEvaluator(_graph())
+        context = nullcontext() if memoized else memoization_disabled()
+        with context:
+            single = evaluator.evaluate(short_white_noise, n_psd=64,
+                                        discard_transient=16)
+            (batched,) = evaluator.evaluate_batch(
+                [{}], short_white_noise, n_psd=64, discard_transient=16)
+        assert np.float64(single.error_power).tobytes() == \
+            np.float64(batched.error_power).tobytes()
+        assert np.float64(single.error_mean).tobytes() == \
+            np.float64(batched.error_mean).tobytes()
+        assert single.num_samples == batched.num_samples
+        assert _psd_fields(single.error_psd) == _psd_fields(batched.error_psd)

@@ -23,7 +23,7 @@ from repro.analysis.metrics import is_sub_one_bit
 from repro.analysis.psd_method import evaluate_psd
 from repro.campaign import build_scenario, get_family, scenario_names
 from repro.campaign.registry import scenario_signature
-from repro.sfg.executor import SfgExecutor
+from repro.sfg.plan import compile_plan
 from repro.sfg.serialization import (
     graph_fingerprint,
     graph_from_dict,
@@ -122,7 +122,7 @@ class TestBuilderEdgeCases:
                                           fractional_bits=None)
         rng = np.random.default_rng(11)
         x = rng.uniform(-0.9, 0.9, 4096)
-        polyphase = SfgExecutor(graph).run({"x": x}, mode="double").output("y")
+        polyphase = compile_plan(graph).run({"x": x}, mode="double").output("y")
         direct = np.convolve(x, design_fir_lowpass(16, 0.2))[:len(x)][::4]
         np.testing.assert_allclose(polyphase, direct, atol=1e-12)
 
@@ -157,10 +157,10 @@ class TestNewFamilyContracts:
         graph = NEW_FAMILIES[family]()
         rng = np.random.default_rng(23)
         x = rng.uniform(-0.9, 0.9, 2048)
-        executor = SfgExecutor(graph)
+        plan = compile_plan(graph)
         for mode in ("double", "fixed"):
             np.testing.assert_array_equal(
-                executor.run({"x": x}, mode=mode).output("y"),
+                plan.run({"x": x}, mode=mode).output("y"),
                 legacy_run(graph, {"x": x}, mode))
 
 

@@ -12,13 +12,13 @@ import pytest
 from repro import AccuracyEvaluator, quickstart_fir_graph
 from repro.analysis.flat_method import evaluate_flat
 from repro.analysis.psd_method import evaluate_psd
+from repro.analysis.simulation_method import SimulationEvaluator
 from repro.data.images import ImageGenerator
 from repro.data.signals import SignalGenerator, uniform_white_noise
 from repro.lti.fir_design import design_fir_highpass, design_fir_lowpass
 from repro.lti.iir_design import design_iir_filter
 from repro.sfg.builder import SfgBuilder
 from repro.sfg.cycles import break_feedback_loops
-from repro.sfg.executor import SfgExecutor
 from repro.systems.dwt.codec import Dwt97Codec
 from repro.systems.freq_filter import FrequencyDomainFilter
 
@@ -164,7 +164,7 @@ class TestNumericalRobustness:
         builder.output("y", h)
         graph = builder.build()
         assert evaluate_psd(graph, 64).total_power == 0.0
-        error = SfgExecutor(graph).run_error(
+        error = SimulationEvaluator(graph).error_signal(
             {"x": uniform_white_noise(1000, seed=0)})
         assert np.max(np.abs(error)) == 0.0
 

@@ -65,11 +65,11 @@ class TestSosGraphs:
         sos_graph = build_sos_graph(b, a, fractional_bits=20,
                                     rounding="round")
         direct_graph = build_direct_form_graph(b, a, fractional_bits=20)
-        from repro.sfg.executor import SfgExecutor
+        from repro.sfg.plan import compile_plan
 
         x = rng.uniform(-0.9, 0.9, 2000)
-        sos_out = SfgExecutor(sos_graph).run({"x": x}).output("y")
-        direct_out = SfgExecutor(direct_graph).run({"x": x}).output("y")
+        sos_out = compile_plan(sos_graph).run({"x": x}).output("y")
+        direct_out = compile_plan(direct_graph).run({"x": x}).output("y")
         # Coefficient quantization differs slightly between the two
         # realizations, so only require close agreement.
         assert np.max(np.abs(sos_out - direct_out)) < 1e-3

@@ -19,7 +19,8 @@ import pytest
 from repro.analysis.agnostic_method import evaluate_agnostic
 from repro.analysis.flat_method import evaluate_flat
 from repro.analysis.psd_method import evaluate_psd, evaluate_psd_tracked
-from repro.sfg.executor import SfgExecutor
+from repro.analysis.simulation_method import SimulationEvaluator
+from repro.sfg.plan import compile_plan
 from repro.systems.families import build_dwt97_bank
 from repro.systems.filter_bank import (
     build_filter_graph,
@@ -91,10 +92,10 @@ class TestTable1FilterBank:
     def test_simulator_bitwise_identical(self, index, rng):
         graph = _table1_graphs()[index]
         x = rng.uniform(-0.9, 0.9, 2048)
-        executor = SfgExecutor(graph)
+        plan = compile_plan(graph)
         for mode in ("double", "fixed"):
             np.testing.assert_array_equal(
-                executor.run({"x": x}, mode=mode).output("y"),
+                plan.run({"x": x}, mode=mode).output("y"),
                 _legacy_run(graph, {"x": x}, mode))
 
 
@@ -114,17 +115,17 @@ class TestDwtBank:
     def test_simulator_bitwise_identical(self, rng):
         graph = _dwt_graph()
         x = rng.uniform(-0.9, 0.9, 1024)
-        executor = SfgExecutor(graph)
+        plan = compile_plan(graph)
         for mode in ("double", "fixed"):
             np.testing.assert_array_equal(
-                executor.run({"x": x}, mode=mode).output("y"),
+                plan.run({"x": x}, mode=mode).output("y"),
                 _legacy_run(graph, {"x": x}, mode))
 
     def test_estimate_close_to_simulation(self, rng):
         """End-to-end sanity: the plan path still estimates accurately."""
         graph = _dwt_graph()
-        executor = SfgExecutor(graph)
         x = rng.uniform(-0.9, 0.9, 60_000)
-        measured = float(np.mean(executor.run_error({"x": x})[64:] ** 2))
+        error = SimulationEvaluator(graph).error_signal({"x": x})
+        measured = float(np.mean(error[64:] ** 2))
         estimated = evaluate_psd(graph, 512).total_power
         assert estimated == pytest.approx(measured, rel=0.3)

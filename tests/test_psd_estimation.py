@@ -55,6 +55,15 @@ class TestWelch:
         with pytest.raises(ValueError, match="zero power on 2 bins"):
             welch_batched(rng.standard_normal((3, 100)), 2)
 
+    @pytest.mark.parametrize("n_bins", [1, 0, -3])
+    def test_bin_count_below_two_rejected(self, rng, n_bins):
+        x = rng.standard_normal(100)
+        for estimate in (lambda: welch(x, n_bins),
+                         lambda: welch_batched(x.reshape(4, 25), n_bins),
+                         lambda: periodogram(x, n_bins)):
+            with pytest.raises(ValueError, match="n_bins must be at least 2"):
+                estimate()
+
     def test_invalid_overlap_rejected(self, rng):
         with pytest.raises(ValueError):
             welch(rng.standard_normal(100), 16, overlap=1.0)

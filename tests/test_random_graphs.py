@@ -5,7 +5,7 @@ import pytest
 
 from repro.data.signals import uniform_white_noise
 from repro.campaign import build_scenario
-from repro.sfg.executor import SfgExecutor
+from repro.sfg.plan import compile_plan
 from repro.sfg.graph import is_multirate
 from repro.sfg.nodes import DownsampleNode, IirNode, UpsampleNode
 from repro.sfg.serialization import graph_fingerprint
@@ -69,9 +69,9 @@ class TestValidity:
         graph = build_random_graph(seed, blocks=8)
         stimulus = {name: uniform_white_noise(2304, 0.9, seed + index)
                     for index, name in enumerate(graph.input_names())}
-        executor = SfgExecutor(graph)
+        plan = compile_plan(graph)
         for mode in ("double", "fixed"):
-            output = executor.run(stimulus, mode=mode).output("y")
+            output = plan.run(stimulus, mode=mode).output("y")
             assert np.all(np.isfinite(output))
             assert float(np.max(np.abs(output))) < 100.0
 

@@ -6,7 +6,7 @@ import pytest
 from repro.fixedpoint.quantizer import RoundingMode
 from repro.lti.transfer_function import TransferFunction
 from repro.sfg.builder import SfgBuilder
-from repro.sfg.executor import SfgExecutor
+from repro.sfg.plan import compile_plan
 from repro.sfg.nodes import DownsampleNode, UpsampleNode
 
 
@@ -42,11 +42,11 @@ class TestBuilder:
         b = builder.input("b")
         s = builder.add("s", [a, b], signs=[1.0, -1.0])
         builder.output("y", s)
-        executor = SfgExecutor(builder.build())
+        plan = compile_plan(builder.build())
         xa = rng.uniform(-1, 1, 20)
         xb = rng.uniform(-1, 1, 20)
         np.testing.assert_allclose(
-            executor.run({"a": xa, "b": xb}).output("y"), xa - xb)
+            plan.run({"a": xa, "b": xb}).output("y"), xa - xb)
 
     def test_gain_delay_chain(self, rng):
         builder = SfgBuilder()
@@ -54,9 +54,9 @@ class TestBuilder:
         g = builder.gain("g", 2.0, x)
         d = builder.delay("d", g, samples=1)
         builder.output("y", d)
-        executor = SfgExecutor(builder.build())
+        plan = compile_plan(builder.build())
         xin = rng.uniform(-1, 1, 10)
-        out = executor.run({"x": xin}).output("y")
+        out = plan.run({"x": xin}).output("y")
         np.testing.assert_allclose(out[1:], 2.0 * xin[:-1])
 
     def test_iir_and_lti_nodes(self, rng):
@@ -85,8 +85,8 @@ class TestBuilder:
         d = builder.downsample("down", x, factor=2)
         u = builder.upsample("up", d, factor=2)
         builder.output("y", u)
-        executor = SfgExecutor(builder.build())
+        plan = compile_plan(builder.build())
         xin = np.arange(8, dtype=float)
-        out = executor.run({"x": xin}).output("y")
+        out = plan.run({"x": xin}).output("y")
         np.testing.assert_allclose(out[::2], xin[::2])
         np.testing.assert_allclose(out[1::2], 0.0)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.sfg.builder import SfgBuilder
 from repro.sfg.cycles import break_feedback_loops, find_cycles
-from repro.sfg.executor import SfgExecutor
+from repro.sfg.plan import compile_plan
 from repro.sfg.graph import SignalFlowGraph
 from repro.sfg.nodes import (
     AddNode,
@@ -73,10 +73,10 @@ class TestBreakFeedbackLoops:
     def test_collapsed_graph_matches_recursive_filter(self):
         """The loop y[n] = x[n] + 0.5 y[n-1] is the IIR 1 / (1 - 0.5 z^-1)."""
         graph = break_feedback_loops(_feedback_graph(0.5))
-        executor = SfgExecutor(graph)
+        plan = compile_plan(graph)
         x = np.zeros(16)
         x[0] = 1.0
-        response = executor.run({"x": x}).output("y")
+        response = plan.run({"x": x}).output("y")
         np.testing.assert_allclose(response, 0.5 ** np.arange(16), atol=1e-12)
 
     def test_negative_feedback_sign(self):
@@ -92,7 +92,7 @@ class TestBreakFeedbackLoops:
         graph.connect("g", "sum", port=1)
         graph.connect("sum", "y")
         collapsed = break_feedback_loops(graph)
-        response = SfgExecutor(collapsed).run(
+        response = compile_plan(collapsed).run(
             {"x": np.eye(1, 16, 0).ravel()}).output("y")
         np.testing.assert_allclose(response, (-0.5) ** np.arange(16),
                                    atol=1e-12)

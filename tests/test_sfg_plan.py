@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.analysis.psd_method import evaluate_psd
+from repro.analysis.simulation_method import SimulationEvaluator
 from repro.lti.fir_design import design_fir_lowpass
 from repro.lti.iir_design import design_iir_filter
 from repro.sfg.builder import SfgBuilder
-from repro.sfg.executor import SfgExecutor
 from repro.sfg.nodes import FirNode, InputNode
 from repro.sfg.plan import (
     CompiledPlan,
@@ -25,6 +25,14 @@ def _graph(bits=10):
     h = builder.fir("h", design_fir_lowpass(9, 0.4), x, fractional_bits=bits)
     i = builder.iir("i", b, a, h, fractional_bits=bits)
     builder.output("y", i)
+    return builder.build()
+
+
+def _fir_graph(bits=10):
+    builder = SfgBuilder("fir")
+    x = builder.input("x", fractional_bits=bits)
+    h = builder.fir("h", design_fir_lowpass(9, 0.4), x, fractional_bits=bits)
+    builder.output("y", h)
     return builder.build()
 
 
@@ -142,16 +150,15 @@ class TestCoefficientMutation:
 
     def test_executor_picks_up_spec_mutation_between_runs(self, rng):
         graph = _graph(bits=4)
-        executor = SfgExecutor(graph)
+        plan = compile_plan(graph)
         stimulus = {"x": rng.uniform(-0.9, 0.9, 64)}
-        stale = executor.run(stimulus, mode="fixed").output("y")
+        stale = plan.run(stimulus, mode="fixed").output("y")
         node = graph.node("x")
         node.quantization = node.quantization.with_fractional_bits(12)
-        refreshed = executor.run(stimulus, mode="fixed").output("y")
+        refreshed = plan.run(stimulus, mode="fixed").output("y")
         np.testing.assert_array_equal(
             refreshed,
-            SfgExecutor(CompiledPlan(graph)).run(
-                stimulus, mode="fixed").output("y"))
+            CompiledPlan(graph).run(stimulus, mode="fixed").output("y"))
         assert not np.array_equal(refreshed, stale)
 
 
@@ -184,43 +191,74 @@ class TestRequantize:
 
 
 class TestExecution:
+    def test_output_matches_direct_filtering(self, rng):
+        graph = _fir_graph()
+        taps = graph.node("h")._effective_transfer_function().b
+        x = rng.uniform(-0.9, 0.9, 300)
+        result = compile_plan(graph).run({"x": x})
+        np.testing.assert_allclose(result.output("y"),
+                                   np.convolve(x, taps)[:300])
+
+    def test_keep_signals(self, rng):
+        x = rng.uniform(-0.9, 0.9, 50)
+        result = compile_plan(_fir_graph()).run({"x": x}, keep_signals=True)
+        assert set(result.signals) == {"x", "h", "y"}
+
+    def test_signals_not_kept_by_default(self, rng):
+        result = compile_plan(_fir_graph()).run({"x": rng.uniform(-1, 1, 10)})
+        assert result.signals == {}
+
+    def test_multi_output_requires_name(self, rng):
+        builder = SfgBuilder()
+        x = builder.input("x")
+        h1 = builder.fir("h1", [1.0], x)
+        h2 = builder.fir("h2", [0.5], x)
+        builder.output("y1", h1)
+        builder.output("y2", h2)
+        result = compile_plan(builder.build()).run(
+            {"x": rng.uniform(-1, 1, 5)})
+        with pytest.raises(ValueError):
+            result.output()
+        assert len(result.output("y2")) == 5
+
+    def test_all_signals_on_grid(self, rng):
+        x = rng.uniform(-0.9, 0.9, 200)
+        result = compile_plan(_fir_graph(bits=8)).run(
+            {"x": x}, mode="fixed", keep_signals=True)
+        for name, signal in result.signals.items():
+            scaled = signal * 2 ** 8
+            np.testing.assert_allclose(scaled, np.round(scaled), atol=1e-9,
+                                       err_msg=f"signal {name} off grid")
+
     def test_run_pair_matches_two_runs(self, rng):
-        executor = SfgExecutor(_graph(bits=7))
+        plan = compile_plan(_graph(bits=7))
         stimulus = {"x": rng.uniform(-0.9, 0.9, 500)}
-        reference, fixed = executor.run_pair(stimulus)
+        reference, fixed = plan.run_pair(stimulus)
         np.testing.assert_array_equal(
             reference.output("y"),
-            executor.run(stimulus, mode="double").output("y"))
+            plan.run(stimulus, mode="double").output("y"))
         np.testing.assert_array_equal(
             fixed.output("y"),
-            executor.run(stimulus, mode="fixed").output("y"))
+            plan.run(stimulus, mode="fixed").output("y"))
 
     def test_batched_run_matches_per_trial_runs(self, rng):
-        executor = SfgExecutor(_graph(bits=9))
+        plan = compile_plan(_graph(bits=9))
         block = rng.uniform(-0.9, 0.9, (6, 400))
-        batched = executor.run({"x": block}, mode="fixed").output("y")
+        batched = plan.run({"x": block}, mode="fixed").output("y")
         assert batched.shape == (6, 400)
         for trial in range(6):
             np.testing.assert_array_equal(
                 batched[trial],
-                executor.run({"x": block[trial]}, mode="fixed").output("y"))
-
-    def test_batched_run_error(self, rng):
-        executor = SfgExecutor(_graph(bits=9))
-        block = rng.uniform(-0.9, 0.9, (4, 300))
-        batched = executor.run_error({"x": block})
-        looped = np.stack([executor.run_error({"x": block[t]})
-                           for t in range(4)])
-        np.testing.assert_array_equal(batched, looped)
+                plan.run({"x": block[trial]}, mode="fixed").output("y"))
 
     def test_unknown_mode_rejected(self, rng):
-        executor = SfgExecutor(_graph())
+        plan = compile_plan(_graph())
         with pytest.raises(ValueError):
-            executor.run({"x": rng.uniform(-1, 1, 8)}, mode="half")
+            plan.run({"x": rng.uniform(-1, 1, 8)}, mode="half")
 
     def test_missing_stimulus_rejected(self):
         with pytest.raises(ValueError):
-            SfgExecutor(_graph()).run({})
+            compile_plan(_graph()).run({})
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_stimulus_rejected(self, rng, bad):
@@ -235,9 +273,46 @@ class TestExecution:
                                    match="'x' holds NaN or infinite"):
                     run(stimulus)
 
-    def test_run_error_rejects_shape_mismatch(self, rng, monkeypatch):
+
+class TestErrorSignal:
+    """The fixed-minus-double record of ``SimulationEvaluator``."""
+
+    def test_error_signal_is_fixed_minus_double(self, rng):
+        plan = compile_plan(_fir_graph(bits=6))
+        x = rng.uniform(-0.9, 0.9, 100)
+        reference = plan.run({"x": x}).output("y")
+        fixed = plan.run({"x": x}, mode="fixed").output("y")
+        np.testing.assert_array_equal(
+            SimulationEvaluator(plan).error_signal({"x": x}),
+            fixed - reference)
+
+    def test_error_shrinks_with_word_length(self, rng):
+        x = rng.uniform(-0.9, 0.9, 2000)
+        errors = [np.mean(SimulationEvaluator(_fir_graph(bits))
+                          .error_signal({"x": x}) ** 2)
+                  for bits in (6, 10, 14)]
+        assert errors[0] > errors[1] > errors[2]
+
+    def test_error_power_close_to_pqn_prediction(self, rng):
+        """Single FIR block: measured noise ~ (input + output source) model."""
+        graph = _fir_graph(bits=10)
+        x = rng.uniform(-0.9, 0.9, 60_000)
+        error = SimulationEvaluator(graph).error_signal({"x": x})
+        measured = np.mean(error[100:] ** 2)
+        predicted = evaluate_psd(graph, 512).total_power
+        assert measured == pytest.approx(predicted, rel=0.15)
+
+    def test_batched_error_signal(self, rng):
+        evaluator = SimulationEvaluator(_graph(bits=9))
+        block = rng.uniform(-0.9, 0.9, (4, 300))
+        batched = evaluator.error_signal({"x": block})
+        looped = np.stack([evaluator.error_signal({"x": block[t]})
+                           for t in range(4)])
+        np.testing.assert_array_equal(batched, looped)
+
+    def test_error_signal_rejects_shape_mismatch(self, rng, monkeypatch):
         graph = _graph(bits=8)
-        executor = SfgExecutor(CompiledPlan(graph))
+        evaluator = SimulationEvaluator(CompiledPlan(graph))
         node = graph.node("h")
         original = type(node).simulate_fixed
         monkeypatch.setattr(
@@ -247,4 +322,4 @@ class TestExecution:
         # backend's op tape never calls.
         with use_backend("reference"):
             with pytest.raises(ValueError, match="different shapes"):
-                executor.run_error({"x": rng.uniform(-0.9, 0.9, 64)})
+                evaluator.error_signal({"x": rng.uniform(-0.9, 0.9, 64)})

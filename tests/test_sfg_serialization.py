@@ -11,7 +11,7 @@ from repro.lti.fir_design import design_fir_lowpass
 from repro.lti.iir_design import design_iir_filter
 from repro.lti.transfer_function import TransferFunction
 from repro.sfg.builder import SfgBuilder
-from repro.sfg.executor import SfgExecutor
+from repro.sfg.plan import compile_plan
 from repro.sfg.nodes import LtiNode
 from repro.sfg.serialization import (
     assignment_fingerprint,
@@ -53,8 +53,8 @@ class TestRoundTrip:
         graph = _rich_graph()
         rebuilt = graph_from_dict(graph_to_dict(graph))
         x = rng.uniform(-0.9, 0.9, 512)
-        original = SfgExecutor(graph).run({"x": x}, mode="fixed").output("y")
-        restored = SfgExecutor(rebuilt).run({"x": x}, mode="fixed").output("y")
+        original = compile_plan(graph).run({"x": x}, mode="fixed").output("y")
+        restored = compile_plan(rebuilt).run({"x": x}, mode="fixed").output("y")
         np.testing.assert_allclose(restored, original)
 
     def test_round_trip_preserves_noise_estimate(self):
@@ -70,8 +70,8 @@ class TestRoundTrip:
         rebuilt = load_graph(path)
         x = rng.uniform(-0.9, 0.9, 128)
         np.testing.assert_allclose(
-            SfgExecutor(rebuilt).run({"x": x}).output("y"),
-            SfgExecutor(graph).run({"x": x}).output("y"))
+            compile_plan(rebuilt).run({"x": x}).output("y"),
+            compile_plan(graph).run({"x": x}).output("y"))
 
     def test_quantization_specs_preserved(self):
         graph = _rich_graph()
@@ -213,8 +213,8 @@ class TestEveryNodeTypeRoundTrip:
         plan = compile_plan(load_graph(path))
         x = rng.uniform(-0.9, 0.9, 256)
         np.testing.assert_array_equal(
-            SfgExecutor(plan).run({"x": x}, mode="fixed").output("y"),
-            SfgExecutor(graph).run({"x": x}, mode="fixed").output("y"))
+            plan.run({"x": x}, mode="fixed").output("y"),
+            compile_plan(graph).run({"x": x}, mode="fixed").output("y"))
 
 
 class TestFingerprints:

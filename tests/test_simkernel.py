@@ -32,7 +32,7 @@ from repro.psd.estimation import (
     welch,
     welch_batched,
 )
-from repro.sfg.executor import SfgExecutor
+from repro.sfg.plan import compile_plan
 from repro.simkernel import (
     default_backend,
     get_backend,
@@ -125,10 +125,10 @@ class TestIirKernelBitExactness:
                                          rounding=mode)
         stimulus = {"x": uniform_white_noise(2000, seed=9)}
         for system in (graph, direct):
-            executor = SfgExecutor(system)
-            fast = executor.run(stimulus, mode="fixed").output("y")
+            plan = compile_plan(system)
+            fast = plan.run(stimulus, mode="fixed").output("y")
             with use_backend("reference"):
-                slow = executor.run(stimulus, mode="fixed").output("y")
+                slow = plan.run(stimulus, mode="fixed").output("y")
             assert np.array_equal(fast, slow)
 
     def test_batched_rows_equal_single_stream_runs(self, rng):
@@ -230,14 +230,6 @@ class TestFrequencyDomainNodeVectorization:
         with use_backend("reference"):
             slow = node.simulate([x])
         assert np.array_equal(fast, slow)
-
-    def test_supports_batch_introspection_retained(self):
-        # The attribute survives (always true) even though the executor
-        # fallback it used to gate is gone.
-        from repro.sfg.nodes import GainNode, Node
-        assert Node.supports_batch is True
-        assert GainNode("g", 2.0).supports_batch is True
-        assert self._node().supports_batch is True
 
 
 class TestOverlapSaveBatched:
@@ -378,16 +370,16 @@ class TestPlanBatchValidation:
         return builder.build()
 
     def test_mismatched_trial_axes_rejected(self):
-        executor = SfgExecutor(self._two_input_graph())
+        plan = compile_plan(self._two_input_graph())
         stimulus = {"left": np.zeros((3, 64)), "right": np.zeros((4, 64))}
         with pytest.raises(ValueError, match="trial axes"):
-            executor.run(stimulus, mode="double")
+            plan.run(stimulus, mode="double")
         with pytest.raises(ValueError, match="trial axes"):
-            executor.run_pair(stimulus)
+            plan.run_pair(stimulus)
 
     def test_broadcast_of_unbatched_stimulus_still_allowed(self):
-        executor = SfgExecutor(self._two_input_graph())
+        plan = compile_plan(self._two_input_graph())
         stimulus = {"left": np.ones((3, 64)), "right": np.ones(64)}
-        result = executor.run(stimulus, mode="fixed").output("y")
+        result = plan.run(stimulus, mode="fixed").output("y")
         assert result.shape == (3, 64)
         assert np.all(result == 2.0)
