@@ -14,13 +14,13 @@ Fig. 6 F.F. workload:
   and bitwise identical;
 * a 64-trial batched run of the same system;
 * the direct-form IIR recursion of a Table-I filter, single stream and
-  64-trial batched, where the default backend runs the plan's op tape;
-  its single-stream run must be **>= 5x** faster than the reference
-  loops, with or without numba;
+  64-trial batched, where the default backend's IIR node runs the
+  generated recurrence; its single-stream run must be **>= 5x** faster
+  than the reference loops, with or without numba;
 * every row is asserted bitwise identical to the reference.
 
 Each backend gets one untimed warm-up call before the timed run so
-one-time costs (tape lowering, numba JIT compilation when installed)
+one-time costs (plan compilation, numba JIT compilation when installed)
 never pollute the ratios.
 """
 
@@ -75,7 +75,7 @@ def test_sim_engine_speedup(bench_config, results_dir):
     workloads.append((f"F.F. {trials}-trial", trials * trial_samples,
                       ffb_seconds, ffb_outputs))
 
-    # --- direct-form IIR (the op tape on the default path) ---------------
+    # --- direct-form IIR (the generated recurrence on the default path) --
     graph = build_filter_graph(generate_iir_bank(3)[2], fractional_bits=bits)
     iir_evaluator = SimulationEvaluator(graph)
     iir_stimulus = {"x": uniform_white_noise(samples, seed=3)}

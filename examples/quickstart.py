@@ -14,9 +14,9 @@ Run with::
 
     python examples/quickstart.py
 
-The bit-true Monte-Carlo half of the comparison runs the compiled plan's
-op tape, a whole-plan fused simulation (see ARCHITECTURE.md, "Simulation
-engine").
+The bit-true Monte-Carlo half of the comparison walks the compiled
+plan's schedule with vectorized per-node kernels (see ARCHITECTURE.md,
+"Simulation engine").
 """
 
 from __future__ import annotations

@@ -50,7 +50,7 @@ def bench_payload(name: str, *, workload: dict, seconds: dict,
     """Assemble one benchmark measurement in the shared JSON schema.
 
     ``warmup_s`` records the untimed warm-up call of each measured
-    configuration (JIT compilation, plan/tape lowering, cache priming) —
+    configuration (JIT compilation, plan compilation, cache priming) —
     kept separate so one-time compile cost never pollutes the speedup
     ratios the baseline floors pin.
     """
@@ -134,9 +134,9 @@ def _timed(function, *args):
 def _timed_warm(function, *args):
     """Time one call after one untimed warm-up call.
 
-    The default backend lowers plans to op tapes (and numba, when
-    installed, compiles its kernels) on first use; the warm-up absorbs
-    that one-time cost so the sampled seconds measure steady-state
+    The default backend compiles plans (and numba, when installed,
+    compiles the IIR recursion) on first use; the warm-up absorbs that
+    one-time cost so the sampled seconds measure steady-state
     throughput.  Returns
     ``(result, seconds, warmup_seconds)`` — the warm-up duration is
     reported separately in the payload's ``warmup_s`` field.

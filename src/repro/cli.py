@@ -729,7 +729,9 @@ def main(argv=None) -> int:
             write_metrics(metrics_path, session)
             print(f"wrote {metrics_path}")
         return status
-    except (OSError, ValueError, KeyError) as error:
+    except (OSError, ValueError, KeyError, NotImplementedError) as error:
+        # NotImplementedError: a method that does not cover the system,
+        # e.g. a single-rate analytical method on a multirate graph.
         print(f"error: {error}", file=sys.stderr)
         return 1
 

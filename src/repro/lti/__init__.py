@@ -13,9 +13,8 @@ benchmark systems:
 * :mod:`~repro.lti.filters` — stateful FIR / IIR filter implementations in
   double precision and fixed point.
 * :mod:`~repro.lti.multirate` — decimation and expansion operators.
-* :mod:`~repro.lti.convolution` — direct, overlap-save and overlap-add
-  convolution.
-* :mod:`~repro.lti.fft` — radix-2 FFT in double precision and fixed point.
+* :mod:`~repro.lti.convolution` — overlap-save convolution.
+* :mod:`~repro.lti.fft` — bit-true fixed-point radix-2 FFT.
 """
 
 from repro.lti.transfer_function import TransferFunction
@@ -29,8 +28,7 @@ from repro.lti.fir_design import (
 from repro.lti.iir_design import design_iir_filter
 from repro.lti.windows import get_window
 from repro.lti.multirate import downsample, upsample
-from repro.lti.convolution import convolve, overlap_add, overlap_save
-from repro.lti.fft import fft_radix2, ifft_radix2
+from repro.lti.convolution import overlap_save
 from repro.lti.sos import build_sos_graph, sos_to_tf, tf_to_sos
 
 __all__ = [
@@ -48,9 +46,5 @@ __all__ = [
     "get_window",
     "downsample",
     "upsample",
-    "convolve",
     "overlap_save",
-    "overlap_add",
-    "fft_radix2",
-    "ifft_radix2",
 ]

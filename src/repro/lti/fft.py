@@ -1,18 +1,14 @@
-"""Radix-2 FFT kernels, in double precision and bit-true fixed point.
+"""Bit-true fixed-point radix-2 FFT.
 
 The frequency-domain filtering system of the paper (Fig. 2) contains a
 16-point FFT, a point-wise multiplication by filter coefficients and a
 16-point inverse FFT.  To simulate that system in fixed point we need an
 FFT whose internal arithmetic can be quantized stage by stage, which
-off-the-shelf FFT routines do not expose.  This module provides:
-
-* :func:`fft_radix2` / :func:`ifft_radix2` — a reference iterative radix-2
-  decimation-in-time implementation (validated against ``numpy.fft`` in
-  the tests);
-* :class:`FixedPointFft` — the same butterflies with the twiddle factors
-  stored in fixed point and each stage output re-quantized, i.e. the
-  classical fixed-point FFT noise model (one white noise injection per
-  stage).
+off-the-shelf FFT routines do not expose.  :class:`FixedPointFft` runs
+iterative radix-2 decimation-in-time butterflies with the twiddle factors
+stored in fixed point and each stage output re-quantized, i.e. the
+classical fixed-point FFT noise model (one white noise injection per
+stage).
 """
 
 from __future__ import annotations
@@ -32,39 +28,6 @@ from repro.simkernel.fft import (
 def _check_power_of_two(n: int) -> None:
     if n < 1 or (n & (n - 1)) != 0:
         raise ValueError(f"FFT size must be a power of two, got {n}")
-
-
-def fft_radix2(x: np.ndarray) -> np.ndarray:
-    """Iterative radix-2 decimation-in-time FFT.
-
-    The input length must be a power of two.  Matches ``numpy.fft.fft`` up
-    to floating-point rounding.
-    """
-    x = np.asarray(x, dtype=complex)
-    n = len(x)
-    _check_power_of_two(n)
-    data = x[_bit_reverse_permutation(n)].copy()
-    size = 2
-    while size <= n:
-        half = size // 2
-        twiddles = np.exp(-2j * np.pi * np.arange(half) / size)
-        for start in range(0, n, size):
-            # Copy the upper half: the in-place update below would otherwise
-            # corrupt it before the lower half is computed.
-            top = data[start:start + half].copy()
-            bottom = data[start + half:start + size] * twiddles
-            data[start:start + half] = top + bottom
-            data[start + half:start + size] = top - bottom
-        size *= 2
-    return data
-
-
-def ifft_radix2(x: np.ndarray) -> np.ndarray:
-    """Inverse radix-2 FFT (scaled by ``1/N``)."""
-    x = np.asarray(x, dtype=complex)
-    n = len(x)
-    _check_power_of_two(n)
-    return np.conj(fft_radix2(np.conj(x))) / n
 
 
 class FixedPointFft:

@@ -10,7 +10,7 @@ allocates nothing.
 
 Instruments are identified by ``(name, labels)``; labels are keyword
 arguments canonicalised into a sorted tuple, so
-``registry.counter("tape.executions", engine="njit")`` always
+``registry.counter("plan.runs", mode="fixed")`` always
 resolves to the same instrument.  Snapshots are plain JSON-able dicts
 and can be merged back into another registry — that is how ProcessPool
 campaign workers ship their measurements to the driver.

@@ -5,8 +5,8 @@ Everything here is built around one module-global pointer: when it is
 returns a shared do-nothing context manager and the ``metric_*``
 helpers return after a single ``is None`` test.  Instrumented library
 code therefore calls these unconditionally at architectural boundaries
-and never below them; hot inner loops (the IIR recursion, the fused
-tape kernel) stay uninstrumented by rule, not by gating.
+and never below them; hot inner loops (the IIR recursion) stay
+uninstrumented by rule, not by gating.
 
 ``observe()`` is the CLI-facing way to enable collection for the span
 of one command; ProcessPool campaign workers call ``enable()`` /

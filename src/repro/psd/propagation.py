@@ -135,15 +135,6 @@ class TrackedSpectrum:
             mean += stats.mean * float(np.real(response[0]))
         return DiscretePsd(ac, mean)
 
-    def to_psd_uncorrelated(self) -> DiscretePsd:
-        """Collapse assuming distinct sources only (never cross paths).
-
-        Identical to :meth:`to_psd` because distinct sources are
-        independent; the method exists to make the intent explicit at call
-        sites and for symmetry with the block-level engines.
-        """
-        return self.to_psd()
-
     @property
     def total_power(self) -> float:
         """Total noise power at the tracked signal."""

@@ -66,10 +66,7 @@ from repro.sfg.nodes import (
     LtiNode,
     Node,
     UpsampleNode,
-    _LtiMixin,
 )
-from repro.simkernel.backend import get_backend
-from repro.simkernel.codegen import UnsupportedPlanError, lower_plan
 
 
 def parse_edge_key(key: str) -> tuple[str, str]:
@@ -297,15 +294,6 @@ class CompiledPlan:
         self._response_cache: dict[tuple, np.ndarray] = {}
         self._tf_cache: dict[tuple, TransferFunction] = {}
         self._gain_cache: dict[tuple, tuple[float, float]] = {}
-        # Lowered op tape of the fixed-point path.  The tape structure is
-        # built lazily (first fixed run) and lives as long as the plan —
-        # structural edits always produce a new plan, so only its
-        # *constants* ever go stale, which refresh() tracks through
-        # _tape_bound.  Plans that cannot be lowered record the reason
-        # once and keep using the per-node schedule walk.
-        self._tape = None
-        self._tape_bound = False
-        self._tape_error: str | None = None
         self.noise_steps: tuple[PlanStep, ...] = ()
         self.refresh()
 
@@ -404,11 +392,6 @@ class CompiledPlan:
         if stamped:
             self._epoch += 1
             self._step_epochs[stamped] = self._epoch
-        # The op tape closes over quantized coefficients, steps and edge
-        # taps: mark its constants stale so the next fixed run rebinds
-        # them (the tape *structure* is never rebuilt — satisfying the
-        # requantize hot loop).
-        self._tape_bound = False
         return True
 
     def requantize(self, assignment: dict[str, int | None],
@@ -755,13 +738,19 @@ class CompiledPlan:
         slots = [np.asarray(inputs[name], dtype=float)
                  for name in self.input_names]
         for name, slot in zip(self.input_names, slots):
+            # A scalar or an empty record has nothing to measure: it would
+            # yield the power of one sample, or fail deep inside a node.
+            if slot.ndim == 0 or slot.size == 0:
+                raise ValueError(
+                    f"stimulus for input node {name!r} has shape "
+                    f"{slot.shape}; it needs at least one sample (and at "
+                    "least one trial when batched)")
             # One NaN or inf sample would turn every measured power and
             # Ed into NaN (or a plausible-looking wrong value) silently.
             # min/max propagate NaN and reach +-inf, so they catch both
             # without a stimulus-sized mask (which measurably raises the
             # peak RSS of long stimuli).
-            if slot.size and not (np.isfinite(slot.min())
-                                  and np.isfinite(slot.max())):
+            if not (np.isfinite(slot.min()) and np.isfinite(slot.max())):
                 raise ValueError(
                     f"stimulus for input node {name!r} holds NaN or "
                     "infinite samples")
@@ -784,33 +773,14 @@ class CompiledPlan:
         compute = node.simulate_fixed if fixed else node.simulate
         return compute(node_inputs)
 
-    def _fixed_tape(self):
-        """The bound op tape that runs this plan's fixed-point simulation,
-        or ``None`` for the per-node walk: under the ``reference``
-        backend, and for plans holding nodes the tape cannot express."""
-        if get_backend() == "reference" or self._tape_error is not None:
-            return None
-        if self._tape is None:
-            try:
-                with span("tape.lower", graph=self.graph.name,
-                          steps=len(self.steps)):
-                    self._tape = lower_plan(self)
-            except UnsupportedPlanError as error:
-                self._tape_error = str(error)
-                return None
-            self._tape_bound = True
-        elif not self._tape_bound:
-            with span("tape.bind", graph=self.graph.name):
-                self._tape.bind(self)
-            self._tape_bound = True
-        return self._tape
-
     def run(self, inputs: dict, mode: str = "double",
             keep_signals: bool = False) -> ExecutionResult:
         """Execute the schedule on one stimulus.
 
         This is the only way a graph is executed: both precision modes,
-        every backend and the batched trial axis go through it.
+        both backends and the batched trial axis walk the schedule and
+        call each node's ``simulate`` or ``simulate_fixed``; the
+        ``reference`` backend only swaps the kernels inside the nodes.
 
         Parameters
         ----------
@@ -833,30 +803,24 @@ class CompiledPlan:
         self.refresh()
         fixed = mode == "fixed"
         stimulus = dict(zip(self.input_names, self._stimulus_slots(inputs)))
-        tape = self._fixed_tape() if fixed else None
-        engine = "tape" if tape is not None else "walk"
-        metric_inc("plan.runs", mode=mode, engine=engine)
-        with span("plan.run", mode=mode, engine=engine):
-            if tape is not None:
-                signals = tape.execute(stimulus)
-            else:
-                signals = [None] * len(self.steps)
-                for step in self.steps:
-                    if isinstance(step.node, InputNode):
-                        value = stimulus[step.name]
-                        if fixed and step.quantizer is not None:
-                            value = step.quantizer.quantize(value)
-                        signals[step.index] = value
-                        continue
-                    node_inputs = [signals[i] for i in step.predecessors]
-                    if fixed and step.edge_taps is not None:
-                        node_inputs = [
-                            tap.quantizer.quantize(value)
-                            if tap is not None else value
-                            for tap, value in zip(step.edge_taps,
-                                                  node_inputs)]
-                    signals[step.index] = self._simulate(step.node,
-                                                         node_inputs, fixed)
+        metric_inc("plan.runs", mode=mode)
+        with span("plan.run", mode=mode):
+            signals = [None] * len(self.steps)
+            for step in self.steps:
+                if isinstance(step.node, InputNode):
+                    value = stimulus[step.name]
+                    if fixed and step.quantizer is not None:
+                        value = step.quantizer.quantize(value)
+                    signals[step.index] = value
+                    continue
+                node_inputs = [signals[i] for i in step.predecessors]
+                if fixed and step.edge_taps is not None:
+                    node_inputs = [
+                        tap.quantizer.quantize(value)
+                        if tap is not None else value
+                        for tap, value in zip(step.edge_taps, node_inputs)]
+                signals[step.index] = self._simulate(step.node, node_inputs,
+                                                     fixed)
         outputs = {name: signals[index]
                    for name, index in zip(self.output_names,
                                           self.output_indices)}

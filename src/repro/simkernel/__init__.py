@@ -3,13 +3,12 @@
 This package is the performance layer of the bit-true simulation path:
 scaled-integer-domain IIR recursion kernels (:mod:`repro.simkernel.iir`),
 vectorized fixed-point FFT butterflies and overlap-save framing
-(:mod:`repro.simkernel.fft`), whole-plan op tapes
-(:mod:`repro.simkernel.codegen`), the preserved legacy loops every kernel
-is differentially verified against (:mod:`repro.simkernel.reference`),
-and the two-way backend switch (:mod:`repro.simkernel.backend`):
+(:mod:`repro.simkernel.fft`), the preserved legacy loops every kernel is
+differentially verified against (:mod:`repro.simkernel.reference`), and
+the two-way backend switch (:mod:`repro.simkernel.backend`):
 ``reference`` (the legacy loops, the oracle) and ``fast`` (the default).
-Under ``fast`` every lowerable fixed-point plan runs its op tape, and
-numba, when importable, JIT-compiles the tape and the IIR recursion
+Every run walks the plan's schedule and calls these kernels from inside
+the nodes; numba, when importable, JIT-compiles the IIR recursion
 automatically.  :func:`use_backend` forces the oracle for a block.
 """
 

@@ -7,12 +7,14 @@ Two backends produce the same bits:
   ``*_reference`` paths of the FFT and overlap-save engines).  Slow, but
   the oracle every fast path is differentially verified against, and the
   honest baseline of every speedup measurement.
-* ``fast`` — the default.  Fixed-point plans run their lowered op tape
-  (:mod:`repro.simkernel.codegen`); the per-node kernels serve the nodes
-  a tape cannot express and the double-precision walk.  numba is a tier
-  inside it, not a backend: the fused tape kernel and the IIR recursion
-  kernel switch to their JIT versions automatically when numba is
-  importable.
+* ``fast`` — the default: the vectorized per-node kernels (generated
+  IIR recurrence, stage-wise FFT butterflies, batched overlap-save).
+  numba is a tier inside it, not a backend: the IIR recursion kernel
+  switches to its JIT version automatically when numba is importable.
+
+Both backends run through the same schedule walk
+(:meth:`repro.sfg.plan.CompiledPlan.run`); the backend only picks the
+kernels the nodes call.
 
 :func:`use_backend` forces a backend for the duration of a block; that is
 how the tests, the bench and the differential fuzz reach the oracle.

@@ -1,25 +1,6 @@
-"""Plan-to-tape lowering: the fixed-point path of the ``fast`` backend.
+"""Retired plan lowering.
 
-Lowers whole :class:`~repro.sfg.plan.CompiledPlan` schedules into linear
-op tapes (:mod:`repro.simkernel.codegen.lowering`) executed either by
-the always-available NumPy tape interpreter
-(:mod:`repro.simkernel.codegen.interpreter`) or, when numba is
-importable, by a single fused JIT kernel
-(:mod:`repro.simkernel.codegen._njit`).  Every fixed-point run of a
-lowerable plan uses it unless ``use_backend("reference")`` is active;
-see ARCHITECTURE.md, "Simulation engine".
+Every bit-true run walks the plan's schedule (:meth:`repro.sfg.plan.
+CompiledPlan.run`); nothing is lowered any more.  Only the name
+:func:`repro.simkernel.codegen.lowering.lower_plan` remains.
 """
-
-from repro.simkernel.codegen.lowering import (
-    PlanTape,
-    TapeOp,
-    UnsupportedPlanError,
-    lower_plan,
-)
-
-__all__ = [
-    "PlanTape",
-    "TapeOp",
-    "UnsupportedPlanError",
-    "lower_plan",
-]

@@ -1,18 +1,10 @@
-"""Small shared utilities: text tables, timing helpers and validation."""
+"""Small shared utilities: text tables and timing helpers."""
 
 from repro.utils.tables import TextTable
 from repro.utils.timing import Stopwatch, time_callable
-from repro.utils.validation import (
-    check_positive_int,
-    check_probability,
-    check_same_length,
-)
 
 __all__ = [
     "TextTable",
     "Stopwatch",
     "time_callable",
-    "check_positive_int",
-    "check_probability",
-    "check_same_length",
 ]

@@ -14,8 +14,8 @@ graphs of :mod:`repro.systems.random_graphs`):
 3. **backend_equality** — the bit-true simulation produces identical
    bits under both simulation backends (:mod:`repro.simkernel`): the
    preserved legacy per-sample loops (``reference``) and the default
-   path (the plan's op tape, JIT-compiled when numba is installed), on
-   the generated graph and again after a seeded assignment with per-edge
+   kernels (with the JIT IIR recursion when numba is installed), on the
+   generated graph and again after a seeded assignment with per-edge
    fanout taps;
 4. **batch_vs_sequential** — a K-slice consistency property.  Scalar
    evaluations are the ``K = 1`` case of the batched step rules, so the
@@ -205,8 +205,8 @@ def _check_backend_equality(graph, plan, *, samples, seed, **options):
                  f"loops {label}")
 
     compare("on the generated graph")
-    # edges=True: the assignment may tap fanout edges, which the default
-    # path binds as per-input quantizers of the tape ops.
+    # edges=True: the assignment may tap fanout edges, so the walk's
+    # edge-tap quantization runs under both backends too.
     assignment = random_assignments(graph, seed + 7, 1, edges=True)[0]
     with plan.preserve_quantization():
         plan.requantize(assignment, allow_enable=True)

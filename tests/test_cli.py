@@ -22,6 +22,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.campaign.registry import build_scenario
 from repro.cli import main
 from repro.sfg.serialization import save_graph
 from repro.systems.filter_bank import build_filter_graph, generate_iir_bank
@@ -61,6 +62,14 @@ def system_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "system.json"
     entry = generate_iir_bank(1)[0]
     save_graph(build_filter_graph(entry, fractional_bits=10), path)
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def multirate_path(tmp_path_factory):
+    """The polyphase decimator scenario, a multirate system."""
+    path = tmp_path_factory.mktemp("cli") / "multirate.json"
+    save_graph(build_scenario("polyphase_decimator").graph, path)
     return str(path)
 
 
@@ -174,6 +183,18 @@ class TestSubcommandSmoke:
         assert code == 1
         assert "REGRESSION sim_engine_iir.single_stream" in captured.err
 
+    def test_fuzz_counts_fixed_plan_runs(self, capsys, tmp_path):
+        metrics = tmp_path / "metrics.json"
+        code = main(["fuzz", "--count", "2", "--seed", "0",
+                     "--blocks", "4", "--samples", "1152",
+                     "--ed-samples", "4608", "--n-psd", "96",
+                     "--metrics", str(metrics)])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert "all passed" in out
+        counts = json.loads(metrics.read_text())["metrics"]
+        assert counts.get("plan.runs{mode=fixed}", 0) > 0
+
     def test_fuzz(self, capsys, tmp_path):
         argv = ["fuzz", "--count", "2", "--seed", "0", "--blocks", "4",
                 "--samples", "1152", "--ed-samples", "4608",
@@ -221,6 +242,29 @@ class TestErrorPaths:
         code = main(["fuzz", "--count", "2", "--seed", "-3"])
         assert code == 1
         assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--method", "flat"],
+        ["evaluate", "--method", "psd_tracked"],
+        ["compare", "--methods", "flat", "--samples", "2000"],
+        ["optimize", "--method", "flat", "--budget", "1e-6"],
+        ["sweep", "--method", "flat", "--budgets", "1e-6"],
+    ], ids=["evaluate-flat", "evaluate-psd_tracked", "compare", "optimize",
+            "sweep"])
+    def test_single_rate_method_on_multirate_system_is_exit_code_1(
+            self, capsys, multirate_path, argv):
+        code = main([argv[0], multirate_path, *argv[1:]])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "multirate node" in err
+
+    def test_unknown_backend_rejected_by_argparse(self, capsys):
+        # There is no backend flag left to choose with.
+        for name in ("fortran", "codegen"):
+            with pytest.raises(SystemExit):
+                main(["fuzz", "--count", "1", "--backend", name])
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_fuzz_artifact_round_trip_on_forced_failure(self, capsys,
                                                         tmp_path,

@@ -1,26 +1,9 @@
-"""Unit tests for direct, overlap-save and overlap-add convolution."""
+"""Unit tests for overlap-save convolution."""
 
 import numpy as np
 import pytest
 
-from repro.lti.convolution import convolve, overlap_add, overlap_save
-
-
-class TestDirectConvolution:
-    def test_full_mode_length(self, rng):
-        x = rng.standard_normal(50)
-        h = rng.standard_normal(8)
-        assert len(convolve(x, h)) == 57
-
-    def test_same_mode_matches_numpy(self, rng):
-        x = rng.standard_normal(50)
-        h = rng.standard_normal(8)
-        np.testing.assert_allclose(convolve(x, h, "same"),
-                                   np.convolve(x, h)[:50])
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            convolve(np.ones(4), np.ones(2), "valid-ish")
+from repro.lti.convolution import overlap_save
 
 
 class TestOverlapSave:
@@ -36,46 +19,8 @@ class TestOverlapSave:
         with pytest.raises(ValueError):
             overlap_save(np.ones(100), np.ones(20), 16)
 
-    def test_custom_kernels_are_used(self, rng):
-        calls = {"fft": 0, "ifft": 0}
-
-        def counting_fft(x):
-            calls["fft"] += 1
-            return np.fft.fft(x)
-
-        def counting_ifft(x):
-            calls["ifft"] += 1
-            return np.fft.ifft(x)
-
-        x = rng.standard_normal(64)
-        h = rng.standard_normal(5)
-        result = overlap_save(x, h, 16, fft=counting_fft, ifft=counting_ifft)
-        np.testing.assert_allclose(result, np.convolve(x, h)[:64], atol=1e-10)
-        assert calls["fft"] > 1
-        assert calls["ifft"] >= 1
-
     def test_short_input(self, rng):
         x = rng.standard_normal(5)
         h = rng.standard_normal(3)
         np.testing.assert_allclose(overlap_save(x, h, 8),
                                    np.convolve(x, h)[:5], atol=1e-12)
-
-
-class TestOverlapAdd:
-    @pytest.mark.parametrize("fft_size", [16, 64])
-    def test_matches_direct_convolution(self, rng, fft_size):
-        x = rng.standard_normal(300)
-        h = rng.standard_normal(7)
-        expected = np.convolve(x, h)[:300]
-        np.testing.assert_allclose(overlap_add(x, h, fft_size), expected,
-                                   atol=1e-10)
-
-    def test_agrees_with_overlap_save(self, rng):
-        x = rng.standard_normal(200)
-        h = rng.standard_normal(6)
-        np.testing.assert_allclose(overlap_add(x, h, 32),
-                                   overlap_save(x, h, 32), atol=1e-10)
-
-    def test_filter_longer_than_fft_rejected(self):
-        with pytest.raises(ValueError):
-            overlap_add(np.ones(100), np.ones(40), 32)

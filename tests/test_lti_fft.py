@@ -1,29 +1,65 @@
-"""Unit tests for the radix-2 FFT kernels (double and fixed-point)."""
+"""Unit tests for the radix-2 FFT: the shared butterfly kernel (exact)
+and the bit-true fixed-point engine built on it."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.lti.fft import FixedPointFft, fft_radix2, ifft_radix2
+from repro.lti.fft import FixedPointFft
+from repro.simkernel.fft import fixed_fft_forward, fixed_fft_inverse
 
 
-class TestReferenceFft:
+def _exact_twiddles(size):
+    """Unquantized twiddle factors, keyed by butterfly size like the
+    engine's quantized ones."""
+    twiddles = {}
+    stage = 2
+    while stage <= size:
+        twiddles[stage] = np.exp(-2j * np.pi * np.arange(stage // 2) / stage)
+        stage *= 2
+    return twiddles
+
+
+def _identity(values):
+    return values
+
+
+def _exact_fft(x):
+    size = x.shape[-1]
+    return fixed_fft_forward(x, size, _exact_twiddles(size), _identity)
+
+
+def _exact_ifft(x):
+    size = x.shape[-1]
+    return fixed_fft_inverse(x, size, _exact_twiddles(size), _identity)
+
+
+class TestExactButterfly:
+    """With exact twiddles and no quantization, the butterfly kernels every
+    fixed-point FFT runs (:mod:`repro.simkernel.fft`) are the exact DFT."""
+
     @pytest.mark.parametrize("size", [1, 2, 4, 8, 16, 64, 256])
     def test_matches_numpy(self, rng, size):
         x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        np.testing.assert_allclose(fft_radix2(x), np.fft.fft(x), atol=1e-10)
+        np.testing.assert_allclose(_exact_fft(x), np.fft.fft(x), atol=1e-10)
 
-    def test_inverse_round_trip(self, rng):
-        x = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        np.testing.assert_allclose(ifft_radix2(fft_radix2(x)), x, atol=1e-12)
+    def test_leading_axes_are_independent_transforms(self, rng):
+        x = rng.standard_normal((3, 5, 16))
+        np.testing.assert_allclose(_exact_fft(x), np.fft.fft(x, axis=-1),
+                                   atol=1e-10)
 
-    def test_non_power_of_two_rejected(self):
-        with pytest.raises(ValueError):
-            fft_radix2(np.ones(12))
+    @pytest.mark.parametrize("size", [2, 32, 256])
+    def test_inverse_round_trip(self, rng, size):
+        x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        np.testing.assert_allclose(_exact_ifft(_exact_fft(x)), x, atol=1e-12)
+
+    def test_inverse_matches_numpy(self, rng):
+        x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        np.testing.assert_allclose(_exact_ifft(x), np.fft.ifft(x), atol=1e-12)
 
     def test_parseval(self, rng):
         x = rng.standard_normal(64)
-        spectrum = fft_radix2(x)
+        spectrum = _exact_fft(x)
         assert np.sum(np.abs(spectrum) ** 2) / 64 == pytest.approx(
             np.sum(x ** 2))
 
@@ -34,8 +70,8 @@ class TestReferenceFft:
         rng = np.random.default_rng(log_size)
         a = rng.standard_normal(size)
         b = rng.standard_normal(size)
-        np.testing.assert_allclose(fft_radix2(a + b),
-                                   fft_radix2(a) + fft_radix2(b), atol=1e-10)
+        np.testing.assert_allclose(_exact_fft(a + b),
+                                   _exact_fft(a) + _exact_fft(b), atol=1e-10)
 
 
 class TestFixedPointFft:

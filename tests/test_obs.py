@@ -18,6 +18,7 @@ import json
 import logging
 import os
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -71,15 +72,14 @@ def _campaign_spec(**overrides):
 class TestRegistry:
     def test_counter_identity_is_name_plus_labels(self):
         registry = MetricsRegistry()
-        a = registry.counter("tape.executions", engine="interpreter")
-        b = registry.counter("tape.executions", engine="interpreter")
-        c = registry.counter("tape.executions", engine="njit")
+        a = registry.counter("plan.runs", mode="fixed")
+        b = registry.counter("plan.runs", mode="fixed")
+        c = registry.counter("plan.runs", mode="double")
         assert a is b and a is not c
         a.inc()
         a.inc(2)
-        assert registry.count_of("tape.executions",
-                                 engine="interpreter") == 3
-        assert registry.count_of("tape.executions", engine="njit") == 0
+        assert registry.count_of("plan.runs", mode="fixed") == 3
+        assert registry.count_of("plan.runs", mode="double") == 0
 
     def test_counter_rejects_negative_increment(self):
         with pytest.raises(ValueError):
@@ -247,6 +247,43 @@ class TestNoopFastPath:
         memo = plan_memo(plan)
         assert memo.full_walks >= 1
         assert memo.metrics.count_of("memo.full_walks") == memo.full_walks
+
+
+# ----------------------------------------------------------------------
+# Plan runs
+# ----------------------------------------------------------------------
+class TestPlanRunInstrumentation:
+    """Every run walks the plan, so a run is labelled by its mode only."""
+
+    def _plan_and_stimulus(self):
+        from repro.campaign import build_scenario
+        from repro.sfg.plan import compile_plan
+
+        plan = compile_plan(build_scenario("table1_iir").graph)
+        return plan, {name: np.linspace(-0.5, 0.5, 512)
+                      for name in plan.input_names}
+
+    def test_runs_counted_by_mode(self):
+        plan, stimulus = self._plan_and_stimulus()
+        with obs.observe(trace=False) as session:
+            plan.run(stimulus, mode="fixed")
+            plan.run(stimulus, mode="double")
+            plan.run_pair(stimulus)
+        flat = session.metrics.flattened()
+        runs = {name: value for name, value in flat.items()
+                if name.startswith("plan.runs")}
+        assert runs == {"plan.runs{mode=double}": 2,
+                        "plan.runs{mode=fixed}": 2}
+        assert not any(name.startswith("tape.") for name in flat)
+
+    def test_run_span_carries_the_mode_only(self):
+        plan, stimulus = self._plan_and_stimulus()
+        with obs.observe() as session:
+            plan.run(stimulus, mode="fixed")
+        spans = session.trace.snapshot()
+        assert [entry["attrs"] for entry in spans
+                if entry["name"] == "plan.run"] == [{"mode": "fixed"}]
+        assert not any(entry["name"].startswith("tape.") for entry in spans)
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,17 @@
-"""Unit tests for graph compilation (`repro.sfg.plan`)."""
+"""Unit tests for graph compilation and execution (`repro.sfg.plan`)."""
+
+import dataclasses
+import logging
 
 import numpy as np
 import pytest
 
+from repro.analysis.evaluator import AccuracyEvaluator
 from repro.analysis.psd_method import evaluate_psd
 from repro.analysis.simulation_method import SimulationEvaluator
+from repro.campaign import build_scenario, scenario_names
+from repro.data.signals import uniform_white_noise
+from repro.fixedpoint.quantizer import RoundingMode
 from repro.lti.fir_design import design_fir_lowpass
 from repro.lti.iir_design import design_iir_filter
 from repro.sfg.builder import SfgBuilder
@@ -34,6 +41,43 @@ def _fir_graph(bits=10):
     h = builder.fir("h", design_fir_lowpass(9, 0.4), x, fractional_bits=bits)
     builder.output("y", h)
     return builder.build()
+
+
+def _one_gain_graph():
+    builder = SfgBuilder("one-gain")
+    x = builder.input("x")
+    builder.output("y", builder.gain("g", 0.5, x, fractional_bits=8))
+    return builder.build()
+
+
+def _mixed_graph(bits=10, rounding=RoundingMode.ROUND, name="plan-mixed"):
+    """Gain, FIR, IIR, delay, adder, decimator and expander on one path."""
+    builder = SfgBuilder(name)
+    x = builder.input("x", fractional_bits=bits, rounding=rounding)
+    g = builder.gain("g", 0.71, x, fractional_bits=bits, rounding=rounding)
+    h = builder.fir("h", [0.25, -0.5, 0.125], g,
+                    fractional_bits=bits, rounding=rounding)
+    v = builder.iir("v", [0.3, 0.2], [1.0, -0.5], h,
+                    fractional_bits=bits, rounding=rounding)
+    d = builder.delay("d", v, samples=2)
+    s = builder.add("s", [d, x], signs=[1.0, -1.0],
+                    fractional_bits=bits, rounding=rounding)
+    down = builder.downsample("down", s, factor=2, phase=1)
+    up = builder.upsample("up", down, factor=3)
+    builder.output("y", up)
+    return builder.build()
+
+
+def _white(samples=512, seed=11, trials=0):
+    if trials:
+        return {"x": np.stack([uniform_white_noise(samples, seed=seed + t)
+                               for t in range(trials)])}
+    return {"x": uniform_white_noise(samples, seed=seed)}
+
+
+def _run_fixed(plan, stimulus, backend=None):
+    with use_backend(backend):
+        return plan.run(stimulus, mode="fixed").output("y")
 
 
 class TestCompilation:
@@ -260,6 +304,38 @@ class TestExecution:
         with pytest.raises(ValueError):
             compile_plan(_graph()).run({})
 
+    @pytest.mark.parametrize("shape", [(), (0,), (3, 0), (0, 16)],
+                             ids=["scalar", "empty", "no-samples",
+                                  "no-trials"])
+    @pytest.mark.parametrize("build", [_one_gain_graph, _fir_graph],
+                             ids=["gain", "fir"])
+    def test_degenerate_stimulus_rejected(self, shape, build):
+        graph = build()
+        stimulus = {"x": np.full(shape, 0.5)}
+        plan = compile_plan(graph)
+        simulator = SimulationEvaluator(plan)
+        for run in (lambda: plan.run(stimulus, mode="fixed"),
+                    lambda: plan.run(stimulus, mode="double"),
+                    lambda: simulator.evaluate(stimulus),
+                    lambda: simulator.evaluate_batch([{}, {}], stimulus),
+                    lambda: AccuracyEvaluator(graph, n_psd=16).compare(
+                        stimulus)):
+            with pytest.raises(ValueError,
+                               match="input node 'x' has shape"):
+                run()
+
+    def test_degenerate_stimulus_names_its_input(self):
+        builder = SfgBuilder("two-inputs")
+        x = builder.input("x", fractional_bits=8)
+        u = builder.input("u", fractional_bits=8)
+        builder.output("y", builder.add("s", [x, u], fractional_bits=8))
+        plan = compile_plan(builder.build())
+        for mode in ("double", "fixed"):
+            with pytest.raises(ValueError,
+                               match=r"input node 'u' has shape \(0,\)"):
+                plan.run({"x": np.full(16, 0.5), "u": np.zeros(0)},
+                         mode=mode)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_stimulus_rejected(self, rng, bad):
         plan = compile_plan(_graph(bits=8))
@@ -318,8 +394,92 @@ class TestErrorSignal:
         monkeypatch.setattr(
             type(node), "simulate_fixed",
             lambda self, inputs: original(self, inputs)[:-1])
-        # The fault is planted in the per-node walk, which the default
-        # backend's op tape never calls.
+        with pytest.raises(ValueError, match="different shapes"):
+            evaluator.error_signal({"x": rng.uniform(-0.9, 0.9, 64)})
+
+
+class TestBackendEquality:
+    """The default kernels against the ``reference`` loops, bitwise, on
+    every node type of :func:`_mixed_graph`."""
+
+    @pytest.mark.parametrize("rounding", list(RoundingMode))
+    def test_single_trial_all_rounding_modes(self, rounding):
+        plan = compile_plan(_mixed_graph(rounding=rounding,
+                                         name=f"mixed-{rounding.value}"))
+        stimulus = _white()
+        expected = _run_fixed(plan, stimulus, "reference")
+        result = _run_fixed(plan, stimulus)
+        assert result.shape == expected.shape
+        assert np.array_equal(result, expected)
+
+    def test_batched_trials(self):
+        plan = compile_plan(_mixed_graph(name="mixed-batched"))
+        stimulus = _white(samples=256, trials=5)
+        expected = _run_fixed(plan, stimulus, "reference")
+        result = _run_fixed(plan, stimulus)
+        assert result.shape == expected.shape
+        assert np.array_equal(result, expected)
+
+    def test_run_pair(self):
+        plan = compile_plan(_mixed_graph(name="mixed-pair"))
+        stimulus = _white()
         with use_backend("reference"):
-            with pytest.raises(ValueError, match="different shapes"):
-                evaluator.error_signal({"x": rng.uniform(-0.9, 0.9, 64)})
+            ref_double, ref_fixed = plan.run_pair(stimulus)
+        double, fixed = plan.run_pair(stimulus)
+        assert np.array_equal(double.output("y"), ref_double.output("y"))
+        assert np.array_equal(fixed.output("y"), ref_fixed.output("y"))
+
+    def test_unquantized_graph(self):
+        plan = compile_plan(_mixed_graph(bits=None, name="mixed-double"))
+        stimulus = _white()
+        assert np.array_equal(_run_fixed(plan, stimulus),
+                              _run_fixed(plan, stimulus, "reference"))
+
+    def test_default_fixed_run_logs_nothing(self, caplog):
+        plan = compile_plan(_mixed_graph(name="mixed-silent"))
+        other = compile_plan(_mixed_graph(rounding=RoundingMode.TRUNCATE,
+                                          name="mixed-silent-other"))
+        stimulus = _white()
+        with caplog.at_level(logging.DEBUG):
+            first = _run_fixed(plan, stimulus)
+            second = _run_fixed(other, stimulus)
+        assert not caplog.records
+        assert np.array_equal(first, _run_fixed(plan, stimulus, "reference"))
+        assert np.array_equal(second,
+                              _run_fixed(other, stimulus, "reference"))
+
+    def test_requantized_run_matches_fresh_compile(self):
+        plan = compile_plan(_mixed_graph(bits=12, name="mixed-requantize"))
+        stimulus = _white()
+        _run_fixed(plan, stimulus)
+        plan.requantize({name: 9 for name in ("x", "g", "h", "v", "s")})
+        requantized = _run_fixed(plan, stimulus)
+        fresh = compile_plan(_mixed_graph(bits=9, name="mixed-fresh"))
+        assert np.array_equal(requantized, _run_fixed(fresh, stimulus))
+        assert np.array_equal(requantized,
+                              _run_fixed(plan, stimulus, "reference"))
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_registered_scenario(self, name):
+        instance = build_scenario(name)
+        plan = compile_plan(instance.graph)
+        spec = dataclasses.replace(instance.stimulus, num_samples=2048)
+        single = spec.realize(plan.input_names, seed=1)
+        batched = {key: np.stack([value, -value])
+                   for key, value in single.items()}
+        for stimulus in (single, batched):
+            with use_backend("reference"):
+                expected = plan.run(stimulus, mode="fixed")
+            result = plan.run(stimulus, mode="fixed")
+            for output in instance.graph.output_names():
+                assert np.array_equal(result.output(output),
+                                      expected.output(output))
+
+    def test_frequency_domain_filter(self):
+        from repro.systems.freq_filter import FrequencyDomainFilter
+
+        plan = FrequencyDomainFilter(fractional_bits=10,
+                                     n_psd=256).evaluator.plan
+        stimulus = {"x": uniform_white_noise(512, seed=4)}
+        assert np.array_equal(_run_fixed(plan, stimulus),
+                              _run_fixed(plan, stimulus, "reference"))

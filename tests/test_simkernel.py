@@ -246,8 +246,6 @@ class TestOverlapSaveBatched:
         from repro.lti.convolution import overlap_save
         h = rng.standard_normal(5)
         x = rng.standard_normal((4, 100))
-        with pytest.raises(ValueError, match="1-D stream"):
-            overlap_save(x, h, 16, fft=np.fft.fft, ifft=np.fft.ifft)
         with use_backend("reference"):
             with pytest.raises(ValueError, match="1-D stream"):
                 overlap_save(x, h, 16)

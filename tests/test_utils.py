@@ -1,17 +1,11 @@
-"""Unit tests for the utility helpers (tables, timing, validation)."""
+"""Unit tests for the utility helpers (tables, timing)."""
 
 import time
 
-import numpy as np
 import pytest
 
 from repro.utils.tables import TextTable
 from repro.utils.timing import Stopwatch, time_callable
-from repro.utils.validation import (
-    check_positive_int,
-    check_probability,
-    check_same_length,
-)
 
 
 class TestTextTable:
@@ -119,27 +113,3 @@ class TestTiming:
         counter = iter(range(10))
         result, _ = time_callable(lambda: next(counter), repeat=3)
         assert result == 2
-
-
-class TestValidation:
-    def test_check_positive_int(self):
-        assert check_positive_int(3, "n") == 3
-        with pytest.raises(ValueError):
-            check_positive_int(0, "n")
-        with pytest.raises(TypeError):
-            check_positive_int(2.5, "n")
-        with pytest.raises(TypeError):
-            check_positive_int(True, "n")
-
-    def test_check_probability(self):
-        assert check_probability(0.5, "p") == 0.5
-        with pytest.raises(ValueError):
-            check_probability(1.5, "p")
-
-    def test_check_same_length(self):
-        check_same_length([1, 2], [3, 4])
-        with pytest.raises(ValueError):
-            check_same_length([1], [1, 2], "a", "b")
-
-    def test_numpy_integers_accepted(self):
-        assert check_positive_int(np.int64(4), "n") == 4
