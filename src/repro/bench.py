@@ -147,8 +147,12 @@ def _timed_warm(function, *args):
 
 
 def _require_bitwise(label: str, reference, optimized) -> None:
-    if not (np.shape(reference) == np.shape(optimized)
-            and np.array_equal(reference, optimized)):
+    # Compare the raw bytes: np.array_equal would take -0.0 for +0.0
+    # (and refuse identical NaNs).
+    reference, optimized = np.asarray(reference), np.asarray(optimized)
+    if not (reference.shape == optimized.shape
+            and reference.dtype == optimized.dtype
+            and reference.tobytes() == optimized.tobytes()):
         raise RuntimeError(
             f"{label}: optimized output is not bitwise identical to the "
             "reference backend — refusing to report a speedup for a "

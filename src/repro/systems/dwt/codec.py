@@ -37,6 +37,31 @@ _ROW_AXIS = 1
 _COLUMN_AXIS = 0
 
 
+def check_image(image, index: int | None = None) -> np.ndarray:
+    """Return ``image`` as a float array, or raise ``ValueError``.
+
+    Both DWT codecs measure only non-empty, finite 2-D images; ``index``
+    names the image's position in the caller's list.  One NaN or inf
+    pixel would turn the measured error power and every Ed into NaN
+    silently.  min/max propagate NaN and reach +-inf, so they catch both
+    without an image-sized mask.
+    """
+    image = np.asarray(image, dtype=float)
+    label = "image" if index is None else f"image {index}"
+    if image.ndim != 2 or image.size == 0:
+        raise ValueError(f"{label} has shape {image.shape}; the codec needs "
+                         "a non-empty 2-D image")
+    if not (np.isfinite(image.min()) and np.isfinite(image.max())):
+        raise ValueError(f"{label} holds NaN or infinite pixels")
+    return image
+
+
+def _check_images(images) -> list[np.ndarray]:
+    if not images:
+        raise ValueError("at least one image is required")
+    return [check_image(image, index) for index, image in enumerate(images)]
+
+
 class Dwt97Codec:
     """Fixed-point 2-D Daubechies 9/7 encoder + decoder.
 
@@ -97,6 +122,7 @@ class Dwt97Codec:
 
     def error_image(self, image: np.ndarray) -> np.ndarray:
         """Output error (fixed-point reconstruction minus reference)."""
+        image = check_image(image)
         return self.run_fixed_point(image) - self.run_reference(image)
 
     def encode_fixed_point(self, image: np.ndarray) -> dict:
@@ -204,15 +230,13 @@ class Dwt97Codec:
     # ------------------------------------------------------------------
     def simulated_error_power(self, images: list[np.ndarray]) -> float:
         """Average output-error power measured over a set of images."""
-        if not images:
-            raise ValueError("at least one image is required")
+        images = _check_images(images)
         powers = [noise_power(self.error_image(image)) for image in images]
         return float(np.mean(powers))
 
     def simulated_error_psd_2d(self, images: list[np.ndarray]) -> np.ndarray:
         """Averaged 2-D periodogram of the output error (Fig. 7 left panel)."""
-        if not images:
-            raise ValueError("at least one image is required")
+        images = _check_images(images)
         accumulated = None
         for image in images:
             spectrum = estimate_psd_2d(self.error_image(image))

@@ -27,6 +27,14 @@ def circular_filter(x: np.ndarray, taps: np.ndarray, center: int,
                     quantizer: Quantizer | None = None) -> np.ndarray:
     """Centered circular convolution along ``axis``.
 
+    The axis is extended circularly once, to cover the offsets
+    ``-center .. len(taps) - 1 - center`` (taps longer than the axis wrap
+    several times), and tap ``k`` reads its window as the slice starting
+    at ``k`` of that extension; the products are accumulated in tap
+    order.  This is bitwise identical to summing ``coefficient *
+    np.roll(x, center - k, axis)`` over the taps, without one rolled copy
+    per tap.
+
     Parameters
     ----------
     x:
@@ -43,9 +51,14 @@ def circular_filter(x: np.ndarray, taps: np.ndarray, center: int,
     x = np.asarray(x, dtype=float)
     taps = np.asarray(taps, dtype=float)
     result = np.zeros_like(x)
-    for k, coefficient in enumerate(taps):
-        offset = k - center
-        result += coefficient * np.roll(x, -offset, axis=axis)
+    length = x.shape[axis]
+    if length:
+        index = np.arange(-center, length + len(taps) - 1 - center) % length
+        extended = np.take(x, index, axis=axis)
+        window = [slice(None)] * x.ndim
+        for k, coefficient in enumerate(taps):
+            window[axis] = slice(k, k + length)
+            result += coefficient * extended[tuple(window)]
     if quantizer is not None:
         result = quantizer.quantize(result)
     return result

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.fixedpoint.quantizer import Quantizer
+from repro.systems.dwt.codec import check_image
 
 
 @dataclass(frozen=True)
@@ -212,4 +213,5 @@ class LiftingDwt97Codec:
 
     def error_image(self, image: np.ndarray) -> np.ndarray:
         """Output error of the fixed-point realization."""
+        image = check_image(image)
         return self.run_fixed_point(image) - self.run_reference(image)

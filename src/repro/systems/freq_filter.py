@@ -47,6 +47,11 @@ from repro.sfg.graph import SignalFlowGraph
 from repro.sfg.nodes import FirNode, QuantizationSpec
 from repro.analysis.evaluator import AccuracyEvaluator
 
+# Complex samples per chunk of the bit-true overlap-save pipeline: 1024
+# blocks of a 16-point FFT keep each chunk's butterfly temporaries in
+# cache (see ARCHITECTURE.md, "Vectorized block pipelines").
+_CHUNK_SAMPLES = 16_384
+
 
 class FrequencyDomainFirNode(FirNode):
     """FIR filter applied in the frequency domain with overlap-save.
@@ -94,10 +99,12 @@ class FrequencyDomainFirNode(FirNode):
     def simulate_fixed(self, inputs: list[np.ndarray]) -> np.ndarray:
         """Bit-true behaviour: fixed-point FFT / multiply / IFFT pipeline.
 
-        All overlap-save blocks (and all trials of a batched stimulus) go
-        through the butterfly stages together; the ``reference`` backend
-        replays the original streaming per-block loop instead.  Both are
-        bitwise identical.
+        The overlap-save blocks of every trial are flattened into rows and
+        go through the butterfly stages one cache-sized chunk of rows at a
+        time (``_CHUNK_SAMPLES`` complex samples); the ``reference``
+        backend replays the original streaming per-block loop instead.
+        Every step is elementwise per row, so both are bitwise identical,
+        signed zeros included.
         """
         (x,) = inputs
         x = np.asarray(x, dtype=float)
@@ -111,12 +118,17 @@ class FrequencyDomainFirNode(FirNode):
         engine = FixedPointFft(self.fft_size, self.quantization.fractional_bits,
                                rounding=self.quantization.rounding)
         blocks, hop = overlap_save_blocks(x, len(taps), self.fft_size)
-        spectra = engine.forward(blocks)
-        product = spectra * h_spectrum
-        product = (data_quantizer.quantize(product.real)
-                   + 1j * data_quantizer.quantize(product.imag))
-        result = np.real(engine.inverse(product))
-        output = overlap_save_assemble(result, len(taps), hop, x.shape[-1])
+        rows = blocks.reshape(-1, self.fft_size)
+        result = np.empty(rows.shape)
+        chunk = max(1, _CHUNK_SAMPLES // self.fft_size)
+        for start in range(0, len(rows), chunk):
+            spectra = engine.forward(rows[start:start + chunk])
+            product = spectra * h_spectrum
+            product = (data_quantizer.quantize(product.real)
+                       + 1j * data_quantizer.quantize(product.imag))
+            result[start:start + chunk] = np.real(engine.inverse(product))
+        output = overlap_save_assemble(result.reshape(blocks.shape), len(taps),
+                                       hop, x.shape[-1])
         return data_quantizer.quantize(output)
 
     # ------------------------------------------------------------------

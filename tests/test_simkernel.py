@@ -193,23 +193,88 @@ class TestFixedPointFftVectorization:
             engine.forward(np.zeros(8))
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Bitwise equality; unlike ``np.array_equal``, -0.0 != +0.0."""
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.array_equal(a.view(np.int64), b.view(np.int64)))
+
+
 class TestFrequencyDomainNodeVectorization:
-    def _node(self, bits=12, rounding=RoundingMode.ROUND):
+    """The fast path runs the overlap-save blocks in chunks of rows.
+
+    Block counts are derived from the chunk constant, so the tests keep
+    landing on the chunk boundaries if it is retuned.
+    """
+
+    def _node(self, bits=12, rounding=RoundingMode.ROUND, fft_size=16):
         from repro.sfg.nodes import QuantizationSpec
         from repro.systems.freq_filter import default_frequency_domain_taps
+        taps = default_frequency_domain_taps(9 if fft_size > 8 else 5)
         return FrequencyDomainFirNode(
-            "freq", default_frequency_domain_taps(), fft_size=16,
+            "freq", taps, fft_size=fft_size,
             quantization=QuantizationSpec(fractional_bits=bits,
                                           rounding=rounding))
+
+    @staticmethod
+    def _rows_per_chunk(node) -> int:
+        from repro.systems.freq_filter import _CHUNK_SAMPLES
+        return max(1, _CHUNK_SAMPLES // node.fft_size)
+
+    @staticmethod
+    def _stimulus(node, blocks: int, trials: int = 1, seed: int = 30):
+        # (blocks - 1) full hops plus one sample: exactly ``blocks``
+        # overlap-save blocks, the last one mostly zero padding.
+        hop = node.fft_size - len(node.taps) + 1
+        samples = (blocks - 1) * hop + 1
+        rows = [uniform_white_noise(samples, seed=seed + t)
+                for t in range(trials)]
+        return rows[0] if trials == 1 else np.stack(rows)
+
+    @staticmethod
+    def _matches_reference(node, x) -> np.ndarray:
+        fast = node.simulate_fixed([x])
+        with use_backend("reference"):
+            slow = node.simulate_fixed([x])
+        assert _same_bits(fast, slow)
+        return fast
 
     @pytest.mark.parametrize("mode", MODES)
     def test_fixed_pipeline_matches_reference(self, mode):
         node = self._node(rounding=mode)
-        x = uniform_white_noise(3000, seed=4)
-        fast = node.simulate_fixed([x])
-        with use_backend("reference"):
-            slow = node.simulate_fixed([x])
-        assert np.array_equal(fast, slow)
+        self._matches_reference(node, uniform_white_noise(3000, seed=4))
+
+    @pytest.mark.parametrize("blocks", [
+        lambda rows: 1,
+        lambda rows: rows,
+        lambda rows: rows + 1,
+        lambda rows: 2 * rows + 3,
+    ], ids=["one-block", "one-chunk", "chunk-plus-one",
+            "several-chunks-partial-tail"])
+    def test_chunk_boundaries_match_reference_bitwise(self, blocks):
+        node = self._node()
+        x = self._stimulus(node, blocks(self._rows_per_chunk(node)))
+        self._matches_reference(node, x)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_signed_zeros_survive_a_chunk_boundary(self, mode):
+        # At 4 fractional bits many outputs round to zero; ROUND and
+        # CONVERGENT keep the sign of negative ones (-0.0).
+        node = self._node(bits=4, rounding=mode)
+        x = self._stimulus(node, self._rows_per_chunk(node) + 1)
+        fast = self._matches_reference(node, x)
+        if mode is not RoundingMode.TRUNCATE:
+            assert np.any((fast == 0.0) & np.signbit(fast))
+
+    @pytest.mark.parametrize("fft_size", [8, 16, 64])
+    def test_trial_stack_chunks_across_trials(self, fft_size):
+        # Three trials of half a chunk plus one block each: the flattened
+        # rows cross a chunk boundary inside the second trial.
+        node = self._node(fft_size=fft_size)
+        blocks = self._rows_per_chunk(node) // 2 + 1
+        x = self._stimulus(node, blocks, trials=3)
+        fast = self._matches_reference(node, x)
+        for t in range(3):
+            assert _same_bits(fast[t], node.simulate_fixed([x[t]]))
 
     def test_batched_trials_equal_per_trial_rows(self):
         node = self._node()

@@ -6,6 +6,7 @@ import pytest
 from repro.data.images import ImageGenerator, natural_image
 from repro.fixedpoint.noise_model import NoiseStats
 from repro.systems.dwt.codec import Dwt97Codec
+from repro.systems.dwt.lifting import LiftingDwt97Codec
 from repro.systems.dwt.noise_model import SeparableNoiseField
 
 
@@ -159,3 +160,41 @@ class TestCodecNoiseEstimates:
         power_round = codec_round.estimate_error_power(64, "psd")
         power_trunc = codec_trunc.estimate_error_power(64, "psd")
         assert power_trunc > power_round
+
+
+def _bad_image(kind: str) -> np.ndarray:
+    if kind == "1-D":
+        return np.zeros(16)
+    if kind in ("0x0", "0x8"):
+        return np.zeros(tuple(int(n) for n in kind.split("x")))
+    image = natural_image(16, seed=3)
+    image[5, 7] = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf}[kind]
+    return image
+
+
+BAD_IMAGES = ("nan", "+inf", "-inf", "0x0", "0x8", "1-D")
+
+
+class TestCodecImageContract:
+    """A NaN, inf, empty or non-2-D image raises before any transform."""
+
+    @pytest.mark.parametrize("kind", BAD_IMAGES)
+    @pytest.mark.parametrize("entry", [
+        "compare", "simulated_error_power", "simulated_error_psd_2d"])
+    def test_list_entry_points_name_the_bad_image(self, monkeypatch, entry,
+                                                  kind):
+        codec = Dwt97Codec(fractional_bits=12)
+        transforms = []
+        monkeypatch.setattr(codec, "run_fixed_point",
+                            lambda image: transforms.append(image))
+        images = [natural_image(16, seed=2), _bad_image(kind)]
+        with pytest.raises(ValueError, match="image 1 "):
+            getattr(codec, entry)(images)
+        assert transforms == []
+
+    @pytest.mark.parametrize("kind", BAD_IMAGES)
+    @pytest.mark.parametrize("codec", [Dwt97Codec(12), LiftingDwt97Codec(12)],
+                             ids=["convolution", "lifting"])
+    def test_error_image_rejects(self, codec, kind):
+        with pytest.raises(ValueError, match="NaN or infinite|non-empty 2-D"):
+            codec.error_image(_bad_image(kind))

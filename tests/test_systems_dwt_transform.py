@@ -39,7 +39,54 @@ class TestFilterBank:
         np.testing.assert_allclose(scaled, np.round(scaled), atol=1e-9)
 
 
+def _rolled_filter(x, taps, center, axis=-1, quantizer=None):
+    """The per-tap ``np.roll`` formulation ``circular_filter`` replaced."""
+    result = np.zeros_like(x)
+    for k, coefficient in enumerate(taps):
+        result += coefficient * np.roll(x, -(k - center), axis=axis)
+    return result if quantizer is None else quantizer.quantize(result)
+
+
+def _same_bits(a, b):
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.array_equal(a.view(np.int64), b.view(np.int64)))
+
+
 class TestCircularFilter:
+    @pytest.mark.parametrize("shape", [(12,), (6, 10), (3, 4, 5)])
+    @pytest.mark.parametrize("num_taps", [1, 4, 9])
+    @pytest.mark.parametrize("quantized", [False, True])
+    def test_bitwise_equal_to_rolled_taps(self, rng, shape, num_taps,
+                                          quantized):
+        x = rng.standard_normal(shape)
+        taps = rng.standard_normal(num_taps)
+        quantizer = Quantizer(QFormat(7, 6)) if quantized else None
+        for axis in range(-len(shape), len(shape)):
+            for center in sorted({0, num_taps // 2, num_taps - 1}):
+                assert _same_bits(
+                    circular_filter(x, taps, center, axis, quantizer),
+                    _rolled_filter(x, taps, center, axis, quantizer))
+
+    @pytest.mark.parametrize("axis", [0, 1, -1, -2])
+    def test_taps_longer_than_the_axis_wrap_like_roll(self, rng, axis):
+        # 9 taps on a length-4 axis wrap the extension more than twice
+        # (the 2-level codec reaches this on 8x8 images).
+        x = rng.standard_normal((4, 4))
+        taps = rng.standard_normal(9)
+        for center in (0, 4, 8):
+            assert _same_bits(circular_filter(x, taps, center, axis),
+                              _rolled_filter(x, taps, center, axis))
+
+    # A modulo-by-zero RuntimeWarning would fail the test.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("shape, axis", [((0,), 0), ((3, 0), 1),
+                                             ((0, 5), 0), ((0, 5), 1)])
+    def test_empty_axis_returns_empty(self, shape, axis):
+        x = np.zeros(shape)
+        result = circular_filter(x, np.ones(9), 4, axis=axis,
+                                 quantizer=Quantizer(QFormat(7, 6)))
+        assert result.shape == shape
+
     def test_identity_filter(self, rng):
         x = rng.standard_normal(16)
         np.testing.assert_allclose(circular_filter(x, np.array([1.0]), 0), x)
