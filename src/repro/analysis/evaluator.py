@@ -155,18 +155,24 @@ class AccuracyEvaluator:
                 n_psd: int | None = None, output: str | None = None,
                 discard_transient: int = 0,
                 metadata: dict | None = None) -> MethodComparison:
-        """Compare analytical estimates against the simulation reference."""
+        """Compare analytical estimates against the simulation reference.
+
+        The estimates run first: they take milliseconds, so a method that
+        cannot run on this system (an unknown name, a single-rate method
+        on a multirate graph) raises before the simulation is paid for.
+        """
+        estimates = {method: self.estimate(method, n_psd=n_psd, output=output)
+                     for method in methods}
         simulation = self.simulate(
             stimulus, output=output,
             n_psd=self.n_psd if n_psd is None else n_psd,
             discard_transient=discard_transient)
-        reports: dict[str, AccuracyReport] = {}
-        for method in methods:
-            estimate = self.estimate(method, n_psd=n_psd, output=output)
-            reports[method] = AccuracyReport(
+        reports = {
+            method: AccuracyReport(
                 system=self.name,
                 simulated_power=simulation.error_power,
                 estimate=estimate,
                 metadata=dict(metadata or {}),
             )
+            for method, estimate in estimates.items()}
         return MethodComparison(simulation=simulation, reports=reports)

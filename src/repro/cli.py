@@ -89,6 +89,7 @@ from repro.utils.tables import TextTable
 
 
 _LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
+_ANALYTICAL_METHODS = ("psd", "psd_tracked", "flat", "agnostic")
 
 
 def _add_log_level_option(parser: argparse.ArgumentParser) -> None:
@@ -139,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
         "evaluate", help="analytical estimate of the output noise power")
     _add_common_arguments(evaluate)
     evaluate.add_argument("--method", default="psd",
-                          choices=("psd", "psd_tracked", "flat", "agnostic"))
+                          choices=_ANALYTICAL_METHODS)
 
     simulate = commands.add_parser(
         "simulate", help="Monte-Carlo measurement of the output noise power")
@@ -150,7 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
     compare = commands.add_parser(
         "compare", help="simulation vs analytical estimates")
     _add_common_arguments(compare)
-    compare.add_argument("--methods", nargs="+", default=["psd", "agnostic"])
+    compare.add_argument("--methods", nargs="+", default=["psd", "agnostic"],
+                         choices=_ANALYTICAL_METHODS)
     compare.add_argument("--samples", type=int, default=100_000)
     compare.add_argument("--amplitude", type=float, default=0.9)
 
@@ -202,8 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="print the scenario registry and exit")
     campaign.add_argument("--methods", nargs="+",
                           default=["psd", "simulation"],
-                          choices=("psd", "psd_tracked", "flat", "agnostic",
-                                   "simulation"),
+                          choices=_ANALYTICAL_METHODS + ("simulation",),
                           help="evaluation methods of the grid; include "
                                "'simulation' to attach the Monte-Carlo "
                                "reference (enables the Ed columns)")

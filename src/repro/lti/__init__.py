@@ -10,15 +10,15 @@ benchmark systems:
   analog prototypes and the bilinear transform, implemented from scratch.
 * :mod:`~repro.lti.transfer_function` — rational transfer functions with
   impulse / frequency responses, stability checks and composition.
-* :mod:`~repro.lti.filters` — stateful FIR / IIR filter implementations in
-  double precision and fixed point.
 * :mod:`~repro.lti.multirate` — decimation and expansion operators.
 * :mod:`~repro.lti.convolution` — overlap-save convolution.
 * :mod:`~repro.lti.fft` — bit-true fixed-point radix-2 FFT.
+
+FIR and IIR filtering, in double precision and in fixed point, is stated
+once, by the filter nodes of :mod:`repro.sfg.nodes`.
 """
 
 from repro.lti.transfer_function import TransferFunction
-from repro.lti.filters import FirFilter, IirFilter
 from repro.lti.fir_design import (
     design_fir_bandpass,
     design_fir_bandstop,
@@ -36,8 +36,6 @@ __all__ = [
     "sos_to_tf",
     "build_sos_graph",
     "TransferFunction",
-    "FirFilter",
-    "IirFilter",
     "design_fir_lowpass",
     "design_fir_highpass",
     "design_fir_bandpass",

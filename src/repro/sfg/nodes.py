@@ -28,10 +28,10 @@ import numpy as np
 from repro.fixedpoint.noise_model import NoiseStats, quantization_noise_stats
 from repro.fixedpoint.quantizer import Quantizer, RoundingMode, round_half_away
 from repro.fixedpoint.qformat import QFormat
-from repro.lti.filters import FirFilter, FixedPointFilterConfig, IirFilter
 from repro.lti.transfer_function import TransferFunction
 from repro.psd.spectrum import DiscretePsd
 from repro.psd.propagation import TrackedSpectrum
+from repro.simkernel.iir import iir_df1_fixed
 
 
 @dataclass(frozen=True)
@@ -115,6 +115,22 @@ class QuantizationSpec:
             integer_bits = 15 if self.integer_bits is None else self.integer_bits
         return _build_quantizer(self.fractional_bits, self.rounding,
                                 integer_bits)
+
+    def quantize_coefficients(self, values) -> np.ndarray:
+        """Constant coefficients (gains, filter taps) as the node uses them.
+
+        Coefficients are design-time constants: they are rounded to
+        nearest, ties away from zero, at :attr:`coeff_bits` whatever the
+        data-path rounding mode.  The double-precision reference run, the
+        bit-true run and the analytical walks all use the rounded values,
+        so coefficient quantization is a deterministic design change, not
+        a roundoff noise source.  A disabled spec leaves the values exact.
+        """
+        values = np.asarray(values, dtype=float)
+        if not self.enabled:
+            return values
+        step = 2.0 ** (-self.coeff_bits)
+        return round_half_away(values / step) * step
 
     def edge_quantizer(self, bits: int) -> Quantizer:
         """Quantizer of a fanout tap carrying this node's output.
@@ -258,14 +274,24 @@ class Node:
 
 
 class _LtiMixin:
-    """Shared propagation rules for single-input LTI nodes."""
+    """Shared simulation and propagation rules for single-input LTI nodes.
+
+    FIR, IIR and generic LTI nodes hold their transfer function; gains and
+    delays build theirs from their one parameter.
+    """
 
     def transfer_function(self) -> TransferFunction:
-        raise NotImplementedError
+        return self._transfer_function
 
     def _effective_transfer_function(self) -> TransferFunction:
         """Transfer function with quantized coefficients when applicable."""
         return self.transfer_function()
+
+    def simulate(self, inputs: list[np.ndarray]) -> np.ndarray:
+        # The reference system shares the (quantized) coefficients of the
+        # fixed-point implementation; only the data path differs.
+        (x,) = inputs
+        return self._effective_transfer_function().filter(x)
 
     def propagate_stats(self, inputs: list[NoiseStats]) -> NoiseStats:
         (stats,) = inputs
@@ -391,10 +417,7 @@ class GainNode(_LtiMixin, Node):
         self.gain = float(gain)
 
     def _quantized_gain(self) -> float:
-        if self.quantization.enabled and self.quantization.coeff_bits is not None:
-            step = 2.0 ** (-self.quantization.coeff_bits)
-            return float(round_half_away(self.gain / step) * step)
-        return self.gain
+        return float(self.quantization.quantize_coefficients(self.gain))
 
     def transfer_function(self) -> TransferFunction:
         return TransferFunction.gain(self.gain)
@@ -403,11 +426,6 @@ class GainNode(_LtiMixin, Node):
         return TransferFunction.gain(self._quantized_gain())
 
     def simulate(self, inputs: list[np.ndarray]) -> np.ndarray:
-        # The reference system shares the (quantized) coefficients of the
-        # fixed-point implementation; only the data path differs.  This is
-        # the convention used throughout the library: coefficient
-        # quantization is a deterministic design change, not a roundoff
-        # noise source.
         (x,) = inputs
         return np.asarray(x, dtype=float) * self._quantized_gain()
 
@@ -436,46 +454,32 @@ class DelayNode(_LtiMixin, Node):
 
 
 class FirNode(_LtiMixin, Node):
-    """FIR filter block."""
+    """FIR filter block.
+
+    In fixed point the convolution with the quantized taps runs at full
+    precision and its output is quantized once (the inherited
+    :meth:`Node.simulate_fixed`): the standard DSP multiply-accumulate
+    model assumed by the paper's noise-source placement.
+    """
 
     def __init__(self, name: str, taps,
                  quantization: QuantizationSpec | None = None):
         super().__init__(name, num_inputs=1, quantization=quantization)
-        self.filter = FirFilter(taps)
+        taps = np.atleast_1d(np.asarray(taps, dtype=float))
+        if taps.ndim != 1 or len(taps) == 0:
+            raise ValueError("taps must be a non-empty 1-D array")
+        self._transfer_function = TransferFunction.fir(taps)
 
     @property
     def taps(self) -> np.ndarray:
         """Filter coefficients."""
-        return self.filter.taps
-
-    def transfer_function(self) -> TransferFunction:
-        return self.filter.transfer_function()
+        return self._transfer_function.b
 
     def _effective_transfer_function(self) -> TransferFunction:
-        if self.quantization.enabled and self.quantization.coeff_bits is not None:
-            step = 2.0 ** (-self.quantization.coeff_bits)
-            quantized = round_half_away(self.filter.taps / step) * step
-            return TransferFunction.fir(quantized)
-        return self.transfer_function()
-
-    def simulate(self, inputs: list[np.ndarray]) -> np.ndarray:
-        # Reference and fixed-point implementations share the quantized
-        # coefficients; only the data-path precision differs.
-        from repro.lti.filters import _causal_fir
-        (x,) = inputs
-        taps = self._effective_transfer_function().b
-        return _causal_fir(np.asarray(x, dtype=float), taps)
-
-    def simulate_fixed(self, inputs: list[np.ndarray]) -> np.ndarray:
-        (x,) = inputs
         if not self.quantization.enabled:
-            return self.filter.process(x)
-        config = FixedPointFilterConfig(
-            data_fractional_bits=self.quantization.fractional_bits,
-            coefficient_fractional_bits=self.quantization.coeff_bits,
-            rounding=self.quantization.rounding,
-        )
-        return self.filter.process_fixed_point(x, config)
+            return self._transfer_function
+        return TransferFunction.fir(
+            self.quantization.quantize_coefficients(self.taps))
 
 
 class IirNode(_LtiMixin, Node):
@@ -484,50 +488,49 @@ class IirNode(_LtiMixin, Node):
     The output quantizer sits inside the recursion, so the generated noise
     is filtered by ``1 / A(z)`` before reaching the node output; the
     propagation engines query :meth:`noise_shaping_function` to apply that
-    shaping to the node's own noise source.
+    shaping to the node's own noise source.  A design with a pole on or
+    outside the unit circle is rejected: its outputs would diverge.
     """
 
     def __init__(self, name: str, b, a,
                  quantization: QuantizationSpec | None = None):
         super().__init__(name, num_inputs=1, quantization=quantization)
-        self.filter = IirFilter(b, a)
-
-    def transfer_function(self) -> TransferFunction:
-        return self.filter.transfer_function()
+        self._transfer_function = TransferFunction(b, a)
+        if not self._transfer_function.is_stable():
+            largest = float(np.max(np.abs(self._transfer_function.poles())))
+            raise ValueError(
+                f"IIR node {name!r} is unstable: its design has a pole of "
+                f"magnitude {largest:.6g}, on or outside the unit circle")
 
     def _effective_transfer_function(self) -> TransferFunction:
-        if self.quantization.enabled and self.quantization.coeff_bits is not None:
-            step = 2.0 ** (-self.quantization.coeff_bits)
-            b = round_half_away(self.filter.b / step) * step
-            a = round_half_away(self.filter.a / step) * step
-            return TransferFunction(b, a)
-        return self.transfer_function()
+        if not self.quantization.enabled:
+            return self._transfer_function
+        quantize = self.quantization.quantize_coefficients
+        return TransferFunction(quantize(self._transfer_function.b),
+                                quantize(self._transfer_function.a))
 
     def noise_shaping_function(self) -> TransferFunction:
         """Transfer function from the internal quantizer to the output."""
-        if self.quantization.enabled and self.quantization.coeff_bits is not None:
-            step = 2.0 ** (-self.quantization.coeff_bits)
-            a = round_half_away(self.filter.a / step) * step
-            return TransferFunction([1.0], a)
-        return self.filter.noise_transfer_function()
-
-    def simulate(self, inputs: list[np.ndarray]) -> np.ndarray:
-        # Reference and fixed-point implementations share the quantized
-        # coefficients; only the data-path precision differs.
-        (x,) = inputs
-        effective = self._effective_transfer_function()
-        return effective.filter(np.asarray(x, dtype=float))
+        return TransferFunction(
+            [1.0],
+            self.quantization.quantize_coefficients(self._transfer_function.a))
 
     def simulate_fixed(self, inputs: list[np.ndarray]) -> np.ndarray:
-        (x,) = inputs
+        """Bit-true direct form I.
+
+        The accumulator holds the exact sum of quantized-coefficient
+        products; its output is quantized before entering the recursive
+        delay line, so the error recirculates through ``1 / A(z)`` exactly
+        as the analytical model assumes.  Without quantization the fixed
+        run is the double run.
+        """
         if not self.quantization.enabled:
-            return self.filter.process(x)
-        config = FixedPointFilterConfig(
-            data_fractional_bits=self.quantization.fractional_bits,
-            coefficient_fractional_bits=self.quantization.coeff_bits,
-            rounding=self.quantization.rounding,
-        )
-        return self.filter.process_fixed_point(x, config)
+            return self.simulate(inputs)
+        (x,) = inputs
+        effective = self._effective_transfer_function()
+        return iir_df1_fixed(x, effective.b, effective.a,
+                             self.quantization.quantizer().step,
+                             self.quantization.rounding)
 
 
 class LtiNode(_LtiMixin, Node):
@@ -537,13 +540,6 @@ class LtiNode(_LtiMixin, Node):
                  quantization: QuantizationSpec | None = None):
         super().__init__(name, num_inputs=1, quantization=quantization)
         self._transfer_function = transfer_function
-
-    def transfer_function(self) -> TransferFunction:
-        return self._transfer_function
-
-    def simulate(self, inputs: list[np.ndarray]) -> np.ndarray:
-        (x,) = inputs
-        return self._transfer_function.filter(np.asarray(x, dtype=float))
 
 
 class DownsampleNode(Node):

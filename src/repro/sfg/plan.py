@@ -1222,11 +1222,9 @@ def quantization_signature(graph: SignalFlowGraph) -> tuple:
 def _node_coefficient_state(node: Node) -> tuple:
     if isinstance(node, GainNode):
         return (node.gain,)
-    if isinstance(node, IirNode):
-        return (node.filter.b.tobytes(), node.filter.a.tobytes())
     if isinstance(node, FirNode):
-        return (node.filter.taps.tobytes(),)
-    if isinstance(node, LtiNode):
+        return (node.taps.tobytes(),)
+    if isinstance(node, (IirNode, LtiNode)):
         tf = node.transfer_function()
         return (tf.b.tobytes(), tf.a.tobytes())
     if isinstance(node, AddNode):

@@ -100,12 +100,8 @@ def _node_to_dict(node: Node) -> dict:
     elif isinstance(node, FirNode) and type(node) is FirNode:
         data["type"] = "fir"
         data["taps"] = [float(t) for t in node.taps]
-    elif isinstance(node, IirNode):
-        data["type"] = "iir"
-        data["b"] = [float(c) for c in node.filter.b]
-        data["a"] = [float(c) for c in node.filter.a]
-    elif isinstance(node, LtiNode):
-        data["type"] = "lti"
+    elif isinstance(node, (IirNode, LtiNode)):
+        data["type"] = "iir" if isinstance(node, IirNode) else "lti"
         tf = node.transfer_function()
         data["b"] = [float(c) for c in tf.b]
         data["a"] = [float(c) for c in tf.a]

@@ -249,21 +249,21 @@ class Dwt97Codec:
 
         Returns a dictionary with the simulated power, one entry per
         method containing the estimated power and the ``Ed`` deviation
-        (as a fraction), and the experiment parameters.
+        (as a fraction), and the experiment parameters.  The estimates
+        run first, so an unknown method raises before any image is
+        simulated.
         """
+        estimates = {method: self.estimate_error_power(n_psd, method)
+                     for method in methods}
         simulated = self.simulated_error_power(images)
-        result = {
+        return {
             "system": "dwt97",
             "levels": self.levels,
             "fractional_bits": self.fractional_bits,
             "num_images": len(images),
             "simulated_power": simulated,
-            "methods": {},
+            "methods": {
+                method: {"estimated_power": estimated,
+                         "ed": ed_deviation(simulated, estimated)}
+                for method, estimated in estimates.items()},
         }
-        for method in methods:
-            estimated = self.estimate_error_power(n_psd, method)
-            result["methods"][method] = {
-                "estimated_power": estimated,
-                "ed": ed_deviation(simulated, estimated),
-            }
-        return result

@@ -4,8 +4,11 @@ import pytest
 
 from repro.analysis.evaluator import AccuracyEvaluator
 from repro.analysis.report import AccuracyReport, EstimateResult
+from repro.campaign.registry import build_scenario
+from repro.data.signals import uniform_white_noise
 from repro.lti.fir_design import design_fir_lowpass
 from repro.sfg.builder import SfgBuilder
+from repro.sfg.plan import CompiledPlan
 
 
 def _graph(bits=10):
@@ -78,6 +81,42 @@ class TestCompare:
         comparison = evaluator.compare(short_white_noise, methods=("psd",))
         assert comparison.ed_percent("psd") == pytest.approx(
             comparison.reports["psd"].ed_percent)
+
+
+class TestCompareChecksMethodsFirst:
+    """A method ``compare`` cannot run raises before any simulation."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        calls = []
+        original = CompiledPlan.run
+
+        def counted(plan, *args, **kwargs):
+            calls.append(kwargs.get("mode"))
+            return original(plan, *args, **kwargs)
+
+        monkeypatch.setattr(CompiledPlan, "run", counted)
+        return calls
+
+    def test_valid_methods_simulate_once(self, runs, short_white_noise):
+        AccuracyEvaluator(_graph(), n_psd=64).compare(
+            short_white_noise, methods=("psd", "flat"))
+        assert sorted(runs) == ["double", "fixed"]
+
+    def test_unknown_method(self, runs, short_white_noise):
+        evaluator = AccuracyEvaluator(_graph(), n_psd=64)
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+            evaluator.compare(short_white_noise, methods=("bogus",))
+        assert runs == []
+
+    def test_single_rate_method_on_multirate_graph(self, runs):
+        graph = build_scenario("polyphase_decimator").graph
+        evaluator = AccuracyEvaluator(graph, n_psd=64)
+        stimulus = {name: uniform_white_noise(4096, seed=1)
+                    for name in graph.input_names()}
+        with pytest.raises(NotImplementedError, match="multirate node"):
+            evaluator.compare(stimulus, methods=("psd", "flat"))
+        assert runs == []
 
 
 class TestReportObjects:

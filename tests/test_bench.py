@@ -163,10 +163,10 @@ class TestRegisteredBenches:
         assert all(value >= 0.0 for value in payload["seconds"].values())
 
     def test_bitwise_guard_refuses_broken_kernels(self, monkeypatch):
-        from repro.lti import filters
+        from repro.sfg import nodes
         from repro.simkernel import get_backend
 
-        original = filters.iir_df1_fixed
+        original = nodes.iir_df1_fixed
 
         def drifting(*args):
             # The default kernel drifts by one tiny offset; the
@@ -176,7 +176,7 @@ class TestRegisteredBenches:
                 return result
             return result + 2.0 ** -40
 
-        monkeypatch.setattr(filters, "iir_df1_fixed", drifting)
+        monkeypatch.setattr(nodes, "iir_df1_fixed", drifting)
         with pytest.raises(RuntimeError, match="not bitwise identical"):
             bench_sim_engine_iir(samples=1000)
 

@@ -259,6 +259,30 @@ class TestErrorPaths:
         assert err.startswith("error: ")
         assert "multirate node" in err
 
+    def test_compare_unknown_method_rejected_by_argparse(self, capsys,
+                                                         system_path):
+        # The same choices as 'evaluate --method': nothing is simulated.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["compare", system_path, "--methods", "psd", "bogus"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+    def test_unstable_iir_system_is_exit_code_1(self, capsys, tmp_path):
+        path = tmp_path / "unstable.json"
+        save_graph(build_filter_graph(generate_iir_bank(1)[0],
+                                      fractional_bits=10), path)
+        data = json.loads(path.read_text())
+        for node in data["nodes"]:
+            if node["type"] == "iir":
+                node["a"] = [1.0, -1.5]
+                node["b"] = [1.0]
+        path.write_text(json.dumps(data))
+        code = main(["evaluate", str(path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "is unstable" in err
+
     def test_unknown_backend_rejected_by_argparse(self, capsys):
         # There is no backend flag left to choose with.
         for name in ("fortran", "codegen"):

@@ -62,7 +62,7 @@ class TestValidity:
         graph = build_random_graph(seed, blocks=12)
         for node in graph.nodes.values():
             if isinstance(node, IirNode):
-                poles = np.roots(node.filter.a)
+                poles = np.roots(node.transfer_function().a)
                 assert np.all(np.abs(poles) < 0.9)
 
     def test_simulates_without_blowup(self, seed):

@@ -66,7 +66,7 @@ class TestBuilder:
         l = builder.lti("l", TransferFunction.fir([0.5, 0.5]), i)
         builder.output("y", l)
         graph = builder.build()
-        assert graph.node("i").filter.order == 1
+        assert graph.node("i").transfer_function().order == 1
         assert graph.node("l").transfer_function().order == 1
 
     def test_multirate_helpers(self):

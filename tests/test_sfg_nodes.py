@@ -40,6 +40,18 @@ class TestQuantizationSpec:
         assert QuantizationSpec(10).coeff_bits == 10
         assert QuantizationSpec(10, coefficient_fractional_bits=14).coeff_bits == 14
 
+    def test_quantize_coefficients_rounds_half_away_at_coeff_bits(self):
+        # Steps of 1/4; ties go away from zero whatever the data-path
+        # rounding mode, and a disabled spec leaves coefficients exact.
+        spec = QuantizationSpec(4, rounding=RoundingMode.TRUNCATE,
+                                coefficient_fractional_bits=2)
+        np.testing.assert_array_equal(
+            spec.quantize_coefficients([0.125, -0.125, 0.3, -0.3, 0.6]),
+            [0.25, -0.25, 0.25, -0.25, 0.5])
+        np.testing.assert_array_equal(
+            QuantizationSpec(None, coefficient_fractional_bits=2)
+            .quantize_coefficients([0.3]), [0.3])
+
     def test_with_fractional_bits(self):
         spec = QuantizationSpec(10, rounding=RoundingMode.TRUNCATE)
         changed = spec.with_fractional_bits(6)

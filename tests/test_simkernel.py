@@ -22,7 +22,6 @@ import pytest
 from repro.data.signals import uniform_white_noise
 from repro.fixedpoint.quantizer import RoundingMode
 from repro.lti.fft import FixedPointFft
-from repro.lti.filters import FirFilter, FixedPointFilterConfig, IirFilter
 from repro.lti.iir_design import design_iir_filter
 from repro.lti.sos import build_direct_form_graph, build_sos_graph
 from repro.psd.estimation import (
@@ -32,6 +31,7 @@ from repro.psd.estimation import (
     welch,
     welch_batched,
 )
+from repro.sfg.nodes import FirNode, IirNode, QuantizationSpec
 from repro.sfg.plan import compile_plan
 from repro.simkernel import (
     default_backend,
@@ -95,24 +95,22 @@ class TestIirKernelBitExactness:
             result = iir_df1_fixed(x, b, a, 2.0 ** -12, mode)
             assert np.array_equal(result, expected)
 
-    def test_filter_object_matches_reference_backend(self, rng):
-        iir = IirFilter(*_iir_coefficients(4))
+    def test_iir_node_matches_reference_backend(self, rng):
+        node = IirNode("h", *_iir_coefficients(4),
+                       QuantizationSpec(12, rounding=RoundingMode.ROUND))
         x = rng.uniform(-0.9, 0.9, 1200)
-        config = FixedPointFilterConfig(data_fractional_bits=12,
-                                        rounding=RoundingMode.ROUND)
-        fast = iir.process_fixed_point(x, config)
+        fast = node.simulate_fixed([x])
         with use_backend("reference"):
-            slow = iir.process_fixed_point(x, config)
+            slow = node.simulate_fixed([x])
         assert np.array_equal(fast, slow)
 
-    def test_fir_filter_unaffected_by_backend(self, rng):
-        fir = FirFilter(rng.standard_normal(9))
+    def test_fir_node_unaffected_by_backend(self, rng):
+        node = FirNode("h", rng.standard_normal(9),
+                       QuantizationSpec(10, rounding=RoundingMode.TRUNCATE))
         x = rng.uniform(-0.9, 0.9, (3, 400))
-        config = FixedPointFilterConfig(data_fractional_bits=10,
-                                        rounding=RoundingMode.TRUNCATE)
-        fast = fir.process_fixed_point(x, config)
+        fast = node.simulate_fixed([x])
         with use_backend("reference"):
-            slow = fir.process_fixed_point(x, config)
+            slow = node.simulate_fixed([x])
         assert np.array_equal(fast, slow)
 
     @pytest.mark.parametrize("mode", MODES)

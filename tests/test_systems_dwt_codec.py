@@ -136,6 +136,18 @@ class TestCodecNoiseEstimates:
         for entry in result["methods"].values():
             assert np.isfinite(entry["ed"])
 
+    def test_compare_rejects_unknown_method_before_simulating(
+            self, monkeypatch):
+        codec = Dwt97Codec(fractional_bits=12, levels=1)
+
+        def simulated(image):
+            raise AssertionError("an image was simulated")
+
+        monkeypatch.setattr(codec, "error_image", simulated)
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+            codec.compare([natural_image(32, seed=4)], n_psd=64,
+                          methods=("bogus",))
+
     def test_compare_requires_images(self):
         codec = Dwt97Codec(fractional_bits=12)
         with pytest.raises(ValueError):
