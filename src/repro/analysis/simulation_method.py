@@ -69,6 +69,49 @@ def _stimulus_digest(stimulus: dict) -> str:
     return digest.hexdigest()
 
 
+#: Largest data-path fractional word length a bit-true run can measure.
+#: A unit-range double has no grid finer than 2^-52, so past it the fixed
+#: leg equals the double leg and the measured error power is 0.
+MAX_SIMULATED_FRACTIONAL_BITS = 52
+
+
+def data_path_word_lengths(graph: SignalFlowGraph) -> dict:
+    """``{name: fractional bits}`` of every data-path quantizer of ``graph``.
+
+    Node outputs (inputs included) are keyed by node name, fanout taps
+    by their ``"source->target"`` edge key; unquantized nodes map to
+    ``None``.  Coefficient word lengths are not data-path quantizers:
+    both legs of a simulation share the quantized coefficients.
+    """
+    word_lengths = {}
+    for name, node in graph.nodes.items():
+        spec = node.quantization
+        word_lengths[name] = spec.fractional_bits
+        for target, bits in spec.edge_fractional_bits:
+            word_lengths[f"{name}->{target}"] = bits
+    return word_lengths
+
+
+def check_simulated_word_lengths(word_lengths: dict) -> None:
+    """Reject data-path word lengths a bit-true simulation cannot measure.
+
+    ``word_lengths`` maps node names and edge keys to fractional bits
+    (``None`` when unquantized), as :func:`data_path_word_lengths` and
+    :meth:`~repro.sfg.plan.ConfigStack.resolved` return them.  Raises a
+    ``ValueError`` naming the first quantizer past
+    :data:`MAX_SIMULATED_FRACTIONAL_BITS`.
+    """
+    for name, bits in word_lengths.items():
+        if bits is not None and bits > MAX_SIMULATED_FRACTIONAL_BITS:
+            kind = "edge" if "->" in name else "node"
+            raise ValueError(
+                f"{kind} {name!r} quantizes to {bits} fractional bits; a "
+                "bit-true simulation resolves at most "
+                f"{MAX_SIMULATED_FRACTIONAL_BITS} (a unit-range double has "
+                "no finer grid, so the fixed run would equal the "
+                "double-precision reference)")
+
+
 def _check_measurement(n_psd: int | None, discard_transient: int) -> None:
     if n_psd is not None and n_psd < 2:
         raise ValueError(f"n_psd must be at least 2, got {n_psd}")
@@ -110,6 +153,8 @@ class SimulationEvaluator:
 
     ``system`` is a :class:`SignalFlowGraph` (compiled with
     :func:`~repro.sfg.plan.compile_plan`) or a :class:`CompiledPlan`.
+    Every measurement first applies :func:`check_simulated_word_lengths`
+    to the configurations it measures, before either leg runs.
     """
 
     def __init__(self, system: SignalFlowGraph | CompiledPlan):
@@ -133,6 +178,7 @@ class SimulationEvaluator:
         """
         stimulus = self._normalize_stimulus(stimulus)
         output = self.plan.resolve_output(output)
+        check_simulated_word_lengths(data_path_word_lengths(self.plan.graph))
         digest = (_stimulus_digest(stimulus)
                   if memoization_enabled() else None)
         with span("sim.error_signal", output=output) as sim_span:
@@ -194,6 +240,8 @@ class SimulationEvaluator:
         plan = self.plan
         output = plan.resolve_output(output)
         stack = plan.config_stack(assignments)
+        for k in range(stack.size):
+            check_simulated_word_lengths(stack.resolved(k))
         stimulus = self._normalize_stimulus(stimulus)
         digest = (_stimulus_digest(stimulus)
                   if memoization_enabled() else None)

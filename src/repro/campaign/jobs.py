@@ -16,6 +16,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from repro.analysis.simulation_method import (
+    check_simulated_word_lengths,
+    data_path_word_lengths,
+)
 from repro.data.signals import SignalGenerator
 from repro.sfg.graph import SignalFlowGraph, is_multirate  # noqa: F401
 from repro.sfg.serialization import (
@@ -263,6 +267,10 @@ def expand_campaign(spec: CampaignSpec):
     returned so callers can surface it instead of silently shrinking the
     grid.
 
+    A grid with ``simulation`` jobs is rejected, before any job runs,
+    when a word length exceeds what a bit-true simulation can measure
+    (:func:`~repro.analysis.simulation_method.check_simulated_word_lengths`).
+
     Returns
     -------
     (prepared, jobs, skipped):
@@ -307,6 +315,15 @@ def expand_campaign(spec: CampaignSpec):
             wordlength: {name: int(wordlength)
                          for name in scenario.quantized_nodes}
             for wordlength in spec.wordlengths}
+        if "simulation" in spec.methods:
+            graph_word_lengths = data_path_word_lengths(graph)
+            for assignment in assignments.values():
+                try:
+                    check_simulated_word_lengths(
+                        {**graph_word_lengths, **assignment})
+                except ValueError as error:
+                    raise ValueError(
+                        f"scenario {entry.name!r}: {error}") from None
         assignment_digests = {
             wordlength: assignment_fingerprint(assignment)
             for wordlength, assignment in assignments.items()}

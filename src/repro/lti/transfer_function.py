@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.simkernel.iir import iir_df1_double
+
 
 class TransferFunction:
     """A rational discrete-time transfer function ``B(z) / A(z)``.
@@ -183,17 +185,16 @@ class TransferFunction:
         return self.filter(impulse)
 
     def filter(self, x: np.ndarray) -> np.ndarray:
-        """Filter the signal ``x`` in double precision (direct form II).
+        """Filter the signal ``x`` in double precision (direct form I).
 
         The last axis is time; leading axes (batched trials) are filtered
-        independently.
+        independently, each row bitwise equal to its single-stream run.
+        This is the bit-true kernel's recursion without rounding
+        (:func:`repro.simkernel.iir.iir_df1_double`); an FIR system is
+        ``np.convolve`` truncated to the input length.
         """
-        x = np.asarray(x, dtype=float)
-        if self.is_fir and x.ndim == 1:
-            full = np.convolve(x, self.b)
-            return full[:len(x)]
-        from scipy.signal import lfilter  # deferred: slow import
-        return lfilter(self.b, self.a, x, axis=-1)
+        a = self.a[:1] if self.is_fir else self.a
+        return iir_df1_double(x, self.b, a)
 
     # ------------------------------------------------------------------
     # Derived scalar quantities used by the analytical methods

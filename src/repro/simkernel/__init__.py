@@ -1,7 +1,8 @@
 """Fast bit-true simulation kernels.
 
 This package is the performance layer of the bit-true simulation path:
-scaled-integer-domain IIR recursion kernels (:mod:`repro.simkernel.iir`),
+scaled-integer-domain IIR recursion kernels, whose no-rounding mode is
+also the double-precision leg (:mod:`repro.simkernel.iir`),
 vectorized fixed-point FFT butterflies and overlap-save framing
 (:mod:`repro.simkernel.fft`), the preserved legacy loops every kernel is
 differentially verified against (:mod:`repro.simkernel.reference`), and

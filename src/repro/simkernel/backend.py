@@ -2,11 +2,11 @@
 
 Two backends produce the same bits:
 
-* ``reference`` — the original per-sample / per-block Python loops,
-  preserved verbatim (:mod:`repro.simkernel.reference` and the
-  ``*_reference`` paths of the FFT and overlap-save engines).  Slow, but
-  the oracle every fast path is differentially verified against, and the
-  honest baseline of every speedup measurement.
+* ``reference`` — the original per-sample / per-block Python loops
+  (:mod:`repro.simkernel.reference` and the ``*_reference`` paths of the
+  FFT and overlap-save engines).  Slow, but the oracle every fast path is
+  differentially verified against, and the honest baseline of every
+  speedup measurement.
 * ``fast`` — the default: the vectorized per-node kernels (generated
   IIR recurrence, stage-wise FFT butterflies, batched overlap-save).
   numba is a tier inside it, not a backend: the IIR recursion kernel
@@ -14,7 +14,8 @@ Two backends produce the same bits:
 
 Both backends run through the same schedule walk
 (:meth:`repro.sfg.plan.CompiledPlan.run`); the backend only picks the
-kernels the nodes call.
+bit-true kernels the nodes call.  The double-precision leg
+(:func:`repro.simkernel.iir.iir_df1_double`) is not switched.
 
 :func:`use_backend` forces a backend for the duration of a block; that is
 how the tests, the bench and the differential fuzz reach the oracle.

@@ -1,14 +1,18 @@
 """Reference (legacy) per-sample simulation loops.
 
-These are the original bit-true implementations that predate the
-vectorized kernel layer, preserved verbatim: every optimized kernel in
-:mod:`repro.simkernel` is required to be **bitwise identical** to the
-loops in this module inside the documented fixed-point domain, and the
-differential fuzz harness (:mod:`repro.verify.differential`,
-``backend_equality`` check) asserts that equality on randomized graphs.
-``use_backend("reference")`` routes all execution through these loops,
-which is also how the perf-regression benchmarks measure the speedup of
-the optimized engine against an honest baseline.
+These are the original bit-true IIR loops that predate the vectorized
+kernel layer: every optimized kernel in :mod:`repro.simkernel` is
+required to be **bitwise identical** to the loops in this module inside
+the documented fixed-point domain, and the differential fuzz harness
+(:mod:`repro.verify.differential`, ``backend_equality`` check) asserts
+that equality on randomized graphs.  ``use_backend("reference")`` routes
+all execution through these loops, which is also how the
+perf-regression benchmarks measure the speedup of the optimized engine
+against an honest baseline.
+
+:func:`causal_fir_reference` is not a legacy loop: it is the one causal
+FIR convolution of the package, shared by these loops, the fast kernels
+and the double-precision leg.
 """
 
 from __future__ import annotations
@@ -19,11 +23,20 @@ from repro.fixedpoint.quantizer import RoundingMode, round_half_away
 
 
 def causal_fir_reference(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Causal FIR filtering truncated to the input length (legacy path)."""
+    """Causal FIR filtering truncated to the input length.
+
+    Stacked trials (leading axes) are convolved one row at a time with
+    the same ``np.convolve`` call as a single stream, so each row is
+    bitwise equal to its single-stream run.
+    """
+    num_samples = x.shape[-1]
     if x.ndim == 1:
-        return np.convolve(x, taps)[:x.shape[-1]]
-    from scipy.signal import lfilter  # deferred: slow import
-    return lfilter(taps, [1.0], x, axis=-1)
+        return np.convolve(x, taps)[:num_samples]
+    out = np.empty(x.shape)
+    for row, trial in zip(out.reshape(-1, num_samples),
+                          x.reshape(-1, num_samples)):
+        row[:] = np.convolve(trial, taps)[:num_samples]
+    return out
 
 
 def iir_df1_reference(x: np.ndarray, b: np.ndarray, a: np.ndarray,

@@ -14,12 +14,12 @@ situation where the PSD-agnostic hierarchical method fails (Table II of
 the paper reports a 29.5 % error for it versus below 10 % for the PSD
 method).
 
-Substitutions versus the paper (documented in DESIGN.md): the paper uses a
-16-tap frequency-domain filter with a 16-point FFT, a degenerate
-overlap-save configuration (one new sample per transform).  Here the
-frequency-domain filter has 9 taps by default so the 16-point overlap-save
-produces 8 new samples per transform; the noise-analysis structure is
-unchanged.
+Substitution versus the paper (listed with the others in ARCHITECTURE.md,
+"Substitutions versus the paper"): the paper uses a 16-tap
+frequency-domain filter with a 16-point FFT, a degenerate overlap-save
+configuration (one new sample per transform).  Here the frequency-domain
+filter has 9 taps by default so the 16-point overlap-save produces 8 new
+samples per transform; the noise-analysis structure is unchanged.
 
 The frequency-domain stage is modelled as a single
 :class:`FrequencyDomainFirNode`: seen from outside it is an LTI block with

@@ -9,7 +9,14 @@ from repro.analysis._engine import memoization_disabled
 from repro.analysis.evaluator import AccuracyEvaluator
 from repro.analysis.simulation_method import SimulationEvaluator
 from repro.lti.fir_design import design_fir_lowpass
+from repro.data.signals import uniform_white_noise
 from repro.sfg.builder import SfgBuilder
+from repro.systems.filter_bank import build_filter_graph, generate_iir_bank
+
+
+def _iir_graph(bits):
+    """The first Table-I IIR design (order 2) at ``bits`` fractional bits."""
+    return build_filter_graph(generate_iir_bank(1)[0], fractional_bits=bits)
 
 
 def _graph(bits=8):
@@ -170,6 +177,43 @@ class TestValidation:
             evaluator.error_signal(short_white_noise, output="nope")
         with pytest.raises(ValueError, match=match):
             evaluator.evaluate_batch([{}], short_white_noise, output="nope")
+
+    def test_word_length_past_double_precision_rejected_before_any_run(
+            self, short_white_noise, monkeypatch):
+        # At 80 fractional bits the fixed run would equal the double run.
+        evaluator = SimulationEvaluator(_iir_graph(80))
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the plan ran before the word-length check")
+
+        monkeypatch.setattr(evaluator.plan, "run", no_run)
+        match = "node '.*' quantizes to 80 fractional bits"
+        with pytest.raises(ValueError, match=match):
+            evaluator.evaluate(short_white_noise)
+        with pytest.raises(ValueError, match=match):
+            evaluator.evaluate_batch([{}], short_white_noise)
+        shallow = SimulationEvaluator(_iir_graph(12))
+        monkeypatch.setattr(shallow.plan, "run", no_run)
+        with pytest.raises(ValueError,
+                           match="node 'filter' quantizes to 53"):
+            shallow.evaluate_batch([{"filter": 12}, {"filter": 53}],
+                                   short_white_noise)
+
+    def test_fanout_tap_past_double_precision_rejected(self,
+                                                       short_white_noise):
+        graph = _graph(12)
+        graph.node("x").quantization = graph.node("x").quantization \
+            .with_edge_fractional_bits("h", 60)
+        with pytest.raises(ValueError, match="edge 'x->h' quantizes to 60"):
+            SimulationEvaluator(graph).evaluate(short_white_noise)
+
+    def test_deep_word_length_within_double_precision_still_measures(self):
+        graph = _iir_graph(44)
+        stimulus = uniform_white_noise(20_000, seed=0)
+        comparison = AccuracyEvaluator(graph, n_psd=256).compare(
+            stimulus, methods=("psd",))
+        assert comparison.simulation.error_power > 0.0
+        assert abs(comparison.reports["psd"].ed_percent) < 10.0
 
     def test_multi_output_graph_needs_an_output_name(self, short_white_noise):
         evaluator = SimulationEvaluator(_two_output_graph())

@@ -24,6 +24,9 @@ import pytest
 import repro
 from repro.campaign.registry import build_scenario
 from repro.cli import main
+from repro.lti.fir_design import design_fir_lowpass
+from repro.lti.iir_design import design_iir_filter
+from repro.sfg.builder import SfgBuilder
 from repro.sfg.serialization import save_graph
 from repro.systems.filter_bank import build_filter_graph, generate_iir_bank
 
@@ -283,6 +286,32 @@ class TestErrorPaths:
         assert err.startswith("error: ")
         assert "is unstable" in err
 
+    def test_campaign_past_double_precision_fails_before_any_job(
+            self, capsys, tmp_path):
+        cache = tmp_path / "cache"
+        code = main(["campaign", "--scenarios", "table1_iir",
+                     "--methods", "simulation", "--wordlengths", "12", "80",
+                     "--cache-dir", str(cache)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "80 fractional bits" in lines[0]
+        assert not cache.exists() or not any(cache.iterdir())
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_simulating_past_double_precision_is_exit_code_1(
+            self, capsys, tmp_path, command):
+        path = tmp_path / "deep.json"
+        save_graph(build_filter_graph(generate_iir_bank(1)[0],
+                                      fractional_bits=80), path)
+        code = main([command, str(path), "--samples", "2000"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "80 fractional bits" in err
+
     def test_unknown_backend_rejected_by_argparse(self, capsys):
         # There is no backend flag left to choose with.
         for name in ("fortran", "codegen"):
@@ -313,14 +342,59 @@ class TestErrorPaths:
 
 
 class TestStartup:
-    def test_import_leaves_scipy_signal_unloaded(self):
-        # scipy.signal takes over a second to import and only the
-        # simulation paths call lfilter, so a fresh CLI process (e.g. a
-        # warm-cache campaign or an analytical optimize) must not pay it.
+    """No library path imports scipy: the package depends on NumPy only."""
+
+    @staticmethod
+    def _fresh_process(code: str, cwd=None) -> str:
+        """Last stdout line of ``python -c code`` in a fresh interpreter."""
         source_root = str(Path(repro.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": source_root}
-        output = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, repro.cli; print('scipy.signal' in sys.modules)"],
-            capture_output=True, text=True, env=env, check=True)
-        assert output.stdout.strip() == "False"
+        output = subprocess.run([sys.executable, "-c", code],
+                                capture_output=True, text=True, env=env,
+                                cwd=cwd)
+        assert output.returncode == 0, output.stderr
+        return output.stdout.strip().splitlines()[-1]
+
+    def test_import_leaves_scipy_signal_unloaded(self):
+        assert self._fresh_process(
+            "import sys, repro.cli; print('scipy' in sys.modules)") == "False"
+
+    def test_cold_iir_campaign_never_loads_scipy(self, tmp_path):
+        # The double leg of an IIR simulation is the bit-true recursion
+        # without rounding: no library path imports scipy.
+        argv = ["campaign", "--scenarios", "table1_iir", "cascaded_sos_bank",
+                "--methods", "simulation", "--wordlengths", "8", "12",
+                "--cache-dir", str(tmp_path / "cache")]
+        last_line = self._fresh_process(
+            "import sys\n"
+            "from repro.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "print('scipy' in sys.modules)", tmp_path)
+        assert last_line == "False"
+
+    def test_simulation_runs_with_scipy_blocked(self, tmp_path):
+        builder = SfgBuilder("iir-fir")
+        x = builder.input("x", fractional_bits=12)
+        h = builder.iir("h", *design_iir_filter(4, 0.3, "lowpass",
+                                                "butterworth"),
+                        x, fractional_bits=12)
+        g = builder.fir("g", design_fir_lowpass(9, 0.4), h,
+                        fractional_bits=12)
+        builder.output("y", g)
+        path = tmp_path / "iir_fir.json"
+        save_graph(builder.build(), path)
+        last_line = self._fresh_process(
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import numpy as np\n"
+            "from repro.cli import main\n"
+            "from repro.sfg.plan import compile_plan\n"
+            "from repro.sfg.serialization import load_graph\n"
+            f"assert main(['compare', {str(path)!r}, '--samples', "
+            "'4000']) == 0\n"
+            f"plan = compile_plan(load_graph({str(path)!r}))\n"
+            "x = np.random.default_rng(0).uniform(-0.9, 0.9, (4, 2000))\n"
+            "y = plan.run({'x': x}, mode='double').output('y')\n"
+            "assert y.shape == (4, 2000) and np.isfinite(y).all()\n"
+            "print('ok')", tmp_path)
+        assert last_line == "ok"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.lti.transfer_function import TransferFunction
+from repro.systems.filter_bank import generate_iir_bank
 
 
 class TestConstruction:
@@ -69,6 +70,26 @@ class TestResponses:
         x = rng.standard_normal(64)
         np.testing.assert_allclose(TransferFunction(b, a).filter(x),
                                    lfilter(b, a, x))
+
+
+class TestLfilterOracle:
+    """``filter`` is the bit-true kernel's direct-form-I recursion without
+    rounding; scipy's ``lfilter`` (transposed direct form II) is its
+    oracle, within a fixed 1e-12 of the output's peak magnitude."""
+
+    @pytest.mark.parametrize("shape", [(3000,), (3, 1000)],
+                             ids=["1-D", "stacked"])
+    def test_iir_bank_designs_of_orders_2_to_10(self, rng, shape):
+        from scipy.signal import lfilter
+        x = rng.uniform(-0.9, 0.9, shape)
+        orders = set()
+        for entry in generate_iir_bank(27):
+            tf = TransferFunction(entry.b, entry.a)
+            orders.add(len(tf.a) - 1)
+            expected = lfilter(tf.b, tf.a, x, axis=-1)
+            deviation = np.max(np.abs(tf.filter(x) - expected))
+            assert deviation <= 1e-12 * np.max(np.abs(expected)), entry.name
+        assert orders == set(range(2, 11))
 
 
 class TestStability:

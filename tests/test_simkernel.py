@@ -39,6 +39,7 @@ from repro.simkernel import (
     iir_df1_fixed,
     use_backend,
 )
+from repro.simkernel.iir import iir_df1_double
 from repro.simkernel.reference import iir_df1_reference
 from repro.systems.freq_filter import FrequencyDomainFirNode
 
@@ -140,6 +141,25 @@ class TestIirKernelBitExactness:
             row = iir_df1_fixed(x[t], b, a, step, RoundingMode.ROUND)
             assert np.array_equal(batched[t], row)
 
+    def test_one_generated_recurrence_serves_every_tap_set(self, rng):
+        # The recurrence source depends on the order and the mode only:
+        # tap sets of one order, run back to back, share one compiled
+        # factory and each still matches the legacy loop bit for bit.
+        from repro.simkernel.iir import _recurrence_factory
+        step = 2.0 ** -12
+        x = rng.uniform(-0.9, 0.9, 800)
+        first = _iir_coefficients(3)
+        second = design_iir_filter(3, 0.6, "highpass", "chebyshev1")
+        for b, a in (first, second, first):
+            for mode in MODES:
+                expected = iir_df1_reference(x, b, a, step, mode)
+                assert np.array_equal(iir_df1_fixed(x, b, a, step, mode),
+                                      expected)
+        compiled = _recurrence_factory.cache_info().currsize
+        b, a = design_iir_filter(3, 0.45, "lowpass", "chebyshev1")
+        iir_df1_fixed(x, b, a, step, RoundingMode.ROUND)
+        assert _recurrence_factory.cache_info().currsize == compiled
+
     @pytest.mark.parametrize("mode", MODES)
     def test_diverging_filter_matches_reference(self, mode):
         # An unstable pole drives the accumulator to inf and NaN, where
@@ -152,6 +172,81 @@ class TestIirKernelBitExactness:
             result = iir_df1_fixed(x, b, a, 2.0 ** -8, mode)
         assert not np.isfinite(expected).all()
         assert np.array_equal(result, expected, equal_nan=True)
+
+
+# ----------------------------------------------------------------------
+# The double leg: the same recursion without rounding
+# ----------------------------------------------------------------------
+class TestIirDoubleLeg:
+    def test_is_the_fixed_recursion_without_rounding(self, rng):
+        # np.convolve feed-forward, then the feedback products added left
+        # to right from an empty delay line, the accumulator stored as is.
+        b, a = _iir_coefficients(4)
+        x = rng.uniform(-0.9, 0.9, 300)
+        feed_forward = np.convolve(x, b)[:300]
+        y = []
+        for n in range(300):
+            history = [y[n - 1 - j] if n > j else 0.0 for j in range(4)]
+            feedback = a[1] * history[0]
+            for j in range(1, 4):
+                feedback += a[j + 1] * history[j]
+            y.append(feed_forward[n] - feedback)
+        assert _same_bits(iir_df1_double(x, b, a), np.array(y))
+
+    @pytest.mark.parametrize("order", [1, 2, 6, 10])
+    def test_stacked_rows_equal_single_stream_runs(self, rng, order):
+        b, a = _iir_coefficients(order)
+        x = rng.uniform(-0.9, 0.9, (2, 3, 500))
+        stacked = iir_df1_double(x, b, a)
+        for index in np.ndindex(x.shape[:-1]):
+            assert _same_bits(stacked[index], iir_df1_double(x[index], b, a))
+
+    def test_feed_forward_only_is_convolve_per_row(self, rng):
+        b = rng.standard_normal(7)
+        x = rng.uniform(-0.9, 0.9, (3, 400))
+        stacked = iir_df1_double(x, b, np.array([1.0]))
+        for t in range(3):
+            assert _same_bits(stacked[t], np.convolve(x[t], b)[:400])
+
+    @pytest.mark.parametrize("code", [0, 1, 2, 3])
+    def test_numba_kernel_body_matches_numpy_kernels(self, rng, code):
+        # The JIT kernel's Python source, run by the interpreter, sums the
+        # feedback in the generated recurrence's order in every mode.
+        from repro.simkernel import _numba
+        from repro.simkernel.iir import (
+            ROUNDING_CODES,
+            _iir_df1_batched,
+            _recursion,
+        )
+        mode = {value: key for key, value in ROUNDING_CODES.items()}[code]
+        _, a = _iir_coefficients(3)
+        taps = np.round(a[1:] * 4096.0) / 4096.0
+        values = rng.integers(-2 ** 20, 2 ** 20, (3, 200)).astype(float)
+        result = _numba.iir_df1_scaled(values, taps, code)
+        for t in range(3):
+            assert _same_bits(result[t], _recursion(values[t], taps, mode))
+        assert np.array_equal(result, _iir_df1_batched(values, taps, mode))
+
+    def test_diverging_filter_propagates_inf_and_nan(self):
+        # No rounder raises: overflow and inf - inf flow through, in the
+        # single stream and in every stacked row alike.
+        b, a = np.array([1.0]), np.array([1.0, -8.0, 16.0])
+        x = np.ones(600)
+        with np.errstate(over="ignore", invalid="ignore"):
+            single = iir_df1_double(x, b, a)
+            stacked = iir_df1_double(np.stack([x, x]), b, a)
+        assert np.isnan(single).any() and np.isinf(single).any()
+        for row in stacked:
+            assert _same_bits(row, single)
+
+    def test_backend_switch_leaves_the_double_run_alone(self):
+        b, a = design_iir_filter(6, 0.25, "lowpass", "chebyshev1")
+        plan = compile_plan(build_sos_graph(b, a, fractional_bits=12))
+        stimulus = {"x": uniform_white_noise(2000, seed=9)}
+        fast = plan.run(stimulus, mode="double").output("y")
+        with use_backend("reference"):
+            slow = plan.run(stimulus, mode="double").output("y")
+        assert _same_bits(fast, slow)
 
 
 # ----------------------------------------------------------------------
