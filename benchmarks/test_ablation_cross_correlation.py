@@ -11,8 +11,8 @@ with increasing correlation impact and compares three estimates against
 simulation: uncorrelated PSD addition, tracked (cross-spectrum exact)
 propagation, and the flat method.  It demonstrates when Eq. 14 is benign
 (paths with roughly orthogonal phase) and when it is badly wrong
-(coherent recombination), quantifying the design choice called out in
-DESIGN.md.
+(coherent recombination), quantifying the design choice noted beside
+Eq. 14 in the docstring of :mod:`repro.analysis.psd_method`.
 """
 
 from __future__ import annotations

@@ -21,7 +21,9 @@ Fig. 6 F.F. workload:
 
 Each backend gets one untimed warm-up call before the timed run so
 one-time costs (plan compilation, numba JIT compilation when installed)
-never pollute the ratios.
+never pollute the ratios.  Both calls run with memoization disabled: the
+plan keeps its last error record, so the timed call would otherwise be a
+memo hit that runs neither leg.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import time
 
 import numpy as np
 
+from repro.analysis._engine import memoization_disabled
 from repro.analysis.simulation_method import SimulationEvaluator
 from repro.data.signals import uniform_white_noise
 from repro.simkernel import use_backend
@@ -46,7 +49,7 @@ def _time_backends(evaluator, stimulus):
     seconds = {}
     outputs = {}
     for backend in ("reference", "fast"):
-        with use_backend(backend):
+        with use_backend(backend), memoization_disabled():
             evaluator.error_signal(stimulus)
             start = time.perf_counter()
             outputs[backend] = evaluator.error_signal(stimulus)

@@ -12,10 +12,12 @@ The evaluator runs a :class:`~repro.sfg.graph.SignalFlowGraph` through its
 :class:`~repro.sfg.plan.CompiledPlan` (or takes the plan directly): every
 measurement, of one configuration or of a stack of them, is one
 ``run(mode="double")`` leg — the reference, memoized per coefficient
-state and stimulus — and one ``run(mode="fixed")`` leg.  The stimulus may
-be a 2-D array of shape ``(trials, samples)``: the whole Monte-Carlo
-batch then runs as one vectorized pass and the measured moments
-aggregate over all trials.
+state and stimulus — and one ``run(mode="fixed")`` leg.  The plan also
+keeps the last error record :meth:`SimulationEvaluator.error_signal`
+measured, so consecutive measurements of one configuration on one
+stimulus run the two legs once.  The stimulus may be a 2-D array of shape
+``(trials, samples)``: the whole Monte-Carlo batch then runs as one
+vectorized pass and the measured moments aggregate over all trials.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from repro.obs import metric_inc, span
 from repro.psd.estimation import estimate_psd, estimate_psd_batch
 from repro.psd.spectrum import DiscretePsd
 from repro.sfg.graph import SignalFlowGraph
-from repro.sfg.plan import CompiledPlan, compile_plan
+from repro.sfg.plan import CompiledPlan, compile_plan, quantization_signature
+from repro.simkernel import get_backend
 
 
 # ----------------------------------------------------------------------
@@ -58,15 +61,38 @@ def _reference_memo(plan: CompiledPlan) -> OrderedDict:
     return memo
 
 
-def _stimulus_digest(stimulus: dict) -> str:
-    """Content digest of a normalized stimulus mapping."""
+def content_digest(named_arrays) -> str:
+    """Digest of ``(name, array)`` pairs, in order: names, shapes, values.
+
+    Values are hashed as float64, so an integer array and its float copy
+    share a digest.  The memo keys of the simulation evaluator (stimuli)
+    and of :class:`~repro.systems.dwt.codec.Dwt97Codec` (image lists) are
+    built from it.
+    """
     digest = hashlib.sha1()
-    for name in sorted(stimulus):
-        value = np.ascontiguousarray(np.asarray(stimulus[name], dtype=float))
+    for name, value in named_arrays:
+        value = np.ascontiguousarray(np.asarray(value, dtype=float))
         digest.update(name.encode())
         digest.update(repr(value.shape).encode())
         digest.update(value.tobytes())
     return digest.hexdigest()
+
+
+def _stimulus_digest(stimulus: dict) -> str:
+    """Content digest of a normalized stimulus mapping."""
+    return content_digest((name, stimulus[name]) for name in sorted(stimulus))
+
+
+# ----------------------------------------------------------------------
+# Last-measurement memo
+# ----------------------------------------------------------------------
+# Consecutive comparisons of one configuration on one stimulus (Table II
+# scores three estimates against one simulation) measure the same error
+# record, so the plan keeps the last one ``error_signal`` measured as a
+# single ``(key, record)`` entry.  One entry, not an LRU: each record is
+# stimulus-sized.  It holds the error record, not the fixed output: the
+# record is alive during Welch anyway, where the peak memory is.
+_ERROR_MEMO_ATTRIBUTE = "_error_memo"
 
 
 #: Largest data-path fractional word length a bit-true run can measure.
@@ -166,6 +192,12 @@ class SimulationEvaluator:
     def error_signal(self, stimulus, output: str | None = None) -> np.ndarray:
         """Output error record (fixed-point output minus reference output).
 
+        The record is read-only.  The plan keeps the last one measured:
+        a repeated call with the same coefficients, quantizers, stimulus,
+        output and backend returns it without running either leg.  Under
+        :func:`~repro.analysis._engine.memoization_disabled` nothing is
+        read or kept.
+
         Parameters
         ----------
         stimulus:
@@ -176,15 +208,33 @@ class SimulationEvaluator:
         output:
             Output-node name for multi-output graphs.
         """
+        plan = self.plan
         stimulus = self._normalize_stimulus(stimulus)
-        output = self.plan.resolve_output(output)
-        check_simulated_word_lengths(data_path_word_lengths(self.plan.graph))
-        digest = (_stimulus_digest(stimulus)
-                  if memoization_enabled() else None)
+        output = plan.resolve_output(output)
+        check_simulated_word_lengths(data_path_word_lengths(plan.graph))
+        digest = key = None
+        if memoization_enabled():
+            digest = _stimulus_digest(stimulus)
+            plan.refresh()
+            # Everything the two legs read.
+            key = (plan.coefficient_fingerprint(),
+                   quantization_signature(plan.graph), digest, output,
+                   get_backend())
         with span("sim.error_signal", output=output) as sim_span:
+            memo = getattr(plan, _ERROR_MEMO_ATTRIBUTE, None)
+            hit = key is not None and memo is not None and memo[0] == key
+            sim_span.set(error_cached=hit)
+            if hit:
+                metric_inc("sim.error_memo.hits")
+                return memo[1]
+            metric_inc("sim.error_memo.misses")
             reference, cached = self._reference(stimulus, digest, output)
             sim_span.set(reference_cached=cached)
-            return self._fixed_error(stimulus, reference, output)
+            error = self._fixed_error(stimulus, reference, output)
+            error.flags.writeable = False
+            if key is not None:
+                setattr(plan, _ERROR_MEMO_ATTRIBUTE, (key, error))
+            return error
 
     def evaluate(self, stimulus, output: str | None = None,
                  n_psd: int | None = None,

@@ -12,10 +12,12 @@ Two halves:
   functions runnable without pytest (the ``repro bench`` subcommand).
   Each times the *reference* backend (the preserved legacy loops of
   :mod:`repro.simkernel.reference`) against the default path on the
-  same workload, asserts the outputs are bitwise identical, and reports
-  the speedup.  ``repro bench --check`` then compares the measured
-  speedups against the committed floors in
-  ``benchmarks/bench_baseline.json`` and fails on regression.
+  same workload, asserts the outputs are bitwise identical (and, for the
+  simulation benches, that each timed call ran a bit-true plan run
+  rather than a memo hit), and reports the speedup.
+  ``repro bench --check`` then compares the measured speedups against
+  the committed floors in ``benchmarks/bench_baseline.json`` and fails
+  on regression.
 
 Speedup *ratios* — not absolute seconds — are what the baseline pins:
 both sides of each ratio run in the same process on the same machine, so
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -146,6 +149,37 @@ def _timed_warm(function, *args):
     return result, seconds, warmup_seconds
 
 
+def _timed_simulation(label: str, evaluator, stimulus):
+    """:func:`_timed_warm` of ``evaluator.error_signal(stimulus)``.
+
+    Both calls run under ``memoization_disabled()``: the plan keeps its
+    last error record, so a repeated call on an unchanged plan would
+    otherwise time a memo hit.  :func:`_require_fixed_runs` then checks
+    ``plan.runs{mode=fixed}`` across the timed call.
+    """
+    from repro.analysis._engine import memoization_disabled
+    from repro.obs import current, observe
+
+    with memoization_disabled():
+        _, warmup_seconds = _timed(evaluator.error_signal, stimulus)
+        with ExitStack() as stack:
+            # The active session's counter, else a metrics-only session.
+            session = current() or stack.enter_context(observe(trace=False))
+            runs = session.metrics.counter("plan.runs", mode="fixed")
+            before = runs.value
+            error, seconds = _timed(evaluator.error_signal, stimulus)
+    _require_fixed_runs(label, runs.value - before)
+    return error, seconds, warmup_seconds
+
+
+def _require_fixed_runs(label: str, fixed_runs: int) -> None:
+    if fixed_runs < 1:
+        raise RuntimeError(
+            f"{label}: the timed call ran no bit-true plan run (a memo "
+            "hit?) — refusing to report a speedup for work that was not "
+            "done")
+
+
 def _require_bitwise(label: str, reference, optimized) -> None:
     # Compare the raw bytes: np.array_equal would take -0.0 for +0.0
     # (and refuse identical NaNs).
@@ -177,10 +211,10 @@ def bench_sim_engine_ff(samples: int = 60_000, seed: int = 1) -> dict:
     stimulus = {"x": uniform_white_noise(samples, seed=seed)}
     warmup: dict = {}
     with use_backend("reference"):
-        reference, reference_seconds, warmup["reference"] = _timed_warm(
-            evaluator.error_signal, stimulus)
-    optimized, fast_seconds, warmup["fast"] = _timed_warm(
-        evaluator.error_signal, stimulus)
+        reference, reference_seconds, warmup["reference"] = _timed_simulation(
+            "sim_engine_ff[reference]", evaluator, stimulus)
+    optimized, fast_seconds, warmup["fast"] = _timed_simulation(
+        "sim_engine_ff[fast]", evaluator, stimulus)
     _require_bitwise("sim_engine_ff", reference, optimized)
     return bench_payload(
         "sim_engine_ff",
@@ -196,6 +230,7 @@ def bench_sim_engine_ff(samples: int = 60_000, seed: int = 1) -> dict:
                          "per-sample loop vs the default backend")
 def bench_sim_engine_iir(samples: int = 60_000, seed: int = 3) -> dict:
     """Single-stream and 64-trial batched IIR recursion."""
+    from repro.analysis._engine import memoization_disabled
     from repro.analysis.simulation_method import SimulationEvaluator
     from repro.data.signals import uniform_white_noise
     from repro.simkernel import use_backend
@@ -214,10 +249,13 @@ def bench_sim_engine_iir(samples: int = 60_000, seed: int = 3) -> dict:
     warmup: dict = {}
     for backend in ("reference", "fast"):
         with use_backend(backend):
-            outputs[backend], seconds[backend], warmup[backend] = _timed_warm(
-                evaluator.error_signal, stimulus)
-            _, seconds[f"{backend}_batched"] = _timed(
-                evaluator.error_signal, batched)
+            outputs[backend], seconds[backend], warmup[backend] = \
+                _timed_simulation(f"sim_engine_iir[{backend}]", evaluator,
+                                  stimulus)
+            # Memo off here too, so the stimulus digest is not timed.
+            with memoization_disabled():
+                _, seconds[f"{backend}_batched"] = _timed(
+                    evaluator.error_signal, batched)
     _require_bitwise("sim_engine_iir", outputs["reference"], outputs["fast"])
     speedup = {
         "single_stream": seconds["reference"] / seconds["fast"],

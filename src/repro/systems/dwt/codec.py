@@ -22,12 +22,17 @@ is purely the arithmetic quantization noise of the codec.
 
 from __future__ import annotations
 
+from dataclasses import astuple
+
 import numpy as np
 
+from repro.analysis._engine import memoization_enabled
 from repro.analysis.metrics import ed_deviation, noise_power
+from repro.analysis.simulation_method import content_digest
 from repro.fixedpoint.noise_model import NoiseStats, quantization_noise_stats
 from repro.fixedpoint.quantizer import Quantizer, RoundingMode
 from repro.fixedpoint.qformat import QFormat
+from repro.obs import metric_inc
 from repro.psd.estimation import estimate_psd_2d
 from repro.systems.dwt.daubechies97 import WaveletFilters, daubechies_9_7_filters
 from repro.systems.dwt.dwt2d import analyze_multilevel, synthesize_multilevel
@@ -97,6 +102,8 @@ class Dwt97Codec:
         self.integer_bits = int(integer_bits)
         self.filters: WaveletFilters = daubechies_9_7_filters().quantized(
             self.coefficient_fractional_bits)
+        # The last simulated power, as one (key, power) entry.
+        self._power_memo: tuple | None = None
 
     # ------------------------------------------------------------------
     # Execution
@@ -229,10 +236,34 @@ class Dwt97Codec:
     # Simulation helpers and comparison
     # ------------------------------------------------------------------
     def simulated_error_power(self, images: list[np.ndarray]) -> float:
-        """Average output-error power measured over a set of images."""
+        """Average output-error power measured over a set of images.
+
+        The codec keeps the last power it simulated: a repeated call on
+        the same images, with the same word lengths, rounding, levels and
+        filters, returns it without running the codec (unless
+        :func:`~repro.analysis._engine.memoization_disabled` is active).
+        """
         images = _check_images(images)
+        key = self._power_key(images) if memoization_enabled() else None
+        if key is not None and self._power_memo is not None \
+                and self._power_memo[0] == key:
+            metric_inc("dwt.power_memo.hits")
+            return self._power_memo[1]
+        metric_inc("dwt.power_memo.misses")
         powers = [noise_power(self.error_image(image)) for image in images]
-        return float(np.mean(powers))
+        power = float(np.mean(powers))
+        if key is not None:
+            self._power_memo = (key, power)
+        return power
+
+    def _power_key(self, images: list[np.ndarray]) -> tuple:
+        """Everything the two runs read, and the images' content."""
+        filters = tuple(value.tobytes() if isinstance(value, np.ndarray)
+                        else value for value in astuple(self.filters))
+        return (self.fractional_bits, self.integer_bits, self.rounding,
+                self.levels, filters,
+                content_digest((str(index), image)
+                               for index, image in enumerate(images)))
 
     def simulated_error_psd_2d(self, images: list[np.ndarray]) -> np.ndarray:
         """Averaged 2-D periodogram of the output error (Fig. 7 left panel)."""

@@ -32,17 +32,9 @@ import numpy as np
 
 from repro.fixedpoint.noise_model import NoiseStats
 from repro.lti.multirate import downsample_psd, upsample_psd
+from repro.lti.transfer_function import TransferFunction
 
 _MODES = ("psd", "agnostic")
-
-
-def _magnitude_response(taps: np.ndarray, n_bins: int) -> np.ndarray:
-    """Squared magnitude of an FIR filter on ``n_bins`` full-circle bins."""
-    taps = np.asarray(taps, dtype=float)
-    omega = 2.0 * np.pi * np.arange(n_bins) / n_bins
-    k = np.arange(len(taps))
-    response = np.exp(-1j * np.outer(omega, k)) @ taps
-    return np.abs(response) ** 2
 
 
 class SeparableNoiseField:
@@ -111,7 +103,9 @@ class SeparableNoiseField:
         dc_gain = float(np.sum(taps))
         contributions = []
         if self.mode == "psd":
-            magnitude = _magnitude_response(taps, self.bins[axis])
+            # The filter rule of the SFG walks (``DiscretePsd.filtered``).
+            magnitude = TransferFunction(taps, [1.0]).magnitude_response(
+                self.bins[axis])
             for contribution in self.contributions:
                 updated = dict(contribution)
                 updated[axis] = contribution[axis] * magnitude

@@ -9,6 +9,8 @@ toggle, the flat method's path-function cache and the simulation
 evaluator's reference-run memo.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from repro.analysis.agnostic_method import (
     evaluate_agnostic_batch,
 )
 from repro.analysis.flat_method import evaluate_flat, source_path_functions
+from repro.analysis.metrics import noise_power
 from repro.analysis.psd_method import (
     evaluate_psd,
     evaluate_psd_batch,
@@ -29,14 +32,21 @@ from repro.analysis.psd_method import (
 )
 from repro.analysis.simulation_method import SimulationEvaluator
 from repro.data.signals import uniform_white_noise
+from repro.fixedpoint.quantizer import RoundingMode
 from repro.lti.fir_design import design_fir_highpass, design_fir_lowpass
+from repro.obs import observe
 from repro.sfg.builder import SfgBuilder
 from repro.sfg.plan import CompiledPlan, compile_plan
+from repro.simkernel import use_backend
 from repro.systems.families import build_dwt97_bank, build_scalability_bank
+from repro.systems.freq_filter import FrequencyDomainFilter
 
 
-def _fork_graph(bits=12):
-    """input -> lp -> {hp, gain} -> add: one step with two successors."""
+def _fork_graph(bits=12, second_output=False):
+    """input -> lp -> {hp, gain} -> add: one step with two successors.
+
+    ``second_output`` adds an output ``z`` tapping the gain branch.
+    """
     builder = SfgBuilder("fork")
     x = builder.input("x", fractional_bits=bits)
     lp = builder.fir("lp", design_fir_lowpass(9, 0.4), x,
@@ -46,6 +56,8 @@ def _fork_graph(bits=12):
     g = builder.gain("g", 0.5, lp, fractional_bits=bits)
     merged = builder.add("sum", [hp, g], fractional_bits=bits)
     builder.output("y", merged)
+    if second_output:
+        builder.output("z", g)
     return builder.build()
 
 
@@ -276,17 +288,23 @@ class TestFlatPathFunctionCache:
         assert len(plan_memo(plan).path_functions) == 0
 
 
-def _count_double_runs(monkeypatch, plan) -> dict:
-    """Count ``plan.run(mode="double")`` calls from now on."""
+def _count_runs(monkeypatch, plan) -> dict:
+    """Count ``plan.run`` calls per mode from now on."""
     real_run = plan.run
-    calls = {"double": 0}
+    calls = {"double": 0, "fixed": 0}
 
     def counting_run(inputs, mode="double", **kwargs):
-        calls["double"] += mode == "double"
+        calls[mode] += 1
         return real_run(inputs, mode=mode, **kwargs)
 
     monkeypatch.setattr(plan, "run", counting_run)
     return calls
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and a.tobytes() == b.tobytes())
 
 
 class TestSimulationReferenceMemo:
@@ -297,12 +315,20 @@ class TestSimulationReferenceMemo:
         return plan, evaluator, stimulus
 
     def test_reference_run_reused_across_data_path_edits(self, monkeypatch):
+        # g's coefficients are pinned to 12 bits, so requantizing g edits
+        # its data path only and leaves the coefficient fingerprint alone.
         plan, evaluator, stimulus = self._evaluator_and_stimulus()
-        first = evaluator.error_signal(stimulus)
-        calls = _count_double_runs(monkeypatch, plan)
-        second = evaluator.error_signal(stimulus)
-        assert calls["double"] == 0  # reference leg served from memo
-        assert np.array_equal(first, second)
+        g = plan.graph.node("g")
+        g.quantization = replace(g.quantization,
+                                 coefficient_fractional_bits=12)
+        evaluator.error_signal(stimulus)
+        plan.requantize({"g": 9})
+        calls = _count_runs(monkeypatch, plan)
+        edited = evaluator.error_signal(stimulus)
+        assert calls == {"double": 0, "fixed": 1}
+        with memoization_disabled():
+            cold = evaluator.error_signal(stimulus)
+        assert _same_bits(edited, cold)
 
     def test_memo_results_match_disabled_runs_bitwise(self):
         plan, evaluator, stimulus = self._evaluator_and_stimulus()
@@ -315,7 +341,7 @@ class TestSimulationReferenceMemo:
     def test_different_stimulus_misses(self, monkeypatch):
         plan, evaluator, stimulus = self._evaluator_and_stimulus()
         evaluator.error_signal(stimulus)
-        calls = _count_double_runs(monkeypatch, plan)
+        calls = _count_runs(monkeypatch, plan)
         evaluator.error_signal({"x": uniform_white_noise(512, seed=4)})
         assert calls["double"] == 1
 
@@ -338,7 +364,142 @@ class TestSimulationReferenceMemo:
         assignments = [{"x": 10}, {"x": 8}, {"hp": 9}, {"hp": 9, "x": 8}]
         assert plan.config_stack(assignments).coefficient_groups() == \
             [[0, 1], [2, 3]]
-        calls = _count_double_runs(monkeypatch, plan)
+        calls = _count_runs(monkeypatch, plan)
         with memoization_disabled():
             evaluator.evaluate_batch(assignments, stimulus)
         assert calls["double"] == 2
+
+
+# Edits for TestSimulationErrorMemo: each changes one thing a leg reads,
+# on the plan or in the call's arguments (the returned overrides).
+def _requantize_data_path(plan):
+    plan.requantize({"x": 10})
+    return {}
+
+
+def _tap_edge(plan):
+    plan.requantize({"lp->hp": 9})
+    return {}
+
+
+def _truncate_sum(plan):
+    node = plan.graph.node("sum")
+    node.quantization = replace(node.quantization,
+                                rounding=RoundingMode.TRUNCATE)
+    return {}
+
+
+def _edit_gain_in_place(plan):
+    plan.graph.node("g").gain = 0.75
+    return {}
+
+
+def _other_stimulus(plan):
+    return {"stimulus": {"x": uniform_white_noise(512, seed=4)}}
+
+
+def _other_output(plan):
+    return {"output": "z"}
+
+
+class TestSimulationErrorMemo:
+    """The plan keeps the last error record ``error_signal`` measured."""
+
+    def _setup(self):
+        plan = compile_plan(_fork_graph(second_output=True))
+        evaluator = SimulationEvaluator(plan)
+        stimulus = {"x": uniform_white_noise(512, seed=3)}
+        return plan, evaluator, stimulus
+
+    def test_same_state_twice_runs_neither_leg(self, monkeypatch):
+        plan, evaluator, stimulus = self._setup()
+        first = evaluator.error_signal(stimulus, output="y")
+        calls = _count_runs(monkeypatch, plan)
+        with observe(trace=False) as session:
+            second = evaluator.error_signal(stimulus, output="y")
+        assert calls == {"double": 0, "fixed": 0}
+        assert _same_bits(first, second)
+        counters = session.metrics.flattened()
+        assert counters["sim.error_memo.hits"] == 1
+        assert "sim.error_memo.misses" not in counters
+
+    @pytest.mark.parametrize("edit", [
+        _requantize_data_path, _tap_edge, _truncate_sum,
+        _edit_gain_in_place, _other_stimulus, _other_output,
+    ], ids=["requantize", "edge-tap", "rounding", "gain-in-place",
+            "stimulus", "output"])
+    def test_any_edit_misses(self, monkeypatch, edit):
+        plan, evaluator, stimulus = self._setup()
+        evaluator.error_signal(stimulus, output="y")
+        call = {"stimulus": stimulus, "output": "y"}
+        call.update(edit(plan))
+        calls = _count_runs(monkeypatch, plan)
+        with observe(trace=False) as session:
+            memoized = evaluator.error_signal(**call)
+        assert calls["fixed"] == 1
+        assert session.metrics.flattened()["sim.error_memo.misses"] == 1
+        with memoization_disabled():
+            cold = evaluator.error_signal(**call)
+        assert _same_bits(memoized, cold)
+
+    def test_backend_is_part_of_the_key(self, monkeypatch):
+        plan, evaluator, stimulus = self._setup()
+        default = evaluator.error_signal(stimulus, output="y")
+        calls = _count_runs(monkeypatch, plan)
+        with use_backend("reference"):
+            reference = evaluator.error_signal(stimulus, output="y")
+        assert calls["fixed"] == 1
+        assert _same_bits(default, reference)
+
+    def test_compare_at_two_resolutions_runs_one_fixed_run(self, monkeypatch):
+        system = FrequencyDomainFilter(fractional_bits=12, n_psd=1024)
+        stimulus = uniform_white_noise(4096, seed=5)
+        calls = _count_runs(monkeypatch, system.evaluator.plan)
+        memoized = [system.compare(stimulus, methods=("psd",), n_psd=n_psd)
+                    for n_psd in (16, 1024)]
+        assert calls == {"double": 1, "fixed": 1}
+        with memoization_disabled():
+            cold = [system.compare(stimulus, methods=("psd",), n_psd=n_psd)
+                    for n_psd in (16, 1024)]
+        for warm, fresh in zip(memoized, cold):
+            warm, fresh = warm.simulation, fresh.simulation
+            assert warm.error_power == fresh.error_power
+            assert warm.error_mean == fresh.error_mean
+            assert _same_bits(warm.error_psd.ac, fresh.error_psd.ac)
+            assert warm.error_psd.mean == fresh.error_psd.mean
+
+    def test_disabled_neither_reads_nor_stores(self, monkeypatch):
+        plan, evaluator, stimulus = self._setup()
+        calls = _count_runs(monkeypatch, plan)
+        with memoization_disabled():
+            cold = evaluator.error_signal(stimulus, output="y")
+        memoized = evaluator.error_signal(stimulus, output="y")
+        assert calls["fixed"] == 2  # the disabled call stored nothing
+        with memoization_disabled():
+            evaluator.error_signal(stimulus, output="y")
+        assert calls["fixed"] == 3  # and a disabled call reads nothing
+        assert _same_bits(cold, memoized)
+
+    def test_records_are_read_only(self):
+        plan, evaluator, stimulus = self._setup()
+        with memoization_disabled():
+            cold = evaluator.error_signal(stimulus, output="y")
+        memoized = evaluator.error_signal(stimulus, output="y")
+        for record in (cold, memoized):
+            assert not record.flags.writeable
+            with pytest.raises(ValueError):
+                record[0] = 1.0
+
+    def test_evaluate_batch_ignores_the_memo(self, monkeypatch):
+        # The batch neither reads the live config's record (it reruns the
+        # fixed leg) nor overwrites it (the next error_signal still hits).
+        plan, evaluator, stimulus = self._setup()
+        measured = evaluator.error_signal(stimulus, output="y")
+        calls = _count_runs(monkeypatch, plan)
+        batch = evaluator.evaluate_batch([{}, {"x": 10}], stimulus,
+                                         output="y")
+        assert calls["fixed"] == 2
+        again = evaluator.error_signal(stimulus, output="y")
+        assert calls["fixed"] == 2
+        assert again is measured
+        assert batch[0].error_power == noise_power(measured)

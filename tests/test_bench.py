@@ -5,7 +5,8 @@ pieces individually — schema writer/loader, registry filtering, the
 baseline comparison rules (missing measurements, unknown benchmarks)
 and each registered benchmark on a reduced workload, including the
 bitwise-identity guard that refuses to report a speedup for a kernel
-that drifted.
+that drifted and the guard that refuses one for a timed simulation that
+ran no bit-true leg.
 """
 
 import functools
@@ -179,6 +180,28 @@ class TestRegisteredBenches:
         monkeypatch.setattr(nodes, "iir_df1_fixed", drifting)
         with pytest.raises(RuntimeError, match="not bitwise identical"):
             bench_sim_engine_iir(samples=1000)
+
+    @pytest.mark.parametrize("function", [bench_sim_engine_ff,
+                                          bench_sim_engine_iir])
+    def test_fixed_run_guard_refuses_memo_hits(self, monkeypatch, function):
+        # With memoization left on, the timed call repeats the warm-up's
+        # measurement: the plan's last-measurement memo serves it and no
+        # bit-true leg runs.
+        from contextlib import nullcontext
+
+        from repro.analysis import _engine
+
+        monkeypatch.setattr(_engine, "memoization_disabled", nullcontext)
+        with pytest.raises(RuntimeError, match="ran no bit-true plan run"):
+            function(samples=1000)
+
+    def test_fixed_runs_count_in_the_active_session(self):
+        from repro.obs import observe
+
+        with observe(trace=False) as session:
+            bench_sim_engine_ff(samples=1000)
+        # A warm-up and a timed call per backend.
+        assert session.metrics.counter("plan.runs", mode="fixed").value == 4
 
 
 class TestBitwiseGuard:

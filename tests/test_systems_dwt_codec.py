@@ -3,9 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.analysis._engine import memoization_disabled
 from repro.data.images import ImageGenerator, natural_image
 from repro.fixedpoint.noise_model import NoiseStats
+from repro.fixedpoint.quantizer import RoundingMode
+from repro.lti.transfer_function import TransferFunction
+from repro.obs import observe
+from repro.psd.spectrum import DiscretePsd
 from repro.systems.dwt.codec import Dwt97Codec
+from repro.systems.dwt.daubechies97 import daubechies_9_7_filters
 from repro.systems.dwt.lifting import LiftingDwt97Codec
 from repro.systems.dwt.noise_model import SeparableNoiseField
 
@@ -74,6 +80,24 @@ class TestSeparableNoiseField:
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
             SeparableNoiseField("fancy", {0: 4, 1: 4})
+
+    @pytest.mark.parametrize("name", ["analysis_lowpass", "analysis_highpass",
+                                      "synthesis_lowpass",
+                                      "synthesis_highpass"])
+    def test_filter_rule_is_the_sfg_walk_rule(self, name):
+        # A one-source field filtered along an axis equals the SFG walks'
+        # DiscretePsd.filtered on the filter's frequency response, bit for
+        # bit, at every bin count the codec uses.
+        taps = getattr(daubechies_9_7_filters().quantized(12), name)
+        response = TransferFunction(taps, [1.0])
+        for n_bins in (4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048):
+            field = SeparableNoiseField.zero(n_bins).injected(
+                NoiseStats(0.0, 1.0 / 3.0))
+            profile = field.contributions[0][0]
+            filtered = field.filtered(taps, axis=0).contributions[0][0]
+            walked = DiscretePsd(profile).filtered(
+                response.frequency_response(n_bins)).ac
+            assert filtered.tobytes() == walked.tobytes()
 
 
 class TestCodecExecution:
@@ -172,6 +196,65 @@ class TestCodecNoiseEstimates:
         power_round = codec_round.estimate_error_power(64, "psd")
         power_trunc = codec_trunc.estimate_error_power(64, "psd")
         assert power_trunc > power_round
+
+
+class TestCodecPowerMemo:
+    """The codec keeps the last power it simulated."""
+
+    @staticmethod
+    def _count_error_images(monkeypatch, codec) -> list:
+        simulated = []
+        real = codec.error_image
+
+        def counting(image):
+            simulated.append(image)
+            return real(image)
+
+        monkeypatch.setattr(codec, "error_image", counting)
+        return simulated
+
+    def test_second_compare_runs_no_error_image(self, monkeypatch):
+        images = ImageGenerator(size=32, seed=1).corpus(3)
+        codec = Dwt97Codec(fractional_bits=12, levels=2)
+        low = codec.compare(images, n_psd=16, methods=("psd",))
+        simulated = self._count_error_images(monkeypatch, codec)
+        with observe(trace=False) as session:
+            high = codec.compare(images, n_psd=256,
+                                 methods=("psd", "agnostic"))
+        assert simulated == []
+        assert session.metrics.flattened() == {"dwt.power_memo.hits": 1}
+        fresh = Dwt97Codec(fractional_bits=12, levels=2)
+        assert high["simulated_power"] == low["simulated_power"] == \
+            fresh.simulated_error_power(images)
+
+    @pytest.mark.parametrize("edit", ["images", "fractional_bits", "levels",
+                                      "rounding"])
+    def test_edit_misses(self, monkeypatch, edit):
+        images = ImageGenerator(size=32, seed=1).corpus(2)
+        codec = Dwt97Codec(fractional_bits=12, levels=2)
+        codec.simulated_error_power(images)
+        if edit == "images":
+            images = images[:1]
+        else:
+            setattr(codec, edit, {"fractional_bits": 10, "levels": 1,
+                                  "rounding": RoundingMode.TRUNCATE}[edit])
+        simulated = self._count_error_images(monkeypatch, codec)
+        power = codec.simulated_error_power(images)
+        assert len(simulated) == len(images)
+        fresh = Dwt97Codec(fractional_bits=codec.fractional_bits,
+                           levels=codec.levels, rounding=codec.rounding,
+                           coefficient_fractional_bits=12)
+        assert power == fresh.simulated_error_power(images)
+
+    def test_disabled_runs_every_time(self, monkeypatch):
+        images = [natural_image(16, seed=2)]
+        codec = Dwt97Codec(fractional_bits=12)
+        codec.simulated_error_power(images)
+        simulated = self._count_error_images(monkeypatch, codec)
+        with memoization_disabled():
+            codec.simulated_error_power(images)
+            codec.simulated_error_power(images)
+        assert len(simulated) == 2
 
 
 def _bad_image(kind: str) -> np.ndarray:
