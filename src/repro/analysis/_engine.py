@@ -218,19 +218,14 @@ def _stats_batch_step(stack: ConfigStack, step, rows,
                          variance=np.zeros(len(rows)))
     elif isinstance(node, _LtiMixin):
         (stats,) = inputs
-        energy, dc = stack.block_gains(step, rows)
-        acc = NoiseStats(mean=stats.mean * dc,
-                         variance=stats.variance * energy)
+        acc = stats.filtered(*stack.block_gains(step, rows))
     else:
         acc = node.propagate_stats(inputs)
     noise = stack.noise(step, rows)
     if noise is not None:
-        means, variances = noise
+        own = NoiseStats(*noise)
         if isinstance(node, IirNode):
-            energy, dc = stack.shaping_gains(step, rows)
-            own = NoiseStats(mean=means * dc, variance=variances * energy)
-        else:
-            own = NoiseStats(mean=means, variance=variances)
+            own = own.filtered(*stack.shaping_gains(step, rows))
         acc = _inject(acc, own, noise, ("mean", "variance"))
     return acc
 

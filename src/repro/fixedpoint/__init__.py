@@ -9,8 +9,6 @@ know about fixed-point data types:
 * :class:`~repro.fixedpoint.quantizer.Quantizer` — a vectorized quantizer
   supporting rounding, truncation and convergent rounding together with
   saturation / wrap-around overflow handling.
-* :class:`~repro.fixedpoint.fxparray.FxpArray` — an integer-mantissa
-  fixed-point array with exact add / multiply / re-quantize semantics.
 * :mod:`~repro.fixedpoint.noise_model` — the Widrow pseudo-quantization-noise
   (PQN) model giving the mean and variance of the error introduced by a
   quantization, for both continuous-amplitude inputs and re-quantization of
@@ -19,7 +17,6 @@ know about fixed-point data types:
 
 from repro.fixedpoint.qformat import QFormat
 from repro.fixedpoint.quantizer import OverflowMode, Quantizer, RoundingMode, quantize
-from repro.fixedpoint.fxparray import FxpArray
 from repro.fixedpoint.noise_model import (
     NoiseStats,
     quantization_noise_stats,
@@ -36,7 +33,6 @@ __all__ = [
     "RoundingMode",
     "OverflowMode",
     "quantize",
-    "FxpArray",
     "NoiseStats",
     "quantization_noise_stats",
     "quantization_noise_psd",

@@ -84,6 +84,24 @@ class NoiseStats:
         return NoiseStats(mean=self.mean + other.mean,
                           variance=self.variance + other.variance)
 
+    # The moment rules of the PSD-agnostic baseline, beside the
+    # DiscretePsd operations of the same names.
+    def filtered(self, energy, dc_gain) -> "NoiseStats":
+        """Moments after an LTI system of impulse-response energy
+        ``sum h^2`` and DC gain ``sum h``, under the white-input
+        assumption."""
+        return NoiseStats(mean=self.mean * dc_gain,
+                          variance=self.variance * energy)
+
+    def downsampled(self, factor: int = 2) -> "NoiseStats":
+        """Moments after decimation: a WSS signal keeps them."""
+        return self
+
+    def upsampled(self, factor: int = 2) -> "NoiseStats":
+        """Moments after zero insertion: both divide by ``factor``."""
+        return NoiseStats(mean=self.mean / factor,
+                          variance=self.variance / factor)
+
 
 def quantization_step(fractional_bits: int | None) -> float:
     """Quantization step for ``fractional_bits`` bits (0 if ``None``).

@@ -5,7 +5,7 @@ each source-to-output path, either
 
 * the impulse response (flat method, Eqs. 5-6: ``K_i = sum h_i(k)^2`` and
   ``L_ij = (sum h_i)(sum h_j)``), or
-* the magnitude response sampled on ``N_PSD`` frequency bins (proposed
+* the frequency response sampled on ``N_PSD`` frequency bins (proposed
   method, Eq. 11: ``S_out = S_in * |H|^2``).
 
 :class:`TransferFunction` provides both, together with composition
@@ -138,11 +138,6 @@ class TransferFunction:
         numerator = np.polyval(self.b[::-1], zinv)
         denominator = np.polyval(self.a[::-1], zinv)
         return numerator / denominator
-
-    def magnitude_response(self, n_points: int, whole: bool = True) -> np.ndarray:
-        """Squared-magnitude response ``|H(F)|^2`` on ``n_points`` bins."""
-        response = self.frequency_response(n_points, whole=whole)
-        return np.abs(response) ** 2
 
     def impulse_response(self, n_samples: int | None = None,
                          tol: float = 1e-12) -> np.ndarray:

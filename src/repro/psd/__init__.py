@@ -15,9 +15,7 @@ provides:
   from simulation).
 * :mod:`~repro.psd.propagation` — the per-source tracked propagation used
   when re-convergent (correlated) noise paths must be handled exactly
-  (Eqs. 12–13), and helpers shared by the evaluation engines.
-* :mod:`~repro.psd.cross_spectrum` — cross-spectral estimation between two
-  signals, used in tests to validate the correlated-path handling.
+  (Eqs. 12–13).
 """
 
 from repro.psd.spectrum import DiscretePsd
@@ -29,7 +27,6 @@ from repro.psd.estimation import (
     welch_batched,
 )
 from repro.psd.propagation import TrackedSpectrum
-from repro.psd.cross_spectrum import cross_power_spectrum
 
 __all__ = [
     "DiscretePsd",
@@ -39,5 +36,4 @@ __all__ = [
     "welch",
     "welch_batched",
     "TrackedSpectrum",
-    "cross_power_spectrum",
 ]

@@ -143,28 +143,3 @@ class TrackedSpectrum:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"TrackedSpectrum(n_bins={self.n_bins}, "
                 f"sources={len(self.sources)})")
-
-
-def cross_spectrum_contribution(psd_a: DiscretePsd, psd_b: DiscretePsd,
-                                correlation: np.ndarray) -> np.ndarray:
-    """Cross-spectral power added when two partially correlated signals sum.
-
-    Parameters
-    ----------
-    psd_a, psd_b:
-        Auto-PSDs of the two signals.
-    correlation:
-        Complex per-bin correlation coefficient (coherence with phase)
-        between the two signals; 0 means uncorrelated, 1 fully correlated
-        in phase, -1 fully correlated in anti-phase.
-
-    Returns
-    -------
-    numpy.ndarray
-        The term ``S_ab + S_ba = 2 Re(correlation) sqrt(S_a S_b)`` per bin,
-        which an adder contributes on top of ``S_a + S_b`` (Eq. 12).
-    """
-    correlation = np.asarray(correlation)
-    if len(correlation) != psd_a.n_bins or psd_a.n_bins != psd_b.n_bins:
-        raise ValueError("PSDs and correlation must share the same bin count")
-    return 2.0 * np.real(correlation) * np.sqrt(psd_a.ac * psd_b.ac)

@@ -21,13 +21,17 @@ only formed when the total power is requested.  The
 
 The total power is ``E[x^2] = mean**2 + sum(ac)``.
 
-Configuration axis
-------------------
+Leading axis
+------------
 A PSD may be *stacked*: ``ac`` of shape ``(K, n)`` and ``mean`` of shape
-``(K,)``, one spectrum per word-length configuration of a batched
-evaluation.  The algebra is written once over that leading axis, so the
-analytical engine runs a scalar evaluation as the ``K = 1`` case of the
-batched one and :meth:`DiscretePsd.select` hands back an unstacked row.
+``(K,)``.  The rows are either the spectra of one signal under ``K``
+word-length configurations of a batched evaluation, or the
+contributions of ``K`` noise sources to one signal (the separable 2-D
+field of :mod:`repro.systems.dwt.noise_model`; :meth:`DiscretePsd.joined`
+appends one source stack to another).  The algebra is written once over
+that leading axis, so the analytical engine runs a scalar evaluation as
+the ``K = 1`` case of the batched one and :meth:`DiscretePsd.select`
+hands back an unstacked row.
 The public constructor validates and clips its bins (it receives outside
 data such as Welch estimates); results of the algebra are built without
 re-validating, since every operation preserves non-negative bins.
@@ -43,11 +47,12 @@ from repro.fixedpoint.noise_model import NoiseStats
 class DiscretePsd:
     """Discrete PSD (plus signed mean) of a noise signal, optionally stacked.
 
-    A PSD may carry a leading *configuration axis*: ``K`` spectra of the
-    same signal under ``K`` word-length configurations, as produced by
-    the batched analytical walks.  Every operation below is written once
-    and applies row by row along that axis, so row ``k`` of a result is
-    bit-identical to the same operation on the unstacked row ``k``.
+    A PSD may carry a leading axis: ``K`` spectra of the same signal under
+    ``K`` word-length configurations, as produced by the batched
+    analytical walks, or the spectra of ``K`` noise sources.  Every
+    operation below is written once and applies row by row along that
+    axis, so row ``k`` of a result is bit-identical to the same operation
+    on the unstacked row ``k``.
 
     Parameters
     ----------
@@ -90,8 +95,8 @@ class DiscretePsd:
 
         For producers whose bins are non-negative by construction: every
         operation of the algebra below (white spreading, squared-magnitude
-        filtering, sums of non-negative bins, folding and imaging) and the
-        analytical engine's row gathers.
+        filtering, sums and joins of non-negative bins, folding and
+        imaging) and the analytical engine's row gathers.
         """
         psd = cls.__new__(cls)
         psd.ac = ac
@@ -142,12 +147,12 @@ class DiscretePsd:
 
     @property
     def stacked(self) -> bool:
-        """Whether the PSD carries a leading configuration axis."""
+        """Whether the PSD carries a leading (config or source) axis."""
         return self.ac.ndim == 2
 
     @property
     def size(self) -> int:
-        """Number of stacked configurations (1 for an unstacked PSD)."""
+        """Number of stacked rows (1 for an unstacked PSD)."""
         return self.ac.shape[0] if self.stacked else 1
 
     def select(self, config: int) -> "DiscretePsd":
@@ -202,6 +207,19 @@ class DiscretePsd:
             raise ValueError(f"cannot add PSDs of shapes {self.ac.shape} "
                              f"and {other.ac.shape}")
         return self._trusted(self.ac + other.ac, self.mean + other.mean)
+
+    def joined(self, other: "DiscretePsd") -> "DiscretePsd":
+        """The stack of this stack's rows followed by ``other``'s.
+
+        Both must be stacks on the same bins; either may have no rows.
+        """
+        if not (self.stacked and other.stacked):
+            raise ValueError("joined() needs two stacked PSDs")
+        if other.n_bins != self.n_bins:
+            raise ValueError(f"cannot join stacks on {self.n_bins} and "
+                             f"{other.n_bins} bins")
+        return self._trusted(np.concatenate([self.ac, other.ac]),
+                             np.concatenate([self.mean, other.mean]))
 
     def scaled(self, gain: float) -> "DiscretePsd":
         """PSD after multiplication of the signal by a constant ``gain``."""

@@ -296,9 +296,7 @@ class _LtiMixin:
     def propagate_stats(self, inputs: list[NoiseStats]) -> NoiseStats:
         (stats,) = inputs
         tf = self._effective_transfer_function()
-        variance = stats.variance * tf.energy()
-        mean = stats.mean * tf.coefficient_sum()
-        return NoiseStats(mean=mean, variance=variance)
+        return stats.filtered(tf.energy(), tf.coefficient_sum())
 
     def propagate_psd(self, inputs: list[DiscretePsd],
                       n_bins: int) -> DiscretePsd:
@@ -559,8 +557,7 @@ class DownsampleNode(Node):
 
     def propagate_stats(self, inputs: list[NoiseStats]) -> NoiseStats:
         (stats,) = inputs
-        # Decimation of a WSS signal preserves per-sample moments.
-        return stats
+        return stats.downsampled(self.factor)
 
     def propagate_psd(self, inputs: list[DiscretePsd], n_bins: int) -> DiscretePsd:
         (psd,) = inputs
@@ -589,9 +586,7 @@ class UpsampleNode(Node):
 
     def propagate_stats(self, inputs: list[NoiseStats]) -> NoiseStats:
         (stats,) = inputs
-        # Zero insertion divides per-sample power (and mean) by the factor.
-        return NoiseStats(mean=stats.mean / self.factor,
-                          variance=stats.variance / self.factor)
+        return stats.upsampled(self.factor)
 
     def propagate_psd(self, inputs: list[DiscretePsd], n_bins: int) -> DiscretePsd:
         (psd,) = inputs

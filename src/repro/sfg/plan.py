@@ -244,6 +244,11 @@ class CompiledPlan:
             steps.append(PlanStep(len(steps), name, graph.node(name),
                                   predecessors))
         self.steps: tuple[PlanStep, ...] = tuple(steps)
+        # The steps whose nodes round coefficients (gains, FIR taps, IIR
+        # coefficients): no other node reads its coefficient precision.
+        self.coefficient_steps: tuple[PlanStep, ...] = tuple(
+            step for step in steps
+            if isinstance(step.node, (GainNode, FirNode, IirNode)))
         self.index_of = index_of
         self.input_names: tuple[str, ...] = tuple(graph.input_names())
         self.output_names: tuple[str, ...] = tuple(graph.output_names())
@@ -545,14 +550,17 @@ class CompiledPlan:
 
         Covers everything the symbolic transfer functions and
         double-precision reference runs depend on: the coefficient state
-        of every node plus its effective coefficient precision.  Two plan
-        states with equal fingerprints have bit-identical path functions
-        and reference simulations — the cache key of the flat method's
-        path-function memo and the simulation method's reference-run memo.
-        Call :meth:`refresh` first so pending mutations are folded in.
+        of every node plus the effective coefficient precision of the
+        nodes that round coefficients (a data-path word length of any
+        other node leaves it alone).  Two plan states with equal
+        fingerprints have bit-identical path functions and reference
+        simulations — the cache key of the flat method's path-function
+        memo and the simulation method's reference-run memo.  Call
+        :meth:`refresh` first so pending mutations are folded in.
         """
         return (self._coefficient_signature,
-                tuple(self._coeff_key(step) for step in self.steps))
+                tuple(self._coeff_key(step)
+                      for step in self.coefficient_steps))
 
     def _coeff_key(self, step: PlanStep):
         spec = step.node.quantization
@@ -1086,7 +1094,7 @@ class ConfigStack:
         """
         columns = [tuple(self.plan.coeff_key_for_bits(step, bits)
                          for bits in self.bits(step))
-                   for step in self._coefficient_steps()]
+                   for step in self.plan.coefficient_steps]
         return list(zip(*columns)) if columns else [()] * self.size
 
     def live_coefficient_signature(self) -> tuple:
@@ -1098,11 +1106,7 @@ class ConfigStack:
         """
         return tuple(self.plan.coeff_key_for_bits(
                          step, self._live_bits[step.index])
-                     for step in self._coefficient_steps())
-
-    def _coefficient_steps(self):
-        return (step for step in self.plan.steps
-                if isinstance(step.node, (GainNode, FirNode, IirNode)))
+                     for step in self.plan.coefficient_steps)
 
     def coefficient_groups(self) -> list[list[int]]:
         """Config indices grouped by equal coefficient signature.

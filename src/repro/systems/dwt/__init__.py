@@ -9,8 +9,8 @@ subpackage provides:
 * :mod:`~repro.systems.dwt.dwt1d` / :mod:`~repro.systems.dwt.dwt2d` — the
   separable transform engines with optional per-operation quantization;
 * :mod:`~repro.systems.dwt.noise_model` — the analytical noise
-  representation (sum of separable per-axis PSD profiles) used by the
-  proposed PSD method and its PSD-agnostic counterpart;
+  representations: per-axis PSD source stacks for the proposed PSD
+  method, first two moments for its PSD-agnostic counterpart;
 * :mod:`~repro.systems.dwt.codec` — the :class:`Dwt97Codec` system tying
   everything together (reference run, fixed-point run, analytical
   estimates, 2-D error-spectrum maps for Fig. 7).
@@ -19,7 +19,7 @@ subpackage provides:
 from repro.systems.dwt.daubechies97 import WaveletFilters, daubechies_9_7_filters
 from repro.systems.dwt.dwt1d import analyze_1d, circular_filter, synthesize_1d
 from repro.systems.dwt.dwt2d import analyze_2d, synthesize_2d
-from repro.systems.dwt.noise_model import SeparableNoiseField
+from repro.systems.dwt.noise_model import MomentField, SeparableNoiseField
 from repro.systems.dwt.codec import Dwt97Codec
 from repro.systems.dwt.lifting import (
     LiftingDwt97Codec,
@@ -43,5 +43,6 @@ __all__ = [
     "analyze_2d",
     "synthesize_2d",
     "SeparableNoiseField",
+    "MomentField",
     "Dwt97Codec",
 ]

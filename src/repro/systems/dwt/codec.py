@@ -11,8 +11,10 @@ experiments need:
   to the data word length ``d`` (and the input image is quantized to
   ``d`` as well);
 * **analytical estimates** — the proposed PSD method and the PSD-agnostic
-  method, both implemented by mirroring the codec structure on
-  :class:`~repro.systems.dwt.noise_model.SeparableNoiseField` objects.
+  method: one mirror of the codec structure runs on a
+  :class:`~repro.systems.dwt.noise_model.SeparableNoiseField` (per-axis
+  PSD stacks) or on a :class:`~repro.systems.dwt.noise_model.MomentField`
+  (first two moments), both propagated by the SFG walks' rules.
 
 The output error is the difference between the fixed-point and the
 reference reconstructions; thanks to perfect reconstruction the reference
@@ -36,10 +38,13 @@ from repro.obs import metric_inc
 from repro.psd.estimation import estimate_psd_2d
 from repro.systems.dwt.daubechies97 import WaveletFilters, daubechies_9_7_filters
 from repro.systems.dwt.dwt2d import analyze_multilevel, synthesize_multilevel
-from repro.systems.dwt.noise_model import SeparableNoiseField
+from repro.systems.dwt.noise_model import MomentField, SeparableNoiseField
 
 _ROW_AXIS = 1
 _COLUMN_AXIS = 0
+
+#: The two representations the analytic mirror runs on.
+_Field = SeparableNoiseField | MomentField
 
 
 def check_image(image, index: int | None = None) -> np.ndarray:
@@ -147,8 +152,8 @@ class Dwt97Codec:
         return quantization_noise_stats(self.fractional_bits,
                                         rounding=self.rounding)
 
-    def _analytic_analyze_2d(self, field: SeparableNoiseField,
-                             stats: NoiseStats) -> dict[str, SeparableNoiseField]:
+    def _analytic_analyze_2d(self, field: _Field,
+                             stats: NoiseStats) -> dict[str, _Field]:
         """Mirror of :func:`~repro.systems.dwt.dwt2d.analyze_2d`."""
         f = self.filters
         low_rows = field.filtered(f.analysis_lowpass, _ROW_AXIS).injected(stats)
@@ -166,9 +171,8 @@ class Dwt97Codec:
               .injected(stats).downsampled(_COLUMN_AXIS))
         return {"ll": ll, "lh": lh, "hl": hl, "hh": hh}
 
-    def _analytic_synthesize_1d(self, low: SeparableNoiseField,
-                                high: SeparableNoiseField, axis: int,
-                                stats: NoiseStats) -> SeparableNoiseField:
+    def _analytic_synthesize_1d(self, low: _Field, high: _Field, axis: int,
+                                stats: NoiseStats) -> _Field:
         """Mirror of :func:`~repro.systems.dwt.dwt1d.synthesize_1d`."""
         f = self.filters
         low_part = (low.upsampled(axis)
@@ -177,8 +181,8 @@ class Dwt97Codec:
                      .filtered(f.synthesis_highpass, axis).injected(stats))
         return low_part.added(high_part)
 
-    def _analytic_synthesize_2d(self, subbands: dict[str, SeparableNoiseField],
-                                stats: NoiseStats) -> SeparableNoiseField:
+    def _analytic_synthesize_2d(self, subbands: dict[str, _Field],
+                                stats: NoiseStats) -> _Field:
         """Mirror of :func:`~repro.systems.dwt.dwt2d.synthesize_2d`."""
         low_rows = self._analytic_synthesize_1d(subbands["ll"], subbands["lh"],
                                                 _COLUMN_AXIS, stats)
@@ -187,8 +191,9 @@ class Dwt97Codec:
         return self._analytic_synthesize_1d(low_rows, high_rows,
                                             _ROW_AXIS, stats)
 
-    def estimate_output_noise(self, n_psd: int = 1024,
-                              method: str = "psd") -> SeparableNoiseField:
+    def estimate_output_noise(
+            self, n_psd: int = 1024,
+            method: str = "psd") -> SeparableNoiseField | MomentField:
         """Analytical estimate of the output-error noise field.
 
         Parameters
@@ -197,17 +202,21 @@ class Dwt97Codec:
             Per-axis PSD resolution (``N_PSD``); ignored by the agnostic
             method.
         method:
-            ``psd`` (proposed) or ``agnostic``.
+            ``psd`` (proposed, a :class:`SeparableNoiseField`) or
+            ``agnostic`` (a :class:`MomentField`).
         """
-        if method not in ("psd", "agnostic"):
+        if method == "psd":
+            field = SeparableNoiseField.zero(n_psd)
+        elif method == "agnostic":
+            field = MomentField()
+        else:
             raise ValueError(f"unknown method {method!r}")
         stats = self._source_stats()
-        field = SeparableNoiseField.zero(n_psd, mode=method)
         # Input image quantization.
         field = field.injected(stats)
 
         # Analysis: recurse on the LL band, keeping the detail fields.
-        detail_fields: list[dict[str, SeparableNoiseField]] = []
+        detail_fields: list[dict[str, _Field]] = []
         current = field
         for _ in range(self.levels):
             subbands = self._analytic_analyze_2d(current, stats)

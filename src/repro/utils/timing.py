@@ -3,39 +3,6 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-
-
-@dataclass
-class Stopwatch:
-    """Accumulating stopwatch.
-
-    Use as a context manager to accumulate wall-clock time over several
-    code regions::
-
-        watch = Stopwatch()
-        with watch:
-            do_work()
-        print(watch.elapsed)
-    """
-
-    elapsed: float = 0.0
-    _started_at: float | None = field(default=None, repr=False)
-
-    def __enter__(self) -> "Stopwatch":
-        self._started_at = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self._started_at is None:
-            raise RuntimeError("stopwatch was never started")
-        self.elapsed += time.perf_counter() - self._started_at
-        self._started_at = None
-
-    def reset(self) -> None:
-        """Zero the accumulated time."""
-        self.elapsed = 0.0
-        self._started_at = None
 
 
 def time_callable(function, *args, repeat: int = 1, **kwargs):

@@ -287,6 +287,18 @@ class TestFlatPathFunctionCache:
             source_path_functions(plan)
         assert len(plan_memo(plan).path_functions) == 0
 
+    def test_requantizing_an_input_keeps_the_entry(self):
+        # An input rounds no coefficients, so its word length is no part
+        # of the fingerprint and the requantize loop keeps hitting one
+        # entry.
+        plan = compile_plan(_fork_graph())
+        evaluate_flat(plan)
+        fingerprint = plan.coefficient_fingerprint()
+        plan.requantize({"x": 10})
+        assert plan.coefficient_fingerprint() == fingerprint
+        evaluate_flat(plan)
+        assert len(plan_memo(plan).path_functions) == 1
+
 
 def _count_runs(monkeypatch, plan) -> dict:
     """Count ``plan.run`` calls per mode from now on."""
@@ -329,6 +341,33 @@ class TestSimulationReferenceMemo:
         with memoization_disabled():
             cold = evaluator.error_signal(stimulus)
         assert _same_bits(edited, cold)
+
+    @pytest.mark.parametrize("node", ["x", "sum"])
+    def test_coefficient_free_requantize_reuses_reference(self, monkeypatch,
+                                                          node):
+        # Neither the input nor the adder rounds coefficients: a new word
+        # length there edits the fixed leg only.
+        plan, evaluator, stimulus = self._evaluator_and_stimulus()
+        evaluator.error_signal(stimulus)
+        plan.requantize({node: 10})
+        calls = _count_runs(monkeypatch, plan)
+        with observe(trace=False) as session:
+            edited = evaluator.error_signal(stimulus)
+        assert calls == {"double": 0, "fixed": 1}
+        assert session.metrics.flattened()["sim.reference_memo.hits"] == 1
+        with memoization_disabled():
+            cold = evaluator.error_signal(stimulus)
+        assert _same_bits(edited, cold)
+
+    def test_coefficient_rounding_requantize_reruns_reference(
+            self, monkeypatch):
+        # g's coefficients follow its data word length.
+        plan, evaluator, stimulus = self._evaluator_and_stimulus()
+        evaluator.error_signal(stimulus)
+        plan.requantize({"g": 10})
+        calls = _count_runs(monkeypatch, plan)
+        evaluator.error_signal(stimulus)
+        assert calls == {"double": 1, "fixed": 1}
 
     def test_memo_results_match_disabled_runs_bitwise(self):
         plan, evaluator, stimulus = self._evaluator_and_stimulus()

@@ -52,10 +52,10 @@ class TestResponses:
         response = tf.frequency_response(64)
         assert response[0] == pytest.approx(1.0)
 
-    def test_magnitude_response_parseval(self):
+    def test_frequency_response_parseval(self):
         taps = np.array([0.3, -0.2, 0.5, 0.1])
         tf = TransferFunction.fir(taps)
-        mean_mag2 = np.mean(tf.magnitude_response(256))
+        mean_mag2 = np.mean(np.abs(tf.frequency_response(256)) ** 2)
         assert mean_mag2 == pytest.approx(np.sum(taps ** 2), rel=1e-9)
 
     def test_filter_matches_convolution_for_fir(self, rng):

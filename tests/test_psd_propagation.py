@@ -1,4 +1,4 @@
-"""Unit tests for per-source tracked spectra and cross-spectrum helpers."""
+"""Unit tests for per-source tracked spectra."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,7 @@ import pytest
 from repro.fixedpoint.noise_model import NoiseStats
 from repro.lti.fir_design import design_fir_lowpass
 from repro.lti.transfer_function import TransferFunction
-from repro.psd.cross_spectrum import coherence, cross_power_spectrum
-from repro.psd.propagation import TrackedSpectrum, cross_spectrum_contribution
+from repro.psd.propagation import TrackedSpectrum
 from repro.psd.spectrum import DiscretePsd
 
 
@@ -75,55 +74,6 @@ class TestTrackedSpectrum:
         # DC bin gain is |1 + 1|^2 = 4, Nyquist bin gain is 0.
         assert psd.ac[0] == pytest.approx(4.0 / n, rel=1e-9)
         assert psd.ac[n // 2] == pytest.approx(0.0, abs=1e-12)
-
-
-class TestCrossSpectrumHelpers:
-    def test_cross_spectrum_of_identical_signals_is_auto(self, rng):
-        from repro.psd.estimation import welch
-        x = rng.standard_normal(40_000)
-        sxx = welch(x, 64).ac
-        sxy = cross_power_spectrum(x, x, 64)
-        # welch() renormalizes its bins to the exact sample variance, the
-        # cross-spectrum estimator does not, so allow a small tolerance.
-        np.testing.assert_allclose(np.real(sxy), sxx, rtol=1e-3)
-
-    def test_cross_spectrum_of_independent_signals_is_small(self, rng):
-        x = rng.standard_normal(60_000)
-        y = rng.standard_normal(60_000)
-        sxy = cross_power_spectrum(x, y, 64)
-        sxx = cross_power_spectrum(x, x, 64)
-        assert np.max(np.abs(sxy)) < 0.2 * np.max(np.abs(sxx))
-
-    def test_length_mismatch_rejected(self, rng):
-        with pytest.raises(ValueError):
-            cross_power_spectrum(rng.standard_normal(10),
-                                 rng.standard_normal(20), 8)
-
-    def test_coherence_of_filtered_copy_is_high(self, rng):
-        x = rng.standard_normal(60_000)
-        taps = design_fir_lowpass(15, 0.8)
-        y = np.convolve(x, taps)[:60_000]
-        gamma = coherence(x, y, 64)
-        assert np.mean(gamma[1:20]) > 0.8
-
-    def test_coherence_of_independent_signals_is_low(self, rng):
-        x = rng.standard_normal(60_000)
-        y = rng.standard_normal(60_000)
-        gamma = coherence(x, y, 64)
-        assert np.mean(gamma) < 0.2
-
-    def test_cross_contribution_formula(self):
-        a = DiscretePsd.from_moments(0.0, 1.0, 16)
-        b = DiscretePsd.from_moments(0.0, 4.0, 16)
-        full = cross_spectrum_contribution(a, b, np.ones(16))
-        # 2 * sqrt(S_a S_b) per bin = 2 * sqrt(1/16 * 4/16).
-        np.testing.assert_allclose(full, 2.0 * np.sqrt(1 / 16 * 4 / 16))
-
-    def test_cross_contribution_length_check(self):
-        a = DiscretePsd.zero(16)
-        b = DiscretePsd.zero(16)
-        with pytest.raises(ValueError):
-            cross_spectrum_contribution(a, b, np.ones(8))
 
 
 class TestWhiteSourceNormalization:

@@ -4,16 +4,19 @@ import numpy as np
 import pytest
 
 from repro.analysis._engine import memoization_disabled
+from repro.analysis.agnostic_method import evaluate_agnostic
+from repro.analysis.psd_method import evaluate_psd
 from repro.data.images import ImageGenerator, natural_image
-from repro.fixedpoint.noise_model import NoiseStats
+from repro.fixedpoint.noise_model import NoiseStats, quantization_noise_stats
 from repro.fixedpoint.quantizer import RoundingMode
 from repro.lti.transfer_function import TransferFunction
 from repro.obs import observe
 from repro.psd.spectrum import DiscretePsd
+from repro.sfg.builder import SfgBuilder
 from repro.systems.dwt.codec import Dwt97Codec
 from repro.systems.dwt.daubechies97 import daubechies_9_7_filters
 from repro.systems.dwt.lifting import LiftingDwt97Codec
-from repro.systems.dwt.noise_model import SeparableNoiseField
+from repro.systems.dwt.noise_model import MomentField, SeparableNoiseField
 
 
 class TestSeparableNoiseField:
@@ -62,8 +65,8 @@ class TestSeparableNoiseField:
 
     def test_agnostic_mode_uses_energy_rule(self):
         taps = np.array([1.0, -1.0])
-        field = SeparableNoiseField.zero(64, mode="agnostic")
-        field = field.injected(NoiseStats(0.0, 1.0)).filtered(taps, axis=0)
+        field = MomentField().injected(NoiseStats(0.0, 1.0))
+        field = field.filtered(taps, axis=0)
         assert field.variance == pytest.approx(2.0)
 
     def test_2d_map_sums_to_power(self):
@@ -71,15 +74,6 @@ class TestSeparableNoiseField:
         grid = field.to_psd_2d()
         assert grid.shape == (32, 32)
         assert np.sum(grid) == pytest.approx(field.total_power)
-
-    def test_2d_map_not_available_in_agnostic_mode(self):
-        field = SeparableNoiseField.zero(32, mode="agnostic")
-        with pytest.raises(ValueError):
-            field.to_psd_2d()
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            SeparableNoiseField("fancy", {0: 4, 1: 4})
 
     @pytest.mark.parametrize("name", ["analysis_lowpass", "analysis_highpass",
                                       "synthesis_lowpass",
@@ -93,11 +87,85 @@ class TestSeparableNoiseField:
         for n_bins in (4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048):
             field = SeparableNoiseField.zero(n_bins).injected(
                 NoiseStats(0.0, 1.0 / 3.0))
-            profile = field.contributions[0][0]
-            filtered = field.filtered(taps, axis=0).contributions[0][0]
+            profile = field.axes[0].ac[0]
+            filtered = field.filtered(taps, axis=0).axes[0].ac[0]
             walked = DiscretePsd(profile).filtered(
                 response.frequency_response(n_bins)).ac
             assert filtered.tobytes() == walked.tobytes()
+
+
+_FILTERS = daubechies_9_7_filters().quantized(12)
+
+#: 1-D chains of the codec's operations: a filter name, "down" or "up".
+_CHAINS = {
+    **{name: [name] for name in ("analysis_lowpass", "analysis_highpass",
+                                 "synthesis_lowpass", "synthesis_highpass")},
+    "down": ["down"],
+    "up": ["up"],
+    "analysis": ["analysis_lowpass", "down", "analysis_highpass", "down"],
+    "synthesis": ["up", "synthesis_lowpass", "up", "synthesis_highpass"],
+    "round-trip": ["analysis_highpass", "down", "up", "synthesis_highpass",
+                   "analysis_lowpass", "down", "up", "synthesis_lowpass"],
+}
+
+
+def _chain_graph(chain, bits, rounding):
+    """input (quantized: the one source) -> chain -> output."""
+    builder = SfgBuilder("chain")
+    signal = builder.input("x", fractional_bits=bits, rounding=rounding)
+    for index, op in enumerate(chain):
+        name = f"{op}{index}"
+        if op == "down":
+            signal = builder.downsample(name, signal)
+        elif op == "up":
+            signal = builder.upsample(name, signal)
+        else:
+            signal = builder.fir(name, getattr(_FILTERS, op), signal)
+    builder.output("y", signal)
+    return builder.build()
+
+
+def _through_chain(field, chain):
+    for op in chain:
+        if op == "down":
+            field = field.downsampled(0)
+        elif op == "up":
+            field = field.upsampled(0)
+        else:
+            field = field.filtered(getattr(_FILTERS, op), axis=0)
+    return field
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+class TestDwtRulesAreTheSfgWalks:
+    """Each DWT rule is the SFG walks' rule, bit for bit: a one-source
+    field taken through the codec's operations along one axis equals
+    the 1-D graph input -> same operations -> output."""
+
+    @pytest.mark.parametrize("rounding", ["round", "truncate"])
+    @pytest.mark.parametrize("n_bins", [16, 64, 1024])
+    @pytest.mark.parametrize("chain", list(_CHAINS))
+    def test_psd_field_row_is_the_psd_walk(self, chain, n_bins, rounding):
+        graph = _chain_graph(_CHAINS[chain], 12, rounding)
+        walked = evaluate_psd(graph, n_bins)
+        stats = quantization_noise_stats(12, rounding=rounding)
+        field = _through_chain(
+            SeparableNoiseField.zero(n_bins).injected(stats), _CHAINS[chain])
+        assert _bits(field.axes[0].ac[0]) == _bits(walked.ac)
+        assert _bits(field.mean) == _bits(walked.mean)
+
+    @pytest.mark.parametrize("rounding", ["round", "truncate"])
+    @pytest.mark.parametrize("chain", list(_CHAINS))
+    def test_moment_field_is_the_moment_walk(self, chain, rounding):
+        graph = _chain_graph(_CHAINS[chain], 12, rounding)
+        walked = evaluate_agnostic(graph)
+        stats = quantization_noise_stats(12, rounding=rounding)
+        field = _through_chain(MomentField().injected(stats), _CHAINS[chain])
+        assert _bits(field.mean) == _bits(walked.mean)
+        assert _bits(field.variance) == _bits(walked.variance)
 
 
 class TestCodecExecution:

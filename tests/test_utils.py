@@ -1,11 +1,9 @@
 """Unit tests for the utility helpers (tables, timing)."""
 
-import time
-
 import pytest
 
 from repro.utils.tables import TextTable
-from repro.utils.timing import Stopwatch, time_callable
+from repro.utils.timing import time_callable
 
 
 class TestTextTable:
@@ -35,22 +33,6 @@ class TestTextTable:
 
 
 class TestTiming:
-    def test_stopwatch_accumulates(self):
-        watch = Stopwatch()
-        with watch:
-            time.sleep(0.01)
-        first = watch.elapsed
-        with watch:
-            time.sleep(0.01)
-        assert watch.elapsed > first
-
-    def test_stopwatch_reset(self):
-        watch = Stopwatch()
-        with watch:
-            pass
-        watch.reset()
-        assert watch.elapsed == 0.0
-
     def test_time_callable_returns_result_and_positive_time(self):
         result, seconds = time_callable(sum, [1, 2, 3], repeat=3)
         assert result == 6
@@ -59,34 +41,6 @@ class TestTiming:
     def test_time_callable_rejects_zero_repeat(self):
         with pytest.raises(ValueError):
             time_callable(sum, [1], repeat=0)
-
-    def test_stopwatch_exit_without_enter_raises(self):
-        watch = Stopwatch()
-        with pytest.raises(RuntimeError, match="never started"):
-            watch.__exit__(None, None, None)
-
-    def test_stopwatch_reenters_after_exception(self):
-        # A raising region still accumulates its time and leaves the
-        # stopwatch re-enterable.
-        watch = Stopwatch()
-        with pytest.raises(ValueError):
-            with watch:
-                raise ValueError("boom")
-        after_failure = watch.elapsed
-        assert after_failure >= 0.0
-        assert watch._started_at is None
-        with watch:
-            pass
-        assert watch.elapsed >= after_failure
-
-    def test_stopwatch_reset_mid_region_discards_start(self):
-        watch = Stopwatch()
-        watch.__enter__()
-        watch.reset()
-        # reset() dropped the pending start; closing the region again
-        # must complain rather than silently count from a stale origin.
-        with pytest.raises(RuntimeError):
-            watch.__exit__(None, None, None)
 
     def test_time_callable_averages_over_repeats(self, monkeypatch):
         # Drive perf_counter with a fake clock: the loop body "takes"
