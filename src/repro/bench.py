@@ -271,7 +271,7 @@ def bench_sim_engine_iir(samples: int = 60_000, seed: int = 3) -> dict:
 
 @_registered("welch_psd", tags=("smoke", "psd"),
              description="Welch PSD estimation: per-segment loop vs "
-                         "batched strided FFT")
+                         "streamed strided FFT")
 def bench_welch_psd(samples: int = 400_000, seed: int = 5) -> dict:
     """Welch estimation: one long record, and a 64-trial stacked record."""
     from repro.data.signals import uniform_white_noise

@@ -52,45 +52,58 @@ class OverflowMode(str, enum.Enum):
     NONE = "none"
 
 
-def round_half_away(mantissa: np.ndarray) -> np.ndarray:
+def round_half_away(mantissa: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Round to nearest integer with ties going away from zero.
 
     This is MATLAB's ``round``: an odd characteristic, so ``-0.5`` maps to
     ``-1`` (not ``0`` as the asymmetric ``floor(x + 0.5)`` would give).
     Shared by every data-path and coefficient rounding site of the library
     so that all ``RoundingMode.ROUND`` quantizations agree bit for bit.
+    With ``out`` the result is written there, and ``out`` holds the
+    magnitudes on the way, so it must not overlap ``mantissa``.
     """
     mantissa = np.asarray(mantissa)
-    return np.copysign(np.floor(np.abs(mantissa) + 0.5), mantissa)
+    if out is None:
+        return np.copysign(np.floor(np.abs(mantissa) + 0.5), mantissa)
+    np.abs(mantissa, out=out)
+    np.add(out, 0.5, out=out)
+    np.floor(out, out=out)
+    return np.copysign(out, mantissa, out=out)
 
 
-def _round_convergent(mantissa: np.ndarray) -> np.ndarray:
-    """Round to nearest integer with ties going to the even integer."""
-    return np.rint(mantissa)
+def apply_rounding(mantissa: np.ndarray, mode: RoundingMode,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Apply one :class:`RoundingMode` to an array of step mantissas.
 
-
-def apply_rounding(mantissa: np.ndarray, mode: RoundingMode) -> np.ndarray:
-    """Apply one :class:`RoundingMode` to an array of step mantissas."""
+    With ``out`` (a float array shaped like ``mantissa`` that does not
+    overlap it) the rounded mantissas are written there and no array is
+    allocated; the bits are those of the allocating form.
+    """
+    if out is not None and np.may_share_memory(out, mantissa):
+        raise ValueError("out must not overlap the mantissas it rounds")
     if mode is RoundingMode.ROUND:
-        return round_half_away(mantissa)
+        return round_half_away(mantissa, out=out)
     if mode is RoundingMode.TRUNCATE:
-        return np.floor(mantissa)
+        return np.floor(mantissa, out=out)
     if mode is RoundingMode.CONVERGENT:
-        return _round_convergent(mantissa)
+        return np.rint(mantissa, out=out)  # ties to even
     raise ValueError(f"unknown rounding mode {mode!r}")
 
 
-def _apply_overflow(mantissa: np.ndarray, fmt: QFormat,
-                    mode: OverflowMode) -> np.ndarray:
+def _apply_overflow(mantissa: np.ndarray, fmt: QFormat, mode: OverflowMode,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Apply one :class:`OverflowMode`; ``out`` may be ``mantissa`` itself."""
     if mode is OverflowMode.NONE:
         return mantissa
     lo = fmt.min_mantissa
     hi = fmt.max_mantissa
     if mode is OverflowMode.SATURATE:
-        return np.clip(mantissa, lo, hi)
+        return np.clip(mantissa, lo, hi, out=out)
     if mode is OverflowMode.WRAP:
         span = hi - lo + 1
-        return lo + np.mod(mantissa - lo, span)
+        shifted = np.subtract(mantissa, lo, out=out)
+        return np.add(lo, np.mod(shifted, span, out=out), out=out)
     raise ValueError(f"unknown overflow mode {mode!r}")
 
 
@@ -125,10 +138,42 @@ class Quantizer:
     def quantize(self, values: np.ndarray) -> np.ndarray:
         """Quantize ``values`` and return the result as floating point."""
         values = np.asarray(values, dtype=float)
-        mantissa = values / self.fmt.step
-        mantissa = apply_rounding(mantissa, self.rounding)
-        mantissa = _apply_overflow(mantissa, self.fmt, self.overflow)
-        return mantissa * self.fmt.step
+        return self._rescaled(values / self.fmt.step)
+
+    def quantize_complex(self, values: np.ndarray,
+                         work: np.ndarray | None = None) -> np.ndarray:
+        """Quantize a complex array in place, bit for bit as the literal
+        ``quantize(values.real) + 1j * quantize(values.imag)``.
+
+        ``values`` is a complex128 array with a contiguous last axis; it
+        is overwritten with the result and returned.  ``work`` is a
+        scratch array shaped like ``values`` (allocated when omitted; its
+        contents are overwritten).  Both lanes go through the steps of
+        :meth:`quantize` on the float64 view, so there is one rounding
+        rule.  The literal form promotes ``q(im)`` to complex and
+        multiplies it by ``1j``, so its lanes come out as
+        ``q(re) + 0.0 * q(im)`` and ``q(im) + 0.0``: the real lane takes
+        the sign of a zero from the imaginary one, ``-0.0`` imaginary
+        lanes become ``+0.0``, and ``0.0 * inf`` turns a real lane NaN.
+        Adding the real array ``0.0 * q(im)`` to ``values`` applies both
+        rules in one complex addition.
+        """
+        lanes = values.view(np.float64)
+        scratch = (np.empty(lanes.shape) if work is None
+                   else work.view(np.float64))
+        mantissa = np.divide(lanes, self.fmt.step, out=scratch)
+        self._rescaled(mantissa, out=lanes)
+        imag = lanes[..., 1::2]
+        zero_times_imag = np.multiply(imag, 0.0,
+                                      out=scratch[..., :imag.shape[-1]])
+        return np.add(values, zero_times_imag, out=values)
+
+    def _rescaled(self, mantissa: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
+        """Round, bound and rescale step mantissas (into ``out`` if given)."""
+        rounded = apply_rounding(mantissa, self.rounding, out=out)
+        rounded = _apply_overflow(rounded, self.fmt, self.overflow, out=out)
+        return np.multiply(rounded, self.fmt.step, out=out)
 
     def error(self, values: np.ndarray) -> np.ndarray:
         """Quantization error ``quantize(values) - values``."""

@@ -7,8 +7,9 @@ by the filter's frequency response and transformed back, and the aliased
 part of each output block is discarded.  :func:`overlap_save` is the
 double-precision behaviour of that system; its fixed-point simulation
 (:class:`~repro.systems.freq_filter.FrequencyDomainFirNode`) runs the
-bit-true :class:`~repro.lti.fft.FixedPointFft` on the same block framing
-(:mod:`repro.simkernel.fft`).
+bit-true :class:`~repro.lti.fft.FixedPointFft` on the same block framing.
+Both legs stream ``CHUNK_SAMPLES``-sized chunks of rows of the strided
+framing view (:mod:`repro.simkernel.fft`) through preallocated buffers.
 """
 
 from __future__ import annotations
@@ -16,7 +17,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.simkernel.backend import get_backend
-from repro.simkernel.fft import overlap_save_assemble, overlap_save_blocks
+from repro.simkernel.fft import (
+    chunk_rows,
+    overlap_save_frames,
+    overlap_save_streams,
+)
 
 
 def overlap_save(x: np.ndarray, h: np.ndarray, fft_size: int) -> np.ndarray:
@@ -47,16 +52,24 @@ def overlap_save(x: np.ndarray, h: np.ndarray, fft_size: int) -> np.ndarray:
         raise ValueError(f"impulse response ({len(h)} taps) does not fit in "
                          f"an FFT of size {fft_size}")
     if get_backend() != "reference":
-        # Transform every block (of every stream) in one batched pass —
-        # bitwise identical to the streaming loop below; the FFT of each
+        # Stream chunks of blocks (of every stream) through one buffer —
+        # bitwise identical to the streaming loop below: the FFT of each
         # block and the elementwise product are unchanged.  The reference
         # backend keeps the loop as the timing baseline.
         h_padded = np.concatenate([h, np.zeros(fft_size - len(h))])
         h_spectrum = np.fft.fft(h_padded)
-        blocks, hop = overlap_save_blocks(x, len(h), fft_size)
-        spectra = np.fft.fft(blocks, axis=-1) * h_spectrum
-        result = np.real(np.fft.ifft(spectra, axis=-1))
-        return overlap_save_assemble(result, len(h), hop, x.shape[-1])
+        frames, hop = overlap_save_frames(x, len(h), fft_size)
+        valid = np.empty((len(frames), hop))
+        rows = chunk_rows(fft_size)
+        buffer = np.empty((min(rows, len(frames)), fft_size), dtype=complex)
+        for start in range(0, len(frames), rows):
+            stop = min(start + rows, len(frames))
+            spectra = buffer[:stop - start]
+            np.fft.fft(frames[start:stop], axis=-1, out=spectra)
+            np.multiply(spectra, h_spectrum, out=spectra)
+            np.fft.ifft(spectra, axis=-1, out=spectra)
+            valid[start:stop] = spectra.real[:, len(h) - 1:len(h) - 1 + hop]
+        return overlap_save_streams(valid, x.shape)
     if x.ndim != 1:
         raise ValueError(
             "the streaming overlap-save loop (the reference backend) "

@@ -84,6 +84,7 @@ class FixedPointFft:
         return int(np.log2(self.size))
 
     def _quantize_complex(self, values: np.ndarray) -> np.ndarray:
+        """The literal complex quantization of the per-block loop."""
         return (self._data_quantizer.quantize(values.real)
                 + 1j * self._data_quantizer.quantize(values.imag))
 
@@ -92,33 +93,56 @@ class FixedPointFft:
 
         Accepts one block of ``size`` samples or any stack of blocks
         ``(..., size)``; leading axes are independent transforms, all run
-        in one vectorized pass (the ``reference`` backend replays the
+        in one position-major pass (the ``reference`` backend replays the
         original per-block butterfly loop instead).
         """
-        x = np.asarray(x, dtype=complex)
-        if x.shape[-1] != self.size:
-            raise ValueError(f"expected a block of {self.size} samples, "
-                             f"got {x.shape[-1]}")
+        x = self._check_blocks(x)
         if get_backend() == "reference":
             if x.ndim == 1:
                 return self._forward_reference(x)
             flat = x.reshape(-1, self.size)
             return np.stack([self._forward_reference(row)
                              for row in flat]).reshape(x.shape)
-        return fixed_fft_forward(x, self.size, self._twiddle_cache,
-                                 self._quantize_complex)
+        return self._position_major(self.forward_position_major, x)
 
     def inverse(self, x: np.ndarray) -> np.ndarray:
         """Fixed-point inverse FFT (scaled by ``1/size``) over the last axis."""
+        x = self._check_blocks(x)
+        if get_backend() == "reference":
+            result = np.conj(self.forward(np.conj(x))) / self.size
+            return self._quantize_complex(result)
+        return self._position_major(self.inverse_position_major, x)
+
+    def _check_blocks(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=complex)
         if x.shape[-1] != self.size:
             raise ValueError(f"expected a block of {self.size} samples, "
                              f"got {x.shape[-1]}")
-        if get_backend() == "reference":
-            result = np.conj(self.forward(np.conj(x))) / self.size
-            return self._quantize_complex(result)
-        return fixed_fft_inverse(x, self.size, self._twiddle_cache,
-                                 self._quantize_complex)
+        return x
+
+    def forward_position_major(self, data: np.ndarray,
+                               work: np.ndarray | None = None) -> np.ndarray:
+        """Forward transforms of position-major ``(size, ...)`` buffers.
+
+        The streamed kernel :func:`~repro.simkernel.fft.fixed_fft_forward`
+        on this engine's twiddles and in-place data quantizer: ``data``
+        is overwritten, ``work`` is scratch, and the buffer holding the
+        result is returned.
+        """
+        return fixed_fft_forward(data, self._twiddle_cache,
+                                 self._data_quantizer.quantize_complex, work)
+
+    def inverse_position_major(self, data: np.ndarray,
+                               work: np.ndarray | None = None) -> np.ndarray:
+        """Inverse transforms of position-major buffers (see
+        :meth:`forward_position_major`)."""
+        return fixed_fft_inverse(data, self._twiddle_cache,
+                                 self._data_quantizer.quantize_complex, work)
+
+    @staticmethod
+    def _position_major(transform, x: np.ndarray) -> np.ndarray:
+        result = transform(np.moveaxis(x, -1, 0).copy())
+        return np.ascontiguousarray(np.moveaxis(result, 0, -1))
 
     def _forward_reference(self, x: np.ndarray) -> np.ndarray:
         """The original per-block butterfly loop (legacy ground truth)."""

@@ -10,14 +10,17 @@ provided.  All estimates are normalized so that the bins of the returned
 PSD sum to the sample variance (library-wide convention) and the mean is
 the sample mean.
 
-The Welch estimator is fully vectorized: the overlapping segments are
-extracted as one strided view and transformed with a single batched FFT,
-for one record or for a whole stack of Monte-Carlo trials at once
-(:func:`welch_batched`).  The results are bitwise identical to the
-historical per-segment loop, which is preserved as
-:func:`_welch_reference` and asserted against in the tests.  (A real-input
-``rfft`` would halve the transform work but is *not* bitwise identical to
-the complex FFT the loop used, so the full transform is kept.)
+The Welch estimator streams its segments: they are rows of one strided
+view of the record (no segment is copied out), windowed and transformed
+one ``CHUNK_SAMPLES``-sized chunk at a time (:mod:`repro.simkernel.fft`)
+through preallocated buffers, for one record or for a whole stack of
+Monte-Carlo trials at once (:func:`welch_batched`), and the periodograms
+are summed into a running total that each chunk carries on.  The results
+are bitwise identical to the historical per-segment loop, which is
+preserved as :func:`_welch_reference` and asserted against in the tests.
+(A real-input ``rfft`` would halve the transform work but is *not*
+bitwise identical to the complex FFT the loop used, so the full transform
+is kept.)
 """
 
 from __future__ import annotations
@@ -27,13 +30,7 @@ import numpy as np
 from repro.lti.windows import get_window
 from repro.obs import span
 from repro.psd.spectrum import DiscretePsd
-
-
-#: Segment-matrix size above which the vectorized Welch core switches
-#: from one batched FFT to per-segment accumulation (same bits, bounded
-#: memory).  2^23 doubles keep the transient complex spectra well under
-#: a gigabyte.
-_MAX_ONE_SHOT_ELEMENTS = 1 << 23
+from repro.simkernel.fft import chunk_rows
 
 
 def periodogram(x: np.ndarray, n_bins: int) -> DiscretePsd:
@@ -53,15 +50,15 @@ def periodogram(x: np.ndarray, n_bins: int) -> DiscretePsd:
 
 def _welch_stack(records: np.ndarray, n_bins: int, window: str,
                  overlap: float) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized Welch core over a stack of records.
+    """Streamed Welch core over a stack of records.
 
     ``records`` has shape ``(trials, samples)``; returns ``(ac, means)``
     of shapes ``(trials, n_bins)`` and ``(trials,)``.  Every per-record
     quantity reproduces the legacy loop bit for bit: the strided segment
     view holds the same values as the sliced segments, the batched FFT
-    matches the per-segment transforms, and summing the per-segment
-    periodograms along the segment axis accumulates in the same order as
-    the sequential ``+=``.
+    matches the per-segment transforms, and the periodograms are summed
+    along the segment axis in the order of the sequential ``+=``, the
+    running sum entering each chunk through its first periodogram.
     """
     if n_bins < 2:
         raise ValueError(f"n_bins must be at least 2, got {n_bins}")
@@ -95,22 +92,21 @@ def _welch_stack(records: np.ndarray, n_bins: int, window: str,
         centered, n_bins, axis=-1)[..., ::hop, :]
     count = segments.shape[-2]
     scale = n_bins * n_bins * window_power
-    if segments.size <= _MAX_ONE_SHOT_ELEMENTS:
-        spectra = np.fft.fft(segments * win, axis=-1)
-        ac = np.sum((np.abs(spectra) ** 2) / scale, axis=-2) / count
-    else:
-        # Extreme-overlap regimes (hop clamped towards 1) produce nearly
-        # one segment per sample; materializing them all would need
-        # orders of magnitude more memory than the record itself.  Fall
-        # back to per-segment accumulation over the same strided view —
-        # the reference loop's order, so still bitwise identical.
-        ac = np.empty(centered.shape[:-1] + (n_bins,))
-        for index in np.ndindex(segments.shape[:-2]):
-            accumulated = np.zeros(n_bins)
-            for segment in segments[index]:
-                spectrum = np.fft.fft(segment * win)
-                accumulated += (np.abs(spectrum) ** 2) / scale
-            ac[index] = accumulated / count
+    rows = chunk_rows(n_bins * len(centered))
+    ac = np.zeros(centered.shape[:-1] + (n_bins,))
+    shape = centered.shape[:-1] + (min(rows, count), n_bins)
+    power, spectra = np.empty(shape), np.empty(shape, dtype=complex)
+    for start in range(0, count, rows):
+        stop = min(start + rows, count)
+        chunk = power[..., :stop - start, :]
+        np.multiply(segments[..., start:stop, :], win, out=chunk)
+        transform = np.fft.fft(chunk, axis=-1,
+                               out=spectra[..., :stop - start, :])
+        np.square(np.abs(transform, out=chunk), out=chunk)
+        np.divide(chunk, scale, out=chunk)
+        chunk[..., 0, :] += ac
+        np.sum(chunk, axis=-2, out=ac)
+    ac /= count
 
     # Renormalize so that the bins sum exactly to the sample variance;
     # windowing and segmentation only introduce a small bias that this

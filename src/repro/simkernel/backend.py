@@ -8,7 +8,7 @@ Two backends produce the same bits:
   differentially verified against, and the honest baseline of every
   speedup measurement.
 * ``fast`` — the default: the vectorized per-node kernels (generated
-  IIR recurrence, stage-wise FFT butterflies, batched overlap-save).
+  IIR recurrence, position-major FFT butterflies, streamed overlap-save).
   numba is a tier inside it, not a backend: the IIR recursion kernel
   switches to its JIT version automatically when numba is importable.
 

@@ -1,24 +1,40 @@
-"""Vectorized radix-2 FFT butterflies and overlap-save block framing.
+"""Position-major radix-2 FFT butterflies and streamed overlap-save framing.
 
 The bit-true fixed-point FFT quantizes every butterfly stage, so it
 cannot be delegated to an off-the-shelf FFT — but its *structure* is
 fully data-parallel: within one stage every butterfly group applies the
-same elementwise complex multiply/add to disjoint slices, and separate
+same elementwise complex multiply/add to disjoint positions, and separate
 blocks (and Monte-Carlo trials) are completely independent.  The kernels
-here therefore run one stage as a single reshaped array operation over
-``(..., groups, size)`` and accept arbitrary leading batch axes, turning
-the legacy triple loop (blocks x stages x groups) into ``log2(n)`` array
-passes.  Every operation is elementwise, so the results are bitwise
-identical to the per-block loops (asserted in ``tests/test_simkernel.py``).
+here hold a batch of transforms *position-major*, shape ``(size, ...)``:
+position ``p`` of every transform is one contiguous row, so a stage is
+one twiddle product, one sum and one difference over whole rows, written
+into a second buffer of the same shape (the butterflies never allocate),
+and every quantization runs in place on a buffer (see
+:meth:`~repro.fixedpoint.quantizer.Quantizer.quantize_complex`).  Every
+operation is the elementwise NumPy complex op of the per-block loop, so
+the results are bitwise identical to it (asserted in
+``tests/test_simkernel.py``).
 
-The framing helpers cut a signal into the overlapping blocks of the
-overlap-save convolution scheme and reassemble the valid output region,
-again over arbitrary leading trial axes.
+The overlap-save helpers frame a signal as a strided view of one padded
+copy, so both legs of the frequency-domain filter, and Welch's segments
+(:mod:`repro.psd.estimation`), stream ``CHUNK_SAMPLES``-sized chunks of
+rows through preallocated buffers instead of gathering every block.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+#: Samples per chunk of every streamed block pass (the bit-true and double
+#: overlap-save legs and Welch's segments): 16 384 complex samples, i.e.
+#: 1024 rows of a 16-point FFT, keep a chunk's buffers in cache (see
+#: ARCHITECTURE.md, "Vectorized block pipelines").
+CHUNK_SAMPLES = 16_384
+
+
+def chunk_rows(row_length: int) -> int:
+    """Rows of ``row_length`` samples that make up one chunk."""
+    return max(1, CHUNK_SAMPLES // row_length)
 
 
 def bit_reverse_permutation(n: int) -> np.ndarray:
@@ -31,59 +47,93 @@ def bit_reverse_permutation(n: int) -> np.ndarray:
     return reversed_indices
 
 
-def fixed_fft_forward(x: np.ndarray, size: int, twiddles: dict,
-                      quantize) -> np.ndarray:
-    """Fixed-point forward FFT over the last axis of ``x``.
+def fixed_fft_forward(data: np.ndarray, twiddles: dict, quantize,
+                      work: np.ndarray | None = None) -> np.ndarray:
+    """Fixed-point forward FFT over axis 0 of position-major ``data``.
 
     Parameters
     ----------
-    x:
-        Blocks of shape ``(..., size)``; leading axes are independent
-        transforms.
-    size:
-        Transform size (power of two).
+    data:
+        C-contiguous complex128 transforms of shape ``(size, ...)``:
+        positions on axis 0, independent transforms on the trailing axes.
+        It is overwritten.
     twiddles:
         Mapping from butterfly size to the quantized twiddle factors of
         that stage (as pre-built by the FFT engine).
     quantize:
-        Callable quantizing a complex array elementwise (applied to the
-        input and after every stage, as in the bit-true engine).
+        ``quantize(values, work)`` quantizes a complex array in place,
+        using ``work`` (same shape) as scratch; applied to the
+        bit-reversed input and after every stage, as in the bit-true
+        engine.
+    work:
+        Scratch buffer like ``data``; allocated when omitted.
+
+    Returns
+    -------
+    numpy.ndarray
+        The transform, in ``data`` or in ``work`` (whichever the last
+        stage wrote); the other one is free scratch.
     """
-    data = np.asarray(x, dtype=complex)[..., bit_reverse_permutation(size)]
-    data = quantize(data)
+    size = data.shape[0]
+    if work is None:
+        work = np.empty_like(data)
+    np.take(data, bit_reverse_permutation(size), axis=0, out=work,
+            mode="clip")
+    data, work = work, data
+    quantize(data, work)
     stage = 2
     while stage <= size:
         half = stage // 2
-        grouped = data.reshape(data.shape[:-1] + (size // stage, stage))
-        top = grouped[..., :half].copy()
-        bottom = grouped[..., half:] * twiddles[stage]
-        grouped[..., :half] = top + bottom
-        grouped[..., half:] = top - bottom
-        data = quantize(data)
+        source = data.reshape((size // stage, stage) + data.shape[1:])
+        target = work.reshape(source.shape)
+        bottom = source[:, half:]
+        twiddle = twiddles[stage].reshape((half,) + (1,) * (data.ndim - 1))
+        np.multiply(bottom, twiddle, out=bottom)
+        np.add(source[:, :half], bottom, out=target[:, :half])
+        np.subtract(source[:, :half], bottom, out=target[:, half:])
+        data, work = work, data
+        quantize(data, work)
         stage *= 2
     return data
 
 
-def fixed_fft_inverse(x: np.ndarray, size: int, twiddles: dict,
-                      quantize) -> np.ndarray:
-    """Fixed-point inverse FFT (scaled by ``1/size``) over the last axis."""
-    x = np.asarray(x, dtype=complex)
-    result = np.conj(fixed_fft_forward(np.conj(x), size, twiddles,
-                                       quantize)) / size
-    return quantize(result)
+def fixed_fft_inverse(data: np.ndarray, twiddles: dict, quantize,
+                      work: np.ndarray | None = None) -> np.ndarray:
+    """Fixed-point inverse FFT (scaled by ``1/size``) over axis 0.
+
+    Same layout, buffers and return convention as
+    :func:`fixed_fft_forward`; the ``1/size`` scaling stays NumPy's
+    complex division, as in ``conj(forward(conj(x))) / size``.
+    """
+    size = data.shape[0]
+    if work is None:
+        work = np.empty_like(data)
+    np.conjugate(data, out=data)
+    result = fixed_fft_forward(data, twiddles, quantize, work)
+    spare = work if result is data else data
+    np.conjugate(result, out=result)
+    np.divide(result, size, out=result)
+    quantize(result, spare)
+    return result
 
 
 # ----------------------------------------------------------------------
 # Overlap-save framing
 # ----------------------------------------------------------------------
-def overlap_save_blocks(x: np.ndarray, taps_len: int,
+def overlap_save_frames(x: np.ndarray, taps_len: int,
                         fft_size: int) -> tuple[np.ndarray, int]:
-    """Cut ``x`` into the overlapping blocks of the overlap-save scheme.
+    """Frame ``x`` into the overlapping blocks of the overlap-save scheme.
 
-    Returns ``(blocks, hop)`` where ``blocks`` has shape
-    ``(..., num_blocks, fft_size)`` — each block advanced by ``hop``
-    samples, prefixed with the ``taps_len - 1`` history samples (zeros
-    for the causal start) exactly as the streaming loop would see them.
+    Returns ``(frames, hop)``: ``frames`` is a read-only strided
+    ``(rows, fft_size)`` view over one zero-padded copy of ``x`` (no
+    block is gathered), each row advanced by ``hop`` samples and prefixed
+    with the ``taps_len - 1`` history samples (zeros for the causal
+    start), exactly as the streaming loop sees them.  The streams of
+    ``x`` (its leading axes) are laid end to end, ``hop`` times
+    ``ceil((samples + taps_len - 1) / hop)`` apart, so that one view
+    frames them all; a stream's last row may start past its last sample,
+    and its output is dropped.  :func:`overlap_save_streams` turns the
+    rows' valid outputs back into streams.
     """
     x = np.asarray(x, dtype=float)
     hop = fft_size - taps_len + 1
@@ -91,24 +141,21 @@ def overlap_save_blocks(x: np.ndarray, taps_len: int,
         raise ValueError(f"{taps_len} taps do not fit in an FFT of size "
                          f"{fft_size}")
     num_samples = x.shape[-1]
-    num_blocks = -(-num_samples // hop)
-    lead = x.shape[:-1]
-    padded_len = taps_len - 1 + (num_blocks - 1) * hop + fft_size
-    padded = np.zeros(lead + (padded_len,))
-    padded[..., taps_len - 1:taps_len - 1 + num_samples] = x
-    starts = np.arange(num_blocks) * hop
-    index = starts[:, None] + np.arange(fft_size)[None, :]
-    return padded[..., index], hop
+    streams = int(np.prod(x.shape[:-1], dtype=int))
+    rows_per_stream = -(-(num_samples + taps_len - 1) // hop)
+    period = rows_per_stream * hop
+    padded = np.zeros(streams * period + taps_len - 1)
+    laid_out = padded[:streams * period].reshape(streams, period)
+    laid_out[:, taps_len - 1:taps_len - 1 + num_samples] = (
+        x.reshape(streams, num_samples))
+    frames = np.lib.stride_tricks.as_strided(
+        padded, (streams * rows_per_stream, fft_size),
+        (hop * padded.itemsize, padded.itemsize), writeable=False)
+    return frames, hop
 
 
-def overlap_save_assemble(result: np.ndarray, taps_len: int, hop: int,
-                          num_samples: int) -> np.ndarray:
-    """Reassemble the valid region of per-block results into one stream.
-
-    ``result`` has shape ``(..., num_blocks, fft_size)``; the aliased
-    first ``taps_len - 1`` samples of each block are discarded and the
-    ``hop`` new samples are concatenated, truncated to ``num_samples``.
-    """
-    valid = result[..., :, taps_len - 1:taps_len - 1 + hop]
-    stream = valid.reshape(valid.shape[:-2] + (-1,))
-    return np.ascontiguousarray(stream[..., :num_samples])
+def overlap_save_streams(valid: np.ndarray, shape: tuple) -> np.ndarray:
+    """Streams of ``shape`` from the ``(rows, hop)`` valid outputs of
+    the rows of :func:`overlap_save_frames`."""
+    streams = valid.reshape(tuple(shape[:-1]) + (-1,))
+    return np.ascontiguousarray(streams[..., :shape[-1]])

@@ -40,17 +40,16 @@ from repro.fixedpoint.qformat import QFormat
 from repro.lti.convolution import overlap_save
 from repro.lti.fft import FixedPointFft
 from repro.simkernel.backend import get_backend
-from repro.simkernel.fft import overlap_save_assemble, overlap_save_blocks
+from repro.simkernel.fft import (
+    chunk_rows,
+    overlap_save_frames,
+    overlap_save_streams,
+)
 from repro.lti.fir_design import design_fir_highpass, design_fir_lowpass
 from repro.sfg.builder import SfgBuilder
 from repro.sfg.graph import SignalFlowGraph
 from repro.sfg.nodes import FirNode, QuantizationSpec
 from repro.analysis.evaluator import AccuracyEvaluator
-
-# Complex samples per chunk of the bit-true overlap-save pipeline: 1024
-# blocks of a 16-point FFT keep each chunk's butterfly temporaries in
-# cache (see ARCHITECTURE.md, "Vectorized block pipelines").
-_CHUNK_SAMPLES = 16_384
 
 
 class FrequencyDomainFirNode(FirNode):
@@ -99,11 +98,13 @@ class FrequencyDomainFirNode(FirNode):
     def simulate_fixed(self, inputs: list[np.ndarray]) -> np.ndarray:
         """Bit-true behaviour: fixed-point FFT / multiply / IFFT pipeline.
 
-        The overlap-save blocks of every trial are flattened into rows and
-        go through the butterfly stages one cache-sized chunk of rows at a
-        time (``_CHUNK_SAMPLES`` complex samples); the ``reference``
-        backend replays the original streaming per-block loop instead.
-        Every step is elementwise per row, so both are bitwise identical,
+        The overlap-save blocks of every trial are rows of one strided
+        framing view; they go through the pipeline one chunk of rows at a
+        time (``CHUNK_SAMPLES`` complex samples), held position-major in
+        two preallocated buffers that the butterflies and the in-place
+        quantizer share; the ``reference`` backend replays the original
+        streaming per-block loop instead.  Every step is the same
+        elementwise operation per block, so both are bitwise identical,
         signed zeros included.
         """
         (x,) = inputs
@@ -115,21 +116,25 @@ class FrequencyDomainFirNode(FirNode):
 
         data_quantizer, coeff_quantizer = self._pipeline_quantizers()
         taps, h_spectrum = self._quantized_spectrum(coeff_quantizer)
-        engine = FixedPointFft(self.fft_size, self.quantization.fractional_bits,
+        n = self.fft_size
+        engine = FixedPointFft(n, self.quantization.fractional_bits,
                                rounding=self.quantization.rounding)
-        blocks, hop = overlap_save_blocks(x, len(taps), self.fft_size)
-        rows = blocks.reshape(-1, self.fft_size)
-        result = np.empty(rows.shape)
-        chunk = max(1, _CHUNK_SAMPLES // self.fft_size)
-        for start in range(0, len(rows), chunk):
-            spectra = engine.forward(rows[start:start + chunk])
-            product = spectra * h_spectrum
-            product = (data_quantizer.quantize(product.real)
-                       + 1j * data_quantizer.quantize(product.imag))
-            result[start:start + chunk] = np.real(engine.inverse(product))
-        output = overlap_save_assemble(result.reshape(blocks.shape), len(taps),
-                                       hop, x.shape[-1])
-        return data_quantizer.quantize(output)
+        frames, hop = overlap_save_frames(x, len(taps), n)
+        valid = np.empty((len(frames), hop))
+        rows = chunk_rows(n)
+        buffers = np.empty((2, n * min(rows, len(frames))), dtype=complex)
+        h_column = h_spectrum[:, None]
+        for start in range(0, len(frames), rows):
+            stop = min(start + rows, len(frames))
+            data, work = buffers[:, :n * (stop - start)].reshape(2, n, -1)
+            data[...] = frames[start:stop].T
+            spectra = engine.forward_position_major(data, work)
+            work = data if spectra is work else work
+            np.multiply(spectra, h_column, out=spectra)
+            data_quantizer.quantize_complex(spectra, work)
+            result = engine.inverse_position_major(spectra, work)
+            valid[start:stop] = result.real[len(taps) - 1:len(taps) - 1 + hop].T
+        return data_quantizer.quantize(overlap_save_streams(valid, x.shape))
 
     # ------------------------------------------------------------------
     # Pipeline pieces

@@ -9,8 +9,43 @@ from repro.fixedpoint.quantizer import (
     OverflowMode,
     Quantizer,
     RoundingMode,
+    apply_rounding,
     quantize,
 )
+
+_INF, _NAN = np.inf, np.nan
+
+# Step mantissas that stress the rounding rules: ties on both sides, the
+# largest double below 0.5 (its ``|m| + 0.5`` rounds up to 1.0) and the
+# neighbours of 2**52, where ``|m| + 0.5`` is no longer exact.
+_MANTISSAS = np.array([0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 7.5, -7.5,
+                       0.49999999999999994, -0.49999999999999994,
+                       2.0 ** 52 + 1, -(2.0 ** 52 + 1),
+                       2.0 ** 52 - 1, -(2.0 ** 52 - 1), 0.25, -0.25])
+
+
+def _bits(values) -> np.ndarray:
+    """Raw bits of a float or complex array (-0.0 != +0.0, NaNs by payload)."""
+    values = np.ascontiguousarray(values)
+    return values.view(np.int64)
+
+
+def _lane_grid(step: float) -> np.ndarray:
+    """Every pair of 11 lane values (±0, ±inf, ±NaN and finite values that
+    round to zero or sit on ties): 121 complex numbers, 242 lanes."""
+    lanes = np.array([0.0, -0.0, _INF, -_INF, _NAN, -_NAN,
+                      0.25 * step, -0.25 * step, 1.5 * step, -1.5 * step,
+                      0.49999999999999994 * step])
+    re, im = np.meshgrid(lanes, lanes, indexing="ij")
+    values = np.empty(re.shape, dtype=complex)
+    values.real, values.imag = re, im
+    return values.ravel()
+
+
+def _literal(quantizer: Quantizer, values: np.ndarray) -> np.ndarray:
+    with np.errstate(invalid="ignore"):  # 1j * inf
+        return quantizer.quantize(values.real) + 1j * quantizer.quantize(
+            values.imag)
 
 
 class TestRounding:
@@ -120,3 +155,97 @@ class TestProperties:
         coarse = Quantizer(QFormat(3, frac)).error(x)
         fine = Quantizer(QFormat(3, frac + 2)).error(x)
         assert np.mean(fine ** 2) <= np.mean(coarse ** 2) + 1e-18
+
+
+class TestInPlaceComplexQuantizer:
+    """``Quantizer.quantize_complex`` against the literal
+    ``quantize(re) + 1j * quantize(im)``, bit for bit."""
+
+    @staticmethod
+    def _values(step: float) -> np.ndarray:
+        rng = np.random.default_rng(7)
+        mantissas = _MANTISSAS * step
+        re, im = np.meshgrid(mantissas, mantissas[::-1], indexing="ij")
+        ties = re.ravel() + 1j * im.ravel()
+        noise = (rng.uniform(-3.0, 3.0, 200)
+                 + 1j * rng.uniform(-3.0, 3.0, 200))
+        return np.concatenate([_lane_grid(step), ties, noise])
+
+    @pytest.mark.parametrize("mode", list(RoundingMode))
+    @pytest.mark.parametrize("bits", [0, 4, 12, 52])
+    def test_matches_literal_composition(self, mode, bits):
+        quantizer = Quantizer(QFormat(15, bits), rounding=mode)
+        values = self._values(quantizer.step)
+        expected = _literal(quantizer, values)
+        with np.errstate(invalid="ignore"):
+            in_place = quantizer.quantize_complex(values.copy())
+            with_work = quantizer.quantize_complex(
+                values.copy(), work=np.empty_like(values))
+        assert np.array_equal(_bits(in_place), _bits(expected))
+        assert np.array_equal(_bits(with_work), _bits(expected))
+
+    @pytest.mark.parametrize("overflow", [OverflowMode.SATURATE,
+                                          OverflowMode.WRAP])
+    def test_overflow_modes_match_literal_composition(self, overflow):
+        quantizer = Quantizer(QFormat(2, 6), overflow=overflow)
+        rng = np.random.default_rng(8)
+        values = (rng.uniform(-20.0, 20.0, 300)
+                  + 1j * rng.uniform(-20.0, 20.0, 300))
+        expected = _literal(quantizer, values)
+        assert np.array_equal(
+            _bits(quantizer.quantize_complex(values.copy())),
+            _bits(expected))
+
+    def test_quantizes_in_place_over_a_stack(self):
+        quantizer = Quantizer(QFormat(15, 5))
+        rng = np.random.default_rng(9)
+        values = rng.standard_normal((4, 3, 16)) + 1j * rng.standard_normal(
+            (4, 3, 16))
+        expected = _literal(quantizer, values)
+        result = quantizer.quantize_complex(values)
+        assert result is values
+        assert np.array_equal(_bits(values), _bits(expected))
+
+    def test_lane_rule_is_zero_times_imaginary_not_copysign(self):
+        # The real lane is q(re) + 0.0 * q(im), which keeps the NaN that
+        # 0.0 * inf gives; a copysign(0.0, q(im)) form agrees on signed
+        # zeros but not there, and the grid tells the two apart.
+        quantizer = Quantizer(QFormat(15, 4))
+        values = _lane_grid(quantizer.step)
+        q_re, q_im = (quantizer.quantize(values.real),
+                      quantizer.quantize(values.imag))
+        copysign_form = q_re + np.copysign(0.0, q_im)
+        expected = _literal(quantizer, values)
+        with np.errstate(invalid="ignore"):
+            result = quantizer.quantize_complex(values.copy())
+        assert np.array_equal(_bits(result), _bits(expected))
+        assert not np.array_equal(_bits(copysign_form),
+                                  _bits(expected.real))
+
+    @pytest.mark.parametrize("mode", list(RoundingMode))
+    def test_out_form_of_apply_rounding_matches_allocating_form(self, mode):
+        rng = np.random.default_rng(10)
+        mantissas = np.concatenate([
+            _MANTISSAS, [0.0, -0.0, _INF, -_INF, _NAN, -_NAN],
+            rng.uniform(-1e6, 1e6, 500)])
+        out = np.empty_like(mantissas)
+        result = apply_rounding(mantissas, mode, out=out)
+        assert result is out
+        assert np.array_equal(_bits(out),
+                              _bits(apply_rounding(mantissas, mode)))
+
+    def test_apply_rounding_rejects_an_overlapping_out(self):
+        mantissas = np.array([0.5, -1.5])
+        with pytest.raises(ValueError, match="overlap"):
+            apply_rounding(mantissas, RoundingMode.ROUND, out=mantissas)
+
+    @pytest.mark.parametrize("mode", list(RoundingMode))
+    @pytest.mark.parametrize("overflow", list(OverflowMode))
+    def test_quantize_leaves_its_input_untouched(self, mode, overflow):
+        quantizer = Quantizer(QFormat(2, 4), rounding=mode,
+                              overflow=overflow)
+        values = np.concatenate([_MANTISSAS * quantizer.step,
+                                 [-0.0, 9.3, -9.3]])
+        before = values.copy()
+        quantizer.quantize(values)
+        assert np.array_equal(_bits(values), _bits(before))

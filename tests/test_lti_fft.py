@@ -20,18 +20,21 @@ def _exact_twiddles(size):
     return twiddles
 
 
-def _identity(values):
+def _identity(values, work):
     return values
 
 
 def _exact_fft(x):
-    size = x.shape[-1]
-    return fixed_fft_forward(x, size, _exact_twiddles(size), _identity)
+    """The position-major kernel over the last axis of ``x``."""
+    data = np.moveaxis(np.asarray(x, dtype=complex), -1, 0).copy()
+    result = fixed_fft_forward(data, _exact_twiddles(x.shape[-1]), _identity)
+    return np.moveaxis(result, 0, -1)
 
 
 def _exact_ifft(x):
-    size = x.shape[-1]
-    return fixed_fft_inverse(x, size, _exact_twiddles(size), _identity)
+    data = np.moveaxis(np.asarray(x, dtype=complex), -1, 0).copy()
+    result = fixed_fft_inverse(data, _exact_twiddles(x.shape[-1]), _identity)
+    return np.moveaxis(result, 0, -1)
 
 
 class TestExactButterfly:

@@ -39,6 +39,7 @@ from repro.simkernel import (
     iir_df1_fixed,
     use_backend,
 )
+from repro.simkernel.fft import chunk_rows, overlap_save_frames
 from repro.simkernel.iir import iir_df1_double
 from repro.simkernel.reference import iir_df1_reference
 from repro.systems.freq_filter import FrequencyDomainFirNode
@@ -293,16 +294,21 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 class TestFrequencyDomainNodeVectorization:
-    """The fast path runs the overlap-save blocks in chunks of rows.
+    """The fast path streams the overlap-save rows in position-major chunks.
 
-    Block counts are derived from the chunk constant, so the tests keep
+    Row counts are derived from the chunk constant, so the tests keep
     landing on the chunk boundaries if it is retuned.
     """
 
-    def _node(self, bits=12, rounding=RoundingMode.ROUND, fft_size=16):
-        from repro.sfg.nodes import QuantizationSpec
+    # Taps of the applied filter by FFT size (at most one per position).
+    _TAPS = {2: [0.5, -0.5], 4: [0.25, -0.5, 0.25]}
+
+    def _node(self, bits=12, rounding=RoundingMode.ROUND, fft_size=16,
+              taps=None):
         from repro.systems.freq_filter import default_frequency_domain_taps
-        taps = default_frequency_domain_taps(9 if fft_size > 8 else 5)
+        if taps is None:
+            taps = self._TAPS.get(fft_size) or default_frequency_domain_taps(
+                9 if fft_size > 8 else 5)
         return FrequencyDomainFirNode(
             "freq", taps, fft_size=fft_size,
             quantization=QuantizationSpec(fractional_bits=bits,
@@ -310,18 +316,21 @@ class TestFrequencyDomainNodeVectorization:
 
     @staticmethod
     def _rows_per_chunk(node) -> int:
-        from repro.systems.freq_filter import _CHUNK_SAMPLES
-        return max(1, _CHUNK_SAMPLES // node.fft_size)
+        return chunk_rows(node.fft_size)
 
     @staticmethod
-    def _stimulus(node, blocks: int, trials: int = 1, seed: int = 30):
-        # (blocks - 1) full hops plus one sample: exactly ``blocks``
-        # overlap-save blocks, the last one mostly zero padding.
+    def _stimulus(node, rows: int, trials: int = 1, seed: int = 30):
+        # The framing view gives each stream ceil((samples + taps - 1) /
+        # hop) rows, so this many samples make exactly ``rows`` of them
+        # (at least the ceil(taps / hop) that one sample needs).
         hop = node.fft_size - len(node.taps) + 1
-        samples = (blocks - 1) * hop + 1
-        rows = [uniform_white_noise(samples, seed=seed + t)
-                for t in range(trials)]
-        return rows[0] if trials == 1 else np.stack(rows)
+        samples = max(1, (rows - 1) * hop - len(node.taps) + 2)
+        frames, _ = overlap_save_frames(np.zeros(samples), len(node.taps),
+                                        node.fft_size)
+        assert len(frames) == max(rows, -(-len(node.taps) // hop))
+        stack = [uniform_white_noise(samples, seed=seed + t)
+                 for t in range(trials)]
+        return stack[0] if trials == 1 else np.stack(stack)
 
     @staticmethod
     def _matches_reference(node, x) -> np.ndarray:
@@ -336,16 +345,17 @@ class TestFrequencyDomainNodeVectorization:
         node = self._node(rounding=mode)
         self._matches_reference(node, uniform_white_noise(3000, seed=4))
 
-    @pytest.mark.parametrize("blocks", [
-        lambda rows: 1,
-        lambda rows: rows,
-        lambda rows: rows + 1,
-        lambda rows: 2 * rows + 3,
+    @pytest.mark.parametrize("fft_size", [2, 4, 16])
+    @pytest.mark.parametrize("rows", [
+        lambda chunk: 1,
+        lambda chunk: chunk,
+        lambda chunk: chunk + 1,
+        lambda chunk: 2 * chunk + 3,
     ], ids=["one-block", "one-chunk", "chunk-plus-one",
             "several-chunks-partial-tail"])
-    def test_chunk_boundaries_match_reference_bitwise(self, blocks):
-        node = self._node()
-        x = self._stimulus(node, blocks(self._rows_per_chunk(node)))
+    def test_chunk_boundaries_match_reference_bitwise(self, rows, fft_size):
+        node = self._node(fft_size=fft_size)
+        x = self._stimulus(node, rows(self._rows_per_chunk(node)))
         self._matches_reference(node, x)
 
     @pytest.mark.parametrize("mode", MODES)
@@ -358,16 +368,32 @@ class TestFrequencyDomainNodeVectorization:
         if mode is not RoundingMode.TRUNCATE:
             assert np.any((fast == 0.0) & np.signbit(fast))
 
-    @pytest.mark.parametrize("fft_size", [8, 16, 64])
+    @pytest.mark.parametrize("fft_size", [2, 4, 8, 16, 64])
     def test_trial_stack_chunks_across_trials(self, fft_size):
-        # Three trials of half a chunk plus one block each: the flattened
+        # Three trials of half a chunk plus one row each: the stacked
         # rows cross a chunk boundary inside the second trial.
         node = self._node(fft_size=fft_size)
-        blocks = self._rows_per_chunk(node) // 2 + 1
-        x = self._stimulus(node, blocks, trials=3)
+        rows = self._rows_per_chunk(node) // 2 + 1
+        x = self._stimulus(node, rows, trials=3)
         fast = self._matches_reference(node, x)
         for t in range(3):
             assert _same_bits(fast[t], node.simulate_fixed([x[t]]))
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("bits", [2, 12, 40])
+    @pytest.mark.parametrize("fft_size", [2, 4, 8, 16, 32, 64])
+    def test_grid_of_sizes_taps_and_word_lengths(self, mode, bits,
+                                                 fft_size):
+        # One, a middle and the largest tap count that fits (at most 9),
+        # on a 2-trial stack and on one stream.
+        rng = np.random.default_rng(fft_size + bits)
+        stack = rng.uniform(-1.0, 1.0, (2, 37))
+        for num_taps in sorted({1, (min(9, fft_size) + 1) // 2,
+                                min(9, fft_size)}):
+            node = self._node(bits=bits, rounding=mode, fft_size=fft_size,
+                              taps=rng.uniform(-0.5, 0.5, num_taps))
+            self._matches_reference(node, stack)
+            self._matches_reference(node, stack[1])
 
     def test_batched_trials_equal_per_trial_rows(self):
         node = self._node()
@@ -377,17 +403,18 @@ class TestFrequencyDomainNodeVectorization:
         batched_double = node.simulate([x])
         assert batched_fixed.shape == x.shape
         for t in range(x.shape[0]):
-            assert np.array_equal(batched_fixed[t],
-                                  node.simulate_fixed([x[t]]))
-            assert np.array_equal(batched_double[t], node.simulate([x[t]]))
+            assert _same_bits(batched_fixed[t], node.simulate_fixed([x[t]]))
+            assert _same_bits(batched_double[t], node.simulate([x[t]]))
 
-    def test_double_path_matches_reference_backend(self):
-        node = self._node()
-        x = uniform_white_noise(2500, seed=6)
-        fast = node.simulate([x])
-        with use_backend("reference"):
-            slow = node.simulate([x])
-        assert np.array_equal(fast, slow)
+    @pytest.mark.parametrize("fft_size", [2, 16, 64])
+    def test_double_path_matches_reference_backend(self, fft_size):
+        node = self._node(fft_size=fft_size)
+        for rows in (1, self._rows_per_chunk(node) + 1):
+            x = self._stimulus(node, rows, seed=6)
+            fast = node.simulate([x])
+            with use_backend("reference"):
+                slow = node.simulate([x])
+            assert _same_bits(fast, slow)
 
 
 class TestOverlapSaveBatched:
@@ -398,7 +425,7 @@ class TestOverlapSaveBatched:
         batched = overlap_save(x, h, 16)
         assert batched.shape == x.shape
         for t in range(x.shape[0]):
-            assert np.array_equal(batched[t], overlap_save(x[t], h, 16))
+            assert _same_bits(batched[t], overlap_save(x[t], h, 16))
 
     def test_streaming_loop_rejects_batches(self, rng):
         from repro.lti.convolution import overlap_save
@@ -407,6 +434,22 @@ class TestOverlapSaveBatched:
         with use_backend("reference"):
             with pytest.raises(ValueError, match="1-D stream"):
                 overlap_save(x, h, 16)
+
+    def test_frames_are_a_view_of_one_padded_copy(self, rng):
+        x = rng.standard_normal((3, 50))
+        frames, hop = overlap_save_frames(x, 5, 16)
+        assert hop == 12
+        assert not frames.flags.writeable
+        assert frames.base is not None and frames.strides == (96, 8)
+        # Row b of a stream reads hop * b samples into it, after taps - 1
+        # zeros of history; past its last sample a stream reads zeros.
+        per_stream = len(frames) // 3
+        assert per_stream == 5  # ceil((50 + 5 - 1) / 12)
+        assert not np.any(frames[per_stream, :4])
+        assert np.array_equal(frames[per_stream, 4:], x[1, :12])
+        assert np.array_equal(frames[per_stream + 1], x[1, 8:24])
+        assert np.array_equal(frames[per_stream - 1, :6], x[0, 44:])
+        assert not np.any(frames[per_stream - 1, 6:])
 
 
 # ----------------------------------------------------------------------
@@ -460,20 +503,42 @@ class TestWelchVectorization:
         with pytest.raises(ValueError):
             welch(np.ones(100), 16, overlap=1.0)
 
-    def test_memory_bounded_fallback_is_bitwise_identical(self, rng,
-                                                          monkeypatch):
-        # Extreme overlap clamps the hop to one sample — nearly one
-        # segment per sample.  Force the bounded-memory per-segment path
-        # on a small record and pin it against both the one-shot pass
-        # and the reference loop.
-        from repro.psd import estimation
-        x = rng.standard_normal(3000)
-        one_shot = welch(x, 64, overlap=0.99)
-        monkeypatch.setattr(estimation, "_MAX_ONE_SHOT_ELEMENTS", 1024)
-        looped = welch(x, 64, overlap=0.99)
-        reference = _welch_reference(x, 64, overlap=0.99)
-        assert np.array_equal(looped.ac, one_shot.ac)
-        assert np.array_equal(looped.ac, reference.ac)
+    @pytest.mark.parametrize("trials", [1, 3])
+    @pytest.mark.parametrize("n_bins, window", [
+        (2, "rectangular"),  # a 2-point Hann window is all zeros
+        (16, "hann"), (16, "rectangular"),
+        (1024, "hann"), (1024, "rectangular"),
+    ])
+    @pytest.mark.parametrize("overlap", [0.0, 0.5, 0.999])
+    @pytest.mark.parametrize("segments", [
+        lambda chunk: 1,
+        lambda chunk: chunk,
+        lambda chunk: chunk + 1,
+        lambda chunk: 2 * chunk + 3,
+    ], ids=["one-segment", "one-chunk", "chunk-plus-one",
+            "several-chunks-partial-tail"])
+    def test_chunk_boundaries_match_reference_bitwise(self, segments,
+                                                      overlap, n_bins,
+                                                      window, trials):
+        # The running segment sum crosses every chunk boundary.  A chunk
+        # holds CHUNK_SAMPLES samples across the trials, so the segment
+        # counts are derived from the constant and the trial count.
+        count = segments(chunk_rows(n_bins * trials))
+        hop = max(1, int(round(n_bins * (1.0 - overlap))))
+        samples = (count - 1) * hop + n_bins
+        stack = np.random.default_rng(count + n_bins).standard_normal(
+            (trials, samples))
+        if trials == 1:
+            estimates = [welch(stack[0], n_bins, window=window,
+                               overlap=overlap)]
+        else:
+            estimates = welch_batched(stack, n_bins, window=window,
+                                      overlap=overlap)
+        for row, psd in zip(stack, estimates):
+            reference = _welch_reference(row, n_bins, window=window,
+                                         overlap=overlap)
+            assert _same_bits(psd.ac, reference.ac)
+            assert psd.mean == reference.mean
 
 
 # ----------------------------------------------------------------------
