@@ -20,9 +20,13 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from repro.analysis._engine import memoization_disabled
+from repro.analysis.psd_method import evaluate_psd
 from repro.bench import bench_payload, write_bench_json
+from repro.utils.timing import time_callable
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -83,3 +87,45 @@ def write_bench(results_dir: Path, name: str, *, workload: dict,
         name, workload=workload, seconds=seconds, speedup=speedup,
         tags=tags, mode="full" if full_mode() else "reduced")
     write_bench_json(results_dir, payload)
+
+
+def candidate_replay(plan, edits, n_psd):
+    """One greedy candidate pass: requantize each edit, evaluate, restore.
+
+    ``edits`` are ``(node name or "src->dst" edge key, bits)`` pairs.
+    """
+    powers = []
+    with plan.preserve_quantization():
+        for key, bits in edits:
+            plan.requantize({key: bits})
+            powers.append(evaluate_psd(plan, n_psd).total_power)
+    return np.asarray(powers)
+
+
+def timed_replays(plan, edits, n_psd, repeat):
+    """(cold seconds, warm seconds) of one candidate edit sequence.
+
+    The cold run replays under :func:`memoization_disabled` (every
+    candidate pays a full walk); the warm run pulls from the plan's
+    memo (every candidate pays its dirty cone).  Both are preceded by
+    one untimed pass, then the two alternate ``repeat`` times and each
+    reports its fastest replay, so that a load spike on a shared host
+    slows one replay, not one side.  Both must produce bitwise identical
+    per-candidate powers.
+    """
+    with memoization_disabled():
+        candidate_replay(plan, edits, n_psd)
+    cold_seconds, warm_seconds = [], []
+    for _ in range(repeat):
+        with memoization_disabled():
+            cold, seconds = time_callable(candidate_replay, plan, edits,
+                                          n_psd)
+        cold_seconds.append(seconds)
+        evaluate_psd(plan, n_psd)  # sync the memo on the restored baseline
+        if not warm_seconds:
+            candidate_replay(plan, edits, n_psd)
+        warm, seconds = time_callable(candidate_replay, plan, edits, n_psd)
+        warm_seconds.append(seconds)
+    assert np.array_equal(cold, warm), \
+        "memoized candidate powers drifted from the cold full walks"
+    return min(cold_seconds), min(warm_seconds)

@@ -31,8 +31,6 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import numpy as np
-
 from repro.analysis._engine import memoization_disabled, plan_memo
 from repro.analysis.psd_method import evaluate_psd
 from repro.bench import load_baseline, required_floor
@@ -40,49 +38,10 @@ from repro.sfg.plan import compile_plan
 from repro.systems.families import build_scalability_bank
 from repro.systems.wordlength import WordLengthOptimizer
 from repro.utils.tables import TextTable
-from repro.utils.timing import time_callable
 
-from conftest import write_bench, write_report
+from conftest import candidate_replay, timed_replays, write_bench, write_report
 
 _BASELINE = Path(__file__).parent / "bench_baseline.json"
-
-
-def _tap_replay(plan, edits, n_psd):
-    """One per-edge candidate pass: tap each edit, evaluate, restore."""
-    powers = []
-    with plan.preserve_quantization():
-        for key, bits in edits:
-            plan.requantize({key: bits})
-            powers.append(evaluate_psd(plan, n_psd).total_power)
-    return np.asarray(powers)
-
-
-def _timed_tap_replays(plan, edits, n_psd, repeat):
-    """(cold seconds, warm seconds) for one per-edge edit sequence.
-
-    The cold run replays under :func:`memoization_disabled` (every
-    candidate pays a full walk); the warm run pulls from the plan's
-    memo (every candidate pays the tapped branch's dirty cone).  Both
-    are preceded by one untimed pass, then the two alternate ``repeat``
-    times and each reports its fastest replay, so that a load spike on a
-    shared host slows one replay, not one side.  Both must produce
-    bitwise identical per-candidate powers.
-    """
-    with memoization_disabled():
-        _tap_replay(plan, edits, n_psd)
-    cold_seconds, warm_seconds = [], []
-    for _ in range(repeat):
-        with memoization_disabled():
-            cold, seconds = time_callable(_tap_replay, plan, edits, n_psd)
-        cold_seconds.append(seconds)
-        evaluate_psd(plan, n_psd)  # sync the memo on the restored baseline
-        if not warm_seconds:
-            _tap_replay(plan, edits, n_psd)
-        warm, seconds = time_callable(_tap_replay, plan, edits, n_psd)
-        warm_seconds.append(seconds)
-    assert np.array_equal(cold, warm), \
-        "memoized per-edge candidate powers drifted from the cold walks"
-    return min(cold_seconds), min(warm_seconds)
 
 
 def test_fine_grained_search(benchmark, bench_config, results_dir):
@@ -101,7 +60,7 @@ def test_fine_grained_search(benchmark, bench_config, results_dir):
         plan = compile_plan(bank)
         edits = [(f"x->branch{index}", 12 - index % 2)
                  for index in range(min(candidates, branches))]
-        cold, warm = _timed_tap_replays(plan, edits, n_psd, repeat)
+        cold, warm = timed_replays(plan, edits, n_psd, repeat)
         speedups[branches] = cold / warm
         rows.append((branches, bank.name, len(plan.steps), len(edits),
                      cold, warm))
@@ -188,4 +147,4 @@ def test_fine_grained_search(benchmark, bench_config, results_dir):
 
     bank = build_scalability_bank(branches=widths[0])
     plan = compile_plan(bank)
-    benchmark(lambda: _tap_replay(plan, [("x->branch0", 12)], n_psd))
+    benchmark(lambda: candidate_replay(plan, [("x->branch0", 12)], n_psd))

@@ -32,8 +32,6 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import numpy as np
-
 from repro.analysis._engine import memoization_disabled, plan_memo
 from repro.analysis.psd_method import evaluate_psd
 from repro.bench import load_baseline, required_floor
@@ -41,44 +39,10 @@ from repro.sfg.plan import compile_plan
 from repro.systems.families import build_scalability_bank, build_scalability_chain
 from repro.systems.wordlength import WordLengthOptimizer
 from repro.utils.tables import TextTable
-from repro.utils.timing import time_callable
 
-from conftest import write_bench, write_report
+from conftest import candidate_replay, timed_replays, write_bench, write_report
 
 _BASELINE = Path(__file__).parent / "bench_baseline.json"
-
-
-def _candidate_replay(plan, edits, n_psd):
-    """One greedy candidate pass: requantize each edit, evaluate, restore."""
-    powers = []
-    with plan.preserve_quantization():
-        for name, bits in edits:
-            plan.requantize({name: bits})
-            powers.append(evaluate_psd(plan, n_psd).total_power)
-    return np.asarray(powers)
-
-
-def _timed_replays(plan, edits, n_psd, repeat):
-    """(cold seconds, warm seconds, powers) for one edit sequence.
-
-    The cold run replays under :func:`memoization_disabled` (every
-    candidate pays a full walk); the warm run pulls from the plan's
-    memo (every candidate pays its dirty cone).  Both are preceded by
-    one untimed pass so response-cache priming and the memo's cold
-    build stay out of the ratio, and both must produce bitwise
-    identical per-candidate powers.
-    """
-    with memoization_disabled():
-        _candidate_replay(plan, edits, n_psd)
-        cold, cold_seconds = time_callable(
-            lambda: _candidate_replay(plan, edits, n_psd), repeat=repeat)
-    evaluate_psd(plan, n_psd)  # sync the memo on the restored baseline
-    _candidate_replay(plan, edits, n_psd)
-    warm, warm_seconds = time_callable(
-        lambda: _candidate_replay(plan, edits, n_psd), repeat=repeat)
-    assert np.array_equal(cold, warm), \
-        "memoized candidate powers drifted from the cold full walks"
-    return cold_seconds, warm_seconds
 
 
 def test_incremental_reeval_speedup(benchmark, bench_config, results_dir):
@@ -93,8 +57,8 @@ def test_incremental_reeval_speedup(benchmark, bench_config, results_dir):
     bank_plan = compile_plan(bank)
     bank_edits = [(f"branch{index}", 13 - index % 2)
                   for index in range(candidates)]
-    bank_cold, bank_warm = _timed_replays(bank_plan, bank_edits, n_psd,
-                                          repeat)
+    bank_cold, bank_warm = timed_replays(bank_plan, bank_edits, n_psd,
+                                         repeat)
     bank_speedup = bank_cold / bank_warm
 
     # --- chain: the worst case, informational ----------------------------
@@ -103,8 +67,8 @@ def test_incremental_reeval_speedup(benchmark, bench_config, results_dir):
     chain_plan = compile_plan(chain)
     chain_edits = [(f"block{index}", 13 - index % 2)
                    for index in range(min(candidates, chain_blocks))]
-    chain_cold, chain_warm = _timed_replays(chain_plan, chain_edits, n_psd,
-                                            repeat)
+    chain_cold, chain_warm = timed_replays(chain_plan, chain_edits, n_psd,
+                                           repeat)
     chain_speedup = chain_cold / chain_warm
 
     # --- optimizer end to end: memoized vs cold ---------------------------
@@ -182,4 +146,4 @@ def test_incremental_reeval_speedup(benchmark, bench_config, results_dir):
     assert chain_speedup > 1.0, \
         "dirty-cone pulls must beat cold walks even on the chain"
 
-    benchmark(lambda: _candidate_replay(bank_plan, bank_edits[:1], n_psd))
+    benchmark(lambda: candidate_replay(bank_plan, bank_edits[:1], n_psd))

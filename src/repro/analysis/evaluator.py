@@ -138,11 +138,7 @@ class AccuracyEvaluator:
     def simulate(self, stimulus, output: str | None = None,
                  n_psd: int | None = None,
                  discard_transient: int = 0) -> SimulationResult:
-        """Run the Monte-Carlo reference on one stimulus.
-
-        A 2-D ``(trials, samples)`` stimulus runs the whole batch in one
-        vectorized pass.
-        """
+        """Run the Monte-Carlo reference on one stimulus."""
         self._resolve_plan()
         return self._simulator.evaluate(stimulus, output=output,
                                         n_psd=n_psd,

@@ -15,9 +15,7 @@ measurement, of one configuration or of a stack of them, is one
 state and stimulus — and one ``run(mode="fixed")`` leg.  The plan also
 keeps the last error record :meth:`SimulationEvaluator.error_signal`
 measured, so consecutive measurements of one configuration on one
-stimulus run the two legs once.  The stimulus may be a 2-D array of shape
-``(trials, samples)``: the whole Monte-Carlo batch then runs as one
-vectorized pass and the measured moments aggregate over all trials.
+stimulus run the two legs once.  A stimulus is one 1-D stream per input.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ import numpy as np
 from repro.analysis._engine import memoization_enabled
 from repro.analysis.metrics import noise_power
 from repro.obs import metric_inc, span
-from repro.psd.estimation import estimate_psd, estimate_psd_batch
+from repro.psd.estimation import estimate_psd
 from repro.psd.spectrum import DiscretePsd
 from repro.sfg.graph import SignalFlowGraph
 from repro.sfg.plan import CompiledPlan, compile_plan, quantization_signature
@@ -159,8 +157,7 @@ class SimulationResult:
     error_psd:
         Welch estimate of the error PSD (``None`` unless requested).
     num_samples:
-        Number of output samples used for the measurement (summed over
-        trials for batched runs).
+        Number of output samples used for the measurement.
     """
 
     error_power: float
@@ -202,9 +199,7 @@ class SimulationEvaluator:
         ----------
         stimulus:
             Mapping from input-node name to its sample vector (a bare
-            array is accepted for single-input graphs); 2-D arrays of
-            shape ``(trials, samples)`` run the whole batch in one pass
-            and produce a 2-D error record.
+            array is accepted for single-input graphs).
         output:
             Output-node name for multi-output graphs.
         """
@@ -249,11 +244,11 @@ class SimulationEvaluator:
             Output-node name for multi-output graphs.
         n_psd:
             When given, also estimate the error PSD on that many bins
-            (at least 2; averaged over trials for batched runs).
+            (at least 2).
         discard_transient:
             Number of leading output samples to drop before measuring
             (filters have a start-up transient during which the noise is
-            not yet stationary); applied per trial for batched runs.
+            not yet stationary).
         """
         _check_measurement(n_psd, discard_transient)
         error = self.error_signal(stimulus, output=output)
@@ -353,12 +348,12 @@ class SimulationEvaluator:
     def _measure(self, error: np.ndarray, n_psd: int | None,
                  discard_transient: int) -> SimulationResult:
         if discard_transient:
-            if discard_transient >= error.shape[-1]:
+            if discard_transient >= len(error):
                 raise ValueError(
                     f"cannot discard {discard_transient} samples from a "
-                    f"record of length {error.shape[-1]}")
-            error = error[..., discard_transient:]
-        psd = self._error_psd(error, n_psd) if n_psd is not None else None
+                    f"record of length {len(error)}")
+            error = error[discard_transient:]
+        psd = estimate_psd(error, n_psd) if n_psd is not None else None
         return SimulationResult(
             error_power=noise_power(error),
             error_mean=float(np.mean(error)),
@@ -369,17 +364,6 @@ class SimulationEvaluator:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    @staticmethod
-    def _error_psd(error: np.ndarray, n_psd: int) -> DiscretePsd:
-        if error.ndim == 1:
-            return estimate_psd(error, n_psd)
-        # Batched record: average the per-trial Welch estimates (all
-        # trials share one batched FFT pass).
-        trials = estimate_psd_batch(error, n_psd)
-        ac = np.mean([psd.ac for psd in trials], axis=0)
-        mean = float(np.mean([psd.mean for psd in trials]))
-        return DiscretePsd(ac, mean)
-
     def _normalize_stimulus(self, stimulus) -> dict:
         if isinstance(stimulus, dict):
             return stimulus

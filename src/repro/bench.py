@@ -137,10 +137,9 @@ def _timed(function, *args):
 def _timed_warm(function, *args):
     """Time one call after one untimed warm-up call.
 
-    The default backend compiles plans (and numba, when installed,
-    compiles the IIR recursion) on first use; the warm-up absorbs that
-    one-time cost so the sampled seconds measure steady-state
-    throughput.  Returns
+    The default backend compiles plans and generates the IIR recurrence
+    on first use; the warm-up absorbs that one-time cost so the sampled
+    seconds measure steady-state throughput.  Returns
     ``(result, seconds, warmup_seconds)`` — the warm-up duration is
     reported separately in the payload's ``warmup_s`` field.
     """
@@ -229,8 +228,7 @@ def bench_sim_engine_ff(samples: int = 60_000, seed: int = 1) -> dict:
              description="Direct-form IIR bit-true recursion: legacy "
                          "per-sample loop vs the default backend")
 def bench_sim_engine_iir(samples: int = 60_000, seed: int = 3) -> dict:
-    """Single-stream and 64-trial batched IIR recursion."""
-    from repro.analysis._engine import memoization_disabled
+    """The single-stream IIR recursion of a Table-I filter."""
     from repro.analysis.simulation_method import SimulationEvaluator
     from repro.data.signals import uniform_white_noise
     from repro.simkernel import use_backend
@@ -239,11 +237,6 @@ def bench_sim_engine_iir(samples: int = 60_000, seed: int = 3) -> dict:
     graph = build_filter_graph(generate_iir_bank(3)[2], fractional_bits=12)
     evaluator = SimulationEvaluator(graph)
     stimulus = {"x": uniform_white_noise(samples, seed=seed)}
-    trials = 64
-    batched = {"x": np.stack([
-        uniform_white_noise(max(256, samples // trials), seed=seed + 1 + t)
-        for t in range(trials)])}
-
     seconds: dict = {}
     outputs: dict = {}
     warmup: dict = {}
@@ -252,21 +245,14 @@ def bench_sim_engine_iir(samples: int = 60_000, seed: int = 3) -> dict:
             outputs[backend], seconds[backend], warmup[backend] = \
                 _timed_simulation(f"sim_engine_iir[{backend}]", evaluator,
                                   stimulus)
-            # Memo off here too, so the stimulus digest is not timed.
-            with memoization_disabled():
-                _, seconds[f"{backend}_batched"] = _timed(
-                    evaluator.error_signal, batched)
     _require_bitwise("sim_engine_iir", outputs["reference"], outputs["fast"])
-    speedup = {
-        "single_stream": seconds["reference"] / seconds["fast"],
-        "batched_64": seconds["reference_batched"] / seconds["fast_batched"],
-    }
     return bench_payload(
         "sim_engine_iir",
         workload={"system": "table1-iir", "samples": samples,
-                  "trials": trials, "fractional_bits": 12},
-        seconds=seconds, speedup=speedup, warmup_s=warmup,
-        tags=("smoke", "sim"))
+                  "fractional_bits": 12},
+        seconds=seconds,
+        speedup={"single_stream": seconds["reference"] / seconds["fast"]},
+        warmup_s=warmup, tags=("smoke", "sim"))
 
 
 @_registered("welch_psd", tags=("smoke", "psd"),

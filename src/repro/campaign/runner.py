@@ -313,6 +313,22 @@ class _WorkItem:
     deadline: float | None = None
 
 
+def _terminate_pool(pool: ProcessPoolExecutor) -> None:
+    """Shut ``pool`` down, terminating its worker processes first.
+
+    A plain ``shutdown(wait=False)`` leaves a hung worker running, and
+    the exit handler of :mod:`concurrent.futures` then joins it: the
+    interpreter would not exit before the hang ends.
+    """
+    terminate = getattr(pool, "terminate_workers", None)  # Python 3.14+
+    if terminate is not None:
+        terminate()
+        return
+    for process in list((pool._processes or {}).values()):
+        process.terminate()
+    pool.shutdown(wait=False, cancel_futures=True)
+
+
 class _Supervisor:
     """The fault-tolerant driver loop: dispatch, retry, bisect, quarantine.
 
@@ -499,11 +515,10 @@ class _Supervisor:
         if not expired:
             return  # spurious wakeup
         # A hung worker cannot be cancelled, only abandoned: the whole
-        # pool is torn down (its processes exit on their own once their
-        # work returns) and a fresh pool takes over.  Healthy in-flight
-        # payloads lost with the pool are re-queued uncharged.
+        # pool is torn down and a fresh pool takes over.  Healthy
+        # in-flight payloads lost with the pool are re-queued uncharged.
         self.active.clear()
-        self.pool.shutdown(wait=False, cancel_futures=True)
+        _terminate_pool(self.pool)
         self.pool = None
         self.rebuilds.inc()
         logger.warning(

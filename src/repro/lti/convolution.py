@@ -17,11 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.simkernel.backend import get_backend
-from repro.simkernel.fft import (
-    chunk_rows,
-    overlap_save_frames,
-    overlap_save_streams,
-)
+from repro.simkernel.fft import chunk_rows, overlap_save_frames
 
 
 def overlap_save(x: np.ndarray, h: np.ndarray, fft_size: int) -> np.ndarray:
@@ -30,7 +26,7 @@ def overlap_save(x: np.ndarray, h: np.ndarray, fft_size: int) -> np.ndarray:
     Parameters
     ----------
     x:
-        Input signal.
+        Input signal, one 1-D stream.
     h:
         FIR impulse response; must satisfy ``len(h) <= fft_size``.
     fft_size:
@@ -40,22 +36,23 @@ def overlap_save(x: np.ndarray, h: np.ndarray, fft_size: int) -> np.ndarray:
     Returns
     -------
     numpy.ndarray
-        The first ``x.shape[-1]`` samples of ``x * h`` per stream (causal
-        streaming output), identical (up to rounding) to the first
-        ``len(x)`` samples of ``numpy.convolve(x, h)``.  The last axis is
-        time and leading axes are independent streams; the streaming
-        loop of the ``reference`` backend accepts 1-D input only.
+        The first ``len(x)`` samples of ``x * h`` (causal streaming
+        output), identical (up to rounding) to the first ``len(x)``
+        samples of ``numpy.convolve(x, h)``.
     """
     x = np.asarray(x, dtype=float)
     h = np.asarray(h, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(
+            f"overlap-save filters one 1-D stream, got shape {x.shape}")
     if len(h) > fft_size:
         raise ValueError(f"impulse response ({len(h)} taps) does not fit in "
                          f"an FFT of size {fft_size}")
     if get_backend() != "reference":
-        # Stream chunks of blocks (of every stream) through one buffer —
-        # bitwise identical to the streaming loop below: the FFT of each
-        # block and the elementwise product are unchanged.  The reference
-        # backend keeps the loop as the timing baseline.
+        # Stream chunks of blocks through one buffer — bitwise identical
+        # to the streaming loop below: the FFT of each block and the
+        # elementwise product are unchanged.  The reference backend keeps
+        # the loop as the timing baseline.
         h_padded = np.concatenate([h, np.zeros(fft_size - len(h))])
         h_spectrum = np.fft.fft(h_padded)
         frames, hop = overlap_save_frames(x, len(h), fft_size)
@@ -69,11 +66,7 @@ def overlap_save(x: np.ndarray, h: np.ndarray, fft_size: int) -> np.ndarray:
             np.multiply(spectra, h_spectrum, out=spectra)
             np.fft.ifft(spectra, axis=-1, out=spectra)
             valid[start:stop] = spectra.real[:, len(h) - 1:len(h) - 1 + hop]
-        return overlap_save_streams(valid, x.shape)
-    if x.ndim != 1:
-        raise ValueError(
-            "the streaming overlap-save loop (the reference backend) "
-            f"accepts a single 1-D stream, got shape {x.shape}")
+        return valid.reshape(-1)[:len(x)]
 
     hop = fft_size - len(h) + 1
     h_padded = np.concatenate([h, np.zeros(fft_size - len(h))])

@@ -24,8 +24,7 @@ def downsample(x: np.ndarray, factor: int = 2, phase: int = 0) -> np.ndarray:
     Parameters
     ----------
     x:
-        Input signal; the last axis is time (leading axes are independent
-        trials).
+        Input signal; the last axis is time.
     factor:
         Down-sampling factor ``M >= 1``.
     phase:
@@ -41,7 +40,7 @@ def downsample(x: np.ndarray, factor: int = 2, phase: int = 0) -> np.ndarray:
 def upsample(x: np.ndarray, factor: int = 2) -> np.ndarray:
     """Insert ``factor - 1`` zeros between consecutive samples.
 
-    The last axis is time; leading axes are independent trials.
+    The last axis is time.
     """
     x = np.asarray(x)
     _check_factor(factor)

@@ -180,10 +180,8 @@ class TransferFunction:
         return self.filter(impulse)
 
     def filter(self, x: np.ndarray) -> np.ndarray:
-        """Filter the signal ``x`` in double precision (direct form I).
+        """Filter the stream ``x`` in double precision (direct form I).
 
-        The last axis is time; leading axes (batched trials) are filtered
-        independently, each row bitwise equal to its single-stream run.
         This is the bit-true kernel's recursion without rounding
         (:func:`repro.simkernel.iir.iir_df1_double`); an FIR system is
         ``np.convolve`` truncated to the input length.

@@ -21,7 +21,6 @@ provides:
 from repro.psd.spectrum import DiscretePsd
 from repro.psd.estimation import (
     estimate_psd,
-    estimate_psd_batch,
     periodogram,
     welch,
     welch_batched,
@@ -31,7 +30,6 @@ from repro.psd.propagation import TrackedSpectrum
 __all__ = [
     "DiscretePsd",
     "estimate_psd",
-    "estimate_psd_batch",
     "periodogram",
     "welch",
     "welch_batched",

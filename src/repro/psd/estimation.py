@@ -13,9 +13,9 @@ the sample mean.
 The Welch estimator streams its segments: they are rows of one strided
 view of the record (no segment is copied out), windowed and transformed
 one ``CHUNK_SAMPLES``-sized chunk at a time (:mod:`repro.simkernel.fft`)
-through preallocated buffers, for one record or for a whole stack of
-Monte-Carlo trials at once (:func:`welch_batched`), and the periodograms
-are summed into a running total that each chunk carries on.  The results
+through preallocated buffers, for one record or for a stack of records
+at once (:func:`welch_batched`), and the periodograms are summed into a
+running total that each chunk carries on.  The results
 are bitwise identical to the historical per-segment loop, which is
 preserved as :func:`_welch_reference` and asserted against in the tests.
 (A real-input ``rfft`` would halve the transform work but is *not*
@@ -148,7 +148,7 @@ def welch(x: np.ndarray, n_bins: int, window: str = "hann",
 
 def welch_batched(x: np.ndarray, n_bins: int, window: str = "hann",
                   overlap: float = 0.5) -> list[DiscretePsd]:
-    """Per-trial Welch estimates of a stacked record, in one pass.
+    """Per-record Welch estimates of a stack of records, in one pass.
 
     ``x`` has shape ``(..., samples)``; leading axes are independent
     records.  Equivalent to calling :func:`welch` on every row (bitwise —
@@ -227,18 +227,6 @@ def estimate_psd(x: np.ndarray, n_bins: int, method: str = "welch",
         return welch(x, n_bins, window=window, overlap=overlap)
     if method == "periodogram":
         return periodogram(x, n_bins)
-    raise ValueError(f"unknown PSD estimation method {method!r}")
-
-
-def estimate_psd_batch(x: np.ndarray, n_bins: int, method: str = "welch",
-                       window: str = "hann",
-                       overlap: float = 0.5) -> list[DiscretePsd]:
-    """Per-trial PSD estimates of a stacked record, in one batched pass."""
-    method = method.lower()
-    if method == "welch":
-        return welch_batched(x, n_bins, window=window, overlap=overlap)
-    if method == "periodogram":
-        return welch_batched(x, n_bins, window="rectangular", overlap=0.0)
     raise ValueError(f"unknown PSD estimation method {method!r}")
 
 

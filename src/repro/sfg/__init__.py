@@ -19,7 +19,7 @@ subpackage provides:
   frequency responses) so every evaluation engine runs it many times
   without re-deriving structure.  :meth:`CompiledPlan.run` is the one
   graph executor: double-precision reference or bit-true fixed point,
-  including batched (trials × samples) Monte-Carlo runs.
+  one 1-D stream per input.
 * :mod:`~repro.sfg.builder` — a small fluent API for assembling graphs in
   examples and tests.
 """

@@ -207,12 +207,8 @@ def _build_quantizer(fractional_bits: int, rounding: RoundingMode,
 class Node:
     """Base class of every SFG node.
 
-    Batched execution is part of the node contract: :meth:`simulate` and
-    :meth:`simulate_fixed` must accept stacked stimuli — arrays whose
-    *last* axis is time and whose leading axes are independent trials —
-    and vectorize over them.  :meth:`~repro.sfg.plan.CompiledPlan.run`
-    passes a whole Monte-Carlo batch through every node in one call;
-    there is no per-trial fallback.
+    :meth:`simulate` and :meth:`simulate_fixed` take one 1-D stream per
+    input port, as :meth:`~repro.sfg.plan.CompiledPlan.run` passes them.
     """
 
     def __init__(self, name: str, num_inputs: int,
@@ -379,11 +375,9 @@ class AddNode(Node):
 
     def simulate(self, inputs: list[np.ndarray]) -> np.ndarray:
         arrays = [np.asarray(x, dtype=float) for x in inputs]
-        length = max(x.shape[-1] for x in arrays)
-        leading = np.broadcast_shapes(*[x.shape[:-1] for x in arrays])
-        output = np.zeros(leading + (length,))
+        output = np.zeros(max(len(x) for x in arrays))
         for sign, x in zip(self.signs, arrays):
-            output[..., :x.shape[-1]] += sign * x
+            output[:len(x)] += sign * x
         return output
 
     def propagate_stats(self, inputs: list[NoiseStats]) -> NoiseStats:
@@ -445,10 +439,9 @@ class DelayNode(_LtiMixin, Node):
         x = np.asarray(x, dtype=float)
         if self.delay == 0:
             return x.copy()
-        if self.delay >= x.shape[-1]:
+        if self.delay >= len(x):
             return np.zeros_like(x)
-        pad = np.zeros(x.shape[:-1] + (self.delay,))
-        return np.concatenate([pad, x[..., :-self.delay]], axis=-1)
+        return np.concatenate([np.zeros(self.delay), x[:-self.delay]])
 
 
 class FirNode(_LtiMixin, Node):

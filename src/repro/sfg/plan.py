@@ -746,13 +746,14 @@ class CompiledPlan:
         slots = [np.asarray(inputs[name], dtype=float)
                  for name in self.input_names]
         for name, slot in zip(self.input_names, slots):
-            # A scalar or an empty record has nothing to measure: it would
-            # yield the power of one sample, or fail deep inside a node.
-            if slot.ndim == 0 or slot.size == 0:
+            # A run takes one stream per input.  A scalar or an empty
+            # record has nothing to measure: it would yield the power of
+            # one sample, or fail deep inside a node.
+            if slot.ndim != 1 or slot.size == 0:
                 raise ValueError(
                     f"stimulus for input node {name!r} has shape "
-                    f"{slot.shape}; it needs at least one sample (and at "
-                    "least one trial when batched)")
+                    f"{slot.shape}; it needs one 1-D stream of at least "
+                    "one sample")
             # One NaN or inf sample would turn every measured power and
             # Ed into NaN (or a plausible-looking wrong value) silently.
             # min/max propagate NaN and reach +-inf, so they catch both
@@ -762,40 +763,23 @@ class CompiledPlan:
                 raise ValueError(
                     f"stimulus for input node {name!r} holds NaN or "
                     "infinite samples")
-        # Batched stimuli must agree on the trial axes: a 1-D stimulus is
-        # broadcast to every trial, but two stacked stimuli with
-        # different leading shapes would silently mis-pair trials inside
-        # the vectorized nodes.
-        leading = {slot.shape[:-1] for slot in slots if slot.ndim > 1}
-        if len(leading) > 1:
-            raise ValueError(
-                "batched stimuli disagree on the trial axes: "
-                f"{sorted(leading)}")
         return slots
-
-    @staticmethod
-    def _simulate(node: Node, node_inputs: list, fixed: bool) -> np.ndarray:
-        # Every node type vectorizes over leading trial axes (the batch
-        # contract of repro.sfg.nodes.Node), so there is no row-wise
-        # fallback: one call runs the whole stack.
-        compute = node.simulate_fixed if fixed else node.simulate
-        return compute(node_inputs)
 
     def run(self, inputs: dict, mode: str = "double",
             keep_signals: bool = False) -> ExecutionResult:
         """Execute the schedule on one stimulus.
 
-        This is the only way a graph is executed: both precision modes,
-        both backends and the batched trial axis walk the schedule and
-        call each node's ``simulate`` or ``simulate_fixed``; the
-        ``reference`` backend only swaps the kernels inside the nodes.
+        This is the only way a graph is executed: both precision modes
+        and both backends walk the schedule and call each node's
+        ``simulate`` or ``simulate_fixed``; the ``reference`` backend
+        only swaps the kernels inside the nodes.
 
         Parameters
         ----------
         inputs:
-            Mapping from input-node name to its sample vector; a 2-D array
-            of shape ``(trials, samples)`` runs every trial in one
-            vectorized batch.
+            Mapping from input-node name to its sample vector: one 1-D
+            stream per input.  Any other shape raises a ``ValueError``
+            naming the input.
         mode:
             ``double`` for the infinite-precision reference or ``fixed``
             for bit-true fixed-point execution.
@@ -827,8 +811,9 @@ class CompiledPlan:
                         tap.quantizer.quantize(value)
                         if tap is not None else value
                         for tap, value in zip(step.edge_taps, node_inputs)]
-                signals[step.index] = self._simulate(step.node, node_inputs,
-                                                     fixed)
+                simulate = (step.node.simulate_fixed if fixed
+                            else step.node.simulate)
+                signals[step.index] = simulate(node_inputs)
         outputs = {name: signals[index]
                    for name, index in zip(self.output_names,
                                           self.output_indices)}

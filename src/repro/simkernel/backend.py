@@ -9,8 +9,6 @@ Two backends produce the same bits:
   speedup measurement.
 * ``fast`` — the default: the vectorized per-node kernels (generated
   IIR recurrence, position-major FFT butterflies, streamed overlap-save).
-  numba is a tier inside it, not a backend: the IIR recursion kernel
-  switches to its JIT version automatically when numba is importable.
 
 Both backends run through the same schedule walk
 (:meth:`repro.sfg.plan.CompiledPlan.run`); the backend only picks the
@@ -23,7 +21,6 @@ how the tests, the bench and the differential fuzz reach the oracle.
 
 from __future__ import annotations
 
-import importlib.util
 from contextlib import contextmanager
 
 from repro.obs import metric_inc
@@ -31,15 +28,6 @@ from repro.obs import metric_inc
 _BACKENDS = ("reference", "fast")
 
 _forced: str | None = None
-_numba_available: bool | None = None
-
-
-def numba_available() -> bool:
-    """Whether the optional :mod:`numba` dependency is importable."""
-    global _numba_available
-    if _numba_available is None:
-        _numba_available = importlib.util.find_spec("numba") is not None
-    return _numba_available
 
 
 def default_backend() -> str:

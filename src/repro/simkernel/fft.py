@@ -4,12 +4,12 @@ The bit-true fixed-point FFT quantizes every butterfly stage, so it
 cannot be delegated to an off-the-shelf FFT — but its *structure* is
 fully data-parallel: within one stage every butterfly group applies the
 same elementwise complex multiply/add to disjoint positions, and separate
-blocks (and Monte-Carlo trials) are completely independent.  The kernels
-here hold a batch of transforms *position-major*, shape ``(size, ...)``:
-position ``p`` of every transform is one contiguous row, so a stage is
-one twiddle product, one sum and one difference over whole rows, written
-into a second buffer of the same shape (the butterflies never allocate),
-and every quantization runs in place on a buffer (see
+blocks are completely independent.  The kernels here hold a batch of
+transforms *position-major*, shape ``(size, ...)``: position ``p`` of
+every transform is one contiguous row, so a stage is one twiddle
+product, one sum and one difference over whole rows, written into a
+second buffer of the same shape (the butterflies never allocate), and
+every quantization runs in place on a buffer (see
 :meth:`~repro.fixedpoint.quantizer.Quantizer.quantize_complex`).  Every
 operation is the elementwise NumPy complex op of the per-block loop, so
 the results are bitwise identical to it (asserted in
@@ -122,40 +122,25 @@ def fixed_fft_inverse(data: np.ndarray, twiddles: dict, quantize,
 # ----------------------------------------------------------------------
 def overlap_save_frames(x: np.ndarray, taps_len: int,
                         fft_size: int) -> tuple[np.ndarray, int]:
-    """Frame ``x`` into the overlapping blocks of the overlap-save scheme.
+    """Frame the stream ``x`` into the overlapping blocks of overlap-save.
 
     Returns ``(frames, hop)``: ``frames`` is a read-only strided
-    ``(rows, fft_size)`` view over one zero-padded copy of ``x`` (no
-    block is gathered), each row advanced by ``hop`` samples and prefixed
-    with the ``taps_len - 1`` history samples (zeros for the causal
-    start), exactly as the streaming loop sees them.  The streams of
-    ``x`` (its leading axes) are laid end to end, ``hop`` times
-    ``ceil((samples + taps_len - 1) / hop)`` apart, so that one view
-    frames them all; a stream's last row may start past its last sample,
-    and its output is dropped.  :func:`overlap_save_streams` turns the
-    rows' valid outputs back into streams.
+    ``(ceil(samples / hop), fft_size)`` view over one zero-padded copy of
+    ``x`` (no block is gathered), each row advanced by ``hop`` samples
+    and prefixed with the ``taps_len - 1`` history samples (zeros for the
+    causal start), exactly as the streaming loop sees them.  The rows'
+    valid outputs, laid end to end, hold the output stream followed by
+    at most ``hop - 1`` dropped samples.
     """
     x = np.asarray(x, dtype=float)
     hop = fft_size - taps_len + 1
     if hop < 1:
         raise ValueError(f"{taps_len} taps do not fit in an FFT of size "
                          f"{fft_size}")
-    num_samples = x.shape[-1]
-    streams = int(np.prod(x.shape[:-1], dtype=int))
-    rows_per_stream = -(-(num_samples + taps_len - 1) // hop)
-    period = rows_per_stream * hop
-    padded = np.zeros(streams * period + taps_len - 1)
-    laid_out = padded[:streams * period].reshape(streams, period)
-    laid_out[:, taps_len - 1:taps_len - 1 + num_samples] = (
-        x.reshape(streams, num_samples))
+    rows = -(-len(x) // hop)
+    padded = np.zeros(rows * hop + taps_len - 1)
+    padded[taps_len - 1:taps_len - 1 + len(x)] = x
     frames = np.lib.stride_tricks.as_strided(
-        padded, (streams * rows_per_stream, fft_size),
-        (hop * padded.itemsize, padded.itemsize), writeable=False)
+        padded, (rows, fft_size), (hop * padded.itemsize, padded.itemsize),
+        writeable=False)
     return frames, hop
-
-
-def overlap_save_streams(valid: np.ndarray, shape: tuple) -> np.ndarray:
-    """Streams of ``shape`` from the ``(rows, hop)`` valid outputs of
-    the rows of :func:`overlap_save_frames`."""
-    streams = valid.reshape(tuple(shape[:-1]) + (-1,))
-    return np.ascontiguousarray(streams[..., :shape[-1]])

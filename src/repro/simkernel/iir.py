@@ -33,10 +33,8 @@ independent of accumulation order: the kernel is bitwise identical to the
 legacy loop there (``tests/test_simkernel.py`` and the fuzz harness's
 ``backend_equality`` check pin it).  Beyond that domain — roughly 40+
 fractional bits on the data and coefficient words together — the last
-bit may differ; see ARCHITECTURE.md, "Simulation engine".  Stacked
-Monte-Carlo trials run one vectorized rounding pass per sample across
-all rows.  When numba is importable, both shapes run through the JIT
-recursion of :mod:`repro.simkernel._numba` instead.
+bit may differ; see ARCHITECTURE.md, "Simulation engine".  A run takes
+one 1-D stream: the plan runs one stimulus at a time.
 
 The double-precision leg (:func:`iir_df1_double`) is the same recursion
 with the rounding left out (``rounding=None``): the same feed-forward
@@ -53,18 +51,9 @@ from functools import lru_cache
 import numpy as np
 
 from repro.fixedpoint.quantizer import RoundingMode
-from repro.simkernel.backend import get_backend, numba_available
+from repro.simkernel.backend import get_backend
 from repro.simkernel.reference import causal_fir_reference as causal_fir
 from repro.simkernel.reference import iir_df1_reference
-
-#: Integer codes shared with the Numba kernel; ``None`` is the double
-#: leg's no-rounding mode.
-ROUNDING_CODES = {
-    RoundingMode.TRUNCATE: 0,
-    RoundingMode.ROUND: 1,
-    RoundingMode.CONVERGENT: 2,
-    None: 3,
-}
 
 
 def _round_array(rounding: RoundingMode, values: np.ndarray,
@@ -88,8 +77,9 @@ _ROUND_EXPR = {
     RoundingMode.TRUNCATE: "_floor(acc)",
     # round-half-away-from-zero: the scalar form of round_half_away.
     RoundingMode.ROUND: "_copysign(_floor(_abs(acc) + 0.5), acc)",
-    # Python round() is correctly-rounded half-to-even, same as np.rint.
-    RoundingMode.CONVERGENT: "_round(acc)",
+    # Python round() is correctly-rounded half-to-even, same as np.rint,
+    # but returns an int: copysign keeps the -0.0 that np.rint keeps.
+    RoundingMode.CONVERGENT: "_copysign(_round(acc), acc)",
     # The double leg stores the accumulator unrounded.
     None: "acc",
 }
@@ -131,49 +121,10 @@ def _recurrence_factory(order: int, rounding: RoundingMode | None):
     return namespace["_make"]
 
 
-def _iir_df1_batched(values: np.ndarray, feedback_taps: np.ndarray,
-                     rounding: RoundingMode | None) -> np.ndarray:
-    """The recursion over stacked trials, one vectorized pass per sample.
-
-    The rounding modes take the feedback sum as one matrix-vector
-    product: inside the fixed-point domain every partial sum is exact, so
-    the order is free.  Without rounding no grid makes it exact, so the
-    products are added left to right, the generated recurrence's order,
-    and a stacked row equals its single-stream run bit for bit.
-    """
-    order = len(feedback_taps)
-    taps = feedback_taps.tolist()
-    # ``order`` leading zeros are the empty delay line the generated
-    # recurrence starts from.
-    state = np.zeros(values.shape[:-1] + (order + values.shape[-1],))
-    for n in range(values.shape[-1]):
-        k = n + order
-        if rounding is None:
-            feedback = taps[0] * state[..., k - 1]
-            for j in range(1, order):
-                feedback += taps[j] * state[..., k - 1 - j]
-            state[..., k] = values[..., n] - feedback
-        else:
-            acc = values[..., n] - state[..., n:k][..., ::-1] @ feedback_taps
-            _round_array(rounding, acc, state[..., k])
-    return np.ascontiguousarray(state[..., order:])
-
-
 def _recursion(values: np.ndarray, feedback_taps: np.ndarray,
                rounding: RoundingMode | None) -> np.ndarray:
-    """``y[n] = R(values[n] - (t0 y[n-1] + t1 y[n-2] + ...))`` over the
-    last axis, with ``R`` the rounding mode (the identity for ``None``)."""
-    if numba_available():
-        from repro.simkernel import _numba
-        kernel = _numba.get_kernel()
-        if kernel is not None:
-            flat = values.reshape(-1, values.shape[-1])
-            return kernel(np.ascontiguousarray(flat),
-                          np.ascontiguousarray(feedback_taps),
-                          ROUNDING_CODES[rounding]).reshape(values.shape)
-        # JIT failed to compile: the NumPy kernels below.
-    if values.ndim != 1:
-        return _iir_df1_batched(values, feedback_taps, rounding)
+    """``y[n] = R(values[n] - (t0 y[n-1] + t1 y[n-2] + ...))`` over one
+    stream, with ``R`` the rounding mode (the identity for ``None``)."""
     kernel = _recurrence_factory(len(feedback_taps), rounding)(
         *feedback_taps.tolist(), math.floor, math.copysign, abs, round)
     return np.array(kernel(values.tolist()), dtype=float)
@@ -189,8 +140,7 @@ def iir_df1_fixed(x: np.ndarray, b: np.ndarray, a: np.ndarray, step: float,
     Parameters
     ----------
     x:
-        Input samples; the last axis is time, leading axes are
-        independent trials.
+        Input samples, one 1-D stream.
     b, a:
         Already coefficient-quantized numerator / denominator
         coefficients, ``a[0] == 1``.
@@ -233,17 +183,14 @@ def iir_df1_double(x: np.ndarray, b: np.ndarray, a: np.ndarray) -> np.ndarray:
     The recursion of :func:`iir_df1_fixed` with the rounding left out:
     the feed-forward convolution with ``b`` unscaled, then
     ``y[n] = ff[n] - (a[1] y[n-1] + a[2] y[n-2] + ...)`` added left to
-    right.  Stacked rows (leading axes of ``x``) equal their
-    single-stream runs bit for bit; with no feedback taps the result is
-    ``np.convolve(x, b)[:n]`` per row.  Diverging filters propagate NaN
-    and inf.  The backend switch does not apply: this is not a bit-true
-    kernel.
+    right; with no feedback taps the result is ``np.convolve(x, b)[:n]``.
+    Diverging filters propagate NaN and inf.  The backend switch does not
+    apply: this is not a bit-true kernel.
 
     Parameters
     ----------
     x:
-        Input samples; the last axis is time, leading axes are
-        independent trials.
+        Input samples, one 1-D stream.
     b, a:
         Numerator / denominator coefficients, ``a[0] == 1``.
     """

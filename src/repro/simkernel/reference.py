@@ -23,20 +23,8 @@ from repro.fixedpoint.quantizer import RoundingMode, round_half_away
 
 
 def causal_fir_reference(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Causal FIR filtering truncated to the input length.
-
-    Stacked trials (leading axes) are convolved one row at a time with
-    the same ``np.convolve`` call as a single stream, so each row is
-    bitwise equal to its single-stream run.
-    """
-    num_samples = x.shape[-1]
-    if x.ndim == 1:
-        return np.convolve(x, taps)[:num_samples]
-    out = np.empty(x.shape)
-    for row, trial in zip(out.reshape(-1, num_samples),
-                          x.reshape(-1, num_samples)):
-        row[:] = np.convolve(trial, taps)[:num_samples]
-    return out
+    """Causal FIR filtering of one stream, truncated to its length."""
+    return np.convolve(x, taps)[:len(x)]
 
 
 def iir_df1_reference(x: np.ndarray, b: np.ndarray, a: np.ndarray,
@@ -56,22 +44,6 @@ def iir_df1_reference(x: np.ndarray, b: np.ndarray, a: np.ndarray,
     feedback_taps = a[1:]
     na = len(feedback_taps)
     floor = np.floor
-    if x.ndim > 1:
-        y = np.zeros_like(x)
-        num_samples = x.shape[-1]
-        for n in range(num_samples):
-            acc = feed_forward[..., n].copy()
-            history_start = max(0, n - na)
-            history = y[..., history_start:n][..., ::-1]
-            if history.shape[-1]:
-                acc -= history @ feedback_taps[:history.shape[-1]]
-            if rounding is RoundingMode.TRUNCATE:
-                y[..., n] = floor(acc / step) * step
-            elif rounding is RoundingMode.ROUND:
-                y[..., n] = round_half_away(acc / step) * step
-            else:
-                y[..., n] = np.rint(acc / step) * step
-        return y
     y = np.zeros(len(x))
     for n in range(len(x)):
         acc = feed_forward[n]

@@ -40,11 +40,7 @@ from repro.fixedpoint.qformat import QFormat
 from repro.lti.convolution import overlap_save
 from repro.lti.fft import FixedPointFft
 from repro.simkernel.backend import get_backend
-from repro.simkernel.fft import (
-    chunk_rows,
-    overlap_save_frames,
-    overlap_save_streams,
-)
+from repro.simkernel.fft import chunk_rows, overlap_save_frames
 from repro.lti.fir_design import design_fir_highpass, design_fir_lowpass
 from repro.sfg.builder import SfgBuilder
 from repro.sfg.graph import SignalFlowGraph
@@ -81,24 +77,15 @@ class FrequencyDomainFirNode(FirNode):
     # Simulation
     # ------------------------------------------------------------------
     def simulate(self, inputs: list[np.ndarray]) -> np.ndarray:
-        """Reference behaviour: exact overlap-save with the quantized taps.
-
-        Leading axes of the stimulus are independent trials; every trial
-        runs through the (vectorized) overlap-save engine in one pass.
-        """
+        """Reference behaviour: exact overlap-save with the quantized taps."""
         (x,) = inputs
-        x = np.asarray(x, dtype=float)
-        taps = self._effective_transfer_function().b
-        if get_backend() == "reference":
-            # The streaming loop is 1-D; replay it per trial.
-            return self._map_trials(
-                lambda row: overlap_save(row, taps, self.fft_size), x)
-        return overlap_save(x, taps, self.fft_size)
+        return overlap_save(x, self._effective_transfer_function().b,
+                            self.fft_size)
 
     def simulate_fixed(self, inputs: list[np.ndarray]) -> np.ndarray:
         """Bit-true behaviour: fixed-point FFT / multiply / IFFT pipeline.
 
-        The overlap-save blocks of every trial are rows of one strided
+        The overlap-save blocks of the stream are rows of one strided
         framing view; they go through the pipeline one chunk of rows at a
         time (``CHUNK_SAMPLES`` complex samples), held position-major in
         two preallocated buffers that the butterflies and the in-place
@@ -112,7 +99,7 @@ class FrequencyDomainFirNode(FirNode):
         if not self.quantization.enabled:
             return self.simulate(inputs)
         if get_backend() == "reference":
-            return self._map_trials(self._simulate_fixed_reference, x)
+            return self._simulate_fixed_reference(x)
 
         data_quantizer, coeff_quantizer = self._pipeline_quantizers()
         taps, h_spectrum = self._quantized_spectrum(coeff_quantizer)
@@ -134,19 +121,11 @@ class FrequencyDomainFirNode(FirNode):
             data_quantizer.quantize_complex(spectra, work)
             result = engine.inverse_position_major(spectra, work)
             valid[start:stop] = result.real[len(taps) - 1:len(taps) - 1 + hop].T
-        return data_quantizer.quantize(overlap_save_streams(valid, x.shape))
+        return data_quantizer.quantize(valid.reshape(-1)[:len(x)])
 
     # ------------------------------------------------------------------
     # Pipeline pieces
     # ------------------------------------------------------------------
-    @staticmethod
-    def _map_trials(function, x: np.ndarray) -> np.ndarray:
-        """Apply a 1-D pipeline to every trial of a stacked stimulus."""
-        if x.ndim == 1:
-            return function(x)
-        flat = x.reshape(-1, x.shape[-1])
-        return np.stack([function(row) for row in flat]).reshape(x.shape)
-
     def _pipeline_quantizers(self) -> tuple[Quantizer, Quantizer]:
         data_quantizer = Quantizer(
             QFormat(15, self.quantization.fractional_bits),

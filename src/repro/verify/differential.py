@@ -12,11 +12,10 @@ graphs of :mod:`repro.systems.random_graphs`):
    (:mod:`repro.verify.legacy`): the PSD and moments walks, the flat and
    tracked engines (single-rate graphs) and both simulation modes;
 3. **backend_equality** — the bit-true simulation produces identical
-   bits under both simulation backends (:mod:`repro.simkernel`): the
+   bytes under both simulation backends (:mod:`repro.simkernel`): the
    preserved legacy per-sample loops (``reference``) and the default
-   kernels (with the JIT IIR recursion when numba is installed), on the
-   generated graph and again after a seeded assignment with per-edge
-   fanout taps;
+   kernels, signed zeros included, on the generated graph and again
+   after a seeded assignment with per-edge fanout taps;
 4. **batch_vs_sequential** — a K-slice consistency property.  Scalar
    evaluations are the ``K = 1`` case of the batched step rules, so the
    check guards what only a ``K > 1`` walk does — the row-sparse gathers
@@ -199,8 +198,9 @@ def _check_backend_equality(graph, plan, *, samples, seed, **options):
         with use_backend("reference"):
             expected = plan.run(stimulus, mode="fixed").output(None)
         output = plan.run(stimulus, mode="fixed").output(None)
+        # Raw bytes: np.array_equal would take -0.0 for +0.0.
         _require(output.shape == expected.shape
-                 and np.array_equal(output, expected),
+                 and output.tobytes() == expected.tobytes(),
                  f"default backend differs bitwise from the reference "
                  f"loops {label}")
 

@@ -78,47 +78,6 @@ class TestWithGraphs:
         assert ratio == pytest.approx(4.0 ** 6, rel=0.5)
 
 
-class TestBatchedStimulus:
-    def test_batched_error_power_matches_loop_of_1d_runs(self, rng):
-        evaluator = SimulationEvaluator(_graph(bits=9))
-        block = rng.uniform(-0.9, 0.9, (8, 2_000))
-        batched = evaluator.evaluate(block)
-        loop_powers = [evaluator.evaluate(block[trial]).error_power
-                       for trial in range(len(block))]
-        assert batched.error_power == pytest.approx(
-            float(np.mean(loop_powers)), rel=1e-12)
-        assert batched.num_samples == block.size
-
-    def test_batched_error_signal_is_2d_and_identical_per_trial(self, rng):
-        evaluator = SimulationEvaluator(_graph(bits=9))
-        block = rng.uniform(-0.9, 0.9, (4, 1_000))
-        batched = evaluator.error_signal(block)
-        assert batched.shape == block.shape
-        for trial in range(len(block)):
-            np.testing.assert_array_equal(
-                batched[trial], evaluator.error_signal(block[trial]))
-
-    def test_batched_transient_discard_is_per_trial(self, rng):
-        evaluator = SimulationEvaluator(_graph())
-        block = rng.uniform(-0.9, 0.9, (3, 500))
-        result = evaluator.evaluate(block, discard_transient=100)
-        assert result.num_samples == 3 * 400
-
-    def test_batched_error_psd_averages_trials(self, rng):
-        evaluator = SimulationEvaluator(_graph())
-        block = rng.uniform(-0.9, 0.9, (4, 4_096))
-        result = evaluator.evaluate(block, n_psd=64)
-        assert result.error_psd.n_bins == 64
-        assert result.error_psd.total_power == pytest.approx(
-            result.error_power, rel=0.05)
-
-    def test_batched_dict_stimulus(self, rng):
-        evaluator = SimulationEvaluator(_graph())
-        block = rng.uniform(-0.9, 0.9, (2, 800))
-        result = evaluator.evaluate({"x": block})
-        assert result.error_power > 0.0
-
-
 def _two_output_graph(bits=8):
     builder = SfgBuilder("two-outputs")
     x = builder.input("x", fractional_bits=bits)
@@ -152,6 +111,23 @@ class TestValidation:
                 short_white_noise, discard_transient=-10),
         }
         with pytest.raises(ValueError, match="non-negative"):
+            calls[entry]()
+
+    @pytest.mark.parametrize("entry", ["evaluate", "error_signal",
+                                       "simulate"])
+    def test_stacked_bare_array_rejected(self, entry):
+        # A bare array is the single input's stream: a (trials, samples)
+        # stack is refused naming that input, not averaged over rows.
+        graph = _graph()
+        stacked = np.full((2, 64), 0.5)
+        calls = {
+            "evaluate": lambda: SimulationEvaluator(graph).evaluate(stacked),
+            "error_signal": lambda: SimulationEvaluator(graph)
+            .error_signal(stacked),
+            "simulate": lambda: AccuracyEvaluator(graph).simulate(stacked),
+        }
+        with pytest.raises(ValueError,
+                           match=r"input node 'x' has shape \(2, 64\)"):
             calls[entry]()
 
     @pytest.mark.parametrize("n_psd", [0, 1, -4])

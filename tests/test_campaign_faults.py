@@ -9,6 +9,8 @@ reconciles exactly with the injector's ledger.
 """
 
 import json
+import multiprocessing
+import time
 
 import pytest
 
@@ -287,6 +289,32 @@ class TestSupervisorPool:
         assert chaos.pool_rebuilds >= 1
         assert chaos.retries >= 1
         _assert_ok_records_match(chaos, clean)
+        # The abandoned pool's hung workers are terminated, not left
+        # sleeping out their 20 s for the interpreter to join at exit.
+        deadline = time.monotonic() + 5.0
+        while multiprocessing.active_children():
+            assert time.monotonic() < deadline, \
+                "worker processes outlived the campaign"
+            time.sleep(0.05)
+
+    def test_terminate_pool_stops_a_sleeping_worker(self):
+        from concurrent.futures import ProcessPoolExecutor
+
+        from repro.campaign.runner import _terminate_pool
+
+        others = set(multiprocessing.active_children())
+        pool = ProcessPoolExecutor(max_workers=1)
+        future = pool.submit(time.sleep, 30.0)
+        deadline = time.monotonic() + 10.0
+        while not future.running():
+            assert time.monotonic() < deadline, "the worker never started"
+            time.sleep(0.01)
+        (worker,) = set(multiprocessing.active_children()) - others
+        started = time.monotonic()
+        _terminate_pool(pool)
+        worker.join(5.0)
+        assert not worker.is_alive()
+        assert time.monotonic() - started < 5.0
 
     def test_repeated_pool_deaths_degrade_to_inline(self, monkeypatch):
         from repro.campaign import runner

@@ -173,8 +173,6 @@ class TestTapSimulation:
 
         graph = _fork_graph()
         stimulus = _stimulus(graph)
-        batched = {"x": np.stack([stimulus["x"][:512] * scale
-                                  for scale in (1.0, -0.5, 0.25)])}
         plan = compile_plan(graph)
 
         def reference(inputs):
@@ -182,16 +180,13 @@ class TestTapSimulation:
                 return plan.run(inputs, mode="fixed").output("y")
 
         untapped = plan.run(stimulus, mode="fixed").output("y")
-        # The tapped plan equals the reference loops bitwise, batched and
-        # paired too.
+        # The tapped plan equals the reference loops bitwise, paired too.
         plan.requantize({"lp->g": 7})
         tapped = plan.run(stimulus, mode="fixed").output("y")
         assert np.array_equal(tapped, reference(stimulus))
         assert not np.array_equal(tapped, untapped)
         assert np.array_equal(plan.run_pair(stimulus)[1].output("y"),
                               tapped)
-        assert np.array_equal(
-            plan.run(batched, mode="fixed").output("y"), reference(batched))
         # Removing the tap restores the untapped bits.
         plan.requantize({"lp->g": None})
         assert np.array_equal(plan.run(stimulus, mode="fixed").output("y"),

@@ -24,3 +24,19 @@ class TestOverlapSave:
         h = rng.standard_normal(3)
         np.testing.assert_allclose(overlap_save(x, h, 8),
                                    np.convolve(x, h)[:5], atol=1e-12)
+
+    @pytest.mark.parametrize("samples", [35, 36, 37])
+    def test_lengths_around_a_whole_number_of_blocks(self, rng, samples):
+        # 5 taps in a 16-point FFT advance 12 samples a block: 36 samples
+        # fill three blocks exactly, 35 and 37 end inside one.  Both
+        # backends keep len(x) samples, equal bit for bit.
+        from repro.simkernel import use_backend
+        x = rng.standard_normal(samples)
+        h = rng.standard_normal(5)
+        fast = overlap_save(x, h, 16)
+        with use_backend("reference"):
+            slow = overlap_save(x, h, 16)
+        assert fast.shape == slow.shape == (samples,)
+        assert fast.tobytes() == slow.tobytes()
+        np.testing.assert_allclose(fast, np.convolve(x, h)[:samples],
+                                   atol=1e-12)

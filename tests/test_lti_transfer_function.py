@@ -77,16 +77,16 @@ class TestLfilterOracle:
     rounding; scipy's ``lfilter`` (transposed direct form II) is its
     oracle, within a fixed 1e-12 of the output's peak magnitude."""
 
-    @pytest.mark.parametrize("shape", [(3000,), (3, 1000)],
-                             ids=["1-D", "stacked"])
-    def test_iir_bank_designs_of_orders_2_to_10(self, rng, shape):
+    @pytest.mark.parametrize("samples", [3000, 7], ids=["1-D", "short"])
+    def test_iir_bank_designs_of_orders_2_to_10(self, rng, samples):
+        # "short": fewer samples than most delay lines hold.
         from scipy.signal import lfilter
-        x = rng.uniform(-0.9, 0.9, shape)
+        x = rng.uniform(-0.9, 0.9, samples)
         orders = set()
         for entry in generate_iir_bank(27):
             tf = TransferFunction(entry.b, entry.a)
             orders.add(len(tf.a) - 1)
-            expected = lfilter(tf.b, tf.a, x, axis=-1)
+            expected = lfilter(tf.b, tf.a, x)
             deviation = np.max(np.abs(tf.filter(x) - expected))
             assert deviation <= 1e-12 * np.max(np.abs(expected)), entry.name
         assert orders == set(range(2, 11))

@@ -117,8 +117,9 @@ class TestDisabledNodes:
 
     @pytest.mark.parametrize("a", [[1.0], [1.0, 0.0], [2.0, 0.0, 0.0],
                                    "order-2 design"])
-    @pytest.mark.parametrize("shape", [(500,), (3, 200)])
+    @pytest.mark.parametrize("shape", [(500,), (2,)])
     def test_iir_fixed_run_is_double_run(self, rng, a, shape):
+        # (2,): a stream shorter than the taps and the delay line.
         b = self.B
         if a == "order-2 design":
             b, a = design_iir_filter(2, 0.3, "lowpass", "butterworth")
@@ -128,7 +129,7 @@ class TestDisabledNodes:
             node.simulate_fixed([x]).view(np.int64),
             node.simulate([x]).view(np.int64))
 
-    @pytest.mark.parametrize("shape", [(500,), (3, 200)])
+    @pytest.mark.parametrize("shape", [(500,), (2,)])
     def test_fir_fixed_run_is_double_run(self, rng, shape):
         node = FirNode("h", rng.standard_normal(9))
         x = rng.uniform(-0.9, 0.9, shape)

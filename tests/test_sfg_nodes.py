@@ -129,6 +129,15 @@ class TestSimulationBehaviour:
         out = node.simulate([np.array([1.0, 2.0]), np.array([0.5, 0.5])])
         np.testing.assert_allclose(out, [0.5, 1.5])
 
+    def test_add_node_zero_extends_shorter_inputs(self):
+        # Rate changes can leave operands of different lengths: the sum
+        # is as long as the longest, the shorter read as zeros past
+        # their end.
+        node = AddNode("sum", num_inputs=2, signs=[1.0, -1.0])
+        out = node.simulate([np.array([1.0, 2.0, 3.0]),
+                             np.array([0.5, 0.5, 0.5, 0.5, 0.5])])
+        np.testing.assert_array_equal(out, [0.5, 1.5, 2.5, -0.5, -0.5])
+
     def test_add_node_sign_count_checked(self):
         with pytest.raises(ValueError):
             AddNode("sum", num_inputs=2, signs=[1.0])
@@ -142,6 +151,12 @@ class TestSimulationBehaviour:
         node = DelayNode("d", 2)
         out = node.simulate([np.arange(5, dtype=float)])
         np.testing.assert_allclose(out, [0, 0, 0, 1, 2])
+
+    @pytest.mark.parametrize("delay", [3, 7])
+    def test_delay_at_least_the_stream_is_all_zeros(self, delay):
+        node = DelayNode("d", delay)
+        out = node.simulate([np.arange(1, 4, dtype=float)])
+        np.testing.assert_array_equal(out, np.zeros(3))
 
     def test_delay_zero_is_identity(self):
         node = DelayNode("d", 0)

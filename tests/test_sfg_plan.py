@@ -2,6 +2,7 @@
 
 import dataclasses
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -68,10 +69,7 @@ def _mixed_graph(bits=10, rounding=RoundingMode.ROUND, name="plan-mixed"):
     return builder.build()
 
 
-def _white(samples=512, seed=11, trials=0):
-    if trials:
-        return {"x": np.stack([uniform_white_noise(samples, seed=seed + t)
-                               for t in range(trials)])}
+def _white(samples=512, seed=11):
     return {"x": uniform_white_noise(samples, seed=seed)}
 
 
@@ -285,16 +283,6 @@ class TestExecution:
             fixed.output("y"),
             plan.run(stimulus, mode="fixed").output("y"))
 
-    def test_batched_run_matches_per_trial_runs(self, rng):
-        plan = compile_plan(_graph(bits=9))
-        block = rng.uniform(-0.9, 0.9, (6, 400))
-        batched = plan.run({"x": block}, mode="fixed").output("y")
-        assert batched.shape == (6, 400)
-        for trial in range(6):
-            np.testing.assert_array_equal(
-                batched[trial],
-                plan.run({"x": block[trial]}, mode="fixed").output("y"))
-
     def test_unknown_mode_rejected(self, rng):
         plan = compile_plan(_graph())
         with pytest.raises(ValueError):
@@ -304,9 +292,9 @@ class TestExecution:
         with pytest.raises(ValueError):
             compile_plan(_graph()).run({})
 
-    @pytest.mark.parametrize("shape", [(), (0,), (3, 0), (0, 16)],
+    @pytest.mark.parametrize("shape", [(), (0,), (3, 0), (0, 16), (2, 64)],
                              ids=["scalar", "empty", "no-samples",
-                                  "no-trials"])
+                                  "no-trials", "stacked"])
     @pytest.mark.parametrize("build", [_one_gain_graph, _fir_graph],
                              ids=["gain", "fir"])
     def test_degenerate_stimulus_rejected(self, shape, build):
@@ -316,6 +304,7 @@ class TestExecution:
         simulator = SimulationEvaluator(plan)
         for run in (lambda: plan.run(stimulus, mode="fixed"),
                     lambda: plan.run(stimulus, mode="double"),
+                    lambda: plan.run_pair(stimulus),
                     lambda: simulator.evaluate(stimulus),
                     lambda: simulator.evaluate_batch([{}, {}], stimulus),
                     lambda: AccuracyEvaluator(graph, n_psd=16).compare(
@@ -324,30 +313,33 @@ class TestExecution:
                                match="input node 'x' has shape"):
                 run()
 
-    def test_degenerate_stimulus_names_its_input(self):
+    @pytest.mark.parametrize("shape", [(0,), (2, 16)],
+                             ids=["empty", "stacked"])
+    def test_degenerate_stimulus_names_its_input(self, shape):
         builder = SfgBuilder("two-inputs")
         x = builder.input("x", fractional_bits=8)
         u = builder.input("u", fractional_bits=8)
         builder.output("y", builder.add("s", [x, u], fractional_bits=8))
         plan = compile_plan(builder.build())
-        for mode in ("double", "fixed"):
-            with pytest.raises(ValueError,
-                               match=r"input node 'u' has shape \(0,\)"):
-                plan.run({"x": np.full(16, 0.5), "u": np.zeros(0)},
-                         mode=mode)
+        stimulus = {"x": np.full(16, 0.5), "u": np.zeros(shape)}
+        message = rf"input node 'u' has shape {re.escape(str(shape))}"
+        for run in (lambda: plan.run(stimulus, mode="double"),
+                    lambda: plan.run(stimulus, mode="fixed"),
+                    lambda: plan.run_pair(stimulus)):
+            with pytest.raises(ValueError, match=message):
+                run()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_stimulus_rejected(self, rng, bad):
         plan = compile_plan(_graph(bits=8))
         x = rng.uniform(-0.9, 0.9, 256)
         x[100] = bad
-        for stimulus in ({"x": x}, {"x": np.stack([x[::-1], x])}):
-            for run in (lambda s: plan.run(s, mode="fixed"),
-                        lambda s: plan.run(s, mode="double"),
-                        plan.run_pair):
-                with pytest.raises(ValueError,
-                                   match="'x' holds NaN or infinite"):
-                    run(stimulus)
+        for run in (lambda s: plan.run(s, mode="fixed"),
+                    lambda s: plan.run(s, mode="double"),
+                    plan.run_pair):
+            with pytest.raises(ValueError,
+                               match="'x' holds NaN or infinite"):
+                run({"x": x})
 
 
 class TestErrorSignal:
@@ -378,14 +370,6 @@ class TestErrorSignal:
         predicted = evaluate_psd(graph, 512).total_power
         assert measured == pytest.approx(predicted, rel=0.15)
 
-    def test_batched_error_signal(self, rng):
-        evaluator = SimulationEvaluator(_graph(bits=9))
-        block = rng.uniform(-0.9, 0.9, (4, 300))
-        batched = evaluator.error_signal({"x": block})
-        looped = np.stack([evaluator.error_signal({"x": block[t]})
-                           for t in range(4)])
-        np.testing.assert_array_equal(batched, looped)
-
     def test_error_signal_rejects_shape_mismatch(self, rng, monkeypatch):
         graph = _graph(bits=8)
         evaluator = SimulationEvaluator(CompiledPlan(graph))
@@ -412,14 +396,6 @@ class TestBackendEquality:
         assert result.shape == expected.shape
         assert np.array_equal(result, expected)
 
-    def test_batched_trials(self):
-        plan = compile_plan(_mixed_graph(name="mixed-batched"))
-        stimulus = _white(samples=256, trials=5)
-        expected = _run_fixed(plan, stimulus, "reference")
-        result = _run_fixed(plan, stimulus)
-        assert result.shape == expected.shape
-        assert np.array_equal(result, expected)
-
     def test_run_pair(self):
         plan = compile_plan(_mixed_graph(name="mixed-pair"))
         stimulus = _white()
@@ -428,6 +404,17 @@ class TestBackendEquality:
         double, fixed = plan.run_pair(stimulus)
         assert np.array_equal(double.output("y"), ref_double.output("y"))
         assert np.array_equal(fixed.output("y"), ref_fixed.output("y"))
+
+    def test_streams_shorter_than_every_filter(self):
+        # One to three samples: shorter than the FIR taps, the delay and
+        # the decimation phase; every node still matches the loops.
+        plan = compile_plan(_mixed_graph(name="mixed-short"))
+        for samples in (1, 2, 3):
+            stimulus = _white(samples=samples)
+            expected = _run_fixed(plan, stimulus, "reference")
+            result = _run_fixed(plan, stimulus)
+            assert result.shape == expected.shape
+            assert result.tobytes() == expected.tobytes()
 
     def test_unquantized_graph(self):
         plan = compile_plan(_mixed_graph(bits=None, name="mixed-double"))
@@ -465,9 +452,8 @@ class TestBackendEquality:
         plan = compile_plan(instance.graph)
         spec = dataclasses.replace(instance.stimulus, num_samples=2048)
         single = spec.realize(plan.input_names, seed=1)
-        batched = {key: np.stack([value, -value])
-                   for key, value in single.items()}
-        for stimulus in (single, batched):
+        negated = {key: -value for key, value in single.items()}
+        for stimulus in (single, negated):
             with use_backend("reference"):
                 expected = plan.run(stimulus, mode="fixed")
             result = plan.run(stimulus, mode="fixed")

@@ -7,7 +7,6 @@ within a tolerance.  This suite pins that contract as a matrix over
 * rounding modes (TRUNCATE / ROUND / CONVERGENT),
 * filter structures (FIR, direct-form IIR, SOS biquad cascades, the
   frequency-domain overlap-save FIR),
-* stimulus shapes (single stream and stacked Monte-Carlo trials),
 * extreme Q-formats (1 fractional bit, deep fractional words, inputs
   pushed to the saturation edge of the Q15 range),
 
@@ -27,7 +26,6 @@ from repro.lti.sos import build_direct_form_graph, build_sos_graph
 from repro.psd.estimation import (
     _welch_reference,
     estimate_psd,
-    estimate_psd_batch,
     welch,
     welch_batched,
 )
@@ -42,6 +40,7 @@ from repro.simkernel import (
 from repro.simkernel.fft import chunk_rows, overlap_save_frames
 from repro.simkernel.iir import iir_df1_double
 from repro.simkernel.reference import iir_df1_reference
+from repro.systems.filter_bank import build_filter_graph, generate_iir_bank
 from repro.systems.freq_filter import FrequencyDomainFirNode
 
 MODES = (RoundingMode.TRUNCATE, RoundingMode.ROUND, RoundingMode.CONVERGENT)
@@ -63,16 +62,46 @@ def _iir_coefficients(order: int):
 class TestIirKernelBitExactness:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("fractional_bits", [1, 8, 12, 24])
-    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("strided", [False, True])
     def test_matrix_vs_reference_loop(self, rng, mode, fractional_bits,
-                                      batched):
+                                      strided):
+        # A stream may be a strided view: one column of a (samples, 3)
+        # record runs as its contiguous copy does.
         b, a = _iir_coefficients(3)
         step = 2.0 ** -fractional_bits
-        shape = (5, 600) if batched else (1500,)
-        x = rng.uniform(-0.9, 0.9, shape)
+        if strided:
+            x = rng.uniform(-0.9, 0.9, (1500, 3))[:, 1]
+            assert not x.flags.contiguous
+        else:
+            x = rng.uniform(-0.9, 0.9, 1500)
         expected = iir_df1_reference(x, b, a, step, mode)
         result = iir_df1_fixed(x, b, a, step, mode)
-        assert np.array_equal(result, expected)
+        assert _same_bits(result, expected)
+        if strided:
+            assert _same_bits(
+                iir_df1_fixed(np.ascontiguousarray(x), b, a, step, mode),
+                result)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("fractional_bits", [8, 12])
+    def test_signed_zeros_match_reference_loop(self, mode, fractional_bits):
+        # A Table-I band-pass at d = 8 and 12, 20 000 samples: some
+        # accumulators round to zero from below, where round_half_away
+        # and np.rint keep -0.0 (and Python's round returns int 0).
+        entry = generate_iir_bank(3)[2]
+        assert entry.name == "iir-butterworth-bandpass-order2-003"
+        graph = build_filter_graph(entry, fractional_bits=fractional_bits,
+                                   rounding=mode)
+        node = graph.node("filter")
+        effective = node._effective_transfer_function()
+        step = node.quantization.quantizer().step
+        x = graph.node("x").quantization.quantizer().quantize(
+            uniform_white_noise(20_000, seed=3))
+        expected = iir_df1_reference(x, effective.b, effective.a, step, mode)
+        result = iir_df1_fixed(x, effective.b, effective.a, step, mode)
+        assert _same_bits(result, expected)
+        if mode is not RoundingMode.TRUNCATE:
+            assert np.any((expected == 0.0) & np.signbit(expected))
 
     @pytest.mark.parametrize("mode", MODES)
     def test_saturation_edge_stimulus(self, rng, mode):
@@ -109,7 +138,7 @@ class TestIirKernelBitExactness:
     def test_fir_node_unaffected_by_backend(self, rng):
         node = FirNode("h", rng.standard_normal(9),
                        QuantizationSpec(10, rounding=RoundingMode.TRUNCATE))
-        x = rng.uniform(-0.9, 0.9, (3, 400))
+        x = rng.uniform(-0.9, 0.9, 1200)
         fast = node.simulate_fixed([x])
         with use_backend("reference"):
             slow = node.simulate_fixed([x])
@@ -130,17 +159,6 @@ class TestIirKernelBitExactness:
             with use_backend("reference"):
                 slow = plan.run(stimulus, mode="fixed").output("y")
             assert np.array_equal(fast, slow)
-
-    def test_batched_rows_equal_single_stream_runs(self, rng):
-        # The trials axis must be semantics-free: row t of the batched
-        # run equals the 1-D run on row t.
-        b, a = _iir_coefficients(3)
-        step = 2.0 ** -12
-        x = rng.uniform(-0.9, 0.9, (4, 700))
-        batched = iir_df1_fixed(x, b, a, step, RoundingMode.ROUND)
-        for t in range(x.shape[0]):
-            row = iir_df1_fixed(x[t], b, a, step, RoundingMode.ROUND)
-            assert np.array_equal(batched[t], row)
 
     def test_one_generated_recurrence_serves_every_tap_set(self, rng):
         # The recurrence source depends on the order and the mode only:
@@ -179,66 +197,35 @@ class TestIirKernelBitExactness:
 # The double leg: the same recursion without rounding
 # ----------------------------------------------------------------------
 class TestIirDoubleLeg:
-    def test_is_the_fixed_recursion_without_rounding(self, rng):
+    @pytest.mark.parametrize("order", [1, 2, 4, 6, 10])
+    def test_is_the_fixed_recursion_without_rounding(self, rng, order):
         # np.convolve feed-forward, then the feedback products added left
         # to right from an empty delay line, the accumulator stored as is.
-        b, a = _iir_coefficients(4)
+        # The recurrence is generated per order, so each order is checked.
+        b, a = _iir_coefficients(order)
         x = rng.uniform(-0.9, 0.9, 300)
         feed_forward = np.convolve(x, b)[:300]
         y = []
         for n in range(300):
-            history = [y[n - 1 - j] if n > j else 0.0 for j in range(4)]
+            history = [y[n - 1 - j] if n > j else 0.0 for j in range(order)]
             feedback = a[1] * history[0]
-            for j in range(1, 4):
+            for j in range(1, order):
                 feedback += a[j + 1] * history[j]
             y.append(feed_forward[n] - feedback)
         assert _same_bits(iir_df1_double(x, b, a), np.array(y))
 
-    @pytest.mark.parametrize("order", [1, 2, 6, 10])
-    def test_stacked_rows_equal_single_stream_runs(self, rng, order):
-        b, a = _iir_coefficients(order)
-        x = rng.uniform(-0.9, 0.9, (2, 3, 500))
-        stacked = iir_df1_double(x, b, a)
-        for index in np.ndindex(x.shape[:-1]):
-            assert _same_bits(stacked[index], iir_df1_double(x[index], b, a))
-
-    def test_feed_forward_only_is_convolve_per_row(self, rng):
+    def test_feed_forward_only_is_convolve(self, rng):
         b = rng.standard_normal(7)
-        x = rng.uniform(-0.9, 0.9, (3, 400))
-        stacked = iir_df1_double(x, b, np.array([1.0]))
-        for t in range(3):
-            assert _same_bits(stacked[t], np.convolve(x[t], b)[:400])
-
-    @pytest.mark.parametrize("code", [0, 1, 2, 3])
-    def test_numba_kernel_body_matches_numpy_kernels(self, rng, code):
-        # The JIT kernel's Python source, run by the interpreter, sums the
-        # feedback in the generated recurrence's order in every mode.
-        from repro.simkernel import _numba
-        from repro.simkernel.iir import (
-            ROUNDING_CODES,
-            _iir_df1_batched,
-            _recursion,
-        )
-        mode = {value: key for key, value in ROUNDING_CODES.items()}[code]
-        _, a = _iir_coefficients(3)
-        taps = np.round(a[1:] * 4096.0) / 4096.0
-        values = rng.integers(-2 ** 20, 2 ** 20, (3, 200)).astype(float)
-        result = _numba.iir_df1_scaled(values, taps, code)
-        for t in range(3):
-            assert _same_bits(result[t], _recursion(values[t], taps, mode))
-        assert np.array_equal(result, _iir_df1_batched(values, taps, mode))
+        x = rng.uniform(-0.9, 0.9, 400)
+        assert _same_bits(iir_df1_double(x, b, np.array([1.0])),
+                          np.convolve(x, b)[:400])
 
     def test_diverging_filter_propagates_inf_and_nan(self):
-        # No rounder raises: overflow and inf - inf flow through, in the
-        # single stream and in every stacked row alike.
+        # No rounder raises: overflow and inf - inf flow through.
         b, a = np.array([1.0]), np.array([1.0, -8.0, 16.0])
-        x = np.ones(600)
         with np.errstate(over="ignore", invalid="ignore"):
-            single = iir_df1_double(x, b, a)
-            stacked = iir_df1_double(np.stack([x, x]), b, a)
-        assert np.isnan(single).any() and np.isinf(single).any()
-        for row in stacked:
-            assert _same_bits(row, single)
+            y = iir_df1_double(np.ones(600), b, a)
+        assert np.isnan(y).any() and np.isinf(y).any()
 
     def test_backend_switch_leaves_the_double_run_alone(self):
         b, a = design_iir_filter(6, 0.25, "lowpass", "chebyshev1")
@@ -319,18 +306,15 @@ class TestFrequencyDomainNodeVectorization:
         return chunk_rows(node.fft_size)
 
     @staticmethod
-    def _stimulus(node, rows: int, trials: int = 1, seed: int = 30):
-        # The framing view gives each stream ceil((samples + taps - 1) /
-        # hop) rows, so this many samples make exactly ``rows`` of them
-        # (at least the ceil(taps / hop) that one sample needs).
+    def _stimulus(node, rows: int, seed: int = 30):
+        # The framing view gives a stream ceil(samples / hop) rows, so
+        # this many samples make exactly ``rows`` of them.
         hop = node.fft_size - len(node.taps) + 1
-        samples = max(1, (rows - 1) * hop - len(node.taps) + 2)
+        samples = (rows - 1) * hop + 1
         frames, _ = overlap_save_frames(np.zeros(samples), len(node.taps),
                                         node.fft_size)
-        assert len(frames) == max(rows, -(-len(node.taps) // hop))
-        stack = [uniform_white_noise(samples, seed=seed + t)
-                 for t in range(trials)]
-        return stack[0] if trials == 1 else np.stack(stack)
+        assert len(frames) == rows
+        return uniform_white_noise(samples, seed=seed)
 
     @staticmethod
     def _matches_reference(node, x) -> np.ndarray:
@@ -358,6 +342,24 @@ class TestFrequencyDomainNodeVectorization:
         x = self._stimulus(node, rows(self._rows_per_chunk(node)))
         self._matches_reference(node, x)
 
+    @pytest.mark.parametrize("fft_size", [2, 4, 8, 16, 64])
+    def test_stream_ends_anywhere_in_its_last_row(self, fft_size):
+        # ceil(samples / hop) rows over half a chunk: the stream ends one
+        # sample into its last row, halfway through it, or exactly on
+        # the row boundary (no output dropped), in both legs.
+        node = self._node(fft_size=fft_size)
+        hop = node.fft_size - len(node.taps) + 1
+        rows = self._rows_per_chunk(node) // 2 + 1
+        for tail in sorted({1, (hop + 1) // 2, hop}):
+            x = uniform_white_noise((rows - 1) * hop + tail, seed=tail)
+            assert len(overlap_save_frames(x, len(node.taps),
+                                           node.fft_size)[0]) == rows
+            fast = self._matches_reference(node, x)
+            assert fast.shape == x.shape
+            with use_backend("reference"):
+                slow = node.simulate([x])
+            assert _same_bits(node.simulate([x]), slow)
+
     @pytest.mark.parametrize("mode", MODES)
     def test_signed_zeros_survive_a_chunk_boundary(self, mode):
         # At 4 fractional bits many outputs round to zero; ROUND and
@@ -368,43 +370,21 @@ class TestFrequencyDomainNodeVectorization:
         if mode is not RoundingMode.TRUNCATE:
             assert np.any((fast == 0.0) & np.signbit(fast))
 
-    @pytest.mark.parametrize("fft_size", [2, 4, 8, 16, 64])
-    def test_trial_stack_chunks_across_trials(self, fft_size):
-        # Three trials of half a chunk plus one row each: the stacked
-        # rows cross a chunk boundary inside the second trial.
-        node = self._node(fft_size=fft_size)
-        rows = self._rows_per_chunk(node) // 2 + 1
-        x = self._stimulus(node, rows, trials=3)
-        fast = self._matches_reference(node, x)
-        for t in range(3):
-            assert _same_bits(fast[t], node.simulate_fixed([x[t]]))
-
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("bits", [2, 12, 40])
     @pytest.mark.parametrize("fft_size", [2, 4, 8, 16, 32, 64])
     def test_grid_of_sizes_taps_and_word_lengths(self, mode, bits,
                                                  fft_size):
         # One, a middle and the largest tap count that fits (at most 9),
-        # on a 2-trial stack and on one stream.
+        # on two streams.
         rng = np.random.default_rng(fft_size + bits)
-        stack = rng.uniform(-1.0, 1.0, (2, 37))
+        streams = rng.uniform(-1.0, 1.0, (2, 37))
         for num_taps in sorted({1, (min(9, fft_size) + 1) // 2,
                                 min(9, fft_size)}):
             node = self._node(bits=bits, rounding=mode, fft_size=fft_size,
                               taps=rng.uniform(-0.5, 0.5, num_taps))
-            self._matches_reference(node, stack)
-            self._matches_reference(node, stack[1])
-
-    def test_batched_trials_equal_per_trial_rows(self):
-        node = self._node()
-        x = np.stack([uniform_white_noise(640, seed=20 + t)
-                      for t in range(5)])
-        batched_fixed = node.simulate_fixed([x])
-        batched_double = node.simulate([x])
-        assert batched_fixed.shape == x.shape
-        for t in range(x.shape[0]):
-            assert _same_bits(batched_fixed[t], node.simulate_fixed([x[t]]))
-            assert _same_bits(batched_double[t], node.simulate([x[t]]))
+            for x in streams:
+                self._matches_reference(node, x)
 
     @pytest.mark.parametrize("fft_size", [2, 16, 64])
     def test_double_path_matches_reference_backend(self, fft_size):
@@ -417,39 +397,39 @@ class TestFrequencyDomainNodeVectorization:
             assert _same_bits(fast, slow)
 
 
-class TestOverlapSaveBatched:
-    def test_batched_rows_equal_per_row(self, rng):
+class TestOverlapSaveFraming:
+    @pytest.mark.parametrize("backend", ["reference", "fast"])
+    @pytest.mark.parametrize("shape", [(4, 100), ()],
+                             ids=["stacked", "scalar"])
+    def test_stacked_input_rejected(self, rng, backend, shape):
         from repro.lti.convolution import overlap_save
         h = rng.standard_normal(5)
-        x = rng.standard_normal((4, 100))
-        batched = overlap_save(x, h, 16)
-        assert batched.shape == x.shape
-        for t in range(x.shape[0]):
-            assert _same_bits(batched[t], overlap_save(x[t], h, 16))
-
-    def test_streaming_loop_rejects_batches(self, rng):
-        from repro.lti.convolution import overlap_save
-        h = rng.standard_normal(5)
-        x = rng.standard_normal((4, 100))
-        with use_backend("reference"):
-            with pytest.raises(ValueError, match="1-D stream"):
+        x = rng.standard_normal(shape)
+        with use_backend(backend):
+            with pytest.raises(ValueError, match="one 1-D stream"):
                 overlap_save(x, h, 16)
 
+    def test_output_is_a_view_of_the_valid_rows(self, rng):
+        from repro.lti.convolution import overlap_save
+        x = rng.standard_normal(100)
+        y = overlap_save(x, rng.standard_normal(5), 16)
+        assert y.shape == x.shape
+        assert y.base is not None and y.base.shape == (9, 12)
+
     def test_frames_are_a_view_of_one_padded_copy(self, rng):
-        x = rng.standard_normal((3, 50))
+        x = rng.standard_normal(50)
         frames, hop = overlap_save_frames(x, 5, 16)
         assert hop == 12
         assert not frames.flags.writeable
         assert frames.base is not None and frames.strides == (96, 8)
-        # Row b of a stream reads hop * b samples into it, after taps - 1
-        # zeros of history; past its last sample a stream reads zeros.
-        per_stream = len(frames) // 3
-        assert per_stream == 5  # ceil((50 + 5 - 1) / 12)
-        assert not np.any(frames[per_stream, :4])
-        assert np.array_equal(frames[per_stream, 4:], x[1, :12])
-        assert np.array_equal(frames[per_stream + 1], x[1, 8:24])
-        assert np.array_equal(frames[per_stream - 1, :6], x[0, 44:])
-        assert not np.any(frames[per_stream - 1, 6:])
+        # Row b reads hop * b samples into the stream, after taps - 1
+        # zeros of history; past the last sample it reads zeros.
+        assert len(frames) == 5  # ceil(50 / 12)
+        assert not np.any(frames[0, :4])
+        assert np.array_equal(frames[0, 4:], x[:12])
+        assert np.array_equal(frames[1], x[8:24])
+        assert np.array_equal(frames[4, :6], x[44:])
+        assert not np.any(frames[4, 6:])
 
 
 # ----------------------------------------------------------------------
@@ -490,12 +470,16 @@ class TestWelchVectorization:
             assert np.array_equal(psd.ac, single.ac)
             assert psd.mean == single.mean
 
-    def test_estimate_psd_batch_periodogram(self, rng):
+    def test_batched_periodogram_rows_equal_estimate_psd(self, rng):
+        # The periodogram is Welch with a rectangular window and no
+        # overlap, for a stack of records as for one.
         records = rng.standard_normal((3, 700))
-        batch = estimate_psd_batch(records, 64, method="periodogram")
+        batch = welch_batched(records, 64, window="rectangular",
+                              overlap=0.0)
         for row, psd in zip(records, batch):
             single = estimate_psd(row, 64, method="periodogram")
             assert np.array_equal(psd.ac, single.ac)
+            assert psd.mean == single.mean
 
     def test_empty_and_bad_overlap_rejected(self):
         with pytest.raises(ValueError):
@@ -545,9 +529,7 @@ class TestWelchVectorization:
 # Backend selection machinery
 # ----------------------------------------------------------------------
 class TestBackendSelection:
-    def test_default_backend_consistent_with_numba_detection(self):
-        # One default, with or without numba: the JIT is a tier inside
-        # it, not a backend of its own.
+    def test_default_backend_is_fast(self):
         assert default_backend() == "fast"
         assert get_backend() == "fast"
 
@@ -562,45 +544,9 @@ class TestBackendSelection:
 
     def test_unknown_backend_rejected(self):
         # The retired kernel names are unknown too.
-        for name in ("fortran", "numpy", "codegen"):
+        for name in ("fortran", "numpy", "codegen", "numba"):
             with pytest.raises(ValueError,
                                match="unknown simulation backend"):
                 with use_backend(name):
                     pass
         assert get_backend() == "fast"
-
-    def test_numba_request_without_numba_rejected(self):
-        # numba switches on inside the default backend when importable;
-        # it is never requested by name.
-        with pytest.raises(ValueError, match="'reference', 'fast'"):
-            with use_backend("numba"):
-                pass
-
-
-# ----------------------------------------------------------------------
-# Plan-level batch validation
-# ----------------------------------------------------------------------
-class TestPlanBatchValidation:
-    def _two_input_graph(self):
-        from repro.sfg.builder import SfgBuilder
-        builder = SfgBuilder("two-input")
-        left = builder.input("left", fractional_bits=10)
-        right = builder.input("right", fractional_bits=10)
-        total = builder.add("sum", [left, right])
-        builder.output("y", total)
-        return builder.build()
-
-    def test_mismatched_trial_axes_rejected(self):
-        plan = compile_plan(self._two_input_graph())
-        stimulus = {"left": np.zeros((3, 64)), "right": np.zeros((4, 64))}
-        with pytest.raises(ValueError, match="trial axes"):
-            plan.run(stimulus, mode="double")
-        with pytest.raises(ValueError, match="trial axes"):
-            plan.run_pair(stimulus)
-
-    def test_broadcast_of_unbatched_stimulus_still_allowed(self):
-        plan = compile_plan(self._two_input_graph())
-        stimulus = {"left": np.ones((3, 64)), "right": np.ones(64)}
-        result = plan.run(stimulus, mode="fixed").output("y")
-        assert result.shape == (3, 64)
-        assert np.all(result == 2.0)

@@ -91,6 +91,30 @@ class TestVerifyGraphFails:
         assert all("plan compilation failed" in check.detail
                    for check in verdict.failures)
 
+    def test_backend_differing_in_signed_zeros_fails(self, monkeypatch):
+        # Equal values, different bytes: a default backend that writes
+        # -0.0 where the reference loops write +0.0 is a failure.
+        from repro.sfg.nodes import GainNode
+        from repro.simkernel import get_backend
+
+        exact = GainNode.simulate_fixed
+
+        def negative_zeros(self, inputs):
+            y = exact(self, inputs)
+            if get_backend() == "reference":
+                return y
+            return np.where(y == 0.0, -0.0, y)
+
+        monkeypatch.setattr(GainNode, "simulate_fixed", negative_zeros)
+        builder = SfgBuilder("signed-zeros")
+        x = builder.input("x", fractional_bits=10)
+        builder.output("y", builder.gain("g", 0.01, x, fractional_bits=3,
+                                         rounding="truncate"))
+        graph = builder.build()
+        verdict = verify_graph(graph, checks=("backend_equality",), **FAST)
+        assert not verdict.passed
+        assert "differs bitwise" in verdict.failures[0].detail
+
     def test_zero_noise_graph_fails_the_ed_check(self):
         # No quantizer anywhere: the simulation measures exactly zero
         # error power, which the Ed check must report as a failure
