@@ -25,9 +25,7 @@ from repro.analysis.metrics import (
     ed_deviation,
     equivalent_bit_error,
     is_sub_one_bit,
-    mse,
     noise_power,
-    sqnr_db,
 )
 from repro.analysis.simulation_method import SimulationEvaluator, SimulationResult
 from repro.analysis.flat_method import evaluate_flat, evaluate_flat_batch
@@ -46,8 +44,6 @@ from repro.analysis.report import AccuracyReport, EstimateResult
 __all__ = [
     "ed_deviation",
     "noise_power",
-    "mse",
-    "sqnr_db",
     "equivalent_bit_error",
     "is_sub_one_bit",
     "SimulationEvaluator",

@@ -51,14 +51,6 @@ def evaluate_agnostic(system: SignalFlowGraph | CompiledPlan,
     return stats_row(walk_stats(plan)[index])
 
 
-def evaluate_agnostic_all(system: SignalFlowGraph | CompiledPlan
-                          ) -> dict[str, NoiseStats]:
-    """Per-node noise moments (useful for word-length refinement loops)."""
-    plan = compile_plan(system)
-    values = walk_stats(plan)
-    return {step.name: stats_row(values[step.index]) for step in plan.steps}
-
-
 def evaluate_agnostic_batch(system: SignalFlowGraph | CompiledPlan,
                             assignments,
                             output: str | None = None) -> NoiseStats:

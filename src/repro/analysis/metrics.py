@@ -10,8 +10,8 @@ factor of 4 in noise power).  With this sign convention the band is
 ``(-300 %, +75 %)``: an estimate one bit *above* the simulation
 (``est = 4 * sim``) gives ``Ed = -300 %`` and one bit *below*
 (``est = sim / 4``) gives ``Ed = +75 %``.  The helpers below implement
-that metric, the usual quality metrics (noise power, MSE, SQNR) and the
-one-bit-equivalence check.
+that metric, the measured noise power and the one-bit-equivalence
+check.
 """
 
 from __future__ import annotations
@@ -25,25 +25,6 @@ def noise_power(error: np.ndarray) -> float:
     if error.size == 0:
         raise ValueError("cannot measure the power of an empty record")
     return float(np.mean(error ** 2))
-
-
-def mse(reference: np.ndarray, approximation: np.ndarray) -> float:
-    """Mean-square error between two records of equal length."""
-    reference = np.asarray(reference, dtype=float)
-    approximation = np.asarray(approximation, dtype=float)
-    if reference.shape != approximation.shape:
-        raise ValueError(
-            f"shape mismatch: {reference.shape} vs {approximation.shape}")
-    return noise_power(approximation - reference)
-
-
-def sqnr_db(signal_power: float, quantization_noise_power: float) -> float:
-    """Signal-to-quantization-noise ratio in decibels."""
-    if signal_power <= 0:
-        raise ValueError("signal power must be positive")
-    if quantization_noise_power <= 0:
-        raise ValueError("noise power must be positive")
-    return 10.0 * np.log10(signal_power / quantization_noise_power)
 
 
 def ed_deviation(simulated_power: float, estimated_power: float) -> float:
@@ -80,8 +61,3 @@ def is_sub_one_bit(ed: float) -> bool:
     ``est = sim / 4`` to ``Ed = +0.75``, both excluded.
     """
     return -3.0 < ed < 0.75
-
-
-def ed_from_records(simulated_error: np.ndarray, estimated_power: float) -> float:
-    """Convenience: ``Ed`` directly from an error record and an estimate."""
-    return ed_deviation(noise_power(simulated_error), estimated_power)

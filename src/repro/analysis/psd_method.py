@@ -71,15 +71,6 @@ def evaluate_psd(system: SignalFlowGraph | CompiledPlan, n_psd: int,
     return walk_psd(plan, n_psd)[index].select(0)
 
 
-def evaluate_psd_all(system: SignalFlowGraph | CompiledPlan,
-                     n_psd: int) -> dict[str, DiscretePsd]:
-    """Per-node noise PSDs (useful for refinement and for Fig. 7-style maps)."""
-    _check_bins(n_psd)
-    plan = compile_plan(system)
-    values = walk_psd(plan, n_psd)
-    return {step.name: values[step.index].select(0) for step in plan.steps}
-
-
 def evaluate_psd_batch(system: SignalFlowGraph | CompiledPlan, n_psd: int,
                        assignments, output: str | None = None) -> DiscretePsd:
     """Estimate the output PSDs of a stack of word-length assignments.

@@ -117,12 +117,6 @@ class CampaignResult:
         """Fraction of jobs served from the cache (0.0 when no jobs)."""
         return self.cache_hits / self.total_jobs if self.total_jobs else 0.0
 
-    @property
-    def failed_records(self) -> list:
-        """The quarantined ``status="failed"`` records, in grid order."""
-        return [record for record in self.records
-                if record.get("status") == STATUS_FAILED]
-
 
 # ----------------------------------------------------------------------
 # Worker side

@@ -94,65 +94,11 @@ class QFormat:
         return int(round(self.min_value / self.step))
 
     # ------------------------------------------------------------------
-    # Constructors and transformations
+    # Transformations
     # ------------------------------------------------------------------
-    @classmethod
-    def from_range(cls, low: float, high: float, fractional_bits: int,
-                   signed: bool | None = None) -> "QFormat":
-        """Build the narrowest format covering ``[low, high]``.
-
-        Parameters
-        ----------
-        low, high:
-            Range that must be representable.
-        fractional_bits:
-            Desired precision.
-        signed:
-            Force signedness; by default the format is signed whenever
-            ``low`` is negative.
-        """
-        if high < low:
-            raise ValueError(f"empty range [{low}, {high}]")
-        if signed is None:
-            signed = low < 0.0
-        magnitude = max(abs(low), abs(high))
-        step = 2.0 ** (-fractional_bits)
-        integer_bits = 0
-        # The largest representable positive value is 2**integer_bits - step,
-        # so the loop must account for the step as well.
-        while (2.0 ** integer_bits) - step < magnitude:
-            integer_bits += 1
-        if not signed and fractional_bits == 0 and integer_bits == 0:
-            # Guarantee at least one bit of storage for the degenerate
-            # all-zero range.
-            integer_bits = 1
-        return cls(integer_bits=integer_bits, fractional_bits=fractional_bits,
-                   signed=signed)
-
     def with_fractional_bits(self, fractional_bits: int) -> "QFormat":
         """Return a copy of this format with a different precision."""
         return QFormat(self.integer_bits, fractional_bits, self.signed)
-
-    def widen(self, extra_integer_bits: int = 0,
-              extra_fractional_bits: int = 0) -> "QFormat":
-        """Return a format widened by the given number of bits."""
-        return QFormat(self.integer_bits + extra_integer_bits,
-                       self.fractional_bits + extra_fractional_bits,
-                       self.signed)
-
-    # ------------------------------------------------------------------
-    # Predicates
-    # ------------------------------------------------------------------
-    def contains(self, value: float) -> bool:
-        """Whether ``value`` lies within the representable range."""
-        return self.min_value <= value <= self.max_value
-
-    def is_representable(self, value: float, tol: float = 1e-12) -> bool:
-        """Whether ``value`` lies exactly on the quantization grid."""
-        if not self.contains(value):
-            return False
-        mantissa = value / self.step
-        return abs(mantissa - round(mantissa)) <= tol
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         sign = "s" if self.signed else "u"

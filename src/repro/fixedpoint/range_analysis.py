@@ -18,8 +18,8 @@ every node of a signal-flow graph:
   acyclic SFG.  LTI blocks use the worst-case (L1-norm) gain of their
   impulse response, which is exact for adversarial inputs; adders and
   constant gains use the interval / affine rules directly.
-* :func:`integer_bits_for_range` / :func:`assign_integer_bits` — convert
-  ranges into the integer bit counts needed to avoid overflow.
+* :func:`integer_bits_for_range` — convert a range into the integer bit
+  count needed to avoid overflow.
 """
 
 from __future__ import annotations
@@ -189,14 +189,6 @@ class AffineForm:
         return AffineForm(self.center * gain,
                           {s: v * gain for s, v in self.terms.items()})
 
-    def widened(self, extra_radius: float) -> "AffineForm":
-        """Add an independent deviation of the given radius (new symbol)."""
-        if extra_radius == 0.0:
-            return self
-        terms = dict(self.terms)
-        terms[fresh_symbol()] = abs(extra_radius)
-        return AffineForm(self.center, terms)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"AffineForm(center={self.center:.6g}, "
                 f"radius={self.radius:.6g}, symbols={len(self.terms)})")
@@ -327,47 +319,6 @@ def integer_bits_for_range(interval: Interval, signed: bool = True) -> int:
         # integer bits (max is 2^k - step); round up.
         bits += 1
     return bits
-
-
-def assign_integer_bits(graph: SignalFlowGraph, input_ranges: dict,
-                        method: str = "interval",
-                        margin_bits: int = 0,
-                        signed: bool = True) -> dict:
-    """Integer bit counts for every node, derived from range analysis.
-
-    Parameters
-    ----------
-    graph, input_ranges, method:
-        Forwarded to :func:`analyze_ranges`.
-    margin_bits:
-        Extra guard bits added to every node (defensive headroom).
-    signed:
-        Forwarded to :func:`integer_bits_for_range`.  Pass ``False``
-        for unsigned datapaths: the negative boundary ``-2**k`` that a
-        signed format represents for free is then unavailable, so
-        power-of-two magnitudes cost one more integer bit.
-    """
-    ranges = analyze_ranges(graph, input_ranges, method=method)
-    return {name: integer_bits_for_range(interval, signed=signed)
-            + margin_bits
-            for name, interval in ranges.items()}
-
-
-def apply_integer_bits(graph: SignalFlowGraph, integer_bits: dict) -> None:
-    """Pin per-signal integer widths onto the graph's quantization specs.
-
-    ``integer_bits`` is typically the output of
-    :func:`assign_integer_bits`; names that are not quantized nodes of
-    ``graph`` are ignored (range analysis also reports inputs and
-    outputs, which carry no quantizer).  The plan layer folds the pinned
-    widths into its quantization signature, so a recompiled or refreshed
-    plan picks them up like any other spec change.
-    """
-    for name, bits in integer_bits.items():
-        node = graph.nodes.get(name)
-        if node is None or not hasattr(node, "quantization"):
-            continue
-        node.quantization = node.quantization.with_integer_bits(int(bits))
 
 
 def simulate_ranges(graph: SignalFlowGraph, stimulus: dict,

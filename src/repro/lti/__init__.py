@@ -5,7 +5,7 @@ benchmark systems:
 
 * :mod:`~repro.lti.windows` — window functions for FIR design.
 * :mod:`~repro.lti.fir_design` — windowed-sinc FIR design (low-pass,
-  high-pass, band-pass, band-stop).
+  high-pass, band-pass).
 * :mod:`~repro.lti.iir_design` — Butterworth / Chebyshev-I IIR design via
   analog prototypes and the bilinear transform, implemented from scratch.
 * :mod:`~repro.lti.transfer_function` — rational transfer functions with
@@ -21,7 +21,6 @@ once, by the filter nodes of :mod:`repro.sfg.nodes`.
 from repro.lti.transfer_function import TransferFunction
 from repro.lti.fir_design import (
     design_fir_bandpass,
-    design_fir_bandstop,
     design_fir_highpass,
     design_fir_lowpass,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "design_fir_lowpass",
     "design_fir_highpass",
     "design_fir_bandpass",
-    "design_fir_bandstop",
     "design_iir_filter",
     "get_window",
     "downsample",

@@ -78,11 +78,6 @@ class FixedPointFft:
             self._twiddle_cache[size_] = quantized
             size_ *= 2
 
-    @property
-    def num_stages(self) -> int:
-        """Number of butterfly stages (``log2(size)``)."""
-        return int(np.log2(self.size))
-
     def _quantize_complex(self, values: np.ndarray) -> np.ndarray:
         """The literal complex quantization of the per-block loop."""
         return (self._data_quantizer.quantize(values.real)

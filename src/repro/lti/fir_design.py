@@ -96,23 +96,3 @@ def design_fir_bandpass(num_taps: int, low_cutoff: float, high_cutoff: float,
             - _ideal_lowpass(num_taps, low_cutoff)) * win
     center_frequency = (low_cutoff + high_cutoff) / 2.0
     return _normalize_gain(taps, center_frequency)
-
-
-def design_fir_bandstop(num_taps: int, low_cutoff: float, high_cutoff: float,
-                        window: str = "hamming") -> np.ndarray:
-    """Design a linear-phase band-stop FIR filter.
-
-    Band-stop designs require an odd number of taps; an even request is
-    promoted to the next odd length.
-    """
-    if num_taps % 2 == 0:
-        num_taps += 1
-    if not 0.0 < low_cutoff < high_cutoff < 1.0:
-        raise ValueError("band edges must satisfy 0 < low < high < 1, got "
-                         f"({low_cutoff}, {high_cutoff})")
-    win = get_window(window, num_taps)
-    bandpass = (_ideal_lowpass(num_taps, high_cutoff)
-                - _ideal_lowpass(num_taps, low_cutoff)) * win
-    taps = -bandpass
-    taps[(num_taps - 1) // 2] += 1.0
-    return _normalize_gain(taps, 0.0)

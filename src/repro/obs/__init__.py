@@ -9,7 +9,6 @@ instrumentation-boundary rules.
 from repro.obs.registry import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     format_metric_name,
 )
@@ -21,8 +20,6 @@ from repro.obs.state import (
     enabled,
     ingest_spans,
     metric_inc,
-    metric_observe,
-    metric_set,
     observe,
     publish_metrics,
     record_span,
@@ -34,7 +31,6 @@ from repro.obs.trace import Span, TraceCollector
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "ObsSession",
     "Span",
@@ -46,8 +42,6 @@ __all__ = [
     "format_metric_name",
     "ingest_spans",
     "metric_inc",
-    "metric_observe",
-    "metric_set",
     "observe",
     "publish_metrics",
     "record_span",

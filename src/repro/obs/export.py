@@ -112,10 +112,7 @@ def metrics_table(flattened: dict) -> str:
 
     rows = []
     for name, value in flattened.items():
-        if isinstance(value, dict):
-            rendered = (f"count={value['count']} total={value['total']:.6g}"
-                        f" min={value['min']} max={value['max']}")
-        elif isinstance(value, float):
+        if isinstance(value, float):
             rendered = f"{value:.6g}"
         else:
             rendered = str(value)
@@ -182,20 +179,3 @@ def summarize_trace(document: dict, top: int = 0) -> str:
             f"campaign jobs: {len(jobs)}  cached: {cached} "
             f"({100 * cached / len(jobs):.1f}%)")
     return "\n".join(lines)
-
-
-def trace_coverage(document: dict) -> float:
-    """Fraction of the trace extent covered by top-level spans."""
-
-    events = [event for event in document.get("traceEvents", [])
-              if event.get("ph") == "X"]
-    if not events:
-        return 0.0
-    start = min(event["ts"] for event in events)
-    end = max(event["ts"] + event["dur"] for event in events)
-    extent = end - start
-    if extent <= 0:
-        return 1.0
-    top_level = sum(event["dur"] for event in events
-                    if event.get("args", {}).get("depth", 0) == 0)
-    return top_level / extent

@@ -114,20 +114,6 @@ def metric_inc(name: str, amount: int = 1, **labels: object) -> None:
     session.metrics.counter(name, **labels).inc(amount)
 
 
-def metric_set(name: str, value: float, **labels: object) -> None:
-    session = _SESSION
-    if session is None:
-        return
-    session.metrics.gauge(name, **labels).set(value)
-
-
-def metric_observe(name: str, value: float, **labels: object) -> None:
-    session = _SESSION
-    if session is None:
-        return
-    session.metrics.histogram(name, **labels).record(value)
-
-
 def publish_metrics(snapshot: Mapping[str, list]) -> None:
     """Merge a local registry snapshot into the session registry.
 

@@ -7,7 +7,7 @@ representation through the blocks of the system.  This subpackage
 provides:
 
 * :class:`~repro.psd.spectrum.DiscretePsd` — the noise-spectrum container
-  and its algebra (filtering, addition, scaling, resampling, multirate
+  and its algebra (filtering, addition, scaling, multirate
   transformations), written once over an optional leading configuration
   axis so the batched analytical walks and the scalar ones share it.
 * :mod:`~repro.psd.estimation` — periodogram / Welch estimation of a

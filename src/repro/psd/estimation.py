@@ -67,9 +67,17 @@ def _welch_stack(records: np.ndarray, n_bins: int, window: str,
     if not 0.0 <= overlap < 1.0:
         raise ValueError(f"overlap must be in [0, 1), got {overlap}")
 
+    # A non-finite record would otherwise come back as a PSD of zeros:
+    # the renormalization below blanks the bins of a NaN variance.
     means = np.mean(records, axis=-1)
+    if not np.all(np.isfinite(means)):
+        raise ValueError("cannot estimate the PSD of a record whose mean is "
+                         "not finite (a NaN or inf sample)")
     centered = records - means[..., None]
     variances = np.mean(centered ** 2, axis=-1)
+    if not np.all(np.isfinite(variances)):
+        raise ValueError("cannot estimate the PSD of a record whose variance "
+                         "is not finite (its squares overflow)")
 
     if centered.shape[-1] < n_bins:
         pad = n_bins - centered.shape[-1]

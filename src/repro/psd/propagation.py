@@ -114,14 +114,6 @@ class TrackedSpectrum:
                 sources[key] = (stats, path.copy())
         return TrackedSpectrum(self.n_bins, sources)
 
-    def with_source(self, source_id, stats: NoiseStats) -> "TrackedSpectrum":
-        """Add a new white noise source injected at this point."""
-        if source_id in self.sources:
-            raise ValueError(f"source {source_id!r} already present")
-        sources = dict(self.sources)
-        sources[source_id] = (stats, np.ones(self.n_bins, dtype=complex))
-        return TrackedSpectrum(self.n_bins, sources)
-
     # ------------------------------------------------------------------
     # Collapse
     # ------------------------------------------------------------------

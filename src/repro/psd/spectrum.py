@@ -32,9 +32,10 @@ appends one source stack to another).  The algebra is written once over
 that leading axis, so the analytical engine runs a scalar evaluation as
 the ``K = 1`` case of the batched one and :meth:`DiscretePsd.select`
 hands back an unstacked row.
-The public constructor validates and clips its bins (it receives outside
-data such as Welch estimates); results of the algebra are built without
-re-validating, since every operation preserves non-negative bins.
+The public constructor validates its bins (finite, non-negative) and
+clips them (it receives outside data such as Welch estimates); results
+of the algebra are built without re-validating, since every operation
+preserves non-negative bins.
 """
 
 from __future__ import annotations
@@ -84,6 +85,8 @@ class DiscretePsd:
                 raise ValueError(
                     f"mean must have shape ({ac.shape[0]},), got "
                     f"{mean.shape}")
+        if not (np.all(np.isfinite(ac)) and np.all(np.isfinite(mean))):
+            raise ValueError("PSD bins and mean must be finite")
         if np.any(ac < -1e-15):
             raise ValueError("PSD bins must be non-negative")
         self.ac = np.clip(ac, 0.0, None)
@@ -179,15 +182,6 @@ class DiscretePsd:
         values[..., 0] += self.mean ** 2
         return values
 
-    def to_stats(self) -> NoiseStats:
-        """Collapse the PSD to its first two moments."""
-        return NoiseStats(mean=self.mean, variance=self.variance)
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        """Normalized bin frequencies on ``[0, 1)`` (1.0 = sampling rate)."""
-        return np.arange(self.n_bins) / self.n_bins
-
     # ------------------------------------------------------------------
     # Algebra
     # ------------------------------------------------------------------
@@ -262,10 +256,6 @@ class DiscretePsd:
         dc_gain = np.real(response[..., 0])
         return self._trusted(self.ac * magnitude_sq, self.mean * dc_gain)
 
-    def delayed(self) -> "DiscretePsd":
-        """PSD after a pure delay (unchanged — delays are all-pass)."""
-        return self.copy()
-
     # ------------------------------------------------------------------
     # Multirate transformations
     # ------------------------------------------------------------------
@@ -290,40 +280,6 @@ class DiscretePsd:
         from repro.lti.multirate import upsample_psd
         return self._trusted(upsample_psd(self.ac, factor),
                              self.mean / factor)
-
-    # ------------------------------------------------------------------
-    # Resampling of the frequency grid
-    # ------------------------------------------------------------------
-    def resampled(self, n_bins: int) -> "DiscretePsd":
-        """Re-express the PSD on a different number of bins.
-
-        Total power is preserved exactly.  Down-sampling the grid sums
-        groups of bins; up-sampling spreads each bin uniformly over the
-        new bins it covers.
-        """
-        _check_bins(n_bins)
-        if n_bins == self.n_bins:
-            return self.copy()
-        old_n = self.n_bins
-        rows = self.ac.shape[:-1]
-        if n_bins < old_n and old_n % n_bins == 0:
-            group = old_n // n_bins
-            ac = self.ac.reshape(rows + (n_bins, group)).sum(axis=-1)
-        elif n_bins > old_n and n_bins % old_n == 0:
-            expand = n_bins // old_n
-            ac = np.repeat(self.ac / expand, expand, axis=-1)
-        else:
-            # General case: piecewise-constant density re-binning.
-            edges_old = np.linspace(0.0, 1.0, old_n + 1)
-            edges_new = np.linspace(0.0, 1.0, n_bins + 1)
-            cumulative = np.concatenate(
-                [np.zeros(rows + (1,)), np.cumsum(self.ac, axis=-1)],
-                axis=-1)
-            cumulative_at = np.apply_along_axis(
-                lambda row: np.interp(edges_new, edges_old, row), -1,
-                cumulative)
-            ac = np.diff(cumulative_at, axis=-1)
-        return DiscretePsd(ac, self.mean)
 
     # ------------------------------------------------------------------
     # Comparisons

@@ -10,9 +10,8 @@ subpackage provides:
   expanders) together with per-node word-length specifications, noise
   generation and noise-propagation rules.
 * :mod:`~repro.sfg.graph` — the :class:`SignalFlowGraph` container with
-  validation, topological ordering and reachability queries.
-* :mod:`~repro.sfg.cycles` — cycle detection and feedback-loop collapsing,
-  the first step of the proposed method.
+  validation and topological ordering.  Graphs are acyclic: feedback is
+  written as an :class:`IirNode`.
 * :mod:`~repro.sfg.plan` — graph compilation: a :class:`CompiledPlan`
   freezes the validated topological schedule (index-based wiring,
   pre-constructed quantizers, precomputed noise sources, memoized
@@ -39,7 +38,6 @@ from repro.sfg.nodes import (
     UpsampleNode,
 )
 from repro.sfg.graph import Edge, SignalFlowGraph, is_multirate
-from repro.sfg.cycles import break_feedback_loops, find_cycles
 from repro.sfg.plan import CompiledPlan, ExecutionResult, PlanStep, compile_plan
 from repro.sfg.builder import SfgBuilder
 from repro.sfg.serialization import (
@@ -75,8 +73,6 @@ __all__ = [
     "Edge",
     "SignalFlowGraph",
     "is_multirate",
-    "find_cycles",
-    "break_feedback_loops",
     "CompiledPlan",
     "PlanStep",
     "compile_plan",

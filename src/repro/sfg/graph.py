@@ -6,7 +6,7 @@ any number of consumers; multi-input nodes (adders) declare the number of
 input ports they expose and each port must be driven by exactly one edge.
 
 The graph offers the structural queries the evaluation engines need:
-validation, topological ordering, predecessor lookup and reachability.
+validation, topological ordering and predecessor lookup.
 """
 
 from __future__ import annotations
@@ -80,10 +80,6 @@ class SignalFlowGraph:
         del self._nodes[name]
         self._edges = [edge for edge in self._edges
                        if edge.source != name and edge.target != name]
-
-    def remove_edge(self, edge: Edge) -> None:
-        """Remove a specific edge."""
-        self._edges.remove(edge)
 
     # ------------------------------------------------------------------
     # Accessors
@@ -161,8 +157,8 @@ class SignalFlowGraph:
         Raises
         ------
         ValueError
-            If the graph contains a cycle (feedback loops must be broken
-            with :func:`repro.sfg.cycles.break_feedback_loops` first).
+            If the graph contains a cycle.  Graphs are acyclic: a feedback
+            loop is written as an :class:`~repro.sfg.nodes.IirNode`.
         """
         in_degree = {name: len(self.predecessors(name)) for name in self._nodes}
         ready = [name for name, degree in in_degree.items() if degree == 0]
@@ -180,30 +176,8 @@ class SignalFlowGraph:
             unresolved = sorted(set(self._nodes) - set(order))
             raise ValueError(
                 f"graph {self.name!r} contains at least one cycle involving "
-                f"{unresolved}; break feedback loops first")
+                f"{unresolved}; write feedback as an IirNode")
         return order
-
-    def is_acyclic(self) -> bool:
-        """Whether the graph contains no directed cycle."""
-        try:
-            self.topological_order()
-        except ValueError:
-            return False
-        return True
-
-    def reachable_from(self, name: str) -> set[str]:
-        """Set of node names reachable from ``name`` (excluding itself)."""
-        if name not in self._nodes:
-            raise KeyError(f"unknown node {name!r}")
-        seen: set[str] = set()
-        frontier = [name]
-        while frontier:
-            current = frontier.pop()
-            for edge in self.successors(current):
-                if edge.target not in seen:
-                    seen.add(edge.target)
-                    frontier.append(edge.target)
-        return seen
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"SignalFlowGraph({self.name!r}, nodes={len(self._nodes)}, "

@@ -62,11 +62,12 @@ class QuantizationSpec:
         grid) and injects exactly zero noise.  Stored as a tuple so the
         spec stays hashable; dicts are normalized on construction.
     integer_bits:
-        Per-signal integer width of the data-path quantizer (fed by
-        :func:`repro.fixedpoint.range_analysis.assign_integer_bits`);
-        ``None`` keeps the legacy 15-bit default.  Overflow handling is
-        ``OverflowMode.NONE``, so the integer width never changes
-        simulated values — it only documents/sizes the datapath.
+        Per-signal integer width of the data-path quantizer (sized by
+        :func:`repro.fixedpoint.range_analysis.integer_bits_for_range`
+        and carried by graph JSON); ``None`` keeps the legacy 15-bit
+        default.  Overflow handling is ``OverflowMode.NONE``, so the
+        integer width never changes simulated values — it only
+        documents/sizes the datapath.
     """
 
     fractional_bits: int | None
@@ -188,10 +189,6 @@ class QuantizationSpec:
         else:
             entries[str(target)] = int(bits)
         return replace(self, edge_fractional_bits=tuple(sorted(entries.items())))
-
-    def with_integer_bits(self, integer_bits: int | None) -> "QuantizationSpec":
-        """Copy of the spec with a different integer width."""
-        return replace(self, integer_bits=integer_bits)
 
 
 _NO_QUANTIZATION = QuantizationSpec(fractional_bits=None)

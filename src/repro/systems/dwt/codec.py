@@ -137,13 +137,6 @@ class Dwt97Codec:
         image = check_image(image)
         return self.run_fixed_point(image) - self.run_reference(image)
 
-    def encode_fixed_point(self, image: np.ndarray) -> dict:
-        """Fixed-point analysis only (sub-band pyramid), for the examples."""
-        quantizer = self._data_quantizer()
-        image = quantizer.quantize(np.asarray(image, dtype=float))
-        return analyze_multilevel(image, self.filters, self.levels,
-                                  quantizer=quantizer)
-
     # ------------------------------------------------------------------
     # Analytical model
     # ------------------------------------------------------------------

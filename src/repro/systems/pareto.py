@@ -111,16 +111,6 @@ class ParetoFront:
         """Analytical evaluations spent over the whole sweep."""
         return sum(point.evaluations for point in self.points)
 
-    @property
-    def total_full_walks(self) -> int:
-        """Whole-graph walks spent over the sweep (memo cold builds)."""
-        return sum(point.full_walks for point in self.points)
-
-    @property
-    def total_cone_recomputes(self) -> int:
-        """Evaluations served as dirty-cone deltas over the sweep."""
-        return sum(point.cone_recomputes for point in self.points)
-
     def describe(self) -> str:
         """Render the front as the text table printed by the CLI."""
         validated = any(p.simulated_power is not None for p in self.points)

@@ -38,7 +38,11 @@ from repro.obs import observe
 from repro.sfg.builder import SfgBuilder
 from repro.sfg.plan import CompiledPlan, compile_plan
 from repro.simkernel import use_backend
-from repro.systems.families import build_dwt97_bank, build_scalability_bank
+from repro.systems.families import (
+    build_dwt97_bank,
+    build_scalability_bank,
+    build_scalability_chain,
+)
 from repro.systems.freq_filter import FrequencyDomainFilter
 
 
@@ -141,6 +145,22 @@ class TestNoiseMemoPulls:
         assert 1 < cone < len(plan.steps)
         assert counters["steps_reused"] > 0
 
+    def test_head_edit_of_a_chain_recomputes_all_but_the_input(self):
+        """The scalability chain is the memo's worst case: every block is
+        downstream of the first one, so its edit dirties the whole chain."""
+        plan = compile_plan(build_scalability_chain(6, taps_per_block=9))
+        memo = plan_memo(plan)
+        evaluate_psd(plan, 64)
+        built = memo.counters()["steps_recomputed"]
+        plan.requantize({"block0": 10})
+        warm = evaluate_psd(plan, 64)
+        assert memo.counters()["steps_recomputed"] - built \
+            == len(plan.steps) - 1
+        with memoization_disabled():
+            cold = evaluate_psd(plan, 64)
+        assert np.array_equal(warm.ac, cold.ac)
+        assert warm.mean == cold.mean
+
     def test_multirate_graph_memoizes_too(self):
         plan = compile_plan(build_dwt97_bank())
         evaluate_psd(plan, 64)
@@ -158,6 +178,18 @@ class TestNoiseMemoPulls:
         assert plan_memo(plan) is memo
         assert plan_memo(graph) is memo  # resolves through compile_plan
         assert plan_memo(compile_plan(graph)) is memo
+
+
+class TestScalabilityChain:
+    def test_chain_is_a_cascade_of_distinct_blocks(self):
+        chain = build_scalability_chain(4, taps_per_block=9)
+        assert chain.topological_order() == [
+            "x", "block0", "block1", "block2", "block3", "y"]
+        taps = [chain.node(f"block{index}").taps for index in range(4)]
+        assert all(len(block) == 9 for block in taps)
+        assert all(not np.array_equal(a, b) for a, b in zip(taps, taps[1:]))
+        with pytest.raises(ValueError, match="at least one block"):
+            build_scalability_chain(0)
 
 
 class TestBatchedWalksWithMemo:

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.analysis.agnostic_method import evaluate_agnostic, evaluate_agnostic_all
+from repro.analysis._engine import stats_row, walk_psd, walk_stats
+from repro.analysis.agnostic_method import evaluate_agnostic
 from repro.analysis.flat_method import evaluate_flat, source_path_functions
-from repro.analysis.psd_method import evaluate_psd, evaluate_psd_all, evaluate_psd_tracked
+from repro.analysis.psd_method import evaluate_psd, evaluate_psd_tracked
 from repro.fixedpoint.noise_model import quantization_noise_stats
+from repro.fixedpoint.quantizer import RoundingMode
 from repro.lti.fir_design import design_fir_highpass, design_fir_lowpass
 from repro.sfg.builder import SfgBuilder
+from repro.sfg.plan import compile_plan
 
 
 def _single_fir_graph(bits=10, taps=None):
@@ -173,18 +176,48 @@ class TestPathFunctions:
 
 
 class TestPerNodeResults:
+    """The plan walks keep one noise value per node, index-aligned with
+    the plan's steps; the output estimates read one entry of them."""
+
     def test_all_nodes_reported(self):
-        graph = _two_stage_graph(10)
-        psd_all = evaluate_psd_all(graph, 128)
-        stats_all = evaluate_agnostic_all(graph)
-        assert set(psd_all) == set(graph.nodes)
-        assert set(stats_all) == set(graph.nodes)
+        plan = compile_plan(_two_stage_graph(10))
+        psd_all = walk_psd(plan, 128)
+        stats_all = walk_stats(plan)
+        assert len(psd_all) == len(stats_all) == len(plan.steps)
+        assert {step.name for step in plan.steps} == set(plan.graph.nodes)
+        output = plan.index_of["y"]
+        assert psd_all[output].select(0).allclose(evaluate_psd(plan, 128))
+        assert stats_row(stats_all[output]).variance == pytest.approx(
+            evaluate_agnostic(plan).variance, rel=1e-12)
 
     def test_noise_accumulates_along_the_chain(self):
-        graph = _two_stage_graph(10)
-        psd_all = evaluate_psd_all(graph, 128)
-        assert psd_all["x"].total_power <= psd_all["lp"].total_power
-        assert psd_all["lp"].total_power > 0.0
+        plan = compile_plan(_two_stage_graph(10))
+        psd_all = walk_psd(plan, 128)
+        power = {step.name: psd_all[step.index].select(0).total_power
+                 for step in plan.steps}
+        assert 0.0 < power["x"] <= power["lp"]
+        assert power["y"] == pytest.approx(power["hp"], rel=1e-12)
+
+
+class TestDelay:
+    def test_delay_preserves_psd(self):
+        """A pure delay has |H|^2 = 1: the noise PSD and mean pass as-is."""
+        def graph(samples):
+            builder = SfgBuilder(f"delay-{samples}")
+            x = builder.input("x", fractional_bits=10,
+                              rounding=RoundingMode.TRUNCATE)
+            h = builder.fir("h", design_fir_lowpass(9, 0.4), x)
+            if samples:
+                h = builder.delay("z", h, samples)
+            builder.output("y", h)
+            return builder.build()
+
+        direct = evaluate_psd(graph(0), 64)
+        assert direct.mean != 0.0
+        for samples in (1, 5):
+            delayed = evaluate_psd(graph(samples), 64)
+            assert delayed.allclose(direct)
+            assert delayed.mean == pytest.approx(direct.mean, rel=1e-12)
 
 
 class TestValidation:

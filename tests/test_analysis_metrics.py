@@ -5,12 +5,9 @@ import pytest
 
 from repro.analysis.metrics import (
     ed_deviation,
-    ed_from_records,
     equivalent_bit_error,
     is_sub_one_bit,
-    mse,
     noise_power,
-    sqnr_db,
 )
 
 
@@ -21,24 +18,6 @@ class TestBasicMetrics:
     def test_noise_power_empty_rejected(self):
         with pytest.raises(ValueError):
             noise_power(np.array([]))
-
-    def test_mse(self):
-        a = np.array([1.0, 2.0])
-        b = np.array([1.5, 2.0])
-        assert mse(a, b) == pytest.approx(0.125)
-
-    def test_mse_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            mse(np.zeros(3), np.zeros(4))
-
-    def test_sqnr_db(self):
-        assert sqnr_db(1.0, 0.001) == pytest.approx(30.0)
-
-    def test_sqnr_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            sqnr_db(0.0, 1.0)
-        with pytest.raises(ValueError):
-            sqnr_db(1.0, 0.0)
 
 
 class TestEdDeviation:
@@ -54,10 +33,6 @@ class TestEdDeviation:
     def test_non_positive_simulation_rejected(self):
         with pytest.raises(ValueError):
             ed_deviation(0.0, 1.0)
-
-    def test_from_records(self):
-        error = np.array([0.1, -0.1])
-        assert ed_from_records(error, 0.01) == pytest.approx(0.0)
 
 
 class TestOneBitBand:

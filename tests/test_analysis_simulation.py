@@ -7,7 +7,12 @@ import pytest
 
 from repro.analysis._engine import memoization_disabled
 from repro.analysis.evaluator import AccuracyEvaluator
-from repro.analysis.simulation_method import SimulationEvaluator
+from repro.analysis.simulation_method import (
+    MAX_SIMULATED_FRACTIONAL_BITS,
+    SimulationEvaluator,
+    check_simulated_word_lengths,
+    data_path_word_lengths,
+)
 from repro.lti.fir_design import design_fir_lowpass
 from repro.data.signals import uniform_white_noise
 from repro.sfg.builder import SfgBuilder
@@ -182,6 +187,31 @@ class TestValidation:
             .with_edge_fractional_bits("h", 60)
         with pytest.raises(ValueError, match="edge 'x->h' quantizes to 60"):
             SimulationEvaluator(graph).evaluate(short_white_noise)
+
+    def test_data_path_word_lengths_name_nodes_and_taps(self):
+        builder = SfgBuilder("taps")
+        x = builder.input("x", fractional_bits=10)
+        h = builder.fir("h", design_fir_lowpass(9, 0.5), x,
+                        fractional_bits=8, coefficient_fractional_bits=14)
+        builder.output("y", h)
+        graph = builder.build()
+        graph.node("x").quantization = graph.node("x").quantization \
+            .with_edge_fractional_bits("h", 6)
+        # Coefficient word lengths are shared by both legs of a run, so
+        # only the data path is listed.
+        assert data_path_word_lengths(graph) == {
+            "x": 10, "x->h": 6, "h": 8, "y": None}
+
+    def test_simulated_word_length_limit_is_inclusive(self):
+        limit = MAX_SIMULATED_FRACTIONAL_BITS
+        check_simulated_word_lengths({"x": limit, "x->h": limit,
+                                      "y": None})
+        with pytest.raises(ValueError, match=f"node 'h' quantizes to "
+                                             f"{limit + 1}"):
+            check_simulated_word_lengths({"x": 8, "h": limit + 1})
+        with pytest.raises(ValueError, match=f"edge 'x->h' quantizes to "
+                                             f"{limit + 1}"):
+            check_simulated_word_lengths({"x->h": limit + 1})
 
     def test_deep_word_length_within_double_precision_still_measures(self):
         graph = _iir_graph(44)

@@ -233,7 +233,8 @@ class TestSupervisorInline:
         chaos = run_campaign(spec, cache_dir=None,
                              retry_policy=_fast_policy(),
                              fault_injector=injector)
-        failed = {record["key"] for record in chaos.failed_records}
+        failed = {record["key"] for record in chaos.records
+                  if record.get("status") == "failed"}
         assert failed == permanent
         assert chaos.failed == len(permanent)
         assert chaos.computed == len(jobs) - len(permanent)
@@ -299,6 +300,7 @@ class TestSupervisorPool:
 
     def test_terminate_pool_stops_a_sleeping_worker(self):
         from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing.connection import wait
 
         from repro.campaign.runner import _terminate_pool
 
@@ -311,8 +313,15 @@ class TestSupervisorPool:
             time.sleep(0.01)
         (worker,) = set(multiprocessing.active_children()) - others
         started = time.monotonic()
+        deadline = started + 5.0
         _terminate_pool(pool)
-        worker.join(5.0)
+        # The executor's manager thread joins the same process.  When it
+        # reaps the child first, a waitpid here fails and reads as alive,
+        # so wait for the exit on the sentinel, then for the exit code
+        # that whichever thread reaped the child records.
+        wait([worker.sentinel], timeout=deadline - time.monotonic())
+        while worker.exitcode is None and time.monotonic() < deadline:
+            time.sleep(0.01)
         assert not worker.is_alive()
         assert time.monotonic() - started < 5.0
 
@@ -355,7 +364,8 @@ class TestSupervisorPool:
             spec, cache_dir=tmp_path / "cache", workers=2,
             retry_policy=_fast_policy(payload_timeout=1.0),
             fault_injector=injector)
-        assert {r["key"] for r in chaos.failed_records} == permanent
+        assert {r["key"] for r in chaos.records
+                if r.get("status") == "failed"} == permanent
         assert chaos.computed == len(jobs) - len(permanent)
         assert chaos.retries >= 1
         _assert_ok_records_match(chaos, clean)

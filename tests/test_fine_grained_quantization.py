@@ -7,6 +7,8 @@ bit-true runs against the reference loops, integer-width pinning from
 range analysis, and the edge-granularity word-length search.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -135,8 +137,8 @@ class TestEdgeRequantize:
         plan.requantize({"lp->g": 8})
         tapped = quantization_signature(graph)
         assert tapped != base
-        graph.node("lp").quantization = \
-            graph.node("lp").quantization.with_integer_bits(3)
+        graph.node("lp").quantization = replace(
+            graph.node("lp").quantization, integer_bits=3)
         plan.refresh()
         assert quantization_signature(graph) != tapped
 
@@ -324,31 +326,22 @@ class TestEdgeGranularitySearch:
 
 
 class TestIntegerBitAssignment:
-    def test_apply_integer_bits_pins_specs(self):
-        from repro.fixedpoint.range_analysis import (
-            apply_integer_bits,
-            assign_integer_bits,
-        )
-
-        graph = _fork_graph()
-        widths = assign_integer_bits(graph, {"x": (-1.0, 1.0)})
-        apply_integer_bits(graph, widths)
-        assert graph.node("lp").quantization.integer_bits \
-            == widths["lp"]
-
     def test_pinned_integer_bits_do_not_change_values(self):
         from repro.fixedpoint.range_analysis import (
-            apply_integer_bits,
-            assign_integer_bits,
+            analyze_ranges,
+            integer_bits_for_range,
         )
 
         graph = _fork_graph()
         stimulus = _stimulus(graph)
         plan = compile_plan(graph)
         reference = plan.run(stimulus, mode="fixed").output("y")
-        apply_integer_bits(graph,
-                           assign_integer_bits(graph, {"x": (-1.0, 1.0)},
-                                               margin_bits=1))
+        for name, interval in analyze_ranges(graph,
+                                             {"x": (-1.0, 1.0)}).items():
+            node = graph.node(name)
+            node.quantization = replace(
+                node.quantization,
+                integer_bits=integer_bits_for_range(interval) + 1)
         plan.refresh()
         # Overflow handling is OverflowMode.NONE: integer widths label
         # the format, they never clamp, so the samples are bitwise equal.

@@ -1,7 +1,6 @@
 """Unit tests for :mod:`repro.fixedpoint.qformat`."""
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.fixedpoint.qformat import QFormat
 
@@ -42,45 +41,11 @@ class TestBasics:
         assert "u" in str(QFormat(1, 2, signed=False))
 
 
-class TestFromRange:
-    def test_covers_symmetric_range(self):
-        fmt = QFormat.from_range(-3.0, 3.0, fractional_bits=8)
-        assert fmt.signed
-        assert fmt.contains(-3.0)
-        assert fmt.contains(3.0)
-
-    def test_positive_range_defaults_to_unsigned(self):
-        fmt = QFormat.from_range(0.0, 0.9, fractional_bits=8)
-        assert not fmt.signed
-        assert fmt.contains(0.9)
-
-    def test_empty_range_rejected(self):
-        with pytest.raises(ValueError):
-            QFormat.from_range(1.0, -1.0, fractional_bits=4)
-
-    @given(st.floats(min_value=-100.0, max_value=100.0, allow_nan=False),
-           st.integers(min_value=0, max_value=20))
-    def test_value_always_within_derived_format(self, value, frac):
-        fmt = QFormat.from_range(min(value, 0.0), max(value, 0.0), frac)
-        assert fmt.contains(value)
-
-
 class TestTransforms:
     def test_with_fractional_bits(self):
         fmt = QFormat(2, 5).with_fractional_bits(9)
         assert fmt.fractional_bits == 9
         assert fmt.integer_bits == 2
-
-    def test_widen(self):
-        fmt = QFormat(2, 5).widen(extra_integer_bits=1, extra_fractional_bits=3)
-        assert fmt.integer_bits == 3
-        assert fmt.fractional_bits == 8
-
-    def test_is_representable(self):
-        fmt = QFormat(2, 3)
-        assert fmt.is_representable(0.125)
-        assert not fmt.is_representable(0.1)
-        assert not fmt.is_representable(100.0)
 
     def test_equality_and_hash(self):
         assert QFormat(1, 2) == QFormat(1, 2)

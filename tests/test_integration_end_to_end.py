@@ -18,7 +18,6 @@ from repro.data.signals import SignalGenerator, uniform_white_noise
 from repro.lti.fir_design import design_fir_highpass, design_fir_lowpass
 from repro.lti.iir_design import design_iir_filter
 from repro.sfg.builder import SfgBuilder
-from repro.sfg.cycles import break_feedback_loops
 from repro.systems.dwt.codec import Dwt97Codec
 from repro.systems.freq_filter import FrequencyDomainFilter
 
@@ -76,29 +75,19 @@ class TestFilterChainAgainstSimulation:
 
 
 class TestFeedbackLoopPipeline:
-    def test_loop_collapse_then_evaluate(self):
-        """Cycle breaking (step 1 of the method) feeds the estimators."""
-        from repro.sfg.graph import SignalFlowGraph
-        from repro.sfg.nodes import (AddNode, DelayNode, GainNode, InputNode,
-                                     OutputNode, QuantizationSpec)
+    @pytest.mark.parametrize("feedback", [0.5, -0.5])
+    def test_iir_feedback_then_evaluate(self, feedback):
+        """The loop y[n] = x[n] + feedback * y[n-1], written as the IIR
+        node 1 / (1 - feedback z^-1) with its quantizer inside the loop,
+        feeds the estimators like any other block."""
+        builder = SfgBuilder("loop")
+        x = builder.input("x", fractional_bits=12)
+        loop = builder.iir("loop", [1.0], [1.0, -feedback], x,
+                           fractional_bits=12)
+        builder.output("y", loop)
+        graph = builder.build()
 
-        graph = SignalFlowGraph("loop")
-        graph.add_node(InputNode("x", QuantizationSpec(12)))
-        graph.add_node(AddNode("sum", num_inputs=2))
-        graph.add_node(DelayNode("z", 1))
-        graph.add_node(GainNode("g", 0.5))
-        graph.add_node(OutputNode("y"))
-        graph.connect("x", "sum", port=0)
-        graph.connect("sum", "z")
-        graph.connect("z", "g")
-        graph.connect("g", "sum", port=1)
-        graph.connect("sum", "y")
-
-        collapsed = break_feedback_loops(graph)
-        collapsed.node("sum__loop").quantization = \
-            collapsed.node("sum__loop").quantization.with_fractional_bits(12)
-
-        evaluator = AccuracyEvaluator(collapsed, n_psd=1024)
+        evaluator = AccuracyEvaluator(graph, n_psd=1024)
         comparison = evaluator.compare(
             uniform_white_noise(40_000, seed=2), methods=("psd",),
             discard_transient=200)

@@ -6,7 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.lti.fft import FixedPointFft
-from repro.simkernel.fft import fixed_fft_forward, fixed_fft_inverse
+from repro.simkernel.fft import (
+    bit_reverse_permutation,
+    fixed_fft_forward,
+    fixed_fft_inverse,
+)
 
 
 def _exact_twiddles(size):
@@ -77,6 +81,19 @@ class TestExactButterfly:
                                    _exact_fft(a) + _exact_fft(b), atol=1e-10)
 
 
+class TestBitReversal:
+    def test_known_order(self):
+        np.testing.assert_array_equal(bit_reverse_permutation(8),
+                                      [0, 4, 2, 6, 1, 5, 3, 7])
+
+    @pytest.mark.parametrize("size", [2, 16, 1024])
+    def test_is_an_involution(self, size):
+        permutation = bit_reverse_permutation(size)
+        np.testing.assert_array_equal(np.sort(permutation), np.arange(size))
+        np.testing.assert_array_equal(permutation[permutation],
+                                      np.arange(size))
+
+
 class TestFixedPointFft:
     def test_high_precision_approaches_exact(self, rng):
         x = rng.uniform(-0.9, 0.9, 16)
@@ -114,9 +131,17 @@ class TestFixedPointFft:
         with pytest.raises(ValueError):
             FixedPointFft(12, fractional_bits=10)
 
-    def test_num_stages(self):
-        assert FixedPointFft(16, 10).num_stages == 4
-        assert FixedPointFft(256, 10).num_stages == 8
+    @pytest.mark.parametrize("direction", ["forward", "inverse"])
+    def test_position_major_matches_block_major(self, rng, direction):
+        """The streamed position-major entry points run the same
+        transform as the per-block API, bit for bit."""
+        engine = FixedPointFft(16, fractional_bits=10)
+        blocks = rng.uniform(-0.9, 0.9, (5, 16)) \
+            + 1j * rng.uniform(-0.9, 0.9, (5, 16))
+        expected = getattr(engine, direction)(blocks)
+        streamed = getattr(engine, f"{direction}_position_major")(
+            np.ascontiguousarray(blocks.T))
+        np.testing.assert_array_equal(streamed.T, expected)
 
     def test_roundoff_noise_scales_with_step(self, rng):
         """The measured FFT roundoff noise should scale roughly as q^2."""

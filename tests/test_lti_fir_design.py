@@ -5,7 +5,6 @@ import pytest
 
 from repro.lti.fir_design import (
     design_fir_bandpass,
-    design_fir_bandstop,
     design_fir_highpass,
     design_fir_lowpass,
 )
@@ -60,6 +59,10 @@ class TestHighpass:
         taps = design_fir_highpass(16, 0.4)
         assert len(taps) == 17
 
+    def test_symmetric_linear_phase(self):
+        taps = design_fir_highpass(33, 0.4)
+        np.testing.assert_allclose(taps, taps[::-1], atol=1e-12)
+
 
 class TestBandpass:
     def test_center_gain(self):
@@ -71,23 +74,18 @@ class TestBandpass:
         assert _gain_at(taps, 0.05) < 0.02
         assert _gain_at(taps, 0.95) < 0.02
 
+    def test_symmetric_linear_phase(self):
+        taps = design_fir_bandpass(64, 0.3, 0.6)
+        np.testing.assert_allclose(taps, taps[::-1], atol=1e-12)
+
     def test_invalid_band_rejected(self):
         with pytest.raises(ValueError):
             design_fir_bandpass(32, 0.6, 0.4)
 
-
-class TestBandstop:
-    def test_notch_attenuation(self):
-        taps = design_fir_bandstop(97, 0.4, 0.6)
-        assert _gain_at(taps, 0.5) < 0.05
-
-    def test_dc_gain_unity(self):
-        taps = design_fir_bandstop(65, 0.4, 0.6)
-        assert np.sum(taps) == pytest.approx(1.0, abs=1e-6)
-
-    def test_invalid_band_rejected(self):
-        with pytest.raises(ValueError):
-            design_fir_bandstop(33, 0.0, 0.4)
+    @pytest.mark.parametrize("low,high", [(0.0, 0.4), (0.4, 1.0)])
+    def test_band_edge_at_dc_or_nyquist_rejected(self, low, high):
+        with pytest.raises(ValueError, match="band edges"):
+            design_fir_bandpass(33, low, high)
 
 
 class TestWindows:

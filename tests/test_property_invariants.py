@@ -3,8 +3,9 @@
 These tests tie together the fixed-point, PSD and analysis layers and
 check the conservation laws the whole methodology rests on:
 
-* total noise power is conserved by the PSD representation regardless of
-  how the frequency grid is chosen or transformed;
+* total noise power is conserved by the PSD representation through
+  decimation and expansion, and an FIR path's power is the same on every
+  grid that resolves its taps;
 * the analytical estimators are consistent with each other in the regimes
   where they are supposed to coincide;
 * estimates scale exactly as ``q^2`` with the word length (the property
@@ -50,17 +51,24 @@ def _simple_graph(bits, taps):
 
 
 class TestPsdConservationLaws:
-    @settings(deadline=None, max_examples=30)
-    @given(st.integers(min_value=2, max_value=9),
-           st.integers(min_value=2, max_value=9),
-           st.floats(min_value=1e-6, max_value=10.0),
-           st.floats(min_value=-1.0, max_value=1.0))
-    def test_grid_resampling_never_changes_power(self, log_a, log_b,
-                                                 variance, mean):
-        psd = DiscretePsd.from_moments(mean, variance, 2 ** log_a)
-        resampled = psd.resampled(2 ** log_b)
-        assert resampled.total_power == pytest.approx(psd.total_power,
-                                                      rel=1e-9)
+    @settings(deadline=None, max_examples=20)
+    @given(st.integers(min_value=3, max_value=17),
+           st.integers(min_value=0, max_value=3),
+           st.integers(min_value=0, max_value=3),
+           st.integers(min_value=6, max_value=16))
+    def test_fir_noise_power_does_not_depend_on_the_grid(self, taps_count,
+                                                         log_a, log_b, bits):
+        """On ``N >= taps`` bins the mean of ``|H|^2`` is the tap energy
+        exactly (Parseval on the DFT), so the estimated power of an FIR
+        path is the same on every such PSD grid."""
+        taps = design_fir_lowpass(2 * (taps_count // 2) + 1, 0.4)
+        graph = _simple_graph(bits, taps)
+        smallest = 1 << int(np.ceil(np.log2(len(taps))))
+        power_a = evaluate_psd(graph, smallest << log_a).total_power
+        power_b = evaluate_psd(graph, smallest << log_b).total_power
+        assert power_a == pytest.approx(power_b, rel=1e-9)
+        assert power_a == pytest.approx(evaluate_agnostic(graph).power,
+                                        rel=1e-9)
 
     @settings(deadline=None, max_examples=30)
     @given(st.integers(min_value=1, max_value=4),

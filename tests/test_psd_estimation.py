@@ -112,6 +112,27 @@ class TestWelch:
         assert psd.variance == 0.0
         assert psd.mean == pytest.approx(0.25)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_record_rejected(self, rng, bad):
+        # One bad sample must raise, not come back as a PSD of zeros.
+        x = rng.standard_normal(4096)
+        x[1000] = bad
+        stack = np.stack([rng.standard_normal(4096), x])
+        for estimate in (lambda: welch(x, 64),
+                         lambda: estimate_psd(x, 64),
+                         lambda: estimate_psd(x, 64, method="periodogram"),
+                         lambda: periodogram(x, 64),
+                         lambda: welch_batched(stack, 64)):
+            with pytest.raises(ValueError, match="mean is not finite"):
+                estimate()
+
+    def test_overflowing_variance_rejected(self):
+        x = np.full(4096, 1e200)
+        x[::2] = -1e200
+        with np.errstate(over="ignore"), \
+                pytest.raises(ValueError, match="variance is not finite"):
+            welch(x, 64)
+
 
 class TestPeriodogram:
     def test_variance_recovered(self, rng):

@@ -50,11 +50,6 @@ class TestTrackedSpectrum:
                         + DiscretePsd.white(stats, 32).scaled(-1.0))
         assert uncorrelated.total_power == pytest.approx(2.0)
 
-    def test_with_source_rejects_duplicates(self):
-        tracked = TrackedSpectrum.from_source("s", NoiseStats(0.0, 1.0), 16)
-        with pytest.raises(ValueError):
-            tracked.with_source("s", NoiseStats(0.0, 1.0))
-
     def test_mismatched_bins_rejected(self):
         a = TrackedSpectrum.zero(16)
         b = TrackedSpectrum.zero(32)

@@ -39,11 +39,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DiscretePsd(np.array([]))
 
-    def test_to_stats_round_trip(self):
-        stats = NoiseStats(mean=-0.2, variance=0.7)
-        recovered = DiscretePsd.white(stats, 64).to_stats()
-        assert recovered.mean == pytest.approx(stats.mean)
-        assert recovered.variance == pytest.approx(stats.variance)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            DiscretePsd(np.array([bad, 1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            DiscretePsd(np.array([0.5, 1.0]), mean=bad)
+        with pytest.raises(ValueError, match="finite"):
+            DiscretePsd(np.ones((2, 4)), mean=np.array([0.0, bad]))
 
 
 class TestAlgebra:
@@ -92,10 +95,6 @@ class TestFiltering:
         with pytest.raises(ValueError):
             psd.filtered(np.ones(8))
 
-    def test_delay_preserves_psd(self):
-        psd = DiscretePsd.from_moments(0.1, 1.0, 32)
-        assert psd.delayed().allclose(psd)
-
     def test_cascaded_filtering_composes(self):
         taps_a = design_fir_lowpass(15, 0.6)
         taps_b = design_fir_lowpass(15, 0.3)
@@ -125,27 +124,6 @@ class TestMultirate:
     def test_down_then_up_power(self):
         psd = DiscretePsd.from_moments(0.0, 1.0, 64)
         assert psd.downsampled(2).upsampled(2).variance == pytest.approx(0.5)
-
-
-class TestResampling:
-    def test_downsample_grid_preserves_power(self):
-        psd = DiscretePsd(np.random.default_rng(0).uniform(0, 1, 64), 0.3)
-        resampled = psd.resampled(16)
-        assert resampled.total_power == pytest.approx(psd.total_power)
-
-    def test_upsample_grid_preserves_power(self):
-        psd = DiscretePsd(np.random.default_rng(1).uniform(0, 1, 16), 0.0)
-        resampled = psd.resampled(64)
-        assert resampled.total_power == pytest.approx(psd.total_power)
-
-    def test_incommensurate_grid_preserves_power(self):
-        psd = DiscretePsd(np.random.default_rng(2).uniform(0, 1, 48), 0.1)
-        resampled = psd.resampled(36)
-        assert resampled.total_power == pytest.approx(psd.total_power)
-
-    def test_identity_resampling(self):
-        psd = DiscretePsd(np.random.default_rng(3).uniform(0, 1, 32), 0.1)
-        assert psd.resampled(32).allclose(psd)
 
 
 class TestProperties:
@@ -198,7 +176,6 @@ _RESPONSE = TransferFunction.fir([-0.5, 0.25, 0.125]).frequency_response(16)
 #: Every operation of the algebra, applied to a stack and to its rows.
 _OPERATIONS = {
     "copy": lambda psd: psd.copy(),
-    "delayed": lambda psd: psd.delayed(),
     "scaled(1.0)": lambda psd: psd.scaled(1.0),
     "scaled(-1.0)": lambda psd: psd.scaled(-1.0),
     "scaled(0.5)": lambda psd: psd.scaled(0.5),
@@ -207,9 +184,6 @@ _OPERATIONS = {
     "filtered": lambda psd: psd.filtered(_RESPONSE),
     "downsampled": lambda psd: psd.downsampled(2),
     "upsampled": lambda psd: psd.upsampled(4),
-    "resampled(4)": lambda psd: psd.resampled(4),
-    "resampled(32)": lambda psd: psd.resampled(32),
-    "resampled(12)": lambda psd: psd.resampled(12),
 }
 
 
@@ -248,9 +222,6 @@ class TestStacked:
             assert _bitwise(stack.variance[k], row.variance)
             assert _bitwise(stack.total_power[k], row.total_power)
             assert _bitwise(stack.values[k], row.values)
-            stats, row_stats = stack.to_stats(), row.to_stats()
-            assert _bitwise(stats.mean[k], row_stats.mean)
-            assert _bitwise(stats.variance[k], row_stats.variance)
 
     def test_unstacked_summaries_stay_floats(self):
         row = _stack().select(2)

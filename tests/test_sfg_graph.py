@@ -99,13 +99,6 @@ class TestQueries:
         assert graph.fanout("x") == 2
         assert {e.target for e in graph.successors("x")} == {"h1", "h2"}
 
-    def test_reachable_from(self):
-        graph = _simple_graph()
-        assert graph.reachable_from("x") == {"h", "y"}
-        assert graph.reachable_from("y") == set()
-        with pytest.raises(KeyError):
-            graph.reachable_from("zzz")
-
 
 class TestValidationAndOrdering:
     def test_valid_graph_passes(self):
@@ -154,6 +147,5 @@ class TestValidationAndOrdering:
         graph.connect("sum", "h")
         graph.connect("h", "sum", port=1)
         graph.connect("sum", "y")
-        assert not graph.is_acyclic()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="IirNode"):
             graph.topological_order()

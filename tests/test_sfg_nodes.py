@@ -1,5 +1,7 @@
 """Unit tests for the SFG node vocabulary."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -109,8 +111,8 @@ class TestQuantizationSpec:
         pinned = QuantizationSpec(10, integer_bits=3)
         assert default.quantizer().fmt.integer_bits == 15
         assert pinned.quantizer().fmt.integer_bits == 3
-        assert pinned.with_integer_bits(None).quantizer().fmt.integer_bits \
-            == 15
+        assert replace(pinned, integer_bits=None).quantizer() \
+            .fmt.integer_bits == 15
 
     def test_edge_quantizer_and_noise_stats(self):
         spec = QuantizationSpec(10, rounding=RoundingMode.TRUNCATE,

@@ -132,6 +132,35 @@ class TestCompilation:
         assert by_name["y"].quantizer is None
 
 
+class TestBlockResponses:
+    """The per-block responses the analytical walks shape noise with."""
+
+    def test_block_response_is_the_dft_of_the_rounded_taps(self):
+        graph = _graph(bits=6)
+        plan = compile_plan(graph)
+        step = plan.steps[plan.index_of["h"]]
+        rounded = graph.node("h")._effective_transfer_function().b
+        response = plan.block_response(step, 64)
+        np.testing.assert_allclose(response, np.fft.fft(rounded, 64),
+                                   atol=1e-12)
+        assert plan.block_response(step, 64) is response  # memoized
+        # A hypothetical word length rounds the taps differently and
+        # leaves the live response alone.
+        finer = plan.block_response_for_bits(step, 16, 64)
+        assert not np.allclose(finer, response)
+        assert plan.block_response(step, 64) is response
+
+    def test_shaping_response_of_an_iir_block_is_one_over_a(self):
+        graph = _graph()
+        plan = compile_plan(graph)
+        step = plan.steps[plan.index_of["i"]]
+        denominator = graph.node("i")._effective_transfer_function().a
+        np.testing.assert_allclose(plan.shaping_response(step, 128),
+                                   1.0 / np.fft.fft(denominator, 128),
+                                   rtol=1e-12)
+        assert plan.shaping_tf(step).b.tolist() == [1.0]
+
+
 class TestPlanCache:
     def test_same_graph_reuses_plan(self):
         graph = _graph()

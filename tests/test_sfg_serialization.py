@@ -1,6 +1,7 @@
 """Unit tests for graph serialization and the CLI front end."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from repro.sfg.plan import compile_plan
 from repro.sfg.nodes import LtiNode
 from repro.sfg.serialization import (
     assignment_fingerprint,
+    canonical_digest,
     canonical_graph_dict,
+    fingerprint_of_canonical_dict,
     graph_fingerprint,
     graph_from_dict,
     graph_to_dict,
@@ -270,6 +273,25 @@ class TestFingerprints:
         assert assignment_fingerprint({"a": None}) \
             != assignment_fingerprint({"a": 0})
 
+    def test_canonical_digest_ignores_key_order_only(self):
+        payload = {"kind": "x", "values": [1, 2.5, None], "nested": {"b": 1,
+                                                                   "a": 2}}
+        reordered = {"nested": {"a": 2, "b": 1}, "values": [1, 2.5, None],
+                     "kind": "x"}
+        assert canonical_digest(reordered) == canonical_digest(payload)
+        assert canonical_digest({**payload, "values": [2.5, 1, None]}) \
+            != canonical_digest(payload)
+        with pytest.raises(ValueError):
+            canonical_digest({"value": float("nan")})
+
+    def test_shipped_canonical_dict_keeps_the_fingerprint(self):
+        """A canonical dict that crossed a JSON boundary (a campaign
+        worker's copy) hashes to the graph's own fingerprint."""
+        graph = _rich_graph()
+        shipped = json.loads(json.dumps(canonical_graph_dict(graph)))
+        assert fingerprint_of_canonical_dict(shipped) \
+            == graph_fingerprint(graph)
+
 
 class TestValidation:
     def test_unknown_node_type_rejected(self):
@@ -352,8 +374,9 @@ class TestFineGrainedSpecSerialization:
         builder.output("y", g)
         graph = builder.build()
         node = graph.node("x")
-        node.quantization = node.quantization \
-            .with_edge_fractional_bits("f", 8).with_integer_bits(2)
+        node.quantization = replace(
+            node.quantization.with_edge_fractional_bits("f", 8),
+            integer_bits=2)
         return graph
 
     def test_round_trip_preserves_every_spec_field(self, tmp_path):
@@ -427,7 +450,7 @@ class TestFineGrainedSpecSerialization:
         assert graph_fingerprint(base) != graph_fingerprint(tapped)
         unpinned = self._graph_with_fine_grained_specs()
         node = unpinned.node("x")
-        node.quantization = node.quantization.with_integer_bits(None)
+        node.quantization = replace(node.quantization, integer_bits=None)
         assert graph_fingerprint(base) != graph_fingerprint(unpinned)
 
     def test_assignment_fingerprint_accepts_edge_keys(self):

@@ -188,12 +188,6 @@ class TestCodecExecution:
             errors.append(np.mean(codec.error_image(small_image) ** 2))
         assert errors[0] > errors[1] > errors[2]
 
-    def test_encode_fixed_point_pyramid_structure(self, small_image):
-        codec = Dwt97Codec(fractional_bits=12, levels=2)
-        pyramid = codec.encode_fixed_point(small_image)
-        assert len(pyramid["levels"]) == 2
-        assert pyramid["ll"].shape == (8, 8)
-
     def test_invalid_levels_rejected(self):
         with pytest.raises(ValueError):
             Dwt97Codec(fractional_bits=12, levels=0)

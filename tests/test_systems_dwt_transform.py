@@ -159,6 +159,25 @@ class TestPerfectReconstruction2d:
         reconstructed = synthesize_multilevel(pyramid, filters)
         np.testing.assert_allclose(reconstructed, small_image, atol=1e-10)
 
+    def test_fixed_point_pyramid_structure(self, small_image):
+        """With a quantizer every band lands on its grid and stays within
+        a few steps of the double-precision pyramid."""
+        filters = daubechies_9_7_filters()
+        quantizer = Quantizer(QFormat(3, 12))
+        fixed = analyze_multilevel(quantizer.quantize(small_image), filters,
+                                   2, quantizer=quantizer)
+        exact = analyze_multilevel(small_image, filters, 2)
+        assert len(fixed["levels"]) == 2
+        assert fixed["ll"].shape == (8, 8)
+        bands = [(fixed["ll"], exact["ll"])] + [
+            (level[name], reference[name])
+            for level, reference in zip(fixed["levels"], exact["levels"])
+            for name in ("lh", "hl", "hh")]
+        for band, reference in bands:
+            assert band.shape == reference.shape
+            np.testing.assert_array_equal(band, quantizer.quantize(band))
+            assert np.max(np.abs(band - reference)) < 4 * 2.0 ** -12
+
     def test_three_levels(self, rng):
         from repro.data.images import natural_image
         filters = daubechies_9_7_filters()

@@ -2,9 +2,10 @@
 
 ``e2ebench/traced.py`` replaces every function and method listed in its
 ``TARGETS`` with a timing wrapper, and ends a traced run (exit status 3)
-when one of them has no binding.  Two names exist only for the tracer:
-the retired :func:`repro.simkernel.codegen.lowering.lower_plan` stub and
-:meth:`repro.sfg.plan.CompiledPlan.run_pair`.  This module pins that they,
+when one of them has no binding.  Three names exist only for the
+tracer: the retired :func:`repro.simkernel.codegen.lowering.lower_plan`
+stub, :meth:`repro.sfg.plan.CompiledPlan.run_pair` and
+:func:`repro.psd.estimation.welch_batched`.  This module pins that they,
 and every other target, still resolve, without running a benchmark.
 """
 
