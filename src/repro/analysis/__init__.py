@@ -18,12 +18,12 @@ system?" — with different cost/accuracy trade-offs:
 
 :class:`~repro.analysis.evaluator.AccuracyEvaluator` wraps all four behind
 one interface and computes the comparison metric ``Ed`` (Eq. 15) used in
-every experiment of the paper.
+every experiment of the paper.  The one table of the analytical methods
+(their names, checks and dispatch) is in :mod:`repro.analysis.evaluator`.
 """
 
 from repro.analysis.metrics import (
     ed_deviation,
-    equivalent_bit_error,
     is_sub_one_bit,
     noise_power,
 )
@@ -44,7 +44,6 @@ from repro.analysis.report import AccuracyReport, EstimateResult
 __all__ = [
     "ed_deviation",
     "noise_power",
-    "equivalent_bit_error",
     "is_sub_one_bit",
     "SimulationEvaluator",
     "SimulationResult",

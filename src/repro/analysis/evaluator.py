@@ -1,4 +1,12 @@
-"""Unified accuracy-evaluation front end.
+"""Unified accuracy-evaluation front end and the one table of methods.
+
+The module-level table names the analytical methods and the subsets that
+read N_PSD, that are single-rate and that the word-length search drives;
+:func:`check_method` rejects a method that cannot run, and
+:func:`estimate_noise` / :func:`estimate_noise_batch` dispatch one method
+on a plan.  Every front end reads it.  The dispatch calls the
+``evaluate_*`` functions through their module-level names, so a tracer
+or a test double that rebinds them here sees every call.
 
 :class:`AccuracyEvaluator` exposes every estimation method behind one
 interface and builds the simulation-vs-estimation comparisons used by all
@@ -16,15 +24,96 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.analysis.agnostic_method import evaluate_agnostic
-from repro.analysis.flat_method import evaluate_flat
-from repro.analysis.psd_method import evaluate_psd, evaluate_psd_tracked
+import numpy as np
+
+from repro.analysis.agnostic_method import (
+    evaluate_agnostic,
+    evaluate_agnostic_batch,
+)
+from repro.analysis.flat_method import evaluate_flat, evaluate_flat_batch
+from repro.analysis.psd_method import (
+    evaluate_psd,
+    evaluate_psd_batch,
+    evaluate_psd_tracked,
+)
 from repro.analysis.report import AccuracyReport, EstimateResult
 from repro.analysis.simulation_method import SimulationEvaluator, SimulationResult
-from repro.sfg.graph import SignalFlowGraph
-from repro.sfg.plan import compile_plan
+from repro.sfg.graph import SignalFlowGraph, reject_multirate
+from repro.sfg.plan import CompiledPlan, compile_plan
 
-_ANALYTICAL_METHODS = ("psd", "psd_tracked", "flat", "agnostic")
+#: Every analytical method, in the order the command line lists them.
+ANALYTICAL_METHODS = ("psd", "psd_tracked", "flat", "agnostic")
+#: Methods whose answer depends on the PSD resolution N_PSD.
+PSD_METHODS = ("psd", "psd_tracked")
+#: Methods defined at a single rate only (no decimators or expanders).
+SINGLE_RATE_METHODS = ("psd_tracked", "flat")
+#: Methods with a batched walk, which the word-length search drives.
+SEARCH_METHODS = ("psd", "flat", "agnostic")
+
+
+def check_method(method: str, n_psd: int,
+                 graph: SignalFlowGraph | None = None,
+                 methods: tuple = ANALYTICAL_METHODS) -> None:
+    """Reject a name outside ``methods`` or ``n_psd < 2`` with a PSD
+    method (``ValueError``) and, given a ``graph``, a single-rate method
+    on a multirate one (``NotImplementedError`` naming the node)."""
+    if method not in methods:
+        raise ValueError(
+            f"unknown method {method!r}; expected one of {methods}")
+    if method in PSD_METHODS and n_psd < 2:
+        raise ValueError(f"n_psd must be at least 2, got {n_psd}")
+    if method in SINGLE_RATE_METHODS and graph is not None:
+        reject_multirate(graph, method)
+
+
+def _power_mean_variance(noise) -> tuple:
+    """``(mean**2 + variance, mean, variance)`` of a PSD or moment
+    result: the expression of ``total_power`` and ``power`` alike."""
+    mean, variance = noise.mean, noise.variance
+    return mean ** 2 + variance, mean, variance
+
+
+def estimate_noise(plan: CompiledPlan, method: str, n_psd: int,
+                   output: str | None = None) -> tuple:
+    """``(power, mean, variance)`` of one method on the plan as it
+    stands; a single-rate method rejects a multirate graph itself."""
+    check_method(method, n_psd)
+    if method == "psd":
+        noise = evaluate_psd(plan, n_psd, output=output)
+    elif method == "psd_tracked":
+        noise = evaluate_psd_tracked(plan, n_psd, output=output)
+    elif method == "flat":
+        noise = evaluate_flat(plan, output=output)
+    else:
+        noise = evaluate_agnostic(plan, output=output)
+    return _power_mean_variance(noise)
+
+
+def estimate_noise_batch(plan: CompiledPlan, method: str, n_psd: int,
+                         assignments, output: str | None = None) -> tuple:
+    """Per-assignment ``(power, mean, variance)`` arrays of one method.
+
+    Entry ``k`` is bit-identical to :func:`estimate_noise` after
+    ``plan.requantize(assignments[k])``, and the plan is left as it was.
+    ``psd_tracked`` has no batched walk: it requantizes the shared plan
+    per assignment (one dirty-cone memo pull each).
+    """
+    check_method(method, n_psd)
+    if method == "psd":
+        noise = evaluate_psd_batch(plan, n_psd, assignments, output=output)
+    elif method == "psd_tracked":
+        stack = plan.config_stack(assignments)
+        rows = []
+        with plan.preserve_quantization():
+            for config in range(stack.size):
+                plan.requantize(stack.resolved(config), allow_enable=True)
+                rows.append(estimate_noise(plan, method, n_psd, output))
+        return tuple(np.array(rows, dtype=float).reshape(-1, 3).T)
+    elif method == "flat":
+        noise = evaluate_flat_batch(plan, assignments, output=output)
+    else:
+        noise = evaluate_agnostic_batch(plan, assignments, output=output)
+    return _power_mean_variance(noise)
 
 
 @dataclass
@@ -33,10 +122,6 @@ class MethodComparison:
 
     simulation: SimulationResult
     reports: dict[str, AccuracyReport] = field(default_factory=dict)
-
-    def ed_percent(self, method: str) -> float:
-        """``Ed`` of a given method, in percent."""
-        return self.reports[method].ed_percent
 
     def describe(self) -> str:
         """Multi-line textual summary."""
@@ -99,40 +184,22 @@ class AccuracyEvaluator:
         Parameters
         ----------
         method:
-            ``psd`` (proposed), ``psd_tracked`` (correlation-exact
-            variant), ``flat`` (Eq. 4) or ``agnostic`` (moments only).
+            One of :data:`ANALYTICAL_METHODS`.
         n_psd:
-            PSD bin count override for the PSD-based methods.
+            PSD bin count override for the :data:`PSD_METHODS`.
         output:
             Output node for multi-output graphs.
         """
-        if method not in _ANALYTICAL_METHODS:
-            raise ValueError(
-                f"unknown method {method!r}; expected one of {_ANALYTICAL_METHODS}")
         bins = self.n_psd if n_psd is None else n_psd
         # Re-resolving picks up in-place quantization / coefficient changes
         # and structural rewires made since the last call.
         plan = self._resolve_plan()
         start = time.perf_counter()
-        if method == "psd":
-            psd = evaluate_psd(plan, bins, output=output)
-            power, mean, variance = psd.total_power, psd.mean, psd.variance
-            used_bins = bins
-        elif method == "psd_tracked":
-            psd = evaluate_psd_tracked(plan, bins, output=output)
-            power, mean, variance = psd.total_power, psd.mean, psd.variance
-            used_bins = bins
-        elif method == "flat":
-            stats = evaluate_flat(plan, output=output)
-            power, mean, variance = stats.power, stats.mean, stats.variance
-            used_bins = None
-        else:  # agnostic
-            stats = evaluate_agnostic(plan, output=output)
-            power, mean, variance = stats.power, stats.mean, stats.variance
-            used_bins = None
+        power, mean, variance = estimate_noise(plan, method, bins, output)
         elapsed = time.perf_counter() - start
         return EstimateResult(method=method, power=power, mean=mean,
-                              variance=variance, n_psd=used_bins,
+                              variance=variance,
+                              n_psd=bins if method in PSD_METHODS else None,
                               elapsed_seconds=elapsed)
 
     def simulate(self, stimulus, output: str | None = None,
@@ -156,13 +223,14 @@ class AccuracyEvaluator:
         The estimates run first: they take milliseconds, so a method that
         cannot run on this system (an unknown name, a single-rate method
         on a multirate graph) raises before the simulation is paid for.
+        The simulation measures the error power only; for its PSD, call
+        :meth:`simulate` with ``n_psd`` on the same stimulus afterwards,
+        which reuses the measured error record.
         """
         estimates = {method: self.estimate(method, n_psd=n_psd, output=output)
                      for method in methods}
-        simulation = self.simulate(
-            stimulus, output=output,
-            n_psd=self.n_psd if n_psd is None else n_psd,
-            discard_transient=discard_transient)
+        simulation = self.simulate(stimulus, output=output,
+                                   discard_transient=discard_transient)
         reports = {
             method: AccuracyReport(
                 system=self.name,

@@ -29,16 +29,8 @@ from repro.analysis._engine import (
 )
 from repro.fixedpoint.noise_model import NoiseStats
 from repro.lti.transfer_function import TransferFunction
-from repro.sfg.graph import SignalFlowGraph
-from repro.sfg.nodes import (
-    AddNode,
-    DownsampleNode,
-    IirNode,
-    Node,
-    OutputNode,
-    UpsampleNode,
-    _LtiMixin,
-)
+from repro.sfg.graph import SignalFlowGraph, reject_multirate
+from repro.sfg.nodes import AddNode, IirNode, Node, OutputNode, _LtiMixin
 from repro.sfg.plan import (
     CompiledPlan,
     ConfigStack,
@@ -97,6 +89,7 @@ def _path_functions(plan: CompiledPlan, output_name: str,
             cache.move_to_end(key)
             return dict(cached)
 
+    reject_multirate(plan.graph, "flat")
     # Edge sources inject an identity path function at their target's
     # input port; resolved up front so the DP below stays a plain walk.
     # Injection is driven by the requested source set, not the plan's
@@ -113,7 +106,6 @@ def _path_functions(plan: CompiledPlan, output_name: str,
     paths: list[dict[str, TransferFunction]] = [None] * len(plan.steps)
     for step in plan.steps:
         node = step.node
-        _reject_multirate(node)
         if step.is_source:
             accumulated: dict[str, TransferFunction] = {}
         else:
@@ -268,9 +260,3 @@ def _propagate_paths(node: Node,
         f"flat method cannot propagate through node type "
         f"{type(node).__name__}")
 
-
-def _reject_multirate(node: Node) -> None:
-    if isinstance(node, (DownsampleNode, UpsampleNode)):
-        raise NotImplementedError(
-            "the flat analytical method only supports single-rate LTI "
-            f"graphs; found multirate node {node.name!r}")

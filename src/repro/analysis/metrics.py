@@ -38,18 +38,6 @@ def ed_deviation(simulated_power: float, estimated_power: float) -> float:
     return (simulated_power - estimated_power) / simulated_power
 
 
-def equivalent_bit_error(simulated_power: float, estimated_power: float) -> float:
-    """Estimation error expressed in equivalent bits.
-
-    One bit of fractional word length corresponds to a factor of 4 in
-    noise power, so the equivalent-bit error is
-    ``0.5 * log2(estimated / simulated)`` in magnitude.
-    """
-    if simulated_power <= 0 or estimated_power <= 0:
-        raise ValueError("powers must be positive")
-    return abs(0.5 * np.log2(estimated_power / simulated_power))
-
-
 def is_sub_one_bit(ed: float) -> bool:
     """Whether an ``Ed`` value corresponds to a sub-one-bit estimate.
 

@@ -38,8 +38,7 @@ from __future__ import annotations
 
 from repro.analysis._engine import walk_psd, walk_psd_batch, walk_tracked
 from repro.psd.spectrum import DiscretePsd
-from repro.sfg.graph import SignalFlowGraph
-from repro.sfg.nodes import DownsampleNode, UpsampleNode
+from repro.sfg.graph import SignalFlowGraph, reject_multirate
 from repro.sfg.plan import CompiledPlan, ConfigStack, compile_plan
 
 
@@ -117,17 +116,9 @@ def evaluate_psd_tracked(system: SignalFlowGraph | CompiledPlan, n_psd: int,
     """
     _check_bins(n_psd)
     plan = compile_plan(system)
-    _reject_multirate(plan.graph, "evaluate_psd_tracked")
+    reject_multirate(plan.graph, "psd_tracked")
     index = plan.index_of[plan.resolve_output(output)]
     return walk_tracked(plan, n_psd)[index].to_psd()
-
-
-def _reject_multirate(graph: SignalFlowGraph, caller: str) -> None:
-    for name, node in graph.nodes.items():
-        if isinstance(node, (DownsampleNode, UpsampleNode)):
-            raise NotImplementedError(
-                f"{caller} does not support multirate node {name!r}; use "
-                "evaluate_psd instead")
 
 
 def _check_bins(n_psd: int) -> None:

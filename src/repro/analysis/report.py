@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.metrics import ed_deviation, equivalent_bit_error, is_sub_one_bit
+from repro.analysis.metrics import ed_deviation, is_sub_one_bit
 
 
 @dataclass
@@ -72,11 +72,6 @@ class AccuracyReport:
     def ed_percent(self) -> float:
         """``Ed`` in percent, the unit used in the paper's tables."""
         return 100.0 * self.ed
-
-    @property
-    def equivalent_bits(self) -> float:
-        """Estimation error expressed in equivalent bits."""
-        return equivalent_bit_error(self.simulated_power, self.estimate.power)
 
     @property
     def sub_one_bit(self) -> bool:

@@ -1,13 +1,16 @@
 """Campaign specifications and their expansion into content-addressed jobs.
 
 A campaign is a grid — scenarios x evaluation methods x uniform
-word-lengths — and each grid point is one *job*.  A job is keyed by a
-canonical SHA-256 over everything its result depends on: the serialized
-graph (via :func:`~repro.sfg.serialization.graph_fingerprint`), the
-word-length assignment, the method, the PSD resolution, the stimulus
-specification and the seed.  Identical work therefore hashes identically
-across runs, processes and machines, which is what lets the cache layer
-(:mod:`repro.campaign.cache`) serve re-runs and overlapping campaigns.
+word-lengths — and each grid point is one *job*; the methods come from
+the table of :mod:`repro.analysis.evaluator`, plus ``simulation``.  A
+job is keyed by a canonical SHA-256 over everything its result depends
+on: the serialized graph (via
+:func:`~repro.sfg.serialization.graph_fingerprint`), the word-length
+assignment, the method, the PSD resolution (PSD methods only), the
+stimulus specification and the seed.  Identical work therefore hashes
+identically across runs, processes and machines, which is what lets the
+cache layer (:mod:`repro.campaign.cache`) serve re-runs and overlapping
+campaigns.
 """
 
 from __future__ import annotations
@@ -16,12 +19,18 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from repro.analysis.evaluator import (
+    ANALYTICAL_METHODS,
+    PSD_METHODS,
+    SINGLE_RATE_METHODS,
+    check_method,
+)
 from repro.analysis.simulation_method import (
     check_simulated_word_lengths,
     data_path_word_lengths,
 )
 from repro.data.signals import SignalGenerator
-from repro.sfg.graph import SignalFlowGraph, is_multirate  # noqa: F401
+from repro.sfg.graph import SignalFlowGraph, is_multirate
 from repro.sfg.serialization import (
     assignment_fingerprint,
     canonical_digest,
@@ -32,19 +41,10 @@ from repro.sfg.serialization import (
 
 JOB_SCHEMA_VERSION = 1
 
-#: Methods a job may carry: the four analytical engines plus the
-#: Monte-Carlo reference (recorded like any other method so reports can
-#: join estimates against it).
-JOB_METHODS = ("psd", "psd_tracked", "flat", "agnostic", "simulation")
-
-#: Methods restricted to single-rate graphs (their propagation rules are
-#: undefined under decimation / expansion).
-SINGLE_RATE_METHODS = frozenset({"psd_tracked", "flat"})
-
-#: Methods whose result depends on the PSD resolution; only these key on
-#: ``n_psd``, so retuning it never invalidates the (expensive) cached
-#: simulation records or the moment-only estimates.
-PSD_METHODS = frozenset({"psd", "psd_tracked"})
+#: Methods a job may carry: the analytical methods plus the Monte-Carlo
+#: reference (recorded like any other method so reports can join
+#: estimates against it).
+JOB_METHODS = ANALYTICAL_METHODS + ("simulation",)
 
 #: Record status values.  Records without a ``status`` field are
 #: successful — the pre-fault-tolerance record shape is unchanged, so
@@ -187,6 +187,8 @@ def _job_key_from_fingerprints(graph_digest: str, assignment_digest: str,
         "graph": graph_digest,
         "assignment": assignment_digest,
         "method": method,
+        # Only the PSD methods key on n_psd, so retuning it never
+        # invalidates cached simulation records or moment-only estimates.
         "n_psd": int(n_psd) if method in PSD_METHODS else None,
         "stimulus": stimulus.canonical(),
         "seed": int(seed),
@@ -262,13 +264,14 @@ def expand_campaign(spec: CampaignSpec):
     Builds every scenario once (through the registry), serializes the
     graphs, and emits one :class:`Job` per
     ``scenario x method x wordlength`` grid point.  Methods that are
-    undefined for a scenario's rate structure (``psd_tracked`` / ``flat``
-    on multirate graphs) are skipped for that scenario; the skip count is
-    returned so callers can surface it instead of silently shrinking the
-    grid.
+    undefined for a scenario's rate structure (the
+    :data:`~repro.analysis.evaluator.SINGLE_RATE_METHODS` on multirate
+    graphs) are skipped for that scenario; the skip count is returned so
+    callers can surface it instead of silently shrinking the grid.
 
-    A grid with ``simulation`` jobs is rejected, before any job runs,
-    when a word length exceeds what a bit-true simulation can measure
+    A grid is rejected, before any job runs, when a method fails
+    :func:`~repro.analysis.evaluator.check_method`, or has ``simulation``
+    jobs and a word length exceeds what a bit-true simulation can measure
     (:func:`~repro.analysis.simulation_method.check_simulated_word_lengths`).
 
     Returns
@@ -280,10 +283,8 @@ def expand_campaign(spec: CampaignSpec):
     """
     from repro.campaign.registry import build_scenario
 
-    unknown = sorted(set(spec.methods) - set(JOB_METHODS))
-    if unknown:
-        raise ValueError(f"unknown method(s) {unknown}; expected a subset "
-                         f"of {JOB_METHODS}")
+    for method in spec.methods:
+        check_method(method, spec.n_psd, methods=JOB_METHODS)
     if not spec.wordlengths:
         raise ValueError("campaign needs at least one wordlength")
     prepared: list[PreparedScenario] = []

@@ -16,11 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.analysis.evaluator import ANALYTICAL_METHODS
 from repro.analysis.metrics import ed_deviation, is_sub_one_bit
 from repro.campaign.jobs import STATUS_FAILED, STATUS_OK
 from repro.utils.tables import TextTable
-
-_ANALYTICAL = ("psd", "psd_tracked", "flat", "agnostic")
 
 #: Columns of the flattened row/CSV form, in order.
 ROW_FIELDS = ("scenario", "signature", "wordlength", "method", "power",
@@ -99,7 +98,7 @@ class CampaignReport:
                 "elapsed_ms": 1000.0 * record.get("elapsed_seconds", 0.0),
                 "status": STATUS_FAILED if failed else STATUS_OK,
             }
-            if not failed and record["method"] in _ANALYTICAL:
+            if not failed and record["method"] in ANALYTICAL_METHODS:
                 simulated = self._simulation_for(record)
                 if simulated is not None and simulated["power"] > 0:
                     ed = ed_deviation(simulated["power"], record["power"])

@@ -60,9 +60,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import obs
-from repro.analysis.agnostic_method import evaluate_agnostic_batch
-from repro.analysis.flat_method import evaluate_flat_batch
-from repro.analysis.psd_method import evaluate_psd_batch, evaluate_psd_tracked
+from repro.analysis.evaluator import PSD_METHODS, estimate_noise_batch
 from repro.analysis.simulation_method import SimulationEvaluator
 from repro.campaign.cache import ResultCache
 from repro.campaign.faults import FaultInjector, RetryPolicy
@@ -179,28 +177,7 @@ def _execute_payload(payload: dict) -> list[dict]:
         assignments = [job["assignment"] for job in jobs]
         start_ts = time.time()
         start = time.perf_counter()
-        if method == "psd":
-            stack = evaluate_psd_batch(plan, jobs[0]["n_psd"], assignments)
-            powers = stack.total_power
-            means, variances = stack.mean, stack.variance
-        elif method == "agnostic":
-            stats = evaluate_agnostic_batch(plan, assignments)
-            powers, means, variances = stats.power, stats.mean, stats.variance
-        elif method == "flat":
-            stats = evaluate_flat_batch(plan, assignments)
-            powers, means, variances = stats.power, stats.mean, stats.variance
-        elif method == "psd_tracked":
-            # No batched variant: correlation-exact tracking is per
-            # config; the plan (and its response caches) is still shared.
-            powers, means, variances = [], [], []
-            with plan.preserve_quantization():
-                for assignment in assignments:
-                    plan.requantize(assignment)
-                    psd = evaluate_psd_tracked(plan, jobs[0]["n_psd"])
-                    powers.append(psd.total_power)
-                    means.append(psd.mean)
-                    variances.append(psd.variance)
-        elif method == "simulation":
+        if method == "simulation":
             stimulus = stimulus_spec.realize(plan.input_names,
                                              payload["seed"])
             evaluator = SimulationEvaluator(plan)
@@ -211,7 +188,8 @@ def _execute_payload(payload: dict) -> list[dict]:
             means = [m.error_mean for m in measurements]
             variances = [m.error_variance for m in measurements]
         else:
-            raise ValueError(f"unknown job method {method!r}")
+            powers, means, variances = estimate_noise_batch(
+                plan, method, jobs[0]["n_psd"], assignments)
         elapsed = time.perf_counter() - start
         record_span("campaign.method", start_ts, elapsed,
                     scenario=payload["scenario"], method=method,
@@ -233,7 +211,7 @@ def _execute_payload(payload: dict) -> list[dict]:
                 variance=float(np.asarray(variances)[index]),
                 elapsed_seconds=elapsed / len(jobs),
                 batched_with=len(jobs))
-            if method in ("psd", "psd_tracked"):
+            if method in PSD_METHODS:
                 record["n_psd"] = job["n_psd"]
             if method == "simulation":
                 record["num_samples"] = stimulus_spec.num_samples

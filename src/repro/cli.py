@@ -79,7 +79,11 @@ import argparse
 import json
 import sys
 
-from repro.analysis.evaluator import AccuracyEvaluator
+from repro.analysis.evaluator import (
+    ANALYTICAL_METHODS,
+    SEARCH_METHODS,
+    AccuracyEvaluator,
+)
 from repro.bench import DEFAULT_BASELINE
 from repro.data.signals import uniform_white_noise
 from repro.sfg.serialization import load_graph
@@ -89,7 +93,6 @@ from repro.utils.tables import TextTable
 
 
 _LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
-_ANALYTICAL_METHODS = ("psd", "psd_tracked", "flat", "agnostic")
 
 
 def _add_log_level_option(parser: argparse.ArgumentParser) -> None:
@@ -140,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
         "evaluate", help="analytical estimate of the output noise power")
     _add_common_arguments(evaluate)
     evaluate.add_argument("--method", default="psd",
-                          choices=_ANALYTICAL_METHODS)
+                          choices=ANALYTICAL_METHODS)
 
     simulate = commands.add_parser(
         "simulate", help="Monte-Carlo measurement of the output noise power")
@@ -152,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
         "compare", help="simulation vs analytical estimates")
     _add_common_arguments(compare)
     compare.add_argument("--methods", nargs="+", default=["psd", "agnostic"],
-                         choices=_ANALYTICAL_METHODS)
+                         choices=ANALYTICAL_METHODS)
     compare.add_argument("--samples", type=int, default=100_000)
     compare.add_argument("--amplitude", type=float, default=0.9)
 
@@ -161,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_arguments(optimize)
     optimize.add_argument("--budget", type=float, required=True)
     optimize.add_argument("--method", default="psd",
-                          choices=("psd", "flat", "agnostic"))
+                          choices=SEARCH_METHODS)
     optimize.add_argument("--min-bits", type=int, default=4)
     optimize.add_argument("--max-bits", type=int, default=24)
     optimize.add_argument("--granularity", default="node",
@@ -180,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar=("LOOSEST", "TIGHTEST", "COUNT"),
                          help="geometric budget sweep (count points)")
     sweep.add_argument("--method", default="psd",
-                       choices=("psd", "flat", "agnostic"))
+                       choices=SEARCH_METHODS)
     sweep.add_argument("--min-bits", type=int, default=4)
     sweep.add_argument("--max-bits", type=int, default=24)
     sweep.add_argument("--granularity", default="node",
@@ -204,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="print the scenario registry and exit")
     campaign.add_argument("--methods", nargs="+",
                           default=["psd", "simulation"],
-                          choices=_ANALYTICAL_METHODS + ("simulation",),
+                          choices=ANALYTICAL_METHODS + ("simulation",),
                           help="evaluation methods of the grid; include "
                                "'simulation' to attach the Monte-Carlo "
                                "reference (enables the Ed columns)")

@@ -202,18 +202,3 @@ def quantization_noise_psd(
     psd = np.full(n_psd, stats.variance / n_psd, dtype=float)
     psd[0] += stats.mean ** 2
     return psd
-
-
-def equivalent_bits(power_ratio: float) -> float:
-    """Number of bits equivalent to a noise-power ratio.
-
-    Halving the fractional word length multiplies the noise power by 4
-    (one bit is ``10*log10(4) ~ 6 dB``).  This helper converts a power
-    ratio into its equivalent bit count, which is how the paper defines the
-    "sub-one-bit accuracy" objective: with ``Ed = (sim - est) / sim``, a
-    relative deviation within ``(-300 %, +75 %)`` corresponds to less than
-    one bit (see :func:`repro.analysis.metrics.is_sub_one_bit`).
-    """
-    if power_ratio <= 0:
-        raise ValueError("power_ratio must be positive")
-    return 0.5 * np.log2(power_ratio)

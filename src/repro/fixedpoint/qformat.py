@@ -93,13 +93,6 @@ class QFormat:
         """Smallest integer mantissa representable in this format."""
         return int(round(self.min_value / self.step))
 
-    # ------------------------------------------------------------------
-    # Transformations
-    # ------------------------------------------------------------------
-    def with_fractional_bits(self, fractional_bits: int) -> "QFormat":
-        """Return a copy of this format with a different precision."""
-        return QFormat(self.integer_bits, fractional_bits, self.signed)
-
     def __str__(self) -> str:  # pragma: no cover - trivial
         sign = "s" if self.signed else "u"
         return f"Q{sign}({self.integer_bits},{self.fractional_bits})"

@@ -111,10 +111,6 @@ class Interval:
         """Smallest interval containing both operands."""
         return Interval(min(self.low, other.low), max(self.high, other.high))
 
-    def contains(self, value: float) -> bool:
-        """Whether ``value`` lies in the interval."""
-        return self.low <= value <= self.high
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Interval({self.low:.6g}, {self.high:.6g})"
 
@@ -305,16 +301,16 @@ def analyze_ranges(graph: SignalFlowGraph, input_ranges: dict,
 # ----------------------------------------------------------------------
 # Integer word-length assignment
 # ----------------------------------------------------------------------
-def integer_bits_for_range(interval: Interval, signed: bool = True) -> int:
-    """Number of integer bits needed to represent ``interval`` without overflow."""
+def integer_bits_for_range(interval: Interval) -> int:
+    """Integer bits of a signed format that holds ``interval`` without
+    overflow."""
     magnitude = interval.magnitude
     if magnitude == 0.0:
         return 0
     bits = 0
-    while (2.0 ** bits) < magnitude or \
-            (not signed and (2.0 ** bits) == magnitude):
+    while (2.0 ** bits) < magnitude:
         bits += 1
-    if signed and (2.0 ** bits) == magnitude and interval.high >= magnitude:
+    if (2.0 ** bits) == magnitude and interval.high >= magnitude:
         # +2^k itself is not representable in a signed format with k
         # integer bits (max is 2^k - step); round up.
         bits += 1

@@ -188,9 +188,19 @@ def is_multirate(graph: SignalFlowGraph) -> bool:
     """Whether the graph contains decimators or expanders.
 
     Multirate graphs restrict the applicable evaluation engines: the flat
-    and tracked methods are only defined at a single rate (the campaign
-    layer skips those grid points, the verification harness skips those
-    checks).
+    and tracked methods are only defined at a single rate
+    (:func:`reject_multirate`; the campaign layer skips those grid
+    points, the verification harness skips those checks).
     """
     return any(isinstance(node, (DownsampleNode, UpsampleNode))
                for node in graph.nodes.values())
+
+
+def reject_multirate(graph: SignalFlowGraph, method: str) -> None:
+    """Raise ``NotImplementedError`` naming the graph's first decimator or
+    expander: ``method`` is defined at a single rate only."""
+    for name, node in graph.nodes.items():
+        if isinstance(node, (DownsampleNode, UpsampleNode)):
+            raise NotImplementedError(
+                f"the {method} method supports single-rate graphs only; "
+                f"found multirate node {name!r}")

@@ -553,12 +553,6 @@ class DownsampleNode(Node):
         (psd,) = inputs
         return psd.downsampled(self.factor)
 
-    def propagate_tracked(self, inputs: list[TrackedSpectrum],
-                          n_bins: int) -> TrackedSpectrum:
-        raise NotImplementedError(
-            "per-source tracked propagation is only defined for LTI graphs; "
-            "multirate systems use the hierarchical PSD engine")
-
 
 class UpsampleNode(Node):
     """Expander (insert ``factor - 1`` zeros between samples)."""
@@ -581,9 +575,3 @@ class UpsampleNode(Node):
     def propagate_psd(self, inputs: list[DiscretePsd], n_bins: int) -> DiscretePsd:
         (psd,) = inputs
         return psd.upsampled(self.factor)
-
-    def propagate_tracked(self, inputs: list[TrackedSpectrum],
-                          n_bins: int) -> TrackedSpectrum:
-        raise NotImplementedError(
-            "per-source tracked propagation is only defined for LTI graphs; "
-            "multirate systems use the hierarchical PSD engine")

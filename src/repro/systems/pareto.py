@@ -22,7 +22,7 @@ Exposed on the command line as ``python -m repro.cli sweep``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -32,7 +32,10 @@ from repro.data.signals import uniform_white_noise
 from repro.obs import span
 from repro.sfg.graph import SignalFlowGraph
 from repro.sfg.plan import compile_plan
-from repro.systems.wordlength import WordLengthOptimizer
+from repro.systems.wordlength import (
+    BudgetUnreachableError,
+    WordLengthOptimizer,
+)
 from repro.utils.tables import TextTable
 
 
@@ -225,8 +228,8 @@ def sweep_noise_budgets(system: SignalFlowGraph, budgets,
         try:
             with span("pareto.budget", budget=budget, system=system.name):
                 result = optimizer.optimize(budget)
-        except ValueError:
-            # Budget unreachable even at max_bits: tighter ones are too.
+        except BudgetUnreachableError:
+            # Tighter budgets are unreachable too.
             break
         front.points.append(ParetoPoint(
             budget=budget,
@@ -249,15 +252,6 @@ def sweep_noise_budgets(system: SignalFlowGraph, budgets,
             measurements = evaluator.evaluate_batch(
                 [point.assignment for point in front.points], stimulus)
         front.points = [
-            ParetoPoint(
-                budget=point.budget,
-                total_bits=point.total_bits,
-                noise_power=point.noise_power,
-                assignment=point.assignment,
-                evaluations=point.evaluations,
-                simulated_power=measurement.error_power,
-                full_walks=point.full_walks,
-                cone_recomputes=point.cone_recomputes,
-            )
+            replace(point, simulated_power=measurement.error_power)
             for point, measurement in zip(front.points, measurements)]
     return front

@@ -43,19 +43,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.analysis._engine import plan_memo
-from repro.analysis.agnostic_method import (
-    evaluate_agnostic,
-    evaluate_agnostic_batch,
+from repro.analysis.evaluator import (
+    SEARCH_METHODS,
+    check_method,
+    estimate_noise,
+    estimate_noise_batch,
 )
-from repro.analysis.flat_method import evaluate_flat, evaluate_flat_batch
-from repro.analysis.psd_method import evaluate_psd, evaluate_psd_batch
 from repro.obs import metric_inc, span
 from repro.sfg.graph import SignalFlowGraph
 from repro.sfg.nodes import OutputNode
 from repro.sfg.plan import compile_plan
 
-_METHODS = ("psd", "flat", "agnostic")
 _GRANULARITIES = ("node", "edge")
+
+
+class BudgetUnreachableError(ValueError):
+    """The noise budget is not met even at ``max_bits`` everywhere."""
 
 
 @dataclass
@@ -120,8 +123,9 @@ class WordLengthOptimizer:
         :class:`~repro.sfg.nodes.QuantizationSpec` objects are replaced in
         place by the optimizer).
     method:
-        Analytical evaluator to drive the search: ``psd`` (default),
-        ``flat`` or ``agnostic``.
+        Analytical evaluator to drive the search, one of
+        :data:`~repro.analysis.evaluator.SEARCH_METHODS` (default ``psd``),
+        checked here by :func:`~repro.analysis.evaluator.check_method`.
     n_psd:
         PSD bins for the PSD-based evaluator.
     min_bits, max_bits:
@@ -143,9 +147,7 @@ class WordLengthOptimizer:
         if min_bits < 1 or max_bits < min_bits:
             raise ValueError(
                 f"invalid bit range [{min_bits}, {max_bits}]")
-        if method not in _METHODS:
-            raise ValueError(
-                f"unknown method {method!r}; expected one of {_METHODS}")
+        check_method(method, n_psd, graph, methods=SEARCH_METHODS)
         if granularity not in _GRANULARITIES:
             raise ValueError(
                 f"unknown granularity {granularity!r}; expected one of "
@@ -196,25 +198,15 @@ class WordLengthOptimizer:
         self._plan.requantize(assignment)
         self._evaluations += 1
         metric_inc("optimizer.evaluations")
-        if self.method == "psd":
-            return evaluate_psd(self._plan, self.n_psd).total_power
-        if self.method == "flat":
-            return evaluate_flat(self._plan).power
-        return evaluate_agnostic(self._plan).power
+        return estimate_noise(self._plan, self.method, self.n_psd)[0]
 
     def _noise_powers(self, deltas: list[dict]) -> np.ndarray:
         """Evaluate one greedy round of deltas against the live plan."""
         self._evaluations += len(deltas)
         metric_inc("optimizer.evaluations", len(deltas))
         with span("optimizer.round", candidates=len(deltas)):
-            if self.method == "psd":
-                result = evaluate_psd_batch(self._plan, self.n_psd, deltas)
-                return np.asarray(result.total_power, dtype=float)
-            if self.method == "flat":
-                result = evaluate_flat_batch(self._plan, deltas)
-            else:
-                result = evaluate_agnostic_batch(self._plan, deltas)
-            return np.asarray(result.power, dtype=float)
+            return estimate_noise_batch(self._plan, self.method, self.n_psd,
+                                        deltas)[0]
 
     def assignment_cost(self, assignment: dict[str, int]) -> int:
         """Total fractional bits of an assignment (the search cost).
@@ -261,7 +253,7 @@ class WordLengthOptimizer:
             powers[high] = self._noise_power({n: high
                                               for n in self._tunable})
             if powers[high] > budget:
-                raise ValueError(
+                raise BudgetUnreachableError(
                     f"the budget {budget:.3e} cannot be met even with "
                     f"{high} fractional bits everywhere")
             while low < high:

@@ -37,7 +37,7 @@ def sequential_rounds(monkeypatch):
     """
     from types import SimpleNamespace
 
-    import repro.systems.wordlength as wordlength
+    import repro.analysis.evaluator as evaluator
     from repro.analysis._engine import memoization_disabled
     from repro.analysis.agnostic_method import evaluate_agnostic
     from repro.analysis.flat_method import evaluate_flat
@@ -52,23 +52,25 @@ def sequential_rounds(monkeypatch):
                     rows.append(evaluate(plan, *options))
         return rows
 
-    def psd_rounds(plan, n_psd, deltas):
-        rows = one_by_one(evaluate_psd, plan, deltas, n_psd)
+    def stacked(rows):
         return SimpleNamespace(
-            total_power=np.array([row.total_power for row in rows]))
+            mean=np.array([row.mean for row in rows]),
+            variance=np.array([row.variance for row in rows]))
+
+    def psd_rounds(plan, n_psd, deltas, output=None):
+        return stacked(one_by_one(evaluate_psd, plan, deltas, n_psd))
 
     def stats_rounds(evaluate):
-        def rounds(plan, deltas):
-            rows = one_by_one(evaluate, plan, deltas)
-            return SimpleNamespace(power=np.array([row.power
-                                                   for row in rows]))
+        def rounds(plan, deltas, output=None):
+            return stacked(one_by_one(evaluate, plan, deltas))
         return rounds
 
+    # The method table dispatches through these module-level names.
     def activate():
-        monkeypatch.setattr(wordlength, "evaluate_psd_batch", psd_rounds)
-        monkeypatch.setattr(wordlength, "evaluate_flat_batch",
+        monkeypatch.setattr(evaluator, "evaluate_psd_batch", psd_rounds)
+        monkeypatch.setattr(evaluator, "evaluate_flat_batch",
                             stats_rounds(evaluate_flat))
-        monkeypatch.setattr(wordlength, "evaluate_agnostic_batch",
+        monkeypatch.setattr(evaluator, "evaluate_agnostic_batch",
                             stats_rounds(evaluate_agnostic))
 
     return activate

@@ -17,6 +17,11 @@ from repro.analysis.agnostic_method import (
     evaluate_agnostic,
     evaluate_agnostic_batch,
 )
+from repro.analysis.evaluator import (
+    ANALYTICAL_METHODS,
+    estimate_noise,
+    estimate_noise_batch,
+)
 from repro.analysis.flat_method import evaluate_flat, evaluate_flat_batch
 from repro.analysis.psd_method import evaluate_psd, evaluate_psd_batch
 from repro.analysis.simulation_method import SimulationEvaluator
@@ -139,6 +144,23 @@ class TestStatsBatch:
     def test_flat_restores_quantization_state(self):
         graph = _cascade_graph(bits=12)
         evaluate_flat_batch(graph, _CASCADE_STACK)
+        for name in ("x", "f1", "i1", "g1", "f2"):
+            assert graph.node(name).quantization.fractional_bits == 12
+
+
+class TestMethodTable:
+    @pytest.mark.parametrize("method", ANALYTICAL_METHODS)
+    def test_batched_rows_equal_scalar_dispatch(self, method):
+        graph = _cascade_graph(bits=12)
+        plan = compile_plan(graph)
+        # Each row deviates from the live plan at its own keys only.
+        assignments = [{"x": 10}, {"f1": 9}, {}, {"g1": 14, "f2": None}]
+        batched = estimate_noise_batch(plan, method, 128, assignments)
+        for k, assignment in enumerate(assignments):
+            with plan.preserve_quantization():
+                plan.requantize(assignment)
+                expected = estimate_noise(plan, method, 128)
+            assert tuple(column[k] for column in batched) == expected
         for name in ("x", "f1", "i1", "g1", "f2"):
             assert graph.node(name).quantization.fractional_bits == 12
 

@@ -76,12 +76,6 @@ class TestCompare:
         text = comparison.describe()
         assert "psd" in text and "flat" in text
 
-    def test_ed_percent_helper(self, short_white_noise):
-        evaluator = AccuracyEvaluator(_graph(), n_psd=64)
-        comparison = evaluator.compare(short_white_noise, methods=("psd",))
-        assert comparison.ed_percent("psd") == pytest.approx(
-            comparison.reports["psd"].ed_percent)
-
 
 class TestCompareChecksMethodsFirst:
     """A method ``compare`` cannot run raises before any simulation."""
@@ -127,7 +121,6 @@ class TestReportObjects:
                                 estimate=estimate)
         assert report.ed == pytest.approx(-1.0)
         assert report.ed_percent == pytest.approx(-100.0)
-        assert report.equivalent_bits == pytest.approx(0.5)
         assert report.sub_one_bit
 
     def test_describe_contains_flag(self):

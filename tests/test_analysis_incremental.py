@@ -526,18 +526,29 @@ class TestSimulationErrorMemo:
         system = FrequencyDomainFilter(fractional_bits=12, n_psd=1024)
         stimulus = uniform_white_noise(4096, seed=5)
         calls = _count_runs(monkeypatch, system.evaluator.plan)
-        memoized = [system.compare(stimulus, methods=("psd",), n_psd=n_psd)
-                    for n_psd in (16, 1024)]
+
+        def measure():
+            # compare measures the power only; the error PSD at each
+            # resolution comes from simulate on the same stimulus.
+            comparisons = [system.compare(stimulus, methods=("psd",),
+                                          n_psd=n_psd)
+                           for n_psd in (16, 1024)]
+            psds = [system.evaluator.simulate(
+                {"x": stimulus}, n_psd=n_psd, discard_transient=64).error_psd
+                for n_psd in (16, 1024)]
+            return [c.simulation for c in comparisons], psds
+
+        memoized, memoized_psds = measure()
         assert calls == {"double": 1, "fixed": 1}
+        assert all(warm.error_psd is None for warm in memoized)
         with memoization_disabled():
-            cold = [system.compare(stimulus, methods=("psd",), n_psd=n_psd)
-                    for n_psd in (16, 1024)]
+            cold, cold_psds = measure()
         for warm, fresh in zip(memoized, cold):
-            warm, fresh = warm.simulation, fresh.simulation
             assert warm.error_power == fresh.error_power
             assert warm.error_mean == fresh.error_mean
-            assert _same_bits(warm.error_psd.ac, fresh.error_psd.ac)
-            assert warm.error_psd.mean == fresh.error_psd.mean
+        for warm, fresh in zip(memoized_psds, cold_psds):
+            assert _same_bits(warm.ac, fresh.ac)
+            assert warm.mean == fresh.mean
 
     def test_disabled_neither_reads_nor_stores(self, monkeypatch):
         plan, evaluator, stimulus = self._setup()

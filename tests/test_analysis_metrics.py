@@ -5,7 +5,6 @@ import pytest
 
 from repro.analysis.metrics import (
     ed_deviation,
-    equivalent_bit_error,
     is_sub_one_bit,
     noise_power,
 )
@@ -65,16 +64,3 @@ class TestOneBitBand:
         eps = 1e-12
         assert is_sub_one_bit(-3.0 + eps) and not is_sub_one_bit(-3.0)
         assert is_sub_one_bit(0.75 - eps) and not is_sub_one_bit(0.75)
-
-
-class TestEquivalentBits:
-    def test_equal_powers_give_zero_bits(self):
-        assert equivalent_bit_error(1.0, 1.0) == 0.0
-
-    def test_factor_four_is_one_bit(self):
-        assert equivalent_bit_error(1.0, 4.0) == pytest.approx(1.0)
-        assert equivalent_bit_error(4.0, 1.0) == pytest.approx(1.0)
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            equivalent_bit_error(0.0, 1.0)

@@ -300,6 +300,37 @@ class TestErrorPaths:
         assert "80 fractional bits" in lines[0]
         assert not cache.exists() or not any(cache.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ["evaluate"],
+        ["optimize", "--budget", "1e-6"],
+        ["sweep", "--budgets", "1e-5", "1e-6"],
+    ], ids=["evaluate", "optimize", "sweep"])
+    def test_n_psd_below_two_is_one_error_line(self, capsys, system_path,
+                                               argv):
+        code = main([argv[0], system_path, *argv[1:], "--n-psd", "1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n_psd must be at least 2, got 1\n"
+
+    def test_campaign_n_psd_below_two_fails_before_any_job(self, capsys,
+                                                           tmp_path):
+        cache = tmp_path / "cache"
+        code = main(["campaign", "--scenarios", "table1_fir",
+                     "--wordlengths", "8", "12", "--n-psd", "1",
+                     "--cache-dir", str(cache)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n_psd must be at least 2, got 1\n"
+        assert not cache.exists() or not any(cache.iterdir())
+        # N_PSD does not concern a grid without a PSD method.
+        code = main(["campaign", "--scenarios", "table1_fir",
+                     "--methods", "agnostic", "simulation",
+                     "--wordlengths", "8", "--samples", "2000",
+                     "--n-psd", "1"])
+        assert code == 0
+
     @pytest.mark.parametrize("command", ["simulate", "compare"])
     def test_simulating_past_double_precision_is_exit_code_1(
             self, capsys, tmp_path, command):

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.fixedpoint.noise_model import (
     NoiseStats,
-    equivalent_bits,
     quantization_noise_psd,
     quantization_noise_stats,
     quantization_step,
@@ -145,13 +144,3 @@ class TestNoisePsd:
     def test_requires_at_least_two_bins(self):
         with pytest.raises(ValueError):
             quantization_noise_psd(NoiseStats(0.0, 1.0), 1)
-
-
-class TestEquivalentBits:
-    def test_factor_four_is_one_bit(self):
-        assert equivalent_bits(4.0) == pytest.approx(1.0)
-        assert equivalent_bits(0.25) == pytest.approx(-1.0)
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            equivalent_bits(0.0)

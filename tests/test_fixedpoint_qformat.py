@@ -42,11 +42,6 @@ class TestBasics:
 
 
 class TestTransforms:
-    def test_with_fractional_bits(self):
-        fmt = QFormat(2, 5).with_fractional_bits(9)
-        assert fmt.fractional_bits == 9
-        assert fmt.integer_bits == 2
-
     def test_equality_and_hash(self):
         assert QFormat(1, 2) == QFormat(1, 2)
         assert hash(QFormat(1, 2)) == hash(QFormat(1, 2))

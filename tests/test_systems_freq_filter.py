@@ -120,13 +120,14 @@ class TestSystemGraph:
 
     def test_compare_rejects_degenerate_n_psd(self):
         # n_psd=0 used to mean the default; n_psd=2 gives a zero-power
-        # Hann window that blanked the simulated error PSD.
+        # Hann window that blanked the simulated error PSD, which
+        # simulate measures when asked for it.
         system = FrequencyDomainFilter(fractional_bits=12, n_psd=256)
         x = uniform_white_noise(4_000, seed=11)
         with pytest.raises(ValueError, match="n_psd must be at least 2"):
             system.compare(x, n_psd=0)
         with pytest.raises(ValueError, match="zero power"):
-            system.compare(x, n_psd=2)
+            system.evaluator.simulate({"x": x}, n_psd=2)
 
     def test_run_helpers_shapes(self, rng):
         system = FrequencyDomainFilter(fractional_bits=10)

@@ -1,5 +1,7 @@
 """Unit tests for the cost-vs-noise Pareto sweep."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.systems.pareto import (
     budget_range,
     sweep_noise_budgets,
 )
+from repro.systems.wordlength import WordLengthOptimizer
 
 
 def _graph(bits=12):
@@ -91,6 +94,16 @@ class TestSweep:
         assert len(front.points) == 1
         assert front.points[0].budget == 1e-5
 
+    def test_only_an_unreachable_budget_ends_the_sweep(self, monkeypatch):
+        # Any other error of the search propagates: it must not read as
+        # "no budget is reachable".
+        def broken(self, budget):
+            raise ValueError("broken evaluator")
+
+        monkeypatch.setattr(WordLengthOptimizer, "optimize", broken)
+        with pytest.raises(ValueError, match="broken evaluator"):
+            sweep_noise_budgets(_graph(), [1e-5], n_psd=64)
+
     def test_batched_and_sequential_fronts_identical(self,
                                                      sequential_rounds):
         budgets = budget_range(1e-5, 1e-8, 3)
@@ -105,7 +118,11 @@ class TestSweep:
     def test_validation_attaches_simulated_powers(self):
         front = sweep_noise_budgets(_graph(), [1e-5, 1e-7], n_psd=256,
                                     validate_samples=20_000, seed=3)
-        for point in front.points:
+        unvalidated = sweep_noise_budgets(_graph(), [1e-5, 1e-7], n_psd=256)
+        for point, plain in zip(front.points, unvalidated.points,
+                                strict=True):
+            # Validation adds the simulated power and keeps every field.
+            assert replace(point, simulated_power=None) == plain
             assert point.simulated_power is not None
             assert point.simulated_power > 0
             # The estimate must sit well inside the sub-one-bit band.

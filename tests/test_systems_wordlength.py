@@ -2,13 +2,14 @@
 
 import pytest
 
-import repro.systems.wordlength as wordlength_module
+import repro.analysis.evaluator as evaluator_module
 from repro.analysis._engine import memoization_disabled
 from repro.analysis.psd_method import evaluate_psd
+from repro.campaign.registry import build_scenario
 from repro.lti.fir_design import design_fir_highpass, design_fir_lowpass
 from repro.sfg.builder import SfgBuilder
 from repro.systems.filter_bank import build_filter_graph, generate_fir_bank, generate_iir_bank
-from repro.systems.wordlength import WordLengthOptimizer
+from repro.systems.wordlength import BudgetUnreachableError, WordLengthOptimizer
 
 
 def _two_stage_graph(bits=12):
@@ -41,7 +42,7 @@ class TestUniformSearch:
     def test_impossible_budget_rejected(self):
         optimizer = WordLengthOptimizer(_two_stage_graph(), n_psd=64,
                                         min_bits=4, max_bits=8)
-        with pytest.raises(ValueError):
+        with pytest.raises(BudgetUnreachableError):
             optimizer.uniform_search(1e-12)
 
     def test_non_positive_budget_rejected(self):
@@ -107,6 +108,18 @@ class TestGreedyOptimization:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             WordLengthOptimizer(_two_stage_graph(), method="psychic")
+
+    def test_method_checked_before_any_evaluation(self):
+        with pytest.raises(ValueError, match="n_psd must be at least 2"):
+            WordLengthOptimizer(_two_stage_graph(), n_psd=1)
+        # N_PSD does not concern the moment methods.
+        WordLengthOptimizer(_two_stage_graph(), method="flat", n_psd=1)
+        # psd_tracked has no batched walk to drive the search with.
+        with pytest.raises(ValueError, match="unknown method"):
+            WordLengthOptimizer(_two_stage_graph(), method="psd_tracked")
+        multirate = build_scenario("polyphase_decimator").graph
+        with pytest.raises(NotImplementedError, match="multirate node"):
+            WordLengthOptimizer(multirate, method="flat")
 
 
 def _fork_graph(bits=12):
@@ -198,15 +211,15 @@ class TestIncrementalMode:
         # next round's candidates deviate at one key each.
         optimizer = WordLengthOptimizer(_two_stage_graph(), n_psd=128)
         seen = []
-        real = wordlength_module.evaluate_psd_batch
+        real = evaluator_module.evaluate_psd_batch
 
-        def spy(plan, n_psd, deltas):
+        def spy(plan, n_psd, deltas, output=None):
             live = {name: plan.graph.node(name).quantization.fractional_bits
                     for name in optimizer._tunable}
             seen.append((live, deltas))
-            return real(plan, n_psd, deltas)
+            return real(plan, n_psd, deltas, output=output)
 
-        monkeypatch.setattr(wordlength_module, "evaluate_psd_batch", spy)
+        monkeypatch.setattr(evaluator_module, "evaluate_psd_batch", spy)
         result = optimizer.optimize(1e-6)
         assert len(seen) == len(result.history)
         for live, deltas in seen:
@@ -242,8 +255,8 @@ class TestEvaluationAccounting:
         if not batched:
             sequential_rounds()
         counter = {"evaluations": 0}
-        real_scalar = wordlength_module.evaluate_psd
-        real_batch = wordlength_module.evaluate_psd_batch
+        real_scalar = evaluator_module.evaluate_psd
+        real_batch = evaluator_module.evaluate_psd_batch
 
         def counting_scalar(system, n_psd, *args, **kwargs):
             counter["evaluations"] += 1
@@ -253,9 +266,9 @@ class TestEvaluationAccounting:
             counter["evaluations"] += len(assignments)
             return real_batch(system, n_psd, assignments, *args, **kwargs)
 
-        monkeypatch.setattr(wordlength_module, "evaluate_psd",
+        monkeypatch.setattr(evaluator_module, "evaluate_psd",
                             counting_scalar)
-        monkeypatch.setattr(wordlength_module, "evaluate_psd_batch",
+        monkeypatch.setattr(evaluator_module, "evaluate_psd_batch",
                             counting_batch)
         optimizer = WordLengthOptimizer(_two_stage_graph(), method="psd",
                                         n_psd=128)
