@@ -2,8 +2,7 @@
 
 All analytical methods traverse the acyclic signal-flow graph in
 topological order, maintaining one noise representation per node output
-(moments, PSD, or per-source tracked spectra) and injecting each node's own
-quantization-noise source at its output.
+and injecting each node's own quantization-noise source at its output.
 
 The traversal runs over a :class:`~repro.sfg.plan.CompiledPlan`:
 validation, topological ordering and noise-source discovery happen once at
@@ -13,19 +12,30 @@ responses) come from the plan's memoized cache, so repeated evaluations of
 the same graph — the word-length optimizer's inner loop, the execution-time
 benchmark — skip every FFT-sized computation after the first call.
 
-One noise algebra
------------------
-The PSD and moment walks have one set of step rules,
-:func:`_psd_batch_step` and :func:`_stats_batch_step`, written over a
-leading configuration axis: white injection (Eq. 10), ``|H|^2`` shaping
-(Eq. 11), uncorrelated addition (Eq. 14), folding and imaging at rate
-changes, and their collapse to ``(mu, sigma^2)`` for the PSD-agnostic
-baseline.  A batched evaluation runs them over a
-:class:`~repro.sfg.plan.ConfigStack` of ``K`` word-length assignments.  A
-scalar evaluation is the ``K = 1`` case: a stack of the live plan with no
-deltas, whose row 0 the public APIs hand back as a plain
-:class:`~repro.psd.spectrum.DiscretePsd` or
-:class:`~repro.fixedpoint.noise_model.NoiseStats`.
+One propagation rule
+--------------------
+The paper's methods differ only in what crosses each block boundary, so
+every walk runs one step rule, :func:`_step`: fanout-tap noise enters a
+node's input, the node's rule per type (an LTI block, an adder's signed
+sum, an output, a decimator or an expander) carries the noise across,
+and the node's own source joins at its output, IIR-shaped by
+``1 / A(z)``.  A representation supplies the rest — its zero, its block
+and IIR-shaping operands, and its white sources with their injection:
+
+* the stacked :class:`~repro.psd.spectrum.DiscretePsd` of the proposed
+  method (white injection, Eq. 10; ``|H|^2`` shaping, Eq. 11;
+  uncorrelated addition, Eq. 14; folding and imaging at rate changes);
+* the stacked :class:`~repro.fixedpoint.noise_model.NoiseStats`
+  ``(mu, sigma^2)`` of the PSD-agnostic baseline;
+* the :class:`~repro.psd.propagation.TrackedSpectrum` of the
+  correlation-exact variant (Eqs. 12-13);
+* the per-source path transfer functions of the flat method (Eq. 4).
+
+The two stacked ones carry a leading configuration axis: a batched
+evaluation runs the rule over a :class:`~repro.sfg.plan.ConfigStack` of
+``K`` word-length assignments, skipping silent sources row by row, and a
+scalar evaluation is the ``K = 1`` case — a stack of the live plan with
+no deltas, whose row 0 the public APIs hand back as a plain value.
 
 Incremental re-evaluation
 -------------------------
@@ -68,11 +78,11 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from contextlib import contextmanager
-from functools import partial
 
 import numpy as np
 
 from repro.fixedpoint.noise_model import NoiseStats
+from repro.lti.transfer_function import TransferFunction
 from repro.obs import MetricsRegistry, metric_inc, span
 from repro.psd.spectrum import DiscretePsd
 from repro.psd.propagation import TrackedSpectrum
@@ -85,7 +95,12 @@ from repro.sfg.nodes import (
     UpsampleNode,
     _LtiMixin,
 )
-from repro.sfg.plan import CompiledPlan, ConfigStack, compile_plan
+from repro.sfg.plan import (
+    CompiledPlan,
+    ConfigStack,
+    compile_plan,
+    parse_edge_key,
+)
 
 
 # ----------------------------------------------------------------------
@@ -119,161 +134,251 @@ def memoization_disabled():
 
 
 # ----------------------------------------------------------------------
-# Per-step evaluation rules (shared by cold walks, memo pulls and
-# batched walks)
+# The step rule (shared by every walk and every representation)
 # ----------------------------------------------------------------------
-def _inject(acc, own, noise, fields: tuple[str, ...]):
-    """``acc + own``, except that configs whose source is silent (zero
-    ``noise`` moments) keep ``acc`` untouched.
+def _step(rep, step, rows, inputs):
+    """One step of an analytical walk: the noise at a node's output.
 
-    A silent source is skipped, not added as zeros, exactly as the
-    config's own ``K = 1`` walk skips it (its stack reports no noise
-    there): adding zeros would flip a ``-0.0`` mean to ``+0.0``.
+    This is the one propagation rule of every analytical method; ``rep``
+    supplies what differs between them (the representations below):
+    its ``zero``, its ``block`` and IIR-``shaped`` operands, and the
+    ``white`` sources it injects for fanout taps (``edge_noise``) and for
+    the node's own quantizer (``noise``).  Adders, outputs and
+    resamplers use the algebra the values themselves carry: ``+``,
+    ``scaled``, ``downsampled`` and ``upsampled``.  ``rows`` selects the
+    configs of a stacked walk (``None`` for the live-plan
+    representations).
     """
-    means, variances = noise
-    quiet = ~((variances > 0.0) | (means != 0.0))
-    total = acc + own
-    if quiet.any():
-        for name in fields:
-            getattr(total, name)[quiet] = getattr(acc, name)[quiet]
-    return total
-
-
-def _psd_batch_inputs(stack: ConfigStack, step, rows, inputs) -> list:
-    """Predecessor PSD stacks with per-config fanout-tap noise injected.
-
-    A tapped edge re-quantizes the value it carries, so its white PQN
-    noise enters *before* the node's propagation rule — an IIR target
-    shapes it with the full block transfer function, not the internal
-    noise-shaping response.
-    """
-    noise = stack.edge_noise(step, rows)
-    if noise:
-        inputs = list(inputs)
-        for port, moments in noise.items():
-            psd = inputs[port]
-            inputs[port] = _inject(
-                psd, DiscretePsd.from_moments(*moments, psd.n_bins),
-                moments, ("ac", "mean"))
-    return inputs
-
-
-def _psd_batch_step(n_psd: int, stack: ConfigStack, step, rows,
-                    inputs) -> DiscretePsd:
-    """One step of the PSD walk for the config ``rows`` of a stack."""
     node = step.node
-    inputs = _psd_batch_inputs(stack, step, rows, inputs)
+    taps = rep.edge_noise(step, rows)
+    if taps:
+        # A tapped edge re-quantizes the value it carries, so its white
+        # noise enters *before* the node's rule: an IIR target shapes it
+        # with the full block transfer function, not the internal
+        # noise-shaping response.
+        inputs = list(inputs)
+        for port, key, noise in taps:
+            value = inputs[port]
+            inputs[port] = rep.inject(value, rep.white(key, noise, value),
+                                      noise)
     if step.is_source:
-        acc = DiscretePsd.zero(n_psd, len(rows))
+        acc = rep.zero(rows)
     elif isinstance(node, _LtiMixin):
-        # The input PSD may live on fewer bins than n_psd when the
-        # signal was decimated upstream.
-        (psd,) = inputs
-        acc = psd.filtered(stack.block_response(step, psd.n_bins, rows))
+        (value,) = inputs
+        acc = rep.block(step, rows, value)
     elif isinstance(node, AddNode):
-        acc = DiscretePsd.zero(inputs[0].n_bins, len(rows))
-        for sign, psd in zip(node.signs, inputs):
-            acc = acc + psd.scaled(sign)
+        acc = rep.zero(rows, inputs[0])
+        for sign, value in zip(node.signs, inputs):
+            acc = acc + value.scaled(sign)
     elif isinstance(node, OutputNode):
-        (psd,) = inputs
-        acc = psd.copy()
+        (acc,) = inputs
     elif isinstance(node, DownsampleNode):
-        (psd,) = inputs
-        acc = psd.downsampled(node.factor)
+        (value,) = inputs
+        acc = value.downsampled(node.factor)
     elif isinstance(node, UpsampleNode):
-        (psd,) = inputs
-        acc = psd.upsampled(node.factor)
+        (value,) = inputs
+        acc = value.upsampled(node.factor)
     else:
         raise NotImplementedError(
-            f"batched PSD propagation does not support node type "
+            f"noise propagation does not support node type "
             f"{type(node).__name__}")
-    noise = stack.noise(step, rows)
+    noise = rep.noise(step, rows)
     if noise is not None:
-        own = DiscretePsd.from_moments(*noise, acc.n_bins)
+        own = rep.white(step.name, noise, acc)
         if isinstance(node, IirNode):
-            own = own.filtered(stack.shaping_response(step, acc.n_bins,
-                                                      rows))
-        acc = _inject(acc, own, noise, ("ac", "mean"))
+            # The quantizer sits inside the recursion: 1 / A(z) shapes
+            # its noise before it reaches the output.
+            own = rep.shaped(step, rows, own)
+        acc = rep.inject(acc, own, noise)
     return acc
 
 
-def _stats_batch_inputs(stack: ConfigStack, step, rows, inputs) -> list:
-    noise = stack.edge_noise(step, rows)
-    if noise:
-        inputs = list(inputs)
-        for port, (means, variances) in noise.items():
-            inputs[port] = _inject(
-                inputs[port], NoiseStats(mean=means, variance=variances),
-                (means, variances), ("mean", "variance"))
-    return inputs
-
-
-def _stats_batch_step(stack: ConfigStack, step, rows,
-                      inputs) -> NoiseStats:
-    """One step of the moment walk for the config ``rows`` of a stack."""
-    node = step.node
-    inputs = _stats_batch_inputs(stack, step, rows, inputs)
-    if step.is_source:
-        acc = NoiseStats(mean=np.zeros(len(rows)),
-                         variance=np.zeros(len(rows)))
-    elif isinstance(node, _LtiMixin):
-        (stats,) = inputs
-        acc = stats.filtered(*stack.block_gains(step, rows))
-    else:
-        acc = node.propagate_stats(inputs)
-    noise = stack.noise(step, rows)
-    if noise is not None:
-        own = NoiseStats(*noise)
-        if isinstance(node, IirNode):
-            own = own.filtered(*stack.shaping_gains(step, rows))
-        acc = _inject(acc, own, noise, ("mean", "variance"))
-    return acc
-
-
-#: The single row of a ``K = 1`` walk.
-_ROW0 = np.zeros(1, dtype=np.intp)
-
-
-def _live_rule(plan: CompiledPlan, batch_step):
-    """A batched rule at ``K = 1`` on the live plan, as the
-    ``compute_step(step, values)`` of a memo pull or cold walk.
-
-    The stack holds one config with no deltas, so every query answers
-    with the plan's live word lengths and responses.
-    """
-    stack = ConfigStack(plan, [{}])
-
+def _rule(rep, rows=None):
+    """The step rule on one representation, as the ``compute_step(step,
+    values)`` of a memo pull or cold walk."""
     def compute_step(step, values):
-        return batch_step(stack, step, _ROW0,
-                          [values[i] for i in step.predecessors])
+        return _step(rep, step, rows,
+                     [values[i] for i in step.predecessors])
     return compute_step
 
 
-def _tracked_inputs(step, values, n_psd: int) -> list:
-    inputs = [values[i] for i in step.predecessors]
-    taps = step.edge_taps
-    if taps is not None:
-        for port, tap in enumerate(taps):
-            if tap is not None and tap.noise is not None:
-                inputs[port] = inputs[port] + TrackedSpectrum.from_source(
-                    tap.key, tap.noise, n_psd)
-    return inputs
+# ----------------------------------------------------------------------
+# Noise representations
+# ----------------------------------------------------------------------
+class _Stacked:
+    """Moments with a leading config axis: the ``rows`` of a
+    :class:`~repro.sfg.plan.ConfigStack`, silent sources skipped per
+    row."""
+
+    fields: tuple[str, ...] = ()
+
+    def __init__(self, stack: ConfigStack):
+        self.stack = stack
+
+    def noise(self, step, rows):
+        return self.stack.noise(step, rows)
+
+    def edge_noise(self, step, rows):
+        noise = self.stack.edge_noise(step, rows)
+        return noise and [(port, None, moments)
+                          for port, moments in noise.items()]
+
+    def inject(self, acc, own, noise):
+        """``acc + own``, except that configs whose source is silent
+        (zero ``noise`` moments) keep ``acc`` untouched.
+
+        A silent source is skipped, not added as zeros, exactly as the
+        config's own ``K = 1`` walk skips it (its stack reports no noise
+        there): adding zeros would flip a ``-0.0`` mean to ``+0.0``.
+        """
+        means, variances = noise
+        quiet = ~((variances > 0.0) | (means != 0.0))
+        total = acc + own
+        if quiet.any():
+            for name in self.fields:
+                getattr(total, name)[quiet] = getattr(acc, name)[quiet]
+        return total
 
 
-def _tracked_step(plan: CompiledPlan, n_psd: int, step,
-                  values) -> TrackedSpectrum:
-    node = step.node
-    if step.is_source:
-        acc = TrackedSpectrum.zero(n_psd)
-    elif isinstance(node, _LtiMixin):
-        (tracked,) = _tracked_inputs(step, values, n_psd)
-        acc = tracked.filtered(plan.block_response(step, n_psd))
-    else:
-        acc = node.propagate_tracked(_tracked_inputs(step, values, n_psd),
-                                     n_psd)
-    if step.noise is not None:
-        acc = acc + plan.shaped_noise_tracked(step, n_psd)
-    return acc
+class _StackedPsd(_Stacked):
+    """Stacked :class:`DiscretePsd` on ``n_psd`` bins (Eqs. 10-14)."""
+
+    fields = ("ac", "mean")
+
+    def __init__(self, stack: ConfigStack, n_psd: int):
+        super().__init__(stack)
+        self.n_psd = n_psd
+
+    def zero(self, rows, like=None) -> DiscretePsd:
+        return DiscretePsd.zero(self.n_psd if like is None else like.n_bins,
+                                len(rows))
+
+    def white(self, key, noise, like) -> DiscretePsd:
+        return DiscretePsd.from_moments(*noise, like.n_bins)
+
+    def block(self, step, rows, value) -> DiscretePsd:
+        # The PSD may live on fewer bins than n_psd when the signal was
+        # decimated upstream: the response is sampled on its own grid.
+        return value.filtered(
+            self.stack.block_response(step, value.n_bins, rows))
+
+    def shaped(self, step, rows, value) -> DiscretePsd:
+        return value.filtered(
+            self.stack.shaping_response(step, value.n_bins, rows))
+
+
+class _StackedStats(_Stacked):
+    """Stacked :class:`NoiseStats`: the PSD-agnostic ``(mu, sigma^2)``."""
+
+    fields = ("mean", "variance")
+
+    def zero(self, rows, like=None) -> NoiseStats:
+        return NoiseStats(mean=np.zeros(len(rows)),
+                          variance=np.zeros(len(rows)))
+
+    def white(self, key, noise, like) -> NoiseStats:
+        return NoiseStats(*noise)
+
+    def block(self, step, rows, value) -> NoiseStats:
+        return value.filtered(*self.stack.block_gains(step, rows))
+
+    def shaped(self, step, rows, value) -> NoiseStats:
+        return value.filtered(*self.stack.shaping_gains(step, rows))
+
+
+class _Live:
+    """Base of the live-plan representations: every source injects."""
+
+    def __init__(self, plan: CompiledPlan):
+        self.plan = plan
+
+    def inject(self, acc, own, noise):
+        return acc + own
+
+
+class _Tracked(_Live):
+    """:class:`TrackedSpectrum`: one complex path response per source."""
+
+    def __init__(self, plan: CompiledPlan, n_psd: int):
+        super().__init__(plan)
+        self.n_psd = n_psd
+
+    def zero(self, rows, like=None) -> TrackedSpectrum:
+        return TrackedSpectrum.zero(self.n_psd)
+
+    def white(self, key, noise, like) -> TrackedSpectrum:
+        return TrackedSpectrum.from_source(key, noise, self.n_psd)
+
+    def block(self, step, rows, value) -> TrackedSpectrum:
+        return value.filtered(self.plan.block_response(step, self.n_psd))
+
+    def shaped(self, step, rows, value) -> TrackedSpectrum:
+        return value.filtered(self.plan.shaping_response(step, self.n_psd))
+
+    def noise(self, step, rows):
+        return step.noise
+
+    def edge_noise(self, step, rows):
+        return [(port, tap.key, tap.noise)
+                for port, tap in enumerate(step.edge_taps or ())
+                if tap is not None and tap.noise is not None]
+
+
+class _PathFunctions(dict):
+    """``{source: transfer function}`` from each noise source to a signal:
+    the flat method's representation (Eq. 4), with the algebra of the
+    other values.  Shared sources combine in parallel at an adder, so
+    re-convergent paths are exact."""
+
+    def scaled(self, gain: float) -> "_PathFunctions":
+        return _PathFunctions({source: tf.scaled(gain)
+                              for source, tf in self.items()})
+
+    def filtered(self, tf: TransferFunction) -> "_PathFunctions":
+        return _PathFunctions({source: path.cascade(tf)
+                              for source, path in self.items()})
+
+    def __add__(self, other: "_PathFunctions") -> "_PathFunctions":
+        merged = _PathFunctions(self)
+        for source, tf in other.items():
+            merged[source] = (merged[source].parallel(tf)
+                              if source in merged else tf)
+        return merged
+
+
+class _Paths(_Live):
+    """Path transfer functions of a requested set of sources: node names
+    and ``"source->target"`` edge keys.  The set, not the plan's live
+    taps, decides what injects, so a batch group can ask for the union
+    of its configs' sources."""
+
+    def __init__(self, plan: CompiledPlan, sources):
+        super().__init__(plan)
+        self.sources = sources
+        # An edge key injects at its target's input port.
+        self.ports: dict[int, list] = {}
+        for name in sources:
+            if name not in plan.index_of:
+                target, port = plan._resolve_edge(*parse_edge_key(name))
+                self.ports.setdefault(target, []).append((port, name, name))
+
+    def zero(self, rows, like=None) -> _PathFunctions:
+        return _PathFunctions()
+
+    def white(self, key, noise, like) -> _PathFunctions:
+        return _PathFunctions({key: TransferFunction.identity()})
+
+    def block(self, step, rows, value) -> _PathFunctions:
+        return value.filtered(self.plan.block_tf(step))
+
+    def shaped(self, step, rows, value) -> _PathFunctions:
+        return value.filtered(self.plan.shaping_tf(step))
+
+    def noise(self, step, rows):
+        return step.name if step.name in self.sources else None
+
+    def edge_noise(self, step, rows):
+        return self.ports.get(step.index)
 
 
 def _full_walk(plan: CompiledPlan, compute_step) -> list:
@@ -449,22 +554,33 @@ def _walk(plan: CompiledPlan, channel: tuple, make_step) -> list:
     return _full_walk(plan, make_step())
 
 
+#: The single row of a ``K = 1`` walk: a stack of one config with no
+#: deltas answers every query with the plan's live word lengths.
+_ROW0 = np.zeros(1, dtype=np.intp)
+
+
 def walk_psd(plan: CompiledPlan, n_psd: int) -> list:
     """Per-step ``K = 1`` :class:`DiscretePsd` stacks of the live plan."""
-    return _walk(plan, ("psd", n_psd),
-                 partial(_live_rule, plan, partial(_psd_batch_step, n_psd)))
+    return _walk(plan, ("psd", n_psd), lambda: _rule(
+        _StackedPsd(ConfigStack(plan, [{}]), n_psd), _ROW0))
 
 
 def walk_stats(plan: CompiledPlan) -> list:
     """Per-step ``K = 1`` :class:`NoiseStats` stacks of the live plan."""
-    return _walk(plan, ("stats",),
-                 partial(_live_rule, plan, _stats_batch_step))
+    return _walk(plan, ("stats",), lambda: _rule(
+        _StackedStats(ConfigStack(plan, [{}])), _ROW0))
 
 
 def walk_tracked(plan: CompiledPlan, n_psd: int) -> list:
     """Per-step :class:`TrackedSpectrum` values of the live plan."""
     return _walk(plan, ("tracked", n_psd),
-                 lambda: partial(_tracked_step, plan, n_psd))
+                 lambda: _rule(_Tracked(plan, n_psd)))
+
+
+def walk_paths(plan: CompiledPlan, sources) -> list:
+    """Per-step path transfer functions from ``sources`` (node names and
+    edge keys), by a cold walk: the flat method caches what it reads."""
+    return _full_walk(plan, _rule(_Paths(plan, sources)))
 
 
 def stats_row(stats: NoiseStats, config: int = 0) -> NoiseStats:
@@ -510,8 +626,8 @@ def _gather_stats(value, value_rows, live: NoiseStats, rows) -> NoiseStats:
     return NoiseStats(mean=mean, variance=variance)
 
 
-def _walk_batch(plan: CompiledPlan, stack: ConfigStack, representation: str,
-                base, compute_step, gather, output: int):
+def _walk_batch(plan: CompiledPlan, rep: _Stacked, representation: str,
+                base, gather, output: int):
     """Row-sparse batched walk; returns the output's full K-row value.
 
     With a memo baseline (``base``: the per-step ``K = 1`` values of the
@@ -521,6 +637,7 @@ def _walk_batch(plan: CompiledPlan, stack: ConfigStack, representation: str,
     walks the live plan's operands.  Without one, every row is computed
     at every step (the dense cold walk).
     """
+    stack = rep.stack
     everything = np.arange(stack.size)
     memoized = base is not None
     if memoized:
@@ -538,7 +655,7 @@ def _walk_batch(plan: CompiledPlan, stack: ConfigStack, representation: str,
                 continue
             inputs = [gather(values[i], rows[i], base[i], selected)
                       for i in step.predecessors]
-            values[step.index] = compute_step(step, selected, inputs)
+            values[step.index] = _step(rep, step, selected, inputs)
             computed += len(selected)
         live.set(rows_computed=computed)
         result = gather(values[output], rows[output], base[output],
@@ -564,9 +681,8 @@ def walk_psd_batch(plan: CompiledPlan, n_psd: int, stack: ConfigStack,
     caller constructs it immediately before walking).
     """
     base = walk_psd(plan, n_psd) if memoization_enabled() else None
-    return _walk_batch(plan, stack, "psd", base,
-                       partial(_psd_batch_step, n_psd, stack), _gather_psd,
-                       plan.index_of[output])
+    return _walk_batch(plan, _StackedPsd(stack, n_psd), "psd", base,
+                       _gather_psd, plan.index_of[output])
 
 
 def walk_stats_batch(plan: CompiledPlan, stack: ConfigStack,
@@ -575,11 +691,10 @@ def walk_stats_batch(plan: CompiledPlan, stack: ConfigStack,
 
     Returns a :class:`NoiseStats` whose ``mean`` / ``variance`` fields
     are ``(K,)`` arrays (the dataclass arithmetic is elementwise, so
-    every propagation rule applies unchanged).  Entry ``k`` is
+    the step rule applies unchanged).  Entry ``k`` is
     bit-identical to :func:`walk_stats` after requantizing the plan to
     configuration ``k``; row sparsity mirrors :func:`walk_psd_batch`.
     """
     base = walk_stats(plan) if memoization_enabled() else None
-    return _walk_batch(plan, stack, "stats", base,
-                       partial(_stats_batch_step, stack), _gather_stats,
-                       plan.index_of[output])
+    return _walk_batch(plan, _StackedStats(stack), "stats", base,
+                       _gather_stats, plan.index_of[output])

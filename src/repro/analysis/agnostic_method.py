@@ -57,7 +57,7 @@ def evaluate_agnostic_batch(system: SignalFlowGraph | CompiledPlan,
     """Estimate the output moments of a stack of word-length assignments.
 
     One graph walk evaluates every configuration, with the same step
-    rules :func:`evaluate_agnostic` runs at one configuration.  The
+    rule :func:`evaluate_agnostic` runs at one configuration.  The
     returned :class:`NoiseStats` carries ``(K,)`` arrays in its ``mean`` /
     ``variance`` fields (``result.power`` is the per-config power array);
     entry ``k`` is bit-identical to ``evaluate_agnostic(plan)`` after

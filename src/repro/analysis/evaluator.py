@@ -32,6 +32,7 @@ from repro.analysis.agnostic_method import (
 )
 from repro.analysis.flat_method import evaluate_flat, evaluate_flat_batch
 from repro.analysis.psd_method import (
+    check_n_psd,
     evaluate_psd,
     evaluate_psd_batch,
     evaluate_psd_tracked,
@@ -60,8 +61,8 @@ def check_method(method: str, n_psd: int,
     if method not in methods:
         raise ValueError(
             f"unknown method {method!r}; expected one of {methods}")
-    if method in PSD_METHODS and n_psd < 2:
-        raise ValueError(f"n_psd must be at least 2, got {n_psd}")
+    if method in PSD_METHODS:
+        check_n_psd(n_psd)
     if method in SINGLE_RATE_METHODS and graph is not None:
         reject_multirate(graph, method)
 

@@ -9,12 +9,13 @@ the source to the output and evaluates
 with ``K_i = sum_k h_i(k)^2`` (Eq. 5) and
 ``L_ij = (sum_k h_i(k)) (sum_l h_j(l))`` (Eq. 6, time-invariant case).
 
-The implementation composes symbolic :class:`TransferFunction` objects
-along every source-to-output path by dynamic programming over the
-topological order, so re-convergent paths are combined exactly (parallel
-addition of transfer functions) — this is the "accurate but expensive"
-reference analytical method whose preprocessing the hierarchical methods
-try to avoid.  Only single-rate LTI graphs are supported, as in the paper.
+The path functions come from the analytical engine's one step rule run
+on per-source symbolic :class:`TransferFunction` maps: blocks cascade,
+adders scale by their signs and combine re-convergent paths exactly
+(parallel addition of transfer functions).  This is the "accurate but
+expensive" reference analytical method whose preprocessing the
+hierarchical methods try to avoid.  Only single-rate LTI graphs are
+supported, as in the paper.
 """
 
 from __future__ import annotations
@@ -26,56 +27,25 @@ from repro.analysis._engine import (
     memoization_enabled,
     plan_memo,
     stats_row,
+    walk_paths,
 )
 from repro.fixedpoint.noise_model import NoiseStats
 from repro.lti.transfer_function import TransferFunction
 from repro.sfg.graph import SignalFlowGraph, reject_multirate
-from repro.sfg.nodes import AddNode, IirNode, Node, OutputNode, _LtiMixin
-from repro.sfg.plan import (
-    CompiledPlan,
-    ConfigStack,
-    compile_plan,
-    parse_edge_key,
-)
-
-
-def source_path_functions(system: SignalFlowGraph | CompiledPlan,
-                          output: str | None = None,
-                          sources=None) -> dict[str, TransferFunction]:
-    """Path transfer function from every noise source to the output.
-
-    Returns a mapping ``{source name: h_i}``.  A node generates a source
-    when its quantization spec is enabled; for IIR nodes the source is
-    pre-shaped by ``1 / A(z)`` (the quantizer lives inside the
-    recursion).  A source may also be a ``"source->target"`` edge key: a
-    fanout tap's noise enters at the *target's* input port, so its path
-    function starts as the identity there and is shaped by the target's
-    full block transfer function (not an IIR's internal noise-shaping
-    response).
-
-    Parameters
-    ----------
-    system, output:
-        Graph (or plan) and the output node to reach.
-    sources:
-        Optional explicit set of source names (node names and/or edge
-        keys).  The default is the plan's current noise-generating steps
-        plus its noise-injecting fanout taps; the flat evaluations pass
-        the union of their stack's noisy sources instead (the same set
-        for the one-config stack of :func:`evaluate_flat`).
-    """
-    plan = compile_plan(system)
-    output_name = plan.resolve_output(output)
-    if sources is None:
-        sources = ({step.name for step in plan.noise_steps}
-                   | {tap.key for _, _, tap in plan.active_edge_taps()})
-    return _path_functions(plan, output_name, sources)
+from repro.sfg.plan import CompiledPlan, ConfigStack, compile_plan
 
 
 def _path_functions(plan: CompiledPlan, output_name: str,
                     sources) -> dict[str, TransferFunction]:
-    """:func:`source_path_functions` on the plan as it stands (no
-    refresh), memoized per coefficient fingerprint."""
+    """Path transfer function from each of ``sources`` to the output.
+
+    ``sources`` holds node names and ``"source->target"`` edge keys.  A
+    node's path starts at its output, pre-shaped by ``1 / A(z)`` for an
+    IIR node (the quantizer lives inside the recursion); a fanout tap's
+    starts at its target's input port, so the target's full block
+    transfer function shapes it.  Runs on the plan as it stands (no
+    refresh), memoized per coefficient fingerprint.
+    """
     cache = key = None
     if memoization_enabled():
         # Path functions depend only on the coefficient fingerprint (the
@@ -90,44 +60,7 @@ def _path_functions(plan: CompiledPlan, output_name: str,
             return dict(cached)
 
     reject_multirate(plan.graph, "flat")
-    # Edge sources inject an identity path function at their target's
-    # input port; resolved up front so the DP below stays a plain walk.
-    # Injection is driven by the requested source set, not the plan's
-    # live tap state, so batch groups can request a stack-wide union.
-    edge_injections: dict[int, dict[int, str]] = {}
-    for name in sources:
-        if name in plan.index_of:
-            continue
-        target_index, port = plan._resolve_edge(*parse_edge_key(name))
-        edge_injections.setdefault(target_index, {})[port] = name
-
-    # paths[index] maps source name -> transfer function from the source to
-    # this node's output.
-    paths: list[dict[str, TransferFunction]] = [None] * len(plan.steps)
-    for step in plan.steps:
-        node = step.node
-        if step.is_source:
-            accumulated: dict[str, TransferFunction] = {}
-        else:
-            input_maps = [paths[i] for i in step.predecessors]
-            injections = edge_injections.get(step.index)
-            if injections:
-                input_maps = list(input_maps)
-                for port, source_key in injections.items():
-                    tapped = dict(input_maps[port])
-                    tapped[source_key] = TransferFunction.identity()
-                    input_maps[port] = tapped
-            accumulated = _propagate_paths(node, input_maps, plan, step)
-        if step.name in sources:
-            shaping = (plan.shaping_tf(step)
-                       if isinstance(node, IirNode)
-                       else TransferFunction.identity())
-            if step.name in accumulated:
-                accumulated[step.name] = accumulated[step.name].parallel(shaping)
-            else:
-                accumulated[step.name] = shaping
-        paths[step.index] = accumulated
-    result = paths[plan.index_of[output_name]]
+    result = walk_paths(plan, sources)[plan.index_of[output_name]]
     if cache is not None:
         cache[key] = dict(result)
         while len(cache) > NoiseMemo.PATH_CACHE_LIMIT:
@@ -233,30 +166,3 @@ def _evaluate_group(plan: CompiledPlan, output_name: str,
         # sum of the propagated means (Eq. 6 with time-invariant paths).
         means[k] = float(np.sum(mean_contributions))
         variances[k] = total_variance
-
-
-def _propagate_paths(node: Node,
-                     input_maps: list[dict[str, TransferFunction]],
-                     plan: CompiledPlan, step) -> dict[str, TransferFunction]:
-    """Apply a node's transfer behaviour to per-source path functions."""
-    if isinstance(node, OutputNode):
-        (single,) = input_maps
-        return dict(single)
-    if isinstance(node, AddNode):
-        merged: dict[str, TransferFunction] = {}
-        for sign, source_map in zip(node.signs, input_maps):
-            for source, tf in source_map.items():
-                contribution = tf.scaled(sign)
-                if source in merged:
-                    merged[source] = merged[source].parallel(contribution)
-                else:
-                    merged[source] = contribution
-        return merged
-    if isinstance(node, _LtiMixin):
-        (single,) = input_maps
-        block_tf = plan.block_tf(step)
-        return {source: tf.cascade(block_tf) for source, tf in single.items()}
-    raise NotImplementedError(
-        f"flat method cannot propagate through node type "
-        f"{type(node).__name__}")
-

@@ -22,10 +22,11 @@ the edited nodes' downstream cone is re-propagated, so one-node edits
 (the optimizer's inner loop) cost O(depth), not O(nodes), per call —
 bit-identical to a cold walk.
 
-:func:`evaluate_psd` and :func:`evaluate_psd_batch` run the same step
-rules: a scalar evaluation is the one-configuration case of the batched
-walk, read back as an unstacked :class:`DiscretePsd`, and the batched one
-returns a :class:`DiscretePsd` stacked along a leading configuration axis.
+:func:`evaluate_psd` and :func:`evaluate_psd_batch` run the engine's one
+step rule: a scalar evaluation is the one-configuration case of the
+batched walk, read back as an unstacked :class:`DiscretePsd`, and the
+batched one returns a :class:`DiscretePsd` stacked along a leading
+configuration axis.
 
 :func:`evaluate_psd_tracked` additionally keeps, for every noise source,
 the complex response of the path to the output, which makes re-convergent
@@ -64,7 +65,7 @@ def evaluate_psd(system: SignalFlowGraph | CompiledPlan, n_psd: int,
         Estimated PSD of the output quantization noise.  The estimated
         noise power is ``result.total_power``.
     """
-    _check_bins(n_psd)
+    check_n_psd(n_psd)
     plan = compile_plan(system)
     index = plan.index_of[plan.resolve_output(output)]
     return walk_psd(plan, n_psd)[index].select(0)
@@ -100,7 +101,7 @@ def evaluate_psd_batch(system: SignalFlowGraph | CompiledPlan, n_psd: int,
         (``result.select(k)`` is row ``k``); the per-config powers are
         ``result.total_power`` (a ``(K,)`` array).
     """
-    _check_bins(n_psd)
+    check_n_psd(n_psd)
     plan = compile_plan(system)
     return walk_psd_batch(plan, n_psd, ConfigStack(plan, assignments),
                           plan.resolve_output(output))
@@ -114,13 +115,15 @@ def evaluate_psd_tracked(system: SignalFlowGraph | CompiledPlan, n_psd: int,
     raise ``NotImplementedError`` because decimation is not time-invariant
     at the sample level.
     """
-    _check_bins(n_psd)
+    check_n_psd(n_psd)
     plan = compile_plan(system)
     reject_multirate(plan.graph, "psd_tracked")
     index = plan.index_of[plan.resolve_output(output)]
     return walk_tracked(plan, n_psd)[index].to_psd()
 
 
-def _check_bins(n_psd: int) -> None:
+def check_n_psd(n_psd: int) -> None:
+    """The one ``N_PSD`` rule of every analytical and simulated PSD: at
+    least 2 bins (``ValueError`` otherwise)."""
     if n_psd < 2:
         raise ValueError(f"n_psd must be at least 2, got {n_psd}")

@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.analysis._engine import memoization_enabled
 from repro.analysis.metrics import noise_power
+from repro.analysis.psd_method import check_n_psd
 from repro.obs import metric_inc, span
 from repro.psd.estimation import estimate_psd
 from repro.psd.spectrum import DiscretePsd
@@ -137,8 +138,8 @@ def check_simulated_word_lengths(word_lengths: dict) -> None:
 
 
 def _check_measurement(n_psd: int | None, discard_transient: int) -> None:
-    if n_psd is not None and n_psd < 2:
-        raise ValueError(f"n_psd must be at least 2, got {n_psd}")
+    if n_psd is not None:
+        check_n_psd(n_psd)
     if discard_transient < 0:
         raise ValueError(
             f"discard_transient must be non-negative, got {discard_transient}")

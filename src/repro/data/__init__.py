@@ -19,7 +19,6 @@ from repro.data.signals import (
 )
 from repro.data.images import (
     ImageGenerator,
-    checkerboard_image,
     gradient_image,
     natural_image,
     texture_image,
@@ -36,5 +35,4 @@ __all__ = [
     "natural_image",
     "texture_image",
     "gradient_image",
-    "checkerboard_image",
 ]

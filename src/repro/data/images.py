@@ -10,8 +10,8 @@ below provide surrogates with exactly those properties:
   statistical model of natural photographs;
 * :func:`texture_image` — oriented band-pass random fields mimicking
   Brodatz-style textures;
-* :func:`gradient_image`, :func:`checkerboard_image` — deterministic
-  structured patterns exercising DC-dominant and Nyquist-dominant content.
+* :func:`gradient_image` — deterministic ramps exercising DC-dominant
+  content.
 
 All images are returned as float arrays in ``[0, 1)`` so they can be fed
 directly to the fixed-point codec (which interprets them as Q0.d values).
@@ -94,16 +94,6 @@ def gradient_image(size: int = 128, direction: str = "diagonal") -> np.ndarray:
     if direction == "diagonal":
         return _normalize(ramp[None, :] + ramp[:, None])
     raise ValueError(f"unknown gradient direction {direction!r}")
-
-
-def checkerboard_image(size: int = 128, period: int = 8) -> np.ndarray:
-    """Checkerboard pattern (high-frequency-dominant content)."""
-    _check_size(size)
-    if period < 2:
-        raise ValueError(f"period must be at least 2, got {period}")
-    rows = (np.arange(size) // (period // 2)) % 2
-    board = np.logical_xor(rows[:, None], rows[None, :]).astype(float)
-    return board * 0.999
 
 
 class ImageGenerator:

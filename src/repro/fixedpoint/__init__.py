@@ -17,11 +17,7 @@ know about fixed-point data types:
 
 from repro.fixedpoint.qformat import QFormat
 from repro.fixedpoint.quantizer import OverflowMode, Quantizer, RoundingMode, quantize
-from repro.fixedpoint.noise_model import (
-    NoiseStats,
-    quantization_noise_stats,
-    quantization_noise_psd,
-)
+from repro.fixedpoint.noise_model import NoiseStats, quantization_noise_stats
 # NOTE: repro.fixedpoint.range_analysis operates on signal-flow graphs and
 # therefore sits *above* repro.sfg in the layering; import it explicitly
 # (``from repro.fixedpoint.range_analysis import ...``) rather than from
@@ -35,5 +31,4 @@ __all__ = [
     "quantize",
     "NoiseStats",
     "quantization_noise_stats",
-    "quantization_noise_psd",
 ]

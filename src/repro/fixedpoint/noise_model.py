@@ -38,16 +38,13 @@ neglected, a documented approximation.)
 
 The PSD of such a noise source, discretized over ``n_psd`` frequency bins
 (Eq. 10 of the paper), spreads the variance uniformly over all bins and
-adds the squared mean on the DC bin; it is produced by
-:func:`quantization_noise_psd` and matches
-:meth:`repro.psd.spectrum.DiscretePsd.values` bin for bin.
+adds the squared mean on the DC bin:
+``repro.psd.spectrum.DiscretePsd.white(stats, n_psd).values``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.fixedpoint.quantizer import RoundingMode
 
@@ -74,8 +71,10 @@ class NoiseStats:
 
     def scaled(self, gain: float) -> "NoiseStats":
         """Moments of the noise after multiplication by a constant gain."""
+        # The squared gain first: the moment walk's adders scale their
+        # inputs here, and this order keeps their estimates' bits.
         return NoiseStats(mean=self.mean * gain,
-                          variance=self.variance * gain * gain)
+                          variance=gain * gain * self.variance)
 
     def __add__(self, other: "NoiseStats") -> "NoiseStats":
         """Moments of the sum of two *uncorrelated* noise sources."""
@@ -162,43 +161,3 @@ def quantization_noise_stats(
     else:  # convergent rounding is unbiased
         mean = 0.0
     return NoiseStats(mean=mean, variance=variance)
-
-
-def quantization_noise_psd(
-    stats: NoiseStats,
-    n_psd: int,
-) -> np.ndarray:
-    """Discrete PSD of a white quantization-noise source (Eq. 10).
-
-    The convention used throughout this library is that the ``n_psd`` bins
-    of a discrete PSD *sum* to the total signal power ``E[x^2]``, with the
-    variance spread uniformly over **all** bins (DC included) and the
-    squared mean added on the DC bin.  For a white noise of moments
-    ``(mu, sigma^2)`` this yields
-
-    * ``sigma^2 / n_psd`` on every non-DC bin, and
-    * ``mu^2 + sigma^2 / n_psd`` on the DC bin,
-
-    so that the sum over all bins equals ``mu^2 + sigma^2``.  This is
-    exactly :meth:`repro.psd.spectrum.DiscretePsd.values` of
-    ``DiscretePsd.white(stats, n_psd)`` and bin-by-bin identical to what
-    :meth:`repro.psd.propagation.TrackedSpectrum.to_psd` produces for a
-    single white source, so all engines share one normalization.
-
-    Parameters
-    ----------
-    stats:
-        Moments of the noise source.
-    n_psd:
-        Number of frequency bins (must be at least 2).
-
-    Returns
-    -------
-    numpy.ndarray
-        Array of length ``n_psd``; bin 0 is the DC bin.
-    """
-    if n_psd < 2:
-        raise ValueError(f"n_psd must be at least 2, got {n_psd}")
-    psd = np.full(n_psd, stats.variance / n_psd, dtype=float)
-    psd[0] += stats.mean ** 2
-    return psd

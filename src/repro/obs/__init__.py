@@ -1,7 +1,7 @@
 """repro.obs — unified observability: metrics registry, trace spans, exporters.
 
-Disabled by default; ``observe()`` (or ``enable()``/``disable()``)
-installs a process-wide session that the gated helpers below write to.
+Disabled by default; ``observe()`` installs a process-wide session that
+the gated helpers below write to.
 See ARCHITECTURE.md § Observability for the data flow and the
 instrumentation-boundary rules.
 """
@@ -15,8 +15,6 @@ from repro.obs.registry import (
 from repro.obs.state import (
     ObsSession,
     current,
-    disable,
-    enable,
     enabled,
     ingest_spans,
     metric_inc,
@@ -36,8 +34,6 @@ __all__ = [
     "Span",
     "TraceCollector",
     "current",
-    "disable",
-    "enable",
     "enabled",
     "format_metric_name",
     "ingest_spans",

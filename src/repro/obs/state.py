@@ -8,10 +8,9 @@ code therefore calls these unconditionally at architectural boundaries
 and never below them; hot inner loops (the IIR recursion) stay
 uninstrumented by rule, not by gating.
 
-``observe()`` is the CLI-facing way to enable collection for the span
-of one command; ProcessPool campaign workers call ``enable()`` /
-``disable()`` around one payload and ship the resulting snapshots back
-to the driver for merging.
+``observe()`` enables collection for a ``with`` block: the span of one
+command, or of one payload in a ProcessPool campaign worker, which ships
+the resulting snapshots back to the driver for merging.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from contextlib import contextmanager
 from typing import Iterator, Mapping
 
 from repro.obs.registry import MetricsRegistry
-from repro.obs.trace import NOOP_SPAN, LiveSpan, NoopSpan, TraceCollector
+from repro.obs.trace import NOOP_SPAN, LiveSpan, TraceCollector
 
 
 class ObsSession:
@@ -49,22 +48,6 @@ def enabled() -> bool:
 
 def tracing() -> bool:
     return _SESSION is not None and _SESSION.trace is not None
-
-
-def enable(trace: bool = True) -> ObsSession:
-    """Install a fresh session (replacing any active one)."""
-
-    global _SESSION
-    _SESSION = ObsSession(trace=trace)
-    return _SESSION
-
-
-def disable() -> ObsSession | None:
-    """Tear down the active session and return it for export."""
-
-    global _SESSION
-    session, _SESSION = _SESSION, None
-    return session
 
 
 @contextmanager

@@ -185,10 +185,6 @@ class DiscretePsd:
     # ------------------------------------------------------------------
     # Algebra
     # ------------------------------------------------------------------
-    def copy(self) -> "DiscretePsd":
-        """An independent copy."""
-        return self._trusted(self.ac.copy(), np.copy(self.mean))
-
     def __add__(self, other: "DiscretePsd") -> "DiscretePsd":
         """Sum of two *uncorrelated* noise signals (Eq. 14).
 

@@ -7,8 +7,9 @@ subpackage provides:
 
 * :mod:`~repro.sfg.nodes` — the node vocabulary (inputs, outputs, adders,
   constant gains, delays, FIR / IIR / generic LTI blocks, decimators and
-  expanders) together with per-node word-length specifications, noise
-  generation and noise-propagation rules.
+  expanders) together with per-node word-length specifications, transfer
+  functions and noise generation (how noise crosses a node is the
+  analytical engine's one step rule).
 * :mod:`~repro.sfg.graph` — the :class:`SignalFlowGraph` container with
   validation and topological ordering.  Graphs are acyclic: feedback is
   written as an :class:`IirNode`.

@@ -1,16 +1,20 @@
 """Node vocabulary of the signal-flow graph.
 
-Every node type bundles four views of the same sub-system, one per
-evaluation engine:
+A node states what its sub-system *is*:
 
 1. **double-precision simulation** — :meth:`Node.simulate`;
 2. **fixed-point simulation** — :meth:`Node.simulate_fixed`, used by the
    reference (Monte-Carlo) evaluation method;
-3. **moment propagation** — :meth:`Node.propagate_stats`, the PSD-agnostic
-   rule that only carries ``(mu, sigma^2)`` across the node;
-4. **PSD propagation** — :meth:`Node.propagate_psd` (proposed method,
-   Eq. 11/14) and :meth:`Node.propagate_tracked` (correlation-exact
-   variant used by the flat frequency-domain engine).
+3. **transfer behaviour** — the LTI nodes' effective (coefficient-
+   quantized) transfer function, an IIR node's
+   :meth:`IirNode.noise_shaping_function`, an adder's signs and a
+   resampler's factor;
+4. **noise generation** — :meth:`Node.generated_noise`.
+
+How noise *crosses* a node is not stated here: the analytical methods
+share one propagation rule per node type
+(:func:`repro.analysis._engine._step`), and the differential oracle
+:mod:`repro.verify.legacy` states its own.
 
 Nodes that perform arithmetic own a :class:`QuantizationSpec`; in fixed
 point their output is re-quantized according to that spec and the
@@ -29,8 +33,6 @@ from repro.fixedpoint.noise_model import NoiseStats, quantization_noise_stats
 from repro.fixedpoint.quantizer import Quantizer, RoundingMode, round_half_away
 from repro.fixedpoint.qformat import QFormat
 from repro.lti.transfer_function import TransferFunction
-from repro.psd.spectrum import DiscretePsd
-from repro.psd.propagation import TrackedSpectrum
 from repro.simkernel.iir import iir_df1_fixed
 
 
@@ -245,29 +247,12 @@ class Node:
         """Moments of the quantization noise injected at this node's output."""
         return self.quantization.noise_stats()
 
-    # ------------------------------------------------------------------
-    # Analytical propagation
-    # ------------------------------------------------------------------
-    def propagate_stats(self, inputs: list[NoiseStats]) -> NoiseStats:
-        """Propagate input-noise moments blindly (PSD-agnostic rule)."""
-        raise NotImplementedError
-
-    def propagate_psd(self, inputs: list[DiscretePsd],
-                      n_bins: int) -> DiscretePsd:
-        """Propagate input-noise PSDs (proposed method, Eqs. 11 and 14)."""
-        raise NotImplementedError
-
-    def propagate_tracked(self, inputs: list[TrackedSpectrum],
-                          n_bins: int) -> TrackedSpectrum:
-        """Propagate per-source tracked spectra (correlation-exact rule)."""
-        raise NotImplementedError
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}({self.name!r})"
 
 
 class _LtiMixin:
-    """Shared simulation and propagation rules for single-input LTI nodes.
+    """Shared transfer function and double run of single-input LTI nodes.
 
     FIR, IIR and generic LTI nodes hold their transfer function; gains and
     delays build theirs from their one parameter.
@@ -286,26 +271,6 @@ class _LtiMixin:
         (x,) = inputs
         return self._effective_transfer_function().filter(x)
 
-    def propagate_stats(self, inputs: list[NoiseStats]) -> NoiseStats:
-        (stats,) = inputs
-        tf = self._effective_transfer_function()
-        return stats.filtered(tf.energy(), tf.coefficient_sum())
-
-    def propagate_psd(self, inputs: list[DiscretePsd],
-                      n_bins: int) -> DiscretePsd:
-        # The input PSD may live on fewer bins than the system-level n_bins
-        # when the signal has been decimated upstream; the block response
-        # is sampled on the input's own grid (normalized to its rate).
-        (psd,) = inputs
-        response = self._effective_transfer_function().frequency_response(psd.n_bins)
-        return psd.filtered(response)
-
-    def propagate_tracked(self, inputs: list[TrackedSpectrum],
-                          n_bins: int) -> TrackedSpectrum:
-        (tracked,) = inputs
-        response = self._effective_transfer_function().frequency_response(n_bins)
-        return tracked.filtered(response)
-
 
 class InputNode(Node):
     """External input of the system.
@@ -321,16 +286,6 @@ class InputNode(Node):
     def simulate(self, inputs: list[np.ndarray]) -> np.ndarray:
         raise RuntimeError("InputNode values are supplied by the stimulus")
 
-    def propagate_stats(self, inputs: list[NoiseStats]) -> NoiseStats:
-        return NoiseStats(0.0, 0.0)
-
-    def propagate_psd(self, inputs: list[DiscretePsd], n_bins: int) -> DiscretePsd:
-        return DiscretePsd.zero(n_bins)
-
-    def propagate_tracked(self, inputs: list[TrackedSpectrum],
-                          n_bins: int) -> TrackedSpectrum:
-        return TrackedSpectrum.zero(n_bins)
-
 
 class OutputNode(Node):
     """External output of the system (identity pass-through)."""
@@ -341,19 +296,6 @@ class OutputNode(Node):
     def simulate(self, inputs: list[np.ndarray]) -> np.ndarray:
         (x,) = inputs
         return np.asarray(x, dtype=float)
-
-    def propagate_stats(self, inputs: list[NoiseStats]) -> NoiseStats:
-        (stats,) = inputs
-        return stats
-
-    def propagate_psd(self, inputs: list[DiscretePsd], n_bins: int) -> DiscretePsd:
-        (psd,) = inputs
-        return psd.copy()
-
-    def propagate_tracked(self, inputs: list[TrackedSpectrum],
-                          n_bins: int) -> TrackedSpectrum:
-        (tracked,) = inputs
-        return tracked
 
 
 class AddNode(Node):
@@ -376,25 +318,6 @@ class AddNode(Node):
         for sign, x in zip(self.signs, arrays):
             output[:len(x)] += sign * x
         return output
-
-    def propagate_stats(self, inputs: list[NoiseStats]) -> NoiseStats:
-        mean = sum(sign * stats.mean for sign, stats in zip(self.signs, inputs))
-        variance = sum(sign * sign * stats.variance
-                       for sign, stats in zip(self.signs, inputs))
-        return NoiseStats(mean=mean, variance=variance)
-
-    def propagate_psd(self, inputs: list[DiscretePsd], n_bins: int) -> DiscretePsd:
-        result = DiscretePsd.zero(inputs[0].n_bins if inputs else n_bins)
-        for sign, psd in zip(self.signs, inputs):
-            result = result + psd.scaled(sign)
-        return result
-
-    def propagate_tracked(self, inputs: list[TrackedSpectrum],
-                          n_bins: int) -> TrackedSpectrum:
-        result = TrackedSpectrum.zero(n_bins)
-        for sign, tracked in zip(self.signs, inputs):
-            result = result + tracked.scaled(sign)
-        return result
 
 
 class GainNode(_LtiMixin, Node):
@@ -545,14 +468,6 @@ class DownsampleNode(Node):
         (x,) = inputs
         return downsample(np.asarray(x, dtype=float), self.factor, self.phase)
 
-    def propagate_stats(self, inputs: list[NoiseStats]) -> NoiseStats:
-        (stats,) = inputs
-        return stats.downsampled(self.factor)
-
-    def propagate_psd(self, inputs: list[DiscretePsd], n_bins: int) -> DiscretePsd:
-        (psd,) = inputs
-        return psd.downsampled(self.factor)
-
 
 class UpsampleNode(Node):
     """Expander (insert ``factor - 1`` zeros between samples)."""
@@ -567,11 +482,3 @@ class UpsampleNode(Node):
         from repro.lti.multirate import upsample
         (x,) = inputs
         return upsample(np.asarray(x, dtype=float), self.factor)
-
-    def propagate_stats(self, inputs: list[NoiseStats]) -> NoiseStats:
-        (stats,) = inputs
-        return stats.upsampled(self.factor)
-
-    def propagate_psd(self, inputs: list[DiscretePsd], n_bins: int) -> DiscretePsd:
-        (psd,) = inputs
-        return psd.upsampled(self.factor)

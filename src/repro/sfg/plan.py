@@ -53,7 +53,6 @@ import numpy as np
 from repro.fixedpoint.noise_model import NoiseStats, quantization_noise_stats
 from repro.lti.transfer_function import TransferFunction
 from repro.obs import metric_inc, span
-from repro.psd.propagation import TrackedSpectrum
 from repro.sfg.graph import SignalFlowGraph
 from repro.sfg.nodes import (
     AddNode,
@@ -144,8 +143,9 @@ class PlanStep:
     name:
         Node name (kept for result dictionaries and error messages).
     node:
-        The live node object; its behavioural methods are still the single
-        source of truth for simulation and propagation semantics.
+        The live node object: the source of truth for its simulation,
+        transfer functions and noise generation.  How noise crosses it is
+        the analytical engine's one step rule.
     predecessors:
         Indices of the steps driving this node's input ports, in port
         order.
@@ -480,17 +480,6 @@ class CompiledPlan:
             )
         return tuple(taps) if taps is not None else None
 
-    def active_edge_taps(self) -> list[tuple[PlanStep, int, EdgeTap]]:
-        """``(target step, port, tap)`` triples of noise-injecting taps."""
-        result = []
-        for step in self.steps:
-            if step.edge_taps is None:
-                continue
-            for port, tap in enumerate(step.edge_taps):
-                if tap is not None and tap.noise is not None:
-                    result.append((step, port, tap))
-        return result
-
     @contextmanager
     def preserve_quantization(self):
         """Context manager restoring every node's spec on exit.
@@ -707,17 +696,6 @@ class CompiledPlan:
         """
         self.refresh()
         return ConfigStack(self, assignments)
-
-    # ------------------------------------------------------------------
-    # Own-noise injection helper (used by the tracked analytical walk)
-    # ------------------------------------------------------------------
-    def shaped_noise_tracked(self, step: PlanStep,
-                             n_bins: int) -> TrackedSpectrum:
-        """Tracked spectrum of a step's own noise at the node output."""
-        tracked = TrackedSpectrum.from_source(step.name, step.noise, n_bins)
-        if isinstance(step.node, IirNode):
-            tracked = tracked.filtered(self.shaping_response(step, n_bins))
-        return tracked
 
     # ------------------------------------------------------------------
     # Structural queries

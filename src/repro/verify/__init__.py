@@ -37,7 +37,6 @@ from repro.verify.legacy import (
     legacy_psd,
     legacy_run,
     legacy_tracked,
-    legacy_walk,
 )
 
 __all__ = [
@@ -56,5 +55,4 @@ __all__ = [
     "legacy_psd",
     "legacy_run",
     "legacy_tracked",
-    "legacy_walk",
 ]

@@ -9,18 +9,19 @@ graphs of :mod:`repro.systems.random_graphs`):
    rebuild preserves the canonical fingerprint;
 2. **plan_vs_legacy** — every evaluation engine running through the
    compiled plan is *bitwise identical* to the naive per-call traversal
-   (:mod:`repro.verify.legacy`): the PSD and moments walks, the flat and
-   tracked engines (single-rate graphs) and both simulation modes;
+   of :mod:`repro.verify.legacy`, which states its own propagation rule:
+   the PSD and moments walks, the flat and tracked engines (single-rate
+   graphs) and both simulation modes;
 3. **backend_equality** — the bit-true simulation produces identical
    bytes under both simulation backends (:mod:`repro.simkernel`): the
    preserved legacy per-sample loops (``reference``) and the default
    kernels, signed zeros included, on the generated graph and again
    after a seeded assignment with per-edge fanout taps;
 4. **batch_vs_sequential** — a K-slice consistency property.  Scalar
-   evaluations are the ``K = 1`` case of the batched step rules, so the
-   check guards what only a ``K > 1`` walk does — the row-sparse gathers
-   from the memo and the per-row skipping of silent sources — against
-   ``K = 1`` evaluations: the configuration-batched paths equal the
+   evaluations are the ``K = 1`` case of the engine's one step rule, so
+   the check guards what only a ``K > 1`` walk does — the row-sparse
+   gathers from the memo and the per-row skipping of silent sources —
+   against ``K = 1`` evaluations: the configuration-batched paths equal the
    sequential requantize-and-evaluate loop, row for row, bit for bit
    (analytical engines and the Monte-Carlo reference), and a stack of
    one-key deltas against a random incumbent equals cold ``K = 1``

@@ -5,10 +5,18 @@ for every evaluation engine, running through a
 :class:`~repro.sfg.plan.CompiledPlan` must produce *bitwise identical*
 results to the straightforward per-call traversal the library used before
 (validate, re-derive the topological order, resolve predecessors by name,
-call every node's propagation rule directly).  Those straightforward
-traversals are re-implemented here — deliberately naive, sharing no code
-with the plan layer — as the reference semantics of the differential
-checks.
+propagate node by node).  Those straightforward traversals are
+re-implemented here — deliberately naive, importing nothing from the plan
+layer or the analytical engine — as the reference semantics of the
+differential checks.
+
+The oracle states its own propagation rule, one per node type
+(:func:`_propagate`), over four small algebras: PSDs, moments, tracked
+spectra and per-source path transfer functions.  From a node it reads
+only what the node is: its effective transfer function, an IIR node's
+noise-shaping function, an adder's signs, a resampler's factor, its own
+noise and its fanout-tap specs.  Sources whose noise is silent are
+skipped, not added as zeros.
 
 They live in the package, rather than in the test suites that also use
 them, because the fuzzing harness (:mod:`repro.verify.differential`) runs
@@ -23,127 +31,196 @@ from repro.fixedpoint.noise_model import NoiseStats
 from repro.lti.transfer_function import TransferFunction
 from repro.psd.spectrum import DiscretePsd
 from repro.psd.propagation import TrackedSpectrum
-from repro.sfg.nodes import AddNode, IirNode, InputNode, OutputNode, _LtiMixin
+from repro.sfg.nodes import (
+    AddNode,
+    DownsampleNode,
+    IirNode,
+    InputNode,
+    OutputNode,
+    UpsampleNode,
+    _LtiMixin,
+)
 
 
-def legacy_walk(graph, zero, propagate, inject):
-    """Name-keyed per-call traversal (the pre-plan engine skeleton)."""
+class _Psd:
+    """``DiscretePsd`` values; a block's response on each PSD's own bins."""
+
+    def __init__(self, n_psd):
+        self.n_psd = n_psd
+
+    def zero(self, like):
+        return DiscretePsd.zero(self.n_psd if like is None else like.n_bins)
+
+    def white(self, key, stats, like):
+        return DiscretePsd.white(stats, like.n_bins)
+
+    def add(self, a, b):
+        return a + b
+
+    def scaled(self, value, gain):
+        return value.scaled(gain)
+
+    def filtered(self, value, tf):
+        return value.filtered(tf.frequency_response(value.n_bins))
+
+    def downsampled(self, value, factor):
+        return value.downsampled(factor)
+
+    def upsampled(self, value, factor):
+        return value.upsampled(factor)
+
+
+class _Tracked(_Psd):
+    """The PSD operations on tracked spectra (which do not resample)."""
+
+    def zero(self, like):
+        return TrackedSpectrum.zero(self.n_psd)
+
+    def white(self, key, stats, like):
+        return TrackedSpectrum.from_source(key, stats, self.n_psd)
+
+
+class _Moments:
+    """``(mu, sigma^2)`` under the white-input assumption."""
+
+    def zero(self, like):
+        return NoiseStats(0.0, 0.0)
+
+    def white(self, key, stats, like):
+        return stats
+
+    def add(self, a, b):
+        return NoiseStats(mean=a.mean + b.mean,
+                          variance=a.variance + b.variance)
+
+    def scaled(self, value, gain):
+        return NoiseStats(mean=gain * value.mean,
+                          variance=gain * gain * value.variance)
+
+    def filtered(self, value, tf):
+        return NoiseStats(mean=value.mean * tf.coefficient_sum(),
+                          variance=value.variance * tf.energy())
+
+    def downsampled(self, value, factor):
+        return value
+
+    def upsampled(self, value, factor):
+        return NoiseStats(mean=value.mean / factor,
+                          variance=value.variance / factor)
+
+
+class _Paths:
+    """``{source: path transfer function}`` dicts (single-rate)."""
+
+    def zero(self, like):
+        return {}
+
+    def white(self, key, stats, like):
+        return {key: TransferFunction.identity()}
+
+    def add(self, a, b):
+        merged = dict(a)
+        for source, tf in b.items():
+            if source in merged:
+                merged[source] = merged[source].parallel(tf)
+            else:
+                merged[source] = tf
+        return merged
+
+    def scaled(self, value, gain):
+        return {source: tf.scaled(gain) for source, tf in value.items()}
+
+    def filtered(self, value, tf):
+        return {source: path.cascade(tf) for source, path in value.items()}
+
+
+def _noisy(stats) -> bool:
+    return stats.variance > 0.0 or stats.mean != 0.0
+
+
+def _propagate(algebra, node, inputs, own):
+    """The oracle's rule: a node's output noise, its own source ``own``
+    (``None`` when silent) included."""
+    if isinstance(node, InputNode) or node.num_inputs == 0:
+        value = algebra.zero(None)
+    elif isinstance(node, AddNode):
+        value = algebra.zero(inputs[0])
+        for sign, term in zip(node.signs, inputs):
+            value = algebra.add(value, algebra.scaled(term, sign))
+    elif isinstance(node, OutputNode):
+        (value,) = inputs
+    elif isinstance(node, DownsampleNode):
+        value = algebra.downsampled(inputs[0], node.factor)
+    elif isinstance(node, UpsampleNode):
+        value = algebra.upsampled(inputs[0], node.factor)
+    elif isinstance(node, _LtiMixin):
+        value = algebra.filtered(inputs[0],
+                                 node._effective_transfer_function())
+    else:
+        raise NotImplementedError(type(node).__name__)
+    if own is not None:
+        noise = algebra.white(node.name, own, value)
+        if isinstance(node, IirNode):
+            noise = algebra.filtered(noise, node.noise_shaping_function())
+        value = algebra.add(value, noise)
+    return value
+
+
+def _walk(graph, algebra):
+    """Name-keyed per-call traversal (the pre-plan engine skeleton).
+
+    Returns the value at the graph's single output and the moments of
+    every source that injected noise, keyed by node name or by
+    ``"source->target"`` for a fanout tap.  A tap re-quantizes the value
+    its edge carries, so its noise enters before the target's rule.
+    """
     graph.validate()
-    order = graph.topological_order()
     results = {}
-    for name in order:
+    sources = {}
+    for name in graph.topological_order():
+        inputs = []
+        for edge in graph.predecessors(name):
+            value = results[edge.source]
+            spec = graph.node(edge.source).quantization
+            bits = spec.edge_bits_for(name)
+            stats = None if bits is None else spec.edge_noise_stats(bits)
+            if stats is not None and _noisy(stats):
+                key = f"{edge.source}->{name}"
+                sources[key] = stats
+                value = algebra.add(value, algebra.white(key, stats, value))
+            inputs.append(value)
         node = graph.node(name)
-        if isinstance(node, InputNode) or node.num_inputs == 0:
-            representation = zero(node)
-        else:
-            inputs = [results[edge.source]
-                      for edge in graph.predecessors(name)]
-            representation = propagate(node, inputs)
         own = node.generated_noise()
-        if own.variance > 0.0 or own.mean != 0.0:
-            representation = inject(node, own, representation)
-        results[name] = representation
-    return results
+        if _noisy(own):
+            sources[name] = own
+        else:
+            own = None
+        results[name] = _propagate(algebra, node, inputs, own)
+    return results[graph.output_names()[0]], sources
 
 
 def legacy_psd(graph, n_psd):
     """Pre-plan PSD walk (proposed method) at the graph's single output."""
-    def inject(node, stats, acc):
-        psd = DiscretePsd.white(stats, acc.n_bins)
-        if isinstance(node, IirNode):
-            psd = psd.filtered(
-                node.noise_shaping_function().frequency_response(acc.n_bins))
-        return acc + psd
-
-    results = legacy_walk(
-        graph,
-        zero=lambda node: DiscretePsd.zero(n_psd),
-        propagate=lambda node, inputs: node.propagate_psd(inputs, n_psd),
-        inject=inject)
-    return results[graph.output_names()[0]]
+    return _walk(graph, _Psd(n_psd))[0]
 
 
 def legacy_agnostic(graph):
     """Pre-plan moments-only walk at the graph's single output."""
-    def inject(node, stats, acc):
-        if isinstance(node, IirNode):
-            shaping = node.noise_shaping_function()
-            stats = NoiseStats(mean=stats.mean * shaping.coefficient_sum(),
-                               variance=stats.variance * shaping.energy())
-        return acc + stats
-
-    results = legacy_walk(
-        graph,
-        zero=lambda node: NoiseStats(0.0, 0.0),
-        propagate=lambda node, inputs: node.propagate_stats(inputs),
-        inject=inject)
-    return results[graph.output_names()[0]]
+    return _walk(graph, _Moments())[0]
 
 
 def legacy_tracked(graph, n_psd):
     """Pre-plan correlation-exact walk (single-rate graphs only)."""
-    def inject(node, stats, acc):
-        tracked = TrackedSpectrum.from_source(node.name, stats, n_psd)
-        if isinstance(node, IirNode):
-            tracked = tracked.filtered(
-                node.noise_shaping_function().frequency_response(n_psd))
-        return acc + tracked
-
-    results = legacy_walk(
-        graph,
-        zero=lambda node: TrackedSpectrum.zero(n_psd),
-        propagate=lambda node, inputs: node.propagate_tracked(inputs, n_psd),
-        inject=inject)
-    return results[graph.output_names()[0]].to_psd()
+    return _walk(graph, _Tracked(n_psd))[0].to_psd()
 
 
 def legacy_flat(graph):
     """Pre-plan flat-spectrum path composition (Eq. 4 reference)."""
-    graph.validate()
-    paths = {}
-    for name in graph.topological_order():
-        node = graph.node(name)
-        if isinstance(node, InputNode) or node.num_inputs == 0:
-            accumulated = {}
-        else:
-            input_maps = [paths[edge.source]
-                          for edge in graph.predecessors(name)]
-            if isinstance(node, OutputNode):
-                (single,) = input_maps
-                accumulated = dict(single)
-            elif isinstance(node, AddNode):
-                accumulated = {}
-                for sign, source_map in zip(node.signs, input_maps):
-                    for source, tf in source_map.items():
-                        contribution = tf.scaled(sign)
-                        if source in accumulated:
-                            accumulated[source] = \
-                                accumulated[source].parallel(contribution)
-                        else:
-                            accumulated[source] = contribution
-            elif isinstance(node, _LtiMixin):
-                (single,) = input_maps
-                block_tf = node._effective_transfer_function()
-                accumulated = {source: tf.cascade(block_tf)
-                               for source, tf in single.items()}
-            else:
-                raise NotImplementedError(type(node).__name__)
-        own = node.generated_noise()
-        if own.variance > 0.0 or own.mean != 0.0:
-            shaping = (node.noise_shaping_function()
-                       if isinstance(node, IirNode)
-                       else TransferFunction.identity())
-            if name in accumulated:
-                accumulated[name] = accumulated[name].parallel(shaping)
-            else:
-                accumulated[name] = shaping
-        paths[name] = accumulated
-
-    path_functions = paths[graph.output_names()[0]]
+    path_functions, sources = _walk(graph, _Paths())
     total_variance = 0.0
     mean_contributions = []
     for name, tf in path_functions.items():
-        stats = graph.node(name).generated_noise()
+        stats = sources[name]
         total_variance += stats.variance * tf.energy()
         mean_contributions.append(stats.mean * tf.coefficient_sum())
     return NoiseStats(mean=float(np.sum(mean_contributions)),

@@ -23,7 +23,7 @@ from repro.analysis.agnostic_method import (
     evaluate_agnostic,
     evaluate_agnostic_batch,
 )
-from repro.analysis.flat_method import evaluate_flat, source_path_functions
+from repro.analysis.flat_method import _path_functions, evaluate_flat
 from repro.analysis.metrics import noise_power
 from repro.analysis.psd_method import (
     evaluate_psd,
@@ -289,13 +289,19 @@ class TestOneRefreshPerEvaluation:
         assert (means[0], variances[0]) == (fresh.mean, fresh.variance)
 
 
+def _flat_paths(plan):
+    """The flat method's path functions of the plan's noisy nodes."""
+    return _path_functions(plan, "y",
+                           {step.name for step in plan.noise_steps})
+
+
 class TestFlatPathFunctionCache:
     def test_repeat_call_served_from_cache(self):
         plan = compile_plan(_fork_graph())
-        first = source_path_functions(plan)
+        first = _flat_paths(plan)
         cache = plan_memo(plan).path_functions
         assert len(cache) == 1
-        second = source_path_functions(plan)
+        second = _flat_paths(plan)
         assert len(cache) == 1
         assert first.keys() == second.keys()
         assert first is not second  # callers get their own dict
@@ -306,17 +312,17 @@ class TestFlatPathFunctionCache:
         # the graph ties coefficient bits to the data path, so a
         # requantize changes the fingerprint and must miss.
         plan = compile_plan(_fork_graph())
-        source_path_functions(plan)
+        _flat_paths(plan)
         fingerprint = plan.coefficient_fingerprint()
         plan.requantize({"hp": 9})
         assert plan.coefficient_fingerprint() != fingerprint
-        source_path_functions(plan)
+        _flat_paths(plan)
         assert len(plan_memo(plan).path_functions) == 2
 
     def test_disabled_bypasses_the_cache(self):
         plan = compile_plan(_fork_graph())
         with memoization_disabled():
-            source_path_functions(plan)
+            _flat_paths(plan)
         assert len(plan_memo(plan).path_functions) == 0
 
     def test_requantizing_an_input_keeps_the_entry(self):

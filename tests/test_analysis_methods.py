@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.analysis._engine import stats_row, walk_psd, walk_stats
+from repro.analysis._engine import stats_row, walk_paths, walk_psd, walk_stats
 from repro.analysis.agnostic_method import evaluate_agnostic
-from repro.analysis.flat_method import evaluate_flat, source_path_functions
+from repro.analysis.flat_method import evaluate_flat
 from repro.analysis.psd_method import evaluate_psd, evaluate_psd_tracked
 from repro.fixedpoint.noise_model import quantization_noise_stats
 from repro.fixedpoint.quantizer import RoundingMode
@@ -149,15 +149,22 @@ class TestReconvergentPaths:
         assert not np.allclose(psd.ac, tracked_psd.ac, rtol=0.01, atol=0.0)
 
 
+def _output_paths(graph):
+    """Path functions from every noisy node to the output ``y``."""
+    plan = compile_plan(graph)
+    sources = {step.name for step in plan.noise_steps}
+    return walk_paths(plan, sources)[plan.index_of["y"]]
+
+
 class TestPathFunctions:
     def test_source_paths_enumerated(self):
         graph = _two_stage_graph(10)
-        paths = source_path_functions(graph)
+        paths = _output_paths(graph)
         assert set(paths) == {"x", "lp", "hp"}
 
     def test_path_function_composition(self):
         graph = _two_stage_graph(10)
-        paths = source_path_functions(graph)
+        paths = _output_paths(graph)
         lp = graph.node("lp")._effective_transfer_function()
         hp = graph.node("hp")._effective_transfer_function()
         expected = lp.cascade(hp).energy()

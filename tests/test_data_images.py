@@ -5,7 +5,6 @@ import pytest
 
 from repro.data.images import (
     ImageGenerator,
-    checkerboard_image,
     gradient_image,
     natural_image,
     texture_image,
@@ -45,12 +44,6 @@ class TestIndividualGenerators:
         assert np.allclose(vertical[:, 0], vertical[:, -1])
         with pytest.raises(ValueError):
             gradient_image(32, "radial")
-
-    def test_checkerboard_alternates(self):
-        board = checkerboard_image(16, period=4)
-        assert board[0, 0] != board[0, 2]
-        with pytest.raises(ValueError):
-            checkerboard_image(16, period=1)
 
     def test_too_small_size_rejected(self):
         with pytest.raises(ValueError):

@@ -56,11 +56,18 @@ class TestParseEdgeKey:
             parse_edge_key("lp")
 
 
+def _active_taps(plan):
+    """``(target step, port, tap)`` of the plan's noise-injecting taps."""
+    return [(step, port, tap) for step in plan.steps
+            for port, tap in enumerate(step.edge_taps or ())
+            if tap is not None and tap.noise is not None]
+
+
 class TestEdgeRequantize:
     def test_tap_created_on_target_port(self):
         plan = compile_plan(_fork_graph())
         plan.requantize({"lp->g": 8})
-        (entry,) = plan.active_edge_taps()
+        (entry,) = _active_taps(plan)
         step, port, tap = entry
         assert step.name == "g"
         assert port == 0
@@ -72,7 +79,7 @@ class TestEdgeRequantize:
     def test_noop_tap_carries_no_noise(self):
         plan = compile_plan(_fork_graph(bits=12))
         plan.requantize({"lp->g": 12})
-        assert plan.active_edge_taps() == []
+        assert _active_taps(plan) == []
         # ... but the quantizer is still installed (a no-op on the grid).
         (step,) = [s for s in plan.steps if s.name == "g"]
         assert step.edge_taps is not None
@@ -118,14 +125,14 @@ class TestEdgeRequantize:
             graph.node("lp").quantization.with_fractional_bits(None)
         plan = compile_plan(graph)
         plan.requantize({"lp->g": 8})
-        (entry,) = plan.active_edge_taps()
+        (entry,) = _active_taps(plan)
         assert entry[2].input_bits is None
 
     def test_preserve_quantization_restores_taps(self):
         plan = compile_plan(_fork_graph())
         with plan.preserve_quantization():
             plan.requantize({"lp->g": 8, "lp": 10})
-        assert plan.active_edge_taps() == []
+        assert _active_taps(plan) == []
         assert plan.graph.node("lp").quantization.fractional_bits == 12
 
     def test_quantization_signature_tracks_edges_and_integers(self):

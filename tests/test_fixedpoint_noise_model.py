@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.psd_method import check_n_psd
 from repro.fixedpoint.noise_model import (
     NoiseStats,
-    quantization_noise_psd,
     quantization_noise_stats,
     quantization_step,
 )
 from repro.fixedpoint.qformat import QFormat
 from repro.fixedpoint.quantizer import Quantizer, RoundingMode
+from repro.psd.spectrum import DiscretePsd
 
 
 class TestNoiseStats:
@@ -127,9 +128,11 @@ class TestAgainstEmpiricalQuantization:
 
 
 class TestNoisePsd:
+    """Eq. 10: the PSD of a white source, in the paper's convention."""
+
     def test_bins_sum_to_total_power(self):
         stats = NoiseStats(mean=0.25, variance=1.0)
-        psd = quantization_noise_psd(stats, 64)
+        psd = DiscretePsd.white(stats, 64).values
         assert np.sum(psd) == pytest.approx(stats.variance + stats.mean ** 2,
                                             rel=1e-12)
 
@@ -137,10 +140,11 @@ class TestNoisePsd:
         # Library-wide convention: variance/n on every bin (DC included),
         # the squared mean added on top of the DC bin.
         stats = NoiseStats(mean=0.5, variance=1.0)
-        psd = quantization_noise_psd(stats, 16)
+        psd = DiscretePsd.white(stats, 16).values
         assert psd[0] == pytest.approx(0.25 + 1.0 / 16.0)
         np.testing.assert_allclose(psd[1:], 1.0 / 16.0)
 
     def test_requires_at_least_two_bins(self):
-        with pytest.raises(ValueError):
-            quantization_noise_psd(NoiseStats(0.0, 1.0), 1)
+        with pytest.raises(ValueError, match="n_psd must be at least 2"):
+            check_n_psd(1)
+        check_n_psd(2)

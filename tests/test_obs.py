@@ -45,9 +45,9 @@ from repro.obs.trace import NOOP_SPAN, Span, TraceCollector
 @pytest.fixture(autouse=True)
 def _no_leaked_session():
     """Every test starts and ends with observability disabled."""
-    obs.disable()
+    assert obs.current() is None
     yield
-    obs.disable()
+    assert obs.current() is None
 
 
 def _campaign_spec(**overrides):
@@ -143,10 +143,11 @@ class TestSpans:
         assert obs.current() is None  # restored on exit
 
     def test_observe_restores_previous_session(self):
-        outer_session = obs.enable()
-        with obs.observe() as inner_session:
-            assert obs.current() is inner_session
-        assert obs.current() is outer_session
+        with obs.observe() as outer_session:
+            with obs.observe() as inner_session:
+                assert obs.current() is inner_session
+            assert obs.current() is outer_session
+        assert obs.current() is None
 
     def test_record_span_depth_offset(self):
         with obs.observe() as session:

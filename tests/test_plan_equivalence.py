@@ -9,8 +9,10 @@ predecessors by name, call every node's propagation rule directly).
 
 The legacy traversals live in :mod:`repro.verify.legacy` (shared with the
 campaign scenario-family tests and the differential fuzz); here they are
-exercised on the paper's Table-I filter-bank systems and on a DWT-style
-multirate filter-bank graph.
+exercised on the paper's Table-I filter-bank systems, on a DWT-style
+multirate filter-bank graph, and on a single-rate graph that takes a
+gain, a delay, a generic LTI block, a signed adder fed by re-convergent
+fan-out and a fanout tap through every analytical walk.
 """
 
 import numpy as np
@@ -20,6 +22,9 @@ from repro.analysis.agnostic_method import evaluate_agnostic
 from repro.analysis.flat_method import evaluate_flat
 from repro.analysis.psd_method import evaluate_psd, evaluate_psd_tracked
 from repro.analysis.simulation_method import SimulationEvaluator
+from repro.fixedpoint.quantizer import RoundingMode
+from repro.lti.transfer_function import TransferFunction
+from repro.sfg.builder import SfgBuilder
 from repro.sfg.plan import compile_plan
 from repro.systems.families import build_dwt97_bank
 from repro.systems.filter_bank import (
@@ -49,6 +54,25 @@ def _dwt_graph(bits=11):
     """One-level 9/7 analysis + synthesis bank as a multirate SFG —
     the exact graph the campaign registry ships (shared builder)."""
     return build_dwt97_bank(fractional_bits=bits)
+
+
+def _single_rate_mix_graph():
+    """x -> gain -> {delay, LTI} -> signed adder -> y, with the gain's
+    edge toward the LTI block tapped to a coarser grid."""
+    truncate = RoundingMode.TRUNCATE
+    builder = SfgBuilder("single-rate-mix")
+    x = builder.input("x", fractional_bits=12, rounding=truncate)
+    g = builder.gain("g", 0.75, x, fractional_bits=10, rounding=truncate)
+    d = builder.delay("d", g, samples=2)
+    lti = builder.lti("l", TransferFunction([0.5, 0.25], [1.0, -0.3]), g,
+                      fractional_bits=11)
+    s = builder.add("s", [d, lti], signs=[1.0, -1.0], fractional_bits=9,
+                    rounding=truncate)
+    builder.output("y", s)
+    graph = builder.build()
+    gain = graph.node("g")
+    gain.quantization = gain.quantization.with_edge_fractional_bits("l", 7)
+    return graph
 
 
 def _assert_psd_identical(plan_psd, legacy_psd):
@@ -129,3 +153,38 @@ class TestDwtBank:
         measured = float(np.mean(error[64:] ** 2))
         estimated = evaluate_psd(graph, 512).total_power
         assert estimated == pytest.approx(measured, rel=0.3)
+
+
+class TestSingleRateMix:
+    """Every analytical walk against the oracle on the LTI node types,
+    the adder signs, re-convergent fan-out and a fanout tap."""
+
+    def test_the_tap_injects_noise(self):
+        plan = compile_plan(_single_rate_mix_graph())
+        (tap,) = plan.steps[plan.index_of["l"]].edge_taps
+        assert tap.key == "g->l"
+        assert tap.noise.mean != 0.0
+
+    def test_psd_method_bitwise_identical(self):
+        graph = _single_rate_mix_graph()
+        _assert_psd_identical(evaluate_psd(graph, 256),
+                              _legacy_psd(graph, 256))
+
+    def test_agnostic_method_bitwise_identical(self):
+        graph = _single_rate_mix_graph()
+        stats = evaluate_agnostic(graph)
+        legacy = _legacy_agnostic(graph)
+        assert stats.mean == legacy.mean
+        assert stats.variance == legacy.variance
+
+    def test_tracked_method_bitwise_identical(self):
+        graph = _single_rate_mix_graph()
+        _assert_psd_identical(evaluate_psd_tracked(graph, 256),
+                              _legacy_tracked(graph, 256))
+
+    def test_flat_method_bitwise_identical(self):
+        graph = _single_rate_mix_graph()
+        via_plan = evaluate_flat(graph)
+        legacy = _legacy_flat(graph)
+        assert via_plan.mean == legacy.mean
+        assert via_plan.variance == legacy.variance

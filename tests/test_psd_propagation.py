@@ -76,20 +76,15 @@ class TestWhiteSourceNormalization:
 
     A white noise of moments ``(mu, sigma^2)`` on ``n`` bins is
     ``sigma^2 / n`` on every bin plus ``mu^2`` on DC — whether it is built
-    by the PQN helper, the PSD engine's container, or collapsed from a
-    tracked spectrum.
+    by the PSD engine's container or collapsed from a tracked spectrum.
     """
 
     def test_bin_by_bin_agreement_across_engines(self):
-        from repro.fixedpoint.noise_model import quantization_noise_psd
-
         stats = NoiseStats(mean=0.125, variance=0.75)
         n_bins = 32
-        model = quantization_noise_psd(stats, n_bins)
-        container = DiscretePsd.white(stats, n_bins).values
+        model = DiscretePsd.white(stats, n_bins).values
         tracked = TrackedSpectrum.from_source("s", stats, n_bins)
         collapsed = tracked.to_psd().values
-        np.testing.assert_allclose(model, container, rtol=1e-12)
         np.testing.assert_allclose(model, collapsed, rtol=1e-12)
         # And the convention itself: variance/n everywhere, mean^2 on DC.
         np.testing.assert_allclose(model[1:], stats.variance / n_bins)

@@ -175,7 +175,6 @@ _RESPONSE = TransferFunction.fir([-0.5, 0.25, 0.125]).frequency_response(16)
 
 #: Every operation of the algebra, applied to a stack and to its rows.
 _OPERATIONS = {
-    "copy": lambda psd: psd.copy(),
     "scaled(1.0)": lambda psd: psd.scaled(1.0),
     "scaled(-1.0)": lambda psd: psd.scaled(-1.0),
     "scaled(0.5)": lambda psd: psd.scaled(0.5),

@@ -5,9 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.fixedpoint.noise_model import NoiseStats
+from repro.analysis.agnostic_method import evaluate_agnostic
+from repro.analysis.psd_method import evaluate_psd, evaluate_psd_tracked
 from repro.fixedpoint.quantizer import RoundingMode
-from repro.psd.spectrum import DiscretePsd
+from repro.sfg.graph import SignalFlowGraph
 from repro.sfg.nodes import (
     AddNode,
     DelayNode,
@@ -201,44 +202,58 @@ class TestSimulationBehaviour:
             InputNode("x").simulate([])
 
 
+#: Truncation noise of the one-node graphs' inputs: a non-zero mean.
+_INPUT_SPEC = QuantizationSpec(4, RoundingMode.TRUNCATE)
+_INPUT_NOISE = _INPUT_SPEC.noise_stats()
+
+
+def _one_node_graph(node, input_spec=_INPUT_SPEC):
+    """One quantized input per port of ``node``, which feeds output ``y``."""
+    graph = SignalFlowGraph("one-node")
+    graph.add_node(node)
+    for port in range(node.num_inputs):
+        graph.add_node(InputNode(f"x{port}", input_spec))
+        graph.connect(f"x{port}", node.name, port)
+    graph.add_node(OutputNode("y"))
+    graph.connect(node.name, "y")
+    return graph
+
+
 class TestPropagationRules:
+    """Each node type's noise rule, through the analytical walks."""
+
     def test_fir_stats_propagation_uses_energy_and_dc_gain(self):
-        node = FirNode("h", [0.5, 0.5])
-        stats = node.propagate_stats([NoiseStats(mean=0.2, variance=1.0)])
-        assert stats.variance == pytest.approx(0.5)
-        assert stats.mean == pytest.approx(0.2)
+        stats = evaluate_agnostic(_one_node_graph(FirNode("h", [0.5, 0.5])))
+        assert stats.variance == pytest.approx(0.5 * _INPUT_NOISE.variance)
+        assert stats.mean == pytest.approx(_INPUT_NOISE.mean)
 
     def test_fir_psd_propagation_shapes_spectrum(self):
-        node = FirNode("h", [0.5, 0.5])
-        psd = node.propagate_psd([DiscretePsd.from_moments(0.0, 1.0, 64)], 64)
+        psd = evaluate_psd(_one_node_graph(FirNode("h", [0.5, 0.5])), 64)
         # |H|^2 at DC is 1, at Nyquist is 0.
-        assert psd.ac[0] == pytest.approx(1.0 / 64)
+        assert psd.ac[0] == pytest.approx(_INPUT_NOISE.variance / 64)
         assert psd.ac[32] == pytest.approx(0.0, abs=1e-12)
 
     def test_add_node_psd_propagation(self):
         node = AddNode("sum", num_inputs=2, signs=[1.0, -1.0])
-        a = DiscretePsd.from_moments(0.2, 1.0, 32)
-        b = DiscretePsd.from_moments(0.2, 2.0, 32)
-        combined = node.propagate_psd([a, b], 32)
-        assert combined.variance == pytest.approx(3.0)
+        combined = evaluate_psd(_one_node_graph(node), 32)
+        assert combined.variance == pytest.approx(2 * _INPUT_NOISE.variance)
+        assert _INPUT_NOISE.mean != 0.0
         assert combined.mean == pytest.approx(0.0, abs=1e-15)
 
     def test_downsample_psd_propagation_halves_bins(self):
-        node = DownsampleNode("d", 2)
-        psd = node.propagate_psd([DiscretePsd.from_moments(0.0, 1.0, 64)], 64)
+        psd = evaluate_psd(_one_node_graph(DownsampleNode("d", 2)), 64)
         assert psd.n_bins == 32
-        assert psd.variance == pytest.approx(1.0)
+        assert psd.variance == pytest.approx(_INPUT_NOISE.variance)
 
     def test_upsample_stats_propagation(self):
-        node = UpsampleNode("u", 2)
-        stats = node.propagate_stats([NoiseStats(mean=0.4, variance=1.0)])
-        assert stats.variance == pytest.approx(0.5)
-        assert stats.mean == pytest.approx(0.2)
+        stats = evaluate_agnostic(_one_node_graph(UpsampleNode("u", 2)))
+        assert stats.variance == pytest.approx(_INPUT_NOISE.variance / 2)
+        assert stats.mean == pytest.approx(_INPUT_NOISE.mean / 2)
 
     def test_multirate_tracked_propagation_not_supported(self):
-        node = DownsampleNode("d", 2)
+        graph = _one_node_graph(DownsampleNode("d", 2))
         with pytest.raises(NotImplementedError):
-            node.propagate_tracked([], 16)
+            evaluate_psd_tracked(graph, 16)
 
     def test_iir_noise_shaping_function(self):
         node = IirNode("h", [1.0], [1.0, -0.5], QuantizationSpec(8))
@@ -251,6 +266,16 @@ class TestPropagationRules:
         assert stats.mean == pytest.approx(-(2.0 ** -6) / 2)
 
     def test_input_node_zero_propagation(self):
-        node = InputNode("x", QuantizationSpec(8))
-        assert node.propagate_stats([]).power == 0.0
-        assert node.propagate_psd([], 16).total_power == 0.0
+        # An input carries no noise but its own quantizer's.
+        def input_graph(spec):
+            graph = SignalFlowGraph("input")
+            graph.add_node(InputNode("x", spec))
+            graph.add_node(OutputNode("y"))
+            graph.connect("x", "y")
+            return graph
+
+        silent = input_graph(QuantizationSpec(None))
+        assert evaluate_agnostic(silent).power == 0.0
+        assert evaluate_psd(silent, 16).total_power == 0.0
+        quantized = input_graph(QuantizationSpec(8))
+        assert evaluate_agnostic(quantized) == QuantizationSpec(8).noise_stats()

@@ -7,9 +7,13 @@ out the ``__init__.py`` files, whose re-exports would read as uses.  It
 collects, from the other modules under ``src/repro``, the public
 module-level functions and classes and the public methods of public
 classes, skipping functions whose decorator is a call (registrations
-such as ``@_registered(...)``).  It counts the words of the ``.py``
-files under ``src/``, ``examples/``, ``benchmarks/`` and ``e2ebench/``
-once; a name whose only occurrence is its definition is unreached.
+such as ``@_registered(...)``).  It counts the words of the code of the
+``.py`` files under ``src/``, ``examples/``, ``benchmarks/`` and
+``e2ebench/`` once: the names and the words of string literals, not of
+comments or docstrings, so a name that only prose mentions stays
+unreached.  String literals count because ``e2ebench/traced.py`` binds
+functions by their dotted names.  A name whose only occurrence is its
+definition is unreached.
 
 This is a guard, not a proof: a word search cannot tell a call from a
 mention, so a name that is also a common word (``frequencies``,
@@ -20,7 +24,9 @@ fails too.
 """
 
 import ast
+import io
 import re
+import tokenize
 from collections import Counter
 from functools import lru_cache
 from pathlib import Path
@@ -74,12 +80,39 @@ def _walk_definitions():
                         yield f"{node.name}.{item.name}", item.name
 
 
+def _docstring_starts(tree) -> set:
+    """``(line, column)`` of every module, class and function docstring."""
+    starts = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if (isinstance(first, ast.Expr)
+                    and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                starts.add((first.lineno, first.col_offset))
+    return starts
+
+
+def _code_words(text: str):
+    """The names and string-literal words of a source, without its
+    comments and docstrings."""
+    docstrings = _docstring_starts(ast.parse(text))
+    # f-string parts are tokens of their own from Python 3.12 on.
+    literal = {tokenize.STRING, getattr(tokenize, "FSTRING_MIDDLE", None)}
+    for token in tokenize.generate_tokens(io.StringIO(text).readline):
+        if token.type == tokenize.NAME:
+            yield token.string
+        elif token.type in literal and token.start not in docstrings:
+            yield from re.findall(r"\w+", token.string)
+
+
 @lru_cache(maxsize=None)
 def _words() -> Counter:
     words = Counter()
     for folder in SCANNED:
         for path in _sources(folder):
-            words.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+            words.update(_code_words(path.read_text(encoding="utf-8")))
     return words
 
 
