@@ -1,4 +1,4 @@
-"""Simulation-engine speedup — legacy loops vs the default backend.
+"""Simulation-engine speedup — legacy loops vs the default kernels.
 
 The paper's headline figure (Fig. 6) measures bit-true Monte-Carlo
 simulation as the slow reference the PSD estimate is compared against; in
@@ -9,16 +9,18 @@ of the simulation kernel layer (:mod:`repro.simkernel`) on exactly the
 Fig. 6 F.F. workload:
 
 * the 60 000-sample bit-true simulation of the Fig. 2 frequency-domain
-  filter — the legacy streaming loops (``reference`` backend) against
-  the default backend, asserted to be **>= 5x** faster;
+  filter — the legacy streaming loops, run by the oracle
+  (:func:`repro.verify.legacy.legacy_error`, both legs), against the
+  default ``SimulationEvaluator.error_signal``, asserted to be
+  **>= 5x** faster;
 * the direct-form IIR recursion of a Table-I filter on the same number
-  of samples, where the default backend's IIR node runs the generated
-  recurrence, also asserted to be **>= 5x** faster;
+  of samples, where the default IIR node runs the generated recurrence,
+  also asserted to be **>= 5x** faster;
 * every row is asserted bitwise identical to the reference.
 
-Each backend gets one untimed warm-up call before the timed runs so
+Each side gets one untimed warm-up call before the timed runs so
 one-time costs (plan compilation, recurrence generation) never pollute
-the ratios.  The two backends then alternate, round by
+the ratios.  The two sides then alternate, round by
 round, each round timing both back to back; the table shows each side's
 fastest round and the speedup is the median of the per-round ratios, so
 a load swing on a shared host, which moves both runs of a round
@@ -26,9 +28,9 @@ together, does not decide it.  Rounds repeat while they take under a
 second (at most five), so the cheap workloads, whose ratios sit closest
 to their bounds, get the most of them.  Every call runs with
 memoization disabled: the plan keeps its last error record, so a timed
-call would otherwise be a memo hit that runs neither leg.  Outputs are
-compared by their raw bytes, as ``repro bench`` does, so a flipped
-signed zero fails.
+default call would otherwise be a memo hit that runs neither leg (the
+oracle keeps no memo).  Outputs are compared by their raw bytes, as
+``repro bench`` does, so a flipped signed zero fails.
 """
 
 from __future__ import annotations
@@ -40,41 +42,42 @@ from repro.analysis._engine import memoization_disabled
 from repro.analysis.simulation_method import SimulationEvaluator
 from repro.bench import _require_bitwise
 from repro.data.signals import uniform_white_noise
-from repro.simkernel import use_backend
 from repro.systems.filter_bank import build_filter_graph, generate_iir_bank
 from repro.systems.freq_filter import FrequencyDomainFilter
 from repro.utils.tables import TextTable
+from repro.verify.legacy import legacy_error
 
 from conftest import write_bench, write_report
 
 
-_BACKENDS = ("reference", "fast")
+_SIDES = ("reference", "fast")
 _ROUND_BUDGET_S = 1.0
 _MAX_ROUNDS = 5
 
 
-def _time_backends(evaluator, stimulus):
-    """Fastest error-signal wall time per backend, the median per-round
+def _time_sides(graph, stimulus):
+    """Fastest error-record wall time per side, the median per-round
     speedup, and the outputs, after one untimed warm-up call each."""
-    seconds = {backend: [] for backend in _BACKENDS}
+    evaluator = SimulationEvaluator(graph)
+    measure = {"reference": lambda: legacy_error(graph, stimulus),
+               "fast": lambda: evaluator.error_signal(stimulus)}
+    seconds = {side: [] for side in _SIDES}
     outputs = {}
     with memoization_disabled():
-        for backend in _BACKENDS:
-            with use_backend(backend):
-                evaluator.error_signal(stimulus)
+        for side in _SIDES:
+            measure[side]()
         for round_ in range(_MAX_ROUNDS):
-            order = _BACKENDS if round_ % 2 == 0 else _BACKENDS[::-1]
-            for backend in order:
-                with use_backend(backend):
-                    start = time.perf_counter()
-                    outputs[backend] = evaluator.error_signal(stimulus)
-                    seconds[backend].append(time.perf_counter() - start)
+            order = _SIDES if round_ % 2 == 0 else _SIDES[::-1]
+            for side in order:
+                start = time.perf_counter()
+                outputs[side] = measure[side]()
+                seconds[side].append(time.perf_counter() - start)
             if sum(map(sum, seconds.values())) >= _ROUND_BUDGET_S:
                 break
     speedup = statistics.median(
         reference / fast
         for reference, fast in zip(seconds["reference"], seconds["fast"]))
-    fastest = {backend: min(times) for backend, times in seconds.items()}
+    fastest = {side: min(times) for side, times in seconds.items()}
     return fastest, speedup, outputs
 
 
@@ -86,23 +89,21 @@ def test_sim_engine_speedup(bench_config, results_dir):
 
     # --- Fig. 6 F.F. -------------------------------------------------------
     system = FrequencyDomainFilter(fractional_bits=bits, n_psd=1024)
-    evaluator = SimulationEvaluator(system.evaluator.plan)
     stimulus = {"x": uniform_white_noise(samples, seed=1)}
     workloads.append(("F.F. single", samples,
-                      *_time_backends(evaluator, stimulus)))
+                      *_time_sides(system.graph, stimulus)))
 
     # --- direct-form IIR (the generated recurrence on the default path) --
     graph = build_filter_graph(generate_iir_bank(3)[2], fractional_bits=bits)
-    iir_evaluator = SimulationEvaluator(graph)
     iir_stimulus = {"x": uniform_white_noise(samples, seed=3)}
     workloads.append(("IIR single", samples,
-                      *_time_backends(iir_evaluator, iir_stimulus)))
+                      *_time_sides(graph, iir_stimulus)))
 
     # --- report -----------------------------------------------------------
     table = TextTable(
         ["workload", "samples", "reference [s]", "default [s]", "speedup"],
         title=(f"simulation-engine speedup ({bench_config['mode']} mode, "
-               f"d = {bits}; legacy loops vs the default backend, bitwise "
+               f"d = {bits}; legacy loops vs the default kernels, bitwise "
                "identical outputs)"))
     seconds_payload = {}
     speedup_payload = {}

@@ -34,7 +34,6 @@ from repro.psd.estimation import estimate_psd
 from repro.psd.spectrum import DiscretePsd
 from repro.sfg.graph import SignalFlowGraph
 from repro.sfg.plan import CompiledPlan, compile_plan, quantization_signature
-from repro.simkernel import get_backend
 
 
 # ----------------------------------------------------------------------
@@ -191,8 +190,8 @@ class SimulationEvaluator:
         """Output error record (fixed-point output minus reference output).
 
         The record is read-only.  The plan keeps the last one measured:
-        a repeated call with the same coefficients, quantizers, stimulus,
-        output and backend returns it without running either leg.  Under
+        a repeated call with the same coefficients, quantizers, stimulus
+        and output returns it without running either leg.  Under
         :func:`~repro.analysis._engine.memoization_disabled` nothing is
         read or kept.
 
@@ -214,8 +213,7 @@ class SimulationEvaluator:
             plan.refresh()
             # Everything the two legs read.
             key = (plan.coefficient_fingerprint(),
-                   quantization_signature(plan.graph), digest, output,
-                   get_backend())
+                   quantization_signature(plan.graph), digest, output)
         with span("sim.error_signal", output=output) as sim_span:
             memo = getattr(plan, _ERROR_MEMO_ATTRIBUTE, None)
             hit = key is not None and memo is not None and memo[0] == key

@@ -10,11 +10,13 @@ Two halves:
   way.
 * **Registry + checker** — a small set of quick, tagged benchmark
   functions runnable without pytest (the ``repro bench`` subcommand).
-  Each times the *reference* backend (the preserved legacy loops of
-  :mod:`repro.simkernel.reference`) against the default path on the
-  same workload, asserts the outputs are bitwise identical (and, for the
-  simulation benches, that each timed call ran a bit-true plan run
-  rather than a memo hit), and reports the speedup.
+  Each times the preserved legacy loops against the default path on the
+  same workload — for the simulation benches, the oracle's two legs
+  (:func:`repro.verify.legacy.legacy_error`) against
+  ``SimulationEvaluator.error_signal`` — asserts the outputs are
+  bitwise identical (and, for the simulation benches, that each timed
+  default call ran a bit-true plan run rather than a memo hit), and
+  reports the speedup.
   ``repro bench --check`` then compares the measured speedups against
   the committed floors in ``benchmarks/bench_baseline.json`` and fails
   on regression.
@@ -137,7 +139,7 @@ def _timed(function, *args):
 def _timed_warm(function, *args):
     """Time one call after one untimed warm-up call.
 
-    The default backend compiles plans and generates the IIR recurrence
+    The default path compiles plans and generates the IIR recurrence
     on first use; the warm-up absorbs that one-time cost so the sampled
     seconds measure steady-state throughput.  Returns
     ``(result, seconds, warmup_seconds)`` — the warm-up duration is
@@ -148,27 +150,48 @@ def _timed_warm(function, *args):
     return result, seconds, warmup_seconds
 
 
-def _timed_simulation(label: str, evaluator, stimulus):
-    """:func:`_timed_warm` of ``evaluator.error_signal(stimulus)``.
+def _bench_error_signal(name: str, graph, workload: dict, speedup_key: str,
+                        samples: int, seed: int) -> dict:
+    """Payload of one error record of ``graph`` on a uniform white
+    stimulus: the oracle's legacy loops
+    (:func:`~repro.verify.legacy.legacy_error`, ``reference``) against
+    ``SimulationEvaluator.error_signal`` (``fast``), each timed by
+    :func:`_timed_warm`, after asserting both records bitwise identical.
 
-    Both calls run under ``memoization_disabled()``: the plan keeps its
-    last error record, so a repeated call on an unchanged plan would
+    The default side runs under ``memoization_disabled()``: the plan keeps
+    its last error record, so a repeated call on an unchanged plan would
     otherwise time a memo hit.  :func:`_require_fixed_runs` then checks
-    ``plan.runs{mode=fixed}`` across the timed call.
+    ``plan.runs{mode=fixed}`` across its timed call.  The oracle keeps no
+    memo.
     """
     from repro.analysis._engine import memoization_disabled
+    from repro.analysis.simulation_method import SimulationEvaluator
+    from repro.data.signals import uniform_white_noise
     from repro.obs import current, observe
+    from repro.verify.legacy import legacy_error
 
+    stimulus = {"x": uniform_white_noise(samples, seed=seed)}
+    evaluator = SimulationEvaluator(graph)
+    seconds: dict = {}
+    warmup: dict = {}
+    reference, seconds["reference"], warmup["reference"] = _timed_warm(
+        legacy_error, graph, stimulus)
     with memoization_disabled():
-        _, warmup_seconds = _timed(evaluator.error_signal, stimulus)
+        _, warmup["fast"] = _timed(evaluator.error_signal, stimulus)
         with ExitStack() as stack:
             # The active session's counter, else a metrics-only session.
             session = current() or stack.enter_context(observe(trace=False))
             runs = session.metrics.counter("plan.runs", mode="fixed")
             before = runs.value
-            error, seconds = _timed(evaluator.error_signal, stimulus)
-    _require_fixed_runs(label, runs.value - before)
-    return error, seconds, warmup_seconds
+            optimized, seconds["fast"] = _timed(evaluator.error_signal,
+                                                stimulus)
+    _require_fixed_runs(name, runs.value - before)
+    _require_bitwise(name, reference, optimized)
+    return bench_payload(
+        name, workload={**workload, "samples": samples, "fractional_bits": 12},
+        seconds=seconds,
+        speedup={speedup_key: seconds["reference"] / seconds["fast"]},
+        warmup_s=warmup, tags=("smoke", "sim"))
 
 
 def _require_fixed_runs(label: str, fixed_runs: int) -> None:
@@ -188,7 +211,7 @@ def _require_bitwise(label: str, reference, optimized) -> None:
             and reference.tobytes() == optimized.tobytes()):
         raise RuntimeError(
             f"{label}: optimized output is not bitwise identical to the "
-            "reference backend — refusing to report a speedup for a "
+            "reference loops — refusing to report a speedup for a "
             "broken kernel")
 
 
@@ -197,62 +220,28 @@ def _require_bitwise(label: str, reference, optimized) -> None:
 # ----------------------------------------------------------------------
 @_registered("sim_engine_ff", tags=("smoke", "sim"),
              description="Fig. 6 frequency-filter bit-true simulation: "
-                         "legacy loops vs the default backend")
+                         "legacy loops vs the default kernels")
 def bench_sim_engine_ff(samples: int = 60_000, seed: int = 1) -> dict:
     """The Fig. 6 F.F. workload: dual-mode simulation of the Fig. 2 system."""
-    from repro.analysis.simulation_method import SimulationEvaluator
-    from repro.data.signals import uniform_white_noise
-    from repro.simkernel import use_backend
     from repro.systems.freq_filter import FrequencyDomainFilter
 
     system = FrequencyDomainFilter(fractional_bits=12, n_psd=1024)
-    evaluator = SimulationEvaluator(system.evaluator.plan)
-    stimulus = {"x": uniform_white_noise(samples, seed=seed)}
-    warmup: dict = {}
-    with use_backend("reference"):
-        reference, reference_seconds, warmup["reference"] = _timed_simulation(
-            "sim_engine_ff[reference]", evaluator, stimulus)
-    optimized, fast_seconds, warmup["fast"] = _timed_simulation(
-        "sim_engine_ff[fast]", evaluator, stimulus)
-    _require_bitwise("sim_engine_ff", reference, optimized)
-    return bench_payload(
-        "sim_engine_ff",
-        workload={"system": "frequency-domain-filter", "samples": samples,
-                  "fractional_bits": 12},
-        seconds={"reference": reference_seconds, "fast": fast_seconds},
-        speedup={"bit_true_simulation": reference_seconds / fast_seconds},
-        warmup_s=warmup, tags=("smoke", "sim"))
+    return _bench_error_signal(
+        "sim_engine_ff", system.graph, {"system": "frequency-domain-filter"},
+        "bit_true_simulation", samples, seed)
 
 
 @_registered("sim_engine_iir", tags=("smoke", "sim"),
              description="Direct-form IIR bit-true recursion: legacy "
-                         "per-sample loop vs the default backend")
+                         "per-sample loop vs the default kernel")
 def bench_sim_engine_iir(samples: int = 60_000, seed: int = 3) -> dict:
     """The single-stream IIR recursion of a Table-I filter."""
-    from repro.analysis.simulation_method import SimulationEvaluator
-    from repro.data.signals import uniform_white_noise
-    from repro.simkernel import use_backend
     from repro.systems.filter_bank import build_filter_graph, generate_iir_bank
 
     graph = build_filter_graph(generate_iir_bank(3)[2], fractional_bits=12)
-    evaluator = SimulationEvaluator(graph)
-    stimulus = {"x": uniform_white_noise(samples, seed=seed)}
-    seconds: dict = {}
-    outputs: dict = {}
-    warmup: dict = {}
-    for backend in ("reference", "fast"):
-        with use_backend(backend):
-            outputs[backend], seconds[backend], warmup[backend] = \
-                _timed_simulation(f"sim_engine_iir[{backend}]", evaluator,
-                                  stimulus)
-    _require_bitwise("sim_engine_iir", outputs["reference"], outputs["fast"])
-    return bench_payload(
-        "sim_engine_iir",
-        workload={"system": "table1-iir", "samples": samples,
-                  "fractional_bits": 12},
-        seconds=seconds,
-        speedup={"single_stream": seconds["reference"] / seconds["fast"]},
-        warmup_s=warmup, tags=("smoke", "sim"))
+    return _bench_error_signal("sim_engine_iir", graph,
+                               {"system": "table1-iir"}, "single_stream",
+                               samples, seed)
 
 
 @_registered("welch_psd", tags=("smoke", "psd"),

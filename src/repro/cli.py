@@ -626,7 +626,7 @@ def _command_bench(args) -> int:
     if not args.json_output:
         table = TextTable(["benchmark", "speedups", "s"],
                           title="simulation-engine benchmarks (reference "
-                                "backend vs the default)")
+                                "loops vs the default)")
         for payload in payloads:
             speedups = ", ".join(f"{key} {value:.1f}x" for key, value
                                  in sorted(payload["speedup"].items()))

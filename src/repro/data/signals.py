@@ -8,6 +8,8 @@ latter).  Every generator accepts a ``seed`` for reproducibility.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -141,5 +143,9 @@ class SignalGenerator:
 def _check(num_samples: int, amplitude: float) -> None:
     if num_samples < 1:
         raise ValueError(f"num_samples must be positive, got {num_samples}")
-    if amplitude <= 0:
-        raise ValueError(f"amplitude must be positive, got {amplitude}")
+    # NaN fails the comparison; inf, and a range [-amplitude, amplitude]
+    # wider than a double holds, fail the second test.
+    if not (amplitude > 0 and math.isfinite(2.0 * float(amplitude))):
+        raise ValueError(
+            f"amplitude must be positive with 2 * amplitude finite, got "
+            f"{amplitude}")

@@ -8,7 +8,8 @@ off-the-shelf FFT routines do not expose.  :class:`FixedPointFft` runs
 iterative radix-2 decimation-in-time butterflies with the twiddle factors
 stored in fixed point and each stage output re-quantized, i.e. the
 classical fixed-point FFT noise model (one white noise injection per
-stage).
+stage).  The original per-block butterfly loops (``*_reference``) stay
+beside the position-major kernels as the oracle's.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 
 from repro.fixedpoint.quantizer import Quantizer, RoundingMode
 from repro.fixedpoint.qformat import QFormat
-from repro.simkernel.backend import get_backend
 from repro.simkernel.fft import (
     bit_reverse_permutation as _bit_reverse_permutation,
     fixed_fft_forward,
@@ -83,38 +83,6 @@ class FixedPointFft:
         return (self._data_quantizer.quantize(values.real)
                 + 1j * self._data_quantizer.quantize(values.imag))
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Fixed-point forward FFT over the last axis.
-
-        Accepts one block of ``size`` samples or any stack of blocks
-        ``(..., size)``; leading axes are independent transforms, all run
-        in one position-major pass (the ``reference`` backend replays the
-        original per-block butterfly loop instead).
-        """
-        x = self._check_blocks(x)
-        if get_backend() == "reference":
-            if x.ndim == 1:
-                return self._forward_reference(x)
-            flat = x.reshape(-1, self.size)
-            return np.stack([self._forward_reference(row)
-                             for row in flat]).reshape(x.shape)
-        return self._position_major(self.forward_position_major, x)
-
-    def inverse(self, x: np.ndarray) -> np.ndarray:
-        """Fixed-point inverse FFT (scaled by ``1/size``) over the last axis."""
-        x = self._check_blocks(x)
-        if get_backend() == "reference":
-            result = np.conj(self.forward(np.conj(x))) / self.size
-            return self._quantize_complex(result)
-        return self._position_major(self.inverse_position_major, x)
-
-    def _check_blocks(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=complex)
-        if x.shape[-1] != self.size:
-            raise ValueError(f"expected a block of {self.size} samples, "
-                             f"got {x.shape[-1]}")
-        return x
-
     def forward_position_major(self, data: np.ndarray,
                                work: np.ndarray | None = None) -> np.ndarray:
         """Forward transforms of position-major ``(size, ...)`` buffers.
@@ -134,13 +102,10 @@ class FixedPointFft:
         return fixed_fft_inverse(data, self._twiddle_cache,
                                  self._data_quantizer.quantize_complex, work)
 
-    @staticmethod
-    def _position_major(transform, x: np.ndarray) -> np.ndarray:
-        result = transform(np.moveaxis(x, -1, 0).copy())
-        return np.ascontiguousarray(np.moveaxis(result, 0, -1))
-
-    def _forward_reference(self, x: np.ndarray) -> np.ndarray:
-        """The original per-block butterfly loop (legacy ground truth)."""
+    def forward_reference(self, x: np.ndarray) -> np.ndarray:
+        """The original butterfly loop over one block of ``size`` samples:
+        bitwise identical to :meth:`forward_position_major` on that block."""
+        x = self._check_block(x)
         data = self._quantize_complex(x[_bit_reverse_permutation(self.size)])
         size = 2
         while size <= self.size:
@@ -155,3 +120,18 @@ class FixedPointFft:
             data = self._quantize_complex(data)
             size *= 2
         return data
+
+    def inverse_reference(self, x: np.ndarray) -> np.ndarray:
+        """The original inverse over one block,
+        ``q(conj(forward_reference(conj(x))) / size)``: bitwise identical
+        to :meth:`inverse_position_major` on that block."""
+        x = self._check_block(x)
+        result = np.conj(self.forward_reference(np.conj(x))) / self.size
+        return self._quantize_complex(result)
+
+    def _check_block(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=complex)
+        if x.shape != (self.size,):
+            raise ValueError(f"expected a block of {self.size} samples, "
+                             f"got shape {x.shape}")
+        return x

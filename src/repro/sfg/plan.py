@@ -747,10 +747,12 @@ class CompiledPlan:
             keep_signals: bool = False) -> ExecutionResult:
         """Execute the schedule on one stimulus.
 
-        This is the only way a graph is executed: both precision modes
-        and both backends walk the schedule and call each node's
-        ``simulate`` or ``simulate_fixed``; the ``reference`` backend
-        only swaps the kernels inside the nodes.
+        This is the only way the library executes a graph: both
+        precision modes walk the schedule, apply the input quantizers
+        and the fanout taps (fixed mode) and call each node's
+        ``simulate`` or ``simulate_fixed``.  The differential oracle
+        :func:`repro.verify.legacy.legacy_run` restates the walk over
+        the preserved legacy loops.
 
         Parameters
         ----------

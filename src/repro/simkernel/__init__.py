@@ -2,22 +2,26 @@
 
 This package is the performance layer of the bit-true simulation path:
 scaled-integer-domain IIR recursion kernels, whose no-rounding mode is
-also the double-precision leg (:mod:`repro.simkernel.iir`),
+also the double-precision leg (:mod:`repro.simkernel.iir`), and
 vectorized fixed-point FFT butterflies and overlap-save framing
-(:mod:`repro.simkernel.fft`), the preserved legacy loops every kernel is
-differentially verified against (:mod:`repro.simkernel.reference`), and
-the two-way backend switch (:mod:`repro.simkernel.backend`):
-``reference`` (the legacy loops, the oracle) and ``fast`` (the default).
-Every run walks the plan's schedule and calls these kernels from inside
-the nodes.  :func:`use_backend` forces the oracle for a block.
+(:mod:`repro.simkernel.fft`).  Every run walks the plan's schedule and
+calls these kernels from inside the nodes; there is one set of them.
+The preserved legacy loops they are differentially verified against
+(:mod:`repro.simkernel.reference` and the ``*_reference`` twins beside
+the block engines) run only when something calls them directly: the
+whole-graph oracle :func:`repro.verify.legacy.legacy_run`, the tests and
+the speedup benches.
 """
 
-from repro.simkernel.backend import default_backend, get_backend, use_backend
 from repro.simkernel.iir import iir_df1_fixed
+
+
+def default_backend() -> str:
+    """``"fast"``, the one kernel set's name (the e2e benchmark logs it)."""
+    return "fast"
+
 
 __all__ = [
     "default_backend",
-    "get_backend",
     "iir_df1_fixed",
-    "use_backend",
 ]

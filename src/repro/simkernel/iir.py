@@ -31,9 +31,10 @@ product and partial sum is an exact multiple of the common quantization
 grid within a double's 53-bit significand, so the sum is exact and
 independent of accumulation order: the kernel is bitwise identical to the
 legacy loop there (``tests/test_simkernel.py`` and the fuzz harness's
-``backend_equality`` check pin it).  Beyond that domain — roughly 40+
-fractional bits on the data and coefficient words together — the last
-bit may differ; see ARCHITECTURE.md, "Simulation engine".  A run takes
+``backend_equality`` check, which runs the loop through the oracle
+:func:`repro.verify.legacy.legacy_run`, pin it).  Beyond that domain —
+roughly 40+ fractional bits on the data and coefficient words together —
+the last bit may differ; see ARCHITECTURE.md, "Simulation engine".  A run takes
 one 1-D stream: the plan runs one stimulus at a time.
 
 The double-precision leg (:func:`iir_df1_double`) is the same recursion
@@ -51,7 +52,6 @@ from functools import lru_cache
 import numpy as np
 
 from repro.fixedpoint.quantizer import RoundingMode
-from repro.simkernel.backend import get_backend
 from repro.simkernel.reference import causal_fir_reference as causal_fir
 from repro.simkernel.reference import iir_df1_reference
 
@@ -149,11 +149,9 @@ def iir_df1_fixed(x: np.ndarray, b: np.ndarray, a: np.ndarray, step: float,
     rounding:
         Rounding mode of the output quantizer inside the recursion.
 
-    Under the ``reference`` backend this is the legacy loop.
+    Its legacy twin is :func:`~repro.simkernel.reference.iir_df1_reference`,
+    which it calls only on a non-finite accumulator.
     """
-    if get_backend() == "reference":
-        return iir_df1_reference(x, b, a, step, rounding)
-
     x = np.asarray(x, dtype=float)
     # Pre-dividing the numerator taps by the (power-of-two) step scales
     # the convolution exactly, so the recursion runs on output mantissas
@@ -184,8 +182,8 @@ def iir_df1_double(x: np.ndarray, b: np.ndarray, a: np.ndarray) -> np.ndarray:
     the feed-forward convolution with ``b`` unscaled, then
     ``y[n] = ff[n] - (a[1] y[n-1] + a[2] y[n-2] + ...)`` added left to
     right; with no feedback taps the result is ``np.convolve(x, b)[:n]``.
-    Diverging filters propagate NaN and inf.  The backend switch does not
-    apply: this is not a bit-true kernel.
+    Diverging filters propagate NaN and inf.  It has no legacy twin: this
+    is not a bit-true kernel.
 
     Parameters
     ----------

@@ -1,14 +1,13 @@
 """Reference (legacy) per-sample simulation loops.
 
-These are the original bit-true IIR loops that predate the vectorized
-kernel layer: every optimized kernel in :mod:`repro.simkernel` is
-required to be **bitwise identical** to the loops in this module inside
-the documented fixed-point domain, and the differential fuzz harness
-(:mod:`repro.verify.differential`, ``backend_equality`` check) asserts
-that equality on randomized graphs.  ``use_backend("reference")`` routes
-all execution through these loops, which is also how the
-perf-regression benchmarks measure the speedup of the optimized engine
-against an honest baseline.
+This is the original bit-true IIR loop that predates the vectorized
+kernel layer: :func:`repro.simkernel.iir.iir_df1_fixed` is required to
+be **bitwise identical** to it inside the documented fixed-point domain,
+and calls it only on a non-finite accumulator.  The oracle
+:func:`repro.verify.legacy.legacy_run` runs every enabled IIR node's
+fixed leg through it; that is how the fuzz's ``backend_equality`` check
+and the speedup benches reach it.  The block engines' legacy loops sit
+beside their fast twins (the ``*_reference`` names).
 
 :func:`causal_fir_reference` is not a legacy loop: it is the one causal
 FIR convolution of the package, shared by these loops, the fast kernels

@@ -39,7 +39,6 @@ from repro.fixedpoint.quantizer import Quantizer, RoundingMode
 from repro.fixedpoint.qformat import QFormat
 from repro.lti.convolution import overlap_save
 from repro.lti.fft import FixedPointFft
-from repro.simkernel.backend import get_backend
 from repro.simkernel.fft import chunk_rows, overlap_save_frames
 from repro.lti.fir_design import design_fir_highpass, design_fir_lowpass
 from repro.sfg.builder import SfgBuilder
@@ -89,23 +88,17 @@ class FrequencyDomainFirNode(FirNode):
         framing view; they go through the pipeline one chunk of rows at a
         time (``CHUNK_SAMPLES`` complex samples), held position-major in
         two preallocated buffers that the butterflies and the in-place
-        quantizer share; the ``reference`` backend replays the original
-        streaming per-block loop instead.  Every step is the same
-        elementwise operation per block, so both are bitwise identical,
-        signed zeros included.
+        quantizer share.  Every step is the same elementwise operation
+        per block as in the original streaming loop
+        (:meth:`simulate_fixed_reference`), so both are bitwise
+        identical, signed zeros included.
         """
         (x,) = inputs
         x = np.asarray(x, dtype=float)
         if not self.quantization.enabled:
             return self.simulate(inputs)
-        if get_backend() == "reference":
-            return self._simulate_fixed_reference(x)
-
-        data_quantizer, coeff_quantizer = self._pipeline_quantizers()
-        taps, h_spectrum = self._quantized_spectrum(coeff_quantizer)
+        data_quantizer, taps, h_spectrum, engine = self._pipeline()
         n = self.fft_size
-        engine = FixedPointFft(n, self.quantization.fractional_bits,
-                               rounding=self.quantization.rounding)
         frames, hop = overlap_save_frames(x, len(taps), n)
         valid = np.empty((len(frames), hop))
         rows = chunk_rows(n)
@@ -123,37 +116,36 @@ class FrequencyDomainFirNode(FirNode):
             valid[start:stop] = result.real[len(taps) - 1:len(taps) - 1 + hop].T
         return data_quantizer.quantize(valid.reshape(-1)[:len(x)])
 
-    # ------------------------------------------------------------------
-    # Pipeline pieces
-    # ------------------------------------------------------------------
-    def _pipeline_quantizers(self) -> tuple[Quantizer, Quantizer]:
-        data_quantizer = Quantizer(
-            QFormat(15, self.quantization.fractional_bits),
-            rounding=self.quantization.rounding)
+    def _pipeline(self):
+        """``(data quantizer, quantized taps, quantized spectrum, FFT
+        engine)`` of the fixed-point pipeline."""
+        spec = self.quantization
+        data_quantizer = Quantizer(QFormat(15, spec.fractional_bits),
+                                   rounding=spec.rounding)
         # Coefficients (time-domain taps and their spectrum) are design-time
         # constants shared with the reference path, hence round-to-nearest.
-        coeff_quantizer = Quantizer(QFormat(15, self.quantization.coeff_bits),
+        coeff_quantizer = Quantizer(QFormat(15, spec.coeff_bits),
                                     rounding=RoundingMode.ROUND)
-        return data_quantizer, coeff_quantizer
-
-    def _quantized_spectrum(self, coeff_quantizer: Quantizer):
         taps = coeff_quantizer.quantize(self.taps)
         n = self.fft_size
-        h_padded = np.concatenate([taps, np.zeros(n - len(taps))])
-        h_spectrum = np.fft.fft(h_padded)
+        h_spectrum = np.fft.fft(np.concatenate([taps,
+                                                np.zeros(n - len(taps))]))
         # The frequency-domain coefficients are stored constants, quantized
         # once to the coefficient precision.
         h_spectrum = (coeff_quantizer.quantize(h_spectrum.real)
                       + 1j * coeff_quantizer.quantize(h_spectrum.imag))
-        return taps, h_spectrum
+        engine = FixedPointFft(n, spec.fractional_bits, rounding=spec.rounding)
+        return data_quantizer, taps, h_spectrum, engine
 
-    def _simulate_fixed_reference(self, x: np.ndarray) -> np.ndarray:
-        """The original streaming per-block pipeline (legacy ground truth)."""
-        data_quantizer, coeff_quantizer = self._pipeline_quantizers()
-        taps, h_spectrum = self._quantized_spectrum(coeff_quantizer)
+    def simulate_fixed_reference(self, inputs: list[np.ndarray]
+                                 ) -> np.ndarray:
+        """The original streaming per-block pipeline of an enabled node's
+        fixed run (the oracle's): bitwise identical to
+        :meth:`simulate_fixed`."""
+        (x,) = inputs
+        x = np.asarray(x, dtype=float)
+        data_quantizer, taps, h_spectrum, engine = self._pipeline()
         n = self.fft_size
-        engine = FixedPointFft(n, self.quantization.fractional_bits,
-                               rounding=self.quantization.rounding)
         hop = n - len(taps) + 1
         padded = np.concatenate([np.zeros(len(taps) - 1), x, np.zeros(n)])
         output = np.zeros(len(x) + n)
@@ -161,11 +153,11 @@ class FrequencyDomainFirNode(FirNode):
         out_position = 0
         while out_position < len(x):
             block = padded[position:position + n]
-            spectrum = engine.forward(block)
+            spectrum = engine.forward_reference(block)
             product = spectrum * h_spectrum
             product = (data_quantizer.quantize(product.real)
                        + 1j * data_quantizer.quantize(product.imag))
-            result = np.real(engine.inverse(product))
+            result = np.real(engine.inverse_reference(product))
             valid = result[len(taps) - 1:]
             output[out_position:out_position + hop] = valid[:hop]
             position += hop

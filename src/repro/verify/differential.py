@@ -12,11 +12,12 @@ graphs of :mod:`repro.systems.random_graphs`):
    of :mod:`repro.verify.legacy`, which states its own propagation rule:
    the PSD and moments walks, the flat and tracked engines (single-rate
    graphs) and both simulation modes;
-3. **backend_equality** — the bit-true simulation produces identical
-   bytes under both simulation backends (:mod:`repro.simkernel`): the
-   preserved legacy per-sample loops (``reference``) and the default
-   kernels, signed zeros included, on the generated graph and again
-   after a seeded assignment with per-edge fanout taps;
+3. **backend_equality** — the plan's bit-true run (the kernels of
+   :mod:`repro.simkernel`) produces the same bytes as the oracle's
+   fixed run on the preserved legacy loops
+   (:func:`~repro.verify.legacy.legacy_run`), signed zeros included, on
+   the generated graph and again after a seeded assignment with
+   per-edge fanout taps;
 4. **batch_vs_sequential** — a K-slice consistency property.  Scalar
    evaluations are the ``K = 1`` case of the engine's one step rule, so
    the check guards what only a ``K > 1`` walk does — the row-sparse
@@ -191,28 +192,25 @@ def _check_plan_vs_legacy(graph, plan, *, samples, seed, n_psd, **options):
 
 
 def _check_backend_equality(graph, plan, *, samples, seed, **options):
-    from repro.simkernel import use_backend
-
     stimulus = _stimulus(graph, samples, seed)
 
     def compare(label):
-        with use_backend("reference"):
-            expected = plan.run(stimulus, mode="fixed").output(None)
+        expected = legacy_run(graph, stimulus, "fixed")
         output = plan.run(stimulus, mode="fixed").output(None)
         # Raw bytes: np.array_equal would take -0.0 for +0.0.
         _require(output.shape == expected.shape
                  and output.tobytes() == expected.tobytes(),
-                 f"default backend differs bitwise from the reference "
-                 f"loops {label}")
+                 f"the plan's fixed run differs bitwise from the "
+                 f"reference loops {label}")
 
     compare("on the generated graph")
-    # edges=True: the assignment may tap fanout edges, so the walk's
-    # edge-tap quantization runs under both backends too.
+    # edges=True: the assignment may tap fanout edges, so the plan walk's
+    # and the oracle's edge-tap quantization run too.
     assignment = random_assignments(graph, seed + 7, 1, edges=True)[0]
     with plan.preserve_quantization():
         plan.requantize(assignment, allow_enable=True)
         compare("after an edge-keyed requantize")
-    return "default backend bitwise identical to the reference loops"
+    return "the plan's fixed run bitwise identical to the reference loops"
 
 
 def _check_batch_vs_sequential(graph, plan, *, samples, seed, n_psd,

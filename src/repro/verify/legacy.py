@@ -18,6 +18,10 @@ noise-shaping function, an adder's signs, a resampler's factor, its own
 noise and its fanout-tap specs.  Sources whose noise is silent are
 skipped, not added as zeros.
 
+:func:`legacy_run` is the one whole-graph run on the preserved legacy
+loops of the simulation kernels (:func:`_simulate`): it quantizes the
+inputs and the fanout taps as the plan does.
+
 They live in the package, rather than in the test suites that also use
 them, because the fuzzing harness (:mod:`repro.verify.differential`) runs
 the same plan-vs-legacy comparison from the ``fuzz`` CLI, outside pytest.
@@ -28,6 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.fixedpoint.noise_model import NoiseStats
+from repro.lti.convolution import overlap_save_reference
 from repro.lti.transfer_function import TransferFunction
 from repro.psd.spectrum import DiscretePsd
 from repro.psd.propagation import TrackedSpectrum
@@ -40,6 +45,8 @@ from repro.sfg.nodes import (
     UpsampleNode,
     _LtiMixin,
 )
+from repro.simkernel.reference import iir_df1_reference
+from repro.systems.freq_filter import FrequencyDomainFirNode
 
 
 class _Psd:
@@ -227,20 +234,53 @@ def legacy_flat(graph):
                       variance=total_variance)
 
 
+def _simulate(node, inputs, fixed):
+    """One node's run: an enabled IIR node's fixed leg on
+    ``iir_df1_reference``, an FD-FIR node on its per-block pipeline
+    (enabled fixed leg) or overlap-save loop, any other node on its own
+    ``simulate`` / ``simulate_fixed``."""
+    quantized = fixed and node.quantization.enabled
+    if isinstance(node, FrequencyDomainFirNode):
+        if quantized:
+            return node.simulate_fixed_reference(inputs)
+        return overlap_save_reference(
+            inputs[0], node._effective_transfer_function().b, node.fft_size)
+    if isinstance(node, IirNode) and quantized:
+        effective = node._effective_transfer_function()
+        return iir_df1_reference(inputs[0], effective.b, effective.a,
+                                 node.quantization.quantizer().step,
+                                 node.quantization.rounding)
+    return node.simulate_fixed(inputs) if fixed else node.simulate(inputs)
+
+
 def legacy_run(graph, inputs, mode):
-    """Pre-plan name-keyed simulation (double or fixed mode)."""
+    """Pre-plan name-keyed simulation (double or fixed mode) at the
+    graph's single output; a fixed run re-quantizes every tapped fanout
+    edge's value before its target reads it."""
     graph.validate()
+    fixed = mode == "fixed"
     signals = {}
     for name in graph.topological_order():
         node = graph.node(name)
         if isinstance(node, InputNode):
             stimulus = np.asarray(inputs[name], dtype=float)
-            if mode == "fixed" and node.quantization.enabled:
+            if fixed and node.quantization.enabled:
                 stimulus = node.quantization.quantizer().quantize(stimulus)
             signals[name] = stimulus
             continue
-        node_inputs = [signals[edge.source]
-                       for edge in graph.predecessors(name)]
-        signals[name] = (node.simulate(node_inputs) if mode == "double"
-                         else node.simulate_fixed(node_inputs))
+        node_inputs = []
+        for edge in graph.predecessors(name):
+            value = signals[edge.source]
+            spec = graph.node(edge.source).quantization
+            bits = spec.edge_bits_for(name)
+            if fixed and bits is not None:
+                value = spec.edge_quantizer(bits).quantize(value)
+            node_inputs.append(value)
+        signals[name] = _simulate(node, node_inputs, fixed)
     return signals[graph.output_names()[0]]
+
+
+def legacy_error(graph, inputs):
+    """Pre-plan output error record: the fixed run minus the double run."""
+    reference = legacy_run(graph, inputs, "double")
+    return legacy_run(graph, inputs, "fixed") - reference

@@ -37,7 +37,6 @@ from repro.lti.fir_design import design_fir_highpass, design_fir_lowpass
 from repro.obs import observe
 from repro.sfg.builder import SfgBuilder
 from repro.sfg.plan import CompiledPlan, compile_plan
-from repro.simkernel import use_backend
 from repro.systems.families import (
     build_dwt97_bank,
     build_scalability_bank,
@@ -518,15 +517,6 @@ class TestSimulationErrorMemo:
         with memoization_disabled():
             cold = evaluator.error_signal(**call)
         assert _same_bits(memoized, cold)
-
-    def test_backend_is_part_of_the_key(self, monkeypatch):
-        plan, evaluator, stimulus = self._setup()
-        default = evaluator.error_signal(stimulus, output="y")
-        calls = _count_runs(monkeypatch, plan)
-        with use_backend("reference"):
-            reference = evaluator.error_signal(stimulus, output="y")
-        assert calls["fixed"] == 1
-        assert _same_bits(default, reference)
 
     def test_compare_at_two_resolutions_runs_one_fixed_run(self, monkeypatch):
         system = FrequencyDomainFilter(fractional_bits=12, n_psd=1024)

@@ -165,17 +165,13 @@ class TestRegisteredBenches:
 
     def test_bitwise_guard_refuses_broken_kernels(self, monkeypatch):
         from repro.sfg import nodes
-        from repro.simkernel import get_backend
 
         original = nodes.iir_df1_fixed
 
         def drifting(*args):
-            # The default kernel drifts by one tiny offset; the
-            # ``reference`` loop stays exact.
-            result = original(*args)
-            if get_backend() == "reference":
-                return result
-            return result + 2.0 ** -40
+            # The default kernel drifts by one tiny offset; the oracle's
+            # reference loop stays exact.
+            return original(*args) + 2.0 ** -40
 
         monkeypatch.setattr(nodes, "iir_df1_fixed", drifting)
         with pytest.raises(RuntimeError, match="not bitwise identical"):
@@ -200,8 +196,9 @@ class TestRegisteredBenches:
 
         with observe(trace=False) as session:
             bench_sim_engine_ff(samples=1000)
-        # A warm-up and a timed call per backend.
-        assert session.metrics.counter("plan.runs", mode="fixed").value == 4
+        # A warm-up and a timed call of the default path; the oracle
+        # side runs the legacy loops, not the plan.
+        assert session.metrics.counter("plan.runs", mode="fixed").value == 2
 
 
 class TestBitwiseGuard:

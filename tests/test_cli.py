@@ -231,6 +231,18 @@ class TestErrorPaths:
         assert code == 1
         assert "no registered benchmark" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_nan_amplitude_is_one_error_line(self, capsys, system_path,
+                                             command):
+        code = main([command, system_path, "--samples", "2000",
+                     "--amplitude", "nan"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "amplitude" in lines[0]
+
     def test_fuzz_rejects_non_positive_count(self, capsys):
         code = main(["fuzz", "--count", "0"])
         assert code == 1

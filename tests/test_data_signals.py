@@ -64,6 +64,28 @@ class TestGenerators:
         with pytest.raises(ValueError):
             uniform_white_noise(10, amplitude=0.0)
 
+    @pytest.mark.parametrize("generate", [
+        lambda amplitude: uniform_white_noise(16, amplitude, seed=0),
+        lambda amplitude: colored_noise(16, amplitude=amplitude, seed=0),
+        lambda amplitude: multitone(16, [0.1], amplitude=amplitude, seed=0),
+        lambda amplitude: chirp(16, amplitude=amplitude),
+        lambda amplitude: ar1_process(16, amplitude=amplitude, seed=0),
+    ], ids=["white", "colored", "multitone", "chirp", "ar1"])
+    @pytest.mark.parametrize("amplitude", [
+        float("nan"), float("inf"), -float("inf"), 1e308, -0.5])
+    def test_non_finite_or_non_positive_amplitude_rejected(self, generate,
+                                                           amplitude):
+        # NaN passed the old `amplitude <= 0` test, and the uniform draw
+        # over [-1e308, 1e308] overflows: each now raises a ValueError
+        # instead of an OverflowError or an all-NaN / all-inf record.
+        with pytest.raises(ValueError, match="amplitude"):
+            generate(amplitude)
+
+    def test_largest_drawable_amplitude_accepted(self):
+        amplitude = 2.0 ** 1022
+        x = uniform_white_noise(64, amplitude, seed=0)
+        assert np.all(np.isfinite(x)) and np.max(np.abs(x)) <= amplitude
+
 
 class TestSignalGenerator:
     def test_all_kinds_produce_requested_length(self):

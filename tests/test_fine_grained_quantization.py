@@ -178,15 +178,14 @@ class TestTapSimulation:
                               plan.run(stimulus, mode="fixed").output("y"))
 
     def test_tapped_run_matches_reference_loops(self):
-        from repro.simkernel import use_backend
+        from repro.verify.legacy import legacy_run
 
         graph = _fork_graph()
         stimulus = _stimulus(graph)
         plan = compile_plan(graph)
 
         def reference(inputs):
-            with use_backend("reference"):
-                return plan.run(inputs, mode="fixed").output("y")
+            return legacy_run(graph, inputs, "fixed")
 
         untapped = plan.run(stimulus, mode="fixed").output("y")
         # The tapped plan equals the reference loops bitwise, paired too.

@@ -12,7 +12,8 @@ campaign scenario-family tests and the differential fuzz); here they are
 exercised on the paper's Table-I filter-bank systems, on a DWT-style
 multirate filter-bank graph, and on a single-rate graph that takes a
 gain, a delay, a generic LTI block, a signed adder fed by re-convergent
-fan-out and a fanout tap through every analytical walk.
+fan-out and a fanout tap through every analytical walk and both
+simulation modes.
 """
 
 import numpy as np
@@ -156,8 +157,9 @@ class TestDwtBank:
 
 
 class TestSingleRateMix:
-    """Every analytical walk against the oracle on the LTI node types,
-    the adder signs, re-convergent fan-out and a fanout tap."""
+    """Every analytical walk and both simulation modes against the
+    oracle on the LTI node types, the adder signs, re-convergent fan-out
+    and a fanout tap."""
 
     def test_the_tap_injects_noise(self):
         plan = compile_plan(_single_rate_mix_graph())
@@ -188,3 +190,36 @@ class TestSingleRateMix:
         legacy = _legacy_flat(graph)
         assert via_plan.mean == legacy.mean
         assert via_plan.variance == legacy.variance
+
+    def test_simulator_bitwise_identical(self, rng):
+        # The oracle re-quantizes the tapped edge g->l to 7 bits as the
+        # plan walk does; the untapped run differs by 2^-7.  Raw bytes,
+        # so a flipped signed zero fails too.
+        graph = _single_rate_mix_graph()
+        stimulus = {"x": rng.uniform(-0.9, 0.9, 512)}
+        plan = compile_plan(graph)
+        for mode in ("double", "fixed"):
+            result = plan.run(stimulus, mode=mode).output("y")
+            expected = _legacy_run(graph, stimulus, mode)
+            assert result.shape == expected.shape
+            assert result.tobytes() == expected.tobytes()
+
+
+def test_oracle_imports_nothing_from_the_plan_or_the_engine():
+    """The oracle restates what it checks: none of its imports reaches
+    the plan layer or the analytical engine."""
+    import ast
+    from pathlib import Path
+
+    import repro.verify.legacy as legacy
+
+    tree = ast.parse(Path(legacy.__file__).read_text(encoding="utf-8"))
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            modules.add(node.module)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+    assert "repro.simkernel.reference" in modules
+    assert not [module for module in modules
+                if module.startswith(("repro.analysis", "repro.sfg.plan"))]

@@ -23,7 +23,7 @@ from repro.sfg.plan import (
     quantization_signature,
     structure_signature,
 )
-from repro.simkernel import use_backend
+from repro.verify.legacy import legacy_run
 
 
 def _graph(bits=10):
@@ -73,9 +73,13 @@ def _white(samples=512, seed=11):
     return {"x": uniform_white_noise(samples, seed=seed)}
 
 
-def _run_fixed(plan, stimulus, backend=None):
-    with use_backend(backend):
-        return plan.run(stimulus, mode="fixed").output("y")
+def _run_fixed(plan, stimulus):
+    return plan.run(stimulus, mode="fixed").output("y")
+
+
+def _oracle_fixed(plan, stimulus):
+    """The oracle's fixed run of the plan's graph on the legacy loops."""
+    return legacy_run(plan.graph, stimulus, "fixed")
 
 
 class TestCompilation:
@@ -412,15 +416,15 @@ class TestErrorSignal:
 
 
 class TestBackendEquality:
-    """The default kernels against the ``reference`` loops, bitwise, on
-    every node type of :func:`_mixed_graph`."""
+    """The default kernels against the oracle's reference loops, bitwise,
+    on every node type of :func:`_mixed_graph`."""
 
     @pytest.mark.parametrize("rounding", list(RoundingMode))
     def test_single_trial_all_rounding_modes(self, rounding):
         plan = compile_plan(_mixed_graph(rounding=rounding,
                                          name=f"mixed-{rounding.value}"))
         stimulus = _white()
-        expected = _run_fixed(plan, stimulus, "reference")
+        expected = _oracle_fixed(plan, stimulus)
         result = _run_fixed(plan, stimulus)
         assert result.shape == expected.shape
         assert np.array_equal(result, expected)
@@ -428,11 +432,11 @@ class TestBackendEquality:
     def test_run_pair(self):
         plan = compile_plan(_mixed_graph(name="mixed-pair"))
         stimulus = _white()
-        with use_backend("reference"):
-            ref_double, ref_fixed = plan.run_pair(stimulus)
         double, fixed = plan.run_pair(stimulus)
-        assert np.array_equal(double.output("y"), ref_double.output("y"))
-        assert np.array_equal(fixed.output("y"), ref_fixed.output("y"))
+        assert np.array_equal(double.output("y"),
+                              legacy_run(plan.graph, stimulus, "double"))
+        assert np.array_equal(fixed.output("y"),
+                              _oracle_fixed(plan, stimulus))
 
     def test_streams_shorter_than_every_filter(self):
         # One to three samples: shorter than the FIR taps, the delay and
@@ -440,7 +444,7 @@ class TestBackendEquality:
         plan = compile_plan(_mixed_graph(name="mixed-short"))
         for samples in (1, 2, 3):
             stimulus = _white(samples=samples)
-            expected = _run_fixed(plan, stimulus, "reference")
+            expected = _oracle_fixed(plan, stimulus)
             result = _run_fixed(plan, stimulus)
             assert result.shape == expected.shape
             assert result.tobytes() == expected.tobytes()
@@ -449,7 +453,7 @@ class TestBackendEquality:
         plan = compile_plan(_mixed_graph(bits=None, name="mixed-double"))
         stimulus = _white()
         assert np.array_equal(_run_fixed(plan, stimulus),
-                              _run_fixed(plan, stimulus, "reference"))
+                              _oracle_fixed(plan, stimulus))
 
     def test_default_fixed_run_logs_nothing(self, caplog):
         plan = compile_plan(_mixed_graph(name="mixed-silent"))
@@ -460,9 +464,8 @@ class TestBackendEquality:
             first = _run_fixed(plan, stimulus)
             second = _run_fixed(other, stimulus)
         assert not caplog.records
-        assert np.array_equal(first, _run_fixed(plan, stimulus, "reference"))
-        assert np.array_equal(second,
-                              _run_fixed(other, stimulus, "reference"))
+        assert np.array_equal(first, _oracle_fixed(plan, stimulus))
+        assert np.array_equal(second, _oracle_fixed(other, stimulus))
 
     def test_requantized_run_matches_fresh_compile(self):
         plan = compile_plan(_mixed_graph(bits=12, name="mixed-requantize"))
@@ -472,8 +475,7 @@ class TestBackendEquality:
         requantized = _run_fixed(plan, stimulus)
         fresh = compile_plan(_mixed_graph(bits=9, name="mixed-fresh"))
         assert np.array_equal(requantized, _run_fixed(fresh, stimulus))
-        assert np.array_equal(requantized,
-                              _run_fixed(plan, stimulus, "reference"))
+        assert np.array_equal(requantized, _oracle_fixed(plan, stimulus))
 
     @pytest.mark.parametrize("name", scenario_names())
     def test_registered_scenario(self, name):
@@ -483,12 +485,9 @@ class TestBackendEquality:
         single = spec.realize(plan.input_names, seed=1)
         negated = {key: -value for key, value in single.items()}
         for stimulus in (single, negated):
-            with use_backend("reference"):
-                expected = plan.run(stimulus, mode="fixed")
+            expected = legacy_run(instance.graph, stimulus, "fixed")
             result = plan.run(stimulus, mode="fixed")
-            for output in instance.graph.output_names():
-                assert np.array_equal(result.output(output),
-                                      expected.output(output))
+            assert np.array_equal(result.output(None), expected)
 
     def test_frequency_domain_filter(self):
         from repro.systems.freq_filter import FrequencyDomainFilter
@@ -497,4 +496,4 @@ class TestBackendEquality:
                                      n_psd=256).evaluator.plan
         stimulus = {"x": uniform_white_noise(512, seed=4)}
         assert np.array_equal(_run_fixed(plan, stimulus),
-                              _run_fixed(plan, stimulus, "reference"))
+                              _oracle_fixed(plan, stimulus))

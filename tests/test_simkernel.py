@@ -10,9 +10,9 @@ within a tolerance.  This suite pins that contract as a matrix over
 * extreme Q-formats (1 fractional bit, deep fractional words, inputs
   pushed to the saturation edge of the Q15 range),
 
-plus the backend selection machinery itself (the two names, the
-context manager) and the vectorized Welch estimator against its
-per-segment reference loop.
+plus the vectorized Welch estimator against its per-segment reference
+loop.  Whole graphs are compared with the oracle
+:func:`repro.verify.legacy.legacy_run`, which runs the legacy loops.
 """
 
 import numpy as np
@@ -20,6 +20,7 @@ import pytest
 
 from repro.data.signals import uniform_white_noise
 from repro.fixedpoint.quantizer import RoundingMode
+from repro.lti.convolution import overlap_save, overlap_save_reference
 from repro.lti.fft import FixedPointFft
 from repro.lti.iir_design import design_iir_filter
 from repro.lti.sos import build_direct_form_graph, build_sos_graph
@@ -29,19 +30,15 @@ from repro.psd.estimation import (
     welch,
     welch_batched,
 )
-from repro.sfg.nodes import FirNode, IirNode, QuantizationSpec
+from repro.sfg.nodes import IirNode, QuantizationSpec
 from repro.sfg.plan import compile_plan
-from repro.simkernel import (
-    default_backend,
-    get_backend,
-    iir_df1_fixed,
-    use_backend,
-)
+from repro.simkernel import default_backend, iir_df1_fixed
 from repro.simkernel.fft import chunk_rows, overlap_save_frames
 from repro.simkernel.iir import iir_df1_double
 from repro.simkernel.reference import iir_df1_reference
 from repro.systems.filter_bank import build_filter_graph, generate_iir_bank
 from repro.systems.freq_filter import FrequencyDomainFirNode
+from repro.verify.legacy import legacy_run
 
 MODES = (RoundingMode.TRUNCATE, RoundingMode.ROUND, RoundingMode.CONVERGENT)
 
@@ -131,23 +128,17 @@ class TestIirKernelBitExactness:
                        QuantizationSpec(12, rounding=RoundingMode.ROUND))
         x = rng.uniform(-0.9, 0.9, 1200)
         fast = node.simulate_fixed([x])
-        with use_backend("reference"):
-            slow = node.simulate_fixed([x])
-        assert np.array_equal(fast, slow)
-
-    def test_fir_node_unaffected_by_backend(self, rng):
-        node = FirNode("h", rng.standard_normal(9),
-                       QuantizationSpec(10, rounding=RoundingMode.TRUNCATE))
-        x = rng.uniform(-0.9, 0.9, 1200)
-        fast = node.simulate_fixed([x])
-        with use_backend("reference"):
-            slow = node.simulate_fixed([x])
+        effective = node._effective_transfer_function()
+        slow = iir_df1_reference(x, effective.b, effective.a,
+                                 node.quantization.quantizer().step,
+                                 RoundingMode.ROUND)
         assert np.array_equal(fast, slow)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_sos_cascade_graph(self, mode):
         # A cascade of biquad IirNodes runs every section through the
-        # kernel; the whole graph output must be backend-invariant.
+        # kernel; the whole graph output must equal the oracle's, which
+        # runs every section through the legacy loop.
         b, a = design_iir_filter(6, 0.25, "lowpass", "chebyshev1")
         graph = build_sos_graph(b, a, fractional_bits=12, rounding=mode)
         direct = build_direct_form_graph(b, a, fractional_bits=12,
@@ -156,8 +147,7 @@ class TestIirKernelBitExactness:
         for system in (graph, direct):
             plan = compile_plan(system)
             fast = plan.run(stimulus, mode="fixed").output("y")
-            with use_backend("reference"):
-                slow = plan.run(stimulus, mode="fixed").output("y")
+            slow = legacy_run(system, stimulus, "fixed")
             assert np.array_equal(fast, slow)
 
     def test_one_generated_recurrence_serves_every_tap_set(self, rng):
@@ -183,7 +173,7 @@ class TestIirKernelBitExactness:
     def test_diverging_filter_matches_reference(self, mode):
         # An unstable pole drives the accumulator to inf and NaN, where
         # the scalar rounders raise; the kernel defers to the legacy
-        # loop, so both backends return the same non-finite samples.
+        # loop, so both return the same non-finite samples.
         b, a = np.array([1.0]), np.array([1.0, -4.0])
         x = np.ones(600)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -227,51 +217,39 @@ class TestIirDoubleLeg:
             y = iir_df1_double(np.ones(600), b, a)
         assert np.isnan(y).any() and np.isinf(y).any()
 
-    def test_backend_switch_leaves_the_double_run_alone(self):
-        b, a = design_iir_filter(6, 0.25, "lowpass", "chebyshev1")
-        plan = compile_plan(build_sos_graph(b, a, fractional_bits=12))
-        stimulus = {"x": uniform_white_noise(2000, seed=9)}
-        fast = plan.run(stimulus, mode="double").output("y")
-        with use_backend("reference"):
-            slow = plan.run(stimulus, mode="double").output("y")
-        assert _same_bits(fast, slow)
-
 
 # ----------------------------------------------------------------------
 # Fixed-point FFT and the overlap-save node
 # ----------------------------------------------------------------------
+def _position_major(transform, blocks: np.ndarray) -> np.ndarray:
+    """``transform`` (a ``*_position_major`` kernel) over the rows of a
+    block-major ``(blocks, size)`` stack."""
+    data = np.ascontiguousarray(np.asarray(blocks, dtype=complex).T)
+    return transform(data).T
+
+
 class TestFixedPointFftVectorization:
     @pytest.mark.parametrize("mode", MODES)
     def test_batched_forward_equals_reference_loop(self, rng, mode):
         engine = FixedPointFft(16, 12, rounding=mode)
         blocks = rng.uniform(-1.0, 1.0, (40, 16))
-        batched = engine.forward(blocks)
+        batched = _position_major(engine.forward_position_major, blocks)
         for t in range(blocks.shape[0]):
             assert np.array_equal(batched[t],
-                                  engine._forward_reference(
-                                      blocks[t].astype(complex)))
-
-    def test_reference_backend_routes_through_loop(self, rng):
-        engine = FixedPointFft(16, 10)
-        blocks = rng.uniform(-1.0, 1.0, (3, 16))
-        with use_backend("reference"):
-            looped = engine.forward(blocks)
-        fast = engine.forward(blocks)
-        assert np.array_equal(looped, fast)
+                                  engine.forward_reference(blocks[t]))
 
     def test_inverse_round_trip_backend_invariant(self, rng):
         engine = FixedPointFft(16, 12)
         spectra = (rng.uniform(-1, 1, (7, 16))
                    + 1j * rng.uniform(-1, 1, (7, 16)))
-        fast = engine.inverse(spectra)
-        with use_backend("reference"):
-            slow = engine.inverse(spectra)
+        fast = _position_major(engine.inverse_position_major, spectra)
+        slow = np.stack([engine.inverse_reference(row) for row in spectra])
         assert np.array_equal(fast, slow)
 
     def test_wrong_block_length_rejected(self):
         engine = FixedPointFft(16, 12)
         with pytest.raises(ValueError, match="expected a block"):
-            engine.forward(np.zeros(8))
+            engine.forward_reference(np.zeros(8))
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -319,10 +297,14 @@ class TestFrequencyDomainNodeVectorization:
     @staticmethod
     def _matches_reference(node, x) -> np.ndarray:
         fast = node.simulate_fixed([x])
-        with use_backend("reference"):
-            slow = node.simulate_fixed([x])
+        slow = node.simulate_fixed_reference([x])
         assert _same_bits(fast, slow)
         return fast
+
+    @staticmethod
+    def _double_reference(node, x) -> np.ndarray:
+        return overlap_save_reference(
+            x, node._effective_transfer_function().b, node.fft_size)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_fixed_pipeline_matches_reference(self, mode):
@@ -356,8 +338,7 @@ class TestFrequencyDomainNodeVectorization:
                                            node.fft_size)[0]) == rows
             fast = self._matches_reference(node, x)
             assert fast.shape == x.shape
-            with use_backend("reference"):
-                slow = node.simulate([x])
+            slow = self._double_reference(node, x)
             assert _same_bits(node.simulate([x]), slow)
 
     @pytest.mark.parametrize("mode", MODES)
@@ -392,25 +373,23 @@ class TestFrequencyDomainNodeVectorization:
         for rows in (1, self._rows_per_chunk(node) + 1):
             x = self._stimulus(node, rows, seed=6)
             fast = node.simulate([x])
-            with use_backend("reference"):
-                slow = node.simulate([x])
+            slow = self._double_reference(node, x)
             assert _same_bits(fast, slow)
 
 
 class TestOverlapSaveFraming:
-    @pytest.mark.parametrize("backend", ["reference", "fast"])
+    @pytest.mark.parametrize("convolve", [overlap_save_reference,
+                                          overlap_save],
+                             ids=["reference", "fast"])
     @pytest.mark.parametrize("shape", [(4, 100), ()],
                              ids=["stacked", "scalar"])
-    def test_stacked_input_rejected(self, rng, backend, shape):
-        from repro.lti.convolution import overlap_save
+    def test_stacked_input_rejected(self, rng, convolve, shape):
         h = rng.standard_normal(5)
         x = rng.standard_normal(shape)
-        with use_backend(backend):
-            with pytest.raises(ValueError, match="one 1-D stream"):
-                overlap_save(x, h, 16)
+        with pytest.raises(ValueError, match="one 1-D stream"):
+            convolve(x, h, 16)
 
     def test_output_is_a_view_of_the_valid_rows(self, rng):
-        from repro.lti.convolution import overlap_save
         x = rng.standard_normal(100)
         y = overlap_save(x, rng.standard_normal(5), 16)
         assert y.shape == x.shape
@@ -526,27 +505,8 @@ class TestWelchVectorization:
 
 
 # ----------------------------------------------------------------------
-# Backend selection machinery
+# The kernel set's name
 # ----------------------------------------------------------------------
 class TestBackendSelection:
     def test_default_backend_is_fast(self):
         assert default_backend() == "fast"
-        assert get_backend() == "fast"
-
-    def test_use_backend_restores_previous_choice(self):
-        before = get_backend()
-        with use_backend("reference"):
-            assert get_backend() == "reference"
-            with use_backend("fast"):
-                assert get_backend() == "fast"
-            assert get_backend() == "reference"
-        assert get_backend() == before
-
-    def test_unknown_backend_rejected(self):
-        # The retired kernel names are unknown too.
-        for name in ("fortran", "numpy", "codegen", "numba"):
-            with pytest.raises(ValueError,
-                               match="unknown simulation backend"):
-                with use_backend(name):
-                    pass
-        assert get_backend() == "fast"

@@ -1,14 +1,19 @@
-"""The package names the end-to-end benchmark's tracer wraps.
+"""The package names the end-to-end benchmark binds.
 
 ``e2ebench/traced.py`` replaces every function and method listed in its
 ``TARGETS`` with a timing wrapper, and ends a traced run (exit status 3)
 when one of them has no binding.  Three names exist only for the
 tracer: the retired :func:`repro.simkernel.codegen.lowering.lower_plan`
 stub, :meth:`repro.sfg.plan.CompiledPlan.run_pair` and
-:func:`repro.psd.estimation.welch_batched`.  This module pins that they,
-and every other target, still resolve, without running a benchmark.
+:func:`repro.psd.estimation.welch_batched`.  The benchmark scripts also
+import names from the package (``prepare.py`` records
+:func:`repro.simkernel.default_backend`, which only it reads).  This
+module pins that every target and every imported name still resolve,
+without running a benchmark.
 """
 
+import ast
+import importlib
 import importlib.util
 import os
 import subprocess
@@ -63,6 +68,37 @@ def test_every_target_resolves_to_a_callable():
             continue
         if not callable(resolved):
             missing.append(target)
+    assert missing == []
+
+
+def _package_imports():
+    """``(script, module, name)`` of every ``import repro...`` and
+    ``from repro... import name`` in the benchmark scripts, nested in
+    functions too (``name`` is ``None`` for a plain import)."""
+    for path in sorted((ROOT / "e2ebench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 \
+                    and node.module.split(".")[0] == "repro":
+                for alias in node.names:
+                    yield path.name, node.module, alias.name
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "repro":
+                        yield path.name, alias.name, None
+
+
+def test_every_benchmark_import_resolves():
+    imports = list(_package_imports())
+    assert imports
+    missing = []
+    for script, module_name, name in imports:
+        try:
+            module = importlib.import_module(module_name)
+            if name is not None and not hasattr(module, name):
+                # ``from repro import obs`` names a subpackage.
+                importlib.import_module(f"{module_name}.{name}")
+        except ImportError:
+            missing.append((script, module_name, name))
     assert missing == []
 
 

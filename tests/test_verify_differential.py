@@ -92,24 +92,22 @@ class TestVerifyGraphFails:
                    for check in verdict.failures)
 
     def test_backend_differing_in_signed_zeros_fails(self, monkeypatch):
-        # Equal values, different bytes: a default backend that writes
-        # -0.0 where the reference loops write +0.0 is a failure.
-        from repro.sfg.nodes import GainNode
-        from repro.simkernel import get_backend
+        # Equal values, different bytes: a default IIR kernel that writes
+        # -0.0 where the oracle's reference loop writes +0.0 is a failure.
+        from repro.sfg import nodes
 
-        exact = GainNode.simulate_fixed
+        exact = nodes.iir_df1_fixed
 
-        def negative_zeros(self, inputs):
-            y = exact(self, inputs)
-            if get_backend() == "reference":
-                return y
+        def negative_zeros(*args):
+            y = exact(*args)
             return np.where(y == 0.0, -0.0, y)
 
-        monkeypatch.setattr(GainNode, "simulate_fixed", negative_zeros)
+        monkeypatch.setattr(nodes, "iir_df1_fixed", negative_zeros)
         builder = SfgBuilder("signed-zeros")
         x = builder.input("x", fractional_bits=10)
-        builder.output("y", builder.gain("g", 0.01, x, fractional_bits=3,
-                                         rounding="truncate"))
+        builder.output("y", builder.iir("h", [0.01], [1.0, -0.5], x,
+                                        fractional_bits=3,
+                                        rounding="truncate"))
         graph = builder.build()
         verdict = verify_graph(graph, checks=("backend_equality",), **FAST)
         assert not verdict.passed
