@@ -20,7 +20,8 @@ node's input, the node's rule per type (an LTI block, an adder's signed
 sum, an output, a decimator or an expander) carries the noise across,
 and the node's own source joins at its output, IIR-shaped by
 ``1 / A(z)``.  A representation supplies the rest — its zero, its block
-and IIR-shaping operands, and its white sources with their injection:
+and IIR-shaping operands, the sum of an adder's terms, and its white
+sources with their injection:
 
 * the stacked :class:`~repro.psd.spectrum.DiscretePsd` of the proposed
   method (white injection, Eq. 10; ``|H|^2`` shaping, Eq. 11;
@@ -63,6 +64,27 @@ stack of one-key deltas costs the sum of the candidates' cones
 (bit-identical by the batched-walk row contract pinned in
 ``tests/test_analysis_batch.py``).
 
+Level groups
+------------
+A batched walk runs the plan's :attr:`~repro.sfg.plan.CompiledPlan.levels`
+rather than its steps: the steps of one topological depth that share one
+rule and one bin grid (the 64-branch bank's 129 steps are 9 groups, a
+chain keeps one step per group).  Per group it gathers each input port's
+rows with one ``take`` from a store of rows reused across the plan's
+walks (:class:`_Block`), through a per-walk table from ``(step,
+config)`` to store row that covers the rows computed so far and the
+memo's ``K = 1`` rows; it applies :func:`_step` once to the group's
+flattened rows; and the representation writes the value in place into
+store rows allocated for the group.  ``|H|^2`` and DC gains come from
+the plan's magnitude cache.  Every row still applies the operations of
+its own ``K = 1`` walk, in the same order, so the results are unchanged
+to the bit.  The ``K = 1`` walks — memo pulls and cold walks — keep
+their step-by-step loop and allocate their values, which the memo
+publishes.  A pull's cone is mostly a chain, one step per level, and
+grouping the cold walk alone would shrink the cold/warm ratios that
+``repro bench --check`` gates below their floors (``ARCHITECTURE.md``,
+"Row-sparse rounds").
+
 Memoization is on by default and exact, so there is normally no reason to
 turn it off; :func:`memoization_disabled` exists for honest cold-cache
 baselines (timing harnesses, the differential check's reference side) and
@@ -72,6 +94,7 @@ step.
 
 Returned representations are shared with the memo: treat them as
 immutable (which every representation class already is by convention).
+A batched walk's store is never published: it returns a copy.
 """
 
 from __future__ import annotations
@@ -98,6 +121,7 @@ from repro.sfg.nodes import (
 from repro.sfg.plan import (
     CompiledPlan,
     ConfigStack,
+    StepRows,
     compile_plan,
     parse_edge_key,
 )
@@ -136,21 +160,27 @@ def memoization_disabled():
 # ----------------------------------------------------------------------
 # The step rule (shared by every walk and every representation)
 # ----------------------------------------------------------------------
-def _step(rep, step, rows, inputs):
+def _step(rep, group, rows, inputs):
     """One step of an analytical walk: the noise at a node's output.
 
     This is the one propagation rule of every analytical method; ``rep``
     supplies what differs between them (the representations below):
-    its ``zero``, its ``block`` and IIR-``shaped`` operands, and the
-    ``white`` sources it injects for fanout taps (``edge_noise``) and for
-    the node's own quantizer (``noise``).  Adders, outputs and
-    resamplers use the algebra the values themselves carry: ``+``,
-    ``scaled``, ``downsampled`` and ``upsampled``.  ``rows`` selects the
-    configs of a stacked walk (``None`` for the live-plan
-    representations).
+    its ``zero``, its ``block`` and IIR-``shaped`` operands, its ``add``
+    of an adder's terms, and the ``white`` sources it injects for fanout
+    taps (``edge_noise``) and for the node's own quantizer (``noise``).
+    Adders, outputs and resamplers use the algebra the values themselves
+    carry: ``scaled``, ``downsampled`` and ``upsampled``.
+
+    ``group`` is one :class:`~repro.sfg.plan.PlanStep` (a group of one)
+    or a :class:`~repro.sfg.plan.StepGroup` of a batched walk's level;
+    the rule reads only its ``node``, ``is_source`` and ``name``.
+    ``rows`` says what the representation computes: the step itself for
+    the live-plan representations, the :class:`~repro.sfg.plan.StepRows`
+    of a stacked walk — every ``(step, config)`` row of the group, so a
+    level runs the rule once.
     """
-    node = step.node
-    taps = rep.edge_noise(step, rows)
+    node = group.node
+    taps = rep.edge_noise(rows)
     if taps:
         # A tapped edge re-quantizes the value it carries, so its white
         # noise enters *before* the node's rule: an IIR target shapes it
@@ -161,15 +191,15 @@ def _step(rep, step, rows, inputs):
             value = inputs[port]
             inputs[port] = rep.inject(value, rep.white(key, noise, value),
                                       noise)
-    if step.is_source:
+    if group.is_source:
         acc = rep.zero(rows)
     elif isinstance(node, _LtiMixin):
         (value,) = inputs
-        acc = rep.block(step, rows, value)
+        acc = rep.block(rows, value)
     elif isinstance(node, AddNode):
         acc = rep.zero(rows, inputs[0])
         for sign, value in zip(node.signs, inputs):
-            acc = acc + value.scaled(sign)
+            acc = rep.add(acc, value.scaled(sign))
     elif isinstance(node, OutputNode):
         (acc,) = inputs
     elif isinstance(node, DownsampleNode):
@@ -182,22 +212,22 @@ def _step(rep, step, rows, inputs):
         raise NotImplementedError(
             f"noise propagation does not support node type "
             f"{type(node).__name__}")
-    noise = rep.noise(step, rows)
+    noise = rep.noise(rows)
     if noise is not None:
-        own = rep.white(step.name, noise, acc)
+        own = rep.white(group.name, noise, acc)
         if isinstance(node, IirNode):
             # The quantizer sits inside the recursion: 1 / A(z) shapes
             # its noise before it reaches the output.
-            own = rep.shaped(step, rows, own)
+            own = rep.shaped(rows, own)
         acc = rep.inject(acc, own, noise)
     return acc
 
 
-def _rule(rep, rows=None):
-    """The step rule on one representation, as the ``compute_step(step,
-    values)`` of a memo pull or cold walk."""
+def _rule(rep):
+    """The step rule on one representation, step by step: the
+    ``compute_step(step, values)`` of a memo pull or cold walk."""
     def compute_step(step, values):
-        return _step(rep, step, rows,
+        return _step(rep, step, rep.rows(step),
                      [values[i] for i in step.predecessors])
     return compute_step
 
@@ -205,95 +235,264 @@ def _rule(rep, rows=None):
 # ----------------------------------------------------------------------
 # Noise representations
 # ----------------------------------------------------------------------
+class _Block:
+    """Working rows of the batched walks of one plan, representation and
+    row shape (a PSD's bin count), reused from walk to walk.
+
+    Rows ``[0, steps)`` hold the memo's ``K = 1`` values, row ``i`` step
+    ``i``'s, synced by identity, so a greedy round copies only the
+    values its last accepted move changed.  The rows after them hold
+    the current walk's groups, handed out in order and released when the
+    next walk begins.  Nothing published lives here: a walk returns a
+    copy of its output rows.
+    """
+
+    __slots__ = ("arrays", "free", "synced")
+
+    def __init__(self, shapes, steps: int):
+        self.arrays = [np.empty((2 * steps,) + shape) for shape in shapes]
+        self.free = steps
+        self.synced: list = [None] * steps
+
+    def allocate(self, count: int) -> int:
+        """The first of ``count`` fresh rows (the arrays grow, keeping
+        their rows, when full)."""
+        start = self.free
+        capacity = len(self.arrays[0])
+        if start + count > capacity:
+            capacity = max(capacity + capacity // 2, start + count)
+            grown = []
+            for array in self.arrays:
+                larger = np.empty((capacity,) + array.shape[1:])
+                larger[:start] = array[:start]
+                grown.append(larger)
+            self.arrays = grown
+        self.free = start + count
+        return start
+
+
 class _Stacked:
-    """Moments with a leading config axis: the ``rows`` of a
+    """Moments with a leading config axis: the rows of a
     :class:`~repro.sfg.plan.ConfigStack`, silent sources skipped per
-    row."""
+    row.
 
-    fields: tuple[str, ...] = ()
+    Without a ``store`` the values a walk computes are fresh arrays (the
+    ``K = 1`` walks, whose values the memo publishes).  With one — the
+    plan's ``{row shape: _Block}`` — every group's value is written in
+    place into rows that the walk allocated for that group (the batched
+    walk), and the walk moves values between groups with :meth:`begin`,
+    :meth:`gather` and :meth:`commit`.
+    """
 
-    def __init__(self, stack: ConfigStack):
+    def __init__(self, stack: ConfigStack, store: dict | None = None):
         self.stack = stack
+        self.store = store
+        self._target = None
 
-    def noise(self, step, rows):
-        return self.stack.noise(step, rows)
+    def rows(self, step) -> StepRows:
+        return self.stack.plan.unit_rows[step.index]
 
-    def edge_noise(self, step, rows):
-        noise = self.stack.edge_noise(step, rows)
+    def noise(self, rows):
+        return self.stack.noise(rows)
+
+    def edge_noise(self, rows):
+        noise = self.stack.edge_noise(rows)
         return noise and [(port, None, moments)
                           for port, moments in noise.items()]
 
     def inject(self, acc, own, noise):
-        """``acc + own``, except that configs whose source is silent
-        (zero ``noise`` moments) keep ``acc`` untouched.
+        """``acc + own``, except that rows whose source is silent (zero
+        ``noise`` moments) keep ``acc`` untouched.
 
         A silent source is skipped, not added as zeros, exactly as the
         config's own ``K = 1`` walk skips it (its stack reports no noise
-        there): adding zeros would flip a ``-0.0`` mean to ``+0.0``.
+        there): adding zeros would flip a ``-0.0`` mean to ``+0.0``.  A
+        batched walk adds in place: every value it injects into is a row
+        set it allocated for the current group.
         """
         means, variances = noise
-        quiet = ~((variances > 0.0) | (means != 0.0))
+        loud = (variances > 0.0) | (means != 0.0)
+        if self.store is not None:
+            for target, term in zip(self._arrays(acc), self._arrays(own)):
+                np.add(target, term, out=target,
+                       where=loud.reshape(loud.shape
+                                          + (1,) * (target.ndim - 1)))
+            return acc
         total = acc + own
+        quiet = ~loud
         if quiet.any():
-            for name in self.fields:
-                getattr(total, name)[quiet] = getattr(acc, name)[quiet]
+            for target, kept in zip(self._arrays(total), self._arrays(acc)):
+                target[quiet] = kept[quiet]
         return total
+
+    def add(self, acc, value):
+        """``acc + value``: an adder's term, added in place into the rows
+        :meth:`zero` allocated when the walk has a store."""
+        if self.store is None:
+            return acc + value
+        for target, term in zip(self._arrays(acc), self._arrays(value)):
+            np.add(target, term, out=target)
+        return acc
+
+    def _out(self, rows, key):
+        """The store rows allocated for a group's value (``None`` without
+        a store: the algebra allocates)."""
+        if self.store is None:
+            return None
+        block = self._block(key)
+        start = block.allocate(rows.size)
+        value = self._value([array[start:start + rows.size]
+                             for array in block.arrays])
+        self._target = (key, start, value)
+        return value
+
+    # The batched walk's data movement -------------------------------
+    def _block(self, key) -> _Block:
+        block = self.store.get(key)
+        if block is None:
+            block = self.store[key] = _Block(self._shapes(key),
+                                             len(self.stack.plan.steps))
+        return block
+
+    def begin(self, base) -> list:
+        """Start a walk: release the store's group rows, sync the memo's
+        ``K = 1`` values (``base``, when given) into the base rows, and
+        return each step's block key."""
+        steps = len(self.stack.plan.steps)
+        for block in self.store.values():
+            block.free = steps
+        keys: list = [None] * steps
+        for index, value in enumerate(base or ()):
+            key = keys[index] = self._key(value)
+            block = self._block(key)
+            if block.synced[index] is not value:
+                for array, field in zip(block.arrays, self._arrays(value)):
+                    array[index] = field[0]
+                block.synced[index] = value
+        return keys
+
+    def gather(self, key, slots: np.ndarray):
+        """A fresh value of the store rows ``slots`` of block ``key``."""
+        arrays = self.store[key].arrays
+        return self._value([np.take(array, slots, axis=0)
+                            for array in arrays])
+
+    def commit(self, acc) -> tuple:
+        """``(block key, first row)`` of a group's value in the store,
+        copying it there unless the rule wrote it there already."""
+        target, self._target = self._target, None
+        if target is not None and target[2] is acc:
+            return target[:2]
+        key = self._key(acc)
+        block = self._block(key)
+        fields = self._arrays(acc)
+        start = block.allocate(len(fields[0]))
+        for array, field in zip(block.arrays, fields):
+            array[start:start + len(field)] = field
+        return key, start
 
 
 class _StackedPsd(_Stacked):
     """Stacked :class:`DiscretePsd` on ``n_psd`` bins (Eqs. 10-14)."""
 
-    fields = ("ac", "mean")
-
-    def __init__(self, stack: ConfigStack, n_psd: int):
-        super().__init__(stack)
+    def __init__(self, stack: ConfigStack, n_psd: int,
+                 store: dict | None = None):
+        super().__init__(stack, store)
         self.n_psd = n_psd
 
+    def _key(self, value: DiscretePsd) -> int:
+        return value.n_bins
+
+    def _shapes(self, n_bins: int) -> tuple:
+        return (n_bins,), ()
+
+    def _arrays(self, value: DiscretePsd) -> tuple:
+        return value.ac, value.mean
+
+    def _value(self, arrays) -> DiscretePsd:
+        return DiscretePsd._trusted(*arrays)
+
     def zero(self, rows, like=None) -> DiscretePsd:
-        return DiscretePsd.zero(self.n_psd if like is None else like.n_bins,
-                                len(rows))
+        n_bins = self.n_psd if like is None else like.n_bins
+        acc = self._out(rows, n_bins)
+        if acc is None:
+            return DiscretePsd.zero(n_bins, rows.size)
+        acc.ac.fill(0.0)
+        acc.mean.fill(0.0)
+        return acc
 
     def white(self, key, noise, like) -> DiscretePsd:
-        return DiscretePsd.from_moments(*noise, like.n_bins)
+        return DiscretePsd.white_view(*noise, like.n_bins)
 
-    def block(self, step, rows, value) -> DiscretePsd:
+    def block(self, rows, value) -> DiscretePsd:
         # The PSD may live on fewer bins than n_psd when the signal was
         # decimated upstream: the response is sampled on its own grid.
-        return value.filtered(
-            self.stack.block_response(step, value.n_bins, rows))
+        return value.weighted(
+            *self.stack.block_magnitudes(rows, value.n_bins),
+            out=self._out(rows, value.n_bins))
 
-    def shaped(self, step, rows, value) -> DiscretePsd:
-        return value.filtered(
-            self.stack.shaping_response(step, value.n_bins, rows))
+    def shaped(self, rows, value) -> DiscretePsd:
+        return value.weighted(
+            *self.stack.shaping_magnitudes(rows, value.n_bins))
+
+    def add(self, acc, value):
+        if value.ac.shape != acc.ac.shape:
+            # What DiscretePsd's + says when the store adds in place.
+            raise ValueError(f"cannot add PSDs of shapes {acc.ac.shape} "
+                             f"and {value.ac.shape}")
+        return super().add(acc, value)
 
 
 class _StackedStats(_Stacked):
     """Stacked :class:`NoiseStats`: the PSD-agnostic ``(mu, sigma^2)``."""
 
-    fields = ("mean", "variance")
+    def _key(self, value: NoiseStats) -> None:
+        return None
+
+    def _shapes(self, key) -> tuple:
+        return (), ()
+
+    def _arrays(self, value: NoiseStats) -> tuple:
+        return value.mean, value.variance
+
+    def _value(self, arrays) -> NoiseStats:
+        return NoiseStats(*arrays)
 
     def zero(self, rows, like=None) -> NoiseStats:
-        return NoiseStats(mean=np.zeros(len(rows)),
-                          variance=np.zeros(len(rows)))
+        acc = self._out(rows, None)
+        if acc is None:
+            return NoiseStats(mean=np.zeros(rows.size),
+                              variance=np.zeros(rows.size))
+        acc.mean.fill(0.0)
+        acc.variance.fill(0.0)
+        return acc
 
     def white(self, key, noise, like) -> NoiseStats:
         return NoiseStats(*noise)
 
-    def block(self, step, rows, value) -> NoiseStats:
-        return value.filtered(*self.stack.block_gains(step, rows))
+    def block(self, rows, value) -> NoiseStats:
+        return value.filtered(*self.stack.block_gains(rows),
+                              out=self._out(rows, None))
 
-    def shaped(self, step, rows, value) -> NoiseStats:
-        return value.filtered(*self.stack.shaping_gains(step, rows))
+    def shaped(self, rows, value) -> NoiseStats:
+        return value.filtered(*self.stack.shaping_gains(rows))
 
 
 class _Live:
-    """Base of the live-plan representations: every source injects."""
+    """Base of the live-plan representations: one step at a time, and
+    every source injects."""
 
     def __init__(self, plan: CompiledPlan):
         self.plan = plan
 
+    def rows(self, step):
+        return step
+
     def inject(self, acc, own, noise):
         return acc + own
+
+    def add(self, acc, value):
+        return acc + value
 
 
 class _Tracked(_Live):
@@ -303,22 +502,22 @@ class _Tracked(_Live):
         super().__init__(plan)
         self.n_psd = n_psd
 
-    def zero(self, rows, like=None) -> TrackedSpectrum:
+    def zero(self, step, like=None) -> TrackedSpectrum:
         return TrackedSpectrum.zero(self.n_psd)
 
     def white(self, key, noise, like) -> TrackedSpectrum:
         return TrackedSpectrum.from_source(key, noise, self.n_psd)
 
-    def block(self, step, rows, value) -> TrackedSpectrum:
+    def block(self, step, value) -> TrackedSpectrum:
         return value.filtered(self.plan.block_response(step, self.n_psd))
 
-    def shaped(self, step, rows, value) -> TrackedSpectrum:
+    def shaped(self, step, value) -> TrackedSpectrum:
         return value.filtered(self.plan.shaping_response(step, self.n_psd))
 
-    def noise(self, step, rows):
+    def noise(self, step):
         return step.noise
 
-    def edge_noise(self, step, rows):
+    def edge_noise(self, step):
         return [(port, tap.key, tap.noise)
                 for port, tap in enumerate(step.edge_taps or ())
                 if tap is not None and tap.noise is not None]
@@ -362,22 +561,22 @@ class _Paths(_Live):
                 target, port = plan._resolve_edge(*parse_edge_key(name))
                 self.ports.setdefault(target, []).append((port, name, name))
 
-    def zero(self, rows, like=None) -> _PathFunctions:
+    def zero(self, step, like=None) -> _PathFunctions:
         return _PathFunctions()
 
     def white(self, key, noise, like) -> _PathFunctions:
         return _PathFunctions({key: TransferFunction.identity()})
 
-    def block(self, step, rows, value) -> _PathFunctions:
+    def block(self, step, value) -> _PathFunctions:
         return value.filtered(self.plan.block_tf(step))
 
-    def shaped(self, step, rows, value) -> _PathFunctions:
+    def shaped(self, step, value) -> _PathFunctions:
         return value.filtered(self.plan.shaping_tf(step))
 
-    def noise(self, step, rows):
+    def noise(self, step):
         return step.name if step.name in self.sources else None
 
-    def edge_noise(self, step, rows):
+    def edge_noise(self, step):
         return self.ports.get(step.index)
 
 
@@ -421,6 +620,10 @@ class NoiseMemo:
     the attribute names remain the public surface as read-only views,
     and every increment is mirrored into the process-wide observability
     session (`repro.obs`) under ``memo.*`` when one is enabled.
+
+    The memo also holds the batched walks' working rows (``stores``:
+    per representation, one :class:`_Block` per row shape), so they are
+    reused across the walks of one plan and reclaimed with it.
     """
 
     #: Bound on the flat method's path-function entries (one entry per
@@ -442,6 +645,7 @@ class NoiseMemo:
         self._steps_reused = self.metrics.counter("memo.steps_reused")
         self._rows_computed = self.metrics.counter("memo.rows_computed")
         self._rows_copied = self.metrics.counter("memo.rows_copied")
+        self.stores: dict[str, dict] = {}
 
     @property
     def full_walks(self) -> int:
@@ -543,6 +747,11 @@ def plan_memo(system: SignalFlowGraph | CompiledPlan) -> NoiseMemo:
     return memo
 
 
+def _store(plan: CompiledPlan, representation: str) -> dict:
+    """The working rows of ``plan``'s batched walks of a representation."""
+    return plan_memo(plan).stores.setdefault(representation, {})
+
+
 # ----------------------------------------------------------------------
 # Plan walks of the live configuration, one per noise representation
 # ----------------------------------------------------------------------
@@ -554,21 +763,16 @@ def _walk(plan: CompiledPlan, channel: tuple, make_step) -> list:
     return _full_walk(plan, make_step())
 
 
-#: The single row of a ``K = 1`` walk: a stack of one config with no
-#: deltas answers every query with the plan's live word lengths.
-_ROW0 = np.zeros(1, dtype=np.intp)
-
-
 def walk_psd(plan: CompiledPlan, n_psd: int) -> list:
     """Per-step ``K = 1`` :class:`DiscretePsd` stacks of the live plan."""
     return _walk(plan, ("psd", n_psd), lambda: _rule(
-        _StackedPsd(ConfigStack(plan, [{}]), n_psd), _ROW0))
+        _StackedPsd(ConfigStack(plan, [{}]), n_psd)))
 
 
 def walk_stats(plan: CompiledPlan) -> list:
     """Per-step ``K = 1`` :class:`NoiseStats` stacks of the live plan."""
     return _walk(plan, ("stats",), lambda: _rule(
-        _StackedStats(ConfigStack(plan, [{}])), _ROW0))
+        _StackedStats(ConfigStack(plan, [{}]))))
 
 
 def walk_tracked(plan: CompiledPlan, n_psd: int) -> list:
@@ -592,77 +796,59 @@ def stats_row(stats: NoiseStats, config: int = 0) -> NoiseStats:
 # ----------------------------------------------------------------------
 # Batched plan walks (row-sparse over a configuration stack)
 # ----------------------------------------------------------------------
-def _gather_psd(value, value_rows, live: DiscretePsd, rows) -> DiscretePsd:
-    """The ``rows`` of one step's PSD stack: computed rows where the walk
-    has them, row 0 of the memo's ``K = 1`` value everywhere else.
-
-    ``value_rows`` (the rows computed at the step) is a subset of
-    ``rows``: cones are downstream-closed.
-    """
-    if value_rows is not None and len(value_rows) == len(rows):
-        return value
-    # broadcast_to keeps the live bins as a read-only view: every
-    # operation of the algebra allocates fresh arrays, so sharing is safe.
-    ac = np.broadcast_to(live.ac, (len(rows), live.n_bins))
-    mean = np.full(len(rows), live.mean[0])
-    if value_rows is not None:
-        positions = np.searchsorted(rows, value_rows)
-        ac = ac.copy()
-        ac[positions] = value.ac
-        mean[positions] = value.mean
-    return DiscretePsd._trusted(ac, mean)
-
-
-def _gather_stats(value, value_rows, live: NoiseStats, rows) -> NoiseStats:
-    """Moment counterpart of :func:`_gather_psd`."""
-    if value_rows is not None and len(value_rows) == len(rows):
-        return value
-    mean = np.full(len(rows), live.mean[0])
-    variance = np.full(len(rows), live.variance[0])
-    if value_rows is not None:
-        positions = np.searchsorted(rows, value_rows)
-        mean[positions] = value.mean
-        variance[positions] = value.variance
-    return NoiseStats(mean=mean, variance=variance)
-
-
 def _walk_batch(plan: CompiledPlan, rep: _Stacked, representation: str,
-                base, gather, output: int):
+                base, output: int):
     """Row-sparse batched walk; returns the output's full K-row value.
 
     With a memo baseline (``base``: the per-step ``K = 1`` values of the
     live plan), config ``k``'s row is computed only at the steps of its
-    own cone (:meth:`ConfigStack.cone_rows`) and copied from ``base``
+    own cone (:meth:`ConfigStack.cone_mask`) and read from ``base``
     everywhere else — exact, because outside its cone config ``k``
     walks the live plan's operands.  Without one, every row is computed
     at every step (the dense cold walk).
+
+    The walk runs the plan's level groups, not its steps: per group it
+    gathers each input port's rows in one take from the store, through
+    ``slots`` (step, config) -> store row, which covers the rows computed
+    so far and the memo's; applies the step rule once to the flattened
+    rows; and the rule's value lands in store rows allocated for the
+    group.  The returned value is a copy.
     """
     stack = rep.stack
-    everything = np.arange(stack.size)
+    count = len(plan.steps)
     memoized = base is not None
     if memoized:
-        rows = stack.cone_rows()
+        computes = stack.cone_mask()
+        slots = np.repeat(np.arange(count, dtype=np.intp)[:, None],
+                          stack.size, axis=1)
     else:
-        rows = [everything] * len(plan.steps)
-        base = [None] * len(plan.steps)
-    values: list = [None] * len(plan.steps)
+        computes = np.ones((count, stack.size), dtype=bool)
+        slots = np.empty((count, stack.size), dtype=np.intp)
+    keys = rep.begin(base)
     computed = 0
+    groups = 0
     with span("analysis.walk_batch", representation=representation,
-              configs=stack.size, steps=len(plan.steps)) as live:
-        for step in plan.steps:
-            selected = rows[step.index]
-            if selected is None:
+              configs=stack.size, steps=count) as live:
+        for group in plan.levels:
+            positions, configs = np.nonzero(computes[group.indices])
+            if not len(configs):
                 continue
-            inputs = [gather(values[i], rows[i], base[i], selected)
-                      for i in step.predecessors]
-            values[step.index] = _step(rep, step, selected, inputs)
-            computed += len(selected)
-        live.set(rows_computed=computed)
-        result = gather(values[output], rows[output], base[output],
-                        everything)
+            rows = StepRows(group.indices[positions], configs,
+                            group.steps[0].index
+                            if len(group.steps) == 1 else None)
+            inputs = [rep.gather(keys[port[0]], slots[port[positions],
+                                                      configs])
+                      for port in group.predecessors]
+            key, start = rep.commit(_step(rep, group, rows, inputs))
+            for index in group.indices.tolist():
+                keys[index] = key
+            slots[rows.steps, configs] = np.arange(start, start + rows.size)
+            computed += rows.size
+            groups += 1
+        live.set(rows_computed=computed, groups=groups)
+        result = rep.gather(keys[output], slots[output])
     if memoized:
-        plan_memo(plan).count_rows(computed,
-                                   stack.size * len(plan.steps) - computed)
+        plan_memo(plan).count_rows(computed, stack.size * count - computed)
     return result
 
 
@@ -681,8 +867,8 @@ def walk_psd_batch(plan: CompiledPlan, n_psd: int, stack: ConfigStack,
     caller constructs it immediately before walking).
     """
     base = walk_psd(plan, n_psd) if memoization_enabled() else None
-    return _walk_batch(plan, _StackedPsd(stack, n_psd), "psd", base,
-                       _gather_psd, plan.index_of[output])
+    return _walk_batch(plan, _StackedPsd(stack, n_psd, _store(plan, "psd")),
+                       "psd", base, plan.index_of[output])
 
 
 def walk_stats_batch(plan: CompiledPlan, stack: ConfigStack,
@@ -696,5 +882,5 @@ def walk_stats_batch(plan: CompiledPlan, stack: ConfigStack,
     configuration ``k``; row sparsity mirrors :func:`walk_psd_batch`.
     """
     base = walk_stats(plan) if memoization_enabled() else None
-    return _walk_batch(plan, _StackedStats(stack), "stats", base,
-                       _gather_stats, plan.index_of[output])
+    return _walk_batch(plan, _StackedStats(stack, _store(plan, "stats")),
+                       "stats", base, plan.index_of[output])

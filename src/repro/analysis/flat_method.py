@@ -112,7 +112,7 @@ def _evaluate_stack(plan: CompiledPlan, stack: ConfigStack,
     output_name = plan.resolve_output(output)
     noise_by_name = {}
     for step in plan.steps:
-        noise = stack.noise(step)
+        noise = stack.noise(stack.step_rows(step))
         if noise is not None:
             noise_by_name[step.name] = noise
     noise_by_name.update(stack.edge_noise_sources())

@@ -150,6 +150,31 @@ def _timed_warm(function, *args):
     return result, seconds, warmup_seconds
 
 
+def _timed_replays(replay_cold, replay_warm, sync, repeat: int = 5):
+    """Time a cold and a warm replay of one edit sequence, alternating.
+
+    After one untimed pass of each (their durations are the payload's
+    ``warmup_s``), ``repeat`` cold and ``repeat`` warm replays alternate
+    and each side reports its fastest, so a load spike on a shared host
+    slows one replay, not one side.  ``sync()`` runs before every warm
+    replay, so it starts from a memo synced on the restored baseline and
+    measures steady-state cone pulls.  Returns ``(cold result, cold
+    seconds, warm result, warm seconds, warmup_s)``.
+    """
+    warmup: dict = {}
+    _, warmup["full_walks"] = _timed(replay_cold)
+    sync()
+    _, warmup["dirty_cones"] = _timed(replay_warm)
+    cold_seconds, warm_seconds = [], []
+    for _ in range(repeat):
+        cold, seconds = _timed(replay_cold)
+        cold_seconds.append(seconds)
+        sync()
+        warm, seconds = _timed(replay_warm)
+        warm_seconds.append(seconds)
+    return cold, min(cold_seconds), warm, min(warm_seconds), warmup
+
+
 def _bench_error_signal(name: str, graph, workload: dict, speedup_key: str,
                         samples: int, seed: int) -> dict:
     """Payload of one error record of ``graph`` on a uniform white
@@ -291,10 +316,11 @@ def bench_incremental_reeval(samples: int | None = None, branches: int = 64,
     """Single-node requantize edits on the wide scalability bank.
 
     Replays the word-length optimizer's greedy candidate loop — one
-    single-node edit, one evaluation — twice on the same edit sequence:
-    once as cold full walks (memoization disabled, the pre-memo cost) and
-    once as memoized dirty-cone pulls, asserting the per-candidate noise
-    powers are bitwise identical before reporting the speedup.
+    single-node edit, one evaluation — on one edit sequence, as cold full
+    walks (memoization disabled, the pre-memo cost) and as memoized
+    dirty-cone pulls, five of each alternating (:func:`_timed_replays`),
+    asserting the per-candidate noise powers are bitwise identical before
+    reporting the speedup of the fastest of each.
 
     ``samples`` is accepted for CLI uniformity but ignored: the workload
     is graph-size-bound (``branches`` FIR branches under an unquantized
@@ -323,12 +349,8 @@ def bench_incremental_reeval(samples: int | None = None, branches: int = 64,
         with memoization_disabled():
             return replay()
 
-    warmup: dict = {}
-    cold_powers, cold_seconds, warmup["full_walks"] = _timed_warm(replay_cold)
-    # Sync the memo on the restored baseline quantization so the timed
-    # run measures steady-state cone pulls, not the initial cold build.
-    evaluate_psd(plan, n_psd)
-    warm_powers, warm_seconds, warmup["dirty_cones"] = _timed_warm(replay)
+    cold_powers, cold_seconds, warm_powers, warm_seconds, warmup = \
+        _timed_replays(replay_cold, replay, lambda: evaluate_psd(plan, n_psd))
     _require_bitwise("incremental_reeval", cold_powers, warm_powers)
     counters = plan_memo(plan).counters()
     return bench_payload(
@@ -359,7 +381,8 @@ def bench_fine_grained_search(samples: int | None = None, branches: int = 16,
 
     * a single fanout-tap edit (``x->branch_i``) re-evaluates in its
       dirty downstream cone, not the whole graph — replayed cold
-      (memoization disabled) vs warm, bitwise-identical powers required
+      (memoization disabled) vs warm, alternating as in
+      :func:`bench_incremental_reeval`, bitwise-identical powers required
       before the ``per_candidate`` speedup is reported;
     * at the same noise budget, the edge-granularity greedy search ends
       at strictly fewer total fractional bits than the node-level one
@@ -396,12 +419,8 @@ def bench_fine_grained_search(samples: int | None = None, branches: int = 16,
         with memoization_disabled():
             return replay()
 
-    warmup: dict = {}
-    cold_powers, cold_seconds, warmup["full_walks"] = _timed_warm(replay_cold)
-    # Sync the memo on the restored (tap-free) quantization so the timed
-    # run measures steady-state cone pulls, not the initial cold build.
-    evaluate_psd(plan, n_psd)
-    warm_powers, warm_seconds, warmup["dirty_cones"] = _timed_warm(replay)
+    cold_powers, cold_seconds, warm_powers, warm_seconds, warmup = \
+        _timed_replays(replay_cold, replay, lambda: evaluate_psd(plan, n_psd))
     _require_bitwise("fine_grained_search", cold_powers, warm_powers)
     counters = plan_memo(plan).counters()
 

@@ -46,6 +46,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.fixedpoint.quantizer import RoundingMode
 
 
@@ -85,12 +87,21 @@ class NoiseStats:
 
     # The moment rules of the PSD-agnostic baseline, beside the
     # DiscretePsd operations of the same names.
-    def filtered(self, energy, dc_gain) -> "NoiseStats":
+    def filtered(self, energy, dc_gain, out: "NoiseStats | None" = None
+                 ) -> "NoiseStats":
         """Moments after an LTI system of impulse-response energy
         ``sum h^2`` and DC gain ``sum h``, under the white-input
-        assumption."""
-        return NoiseStats(mean=self.mean * dc_gain,
-                          variance=self.variance * energy)
+        assumption.
+
+        ``out``, moments with array fields of this one's shape, receives
+        the result in place (it must not overlap these); it is returned.
+        """
+        if out is None:
+            return NoiseStats(mean=self.mean * dc_gain,
+                              variance=self.variance * energy)
+        np.multiply(self.mean, dc_gain, out=out.mean)
+        np.multiply(self.variance, energy, out=out.variance)
+        return out
 
     def downsampled(self, factor: int = 2) -> "NoiseStats":
         """Moments after decimation: a WSS signal keeps them."""

@@ -128,17 +128,31 @@ class DiscretePsd:
         signed and separate.  ``stats`` fields that are ``(K,)`` arrays
         give a stack with one white PSD per config.
         """
-        _check_bins(n_bins)
-        spread = np.asarray(stats.variance, dtype=float) / n_bins
-        if np.any(spread < -1e-15):
-            raise ValueError("PSD bins must be non-negative")
-        ac = np.repeat(spread[..., None], n_bins, axis=-1)
-        return cls._trusted(ac, np.array(stats.mean, dtype=float))
+        return cls.from_moments(stats.mean, stats.variance, n_bins)
 
     @classmethod
     def from_moments(cls, mean, variance, n_bins: int) -> "DiscretePsd":
         """White PSD from raw moments (floats, or ``(K,)`` arrays)."""
-        return cls.white(NoiseStats(mean=mean, variance=variance), n_bins)
+        view = cls.white_view(mean, variance, n_bins)
+        return cls._trusted(view.ac.copy(), view.mean)
+
+    @classmethod
+    def white_view(cls, mean, variance, n_bins: int) -> "DiscretePsd":
+        """:meth:`from_moments` with the bins a read-only broadcast of
+        the per-row spread instead of a filled array.
+
+        For consumers that only read the bins (the analytical walks add
+        or filter them into arrays of their own).
+        """
+        _check_bins(n_bins)
+        spread = np.asarray(variance, dtype=float) / n_bins
+        if (spread < -1e-15).any():
+            raise ValueError("PSD bins must be non-negative")
+        # A zero stride along the bins repeats each row's spread.
+        ac = np.ndarray(spread.shape + (n_bins,), buffer=spread,
+                        strides=spread.strides + (0,))
+        ac.flags.writeable = False
+        return cls._trusted(ac, np.array(mean, dtype=float))
 
     # ------------------------------------------------------------------
     # Shape and summaries
@@ -248,9 +262,22 @@ class DiscretePsd:
             raise ValueError(
                 f"a response stack of shape {response.shape} does not fit "
                 f"PSDs of shape {self.ac.shape}")
-        magnitude_sq = np.abs(response) ** 2
-        dc_gain = np.real(response[..., 0])
-        return self._trusted(self.ac * magnitude_sq, self.mean * dc_gain)
+        return self.weighted(np.abs(response) ** 2,
+                             np.real(response[..., 0]))
+
+    def weighted(self, magnitude_sq, dc_gain, out: "DiscretePsd | None" = None
+                 ) -> "DiscretePsd":
+        """:meth:`filtered` by a precomputed squared magnitude response
+        and DC gain (one shared, or one per row of a stack).
+
+        ``out``, a stack of this one's shape, receives the result in
+        place (it must not overlap this PSD); it is returned.
+        """
+        if out is None:
+            return self._trusted(self.ac * magnitude_sq, self.mean * dc_gain)
+        np.multiply(self.ac, magnitude_sq, out=out.ac)
+        np.multiply(self.mean, dc_gain, out=out.mean)
+        return out
 
     # ------------------------------------------------------------------
     # Multirate transformations

@@ -40,13 +40,18 @@ On top of single-configuration reuse, :class:`ConfigStack` resolves a
 whole *stack* of word-length assignments against one plan — per-step
 noise moments with a leading config axis, responses shared per effective
 coefficient precision — which is what the configuration-batched
-analytical walks (``evaluate_*_batch``) consume.
+analytical walks (``evaluate_*_batch``) consume.  Those walks run the
+schedule level by level: :attr:`CompiledPlan.levels` groups the steps of
+one topological depth that run one rule on one PSD grid
+(:class:`StepGroup`), and the stack answers its queries for the
+flattened ``(step, config)`` rows of a whole group (:class:`StepRows`).
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from math import gcd
 
 import numpy as np
 
@@ -181,6 +186,89 @@ class PlanStep:
         return f"PlanStep({self.index}, {self.name!r})"
 
 
+class StepGroup:
+    """Steps of one topological level that run one propagation rule.
+
+    Members share their depth in the schedule (so none feeds another),
+    their node type and arity, the parameters the rule reads (adder
+    signs, resampling factors) and the sample rate of their output and
+    of every input port, so their PSDs live on one bin grid.  A batched
+    walk applies the rule once to the flattened rows of a whole group.
+    Like a :class:`PlanStep` — a group of one — it exposes the
+    ``node``, ``is_source`` and ``name`` the rule reads.
+
+    Attributes
+    ----------
+    steps:
+        The member steps, in schedule order.
+    indices:
+        Their step indices, an ``intp`` array.
+    predecessors:
+        Per input port, the ``intp`` array of the members' predecessor
+        step indices.
+    node:
+        The first member's node: the rule's node type and parameters.
+    is_source:
+        Whether the members have no predecessors.
+    name:
+        A label: the member's name for a group of one, else the first
+        and last members' names.
+    """
+
+    __slots__ = ("steps", "indices", "predecessors", "node", "is_source",
+                 "name")
+
+    def __init__(self, steps):
+        self.steps = tuple(steps)
+        self.indices = np.array([step.index for step in self.steps],
+                                dtype=np.intp)
+        self.predecessors = tuple(
+            np.array(port, dtype=np.intp)
+            for port in zip(*(step.predecessors for step in self.steps)))
+        first, last = self.steps[0], self.steps[-1]
+        self.node = first.node
+        self.is_source = first.is_source
+        self.name = (first.name if first is last
+                     else f"{first.name}..{last.name}")
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"StepGroup({self.name!r}, steps={len(self.steps)})"
+
+
+class StepRows:
+    """Rows of a stacked walk: row ``r`` is config ``configs[r]`` at step
+    ``steps[r]`` (both ``intp`` arrays).
+
+    A batched walk passes the rows of a whole :class:`StepGroup`, sorted
+    by step then config; a ``K = 1`` walk passes row 0 of one step.
+    ``step`` is the index of the one step every row is at (``None`` when
+    the rows span several), which lets the queries answer a step without
+    deltas at once.
+    """
+
+    __slots__ = ("steps", "configs", "size", "step")
+
+    def __init__(self, steps: np.ndarray, configs: np.ndarray,
+                 step: int | None = None):
+        self.steps = steps
+        self.configs = configs
+        self.size = len(configs)
+        self.step = step
+
+    def pairs(self):
+        """``(step index, config)`` of each row, as Python ints."""
+        return zip(self.steps.tolist(), self.configs.tolist())
+
+
+def _rule_parameters(node: Node) -> tuple:
+    """What the propagation rule reads from a node besides its type."""
+    if isinstance(node, AddNode):
+        return tuple(node.signs)
+    if isinstance(node, (DownsampleNode, UpsampleNode)):
+        return (node.factor,)
+    return ()
+
+
 @dataclass
 class ExecutionResult:
     """Signals produced by one execution of a graph.
@@ -265,6 +353,9 @@ class CompiledPlan:
                 successors[predecessor].add(step.index)
         self._successors: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(s)) for s in successors)
+        # Each step's own cone, searched on first use (bounded by the
+        # step count): a multi-seed cone is the union of its seeds'.
+        self._cones: dict[int, np.ndarray] = {}
         # Edge index for per-edge word lengths: (source, target) -> the
         # (target step, input port) slots that pair connects.  A pair
         # wired on several ports makes an edge key ambiguous, which
@@ -299,7 +390,19 @@ class CompiledPlan:
         self._response_cache: dict[tuple, np.ndarray] = {}
         self._tf_cache: dict[tuple, TransferFunction] = {}
         self._gain_cache: dict[tuple, tuple[float, float]] = {}
+        # (|H|^2, DC gain) of each cached response, read by the PSD walks.
+        self._magnitude_cache: dict[tuple, tuple[np.ndarray, float]] = {}
+        # PQN moments per step and data bits: they depend on the step's
+        # spec and coefficients, so refresh() drops a step's entries
+        # whenever it rebuilds that step's noise.
+        self._noise_cache: dict[int, dict] = {}
         self.noise_steps: tuple[PlanStep, ...] = ()
+        self.levels: tuple[StepGroup, ...] = ()
+        # Row 0 of each step: what a K = 1 walk computes there.
+        indices = np.arange(len(steps), dtype=np.intp)
+        config = np.zeros(1, dtype=np.intp)
+        self.unit_rows: tuple[StepRows, ...] = tuple(
+            StepRows(indices[i:i + 1], config, i) for i in range(len(steps)))
         self.refresh()
 
     # ------------------------------------------------------------------
@@ -333,9 +436,12 @@ class CompiledPlan:
                 edited = set(range(num_steps))
             self._coefficient_signature = coefficients
             for cache in (self._tf_cache, self._response_cache,
-                          self._gain_cache):
+                          self._gain_cache, self._magnitude_cache):
                 for key in [key for key in cache if key[0] in edited]:
                     del cache[key]
+            # Adder signs and resampling factors are coefficients too,
+            # and the level groups are keyed by them.
+            self.levels = self._level_groups()
             # Generated noise can depend on coefficients too (e.g. the
             # frequency-domain FIR node), so the edited steps join the
             # quantizer/noise rebuild below.
@@ -367,6 +473,8 @@ class CompiledPlan:
             self._quantization_signature = signature
         if not changed:
             return False
+        for index in changed:
+            self._noise_cache.pop(index, None)
         stamped = []
         for index in sorted(changed):
             step = self.steps[index]
@@ -523,16 +631,68 @@ class CompiledPlan:
 
         The result is sorted, and therefore in topological order: it is
         exactly the re-evaluation schedule for an edit at the seed steps,
-        everything outside it provably unaffected.
+        everything outside it provably unaffected.  Reachability is a
+        union over the seeds, so a multi-seed cone is the sorted union of
+        the seeds' own cones (:meth:`step_cone`).
         """
-        seen = {int(index) for index in indices}
-        frontier = list(seen)
-        while frontier:
-            for successor in self._successors[frontier.pop()]:
-                if successor not in seen:
-                    seen.add(successor)
-                    frontier.append(successor)
-        return sorted(seen)
+        seeds = {int(index) for index in indices}
+        if len(seeds) == 1:
+            return self.step_cone(seeds.pop()).tolist()
+        if not seeds:
+            return []
+        return np.unique(np.concatenate(
+            [self.step_cone(seed) for seed in seeds])).tolist()
+
+    def step_cone(self, index: int) -> np.ndarray:
+        """The sorted ``intp`` array of steps reachable from step
+        ``index``, itself included; searched once per plan (the
+        structure is frozen)."""
+        cone = self._cones.get(index)
+        if cone is None:
+            seen = {index}
+            frontier = [index]
+            while frontier:
+                for successor in self._successors[frontier.pop()]:
+                    if successor not in seen:
+                        seen.add(successor)
+                        frontier.append(successor)
+            cone = np.array(sorted(seen), dtype=np.intp)
+            cone.flags.writeable = False
+            self._cones[index] = cone
+        return cone
+
+    def _level_groups(self) -> tuple[StepGroup, ...]:
+        """The schedule grouped into :class:`StepGroup` levels, in depth
+        order.
+
+        A step's depth is one more than its deepest predecessor's, so the
+        members of a group never feed each other and every group comes
+        after the groups of its members' inputs.  Rates are reduced
+        ``(numerator, denominator)`` pairs relative to the inputs' and
+        follow port 0, as the PSD's bin count does.
+        """
+        depth = [0] * len(self.steps)
+        rate = [(1, 1)] * len(self.steps)
+        groups: dict[tuple, list[PlanStep]] = {}
+        for step in self.steps:
+            node = step.node
+            index = step.index
+            predecessors = step.predecessors
+            if predecessors:
+                depth[index] = 1 + max(depth[p] for p in predecessors)
+                up, down = rate[predecessors[0]]
+                if isinstance(node, DownsampleNode):
+                    down *= node.factor
+                elif isinstance(node, UpsampleNode):
+                    up *= node.factor
+                common = gcd(up, down)
+                rate[index] = (up // common, down // common)
+            key = (depth[index], type(node), step.is_source,
+                   _rule_parameters(node), rate[index],
+                   tuple(rate[p] for p in predecessors))
+            groups.setdefault(key, []).append(step)
+        return tuple(StepGroup(members) for key, members
+                     in sorted(groups.items(), key=lambda item: item[0][0]))
 
     def coefficient_fingerprint(self) -> tuple:
         """Hashable fingerprint of the plan's transfer behaviour.
@@ -656,6 +816,33 @@ class CompiledPlan:
         return self.shaping_response_for_bits(
             step, step.node.quantization.fractional_bits, n_bins)
 
+    def block_magnitude_for_bits(self, step: PlanStep, bits: int | None,
+                                 n_bins: int) -> tuple[np.ndarray, float]:
+        """``(|H|^2, Re H[0])`` of the block response at a word length:
+        the squared magnitude and DC gain a PSD is filtered by (cached
+        instead of the complex response, which the PSD walks never
+        read)."""
+        return self._magnitude(step, "block", bits, n_bins,
+                               self.block_tf_for_bits)
+
+    def shaping_magnitude_for_bits(self, step: PlanStep, bits: int | None,
+                                   n_bins: int) -> tuple[np.ndarray, float]:
+        """``(|H|^2, Re H[0])`` of the noise-shaping response."""
+        return self._magnitude(step, "shaping", bits, n_bins,
+                               self.shaping_tf_for_bits)
+
+    def _magnitude(self, step: PlanStep, kind: str, bits: int | None,
+                   n_bins: int, tf_for_bits):
+        key = (step.index, kind, self.coeff_key_for_bits(step, bits), n_bins)
+        entry = self._magnitude_cache.get(key)
+        if entry is None:
+            response = tf_for_bits(step, bits).frequency_response(n_bins)
+            squared = np.abs(response) ** 2
+            squared.flags.writeable = False
+            entry = (squared, float(np.real(response[0])))
+            self._magnitude_cache[key] = entry
+        return entry
+
     def block_gains_for_bits(self, step: PlanStep,
                              bits: int | None) -> tuple[float, float]:
         """``(energy, coefficient_sum)`` at a hypothetical word length."""
@@ -679,11 +866,20 @@ class CompiledPlan:
         return gains
 
     def noise_for_bits(self, step: PlanStep, bits: int | None) -> NoiseStats:
-        """Moments the step would generate with ``bits`` fractional bits."""
-        if bits == step.node.quantization.fractional_bits:
-            return step.noise if step.noise is not None else NoiseStats(0.0, 0.0)
-        return self._compute_with_bits(
-            step, bits, lambda node: node.generated_noise())
+        """Moments the step would generate with ``bits`` fractional bits
+        (computed once per plan state: :meth:`refresh` drops a step's
+        entries when it rebuilds the step's noise)."""
+        cache = self._noise_cache.setdefault(step.index, {})
+        stats = cache.get(bits)
+        if stats is None:
+            if bits == step.node.quantization.fractional_bits:
+                stats = (step.noise if step.noise is not None
+                         else NoiseStats(0.0, 0.0))
+            else:
+                stats = self._compute_with_bits(
+                    step, bits, lambda node: node.generated_noise())
+            cache[bits] = stats
+        return stats
 
     def config_stack(self, assignments) -> "ConfigStack":
         """Resolve a stack of word-length assignments against this plan.
@@ -835,10 +1031,10 @@ class ConfigStack:
     stays cheap on a wide graph.  A config's *cone* is the downstream
     cone of the steps where its own or incoming-tap word lengths differ
     from the live plan; outside it the config's walk provably equals the
-    live one.  :meth:`cone_rows` indexes those cones per step, and every
-    per-step query takes an optional ``rows`` array of config indices
-    (default: the whole stack) so the walks ask only for the rows they
-    compute.
+    live one.  :meth:`cone_mask` marks those cones per step, and the
+    walks' queries (noise moments, tap noise, response magnitudes and
+    gains) take the :class:`StepRows` they compute — a whole level
+    group's ``(step, config)`` rows at once — and answer row by row.
 
     Parameters
     ----------
@@ -856,9 +1052,10 @@ class ConfigStack:
         (or :func:`compile_plan` first) to fold pending mutations in.
     """
 
-    __slots__ = ("plan", "size", "_live_bits", "_live_noise", "_deltas",
-                 "_edge_slots", "_edge_ports", "_live_edge_bits",
-                 "_edge_deltas", "_seeds", "_rows")
+    __slots__ = ("plan", "size", "_live_bits", "_live_noise",
+                 "_live_moments", "_deltas", "_has_delta", "_edge_slots",
+                 "_edge_ports", "_live_edge_bits", "_edge_deltas", "_seeds",
+                 "_mask")
 
     def __init__(self, plan: CompiledPlan, assignments):
         assignments = list(assignments)
@@ -869,6 +1066,7 @@ class ConfigStack:
         self._live_bits = tuple(step.node.quantization.fractional_bits
                                 for step in plan.steps)
         self._live_noise = tuple(step.noise for step in plan.steps)
+        self._live_moments = None
         # Live taps join the edge axis so resolved() fully overrides the
         # plan's tap state (a config that omits a live tap's key keeps it,
         # one that maps it to None removes it — exactly the node-default
@@ -911,110 +1109,124 @@ class ConfigStack:
         if unknown:
             raise ValueError(
                 f"assignment names unknown to the graph: {sorted(unknown)}")
+        self._has_delta = np.zeros(len(plan.steps), dtype=bool)
+        self._has_delta[list(self._deltas)] = True
         self._edge_ports: dict[int, dict[int, str]] = {}
         for key in sorted(self._edge_slots):
             target, port = self._edge_slots[key]
             self._edge_ports.setdefault(target, {})[port] = key
-        self._rows = None
+        self._mask = None
 
     # ------------------------------------------------------------------
     # Per-config cones
     # ------------------------------------------------------------------
-    def cone_rows(self) -> list:
-        """Per-step row selections of the row-sparse batched walk.
+    def cone_mask(self) -> np.ndarray:
+        """Which rows the row-sparse batched walk computes.
 
-        Entry ``i`` is the sorted ``intp`` array of the configs whose cone
-        contains step ``i``, or ``None`` when no config's does.  Cones are
-        downstream-closed, so a step's rows include the rows of every
-        predecessor in the stack.
+        A ``(steps, K)`` boolean array: entry ``(i, k)`` says whether
+        step ``i`` is in config ``k``'s cone.  Cones are
+        downstream-closed, so a step's configs include those of every
+        predecessor.
         """
-        if self._rows is None:
-            members: list[list[int]] = [[] for _ in self.plan.steps]
-            cones: dict[tuple, list[int]] = {}
+        if self._mask is None:
+            mask = np.zeros((len(self.plan.steps), self.size), dtype=bool)
             for config, seeds in enumerate(self._seeds):
-                if not seeds:
-                    continue
-                key = tuple(seeds)
-                cone = cones.get(key)
-                if cone is None:
-                    cone = cones[key] = self.plan.downstream_cone(key)
-                for index in cone:
-                    members[index].append(config)
-            self._rows = [np.array(configs, dtype=np.intp) if configs
-                          else None for configs in members]
-        return self._rows
+                for seed in seeds:
+                    mask[self.plan.step_cone(seed), config] = True
+            self._mask = mask
+        return self._mask
 
     # ------------------------------------------------------------------
-    # Per-step queries
+    # Per-row queries
     # ------------------------------------------------------------------
-    def _configs(self, rows):
-        return range(self.size) if rows is None else rows.tolist()
+    def step_rows(self, step: PlanStep) -> StepRows:
+        """Every config's row at one step."""
+        return StepRows(np.full(self.size, step.index, dtype=np.intp),
+                        np.arange(self.size), step.index)
 
-    def bits(self, step: PlanStep, rows=None) -> tuple:
+    def bits(self, step: PlanStep) -> tuple:
         """Per-config data-path fractional bits of one step."""
         live = self._live_bits[step.index]
         deltas = self._deltas.get(step.index)
-        configs = self._configs(rows)
         if not deltas:
-            return (live,) * len(configs)
-        return tuple(deltas.get(config, live) for config in configs)
+            return (live,) * self.size
+        return tuple(deltas.get(config, live) for config in range(self.size))
 
-    def noise(self, step: PlanStep, rows=None):
-        """Per-config own-noise moments ``(means, variances)`` of one step.
+    def _row_bits(self, rows: StepRows) -> list:
+        live = self._live_bits
+        deltas = self._deltas
+        return [live[index] if index not in deltas
+                else deltas[index].get(config, live[index])
+                for index, config in rows.pairs()]
 
-        ``None`` when no selected config generates noise at this step;
-        configs with a silent quantizer carry exact zeros.
+    def noise(self, rows: StepRows):
+        """Own-noise moments ``(means, variances)`` of each row.
+
+        ``None`` when every row is silent; silent rows carry exact zeros.
         """
-        if step.index not in self._deltas:
-            live = self._live_noise[step.index]
+        index = rows.step
+        if index is not None and index not in self._deltas:
+            live = self._live_noise[index]
             if live is None:
                 return None
-            count = self.size if rows is None else len(rows)
-            return np.full(count, live.mean), np.full(count, live.variance)
-        per_bits: dict = {}
-        moments = []
-        for bits in self.bits(step, rows):
-            stats = per_bits.get(bits)
-            if stats is None:
-                stats = per_bits[bits] = self.plan.noise_for_bits(step,
-                                                                  bits)
-            moments.append(stats)
-        return _noisy_moments(moments)
+            return (np.full(rows.size, live.mean),
+                    np.full(rows.size, live.variance))
+        if self._live_moments is None:
+            self._live_moments = tuple(
+                np.array([0.0 if noise is None else getattr(noise, name)
+                          for noise in self._live_noise])
+                for name in ("mean", "variance"))
+        means, variances = (live[rows.steps] for live in self._live_moments)
+        if self._has_delta[rows.steps].any():
+            for row, (index, config) in enumerate(rows.pairs()):
+                deltas = self._deltas.get(index)
+                if deltas is not None and config in deltas:
+                    stats = self.plan.noise_for_bits(self.plan.steps[index],
+                                                     deltas[config])
+                    means[row] = stats.mean
+                    variances[row] = stats.variance
+        return _noisy(means, variances)
 
-    def edge_noise(self, step: PlanStep, rows=None):
-        """Per-config tap-noise moments of one step's incoming edges.
+    def edge_noise(self, rows: StepRows):
+        """Tap-noise moments of each row's incoming edges.
 
-        ``None`` when no selected config injects tap noise at this step;
-        otherwise ``{input port: (means, variances)}`` with exact zeros
-        for silent configs.  A tap's noise sees the source's word length
-        *in the same config* as its input grid, mirroring the scalar
-        :class:`EdgeTap` exactly.
+        ``None`` when no row injects tap noise; otherwise ``{input port:
+        (means, variances)}`` with exact zeros for silent rows.  A tap's
+        noise sees the source's word length *in the same config* as its
+        input grid, mirroring the scalar :class:`EdgeTap` exactly.
         """
-        ports = self._edge_ports.get(step.index)
-        if not ports:
+        if not self._edge_ports:
             return None
+        pairs = list(rows.pairs())
+        ports = sorted({port for index, _ in pairs
+                        for port in self._edge_ports.get(index, ())})
         result = None
-        configs = self._configs(rows)
+        per_pair: dict = {}
         for port in ports:
-            slot = (step.index, port)
-            source = self.plan.steps[step.predecessors[port]]
-            rounding = source.node.quantization.rounding
-            live = self._live_edge_bits.get(slot)
-            deltas = self._edge_deltas.get(slot, {})
-            per_pair: dict = {}
-            moments = []
-            for config, source_bits in zip(configs, self.bits(source, rows)):
-                bits = deltas.get(config, live)
-                pair = (bits, source_bits)
-                stats = per_pair.get(pair)
+            means = np.zeros(rows.size)
+            variances = np.zeros(rows.size)
+            for row, (index, config) in enumerate(pairs):
+                slot = (index, port)
+                if port not in self._edge_ports.get(index, ()):
+                    continue
+                bits = self._edge_deltas.get(slot, {}).get(
+                    config, self._live_edge_bits.get(slot))
+                if bits is None:
+                    continue
+                source = self.plan.steps[self.plan.steps[index]
+                                         .predecessors[port]]
+                source_bits = self._deltas.get(source.index, {}).get(
+                    config, self._live_bits[source.index])
+                rounding = source.node.quantization.rounding
+                key = (bits, source_bits, rounding)
+                stats = per_pair.get(key)
                 if stats is None:
-                    stats = per_pair[pair] = (
-                        NoiseStats(0.0, 0.0) if bits is None else
-                        quantization_noise_stats(
-                            int(bits), rounding=rounding,
-                            input_fractional_bits=source_bits))
-                moments.append(stats)
-            noise = _noisy_moments(moments)
+                    stats = per_pair[key] = quantization_noise_stats(
+                        int(bits), rounding=rounding,
+                        input_fractional_bits=source_bits)
+                means[row] = stats.mean
+                variances[row] = stats.variance
+            noise = _noisy(means, variances)
             if noise is not None:
                 result = result or {}
                 result[port] = noise
@@ -1024,8 +1236,8 @@ class ConfigStack:
         """``{edge key: (means, variances)}`` of taps noisy in some config."""
         result = {}
         for target, ports in self._edge_ports.items():
-            noise = self.edge_noise(self.plan.steps[target]) or {}
-            for port, arrays in noise.items():
+            rows = self.step_rows(self.plan.steps[target])
+            for port, arrays in (self.edge_noise(rows) or {}).items():
                 result[ports[port]] = arrays
         return result
 
@@ -1086,65 +1298,71 @@ class ConfigStack:
         return list(groups.values())
 
     # ------------------------------------------------------------------
-    # Per-step responses / gains (scalar when shared, stacked otherwise)
+    # Per-row responses / gains (shared when every row has the same)
     # ------------------------------------------------------------------
-    def _stacked(self, step: PlanStep, lookup, rows):
-        if step.index not in self._deltas:
-            return lookup(self._live_bits[step.index])
-        bits = self.bits(step, rows)
-        keys = {self.plan.coeff_key_for_bits(step, b) for b in bits}
-        if len(keys) == 1:
-            return lookup(bits[0])
-        return [lookup(b) for b in bits]
+    def _per_row(self, rows: StepRows, lookup, stacked):
+        """``lookup(step, bits)`` of every row: one answer for all rows of
+        a step without deltas, else the per-row answers ``stacked``."""
+        steps = self.plan.steps
+        index = rows.step
+        if index is not None and index not in self._deltas:
+            return lookup(steps[index], self._live_bits[index])
+        return stacked([lookup(steps[index], bits)
+                        for index, bits in zip(rows.steps.tolist(),
+                                               self._row_bits(rows))])
 
-    def block_response(self, step: PlanStep, n_bins: int,
-                       rows=None) -> np.ndarray:
-        """Block response: ``(n_bins,)`` when shared, one row per config
+    def block_magnitudes(self, rows: StepRows, n_bins: int):
+        """``(|H|^2, DC gain)`` of each row's block response on
+        ``n_bins`` bins: one ``(n_bins,)`` row and a float when every row
+        has the same response, ``(rows, n_bins)`` and ``(rows,)`` arrays
         otherwise."""
-        responses = self._stacked(
-            step, lambda b: self.plan.block_response_for_bits(step, b, n_bins),
-            rows)
-        return (responses if isinstance(responses, np.ndarray)
-                else np.stack(responses))
+        plan = self.plan
+        return self._per_row(
+            rows, lambda step, bits: plan.block_magnitude_for_bits(
+                step, bits, n_bins), _stacked_magnitudes)
 
-    def shaping_response(self, step: PlanStep, n_bins: int,
-                         rows=None) -> np.ndarray:
-        """Noise-shaping response, shared or per-config stacked."""
-        responses = self._stacked(
-            step,
-            lambda b: self.plan.shaping_response_for_bits(step, b, n_bins),
-            rows)
-        return (responses if isinstance(responses, np.ndarray)
-                else np.stack(responses))
+    def shaping_magnitudes(self, rows: StepRows, n_bins: int):
+        """Noise-shaping counterpart of :meth:`block_magnitudes`."""
+        plan = self.plan
+        return self._per_row(
+            rows, lambda step, bits: plan.shaping_magnitude_for_bits(
+                step, bits, n_bins), _stacked_magnitudes)
 
-    def block_gains(self, step: PlanStep, rows=None):
-        """``(energy, dc)`` scalars when shared, per-config arrays else."""
-        return _stacked_gains(self._stacked(
-            step, lambda b: self.plan.block_gains_for_bits(step, b), rows))
+    def block_gains(self, rows: StepRows):
+        """``(energy, dc)`` scalars when shared, per-row arrays else."""
+        return self._per_row(rows, self.plan.block_gains_for_bits,
+                             _stacked_gains)
 
-    def shaping_gains(self, step: PlanStep, rows=None):
-        """Noise-shaping ``(energy, dc)``, shared or per-config arrays."""
-        return _stacked_gains(self._stacked(
-            step, lambda b: self.plan.shaping_gains_for_bits(step, b), rows))
+    def shaping_gains(self, rows: StepRows):
+        """Noise-shaping ``(energy, dc)``, shared or per-row arrays."""
+        return self._per_row(rows, self.plan.shaping_gains_for_bits,
+                             _stacked_gains)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"ConfigStack(size={self.size}, "
                 f"plan={self.plan.graph.name!r})")
 
 
-def _noisy_moments(moments: list[NoiseStats]):
-    """``(means, variances)`` arrays of per-config moments, ``None`` when
-    every config is silent."""
-    means = np.array([stats.mean for stats in moments], dtype=float)
-    variances = np.array([stats.variance for stats in moments], dtype=float)
-    if not np.any((variances > 0.0) | (means != 0.0)):
+def _noisy(means: np.ndarray, variances: np.ndarray):
+    """``(means, variances)``, or ``None`` when every row is silent."""
+    if not ((variances > 0.0) | (means != 0.0)).any():
         return None
     return means, variances
 
 
-def _stacked_gains(pairs):
-    if isinstance(pairs, tuple):
-        return pairs
+def _stacked_magnitudes(entries: list):
+    first = entries[0]
+    if all(entry is first for entry in entries):
+        return first
+    return (np.concatenate([squared for squared, _ in entries]).reshape(
+                len(entries), -1),
+            np.array([dc for _, dc in entries]))
+
+
+def _stacked_gains(pairs: list):
+    first = pairs[0]
+    if all(pair is first for pair in pairs):
+        return first
     return (np.array([pair[0] for pair in pairs]),
             np.array([pair[1] for pair in pairs]))
 

@@ -12,7 +12,7 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
-from repro.analysis._engine import memoization_disabled, plan_memo
+from repro.analysis._engine import memoization_disabled, plan_memo, walk_psd
 from repro.analysis.agnostic_method import (
     evaluate_agnostic,
     evaluate_agnostic_batch,
@@ -28,8 +28,13 @@ from repro.analysis.simulation_method import SimulationEvaluator
 from repro.lti.fir_design import design_fir_highpass, design_fir_lowpass
 from repro.lti.iir_design import design_iir_filter
 from repro.sfg.builder import SfgBuilder
+from repro.obs import observe
 from repro.sfg.plan import compile_plan, parse_edge_key
-from repro.systems.families import build_scalability_bank
+from repro.systems.families import (
+    build_dwt97_bank,
+    build_polyphase_decimator,
+    build_scalability_bank,
+)
 from repro.systems.random_graphs import (
     COMPATIBLE_N_PSD,
     build_random_graph,
@@ -322,3 +327,98 @@ class TestRowSparseWalk:
             cold = evaluate_psd_batch(plan, 64, deltas)
         assert plan_memo(plan).counters() == counters
         assert _bitwise(warm.ac, cold.ac) and _bitwise(warm.mean, cold.mean)
+
+
+def _same_bytes(a, b) -> bool:
+    """Equal raw bytes: every value and every zero sign."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and a.tobytes() == b.tobytes())
+
+
+class TestLevelWalk:
+    """The batched walks run the plan's level groups, one rule
+    application per group written in place into rows that later walks
+    reuse; every row keeps the raw bytes of its config's cold scalar
+    walk, memoized (row-sparse) and dense."""
+
+    @staticmethod
+    def _check(plan, deltas, n_psd):
+        batches = []
+        for memoized in (True, False):
+            with nullcontext() if memoized else memoization_disabled():
+                batches.append((evaluate_psd_batch(plan, n_psd, deltas),
+                                evaluate_agnostic_batch(plan, deltas)))
+        for k, delta in enumerate(deltas):
+            with plan.preserve_quantization(), memoization_disabled():
+                plan.requantize(delta, allow_enable=True)
+                psd = evaluate_psd(plan, n_psd)
+                stats = evaluate_agnostic(plan)
+            for batch_psd, batch_stats in batches:
+                assert _same_bytes(batch_psd.ac[k], psd.ac), delta
+                assert _same_bytes(batch_psd.mean[k], psd.mean), delta
+                assert _same_bytes(batch_stats.mean[k], stats.mean), delta
+                assert _same_bytes(batch_stats.variance[k],
+                                   stats.variance), delta
+
+    def test_bank_round_with_the_input_delta(self):
+        plan = compile_plan(build_scalability_bank(branches=64))
+        tunable = [step.name for step in plan.steps
+                   if step.node.quantization.enabled]
+        plan.requantize({name: 12 for name in tunable})
+        assert "x" in tunable and len(tunable) == 65
+        self._check(plan, [{name: 11} for name in tunable], 1024)
+
+    @pytest.mark.parametrize("build", [build_dwt97_bank,
+                                       build_polyphase_decimator])
+    def test_multirate_scenarios(self, build):
+        graph = build()
+        plan = compile_plan(graph)
+        assert len({value.n_bins for value in walk_psd(plan, 256)}) > 1
+        self._check(plan, random_deltas(graph, 5, 13), 256)
+
+    def test_tapped_graph(self):
+        graph = build_random_graph(2, blocks=8)
+        plan = compile_plan(graph)
+        plan.requantize(random_assignments(graph, 4, 1, edges=True)[0],
+                        allow_enable=True)
+        assert any(step.edge_taps for step in plan.steps)
+        deltas = random_deltas(graph, 6, 13)
+        assert any("->" in key for delta in deltas for key in delta)
+        self._check(plan, deltas, COMPATIBLE_N_PSD)
+
+    def test_published_values_keep_their_bytes(self):
+        plan = compile_plan(build_scalability_bank(branches=8))
+        held = evaluate_psd_batch(plan, 64, [{"branch0": 9}, {"x": 10}])
+        scalar = evaluate_psd(plan, 64)
+        memo = walk_psd(plan, 64)
+        snapshot = [held.ac.tobytes(), held.mean.tobytes(),
+                    scalar.ac.tobytes()] + [
+            value.ac.tobytes() + value.mean.tobytes() for value in memo]
+        # Later walks on the same plan reuse its rows: other stacks,
+        # memoized and dense, and an accepted move.
+        evaluate_psd_batch(plan, 64, [{"branch1": 8}, {}, {"x": 7}])
+        with memoization_disabled():
+            evaluate_psd_batch(plan, 64, [{"branch2": 11}, {"branch0": 6}])
+        plan.requantize({"branch3": 10})
+        evaluate_psd_batch(plan, 64, [{"branch4": 9}, {"x": 9}])
+        assert snapshot == [held.ac.tobytes(), held.mean.tobytes(),
+                            scalar.ac.tobytes()] + [
+            value.ac.tobytes() + value.mean.tobytes() for value in memo]
+        # The memo rows the move changed were synced into the store.
+        self._check(plan, [{"branch3": 9}, {"branch5": 8}, {}], 64)
+
+    def test_bank_runs_nine_groups_and_a_chain_one_per_step(self):
+        bank = compile_plan(build_scalability_bank(branches=64))
+        chain = compile_plan(_cascade_graph())
+        assert [len(group.steps) for group in bank.levels] == \
+            [1, 64, 32, 16, 8, 4, 2, 1, 1]
+        assert [group.steps for group in chain.levels] == \
+            [(step,) for step in chain.steps]
+        with observe() as session, memoization_disabled():
+            evaluate_psd_batch(bank, 64, [{}, {"x": 9}])
+            evaluate_agnostic_batch(chain, [{}, {"x": 9}])
+        assert [entry["attrs"]["groups"]
+                for entry in session.trace.snapshot()
+                if entry["name"] == "analysis.walk_batch"] == \
+            [9, len(chain.steps)]

@@ -283,7 +283,8 @@ class TestOneRefreshPerEvaluation:
         node = plan.graph.node("hp")
         node.quantization = node.quantization.with_fractional_bits(8)
         index = plan.index_of["hp"]
-        means, variances = plan.config_stack([{}]).noise(plan.steps[index])
+        stack = plan.config_stack([{}])
+        means, variances = stack.noise(stack.step_rows(plan.steps[index]))
         fresh = CompiledPlan(plan.graph).steps[index].noise
         assert (means[0], variances[0]) == (fresh.mean, fresh.variance)
 

@@ -497,3 +497,95 @@ class TestBackendEquality:
         stimulus = {"x": uniform_white_noise(512, seed=4)}
         assert np.array_equal(_run_fixed(plan, stimulus),
                               _oracle_fixed(plan, stimulus))
+
+
+class TestStackCaches:
+    """Per-plan caches the configuration stacks read: PQN moments per
+    (step, bits) and each step's downstream cone."""
+
+    def test_a_second_identical_stack_computes_no_moments(self,
+                                                           monkeypatch):
+        from repro.sfg.nodes import QuantizationSpec
+        from repro.systems.families import build_scalability_bank
+
+        plan = compile_plan(build_scalability_bank(branches=4))
+        deltas = [{"branch0": 9}, {"branch1": 7}, {"x": 8}, {}]
+        first = plan.config_stack(deltas)
+        expected = [first.noise(first.step_rows(step)) for step in plan.steps]
+        calls = []
+        original = QuantizationSpec.noise_stats
+        monkeypatch.setattr(QuantizationSpec, "noise_stats",
+                            lambda spec: calls.append(spec) or original(spec))
+        second = plan.config_stack(deltas)
+        served = [second.noise(second.step_rows(step))
+                  for step in plan.steps]
+        assert calls == []
+        for was, now in zip(expected, served):
+            assert (was is None) == (now is None)
+            if was is not None:
+                assert all(np.array_equal(a, b) for a, b in zip(was, now))
+
+    @staticmethod
+    def _moments(plan, name, bits):
+        stack = plan.config_stack([{name: bits}])
+        means, variances = stack.noise(
+            stack.step_rows(plan.steps[plan.index_of[name]]))
+        return means[0], variances[0]
+
+    def test_a_rounding_edit_changes_the_served_moments(self):
+        plan = compile_plan(_fir_graph(bits=12))
+        before = self._moments(plan, "h", 9)
+        node = plan.graph.node("h")
+        node.quantization = dataclasses.replace(
+            node.quantization, rounding=RoundingMode.TRUNCATE)
+        after = self._moments(plan, "h", 9)
+        assert after != before and after[0] < 0.0
+
+    def test_a_frequency_domain_fir_coefficient_edit_changes_the_moments(
+            self):
+        from repro.lti.transfer_function import TransferFunction
+        from repro.systems.freq_filter import FrequencyDomainFirNode
+
+        builder = SfgBuilder("fd")
+        x = builder.input("x", fractional_bits=12)
+        builder.graph.add_node(FrequencyDomainFirNode(
+            "f", design_fir_lowpass(9, 0.4), fft_size=16,
+            quantization=builder.graph.node("x").quantization))
+        builder.graph.connect(x, "f")
+        builder.output("y", "f")
+        graph = builder.build()
+        plan = compile_plan(graph)
+        before = self._moments(plan, "f", 9)
+        node = graph.node("f")
+        node._transfer_function = TransferFunction.fir(0.5 * node.taps)
+        after = self._moments(plan, "f", 9)
+        assert after != before
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_cached_cones_equal_the_search(self, seed):
+        from repro.systems.random_graphs import build_random_graph
+
+        plan = compile_plan(build_random_graph(seed, blocks=8,
+                                               multirate=seed % 2 == 1))
+        rng = np.random.default_rng(seed)
+        for _ in range(10):
+            seeds = rng.choice(len(plan.steps),
+                               size=rng.integers(1, 4), replace=False)
+            assert plan.downstream_cone(seeds) == _searched_cone(plan, seeds)
+
+
+def _searched_cone(plan, seeds):
+    """Breadth-first reachability over the schedule's predecessor
+    wiring: the reference for the plan's cached cones."""
+    successors = {step.index: set() for step in plan.steps}
+    for step in plan.steps:
+        for predecessor in step.predecessors:
+            successors[predecessor].add(step.index)
+    seen = {int(seed) for seed in seeds}
+    frontier = list(seen)
+    while frontier:
+        for successor in successors[frontier.pop()]:
+            if successor not in seen:
+                seen.add(successor)
+                frontier.append(successor)
+    return sorted(seen)
