@@ -21,20 +21,21 @@ times.
 * per-node data-path quantizers are pre-constructed;
 * the noise-generating nodes and their moments are precomputed;
 * per-node frequency responses (block responses and IIR noise-shaping
-  responses) are memoized per ``(node, n_bins)``, keyed by the effective
-  coefficient precision so that re-quantizing the data path never
-  invalidates them.
+  responses) are memoized by content — node type, coefficient state,
+  effective coefficient precision and bin count — so nodes of one design
+  share an entry and re-quantizing the data path never invalidates one.
 
 Re-quantization — the word-length optimizer's inner loop — is supported in
 place through :meth:`CompiledPlan.requantize`; in-place *coefficient*
 edits (assigning to ``GainNode.gain`` and the like) are detected by
-:meth:`CompiledPlan.refresh`, which then drops the *edited steps'*
-memoized responses and stamps those steps with a new plan epoch so the
-pull-based analytical engines (:mod:`repro.analysis._engine`) recompute
-only the dirty downstream cone instead of re-walking the whole graph;
-any *structural* change to the graph (adding / removing nodes or edges,
-swapping node objects) requires a new plan, which :func:`compile_plan`
-detects automatically.
+:meth:`CompiledPlan.refresh`, which records the edited steps' new
+coefficient state (so their responses are looked up under new keys) and
+stamps those steps with a new plan epoch so the pull-based analytical
+engines (:mod:`repro.analysis._engine`) recompute only the dirty
+downstream cone instead of re-walking the whole graph; any *structural*
+change to the graph (adding / removing nodes or edges, swapping node
+objects) requires a new plan, which :func:`compile_plan` detects
+automatically.
 
 On top of single-configuration reuse, :class:`ConfigStack` resolves a
 whole *stack* of word-length assignments against one plan — per-step
@@ -52,6 +53,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from math import gcd
+from operator import methodcaller
 
 import numpy as np
 
@@ -260,6 +262,15 @@ class StepRows:
         return zip(self.steps.tolist(), self.configs.tolist())
 
 
+#: How a node computes its transfer function of each kind: the block
+#: function (coefficients rounded at the spec's precision) and the IIR
+#: noise-shaping function of its internal quantizer.
+_TRANSFER_FUNCTIONS = {
+    "block": methodcaller("_effective_transfer_function"),
+    "shaping": methodcaller("noise_shaping_function"),
+}
+
+
 def _rule_parameters(node: Node) -> tuple:
     """What the propagation rule reads from a node besides its type."""
     if isinstance(node, AddNode):
@@ -367,11 +378,15 @@ class CompiledPlan:
                     (index_of[name], edge.port))
         self._edge_index = edge_index
         # Signatures iterate graph.nodes in insertion order while steps are
-        # topologically ordered; this maps signature position -> step index.
+        # topologically ordered; this maps signature position -> step
+        # index, and _positions back.
         self._node_order: tuple[int, ...] = tuple(
             index_of[name] for name in graph.nodes)
+        self._positions = [0] * len(steps)
+        for position, index in enumerate(self._node_order):
+            self._positions[index] = position
         # Dirty tracking for the pull-based evaluation engines: the plan
-        # epoch counts refreshes that changed something, and each step
+        # epoch counts refreshes that rebuilt some step, and each step
         # records the epoch at which its *local evaluation signature*
         # (coefficients, effective coefficient precision, own noise
         # moments) last changed.  Consumers snapshot the epoch and later
@@ -383,18 +398,19 @@ class CompiledPlan:
         self._quantization_signature: tuple = ()
         self._coefficient_signature: tuple = ()
         # Frequency responses and impulse-response scalars depend only on
-        # the node coefficients and their effective precision, so cache
-        # entries are keyed by that precision and survive re-quantization;
-        # coefficient changes are detected by refresh(), which then drops
-        # the caches wholesale.
+        # the node type, its coefficients and their effective precision,
+        # so entries are keyed by that content (_content_key): nodes of
+        # one design share them, re-quantization looks up other keys, and
+        # a coefficient edit looks up new ones while the old entries stay
+        # until the plan is dropped.
         self._response_cache: dict[tuple, np.ndarray] = {}
         self._tf_cache: dict[tuple, TransferFunction] = {}
         self._gain_cache: dict[tuple, tuple[float, float]] = {}
         # (|H|^2, DC gain) of each cached response, read by the PSD walks.
         self._magnitude_cache: dict[tuple, tuple[np.ndarray, float]] = {}
         # PQN moments per step and data bits: they depend on the step's
-        # spec and coefficients, so refresh() drops a step's entries
-        # whenever it rebuilds that step's noise.
+        # spec and coefficients, so a rebuild (_rebuild) drops a step's
+        # entries whenever it rebuilds that step's noise.
         self._noise_cache: dict[int, dict] = {}
         self.noise_steps: tuple[PlanStep, ...] = ()
         self.levels: tuple[StepGroup, ...] = ()
@@ -414,13 +430,13 @@ class CompiledPlan:
         Dirty marking is per step: quantizers and noise moments are
         rebuilt only for the steps whose spec or coefficients actually
         changed since the last refresh, an in-place coefficient change
-        (e.g. assigning to ``GainNode.gain``) additionally drops that
-        step's memoized transfer functions and frequency responses (every
-        cache key starts with the step index, so eviction is a key
-        filter, not a wholesale clear), and the plan epoch is bumped so
-        pull-based consumers (:class:`~repro.analysis._engine.NoiseMemo`)
-        can recompute just the downstream cone of the dirty steps.
-        Returns whether anything was rebuilt.
+        (e.g. assigning to ``GainNode.gain``) records the step's new
+        coefficient state, under which its transfer functions and
+        frequency responses are then looked up, and the plan epoch is
+        bumped so pull-based consumers
+        (:class:`~repro.analysis._engine.NoiseMemo`) can recompute just
+        the downstream cone of the dirty steps.  Returns whether anything
+        was rebuilt.
         """
         num_steps = len(self.steps)
         changed: set[int] = set()
@@ -435,10 +451,6 @@ class CompiledPlan:
             else:
                 edited = set(range(num_steps))
             self._coefficient_signature = coefficients
-            for cache in (self._tf_cache, self._response_cache,
-                          self._gain_cache, self._magnitude_cache):
-                for key in [key for key in cache if key[0] in edited]:
-                    del cache[key]
             # Adder signs and resampling factors are coefficients too,
             # and the level groups are keyed by them.
             self.levels = self._level_groups()
@@ -447,36 +459,54 @@ class CompiledPlan:
             # quantizer/noise rebuild below.
             changed |= edited
         signature = quantization_signature(self.graph)
-        if signature != self._quantization_signature:
-            previous = self._quantization_signature
+        previous = self._quantization_signature
+        if signature != previous:
             if len(previous) == len(signature) == num_steps:
-                for i, (was, now) in enumerate(zip(previous, signature)):
-                    if was == now:
-                        continue
-                    index = self._node_order[i]
-                    changed.add(index)
-                    # A fanout tap's noise lives on the *target* step but
-                    # depends on the source's word length, rounding and
-                    # edge entries (signature components 0, 1 and 4): a
-                    # change to any of them marks the tapped targets, so
-                    # a one-edge edit dirties exactly the target's cone
-                    # while the source step's own value stays cached.
-                    if (was[0], was[1], was[4]) != (now[0], now[1], now[4]):
-                        source = self.steps[index].name
-                        targets = ({t for t, _ in was[4]}
-                                   | {t for t, _ in now[4]})
-                        for target in targets:
-                            changed.add(self._resolve_edge(source,
-                                                           target)[0])
+                changed |= self._spec_changes(
+                    (self._node_order[i], was, now)
+                    for i, (was, now) in enumerate(zip(previous, signature))
+                    if was != now)
             else:
                 changed = set(range(num_steps))
             self._quantization_signature = signature
+        return self._rebuild(changed)
+
+    def _spec_changes(self, edits) -> set[int]:
+        """The steps to rebuild for ``(step index, previous, current)``
+        quantization-signature entries of the nodes whose spec changed.
+
+        A fanout tap's noise lives on the *target* step but depends on
+        the source's word length, rounding and edge entries (entry
+        components 0, 1 and 4): a change to any of them marks the tapped
+        targets too, so a one-edge edit dirties exactly the target's cone
+        while the source step's own value stays cached.
+        """
+        changed = set()
+        for index, was, now in edits:
+            changed.add(index)
+            if (was[0], was[1], was[4]) != (now[0], now[1], now[4]):
+                source = self.steps[index].name
+                for target in {t for t, _ in was[4]} | {t for t, _ in now[4]}:
+                    changed.add(self._resolve_edge(source, target)[0])
+        return changed
+
+    def _rebuild(self, changed: set[int]) -> bool:
+        """Rebuild the quantizers, noise and taps of the ``changed``
+        steps; bump the epoch and stamp the steps whose local signature
+        moved.  Returns whether anything was rebuilt.
+
+        The epoch moves on every rebuild, also one that leaves every
+        local signature as it was (a coefficient precision pinned to the
+        live width, a rounding change on a silent quantizer): what such
+        an edit changes shows only at other word lengths, which is where
+        the word-length optimizer's table of uniform-width powers reads.
+        """
         if not changed:
             return False
-        for index in changed:
-            self._noise_cache.pop(index, None)
+        self._epoch += 1
         stamped = []
         for index in sorted(changed):
+            self._noise_cache.pop(index, None)
             step = self.steps[index]
             spec = step.node.quantization
             step.quantizer = spec.quantizer() if spec.enabled else None
@@ -502,14 +532,13 @@ class CompiledPlan:
                 stamped.append(index)
         self.noise_steps = tuple(step for step in self.steps
                                  if step.noise is not None)
-        if stamped:
-            self._epoch += 1
-            self._step_epochs[stamped] = self._epoch
+        self._step_epochs[stamped] = self._epoch
         return True
 
     def requantize(self, assignment: dict[str, int | None],
                    allow_enable: bool = False) -> None:
-        """Update fractional word lengths in place and refresh the plan.
+        """Update fractional word lengths in place and rebuild what they
+        change.
 
         ``assignment`` maps node names — or ``"source->target"`` edge keys
         — to their new fractional bit counts (``None`` disables the
@@ -517,6 +546,12 @@ class CompiledPlan:
         sanctioned mutation path of the word-length optimizer's inner
         loop: the schedule and the frequency-response cache are reused
         across search iterations.
+
+        Only the assigned nodes' specs are re-read: their steps and the
+        targets of their fanout taps are rebuilt as :meth:`refresh`
+        rebuilds them, without fingerprinting the whole graph.  Other
+        pending edits (a spec or coefficient changed in place) wait for
+        the next :meth:`refresh`, which every evaluation runs first.
 
         Assigning bits to a node whose spec is disabled
         (``fractional_bits=None``) would silently *enable* quantization
@@ -526,6 +561,7 @@ class CompiledPlan:
         toggle quantization per config).
         """
         with span("plan.requantize", nodes=len(assignment)):
+            assigned = set()
             for name, bits in assignment.items():
                 if name in self.graph.nodes:
                     node = self.graph.node(name)
@@ -545,7 +581,19 @@ class CompiledPlan:
                     node.quantization = \
                         node.quantization.with_edge_fractional_bits(target,
                                                                     bits)
-            self.refresh()
+                assigned.add(self.index_of[node.name])
+            entries = list(self._quantization_signature)
+            edits = []
+            for index in assigned:
+                position = self._positions[index]
+                was = entries[position]
+                now = _spec_signature(self.steps[index].node.quantization)
+                if was != now:
+                    entries[position] = now
+                    edits.append((index, was, now))
+            if edits:
+                self._quantization_signature = tuple(entries)
+                self._rebuild(self._spec_changes(edits))
 
     def _resolve_edge(self, source: str, target: str) -> tuple[int, int]:
         """(target step index, input port) of the unique ``source->target``
@@ -750,71 +798,70 @@ class CompiledPlan:
     # ------------------------------------------------------------------
     # Memoized per-node transfer functions / responses
     # ------------------------------------------------------------------
-    def block_tf_for_bits(self, step: PlanStep,
-                          bits: int | None) -> TransferFunction:
-        """Effective transfer function at a hypothetical word length."""
-        key = (step.index, "block", self.coeff_key_for_bits(step, bits))
-        tf = self._tf_cache.get(key)
-        if tf is None:
-            tf = self._compute_with_bits(
-                step, bits, lambda node: node._effective_transfer_function())
-            self._tf_cache[key] = tf
-        return tf
+    def _content_key(self, step: PlanStep, kind: str, bits: int | None,
+                     *extra) -> tuple:
+        """Cache key of a step's ``kind`` transfer behaviour at ``bits``
+        data bits: node type, the coefficient state the step's last
+        rebuild recorded, ``kind``, the effective coefficient precision
+        and ``extra`` (a bin count).
 
-    def shaping_tf_for_bits(self, step: PlanStep,
-                            bits: int | None) -> TransferFunction:
-        """Noise-shaping function at a hypothetical word length."""
-        key = (step.index, "shaping", self.coeff_key_for_bits(step, bits))
+        A cached value is a deterministic function of its key, so nodes
+        of one design share an entry, and a coefficient edit, once
+        refreshed, looks up a new key (the old entries stay until the
+        plan is dropped).
+        """
+        return (type(step.node), self._local_signatures[step.index][0],
+                kind, self.coeff_key_for_bits(step, bits), *extra)
+
+    @staticmethod
+    def _store(cache: dict, key: tuple, step: PlanStep, value):
+        """``value``, stored under ``key`` unless an in-place coefficient
+        edit of the step is pending (no refresh since): then it describes
+        other coefficients than the key's."""
+        if key[1] == _node_coefficient_state(step.node):
+            cache[key] = value
+        return value
+
+    def _tf(self, step: PlanStep, kind: str,
+            bits: int | None) -> TransferFunction:
+        key = self._content_key(step, kind, bits)
         tf = self._tf_cache.get(key)
         if tf is None:
-            tf = self._compute_with_bits(
-                step, bits, lambda node: node.noise_shaping_function())
-            self._tf_cache[key] = tf
+            tf = self._compute_with_bits(step, bits, _TRANSFER_FUNCTIONS[kind])
+            # A copy: a node may hand out its own transfer function, whose
+            # arrays an in-place edit would change under this key.
+            tf = self._store(self._tf_cache, key, step,
+                             TransferFunction(tf.b, tf.a))
         return tf
 
     def block_tf(self, step: PlanStep) -> TransferFunction:
         """Effective (coefficient-quantized) transfer function of a block."""
-        return self.block_tf_for_bits(step,
-                                      step.node.quantization.fractional_bits)
+        return self._tf(step, "block", step.node.quantization.fractional_bits)
 
     def shaping_tf(self, step: PlanStep) -> TransferFunction:
         """Noise-shaping function of an IIR block's internal quantizer."""
-        return self.shaping_tf_for_bits(step,
-                                        step.node.quantization.fractional_bits)
+        return self._tf(step, "shaping",
+                        step.node.quantization.fractional_bits)
 
-    def block_response_for_bits(self, step: PlanStep, bits: int | None,
-                                n_bins: int) -> np.ndarray:
-        """Block frequency response at a hypothetical word length."""
-        key = (step.index, "block", self.coeff_key_for_bits(step, bits),
-               n_bins)
+    def _response(self, step: PlanStep, kind: str, bits: int | None,
+                  n_bins: int) -> np.ndarray:
+        key = self._content_key(step, kind, bits, n_bins)
         response = self._response_cache.get(key)
         if response is None:
-            response = self.block_tf_for_bits(step, bits).frequency_response(
-                n_bins)
-            self._response_cache[key] = response
-        return response
-
-    def shaping_response_for_bits(self, step: PlanStep, bits: int | None,
-                                  n_bins: int) -> np.ndarray:
-        """Noise-shaping response at a hypothetical word length."""
-        key = (step.index, "shaping", self.coeff_key_for_bits(step, bits),
-               n_bins)
-        response = self._response_cache.get(key)
-        if response is None:
-            response = self.shaping_tf_for_bits(step, bits).frequency_response(
-                n_bins)
-            self._response_cache[key] = response
+            response = self._tf(step, kind, bits).frequency_response(n_bins)
+            response.flags.writeable = False
+            response = self._store(self._response_cache, key, step, response)
         return response
 
     def block_response(self, step: PlanStep, n_bins: int) -> np.ndarray:
         """Complex frequency response of a block on ``n_bins`` bins."""
-        return self.block_response_for_bits(
-            step, step.node.quantization.fractional_bits, n_bins)
+        return self._response(step, "block",
+                              step.node.quantization.fractional_bits, n_bins)
 
     def shaping_response(self, step: PlanStep, n_bins: int) -> np.ndarray:
         """Noise-shaping frequency response of an IIR block."""
-        return self.shaping_response_for_bits(
-            step, step.node.quantization.fractional_bits, n_bins)
+        return self._response(step, "shaping",
+                              step.node.quantization.fractional_bits, n_bins)
 
     def block_magnitude_for_bits(self, step: PlanStep, bits: int | None,
                                  n_bins: int) -> tuple[np.ndarray, float]:
@@ -822,53 +869,49 @@ class CompiledPlan:
         the squared magnitude and DC gain a PSD is filtered by (cached
         instead of the complex response, which the PSD walks never
         read)."""
-        return self._magnitude(step, "block", bits, n_bins,
-                               self.block_tf_for_bits)
+        return self._magnitude(step, "block", bits, n_bins)
 
     def shaping_magnitude_for_bits(self, step: PlanStep, bits: int | None,
                                    n_bins: int) -> tuple[np.ndarray, float]:
         """``(|H|^2, Re H[0])`` of the noise-shaping response."""
-        return self._magnitude(step, "shaping", bits, n_bins,
-                               self.shaping_tf_for_bits)
+        return self._magnitude(step, "shaping", bits, n_bins)
 
     def _magnitude(self, step: PlanStep, kind: str, bits: int | None,
-                   n_bins: int, tf_for_bits):
-        key = (step.index, kind, self.coeff_key_for_bits(step, bits), n_bins)
+                   n_bins: int) -> tuple[np.ndarray, float]:
+        key = self._content_key(step, kind, bits, n_bins)
         entry = self._magnitude_cache.get(key)
         if entry is None:
-            response = tf_for_bits(step, bits).frequency_response(n_bins)
+            response = self._tf(step, kind, bits).frequency_response(n_bins)
             squared = np.abs(response) ** 2
             squared.flags.writeable = False
-            entry = (squared, float(np.real(response[0])))
-            self._magnitude_cache[key] = entry
+            entry = self._store(self._magnitude_cache, key, step,
+                                (squared, float(np.real(response[0]))))
         return entry
 
     def block_gains_for_bits(self, step: PlanStep,
                              bits: int | None) -> tuple[float, float]:
         """``(energy, coefficient_sum)`` at a hypothetical word length."""
-        key = (step.index, "block", self.coeff_key_for_bits(step, bits))
-        gains = self._gain_cache.get(key)
-        if gains is None:
-            tf = self.block_tf_for_bits(step, bits)
-            gains = (tf.energy(), tf.coefficient_sum())
-            self._gain_cache[key] = gains
-        return gains
+        return self._gains(step, "block", bits)
 
     def shaping_gains_for_bits(self, step: PlanStep,
                                bits: int | None) -> tuple[float, float]:
         """Noise-shaping ``(energy, coefficient_sum)`` at a word length."""
-        key = (step.index, "shaping", self.coeff_key_for_bits(step, bits))
+        return self._gains(step, "shaping", bits)
+
+    def _gains(self, step: PlanStep, kind: str,
+               bits: int | None) -> tuple[float, float]:
+        key = self._content_key(step, kind, bits)
         gains = self._gain_cache.get(key)
         if gains is None:
-            tf = self.shaping_tf_for_bits(step, bits)
-            gains = (tf.energy(), tf.coefficient_sum())
-            self._gain_cache[key] = gains
+            tf = self._tf(step, kind, bits)
+            gains = self._store(self._gain_cache, key, step,
+                                (tf.energy(), tf.coefficient_sum()))
         return gains
 
     def noise_for_bits(self, step: PlanStep, bits: int | None) -> NoiseStats:
         """Moments the step would generate with ``bits`` fractional bits
-        (computed once per plan state: :meth:`refresh` drops a step's
-        entries when it rebuilds the step's noise)."""
+        (computed once per plan state: a rebuild by :meth:`refresh` or
+        :meth:`requantize` drops the step's entries)."""
         cache = self._noise_cache.setdefault(step.index, {})
         stats = cache.get(bits)
         if stats is None:
@@ -1397,13 +1440,15 @@ def quantization_signature(graph: SignalFlowGraph) -> tuple:
     (integer width) rebuilds the quantizer without dirtying analytical
     caches (overflow is NONE, so values never change).
     """
-    return tuple((spec.fractional_bits, spec.rounding,
-                  spec.coefficient_fractional_bits,
-                  spec.input_fractional_bits,
-                  spec.edge_fractional_bits,
-                  spec.integer_bits)
-                 for spec in (node.quantization
-                              for node in graph.nodes.values()))
+    return tuple(_spec_signature(node.quantization)
+                 for node in graph.nodes.values())
+
+
+def _spec_signature(spec) -> tuple:
+    """One node's entry of :func:`quantization_signature`."""
+    return (spec.fractional_bits, spec.rounding,
+            spec.coefficient_fractional_bits, spec.input_fractional_bits,
+            spec.edge_fractional_bits, spec.integer_bits)
 
 
 def _node_coefficient_state(node: Node) -> tuple:
@@ -1430,7 +1475,8 @@ def coefficient_signature(graph: SignalFlowGraph) -> tuple:
 
     Covers the mutable numeric state a node's transfer behaviour depends
     on (gains, taps, signs, delays, resampling factors), so a plan can
-    detect in-place coefficient edits and drop its memoized responses.
+    detect in-place coefficient edits; each node's entry is also part of
+    the content keys its memoized responses are stored under.
     """
     return tuple(_node_coefficient_state(node)
                  for node in graph.nodes.values())

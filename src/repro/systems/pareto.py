@@ -195,7 +195,8 @@ def sweep_noise_budgets(system: SignalFlowGraph, budgets,
         Forwarded to :class:`WordLengthOptimizer`; one optimizer (hence
         one compiled plan, one response cache and one noise memo) serves
         every budget: each point after the first starts from the
-        previous optimum's memo and pays only dirty-cone deltas.
+        previous optimum's memo, pays only dirty-cone deltas and reads
+        the powers of the uniform widths earlier budgets evaluated.
     validate_samples:
         When positive, cross-validate every swept point by a Monte-Carlo
         run of that many samples (batched, reference runs shared).

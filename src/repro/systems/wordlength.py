@@ -23,8 +23,10 @@ The optimizer compiles the graph into a
 incumbent assignment, so the topological schedule, the memoized per-node
 frequency responses and the plan's
 :class:`~repro.analysis._engine.NoiseMemo` are shared by the (typically
-thousands of) candidate evaluations.  Each greedy round is one
-configuration-batched evaluation (``evaluate_*_batch``) of one-key
+thousands of) candidate evaluations; the power of every uniform width a
+binary search evaluated is kept too, and the searches of later budgets
+read it back while nothing else changed the plan.  Each greedy round is
+one configuration-batched evaluation (``evaluate_*_batch``) of one-key
 deltas against that incumbent: the row-sparse batched walk computes each
 candidate's row only inside its own downstream cone and copies the
 memo's value everywhere else, so a round costs the sum of the
@@ -86,8 +88,10 @@ class WordLengthResult:
         Number of distinct candidate evaluations performed (batched
         candidates count individually), a direct measure of how much the
         evaluator's speed matters.  Powers that are already known — the
-        uniform starting point and the final assignment — are reused, not
-        re-evaluated.
+        uniform starting point, the final assignment and every uniform
+        width an earlier budget's search of the same optimizer evaluated
+        (while nothing but the optimizer's own requantizing changed the
+        plan since) — are reused, not re-evaluated.
     history:
         Sequence of ``(assignment cost, noise power)`` pairs recorded
         after every accepted move.
@@ -159,6 +163,12 @@ class WordLengthOptimizer:
         self.max_bits = max_bits
         self.granularity = granularity
         self._evaluations = 0
+        # Power of every uniform width the binary search evaluated: a
+        # function of the width and of everything but the tunables' word
+        # lengths, so it holds while the plan's epoch is the one the last
+        # search left (any other edit rebuilds a step and moves it on).
+        self._uniform_powers: dict[int, float] = {}
+        self._uniform_epoch: int | None = None
         # The graph is compiled once; the search re-quantizes the plan in
         # place, so the schedule, the memoized per-node frequency
         # responses and the noise memo are shared by every evaluation.
@@ -231,40 +241,58 @@ class WordLengthOptimizer:
     # Search
     # ------------------------------------------------------------------
     def uniform_search(self, budget: float) -> dict[str, int]:
-        """Smallest uniform word length meeting the noise budget."""
+        """Smallest uniform word length meeting the noise budget (the
+        plan is left requantized to it)."""
         assignment, _ = self._uniform_search(budget)
         return assignment
 
     def _uniform_search(self, budget: float) -> tuple[dict[str, int], float]:
-        """Uniform search returning the assignment *and* its known power.
+        """Uniform search returning the assignment *and* its known power,
+        with the plan requantized to that assignment.
 
-        The binary search always ends on a word length it has already
-        evaluated, so the caller never needs to re-measure the starting
-        point.
+        The binary search always ends on a word length whose power it
+        knows, so the caller never needs to re-measure the starting
+        point.  A width an earlier search evaluated is read from the
+        uniform-width table instead of being requantized and evaluated
+        again (the span's ``reused`` counts them).
         """
         budget = float(budget)
         if not math.isfinite(budget) or budget <= 0:
             raise ValueError(
                 f"the noise budget must be positive and finite, got "
                 f"{budget!r}")
-        with span("optimizer.uniform_search", budget=budget):
+        with span("optimizer.uniform_search", budget=budget) as search:
+            self._plan.refresh()
+            if self._plan.epoch != self._uniform_epoch:
+                self._uniform_powers.clear()
+            powers = self._uniform_powers
+            reused = 0
+
+            def power(width: int) -> float:
+                nonlocal reused
+                if width in powers:
+                    reused += 1
+                else:
+                    powers[width] = self._noise_power(
+                        {n: width for n in self._tunable})
+                return powers[width]
+
             low, high = self.min_bits, self.max_bits
-            powers: dict[int, float] = {}
-            powers[high] = self._noise_power({n: high
-                                              for n in self._tunable})
-            if powers[high] > budget:
+            if power(high) > budget:
                 raise BudgetUnreachableError(
                     f"the budget {budget:.3e} cannot be met even with "
                     f"{high} fractional bits everywhere")
             while low < high:
                 middle = (low + high) // 2
-                powers[middle] = self._noise_power(
-                    {n: middle for n in self._tunable})
-                if powers[middle] <= budget:
+                if power(middle) <= budget:
                     high = middle
                 else:
                     low = middle + 1
-            return {n: high for n in self._tunable}, powers[high]
+            assignment = {n: high for n in self._tunable}
+            self._plan.requantize(assignment)
+            self._uniform_epoch = self._plan.epoch
+            search.set(reused=reused)
+            return assignment, powers[high]
 
     def optimize(self, budget: float) -> WordLengthResult:
         """Run the full greedy refinement under a noise-power budget."""
@@ -279,8 +307,6 @@ class WordLengthOptimizer:
         history = [(self.assignment_cost(assignment), current_power)]
         # The plan tracks the incumbent from here on, so every candidate
         # is a one-key delta whose batched row costs only its own cone.
-        self._plan.requantize(assignment)
-
         base_cost = self.assignment_cost(assignment)
         while True:
             deltas = []
@@ -325,6 +351,8 @@ class WordLengthOptimizer:
             base_cost = self.assignment_cost(assignment)
             history.append((base_cost, best_power))
 
+        # Only tunable widths moved since the search: its table holds.
+        self._uniform_epoch = self._plan.epoch
         counters = memo.counters()
         return WordLengthResult(
             assignment=dict(assignment),

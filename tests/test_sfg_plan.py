@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.evaluator import AccuracyEvaluator
+from repro.analysis.flat_method import evaluate_flat
 from repro.analysis.psd_method import evaluate_psd
 from repro.analysis.simulation_method import SimulationEvaluator
 from repro.campaign import build_scenario, scenario_names
@@ -150,8 +151,8 @@ class TestBlockResponses:
         assert plan.block_response(step, 64) is response  # memoized
         # A hypothetical word length rounds the taps differently and
         # leaves the live response alone.
-        finer = plan.block_response_for_bits(step, 16, 64)
-        assert not np.allclose(finer, response)
+        finer, _ = plan.block_magnitude_for_bits(step, 16, 64)
+        assert not np.allclose(finer, np.abs(response) ** 2)
         assert plan.block_response(step, 64) is response
 
     def test_shaping_response_of_an_iir_block_is_one_over_a(self):
@@ -237,6 +238,11 @@ class TestCoefficientMutation:
         assert not np.array_equal(refreshed, stale)
 
 
+def _same_psd(result, expected):
+    assert result.ac.tobytes() == expected.ac.tobytes()
+    assert result.mean.hex() == expected.mean.hex()
+
+
 class TestRequantize:
     def test_requantize_matches_fresh_compile(self):
         graph = _graph(bits=12)
@@ -252,17 +258,176 @@ class TestRequantize:
         graph = _graph(bits=12)
         plan = compile_plan(graph)
         evaluate_psd(plan, 128)
-        cached = dict(plan._response_cache)
+        # The PSD walks read |H|^2 and the DC gain, one entry per block
+        # and kind: h's block, i's block and i's noise shaping.
+        cached = dict(plan._magnitude_cache)
+        assert len(cached) == 3
         # Moving only the data word length back and forth reuses every
-        # cached response (they are keyed by coefficient precision, which
+        # cached entry (they are keyed by coefficient precision, which
         # follows fractional_bits here, so the original keys come back).
         plan.requantize({"x": 8, "h": 8, "i": 8})
         evaluate_psd(plan, 128)
         plan.requantize({"x": 12, "h": 12, "i": 12})
         evaluate_psd(plan, 128)
-        for key, value in cached.items():
-            assert key in plan._response_cache
-            np.testing.assert_array_equal(plan._response_cache[key], value)
+        assert len(plan._magnitude_cache) == 6
+        for key, (squared, dc) in cached.items():
+            assert plan._magnitude_cache[key][0] is squared
+            assert plan._magnitude_cache[key][1] == dc
+
+    def test_requantize_does_not_fingerprint_the_graph(self, monkeypatch):
+        import repro.sfg.plan as plan_module
+
+        plan = compile_plan(_mixed_graph(bits=12, name="mixed-fingerprint"))
+        calls = []
+        for name in ("coefficient_signature", "quantization_signature"):
+            real = getattr(plan_module, name)
+            monkeypatch.setattr(
+                plan_module, name,
+                lambda graph, name=name, real=real:
+                    calls.append(name) or real(graph))
+        epoch = plan.epoch
+        plan.requantize({"h": 9, "g->h": 7})
+        assert calls == []
+        # The assigned node and the tap's target are rebuilt and stamped.
+        assert {plan.steps[i].name
+                for i in plan.steps_dirty_since(epoch)} == {"h"}
+        assert plan.steps[plan.index_of["h"]].edge_taps[0].bits == 7
+        # The refresh of the next evaluation finds nothing left to do.
+        assert plan.refresh() is False
+        assert set(calls) == {"coefficient_signature",
+                              "quantization_signature"}
+
+    @pytest.mark.parametrize("assigned", ["g1", "x"])
+    def test_coefficient_edit_before_requantize_reaches_evaluation(
+            self, assigned):
+        # Whether or not the requantize touches the edited node, the
+        # pending gain edit is folded in by the evaluation's refresh.
+        builder = SfgBuilder("coeff-requantize")
+        x = builder.input("x", fractional_bits=10)
+        g = builder.gain("g1", 0.5, x, fractional_bits=10)
+        builder.output("y", builder.fir("h", [0.5, 0.25], g,
+                                        fractional_bits=10))
+        graph = builder.build()
+        plan = compile_plan(graph)
+        before = evaluate_psd(plan, 64)
+        graph.node("g1").gain = 3.0
+        plan.requantize({assigned: 8})
+        after = evaluate_psd(plan, 64)
+        _same_psd(after, evaluate_psd(CompiledPlan(graph), 64))
+        assert after.total_power != before.total_power
+
+
+class TestContentKeys:
+    """Response caches keyed by node type, coefficient state, kind and
+    effective coefficient precision, not by step."""
+
+    def test_one_entry_per_design_and_width(self, monkeypatch):
+        from repro.lti.transfer_function import TransferFunction
+        from repro.systems.families import build_scalability_bank
+
+        plan = compile_plan(build_scalability_bank(branches=16))
+        calls = []
+        real = TransferFunction.frequency_response
+        monkeypatch.setattr(
+            TransferFunction, "frequency_response",
+            lambda tf, *args: calls.append(tf) or real(tf, *args))
+        evaluate_psd(plan, 64)
+        # The 16 FIR branches cycle through 7 cutoffs.
+        assert len(plan._magnitude_cache) == 7
+        assert len(calls) == 7
+        branches = [name for name in plan.index_of if "branch" in name]
+        plan.requantize({name: 10 for name in branches})
+        evaluate_psd(plan, 64)
+        assert len(plan._magnitude_cache) == len(calls) == 14
+        # Branches 0 and 7 share a design, hence one entry.
+        first, eighth = (plan.steps[plan.index_of[name]]
+                         for name in ("branch0", "branch7"))
+        assert plan.block_magnitude_for_bits(first, 10, 64) is \
+            plan.block_magnitude_for_bits(eighth, 10, 64)
+        assert len(calls) == 14
+
+    def test_fir_and_frequency_domain_fir_do_not_share(self):
+        from repro.systems.freq_filter import FrequencyDomainFirNode
+
+        taps = design_fir_lowpass(9, 0.4)
+        builder = SfgBuilder("fir-and-fd")
+        x = builder.input("x", fractional_bits=12)
+        h = builder.fir("h", taps, x, fractional_bits=12)
+        builder.graph.add_node(FrequencyDomainFirNode(
+            "f", taps, fft_size=16,
+            quantization=builder.graph.node("h").quantization))
+        builder.graph.connect(x, "f")
+        builder.output("y", builder.add("s", [h, "f"]))
+        plan = compile_plan(builder.build())
+        evaluate_psd(plan, 64)
+        keys = sorted(plan._magnitude_cache, key=lambda key: key[0].__name__)
+        assert [key[0].__name__ for key in keys] == \
+            ["FirNode", "FrequencyDomainFirNode"]
+        assert keys[0][1:] == keys[1][1:]
+        assert plan._magnitude_cache[keys[0]] is not \
+            plan._magnitude_cache[keys[1]]
+
+    @pytest.mark.parametrize("n_psd", [64, 128])
+    def test_gain_assignment_matches_a_fresh_plan(self, n_psd):
+        graph = _mixed_graph(bits=11, name="mixed-gain-edit")
+        plan = compile_plan(graph)
+        before = evaluate_psd(plan, n_psd)
+        kept = dict(plan._magnitude_cache)
+        graph.node("g").gain = -1.3
+        edited = evaluate_psd(plan, n_psd)
+        _same_psd(edited, evaluate_psd(CompiledPlan(graph), n_psd))
+        assert edited.total_power != before.total_power
+        # No eviction: the old design's entries stay, the edit adds one.
+        assert all(plan._magnitude_cache[key] is entry
+                   for key, entry in kept.items())
+        assert len(plan._magnitude_cache) == len(kept) + 1
+        # Assigning the old gain back looks the old entries up again.
+        graph.node("g").gain = 0.71
+        _same_psd(evaluate_psd(plan, n_psd), before)
+        assert len(plan._magnitude_cache) == len(kept) + 1
+
+    @pytest.mark.parametrize("bits", [12, None], ids=["quantized", "exact"])
+    def test_in_place_tap_edit_matches_a_fresh_plan(self, bits):
+        # Two branches of one design share every entry.  An in-place edit
+        # of one branch's taps must leave what the other reads alone —
+        # also when the branch is exact and hands out its own transfer
+        # function, whose arrays the edit changes.
+        taps = design_fir_lowpass(9, 0.4)
+        builder = SfgBuilder("twin-branches")
+        x = builder.input("x", fractional_bits=10)
+        a = builder.fir("a", taps, x, fractional_bits=bits)
+        b = builder.fir("b", taps, x, fractional_bits=bits)
+        builder.output("y", builder.add("s", [a, b], signs=[1.0, -0.5],
+                                        fractional_bits=10))
+        graph = builder.build()
+        plan = compile_plan(graph)
+        evaluate_psd(plan, 64)
+        flat_before = evaluate_flat(plan)
+        graph.node("a").taps[0] = 0.75
+        for n_psd in (64, 32):
+            _same_psd(evaluate_psd(plan, n_psd),
+                      evaluate_psd(CompiledPlan(graph), n_psd))
+        flat = evaluate_flat(plan)
+        expected = evaluate_flat(CompiledPlan(graph))
+        assert flat.variance != flat_before.variance
+        assert flat.mean.hex() == expected.mean.hex()
+        assert flat.variance.hex() == expected.variance.hex()
+
+    def test_a_value_computed_while_an_edit_is_pending_is_not_kept(self):
+        # Keys hold the coefficient state the last refresh recorded; a
+        # response asked for before the refresh describes the edited taps
+        # and must not be served under the unedited design's key.
+        graph = _fir_graph(bits=12)
+        plan = compile_plan(graph)
+        step = plan.steps[plan.index_of["h"]]
+        evaluate_psd(plan, 64)
+        original = graph.node("h").taps[0]
+        graph.node("h").taps[0] = 0.5
+        plan.block_magnitude_for_bits(step, 10, 32)
+        graph.node("h").taps[0] = original
+        plan.requantize({"h": 10})
+        _same_psd(evaluate_psd(plan, 32),
+                  evaluate_psd(CompiledPlan(graph), 32))
 
 
 class TestExecution:

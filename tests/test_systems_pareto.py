@@ -177,6 +177,54 @@ class TestSweep:
         assert edge_front.points[0].noise_power <= 1e-6
 
 
+class TestSweepReuse:
+    """One optimizer serves the sweep: responses are computed once per
+    design and width, uniform widths once per sweep, and every point is
+    the one a fresh optimizer finds."""
+
+    def test_points_equal_fresh_optimizers(self, monkeypatch):
+        from repro.lti.transfer_function import TransferFunction
+        from repro.sfg.plan import compile_plan
+        from repro.systems.families import build_scalability_bank
+
+        responses = []
+        real_response = TransferFunction.frequency_response
+        monkeypatch.setattr(
+            TransferFunction, "frequency_response",
+            lambda tf, *args: responses.append(tf)
+            or real_response(tf, *args))
+        widths = []
+        real_power = WordLengthOptimizer._noise_power
+
+        def counting_power(optimizer, assignment):
+            widths.append(set(assignment.values()).pop())
+            return real_power(optimizer, assignment)
+
+        monkeypatch.setattr(WordLengthOptimizer, "_noise_power",
+                            counting_power)
+        graph = build_scalability_bank(branches=16)
+        budgets = budget_range(1e-5, 1e-8, 4)
+        front = sweep_noise_budgets(graph, budgets, n_psd=64)
+        assert len(front.points) == 4
+        # One response per content key: the 16 branches share 7 designs.
+        cache = compile_plan(graph)._magnitude_cache
+        assert len(responses) == len(cache)
+        assert len({key[1] for key in cache}) == 7
+        # No uniform width is evaluated twice.
+        assert len(widths) == len(set(widths))
+        monkeypatch.setattr(WordLengthOptimizer, "_noise_power", real_power)
+        for index, point in enumerate(front.points):
+            expected = WordLengthOptimizer(build_scalability_bank(branches=16),
+                                           n_psd=64).optimize(point.budget)
+            assert point.assignment == expected.assignment
+            assert point.total_bits == expected.total_bits
+            assert point.noise_power.hex() == expected.noise_power.hex()
+            if index == 0:
+                assert point.evaluations == expected.evaluations
+            else:
+                assert point.evaluations < expected.evaluations
+
+
 class TestParetoFront:
     def _point(self, bits, power, budget=1e-6):
         return ParetoPoint(budget=budget, total_bits=bits, noise_power=power,

@@ -1,13 +1,17 @@
 """Unit tests for the word-length optimization use-case."""
 
+import dataclasses
+
 import pytest
 
 import repro.analysis.evaluator as evaluator_module
 from repro.analysis._engine import memoization_disabled
 from repro.analysis.psd_method import evaluate_psd
 from repro.campaign.registry import build_scenario
+from repro.fixedpoint.quantizer import RoundingMode
 from repro.lti.fir_design import design_fir_highpass, design_fir_lowpass
 from repro.sfg.builder import SfgBuilder
+from repro.systems.families import build_scalability_bank
 from repro.systems.filter_bank import build_filter_graph, generate_fir_bank, generate_iir_bank
 from repro.systems.wordlength import BudgetUnreachableError, WordLengthOptimizer
 
@@ -303,3 +307,128 @@ class TestEvaluationAccounting:
         # extra history[0] / final_power evaluations the seed version paid.
         assert 1 <= uniform_evaluations <= 6
         assert result.evaluations == counter["evaluations"]
+
+
+def _same_bits(result, expected):
+    """Same search, compared bit for bit."""
+    assert result.assignment == expected.assignment
+    assert result.total_bits == expected.total_bits
+    assert result.noise_power.hex() == expected.noise_power.hex()
+    assert [(cost, power.hex()) for cost, power in result.history] == \
+        [(cost, power.hex()) for cost, power in expected.history]
+
+
+def _counting_widths(monkeypatch, optimizer) -> list:
+    """The uniform widths ``optimizer`` evaluates, in order (the binary
+    search is the only caller of ``_noise_power``)."""
+    widths = []
+    real = optimizer._noise_power
+
+    def counting(assignment):
+        widths.append(set(assignment.values()).pop())
+        return real(assignment)
+
+    monkeypatch.setattr(optimizer, "_noise_power", counting)
+    return widths
+
+
+class TestUniformWidthTable:
+    """A width an earlier search evaluated is read back, not evaluated
+    again, while nothing but the optimizer's own requantizing changed
+    the plan."""
+
+    BUDGETS = (1e-5, 1e-6, 1e-7, 1e-8)
+
+    @staticmethod
+    def _bank():
+        return build_scalability_bank(branches=8)
+
+    def test_later_budgets_match_fresh_optimizers(self, monkeypatch):
+        optimizer = WordLengthOptimizer(self._bank(), n_psd=64)
+        widths = _counting_widths(monkeypatch, optimizer)
+        results, evaluated = [], []
+        for budget in self.BUDGETS:
+            before = len(widths)
+            results.append(optimizer.optimize(budget))
+            evaluated.append(len(widths) - before)
+        # Each width is evaluated once over the whole sweep, and every
+        # budget after the first reads some from the table.
+        assert len(widths) == len(set(widths)) == \
+            len(optimizer._uniform_powers)
+        assert all(count < evaluated[0] for count in evaluated[1:])
+        for budget, result, count in zip(self.BUDGETS, results, evaluated):
+            fresh = WordLengthOptimizer(self._bank(), n_psd=64)
+            probed = _counting_widths(monkeypatch, fresh)
+            expected = fresh.optimize(budget)
+            _same_bits(result, expected)
+            # Only the widths read from the table go uncounted.
+            assert expected.evaluations - result.evaluations == \
+                len(probed) - count
+
+    def test_the_span_records_the_reused_widths(self, monkeypatch):
+        from repro.obs import observe
+
+        optimizer = WordLengthOptimizer(self._bank(), n_psd=64)
+        widths = _counting_widths(monkeypatch, optimizer)
+        with observe() as session:
+            optimizer.optimize(1e-6)
+            first = len(widths)
+            assignment = optimizer.uniform_search(1e-8)
+        reused = [entry["attrs"]["reused"]
+                  for entry in session.trace.snapshot()
+                  if entry["name"] == "optimizer.uniform_search"]
+        # 24 and 14 bits open every search over [4, 24].
+        assert reused[0] == 0 and reused[1] >= 2
+        probes = 1 + len(list(_binary_search_probes(4, 24,
+                                                    assignment["x"])))
+        assert reused[1] + len(widths) - first == probes
+        # The search leaves the plan at the width it returns.
+        assert {optimizer.graph.node(name).quantization.fractional_bits
+                for name in assignment} == set(assignment.values())
+
+    @pytest.mark.parametrize("edit", ["taps", "rounding", "pinned",
+                                      "pinned_at_live_width"])
+    def test_an_edit_between_searches_drops_the_table(self, edit):
+        def apply(graph, first):
+            node = graph.node("lp")
+            if edit == "taps":
+                node.taps[0] += 2.0 ** -6
+            elif edit == "rounding":
+                node.quantization = dataclasses.replace(
+                    node.quantization, rounding=RoundingMode.TRUNCATE)
+            else:
+                # Pinned at the width the first search left lp at, the
+                # coefficient precision changes no step's live signature,
+                # only the responses at every other width.
+                pinned = (first.assignment["lp"]
+                          if edit == "pinned_at_live_width" else 16)
+                node.quantization = dataclasses.replace(
+                    node.quantization, coefficient_fractional_bits=pinned)
+
+        graph = _two_stage_graph()
+        optimizer = WordLengthOptimizer(graph, n_psd=128)
+        first = optimizer.optimize(1e-6)
+        apply(graph, first)
+        second = optimizer.optimize(1e-7)
+        fresh_graph = _two_stage_graph()
+        apply(fresh_graph, first)
+        expected = WordLengthOptimizer(fresh_graph, n_psd=128).optimize(1e-7)
+        _same_bits(second, expected)
+        # The table was dropped: the search evaluated every width again.
+        assert second.evaluations == expected.evaluations
+        # The edit shows in the search, so a stale table would too.
+        unedited = WordLengthOptimizer(_two_stage_graph(),
+                                       n_psd=128).optimize(1e-7)
+        assert second.history != unedited.history
+
+
+def _binary_search_probes(low, high, found):
+    """The widths a binary search over ``[low, high]`` probes after
+    ``high`` when it ends at ``found``."""
+    while low < high:
+        middle = (low + high) // 2
+        yield middle
+        if middle >= found:
+            high = middle
+        else:
+            low = middle + 1
