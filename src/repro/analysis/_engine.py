@@ -62,7 +62,11 @@ cone of the steps where its word lengths deviate from the plan's live
 configuration) and copied from row 0 of the memo everywhere else, so a
 stack of one-key deltas costs the sum of the candidates' cones
 (bit-identical by the batched-walk row contract pinned in
-``tests/test_analysis_batch.py``).
+``tests/test_analysis_batch.py``).  Inside its cone, a row the
+previous batched walk computed for a config of the same deviation is
+reused where it lies unless a step upstream of it was rebuilt since
+(:func:`_reuse`), so a greedy round computes only what its last
+accepted move changed.
 
 Level groups
 ------------
@@ -72,10 +76,11 @@ rule and one bin grid (the 64-branch bank's 129 steps are 9 groups, a
 chain keeps one step per group).  Per group it gathers each input port's
 rows with one ``take`` from a store of rows reused across the plan's
 walks (:class:`_Block`), through a per-walk table from ``(step,
-config)`` to store row that covers the rows computed so far and the
-memo's ``K = 1`` rows; it applies :func:`_step` once to the group's
-flattened rows; and the representation writes the value in place into
-store rows allocated for the group.  ``|H|^2`` and DC gains come from
+config)`` to store row that covers the rows computed so far, the rows
+kept from the previous walk and the memo's ``K = 1`` rows; it applies
+:func:`_step` once to the group's flattened rows; and the
+representation writes the value in place into free store rows
+allocated for the group.  ``|H|^2`` and DC gains come from
 the plan's magnitude cache.  Every row still applies the operations of
 its own ``K = 1`` walk, in the same order, so the results are unchanged
 to the bit.  The ``K = 1`` walks — memo pulls and cold walks — keep
@@ -90,7 +95,7 @@ turn it off; :func:`memoization_disabled` exists for honest cold-cache
 baselines (timing harnesses, the differential check's reference side) and
 restores the previous state on exit.  With it off, the scalar walks run
 the dense ``K = 1`` walk and the batched ones compute every row at every
-step.
+step and keep none.
 
 Returned representations are shared with the memo: treat them as
 immutable (which every representation class already is by convention).
@@ -242,33 +247,70 @@ class _Block:
     Rows ``[0, steps)`` hold the memo's ``K = 1`` values, row ``i`` step
     ``i``'s, synced by identity, so a greedy round copies only the
     values its last accepted move changed.  The rows after them hold
-    the current walk's groups, handed out in order and released when the
-    next walk begins.  Nothing published lives here: a walk returns a
-    copy of its output rows.
+    the rows of the last walk, which the next one may reuse where they
+    lie, and the current walk's groups: :meth:`release` frees every row
+    but the base rows and the ones a walk reuses, and :meth:`allocate`
+    hands out the first free run that holds a group.  Nothing published
+    lives here: a walk returns a copy of its output rows.
     """
 
-    __slots__ = ("arrays", "free", "synced")
+    __slots__ = ("arrays", "synced", "starts", "ends")
 
     def __init__(self, shapes, steps: int):
         self.arrays = [np.empty((2 * steps,) + shape) for shape in shapes]
-        self.free = steps
         self.synced: list = [None] * steps
+        self.release(np.empty(0, dtype=np.intp))
+
+    def release(self, kept: np.ndarray) -> None:
+        """Free every row but the base rows and the rows ``kept``: the
+        free runs are the gaps ``[starts[r], ends[r])`` between them, the
+        last one ending at the capacity."""
+        kept = np.unique(kept)
+        self.starts = np.concatenate(([len(self.synced)], kept + 1))
+        self.ends = np.append(kept, len(self.arrays[0]))
 
     def allocate(self, count: int) -> int:
-        """The first of ``count`` fresh rows (the arrays grow, keeping
-        their rows, when full)."""
-        start = self.free
-        capacity = len(self.arrays[0])
-        if start + count > capacity:
-            capacity = max(capacity + capacity // 2, start + count)
-            grown = []
+        """The first of ``count`` fresh rows: from the first free run
+        that holds them, else from the last one, the arrays growing
+        (and keeping their rows) to make it long enough."""
+        fits = np.flatnonzero(self.ends - self.starts >= count)
+        if len(fits):
+            run = fits[0]
+        else:
+            run = len(self.starts) - 1
+            capacity = len(self.arrays[0])
+            grown = max(capacity + capacity // 2,
+                        int(self.starts[run]) + count)
+            arrays = []
             for array in self.arrays:
-                larger = np.empty((capacity,) + array.shape[1:])
-                larger[:start] = array[:start]
-                grown.append(larger)
-            self.arrays = grown
-        self.free = start + count
+                larger = np.empty((grown,) + array.shape[1:])
+                larger[:capacity] = array
+                arrays.append(larger)
+            self.arrays = arrays
+            self.ends[run] = grown
+        start = int(self.starts[run])
+        self.starts[run] = start + count
         return start
+
+
+class _Store:
+    """The batched walks' working rows on one plan and representation:
+    one :class:`_Block` per row shape, and the slot table of the last
+    memoized walk, which the next walk may reuse.
+
+    ``slots`` (``None`` when nothing is kept) maps ``(step, config)`` to
+    the config's store row; ``columns`` maps each config's deviation
+    from the live plan (:attr:`~repro.sfg.plan.ConfigStack.deviations`)
+    to its column, and ``grid`` and ``epoch`` are the walk's bin count
+    and plan epoch.  Only the rows of the config's own cone are kept
+    rows; the others point at the base rows.
+    """
+
+    __slots__ = ("blocks", "grid", "epoch", "columns", "slots")
+
+    def __init__(self):
+        self.blocks: dict = {}
+        self.slots = None
 
 
 class _Stacked:
@@ -278,13 +320,16 @@ class _Stacked:
 
     Without a ``store`` the values a walk computes are fresh arrays (the
     ``K = 1`` walks, whose values the memo publishes).  With one — the
-    plan's ``{row shape: _Block}`` — every group's value is written in
-    place into rows that the walk allocated for that group (the batched
-    walk), and the walk moves values between groups with :meth:`begin`,
-    :meth:`gather` and :meth:`commit`.
+    plan's :class:`_Store` of the representation — every group's value
+    is written in place into rows that the walk allocated for that group
+    (the batched walk), and the walk moves values between groups with
+    :meth:`begin`, :meth:`gather` and :meth:`commit`.  ``grid`` is the
+    bin count a walk's rows live on (``None`` for moments).
     """
 
-    def __init__(self, stack: ConfigStack, store: dict | None = None):
+    grid = None
+
+    def __init__(self, stack: ConfigStack, store: _Store | None = None):
         self.stack = stack
         self.store = store
         self._target = None
@@ -348,20 +393,19 @@ class _Stacked:
 
     # The batched walk's data movement -------------------------------
     def _block(self, key) -> _Block:
-        block = self.store.get(key)
+        blocks = self.store.blocks
+        block = blocks.get(key)
         if block is None:
-            block = self.store[key] = _Block(self._shapes(key),
-                                             len(self.stack.plan.steps))
+            block = blocks[key] = _Block(self._shapes(key),
+                                         len(self.stack.plan.steps))
         return block
 
-    def begin(self, base) -> list:
-        """Start a walk: release the store's group rows, sync the memo's
-        ``K = 1`` values (``base``, when given) into the base rows, and
+    def begin(self, base, steps: np.ndarray, rows: np.ndarray) -> list:
+        """Start a walk: sync the memo's ``K = 1`` values (``base``, when
+        given) into the base rows, free every other store row but the
+        kept rows ``rows`` (of steps ``steps``) the walk reuses, and
         return each step's block key."""
-        steps = len(self.stack.plan.steps)
-        for block in self.store.values():
-            block.free = steps
-        keys: list = [None] * steps
+        keys: list = [None] * len(self.stack.plan.steps)
         for index, value in enumerate(base or ()):
             key = keys[index] = self._key(value)
             block = self._block(key)
@@ -369,11 +413,19 @@ class _Stacked:
                 for array, field in zip(block.arrays, self._arrays(value)):
                     array[index] = field[0]
                 block.synced[index] = value
+        blocks = self.store.blocks
+        for key, block in blocks.items():
+            if len(blocks) > 1 and len(rows):
+                # A step's kept rows live in its own block.
+                mine = np.array([each == key for each in keys])
+                block.release(rows[mine[steps]])
+            else:
+                block.release(rows)
         return keys
 
     def gather(self, key, slots: np.ndarray):
         """A fresh value of the store rows ``slots`` of block ``key``."""
-        arrays = self.store[key].arrays
+        arrays = self.store.blocks[key].arrays
         return self._value([np.take(array, slots, axis=0)
                             for array in arrays])
 
@@ -396,9 +448,9 @@ class _StackedPsd(_Stacked):
     """Stacked :class:`DiscretePsd` on ``n_psd`` bins (Eqs. 10-14)."""
 
     def __init__(self, stack: ConfigStack, n_psd: int,
-                 store: dict | None = None):
+                 store: _Store | None = None):
         super().__init__(stack, store)
-        self.n_psd = n_psd
+        self.n_psd = self.grid = n_psd
 
     def _key(self, value: DiscretePsd) -> int:
         return value.n_bins
@@ -613,8 +665,9 @@ class NoiseMemo:
     per-step work either way — the word-length optimizer surfaces the
     first two in :class:`~repro.systems.wordlength.WordLengthResult`.
     The batched walks that use the memo as their baseline add
-    ``rows_computed`` (config rows a walk evaluated) and ``rows_copied``
-    (config rows served from the memo's value instead).
+    ``rows_computed`` (config rows a walk evaluated), ``rows_reused``
+    (rows of a config's cone taken from the previous walk's store rows)
+    and ``rows_copied`` (config rows served from the memo's value).
 
     The counters are backed by a private (always-on) metrics registry;
     the attribute names remain the public surface as read-only views,
@@ -622,8 +675,8 @@ class NoiseMemo:
     session (`repro.obs`) under ``memo.*`` when one is enabled.
 
     The memo also holds the batched walks' working rows (``stores``:
-    per representation, one :class:`_Block` per row shape), so they are
-    reused across the walks of one plan and reclaimed with it.
+    one :class:`_Store` per representation), so they are reused across
+    the walks of one plan and reclaimed with it.
     """
 
     #: Bound on the flat method's path-function entries (one entry per
@@ -644,8 +697,9 @@ class NoiseMemo:
         self._steps_recomputed = self.metrics.counter("memo.steps_recomputed")
         self._steps_reused = self.metrics.counter("memo.steps_reused")
         self._rows_computed = self.metrics.counter("memo.rows_computed")
+        self._rows_reused = self.metrics.counter("memo.rows_reused")
         self._rows_copied = self.metrics.counter("memo.rows_copied")
-        self.stores: dict[str, dict] = {}
+        self.stores: dict[str, _Store] = {}
 
     @property
     def full_walks(self) -> int:
@@ -670,14 +724,16 @@ class NoiseMemo:
                 "steps_recomputed": self.steps_recomputed,
                 "steps_reused": self.steps_reused,
                 "rows_computed": self._rows_computed.value,
+                "rows_reused": self._rows_reused.value,
                 "rows_copied": self._rows_copied.value}
 
-    def count_rows(self, computed: int, copied: int) -> None:
+    def count_rows(self, computed: int, reused: int, copied: int) -> None:
         """Record one batched walk's row split."""
-        self._rows_computed.inc(computed)
-        self._rows_copied.inc(copied)
-        metric_inc("memo.rows_computed", computed)
-        metric_inc("memo.rows_copied", copied)
+        for counter, rows in ((self._rows_computed, computed),
+                              (self._rows_reused, reused),
+                              (self._rows_copied, copied)):
+            counter.inc(rows)
+            metric_inc(counter.name, rows)
 
     def _pull(self, key: tuple, make_step) -> list:
         """Per-step values of one channel, recomputing only dirty cones.
@@ -747,9 +803,13 @@ def plan_memo(system: SignalFlowGraph | CompiledPlan) -> NoiseMemo:
     return memo
 
 
-def _store(plan: CompiledPlan, representation: str) -> dict:
+def _store(plan: CompiledPlan, representation: str) -> _Store:
     """The working rows of ``plan``'s batched walks of a representation."""
-    return plan_memo(plan).stores.setdefault(representation, {})
+    stores = plan_memo(plan).stores
+    store = stores.get(representation)
+    if store is None:
+        store = stores[representation] = _Store()
+    return store
 
 
 # ----------------------------------------------------------------------
@@ -804,27 +864,38 @@ def _walk_batch(plan: CompiledPlan, rep: _Stacked, representation: str,
     live plan), config ``k``'s row is computed only at the steps of its
     own cone (:meth:`ConfigStack.cone_mask`) and read from ``base``
     everywhere else — exact, because outside its cone config ``k``
-    walks the live plan's operands.  Without one, every row is computed
-    at every step (the dense cold walk).
+    walks the live plan's operands.  Inside it, a row the previous
+    walk kept is reused where it lies (:func:`_reuse`).  Without a
+    baseline, every row is computed at every step (the dense cold walk)
+    and nothing is kept.
 
     The walk runs the plan's level groups, not its steps: per group it
     gathers each input port's rows in one take from the store, through
     ``slots`` (step, config) -> store row, which covers the rows computed
-    so far and the memo's; applies the step rule once to the flattened
-    rows; and the rule's value lands in store rows allocated for the
-    group.  The returned value is a copy.
+    so far, the reused ones and the memo's; applies the step rule once
+    to the flattened rows; and the rule's value lands in store rows
+    allocated for the group.  The returned value is a copy.
     """
     stack = rep.stack
+    store = rep.store
     count = len(plan.steps)
     memoized = base is not None
     if memoized:
         computes = stack.cone_mask()
         slots = np.repeat(np.arange(count, dtype=np.intp)[:, None],
                           stack.size, axis=1)
+        reused = _reuse(plan, rep, computes, slots)
+        if len(reused[0]):
+            computes = computes.copy()
+            computes[reused] = False
     else:
         computes = np.ones((count, stack.size), dtype=bool)
         slots = np.empty((count, stack.size), dtype=np.intp)
-    keys = rep.begin(base)
+        reused = _NOTHING
+    kept = len(reused[0])
+    # The last walk's rows are this walk's to reuse or overwrite.
+    store.slots = None
+    keys = rep.begin(base, reused[0], slots[reused])
     computed = 0
     groups = 0
     with span("analysis.walk_batch", representation=representation,
@@ -845,11 +916,44 @@ def _walk_batch(plan: CompiledPlan, rep: _Stacked, representation: str,
             slots[rows.steps, configs] = np.arange(start, start + rows.size)
             computed += rows.size
             groups += 1
-        live.set(rows_computed=computed, groups=groups)
+        live.set(rows_computed=computed, rows_reused=kept, groups=groups)
         result = rep.gather(keys[output], slots[output])
     if memoized:
-        plan_memo(plan).count_rows(computed, stack.size * count - computed)
+        store.grid, store.epoch, store.slots = rep.grid, plan.epoch, slots
+        store.columns = {deviation: config for config, deviation
+                         in enumerate(stack.deviations)}
+        plan_memo(plan).count_rows(computed, kept,
+                                   stack.size * count - computed - kept)
     return result
+
+
+_NOTHING = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
+
+
+def _reuse(plan: CompiledPlan, rep: _Stacked, computes: np.ndarray,
+           slots: np.ndarray) -> tuple:
+    """The ``(steps, configs)`` of the rows a walk of ``rep`` takes from
+    the previous one, whose ``slots`` it points at the kept store rows.
+
+    Config ``k``'s row at step ``s`` is reused when the previous walk,
+    on the same grid, kept a config of the same deviation from the live
+    plan, and no step upstream of ``s`` (``s`` included) was rebuilt
+    since that walk.  Then ``k`` restricted to ``s``'s upstream is the
+    configuration the kept row was computed for, on the same operands,
+    so the row keeps its bytes.
+    """
+    store = rep.store
+    if store.slots is None or store.grid != rep.grid:
+        return _NOTHING
+    columns = np.array([store.columns.get(deviation, -1)
+                        for deviation in rep.stack.deviations],
+                       dtype=np.intp)
+    fresh = np.zeros(len(plan.steps), dtype=bool)
+    fresh[plan.downstream_cone(plan.steps_rebuilt_since(store.epoch))] = True
+    steps, configs = np.nonzero(computes & (columns >= 0)
+                                & ~fresh[:, None])
+    slots[steps, configs] = store.slots[steps, columns[configs]]
+    return steps, configs
 
 
 def walk_psd_batch(plan: CompiledPlan, n_psd: int, stack: ConfigStack,
@@ -862,7 +966,8 @@ def walk_psd_batch(plan: CompiledPlan, n_psd: int, stack: ConfigStack,
     every operation row by row along the leading config axis.  When
     memoization is enabled the walk is row-sparse (see
     :func:`_walk_batch`), so a stack of one-key deltas costs the sum of
-    the candidates' cones, not ``K x steps`` rows.  The stack must have
+    the candidates' cones, not ``K x steps`` rows, less the rows the
+    previous walk kept for it.  The stack must have
     been resolved against the plan's current spec state (every in-repo
     caller constructs it immediately before walking).
     """

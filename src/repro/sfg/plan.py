@@ -393,6 +393,9 @@ class CompiledPlan:
         # ask steps_dirty_since() for the steps to re-pull.
         self._epoch = 0
         self._step_epochs = np.zeros(len(steps), dtype=np.int64)
+        # The epoch of each step's last rebuild, signature moved or not
+        # (what the batched walks' kept rows go by).
+        self._rebuild_epochs = np.zeros(len(steps), dtype=np.int64)
         self._local_signatures: list[tuple | None] = [None] * len(steps)
         self._structure_signature = structure_signature(graph)
         self._quantization_signature: tuple = ()
@@ -504,6 +507,7 @@ class CompiledPlan:
         if not changed:
             return False
         self._epoch += 1
+        self._rebuild_epochs[list(changed)] = self._epoch
         stamped = []
         for index in sorted(changed):
             self._noise_cache.pop(index, None)
@@ -673,6 +677,18 @@ class CompiledPlan:
         mutations are folded into the epoch counters.
         """
         return np.nonzero(self._step_epochs > epoch)[0]
+
+    def steps_rebuilt_since(self, epoch: int) -> np.ndarray:
+        """Indices of steps rebuilt after ``epoch``, whether or not their
+        local signature moved.
+
+        A superset of :meth:`steps_dirty_since`: a rebuild that leaves
+        the live value as it was (a rounding change on a silent
+        quantizer, a coefficient precision pinned at the live width) can
+        still change what the step gives at *other* word lengths, which
+        is what a configuration stack reads from it.
+        """
+        return np.nonzero(self._rebuild_epochs > epoch)[0]
 
     def downstream_cone(self, indices) -> list[int]:
         """Step indices reachable from ``indices``, seeds included.
@@ -867,8 +883,8 @@ class CompiledPlan:
                                  n_bins: int) -> tuple[np.ndarray, float]:
         """``(|H|^2, Re H[0])`` of the block response at a word length:
         the squared magnitude and DC gain a PSD is filtered by (cached
-        instead of the complex response, which the PSD walks never
-        read)."""
+        beside the complex response it is derived from, so no walk takes
+        ``np.abs`` of a response twice)."""
         return self._magnitude(step, "block", bits, n_bins)
 
     def shaping_magnitude_for_bits(self, step: PlanStep, bits: int | None,
@@ -881,7 +897,9 @@ class CompiledPlan:
         key = self._content_key(step, kind, bits, n_bins)
         entry = self._magnitude_cache.get(key)
         if entry is None:
-            response = self._tf(step, kind, bits).frequency_response(n_bins)
+            # From the cached complex response, so a plan read by the PSD
+            # and the tracked walks computes each response once.
+            response = self._response(step, kind, bits, n_bins)
             squared = np.abs(response) ** 2
             squared.flags.writeable = False
             entry = self._store(self._magnitude_cache, key, step,
@@ -1069,9 +1087,11 @@ class ConfigStack:
     cache).
 
     The stack is stored *sparsely*, as each config's deviations from the
-    plan's live quantization, so building it costs O(assignment keys)
-    rather than O(K x steps) — a round of one-key optimizer candidates
-    stays cheap on a wide graph.  A config's *cone* is the downstream
+    plan's live quantization (:attr:`deviations`: per config, the
+    frozenset of its ``(step index or (target, port) tap slot, bits)``
+    pairs), so building it costs O(assignment keys) rather than
+    O(K x steps) — a round of one-key optimizer candidates stays cheap
+    on a wide graph.  A config's *cone* is the downstream
     cone of the steps where its own or incoming-tap word lengths differ
     from the live plan; outside it the config's walk provably equals the
     live one.  :meth:`cone_mask` marks those cones per step, and the
@@ -1095,7 +1115,7 @@ class ConfigStack:
         (or :func:`compile_plan` first) to fold pending mutations in.
     """
 
-    __slots__ = ("plan", "size", "_live_bits", "_live_noise",
+    __slots__ = ("plan", "size", "deviations", "_live_bits", "_live_noise",
                  "_live_moments", "_deltas", "_has_delta", "_edge_slots",
                  "_edge_ports", "_live_edge_bits", "_edge_deltas", "_seeds",
                  "_mask")
@@ -1123,19 +1143,23 @@ class ConfigStack:
                     self._edge_slots[tap.key] = (step.index, port)
                     self._live_edge_bits[(step.index, port)] = tap.bits
         # Deviations from the live plan: {step or slot: {config: bits}},
-        # and per config the seed steps of its cone.
+        # per config the seed steps of its cone, and per config the
+        # frozenset of its (step or slot, bits) deviations.
         self._deltas: dict[int, dict] = {}
         self._edge_deltas: dict[tuple[int, int], dict] = {}
         self._seeds: list[list[int]] = []
+        self.deviations: list[frozenset] = []
         unknown = set()
         for config, assignment in enumerate(assignments):
             seeds = []
+            deviation = []
             for key, bits in assignment.items():
                 index = plan.index_of.get(key)
                 if index is not None:
                     if bits != self._live_bits[index]:
                         self._deltas.setdefault(index, {})[config] = bits
                         seeds.append(index)
+                        deviation.append((index, bits))
                     continue
                 slot = self._edge_slots.get(key)
                 if slot is None:
@@ -1148,7 +1172,9 @@ class ConfigStack:
                 if bits != self._live_edge_bits.get(slot):
                     self._edge_deltas.setdefault(slot, {})[config] = bits
                     seeds.append(slot[0])
+                    deviation.append((slot, bits))
             self._seeds.append(seeds)
+            self.deviations.append(frozenset(deviation))
         if unknown:
             raise ValueError(
                 f"assignment names unknown to the graph: {sorted(unknown)}")
@@ -1455,7 +1481,8 @@ def _node_coefficient_state(node: Node) -> tuple:
     if isinstance(node, GainNode):
         return (node.gain,)
     if isinstance(node, FirNode):
-        return (node.taps.tobytes(),)
+        # A frequency-domain FIR's own noise depends on its FFT size.
+        return (node.taps.tobytes(), getattr(node, "fft_size", None))
     if isinstance(node, (IirNode, LtiNode)):
         tf = node.transfer_function()
         return (tf.b.tobytes(), tf.a.tobytes())

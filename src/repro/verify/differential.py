@@ -26,8 +26,10 @@ graphs of :mod:`repro.systems.random_graphs`):
    sequential requantize-and-evaluate loop, row for row, bit for bit
    (analytical engines and the Monte-Carlo reference), and a stack of
    one-key deltas against a random incumbent equals cold ``K = 1``
-   evaluations bit for bit, signed zeros included.  Check 2 is the
-   independent anchor of both sides;
+   evaluations in raw bytes, signed zeros included — once, and again
+   after the plan takes one candidate's move, when the walks reuse the
+   first round's rows.  Check 2 is the independent anchor of both
+   sides;
 5. **ed_band** — the proposed PSD estimate tracks the Monte-Carlo
    measurement within the paper's sub-one-bit ``Ed`` band
    ``(-300 %, +75 %)``;
@@ -261,29 +263,57 @@ def _check_batch_vs_sequential(graph, plan, *, samples, seed, n_psd,
                      "sequential evaluation")
 
     # One-key deltas against a random incumbent have small per-config
-    # cones, so the memoized batched walks run row-sparse here.
+    # cones, so the memoized batched walks run row-sparse here.  A second
+    # round moves the plan to one of the candidates and runs the stack
+    # again: its walks reuse the first round's rows wherever no step
+    # upstream of them was rebuilt.
     incumbent = random_assignments(graph, seed + 5, 1, edges=True)[0]
     with plan.preserve_quantization():
         plan.requantize(incumbent, allow_enable=True)
         deltas = random_deltas(graph, seed + 6, 2 * batch_configs + 1)
-        psd_stack = evaluate_psd_batch(plan, n_psd, deltas)
-        agnostic_stack = evaluate_agnostic_batch(plan, deltas)
-        for index, delta in enumerate(deltas):
-            with plan.preserve_quantization(), memoization_disabled():
-                plan.requantize(delta, allow_enable=True)
-                scalar_psd = evaluate_psd(plan, n_psd)
-                scalar_stats = evaluate_agnostic(plan)
-            _require(_bitwise(psd_stack.ac[index], scalar_psd.ac)
-                     and _bitwise(psd_stack.mean[index], scalar_psd.mean),
-                     f"psd delta row {index} ({delta}) differs from the "
-                     "cold scalar walk")
-            _require(_bitwise(agnostic_stack.mean[index], scalar_stats.mean)
-                     and _bitwise(agnostic_stack.variance[index],
-                                  scalar_stats.variance),
-                     f"agnostic delta row {index} ({delta}) differs from "
-                     "the cold scalar walk")
-    return (f"{len(assignments)} configs + {len(deltas)} deltas "
-            "bit-identical across all engines")
+        first = _delta_walks(plan, n_psd, deltas)
+        with plan.preserve_quantization():
+            plan.requantize(deltas[1 + seed % (len(deltas) - 1)],
+                            allow_enable=True)
+            _check_delta_rows(plan, n_psd, deltas,
+                              _delta_walks(plan, n_psd, deltas),
+                              "second-round ")
+        _check_delta_rows(plan, n_psd, deltas, first, "")
+    return (f"{len(assignments)} configs + {len(deltas)} deltas over two "
+            "rounds bit-identical across all engines")
+
+
+def _delta_walks(plan, n_psd, deltas) -> tuple:
+    """The memoized batched psd and agnostic walks of a delta stack."""
+    return (evaluate_psd_batch(plan, n_psd, deltas),
+            evaluate_agnostic_batch(plan, deltas))
+
+
+def _check_delta_rows(plan, n_psd, deltas, walks, label) -> None:
+    """Each row of ``walks`` has the raw bytes of the cold scalar walk of
+    its delta on the plan as it stands."""
+    psd_stack, agnostic_stack = walks
+    for index, delta in enumerate(deltas):
+        with plan.preserve_quantization(), memoization_disabled():
+            plan.requantize(delta, allow_enable=True)
+            scalar_psd = evaluate_psd(plan, n_psd)
+            scalar_stats = evaluate_agnostic(plan)
+        _require(_same_bytes(psd_stack.ac[index], scalar_psd.ac)
+                 and _same_bytes(psd_stack.mean[index], scalar_psd.mean),
+                 f"{label}psd delta row {index} ({delta}) differs from the "
+                 "cold scalar walk")
+        _require(_same_bytes(agnostic_stack.mean[index], scalar_stats.mean)
+                 and _same_bytes(agnostic_stack.variance[index],
+                                 scalar_stats.variance),
+                 f"{label}agnostic delta row {index} ({delta}) differs "
+                 "from the cold scalar walk")
+
+
+def _same_bytes(a, b) -> bool:
+    """:func:`_bitwise`, and equal raw bytes (dtype included)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (_bitwise(a, b) and a.dtype == b.dtype
+            and a.tobytes() == b.tobytes())
 
 
 def _bitwise(a, b) -> bool:

@@ -8,6 +8,7 @@ so the comparisons below use strict equality, not tolerances.
 """
 
 from contextlib import nullcontext
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,22 +26,27 @@ from repro.analysis.evaluator import (
 from repro.analysis.flat_method import evaluate_flat, evaluate_flat_batch
 from repro.analysis.psd_method import evaluate_psd, evaluate_psd_batch
 from repro.analysis.simulation_method import SimulationEvaluator
+from repro.fixedpoint.quantizer import RoundingMode
 from repro.lti.fir_design import design_fir_highpass, design_fir_lowpass
 from repro.lti.iir_design import design_iir_filter
 from repro.sfg.builder import SfgBuilder
 from repro.obs import observe
-from repro.sfg.plan import compile_plan, parse_edge_key
+from repro.sfg.nodes import FirNode, InputNode
+from repro.sfg.plan import CompiledPlan, compile_plan, parse_edge_key
+from repro.systems import wordlength
 from repro.systems.families import (
     build_dwt97_bank,
     build_polyphase_decimator,
     build_scalability_bank,
 )
+from repro.systems.pareto import budget_range, sweep_noise_budgets
 from repro.systems.random_graphs import (
     COMPATIBLE_N_PSD,
     build_random_graph,
     random_assignments,
     random_deltas,
 )
+from repro.systems.wordlength import WordLengthOptimizer
 
 
 def _cascade_graph(bits=12):
@@ -422,3 +428,188 @@ class TestLevelWalk:
                 for entry in session.trace.snapshot()
                 if entry["name"] == "analysis.walk_batch"] == \
             [9, len(chain.steps)]
+
+
+def _tapped_graph():
+    """A random multirate graph carrying live fanout taps."""
+    graph = build_random_graph(2, blocks=8)
+    compile_plan(graph).requantize(
+        random_assignments(graph, 4, 1, edges=True)[0], allow_enable=True)
+    return graph
+
+
+class TestCrossRoundReuse:
+    """A batched walk keeps its rows for the next one, which reuses them
+    in place for every config of the same deviation whose upstream no
+    rebuild touched: every greedy round keeps the raw bytes of a dense
+    walk on a fresh plan."""
+
+    @staticmethod
+    def _replay(monkeypatch, graph, granularity, n_psd, edits):
+        """Optimize ``graph`` and check each greedy round's batched walks
+        against ``memoization_disabled()`` dense walks on a fresh plan;
+        ``edits`` maps a round to an edit of the graph made before it.
+        Returns the rows each round's walks reused."""
+        real = wordlength.estimate_noise_batch
+        reused = []
+
+        def checked(plan, method, n_psd, deltas):
+            if len(reused) in edits:
+                edits[len(reused)](graph)
+            memo = plan_memo(plan)
+            before = memo.counters()["rows_reused"]
+            psd = evaluate_psd_batch(plan, n_psd, deltas)
+            stats = evaluate_agnostic_batch(plan, deltas)
+            reused.append(memo.counters()["rows_reused"] - before)
+            fresh = CompiledPlan(graph)
+            with memoization_disabled():
+                dense_psd = evaluate_psd_batch(fresh, n_psd, deltas)
+                dense_stats = evaluate_agnostic_batch(fresh, deltas)
+            assert _same_bytes(psd.ac, dense_psd.ac), len(reused)
+            assert _same_bytes(psd.mean, dense_psd.mean), len(reused)
+            assert _same_bytes(stats.mean, dense_stats.mean), len(reused)
+            assert _same_bytes(stats.variance, dense_stats.variance), \
+                len(reused)
+            return real(plan, method, n_psd, deltas)
+
+        monkeypatch.setattr(wordlength, "estimate_noise_batch", checked)
+        # Between two uniform widths (a bit is a factor of about 4), so
+        # the greedy search has slack for several moves.
+        budget = 3.5 * float(evaluate_psd(graph, n_psd).total_power)
+        WordLengthOptimizer(graph, n_psd=n_psd,
+                            granularity=granularity).optimize(budget)
+        return reused
+
+    @pytest.mark.parametrize("build, granularity, n_psd", [
+        (lambda: build_scalability_bank(branches=16), "node", 64),
+        (lambda: build_scalability_bank(branches=16), "edge", 64),
+        (_cascade_graph, "node", 64),
+        (build_polyphase_decimator, "node", 64),
+        (_tapped_graph, "node", COMPATIBLE_N_PSD),
+    ], ids=["bank-node", "bank-edge", "chain", "polyphase", "tapped"])
+    def test_greedy_rounds_equal_dense_walks(self, monkeypatch, build,
+                                             granularity, n_psd):
+        graph = build()
+        firs = [node for node in graph.nodes.values()
+                if isinstance(node, FirNode)]
+        quantized = [node for node in graph.nodes.values()
+                     if node.quantization.enabled
+                     and not isinstance(node, InputNode)]
+
+        def edit_taps(graph):
+            firs[0].taps[0] += 2.0 ** -7
+
+        def truncate(graph):
+            quantized[-1].quantization = replace(
+                quantized[-1].quantization, rounding=RoundingMode.TRUNCATE)
+
+        reused = self._replay(monkeypatch, graph, granularity, n_psd,
+                              {2: edit_taps, 4: truncate})
+        # Both edits were made, and later rounds reused rows.
+        assert len(reused) > 4
+        assert reused[0] == 0 and sum(reused[1:]) > 0
+
+    @pytest.mark.parametrize("edit", ["rounding", "pinned"])
+    def test_a_rebuild_that_moves_no_live_value_still_recomputes(self,
+                                                                  edit):
+        # x is silent (its input grid is no finer than its width) and
+        # h's coefficient precision gets pinned at its live width, so
+        # neither edit stamps a step; both change what the candidates one
+        # bit narrower read.
+        builder = SfgBuilder("silent-edits")
+        x = builder.input("x", fractional_bits=10)
+        builder.output("y", builder.fir("h", design_fir_lowpass(9, 0.4), x,
+                                        fractional_bits=10))
+        graph = builder.build()
+        graph.node("x").quantization = replace(
+            graph.node("x").quantization, input_fractional_bits=10)
+        plan = compile_plan(graph)
+        deltas = [{"x": 9}, {"h": 9}, {"x": 9, "h": 9}]
+        first = (evaluate_psd_batch(plan, 64, deltas),
+                 evaluate_agnostic_batch(plan, deltas))
+        epoch = plan.epoch
+        if edit == "rounding":
+            node, change = graph.node("x"), {"rounding": RoundingMode.TRUNCATE}
+        else:
+            node, change = graph.node("h"), {"coefficient_fractional_bits": 10}
+        node.quantization = replace(node.quantization, **change)
+        second = (evaluate_psd_batch(plan, 64, deltas),
+                  evaluate_agnostic_batch(plan, deltas))
+        assert len(plan.steps_dirty_since(epoch)) == 0
+        assert plan.steps_rebuilt_since(epoch).tolist() == \
+            [plan.index_of[node.name]]
+        with memoization_disabled():
+            fresh = CompiledPlan(graph)
+            dense = (evaluate_psd_batch(fresh, 64, deltas),
+                     evaluate_agnostic_batch(fresh, deltas))
+        (psd, stats), (dense_psd, dense_stats) = second, dense
+        assert _same_bytes(psd.ac, dense_psd.ac)
+        assert _same_bytes(psd.mean, dense_psd.mean)
+        assert _same_bytes(stats.mean, dense_stats.mean)
+        assert _same_bytes(stats.variance, dense_stats.variance)
+        assert not _same_bytes(second[0].ac, first[0].ac)
+
+    def test_the_span_and_counters_split_the_rows(self):
+        plan = compile_plan(build_scalability_bank(branches=8))
+        deltas = [{name: 11} for name in plan.index_of
+                  if plan.graph.node(name).quantization.enabled]
+        cones = sum(_cone_size(plan, delta) for delta in deltas)
+        with observe() as session:
+            evaluate_psd_batch(plan, 64, deltas)
+            plan.requantize({"branch0": 11})
+            evaluate_psd_batch(plan, 64, deltas)
+            with memoization_disabled():
+                evaluate_psd_batch(plan, 64, deltas)
+        first, second, dense = [
+            entry["attrs"] for entry in session.trace.snapshot()
+            if entry["name"] == "analysis.walk_batch"]
+        assert (first["rows_computed"], first["rows_reused"]) == (cones, 0)
+        # branch0's own config now deviates by nothing; every other
+        # config recomputes only the steps downstream of branch0.
+        assert second["rows_reused"] > 0
+        assert second["rows_computed"] + second["rows_reused"] < cones
+        assert (dense["rows_computed"], dense["rows_reused"]) == \
+            (len(deltas) * len(plan.steps), 0)
+        counters = plan_memo(plan).counters()
+        assert counters["rows_computed"] == \
+            first["rows_computed"] + second["rows_computed"]
+        assert counters["rows_reused"] == second["rows_reused"]
+
+    def test_the_store_keeps_only_the_last_walks_rows(self, monkeypatch):
+        # Over a sweep's greedy rounds the store never outgrows the size
+        # its first walk gave it: the rows of older walks are free again.
+        graph = build_scalability_bank(branches=16)
+        plan = compile_plan(graph)
+        real = wordlength.estimate_noise_batch
+        capacities = []
+
+        def recorded(*args, **options):
+            result = real(*args, **options)
+            capacities.append(len(
+                plan_memo(plan).stores["psd"].blocks[64].arrays[0]))
+            return result
+
+        monkeypatch.setattr(wordlength, "estimate_noise_batch", recorded)
+        sweep_noise_budgets(graph, budget_range(1e-5, 1e-8, 4), n_psd=64)
+        assert len(capacities) > 20
+        assert set(capacities) == {capacities[0]}
+        # A walk on another grid reuses nothing of the last one; a second
+        # walk on that grid reuses every row of the candidates' cones.
+        graph = build_scalability_bank(branches=16)
+        plan = compile_plan(graph)
+        deltas = [{"branch1": 9}, {"x": 9}]
+        cones = sum(_cone_size(plan, delta) for delta in deltas)
+        with observe() as session:
+            evaluate_psd_batch(plan, 64, deltas)
+            coarse = evaluate_psd_batch(plan, 32, deltas)
+            again = evaluate_psd_batch(plan, 32, deltas)
+        assert [(entry["attrs"]["rows_computed"],
+                 entry["attrs"]["rows_reused"])
+                for entry in session.trace.snapshot()
+                if entry["name"] == "analysis.walk_batch"] == \
+            [(cones, 0), (cones, 0), (0, cones)]
+        with memoization_disabled():
+            dense = evaluate_psd_batch(CompiledPlan(graph), 32, deltas)
+        for value in (coarse, again):
+            assert _same_bytes(value.ac, dense.ac)
+            assert _same_bytes(value.mean, dense.mean)

@@ -346,6 +346,36 @@ class TestContentKeys:
             plan.block_magnitude_for_bits(eighth, 10, 64)
         assert len(calls) == 14
 
+    def test_psd_and_tracked_walks_compute_each_response_once(
+            self, monkeypatch):
+        from repro.analysis.psd_method import evaluate_psd_tracked
+        from repro.lti.transfer_function import TransferFunction
+        from repro.systems.families import build_scalability_bank
+
+        graph = build_scalability_bank(branches=16)
+        # A fresh plan running the two walks in the other order.
+        other = CompiledPlan(graph)
+        expected = (evaluate_psd_tracked(other, 1024),
+                    evaluate_psd(other, 1024))
+        calls = []
+        real = TransferFunction.frequency_response
+        monkeypatch.setattr(
+            TransferFunction, "frequency_response",
+            lambda tf, *args: calls.append(tf) or real(tf, *args))
+        plan = compile_plan(graph)
+        psd = evaluate_psd(plan, 1024)
+        tracked = evaluate_psd_tracked(plan, 1024)
+        # The 16 branches share 7 designs; the magnitudes the PSD walk
+        # reads come from the complex responses the tracked walk reads.
+        assert len(calls) == 7
+        assert len(plan._response_cache) == len(plan._magnitude_cache) == 7
+        for key, (squared, dc) in plan._magnitude_cache.items():
+            response = plan._response_cache[key]
+            assert squared.tobytes() == (np.abs(response) ** 2).tobytes()
+            assert dc == float(np.real(response[0]))
+        _same_psd(tracked, expected[0])
+        _same_psd(psd, expected[1])
+
     def test_fir_and_frequency_domain_fir_do_not_share(self):
         from repro.systems.freq_filter import FrequencyDomainFirNode
 
@@ -363,7 +393,10 @@ class TestContentKeys:
         keys = sorted(plan._magnitude_cache, key=lambda key: key[0].__name__)
         assert [key[0].__name__ for key in keys] == \
             ["FirNode", "FrequencyDomainFirNode"]
-        assert keys[0][1:] == keys[1][1:]
+        # Equal taps; the frequency-domain node's state adds its FFT size.
+        assert keys[0][1] == (taps.tobytes(), None)
+        assert keys[1][1] == (taps.tobytes(), 16)
+        assert keys[0][2:] == keys[1][2:]
         assert plan._magnitude_cache[keys[0]] is not \
             plan._magnitude_cache[keys[1]]
 

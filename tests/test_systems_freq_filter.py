@@ -134,3 +134,58 @@ class TestSystemGraph:
         x = rng.uniform(-0.9, 0.9, 500)
         assert len(system.run_reference(x)) == 500
         assert len(system.run_fixed_point(x)) == 500
+
+
+class TestFftSizeEdit:
+    """An in-place ``fft_size`` edit changes the node's own noise, so it
+    is part of the node's coefficient state: the next evaluation sees it
+    like a fresh plan does."""
+
+    @staticmethod
+    def _edited():
+        graph = FrequencyDomainFilter(10, n_psd=256).graph
+        return graph, graph.node("freq_fir")
+
+    def test_the_edit_reaches_evaluate_psd(self):
+        from repro.analysis.psd_method import evaluate_psd
+        from repro.sfg.plan import CompiledPlan
+
+        graph, node = self._edited()
+        before = evaluate_psd(graph, 256)
+        node.fft_size = 32
+        after = evaluate_psd(graph, 256)
+        fresh = evaluate_psd(CompiledPlan(graph), 256)
+        assert after.ac.tobytes() == fresh.ac.tobytes()
+        assert after.total_power != before.total_power
+
+    def test_the_edit_reaches_the_noise_moment_cache(self):
+        from repro.sfg.plan import CompiledPlan, compile_plan
+
+        graph, node = self._edited()
+        plan = compile_plan(graph)
+        step = plan.steps[plan.index_of["freq_fir"]]
+        before = plan.noise_for_bits(step, 9)
+        node.fft_size = 32
+        plan.refresh()
+        fresh = CompiledPlan(graph)
+        expected = fresh.noise_for_bits(fresh.steps[step.index], 9)
+        after = plan.noise_for_bits(step, 9)
+        assert (after.mean, after.variance) == \
+            (expected.mean, expected.variance)
+        assert after.variance != before.variance
+
+    def test_the_edit_drops_the_uniform_width_table(self):
+        from repro.systems.wordlength import WordLengthOptimizer
+
+        graph, node = self._edited()
+        optimizer = WordLengthOptimizer(graph, n_psd=256)
+        budget = 1e-6
+        optimizer.optimize(budget)
+        node.fft_size = 32
+        result = optimizer.optimize(budget)
+        expected = WordLengthOptimizer(
+            FrequencyDomainFilter(10, fft_size=32, n_psd=256).graph,
+            n_psd=256).optimize(budget)
+        assert result.assignment == expected.assignment
+        assert result.noise_power.hex() == expected.noise_power.hex()
+        assert result.history == expected.history

@@ -225,6 +225,27 @@ class TestSweepReuse:
                 assert point.evaluations < expected.evaluations
 
 
+    def test_default_sweep_on_the_bank_reuses_rows_across_rounds(self):
+        # `repro sweep --budget-range 1e-5 1e-8 6` on the 64-branch bank
+        # at the default N_PSD: of the 49 357 rows its 77 greedy rounds
+        # need inside the candidates' cones, 31 382 are kept rows of the
+        # previous round, for the same candidate at the same bits, whose
+        # upstream no accepted move touched.
+        from repro.analysis._engine import plan_memo
+        from repro.sfg.plan import compile_plan
+        from repro.systems.families import build_scalability_bank
+
+        graph = build_scalability_bank(branches=64)
+        front = sweep_noise_budgets(graph, budget_range(1e-5, 1e-8, 6),
+                                    n_psd=1024)
+        assert [point.total_bits for point in front.points] == \
+            [639, 703, 768, 833, 898, 963]
+        counters = plan_memo(compile_plan(graph)).counters()
+        assert counters["rows_computed"] == 17975
+        assert counters["rows_reused"] == 31382
+        assert counters["rows_copied"] == 77 * 65 * 129 - 49357
+
+
 class TestParetoFront:
     def _point(self, bits, power, budget=1e-6):
         return ParetoPoint(budget=budget, total_bits=bits, noise_power=power,
