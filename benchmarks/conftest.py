@@ -23,9 +23,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.analysis._engine import memoization_disabled
 from repro.analysis.psd_method import evaluate_psd
-from repro.bench import bench_payload, write_bench_json
+from repro.bench import _replay_edits, bench_payload, write_bench_json
 from repro.utils.timing import time_callable
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -89,37 +88,32 @@ def write_bench(results_dir: Path, name: str, *, workload: dict,
     write_bench_json(results_dir, payload)
 
 
-def candidate_replay(plan, edits, n_psd):
-    """One greedy candidate pass: requantize each edit, evaluate, restore.
+def candidate_replay(plan, edits, n_psd, cold=False):
+    """One greedy candidate pass: requantize each edit, evaluate, restore
+    (:func:`repro.bench._replay_edits`; ``cold`` clears the plan's noise
+    memo before each evaluation).
 
     ``edits`` are ``(node name or "src->dst" edge key, bits)`` pairs.
     """
-    powers = []
-    with plan.preserve_quantization():
-        for key, bits in edits:
-            plan.requantize({key: bits})
-            powers.append(evaluate_psd(plan, n_psd).total_power)
-    return np.asarray(powers)
+    return np.asarray(_replay_edits(plan, edits, n_psd, cold))
 
 
 def timed_replays(plan, edits, n_psd, repeat):
     """(cold seconds, warm seconds) of one candidate edit sequence.
 
-    The cold run replays under :func:`memoization_disabled` (every
-    candidate pays a full walk); the warm run pulls from the plan's
-    memo (every candidate pays its dirty cone).  Both are preceded by
-    one untimed pass, then the two alternate ``repeat`` times and each
-    reports its fastest replay, so that a load spike on a shared host
-    slows one replay, not one side.  Both must produce bitwise identical
-    per-candidate powers.
+    The cold run clears the plan's noise memo before each evaluation
+    (every candidate pays a full walk, on warm response caches); the
+    warm run pulls from the plan's memo (every candidate pays its dirty
+    cone).  Both are preceded by one untimed pass, then the two
+    alternate ``repeat`` times and each reports its fastest replay, so
+    that a load spike on a shared host slows one replay, not one side.
+    Both must produce bitwise identical per-candidate powers.
     """
-    with memoization_disabled():
-        candidate_replay(plan, edits, n_psd)
+    candidate_replay(plan, edits, n_psd, cold=True)
     cold_seconds, warm_seconds = [], []
     for _ in range(repeat):
-        with memoization_disabled():
-            cold, seconds = time_callable(candidate_replay, plan, edits,
-                                          n_psd)
+        cold, seconds = time_callable(candidate_replay, plan, edits, n_psd,
+                                      cold=True)
         cold_seconds.append(seconds)
         evaluate_psd(plan, n_psd)  # sync the memo on the restored baseline
         if not warm_seconds:
@@ -129,3 +123,29 @@ def timed_replays(plan, edits, n_psd, repeat):
     assert np.array_equal(cold, warm), \
         "memoized candidate powers drifted from the cold full walks"
     return min(cold_seconds), min(warm_seconds)
+
+
+@pytest.fixture
+def fresh_plan_search(monkeypatch):
+    """Switch the word-length search to fresh plans.
+
+    Calling the returned function makes every evaluation of the
+    optimizer — its uniform search's and its greedy rounds' — run on a
+    freshly compiled plan of the graph it searches: no noise memo, kept
+    row or response cache carries over from one evaluation to the next,
+    and the optimizer's own plan memo stays untouched.
+    """
+    from repro.sfg.plan import CompiledPlan
+    from repro.systems import wordlength
+
+    def on_a_fresh_plan(estimate):
+        def fresh(plan, *args):
+            return estimate(CompiledPlan(plan.graph), *args)
+        return fresh
+
+    def activate():
+        for name in ("estimate_noise", "estimate_noise_batch"):
+            monkeypatch.setattr(wordlength, name,
+                                on_a_fresh_plan(getattr(wordlength, name)))
+
+    return activate

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis._engine import memoization_disabled
+from repro.analysis._engine import plan_memo
 from repro.analysis.flat_method import evaluate_flat
 from repro.analysis.psd_method import evaluate_psd
 from repro.systems.families import build_scalability_chain as _chain_graph
@@ -24,6 +24,13 @@ from repro.utils.tables import TextTable
 from repro.utils.timing import time_callable
 
 from conftest import write_bench, write_report
+
+
+def _cold(evaluate, graph, *args):
+    """``evaluate(graph, *args)`` after clearing the graph's noise memo:
+    a cold walk on warm response caches."""
+    plan_memo(graph).clear()
+    return evaluate(graph, *args)
 
 
 def _loglog_slope(x, y) -> float:
@@ -41,18 +48,17 @@ def test_scalability_in_blocks_and_bins(benchmark, bench_config, results_dir):
     psd_times = []
     flat_times = []
     # The scalability claim is about the cost of one *cold* evaluation;
-    # with the per-plan noise memo enabled, every repeat after the first
-    # would be a (near-free) memo hit and the fitted slopes meaningless.
-    with memoization_disabled():
-        for count in block_counts:
-            graph = _chain_graph(count)
-            _, psd_time = time_callable(lambda: evaluate_psd(graph, n_psd),
-                                        repeat=3)
-            _, flat_time = time_callable(lambda: evaluate_flat(graph),
-                                         repeat=3)
-            psd_times.append(psd_time)
-            flat_times.append(flat_time)
-            table.add_row(count, round(psd_time, 5), round(flat_time, 5))
+    # without clearing the per-plan noise memo, every repeat after the
+    # first would be a (near-free) memo hit and the fitted slopes
+    # meaningless.
+    for count in block_counts:
+        graph = _chain_graph(count)
+        _, psd_time = time_callable(_cold, evaluate_psd, graph, n_psd,
+                                    repeat=3)
+        _, flat_time = time_callable(_cold, evaluate_flat, graph, repeat=3)
+        psd_times.append(psd_time)
+        flat_times.append(flat_time)
+        table.add_row(count, round(psd_time, 5), round(flat_time, 5))
 
     bin_counts = (64, 128, 256, 512, 1024, 2048)
     graph = _chain_graph(8)
@@ -60,12 +66,11 @@ def test_scalability_in_blocks_and_bins(benchmark, bench_config, results_dir):
         ["N_PSD", "PSD eval [s]"],
         title="Ablation — evaluation time versus N_PSD (8-block chain)")
     bin_times = []
-    with memoization_disabled():
-        for bins in bin_counts:
-            _, elapsed = time_callable(lambda: evaluate_psd(graph, bins),
-                                       repeat=3)
-            bin_times.append(elapsed)
-            bin_table.add_row(bins, round(elapsed, 5))
+    for bins in bin_counts:
+        _, elapsed = time_callable(_cold, evaluate_psd, graph, bins,
+                                   repeat=3)
+        bin_times.append(elapsed)
+        bin_table.add_row(bins, round(elapsed, 5))
 
     block_slope = _loglog_slope(block_counts, psd_times)
     flat_slope = _loglog_slope(block_counts, flat_times)
@@ -95,8 +100,5 @@ def test_scalability_in_blocks_and_bins(benchmark, bench_config, results_dir):
     assert bin_slope < 1.4
     assert flat_slope > block_slope
 
-    def _cold_eval():
-        with memoization_disabled():
-            return evaluate_psd(_chain_graph(16), n_psd)
-
-    benchmark(_cold_eval)
+    # A new graph per call: compile, responses and walk, all cold.
+    benchmark(lambda: evaluate_psd(_chain_graph(16), n_psd))

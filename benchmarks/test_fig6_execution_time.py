@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 
-from repro.analysis._engine import memoization_disabled
+from repro.analysis._engine import plan_memo
 from repro.data.images import ImageGenerator
 from repro.data.signals import uniform_white_noise
 from repro.systems.dwt.codec import Dwt97Codec
@@ -62,23 +62,27 @@ def test_fig6_execution_time(benchmark, bench_config, results_dir):
 
     ff_times = []
     dwt_times = []
-    # Fig. 6 reports the cost of a cold estimation; with the per-plan
-    # noise memo enabled, the timed repeats would be memo hits and the
-    # measured "estimation time" would not be the paper's quantity.
-    with memoization_disabled():
-        for n_psd in sweep:
-            _, ff_time = time_callable(
-                lambda: system.evaluator.estimate("psd", n_psd=n_psd),
-                repeat=3)
-            _, dwt_time = time_callable(
-                lambda: codec.estimate_error_power(n_psd=n_psd, method="psd"),
-                repeat=3)
-            ff_times.append(ff_time)
-            dwt_times.append(dwt_time)
-            table.add_row(n_psd, round(ff_time, 5),
-                          round(ff_sim_time / ff_time, 1),
-                          round(dwt_time, 5),
-                          round(dwt_sim_time / dwt_time, 1))
+    # Fig. 6 reports the cost of a cold estimation; the plan's noise memo
+    # is cleared before each one, or the timed repeats would be memo hits
+    # and the measured "estimation time" would not be the paper's
+    # quantity.
+    memo = plan_memo(system.evaluator.plan)
+
+    def cold_estimate(n_psd):
+        memo.clear()
+        return system.evaluator.estimate("psd", n_psd=n_psd)
+
+    for n_psd in sweep:
+        _, ff_time = time_callable(cold_estimate, n_psd, repeat=3)
+        _, dwt_time = time_callable(
+            lambda: codec.estimate_error_power(n_psd=n_psd, method="psd"),
+            repeat=3)
+        ff_times.append(ff_time)
+        dwt_times.append(dwt_time)
+        table.add_row(n_psd, round(ff_time, 5),
+                      round(ff_sim_time / ff_time, 1),
+                      round(dwt_time, 5),
+                      round(dwt_sim_time / dwt_time, 1))
 
     write_report(results_dir, "fig6_execution_time.txt", table.render())
     write_bench(results_dir, "fig6_execution_time",
@@ -103,8 +107,4 @@ def test_fig6_execution_time(benchmark, bench_config, results_dir):
         "speed-up should exceed one order of magnitude even in reduced mode"
 
     # pytest-benchmark record of the finest-grid (cold) estimation.
-    def _cold_estimate():
-        with memoization_disabled():
-            return system.evaluator.estimate("psd", n_psd=sweep[-1])
-
-    benchmark(_cold_estimate)
+    benchmark(cold_estimate, sweep[-1])

@@ -19,19 +19,19 @@ of the fine-grained-search PR on the scalability workloads
 * **a lower total-bits front at the same budget** — the edge-granularity
   greedy search must end strictly below the node-level search's total
   fractional bits on the same bank and noise budget, with the memoized
-  and cold (:func:`memoization_disabled`) searches bit-identical at edge
-  granularity.
+  search and the search with every evaluation on a fresh plan
+  bit-identical at edge granularity.
 
 Every timed comparison asserts the per-candidate noise powers are
-bitwise identical between the memoized and the memo-blind runs before
-any speedup is reported.
+bitwise identical between the memoized runs and the cold ones (the
+memo cleared before each evaluation) before any speedup is reported.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from repro.analysis._engine import memoization_disabled, plan_memo
+from repro.analysis._engine import plan_memo
 from repro.analysis.psd_method import evaluate_psd
 from repro.bench import load_baseline, required_floor
 from repro.sfg.plan import compile_plan
@@ -44,7 +44,8 @@ from conftest import candidate_replay, timed_replays, write_bench, write_report
 _BASELINE = Path(__file__).parent / "bench_baseline.json"
 
 
-def test_fine_grained_search(benchmark, bench_config, results_dir):
+def test_fine_grained_search(benchmark, bench_config, results_dir,
+                             fresh_plan_search):
     n_psd = 256
     full = bench_config["mode"] == "full"
     widths = (16, 128) if full else (16, 64)
@@ -74,10 +75,10 @@ def test_fine_grained_search(benchmark, bench_config, results_dir):
     edge_result = WordLengthOptimizer(
         build_scalability_bank(branches=widths[0]), n_psd=n_psd,
         granularity="edge").optimize(budget)
-    with memoization_disabled():
-        cold = WordLengthOptimizer(
-            build_scalability_bank(branches=widths[0]), n_psd=n_psd,
-            granularity="edge").optimize(budget)
+    fresh_plan_search()
+    cold = WordLengthOptimizer(
+        build_scalability_bank(branches=widths[0]), n_psd=n_psd,
+        granularity="edge").optimize(budget)
     assert edge_result.assignment == cold.assignment
     assert edge_result.noise_power == cold.noise_power
     assert edge_result.evaluations == cold.evaluations

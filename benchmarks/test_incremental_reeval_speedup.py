@@ -17,22 +17,22 @@ ablation-scalability workloads (:mod:`repro.systems.families`):
   --check`` gates in CI via the registered ``incremental_reeval`` bench);
 * the **chain** — the worst case (an edit's cone is every downstream
   block), reported for scale but not floored;
-* the **optimizer end to end** — ``WordLengthOptimizer`` with and
-  without the memo (:func:`memoization_disabled`) on a reduced bank:
+* the **optimizer end to end** — ``WordLengthOptimizer`` with the memo
+  and with every evaluation on a fresh plan, on a reduced bank:
   identical assignment and noise power, with the work split
   (``full_walks`` vs ``cone_recomputes``, batched rows computed vs
   copied from the memo) recorded in the payload.
 
 Every timed comparison asserts the per-candidate noise powers are
-bitwise identical between the memoized and the memo-blind runs before
-any speedup is reported.
+bitwise identical between the memoized runs and the cold ones (the
+memo cleared before each evaluation) before any speedup is reported.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from repro.analysis._engine import memoization_disabled, plan_memo
+from repro.analysis._engine import plan_memo
 from repro.analysis.psd_method import evaluate_psd
 from repro.bench import load_baseline, required_floor
 from repro.sfg.plan import compile_plan
@@ -45,7 +45,8 @@ from conftest import candidate_replay, timed_replays, write_bench, write_report
 _BASELINE = Path(__file__).parent / "bench_baseline.json"
 
 
-def test_incremental_reeval_speedup(benchmark, bench_config, results_dir):
+def test_incremental_reeval_speedup(benchmark, bench_config, results_dir,
+                                    fresh_plan_search):
     n_psd = 512
     full = bench_config["mode"] == "full"
     branches = 128 if full else 64
@@ -77,9 +78,9 @@ def test_incremental_reeval_speedup(benchmark, bench_config, results_dir):
     small_memo = plan_memo(compile_plan(small))
     incremental = WordLengthOptimizer(small, n_psd=n_psd).optimize(budget)
     rows = small_memo.counters()
-    with memoization_disabled():
-        cold = WordLengthOptimizer(build_scalability_bank(branches=16),
-                                   n_psd=n_psd).optimize(budget)
+    fresh_plan_search()
+    cold = WordLengthOptimizer(build_scalability_bank(branches=16),
+                               n_psd=n_psd).optimize(budget)
     assert incremental.assignment == cold.assignment
     assert incremental.noise_power == cold.noise_power
     assert incremental.evaluations == cold.evaluations

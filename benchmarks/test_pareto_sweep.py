@@ -23,7 +23,7 @@ import time
 
 import numpy as np
 
-from repro.analysis._engine import memoization_disabled
+from repro.analysis._engine import plan_memo
 from repro.analysis.psd_method import evaluate_psd
 from repro.lti.fir_design import design_fir_highpass, design_fir_lowpass
 from repro.lti.iir_design import design_iir_filter
@@ -62,17 +62,19 @@ def _cascade_graph(stages: int = 10, bits: int = 16):
 
 class _SequentialOptimizer(WordLengthOptimizer):
     """The unbatched baseline: each candidate of a round is one
-    requantize + cold scalar walk, quantization restored after each."""
+    requantize + cold scalar walk (the plan's noise memo cleared first),
+    quantization restored after each."""
 
     def _noise_powers(self, deltas):
         self._evaluations += len(deltas)
+        memo = plan_memo(self._plan)
         powers = []
-        with memoization_disabled():
-            for delta in deltas:
-                with self._plan.preserve_quantization():
-                    self._plan.requantize(delta)
-                    powers.append(
-                        evaluate_psd(self._plan, self.n_psd).total_power)
+        for delta in deltas:
+            with self._plan.preserve_quantization():
+                self._plan.requantize(delta)
+                memo.clear()
+                powers.append(
+                    evaluate_psd(self._plan, self.n_psd).total_power)
         return np.array(powers)
 
 

@@ -26,22 +26,23 @@ fastest round and the speedup is the median of the per-round ratios, so
 a load swing on a shared host, which moves both runs of a round
 together, does not decide it.  Rounds repeat while they take under a
 second (at most five), so the cheap workloads, whose ratios sit closest
-to their bounds, get the most of them.  Every call runs with
-memoization disabled: the plan keeps its last error record, so a timed
-default call would otherwise be a memo hit that runs neither leg (the
-oracle keeps no memo).  Outputs are compared by their raw bytes, as
+to their bounds, get the most of them.  Every default call runs on a
+fresh plan, compiled outside the timer: the plan keeps its last error
+record, so a second default call on one plan would be a memo hit that
+runs neither leg (the oracle keeps no memo).  Outputs are compared by their raw bytes, as
 ``repro bench`` does, so a flipped signed zero fails.
 """
 
 from __future__ import annotations
 
+import functools
 import statistics
 import time
 
-from repro.analysis._engine import memoization_disabled
 from repro.analysis.simulation_method import SimulationEvaluator
 from repro.bench import _require_bitwise
 from repro.data.signals import uniform_white_noise
+from repro.sfg.plan import CompiledPlan
 from repro.systems.filter_bank import build_filter_graph, generate_iir_bank
 from repro.systems.freq_filter import FrequencyDomainFilter
 from repro.utils.tables import TextTable
@@ -58,22 +59,25 @@ _MAX_ROUNDS = 5
 def _time_sides(graph, stimulus):
     """Fastest error-record wall time per side, the median per-round
     speedup, and the outputs, after one untimed warm-up call each."""
-    evaluator = SimulationEvaluator(graph)
-    measure = {"reference": lambda: legacy_error(graph, stimulus),
-               "fast": lambda: evaluator.error_signal(stimulus)}
+    def measurement(side):
+        # Each default call gets a fresh plan (see the module docstring).
+        if side == "reference":
+            return functools.partial(legacy_error, graph)
+        return SimulationEvaluator(CompiledPlan(graph)).error_signal
+
     seconds = {side: [] for side in _SIDES}
     outputs = {}
-    with memoization_disabled():
-        for side in _SIDES:
-            measure[side]()
-        for round_ in range(_MAX_ROUNDS):
-            order = _SIDES if round_ % 2 == 0 else _SIDES[::-1]
-            for side in order:
-                start = time.perf_counter()
-                outputs[side] = measure[side]()
-                seconds[side].append(time.perf_counter() - start)
-            if sum(map(sum, seconds.values())) >= _ROUND_BUDGET_S:
-                break
+    for side in _SIDES:
+        measurement(side)(stimulus)
+    for round_ in range(_MAX_ROUNDS):
+        order = _SIDES if round_ % 2 == 0 else _SIDES[::-1]
+        for side in order:
+            measure = measurement(side)
+            start = time.perf_counter()
+            outputs[side] = measure(stimulus)
+            seconds[side].append(time.perf_counter() - start)
+        if sum(map(sum, seconds.values())) >= _ROUND_BUDGET_S:
+            break
     speedup = statistics.median(
         reference / fast
         for reference, fast in zip(seconds["reference"], seconds["fast"]))

@@ -90,12 +90,11 @@ grouping the cold walk alone would shrink the cold/warm ratios that
 ``repro bench --check`` gates below their floors (``ARCHITECTURE.md``,
 "Row-sparse rounds").
 
-Memoization is on by default and exact, so there is normally no reason to
-turn it off; :func:`memoization_disabled` exists for honest cold-cache
-baselines (timing harnesses, the differential check's reference side) and
-restores the previous state on exit.  With it off, the scalar walks run
-the dense ``K = 1`` walk and the batched ones compute every row at every
-step and keep none.
+The memo is always on, and exact.  A cold evaluation is an evaluation of
+a fresh :class:`~repro.sfg.plan.CompiledPlan` — empty memo, empty
+response caches: the reference side of the differential checks and the
+tests — or one right after :meth:`NoiseMemo.clear`, which leaves the
+plan's response caches warm: the cold side of the timing harnesses.
 
 Returned representations are shared with the memo: treat them as
 immutable (which every representation class already is by convention).
@@ -105,7 +104,6 @@ A batched walk's store is never published: it returns a copy.
 from __future__ import annotations
 
 from collections import OrderedDict
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -130,36 +128,6 @@ from repro.sfg.plan import (
     compile_plan,
     parse_edge_key,
 )
-
-
-# ----------------------------------------------------------------------
-# Memoization switch
-# ----------------------------------------------------------------------
-# A stack rather than a flag so disabled regions nest; the top entry is
-# the current state.
-_MEMO_STATE: list[bool] = [True]
-
-
-def memoization_enabled() -> bool:
-    """Whether walks may pull from (and update) the per-plan NoiseMemo."""
-    return _MEMO_STATE[-1]
-
-
-@contextmanager
-def memoization_disabled():
-    """Force full cold walks for the duration of the block.
-
-    Used by the honest baselines: the differential ``incremental`` check's
-    reference side and the timing harnesses and tests that must not
-    measure cache hits (batched walks then compute every row at every
-    step).  Results are bit-identical either way; only the amount of
-    recomputation differs.
-    """
-    _MEMO_STATE.append(False)
-    try:
-        yield
-    finally:
-        _MEMO_STATE.pop()
 
 
 # ----------------------------------------------------------------------
@@ -296,7 +264,7 @@ class _Block:
 class _Store:
     """The batched walks' working rows on one plan and representation:
     one :class:`_Block` per row shape, and the slot table of the last
-    memoized walk, which the next walk may reuse.
+    walk, which the next walk may reuse.
 
     ``slots`` (``None`` when nothing is kept) maps ``(step, config)`` to
     the config's store row; ``columns`` maps each config's deviation
@@ -401,12 +369,12 @@ class _Stacked:
         return block
 
     def begin(self, base, steps: np.ndarray, rows: np.ndarray) -> list:
-        """Start a walk: sync the memo's ``K = 1`` values (``base``, when
-        given) into the base rows, free every other store row but the
-        kept rows ``rows`` (of steps ``steps``) the walk reuses, and
-        return each step's block key."""
+        """Start a walk: sync the memo's ``K = 1`` values ``base`` into
+        the base rows, free every other store row but the kept rows
+        ``rows`` (of steps ``steps``) the walk reuses, and return each
+        step's block key."""
         keys: list = [None] * len(self.stack.plan.steps)
-        for index, value in enumerate(base or ()):
+        for index, value in enumerate(base):
             key = keys[index] = self._key(value)
             block = self._block(key)
             if block.synced[index] is not value:
@@ -632,9 +600,11 @@ class _Paths(_Live):
         return self.ports.get(step.index)
 
 
-def _full_walk(plan: CompiledPlan, compute_step) -> list:
-    """Cold walk: evaluate every step, no cache involved."""
-    with span("analysis.walk", kind="uncached", steps=len(plan.steps)):
+def _full_walk(plan: CompiledPlan, compute_step, **attrs) -> list:
+    """Every step's value, in schedule order: the ``K = 1`` walk of a
+    cold memo pull and of the flat method's path functions (``attrs``
+    label its span)."""
+    with span("analysis.walk", **attrs, steps=len(plan.steps)):
         values: list = [None] * len(plan.steps)
         for step in plan.steps:
             values[step.index] = compute_step(step, values)
@@ -676,7 +646,8 @@ class NoiseMemo:
 
     The memo also holds the batched walks' working rows (``stores``:
     one :class:`_Store` per representation), so they are reused across
-    the walks of one plan and reclaimed with it.
+    the walks of one plan and reclaimed with it.  :meth:`clear` drops
+    every cached value and keeps the counters.
     """
 
     #: Bound on the flat method's path-function entries (one entry per
@@ -735,6 +706,18 @@ class NoiseMemo:
             counter.inc(rows)
             metric_inc(counter.name, rows)
 
+    def clear(self) -> None:
+        """Drop every cached value — the channels, the flat path
+        functions and the batched walks' stores — and keep the counters.
+
+        The plan's response caches stay warm, so the next pull is a cold
+        walk that computes no response: the cold side of the timing
+        baselines.
+        """
+        self._channels.clear()
+        self.path_functions.clear()
+        self.stores.clear()
+
     def _pull(self, key: tuple, make_step) -> list:
         """Per-step values of one channel, recomputing only dirty cones.
 
@@ -751,12 +734,8 @@ class NoiseMemo:
         plan = self.plan
         channel = self._channels.get(key)
         if channel is None:
-            compute_step = make_step()
-            with span("analysis.walk", kind="cold", channel=key[0],
-                      steps=len(plan.steps)):
-                values: list = [None] * len(plan.steps)
-                for step in plan.steps:
-                    values[step.index] = compute_step(step, values)
+            values = _full_walk(plan, make_step(), kind="cold",
+                                channel=key[0])
             self._channels[key] = _Channel(values, plan.epoch)
             self._full_walks.inc()
             self._steps_recomputed.inc(len(plan.steps))
@@ -815,36 +794,29 @@ def _store(plan: CompiledPlan, representation: str) -> _Store:
 # ----------------------------------------------------------------------
 # Plan walks of the live configuration, one per noise representation
 # ----------------------------------------------------------------------
-def _walk(plan: CompiledPlan, channel: tuple, make_step) -> list:
-    """Per-step values of the live plan (index-aligned): a memo pull of
-    ``channel``, or a cold walk when memoization is disabled."""
-    if memoization_enabled():
-        return plan_memo(plan)._pull(channel, make_step)
-    return _full_walk(plan, make_step())
-
-
 def walk_psd(plan: CompiledPlan, n_psd: int) -> list:
-    """Per-step ``K = 1`` :class:`DiscretePsd` stacks of the live plan."""
-    return _walk(plan, ("psd", n_psd), lambda: _rule(
+    """Per-step ``K = 1`` :class:`DiscretePsd` stacks of the live plan
+    (index-aligned), pulled from the memo."""
+    return plan_memo(plan)._pull(("psd", n_psd), lambda: _rule(
         _StackedPsd(ConfigStack(plan, [{}]), n_psd)))
 
 
 def walk_stats(plan: CompiledPlan) -> list:
     """Per-step ``K = 1`` :class:`NoiseStats` stacks of the live plan."""
-    return _walk(plan, ("stats",), lambda: _rule(
+    return plan_memo(plan)._pull(("stats",), lambda: _rule(
         _StackedStats(ConfigStack(plan, [{}]))))
 
 
 def walk_tracked(plan: CompiledPlan, n_psd: int) -> list:
     """Per-step :class:`TrackedSpectrum` values of the live plan."""
-    return _walk(plan, ("tracked", n_psd),
-                 lambda: _rule(_Tracked(plan, n_psd)))
+    return plan_memo(plan)._pull(("tracked", n_psd),
+                                 lambda: _rule(_Tracked(plan, n_psd)))
 
 
 def walk_paths(plan: CompiledPlan, sources) -> list:
     """Per-step path transfer functions from ``sources`` (node names and
     edge keys), by a cold walk: the flat method caches what it reads."""
-    return _full_walk(plan, _rule(_Paths(plan, sources)))
+    return _full_walk(plan, _rule(_Paths(plan, sources)), kind="uncached")
 
 
 def stats_row(stats: NoiseStats, config: int = 0) -> NoiseStats:
@@ -857,17 +829,15 @@ def stats_row(stats: NoiseStats, config: int = 0) -> NoiseStats:
 # Batched plan walks (row-sparse over a configuration stack)
 # ----------------------------------------------------------------------
 def _walk_batch(plan: CompiledPlan, rep: _Stacked, representation: str,
-                base, output: int):
+                base: list, output: int):
     """Row-sparse batched walk; returns the output's full K-row value.
 
-    With a memo baseline (``base``: the per-step ``K = 1`` values of the
-    live plan), config ``k``'s row is computed only at the steps of its
-    own cone (:meth:`ConfigStack.cone_mask`) and read from ``base``
+    ``base`` holds the memo's per-step ``K = 1`` values of the live
+    plan.  Config ``k``'s row is computed only at the steps of its own
+    cone (:meth:`ConfigStack.cone_mask`) and read from ``base``
     everywhere else — exact, because outside its cone config ``k``
     walks the live plan's operands.  Inside it, a row the previous
-    walk kept is reused where it lies (:func:`_reuse`).  Without a
-    baseline, every row is computed at every step (the dense cold walk)
-    and nothing is kept.
+    walk kept is reused where it lies (:func:`_reuse`).
 
     The walk runs the plan's level groups, not its steps: per group it
     gathers each input port's rows in one take from the store, through
@@ -879,20 +849,14 @@ def _walk_batch(plan: CompiledPlan, rep: _Stacked, representation: str,
     stack = rep.stack
     store = rep.store
     count = len(plan.steps)
-    memoized = base is not None
-    if memoized:
-        computes = stack.cone_mask()
-        slots = np.repeat(np.arange(count, dtype=np.intp)[:, None],
-                          stack.size, axis=1)
-        reused = _reuse(plan, rep, computes, slots)
-        if len(reused[0]):
-            computes = computes.copy()
-            computes[reused] = False
-    else:
-        computes = np.ones((count, stack.size), dtype=bool)
-        slots = np.empty((count, stack.size), dtype=np.intp)
-        reused = _NOTHING
+    computes = stack.cone_mask()
+    slots = np.repeat(np.arange(count, dtype=np.intp)[:, None],
+                      stack.size, axis=1)
+    reused = _reuse(plan, rep, computes, slots)
     kept = len(reused[0])
+    if kept:
+        computes = computes.copy()
+        computes[reused] = False
     # The last walk's rows are this walk's to reuse or overwrite.
     store.slots = None
     keys = rep.begin(base, reused[0], slots[reused])
@@ -918,12 +882,11 @@ def _walk_batch(plan: CompiledPlan, rep: _Stacked, representation: str,
             groups += 1
         live.set(rows_computed=computed, rows_reused=kept, groups=groups)
         result = rep.gather(keys[output], slots[output])
-    if memoized:
-        store.grid, store.epoch, store.slots = rep.grid, plan.epoch, slots
-        store.columns = {deviation: config for config, deviation
-                         in enumerate(stack.deviations)}
-        plan_memo(plan).count_rows(computed, kept,
-                                   stack.size * count - computed - kept)
+    store.grid, store.epoch, store.slots = rep.grid, plan.epoch, slots
+    store.columns = {deviation: config for config, deviation
+                     in enumerate(stack.deviations)}
+    plan_memo(plan).count_rows(computed, kept,
+                               stack.size * count - computed - kept)
     return result
 
 
@@ -963,17 +926,15 @@ def walk_psd_batch(plan: CompiledPlan, n_psd: int, stack: ConfigStack,
     Row ``k`` of the returned stacked :class:`DiscretePsd` is
     bit-identical to :func:`walk_psd` after requantizing the plan to
     configuration ``k``: both run the same rules, and the algebra applies
-    every operation row by row along the leading config axis.  When
-    memoization is enabled the walk is row-sparse (see
-    :func:`_walk_batch`), so a stack of one-key deltas costs the sum of
-    the candidates' cones, not ``K x steps`` rows, less the rows the
-    previous walk kept for it.  The stack must have
-    been resolved against the plan's current spec state (every in-repo
-    caller constructs it immediately before walking).
+    every operation row by row along the leading config axis.  The walk
+    is row-sparse (see :func:`_walk_batch`), so a stack of one-key
+    deltas costs the sum of the candidates' cones, not ``K x steps``
+    rows, less the rows the previous walk kept for it.  The stack must
+    have been resolved against the plan's current spec state (every
+    in-repo caller constructs it immediately before walking).
     """
-    base = walk_psd(plan, n_psd) if memoization_enabled() else None
     return _walk_batch(plan, _StackedPsd(stack, n_psd, _store(plan, "psd")),
-                       "psd", base, plan.index_of[output])
+                       "psd", walk_psd(plan, n_psd), plan.index_of[output])
 
 
 def walk_stats_batch(plan: CompiledPlan, stack: ConfigStack,
@@ -986,6 +947,5 @@ def walk_stats_batch(plan: CompiledPlan, stack: ConfigStack,
     bit-identical to :func:`walk_stats` after requantizing the plan to
     configuration ``k``; row sparsity mirrors :func:`walk_psd_batch`.
     """
-    base = walk_stats(plan) if memoization_enabled() else None
     return _walk_batch(plan, _StackedStats(stack, _store(plan, "stats")),
-                       "stats", base, plan.index_of[output])
+                       "stats", walk_stats(plan), plan.index_of[output])

@@ -22,13 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis._engine import (
-    NoiseMemo,
-    memoization_enabled,
-    plan_memo,
-    stats_row,
-    walk_paths,
-)
+from repro.analysis._engine import NoiseMemo, plan_memo, stats_row, walk_paths
 from repro.fixedpoint.noise_model import NoiseStats
 from repro.lti.transfer_function import TransferFunction
 from repro.sfg.graph import SignalFlowGraph, reject_multirate
@@ -46,25 +40,20 @@ def _path_functions(plan: CompiledPlan, output_name: str,
     transfer function shapes it.  Runs on the plan as it stands (no
     refresh), memoized per coefficient fingerprint.
     """
-    cache = key = None
-    if memoization_enabled():
-        # Path functions depend only on the coefficient fingerprint (the
-        # transfer behaviour), not on the data-path word lengths, so the
-        # optimizer's requantize loop keeps hitting one entry.
-        cache = plan_memo(plan).path_functions
-        key = (output_name, frozenset(sources),
-               plan.coefficient_fingerprint())
-        cached = cache.get(key)
-        if cached is not None:
-            cache.move_to_end(key)
-            return dict(cached)
-
+    # Path functions depend only on the coefficient fingerprint (the
+    # transfer behaviour), not on the data-path word lengths, so the
+    # optimizer's requantize loop keeps hitting one entry.
+    cache = plan_memo(plan).path_functions
+    key = (output_name, frozenset(sources), plan.coefficient_fingerprint())
+    cached = cache.get(key)
+    if cached is not None:
+        cache.move_to_end(key)
+        return dict(cached)
     reject_multirate(plan.graph, "flat")
     result = walk_paths(plan, sources)[plan.index_of[output_name]]
-    if cache is not None:
-        cache[key] = dict(result)
-        while len(cache) > NoiseMemo.PATH_CACHE_LIMIT:
-            cache.popitem(last=False)
+    cache[key] = dict(result)
+    while len(cache) > NoiseMemo.PATH_CACHE_LIMIT:
+        cache.popitem(last=False)
     return result
 
 
@@ -118,9 +107,7 @@ def _evaluate_stack(plan: CompiledPlan, stack: ConfigStack,
     noise_by_name.update(stack.edge_noise_sources())
     means = np.zeros(stack.size)
     variances = np.zeros(stack.size)
-    groups: dict[tuple, list[int]] = {}
-    for config, signature in enumerate(stack.coefficient_signatures()):
-        groups.setdefault(signature, []).append(config)
+    groups = stack.coefficient_groups()
     live = groups.pop(stack.live_coefficient_signature(), None)
     if live:
         _evaluate_group(plan, output_name, noise_by_name, live, means,

@@ -63,12 +63,15 @@ def evaluate_psd(system: SignalFlowGraph | CompiledPlan, n_psd: int,
     -------
     DiscretePsd
         Estimated PSD of the output quantization noise.  The estimated
-        noise power is ``result.total_power``.
+        noise power is ``result.total_power``.  Its bins are a read-only
+        view of the plan's noise memo, which later evaluations read.
     """
     check_n_psd(n_psd)
     plan = compile_plan(system)
     index = plan.index_of[plan.resolve_output(output)]
-    return walk_psd(plan, n_psd)[index].select(0)
+    psd = walk_psd(plan, n_psd)[index].select(0)
+    psd.ac.flags.writeable = False
+    return psd
 
 
 def evaluate_psd_batch(system: SignalFlowGraph | CompiledPlan, n_psd: int,

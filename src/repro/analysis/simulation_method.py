@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis._engine import memoization_enabled
 from repro.analysis.metrics import noise_power
 from repro.analysis.psd_method import check_n_psd
 from repro.obs import metric_inc, span
@@ -191,9 +190,7 @@ class SimulationEvaluator:
 
         The record is read-only.  The plan keeps the last one measured:
         a repeated call with the same coefficients, quantizers, stimulus
-        and output returns it without running either leg.  Under
-        :func:`~repro.analysis._engine.memoization_disabled` nothing is
-        read or kept.
+        and output returns it without running either leg.
 
         Parameters
         ----------
@@ -207,16 +204,14 @@ class SimulationEvaluator:
         stimulus = self._normalize_stimulus(stimulus)
         output = plan.resolve_output(output)
         check_simulated_word_lengths(data_path_word_lengths(plan.graph))
-        digest = key = None
-        if memoization_enabled():
-            digest = _stimulus_digest(stimulus)
-            plan.refresh()
-            # Everything the two legs read.
-            key = (plan.coefficient_fingerprint(),
-                   quantization_signature(plan.graph), digest, output)
+        digest = _stimulus_digest(stimulus)
+        plan.refresh()
+        # Everything the two legs read.
+        key = (plan.coefficient_fingerprint(),
+               quantization_signature(plan.graph), digest, output)
         with span("sim.error_signal", output=output) as sim_span:
             memo = getattr(plan, _ERROR_MEMO_ATTRIBUTE, None)
-            hit = key is not None and memo is not None and memo[0] == key
+            hit = memo is not None and memo[0] == key
             sim_span.set(error_cached=hit)
             if hit:
                 metric_inc("sim.error_memo.hits")
@@ -226,8 +221,7 @@ class SimulationEvaluator:
             sim_span.set(reference_cached=cached)
             error = self._fixed_error(stimulus, reference, output)
             error.flags.writeable = False
-            if key is not None:
-                setattr(plan, _ERROR_MEMO_ATTRIBUTE, (key, error))
+            setattr(plan, _ERROR_MEMO_ATTRIBUTE, (key, error))
             return error
 
     def evaluate(self, stimulus, output: str | None = None,
@@ -287,12 +281,11 @@ class SimulationEvaluator:
         for k in range(stack.size):
             check_simulated_word_lengths(stack.resolved(k))
         stimulus = self._normalize_stimulus(stimulus)
-        digest = (_stimulus_digest(stimulus)
-                  if memoization_enabled() else None)
+        digest = _stimulus_digest(stimulus)
         results: list[SimulationResult | None] = [None] * stack.size
         with span("sim.evaluate_batch", configs=stack.size,
                   output=output), plan.preserve_quantization():
-            for members in stack.coefficient_groups():
+            for members in stack.coefficient_groups().values():
                 plan.requantize(stack.resolved(members[0]),
                                 allow_enable=True)
                 reference, _ = self._reference(stimulus, digest, output)
@@ -306,30 +299,28 @@ class SimulationEvaluator:
     # ------------------------------------------------------------------
     # The two legs of a measurement
     # ------------------------------------------------------------------
-    def _reference(self, stimulus: dict, digest: str | None,
+    def _reference(self, stimulus: dict, digest: str,
                    output: str) -> tuple[np.ndarray, bool]:
         """Double-precision output of the plan's current coefficient state.
 
-        Served from the plan's reference memo when ``digest`` (the
-        stimulus digest, ``None`` with memoization off) finds a record;
-        the second value tells whether it did.
+        Served from the plan's reference memo when a record of the
+        stimulus ``digest`` is there; the second value tells whether it
+        was.
         """
         plan = self.plan
-        if digest is not None:
-            plan.refresh()
-            memo = _reference_memo(plan)
-            key = (plan.coefficient_fingerprint(), digest, output)
-            reference = memo.get(key)
-            if reference is not None:
-                memo.move_to_end(key)
-                metric_inc("sim.reference_memo.hits")
-                return reference, True
+        plan.refresh()
+        memo = _reference_memo(plan)
+        key = (plan.coefficient_fingerprint(), digest, output)
+        reference = memo.get(key)
+        if reference is not None:
+            memo.move_to_end(key)
+            metric_inc("sim.reference_memo.hits")
+            return reference, True
         metric_inc("sim.reference_memo.misses")
         reference = plan.run(stimulus, mode="double").output(output)
-        if digest is not None:
-            memo[key] = reference
-            while len(memo) > REFERENCE_MEMO_LIMIT:
-                memo.popitem(last=False)
+        memo[key] = reference
+        while len(memo) > REFERENCE_MEMO_LIMIT:
+            memo.popitem(last=False)
         return reference, False
 
     def _fixed_error(self, stimulus: dict, reference: np.ndarray,

@@ -150,29 +150,60 @@ def _timed_warm(function, *args):
     return result, seconds, warmup_seconds
 
 
-def _timed_replays(replay_cold, replay_warm, sync, repeat: int = 5):
-    """Time a cold and a warm replay of one edit sequence, alternating.
+def _replay_edits(plan, edits, n_psd: int, cold: bool = False) -> list:
+    """The PSD noise power after each single-key requantize edit of one
+    sequence, the plan's quantization restored at the end.
+
+    ``cold`` clears the plan's noise memo before each evaluation, so each
+    one is a cold walk on warm response caches (the pre-memo cost); a
+    warm replay pulls each edit's dirty cone.
+    """
+    from repro.analysis._engine import plan_memo
+    from repro.analysis.psd_method import evaluate_psd
+
+    memo = plan_memo(plan)
+    powers = []
+    with plan.preserve_quantization():
+        for key, bits in edits:
+            plan.requantize({key: bits})
+            if cold:
+                memo.clear()
+            powers.append(evaluate_psd(plan, n_psd).total_power)
+    return powers
+
+
+def _timed_replays(plan, edits, n_psd: int, repeat: int = 5):
+    """Time a cold and a warm replay of one edit sequence, alternating
+    (:func:`_replay_edits`).
 
     After one untimed pass of each (their durations are the payload's
     ``warmup_s``), ``repeat`` cold and ``repeat`` warm replays alternate
     and each side reports its fastest, so a load spike on a shared host
-    slows one replay, not one side.  ``sync()`` runs before every warm
-    replay, so it starts from a memo synced on the restored baseline and
-    measures steady-state cone pulls.  Returns ``(cold result, cold
-    seconds, warm result, warm seconds, warmup_s)``.
+    slows one replay, not one side.  Every warm replay starts from a memo
+    synced on the restored baseline, so it measures steady-state cone
+    pulls.  Returns ``(cold result, cold seconds, warm result, warm
+    seconds, warmup_s)``.
     """
+    from repro.analysis.psd_method import evaluate_psd
+
+    def cold():
+        return _timed(_replay_edits, plan, edits, n_psd, True)
+
+    def warm():
+        evaluate_psd(plan, n_psd)  # sync the memo on the baseline
+        return _timed(_replay_edits, plan, edits, n_psd)
+
     warmup: dict = {}
-    _, warmup["full_walks"] = _timed(replay_cold)
-    sync()
-    _, warmup["dirty_cones"] = _timed(replay_warm)
+    _, warmup["full_walks"] = cold()
+    _, warmup["dirty_cones"] = warm()
     cold_seconds, warm_seconds = [], []
     for _ in range(repeat):
-        cold, seconds = _timed(replay_cold)
+        cold_powers, seconds = cold()
         cold_seconds.append(seconds)
-        sync()
-        warm, seconds = _timed(replay_warm)
+        warm_powers, seconds = warm()
         warm_seconds.append(seconds)
-    return cold, min(cold_seconds), warm, min(warm_seconds), warmup
+    return (cold_powers, min(cold_seconds), warm_powers, min(warm_seconds),
+            warmup)
 
 
 def _bench_error_signal(name: str, graph, workload: dict, speedup_key: str,
@@ -180,36 +211,36 @@ def _bench_error_signal(name: str, graph, workload: dict, speedup_key: str,
     """Payload of one error record of ``graph`` on a uniform white
     stimulus: the oracle's legacy loops
     (:func:`~repro.verify.legacy.legacy_error`, ``reference``) against
-    ``SimulationEvaluator.error_signal`` (``fast``), each timed by
-    :func:`_timed_warm`, after asserting both records bitwise identical.
+    ``SimulationEvaluator.error_signal`` (``fast``), each timed after
+    one untimed warm-up call, after asserting both records bitwise
+    identical.
 
-    The default side runs under ``memoization_disabled()``: the plan keeps
-    its last error record, so a repeated call on an unchanged plan would
-    otherwise time a memo hit.  :func:`_require_fixed_runs` then checks
-    ``plan.runs{mode=fixed}`` across its timed call.  The oracle keeps no
-    memo.
+    The default side's timed call runs on a fresh plan of ``graph``,
+    compiled outside the timer: the warm-up's plan keeps its error
+    record, so a repeated call there would time a memo hit.
+    :func:`_require_fixed_runs` then checks ``plan.runs{mode=fixed}``
+    across the timed call.  The oracle keeps no memo.
     """
-    from repro.analysis._engine import memoization_disabled
     from repro.analysis.simulation_method import SimulationEvaluator
     from repro.data.signals import uniform_white_noise
     from repro.obs import current, observe
+    from repro.sfg.plan import CompiledPlan
     from repro.verify.legacy import legacy_error
 
     stimulus = {"x": uniform_white_noise(samples, seed=seed)}
-    evaluator = SimulationEvaluator(graph)
     seconds: dict = {}
     warmup: dict = {}
     reference, seconds["reference"], warmup["reference"] = _timed_warm(
         legacy_error, graph, stimulus)
-    with memoization_disabled():
-        _, warmup["fast"] = _timed(evaluator.error_signal, stimulus)
-        with ExitStack() as stack:
-            # The active session's counter, else a metrics-only session.
-            session = current() or stack.enter_context(observe(trace=False))
-            runs = session.metrics.counter("plan.runs", mode="fixed")
-            before = runs.value
-            optimized, seconds["fast"] = _timed(evaluator.error_signal,
-                                                stimulus)
+    _, warmup["fast"] = _timed(SimulationEvaluator(graph).error_signal,
+                               stimulus)
+    evaluator = SimulationEvaluator(CompiledPlan(graph))
+    with ExitStack() as stack:
+        # The active session's counter, else a metrics-only session.
+        session = current() or stack.enter_context(observe(trace=False))
+        runs = session.metrics.counter("plan.runs", mode="fixed")
+        before = runs.value
+        optimized, seconds["fast"] = _timed(evaluator.error_signal, stimulus)
     _require_fixed_runs(name, runs.value - before)
     _require_bitwise(name, reference, optimized)
     return bench_payload(
@@ -317,8 +348,9 @@ def bench_incremental_reeval(samples: int | None = None, branches: int = 64,
 
     Replays the word-length optimizer's greedy candidate loop — one
     single-node edit, one evaluation — on one edit sequence, as cold full
-    walks (memoization disabled, the pre-memo cost) and as memoized
-    dirty-cone pulls, five of each alternating (:func:`_timed_replays`),
+    walks (the noise memo cleared before each evaluation, the pre-memo
+    cost) and as memoized dirty-cone pulls, five of each alternating
+    (:func:`_timed_replays`),
     asserting the per-candidate noise powers are bitwise identical before
     reporting the speedup of the fastest of each.
 
@@ -327,8 +359,7 @@ def bench_incremental_reeval(samples: int | None = None, branches: int = 64,
     binary adder tree), not stimulus-bound.
     """
     del samples, seed  # deterministic workload; kept for CLI uniformity
-    from repro.analysis._engine import memoization_disabled, plan_memo
-    from repro.analysis.psd_method import evaluate_psd
+    from repro.analysis._engine import plan_memo
     from repro.sfg.plan import compile_plan
     from repro.systems.families import build_scalability_bank
 
@@ -336,21 +367,8 @@ def bench_incremental_reeval(samples: int | None = None, branches: int = 64,
     plan = compile_plan(graph)
     count = min(candidates, branches)
     edits = [(f"branch{index}", 13 - index % 2) for index in range(count)]
-
-    def replay() -> list:
-        powers = []
-        with plan.preserve_quantization():
-            for name, bits in edits:
-                plan.requantize({name: bits})
-                powers.append(evaluate_psd(plan, n_psd).total_power)
-        return powers
-
-    def replay_cold() -> list:
-        with memoization_disabled():
-            return replay()
-
     cold_powers, cold_seconds, warm_powers, warm_seconds, warmup = \
-        _timed_replays(replay_cold, replay, lambda: evaluate_psd(plan, n_psd))
+        _timed_replays(plan, edits, n_psd)
     _require_bitwise("incremental_reeval", cold_powers, warm_powers)
     counters = plan_memo(plan).counters()
     return bench_payload(
@@ -381,7 +399,7 @@ def bench_fine_grained_search(samples: int | None = None, branches: int = 16,
 
     * a single fanout-tap edit (``x->branch_i``) re-evaluates in its
       dirty downstream cone, not the whole graph — replayed cold
-      (memoization disabled) vs warm, alternating as in
+      (the memo cleared before each evaluation) vs warm, alternating as in
       :func:`bench_incremental_reeval`, bitwise-identical powers required
       before the ``per_candidate`` speedup is reported;
     * at the same noise budget, the edge-granularity greedy search ends
@@ -394,7 +412,7 @@ def bench_fine_grained_search(samples: int | None = None, branches: int = 16,
     workload is graph-size-bound, not stimulus-bound.
     """
     del samples, seed  # deterministic workload; kept for CLI uniformity
-    from repro.analysis._engine import memoization_disabled, plan_memo
+    from repro.analysis._engine import plan_memo
     from repro.analysis.psd_method import evaluate_psd
     from repro.sfg.plan import compile_plan
     from repro.systems.families import build_scalability_bank
@@ -406,21 +424,8 @@ def bench_fine_grained_search(samples: int | None = None, branches: int = 16,
 
     count = min(candidates, branches)
     edits = [(f"x->branch{index}", 12 - index % 2) for index in range(count)]
-
-    def replay() -> list:
-        powers = []
-        with plan.preserve_quantization():
-            for key, bits in edits:
-                plan.requantize({key: bits})
-                powers.append(evaluate_psd(plan, n_psd).total_power)
-        return powers
-
-    def replay_cold() -> list:
-        with memoization_disabled():
-            return replay()
-
     cold_powers, cold_seconds, warm_powers, warm_seconds, warmup = \
-        _timed_replays(replay_cold, replay, lambda: evaluate_psd(plan, n_psd))
+        _timed_replays(plan, edits, n_psd)
     _require_bitwise("fine_grained_search", cold_powers, warm_powers)
     counters = plan_memo(plan).counters()
 

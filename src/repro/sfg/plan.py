@@ -1327,22 +1327,6 @@ class ConfigStack:
                 config, self._live_edge_bits.get(slot))
         return result
 
-    def coefficient_signatures(self) -> list[tuple]:
-        """Per-config tuples of effective coefficient precisions.
-
-        Configs with equal signatures share every frequency response and
-        transfer function — the grouping key used by the batched flat
-        method and the batched simulation (which share reference runs
-        within a group).  Only nodes whose behaviour actually quantizes
-        coefficients (gains, FIR taps, IIR coefficients) contribute;
-        coefficient-free nodes would otherwise split groups that share
-        identical transfer behaviour.
-        """
-        columns = [tuple(self.plan.coeff_key_for_bits(step, bits)
-                         for bits in self.bits(step))
-                   for step in self.plan.coefficient_steps]
-        return list(zip(*columns)) if columns else [()] * self.size
-
     def live_coefficient_signature(self) -> tuple:
         """The coefficient signature of the plan's live configuration.
 
@@ -1354,17 +1338,26 @@ class ConfigStack:
                          step, self._live_bits[step.index])
                      for step in self.plan.coefficient_steps)
 
-    def coefficient_groups(self) -> list[list[int]]:
-        """Config indices grouped by equal coefficient signature.
+    def coefficient_groups(self) -> dict[tuple, list[int]]:
+        """``{signature: config indices}``: the configs grouped by their
+        coefficient signature, the tuple of their effective coefficient
+        precisions, in order of first appearance.
 
         Within one group every transfer function, frequency response and
         double-precision reference behaviour is shared; only the noise
-        moments (and the fixed-point data paths) differ per member.
+        moments (and the fixed-point data paths) differ per member.  Only
+        nodes whose behaviour actually quantizes coefficients (gains, FIR
+        taps, IIR coefficients) contribute; coefficient-free nodes would
+        otherwise split groups that share identical transfer behaviour.
         """
+        columns = [tuple(self.plan.coeff_key_for_bits(step, bits)
+                         for bits in self.bits(step))
+                   for step in self.plan.coefficient_steps]
+        signatures = zip(*columns) if columns else [()] * self.size
         groups: dict[tuple, list[int]] = {}
-        for config, signature in enumerate(self.coefficient_signatures()):
+        for config, signature in enumerate(signatures):
             groups.setdefault(signature, []).append(config)
-        return list(groups.values())
+        return groups
 
     # ------------------------------------------------------------------
     # Per-row responses / gains (shared when every row has the same)

@@ -28,7 +28,6 @@ from dataclasses import astuple
 
 import numpy as np
 
-from repro.analysis._engine import memoization_enabled
 from repro.analysis.metrics import ed_deviation, noise_power
 from repro.analysis.simulation_method import content_digest
 from repro.fixedpoint.noise_model import NoiseStats, quantization_noise_stats
@@ -242,20 +241,17 @@ class Dwt97Codec:
 
         The codec keeps the last power it simulated: a repeated call on
         the same images, with the same word lengths, rounding, levels and
-        filters, returns it without running the codec (unless
-        :func:`~repro.analysis._engine.memoization_disabled` is active).
+        filters, returns it without running the codec.
         """
         images = _check_images(images)
-        key = self._power_key(images) if memoization_enabled() else None
-        if key is not None and self._power_memo is not None \
-                and self._power_memo[0] == key:
+        key = self._power_key(images)
+        if self._power_memo is not None and self._power_memo[0] == key:
             metric_inc("dwt.power_memo.hits")
             return self._power_memo[1]
         metric_inc("dwt.power_memo.misses")
         powers = [noise_power(self.error_image(image)) for image in images]
         power = float(np.mean(powers))
-        if key is not None:
-            self._power_memo = (key, power)
+        self._power_memo = (key, power)
         return power
 
     def _power_key(self, images: list[np.ndarray]) -> tuple:

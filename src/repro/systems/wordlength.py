@@ -30,10 +30,9 @@ one configuration-batched evaluation (``evaluate_*_batch``) of one-key
 deltas against that incumbent: the row-sparse batched walk computes each
 candidate's row only inside its own downstream cone and copies the
 memo's value everywhere else, so a round costs the sum of the
-candidates' cones rather than candidates x nodes.  Under
-:func:`~repro.analysis._engine.memoization_disabled` the same search runs
-on cold dense walks — bit-identical results, the honest baseline of the
-tests and benchmarks.
+candidates' cones rather than candidates x nodes.  The same search with
+every evaluation on a freshly compiled plan gives bit-identical results:
+the cold baseline of the tests and benchmarks.
 """
 
 from __future__ import annotations
@@ -102,9 +101,8 @@ class WordLengthResult:
     cone_recomputes:
         Memo pulls that re-propagated a dirty cone: the uniform-search
         points and the incumbent's move after each accepted round.
-        Both counters stay 0 under
-        :func:`~repro.analysis._engine.memoization_disabled` and for the
-        ``flat`` method, whose savings are path-function cache hits.
+        Both counters stay 0 for the ``flat`` method, whose savings are
+        path-function cache hits.
     """
 
     assignment: dict[str, int]

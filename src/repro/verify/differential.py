@@ -26,18 +26,18 @@ graphs of :mod:`repro.systems.random_graphs`):
    sequential requantize-and-evaluate loop, row for row, bit for bit
    (analytical engines and the Monte-Carlo reference), and a stack of
    one-key deltas against a random incumbent equals cold ``K = 1``
-   evaluations in raw bytes, signed zeros included — once, and again
-   after the plan takes one candidate's move, when the walks reuse the
-   first round's rows.  Check 2 is the independent anchor of both
-   sides;
+   evaluations on a freshly compiled plan in raw bytes, signed zeros
+   included — once, and again after the plan takes one candidate's
+   move, when the walks reuse the first round's rows.  Check 2 is the
+   independent anchor of both sides;
 5. **ed_band** — the proposed PSD estimate tracks the Monte-Carlo
    measurement within the paper's sub-one-bit ``Ed`` band
    ``(-300 %, +75 %)``;
 6. **incremental** — the memoized dirty-cone re-evaluation
    (:class:`~repro.analysis._engine.NoiseMemo`) stays *bitwise
-   identical* to a cold full walk across a seeded sequence of
-   ``requantize`` edits (multirate graphs included), against a freshly
-   compiled plan, and through the configuration-batched walks.
+   identical* to the cold walks of a freshly compiled plan across a
+   seeded sequence of ``requantize`` edits (multirate graphs included),
+   and so do the configuration-batched walks.
 
 Every check is exception-safe: an engine that crashes on a generated
 graph is reported as that check's failure (with the exception text), not
@@ -56,7 +56,7 @@ from repro.analysis.agnostic_method import (
     evaluate_agnostic,
     evaluate_agnostic_batch,
 )
-from repro.analysis._engine import memoization_disabled, plan_memo
+from repro.analysis._engine import plan_memo
 from repro.analysis.evaluator import AccuracyEvaluator
 from repro.analysis.flat_method import evaluate_flat, evaluate_flat_batch
 from repro.analysis.metrics import is_sub_one_bit
@@ -291,13 +291,14 @@ def _delta_walks(plan, n_psd, deltas) -> tuple:
 
 def _check_delta_rows(plan, n_psd, deltas, walks, label) -> None:
     """Each row of ``walks`` has the raw bytes of the cold scalar walk of
-    its delta on the plan as it stands."""
+    its delta on the plan as it stands, on a freshly compiled plan."""
     psd_stack, agnostic_stack = walks
     for index, delta in enumerate(deltas):
-        with plan.preserve_quantization(), memoization_disabled():
+        with plan.preserve_quantization():
             plan.requantize(delta, allow_enable=True)
-            scalar_psd = evaluate_psd(plan, n_psd)
-            scalar_stats = evaluate_agnostic(plan)
+            fresh = CompiledPlan(plan.graph)
+            scalar_psd = evaluate_psd(fresh, n_psd)
+            scalar_stats = evaluate_agnostic(fresh)
         _require(_same_bytes(psd_stack.ac[index], scalar_psd.ac)
                  and _same_bytes(psd_stack.mean[index], scalar_psd.mean),
                  f"{label}psd delta row {index} ({delta}) differs from the "
@@ -344,14 +345,21 @@ def _check_ed_band(graph, plan, *, seed, n_psd, ed_samples,
 
 def _check_incremental(graph, plan, *, seed, n_psd, batch_configs,
                        **options):
-    single_rate = not is_multirate(graph)
     edits = random_assignments(graph, seed + 3, 4, edges=True)
+    engines = {"psd": lambda system: evaluate_psd(system, n_psd),
+               "agnostic": evaluate_agnostic}
+    single_rate = not is_multirate(graph)
+    if single_rate:
+        engines["tracked"] = lambda system: evaluate_psd_tracked(system,
+                                                                 n_psd)
+        engines["flat"] = evaluate_flat
     memo = plan_memo(plan)
     with plan.preserve_quantization():
         # Warm every memo channel on the current quantization, then
         # replay a seeded requantize-edit sequence: each memoized pull
         # (recomputing only the edit's dirty downstream cone) must be
-        # bitwise identical to a cold full walk of the same state.
+        # bitwise identical to the cold walk of a freshly compiled plan
+        # of the same state, which has never seen the edit history.
         evaluate_psd(plan, n_psd)
         evaluate_agnostic(plan)
         if single_rate:
@@ -359,68 +367,36 @@ def _check_incremental(graph, plan, *, seed, n_psd, batch_configs,
         before = memo.counters()["cone_recomputes"]
         for index, assignment in enumerate(edits):
             plan.requantize(assignment, allow_enable=True)
-            warm_psd = evaluate_psd(plan, n_psd)
-            warm_stats = evaluate_agnostic(plan)
-            warm_tracked = (evaluate_psd_tracked(plan, n_psd)
-                            if single_rate else None)
-            warm_flat = evaluate_flat(plan) if single_rate else None
-            with memoization_disabled():
-                cold_psd = evaluate_psd(plan, n_psd)
-                cold_stats = evaluate_agnostic(plan)
-                cold_tracked = (evaluate_psd_tracked(plan, n_psd)
-                                if single_rate else None)
-                cold_flat = evaluate_flat(plan) if single_rate else None
-            _require(np.array_equal(warm_psd.ac, cold_psd.ac)
-                     and warm_psd.mean == cold_psd.mean,
-                     f"incremental psd after edit {index} differs from "
-                     "the cold full walk")
-            _require(warm_stats.mean == cold_stats.mean
-                     and warm_stats.variance == cold_stats.variance,
-                     f"incremental agnostic walk after edit {index} "
-                     "differs from the cold full walk")
-            if single_rate:
-                _require(np.array_equal(warm_tracked.ac, cold_tracked.ac)
-                         and warm_tracked.mean == cold_tracked.mean,
-                         f"incremental tracked walk after edit {index} "
-                         "differs from the cold full walk")
-                _require(warm_flat.mean == cold_flat.mean
-                         and warm_flat.variance == cold_flat.variance,
-                         f"memoized flat evaluation after edit {index} "
-                         "differs from the cold path composition")
+            fresh = CompiledPlan(graph)
+            for name, evaluate in engines.items():
+                _require(_same_fields(evaluate(plan), evaluate(fresh)),
+                         f"memoized {name} evaluation after edit {index} "
+                         "differs from a freshly compiled plan's")
         cones = memo.counters()["cone_recomputes"] - before
 
-        # A freshly compiled plan of the edited graph has never seen the
-        # edit history at all — its cold build must agree with the
-        # incrementally maintained state.
-        fresh = CompiledPlan(graph)
-        fresh_psd = evaluate_psd(fresh, n_psd)
-        final_psd = evaluate_psd(plan, n_psd)
-        _require(np.array_equal(final_psd.ac, fresh_psd.ac)
-                 and final_psd.mean == fresh_psd.mean,
-                 "incrementally maintained state differs from a freshly "
-                 "compiled plan")
-
         # The batched walks copy the memo's values outside each config's
-        # cone; the rows must still match the
-        # memo-blind batched evaluation bit for bit.
+        # cone and reuse the rows of earlier walks; the rows must still
+        # match a fresh plan's batched walk bit for bit.
         stacks = random_assignments(graph, seed + 4, batch_configs)
-        warm_psd_stack = evaluate_psd_batch(plan, n_psd, stacks)
-        warm_agnostic = evaluate_agnostic_batch(plan, stacks)
-        with memoization_disabled():
-            cold_psd_stack = evaluate_psd_batch(plan, n_psd, stacks)
-            cold_agnostic = evaluate_agnostic_batch(plan, stacks)
-        _require(np.array_equal(warm_psd_stack.ac, cold_psd_stack.ac)
-                 and np.array_equal(warm_psd_stack.mean,
-                                    cold_psd_stack.mean),
-                 "memoized psd batch walk differs from the memo-blind "
-                 "batched evaluation")
-        _require(np.array_equal(warm_agnostic.mean, cold_agnostic.mean)
-                 and np.array_equal(warm_agnostic.variance,
-                                    cold_agnostic.variance),
-                 "memoized agnostic batch walk differs from the "
-                 "memo-blind batched evaluation")
-    return (f"{len(edits)} edits bit-identical to cold walks "
+        fresh = CompiledPlan(graph)
+        _require(_same_fields(evaluate_psd_batch(plan, n_psd, stacks),
+                              evaluate_psd_batch(fresh, n_psd, stacks)),
+                 "memoized psd batch walk differs from a freshly compiled "
+                 "plan's")
+        _require(_same_fields(evaluate_agnostic_batch(plan, stacks),
+                              evaluate_agnostic_batch(fresh, stacks)),
+                 "memoized agnostic batch walk differs from a freshly "
+                 "compiled plan's")
+    return (f"{len(edits)} edits bit-identical to fresh plans "
             f"({cones} cone recomputes)")
+
+
+def _same_fields(a, b) -> bool:
+    """:func:`_same_bytes` on each of the two fields of a PSD (``ac``,
+    ``mean``) or of moments (``mean``, ``variance``)."""
+    fields = ("ac", "mean") if hasattr(a, "ac") else ("mean", "variance")
+    return all(_same_bytes(getattr(a, field), getattr(b, field))
+               for field in fields)
 
 
 _CHECKS = {

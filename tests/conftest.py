@@ -32,24 +32,23 @@ def sequential_rounds(monkeypatch):
 
     Calling the returned function swaps the optimizer's batched round
     evaluators for one requantize + cold scalar evaluation per candidate
-    (memoization disabled, quantization restored after each) — the
+    (on a freshly compiled plan, quantization restored after each) — the
     baseline the row-sparse batched rounds must reproduce bit for bit.
     """
     from types import SimpleNamespace
 
     import repro.analysis.evaluator as evaluator
-    from repro.analysis._engine import memoization_disabled
     from repro.analysis.agnostic_method import evaluate_agnostic
     from repro.analysis.flat_method import evaluate_flat
     from repro.analysis.psd_method import evaluate_psd
+    from repro.sfg.plan import CompiledPlan
 
     def one_by_one(evaluate, plan, deltas, *options):
         rows = []
-        with memoization_disabled():
-            for delta in deltas:
-                with plan.preserve_quantization():
-                    plan.requantize(delta)
-                    rows.append(evaluate(plan, *options))
+        for delta in deltas:
+            with plan.preserve_quantization():
+                plan.requantize(delta)
+                rows.append(evaluate(CompiledPlan(plan.graph), *options))
         return rows
 
     def stacked(rows):
@@ -72,5 +71,30 @@ def sequential_rounds(monkeypatch):
                             stats_rounds(evaluate_flat))
         monkeypatch.setattr(evaluator, "evaluate_agnostic_batch",
                             stats_rounds(evaluate_agnostic))
+
+    return activate
+
+
+@pytest.fixture
+def fresh_plan_search(monkeypatch):
+    """Switch the word-length search to fresh plans.
+
+    Calling the returned function makes every evaluation of the
+    optimizer — its uniform search's and its greedy rounds' — run on a
+    freshly compiled plan of the graph it searches: no noise memo, kept
+    row or response cache carries over from one evaluation to the next.
+    """
+    from repro.sfg.plan import CompiledPlan
+    from repro.systems import wordlength
+
+    def on_a_fresh_plan(estimate):
+        def fresh(plan, *args):
+            return estimate(CompiledPlan(plan.graph), *args)
+        return fresh
+
+    def activate():
+        for name in ("estimate_noise", "estimate_noise_batch"):
+            monkeypatch.setattr(wordlength, name,
+                                on_a_fresh_plan(getattr(wordlength, name)))
 
     return activate

@@ -7,13 +7,12 @@ same floating-point operations as the scalar walk of that configuration,
 so the comparisons below use strict equality, not tolerances.
 """
 
-from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.analysis._engine import memoization_disabled, plan_memo, walk_psd
+from repro.analysis._engine import plan_memo, walk_psd
 from repro.analysis.agnostic_method import (
     evaluate_agnostic,
     evaluate_agnostic_batch,
@@ -210,7 +209,7 @@ class TestSimulationBatch:
         stack = plan.config_stack([
             {"x": 12}, {"x": 10}, {"x": 8},
         ])
-        assert stack.coefficient_groups() == [[0, 1, 2]]
+        assert list(stack.coefficient_groups().values()) == [[0, 1, 2]]
 
     def test_coefficient_tracking_nodes_split_groups(self):
         graph = _cascade_graph()
@@ -219,7 +218,7 @@ class TestSimulationBatch:
         stack = plan.config_stack([
             {"f1": 12}, {"f1": 10}, {"f1": 12, "x": 9},
         ])
-        assert stack.coefficient_groups() == [[0, 2], [1]]
+        assert list(stack.coefficient_groups().values()) == [[0, 2], [1]]
 
 
 def _bitwise(a, b) -> bool:
@@ -277,10 +276,11 @@ class TestRowSparseWalk:
         assert (after["rows_copied"] - before["rows_copied"]
                 == 2 * (len(deltas) * len(plan.steps) - cones))
         for k, delta in enumerate(deltas):
-            with plan.preserve_quantization(), memoization_disabled():
+            with plan.preserve_quantization():
                 plan.requantize(delta, allow_enable=True)
-                scalar_psd = evaluate_psd(plan, COMPATIBLE_N_PSD)
-                scalar_stats = evaluate_agnostic(plan)
+                fresh = CompiledPlan(plan.graph)
+                scalar_psd = evaluate_psd(fresh, COMPATIBLE_N_PSD)
+                scalar_stats = evaluate_agnostic(fresh)
             assert _bitwise(psd.ac[k], scalar_psd.ac), delta
             assert _bitwise(psd.mean[k], scalar_psd.mean), delta
             assert _bitwise(stats.mean[k], scalar_stats.mean), delta
@@ -312,27 +312,15 @@ class TestRowSparseWalk:
         builder.output("y", builder.gain("g", -0.5, x))
         plan = compile_plan(builder.build())
         deltas = [{"x": 9}, {"x": 9, "g": 10}]
-        for memoized in (True, False):
-            with nullcontext() if memoized else memoization_disabled():
-                psd = evaluate_psd_batch(plan, 16, deltas)
-                stats = evaluate_agnostic_batch(plan, deltas)
-            assert np.signbit(psd.mean[0]) and np.signbit(stats.mean[0])
-            for k, delta in enumerate(deltas):
-                with plan.preserve_quantization(), memoization_disabled():
-                    plan.requantize(delta, allow_enable=True)
-                    assert _bitwise(psd.mean[k], evaluate_psd(plan, 16).mean)
-                    assert _bitwise(stats.mean[k],
-                                    evaluate_agnostic(plan).mean)
-
-    def test_disabled_memo_computes_every_row(self):
-        plan = compile_plan(build_scalability_bank(branches=4))
-        deltas = [{"branch0": 9}, {}]
-        warm = evaluate_psd_batch(plan, 64, deltas)
-        counters = plan_memo(plan).counters()
-        with memoization_disabled():
-            cold = evaluate_psd_batch(plan, 64, deltas)
-        assert plan_memo(plan).counters() == counters
-        assert _bitwise(warm.ac, cold.ac) and _bitwise(warm.mean, cold.mean)
+        psd = evaluate_psd_batch(plan, 16, deltas)
+        stats = evaluate_agnostic_batch(plan, deltas)
+        assert np.signbit(psd.mean[0]) and np.signbit(stats.mean[0])
+        for k, delta in enumerate(deltas):
+            with plan.preserve_quantization():
+                plan.requantize(delta, allow_enable=True)
+                fresh = CompiledPlan(plan.graph)
+                assert _bitwise(psd.mean[k], evaluate_psd(fresh, 16).mean)
+                assert _bitwise(stats.mean[k], evaluate_agnostic(fresh).mean)
 
 
 def _same_bytes(a, b) -> bool:
@@ -346,20 +334,19 @@ class TestLevelWalk:
     """The batched walks run the plan's level groups, one rule
     application per group written in place into rows that later walks
     reuse; every row keeps the raw bytes of its config's cold scalar
-    walk, memoized (row-sparse) and dense."""
+    walk, on the plan and on a fresh one."""
 
     @staticmethod
     def _check(plan, deltas, n_psd):
-        batches = []
-        for memoized in (True, False):
-            with nullcontext() if memoized else memoization_disabled():
-                batches.append((evaluate_psd_batch(plan, n_psd, deltas),
-                                evaluate_agnostic_batch(plan, deltas)))
+        batches = [(evaluate_psd_batch(system, n_psd, deltas),
+                    evaluate_agnostic_batch(system, deltas))
+                   for system in (plan, CompiledPlan(plan.graph))]
         for k, delta in enumerate(deltas):
-            with plan.preserve_quantization(), memoization_disabled():
+            with plan.preserve_quantization():
                 plan.requantize(delta, allow_enable=True)
-                psd = evaluate_psd(plan, n_psd)
-                stats = evaluate_agnostic(plan)
+                fresh = CompiledPlan(plan.graph)
+                psd = evaluate_psd(fresh, n_psd)
+                stats = evaluate_agnostic(fresh)
             for batch_psd, batch_stats in batches:
                 assert _same_bytes(batch_psd.ac[k], psd.ac), delta
                 assert _same_bytes(batch_psd.mean[k], psd.mean), delta
@@ -401,11 +388,10 @@ class TestLevelWalk:
         snapshot = [held.ac.tobytes(), held.mean.tobytes(),
                     scalar.ac.tobytes()] + [
             value.ac.tobytes() + value.mean.tobytes() for value in memo]
-        # Later walks on the same plan reuse its rows: other stacks,
-        # memoized and dense, and an accepted move.
+        # Later walks on the same plan reuse its rows: other stacks and
+        # an accepted move.
         evaluate_psd_batch(plan, 64, [{"branch1": 8}, {}, {"x": 7}])
-        with memoization_disabled():
-            evaluate_psd_batch(plan, 64, [{"branch2": 11}, {"branch0": 6}])
+        evaluate_psd_batch(plan, 64, [{"branch2": 11}, {"branch0": 6}])
         plan.requantize({"branch3": 10})
         evaluate_psd_batch(plan, 64, [{"branch4": 9}, {"x": 9}])
         assert snapshot == [held.ac.tobytes(), held.mean.tobytes(),
@@ -421,7 +407,8 @@ class TestLevelWalk:
             [1, 64, 32, 16, 8, 4, 2, 1, 1]
         assert [group.steps for group in chain.levels] == \
             [(step,) for step in chain.steps]
-        with observe() as session, memoization_disabled():
+        with observe() as session:
+            # The input's cone is the whole graph: every level computes.
             evaluate_psd_batch(bank, 64, [{}, {"x": 9}])
             evaluate_agnostic_batch(chain, [{}, {"x": 9}])
         assert [entry["attrs"]["groups"]
@@ -441,13 +428,13 @@ def _tapped_graph():
 class TestCrossRoundReuse:
     """A batched walk keeps its rows for the next one, which reuses them
     in place for every config of the same deviation whose upstream no
-    rebuild touched: every greedy round keeps the raw bytes of a dense
-    walk on a fresh plan."""
+    rebuild touched: every greedy round keeps the raw bytes of a
+    batched walk on a fresh plan."""
 
     @staticmethod
     def _replay(monkeypatch, graph, granularity, n_psd, edits):
         """Optimize ``graph`` and check each greedy round's batched walks
-        against ``memoization_disabled()`` dense walks on a fresh plan;
+        against the batched walks of a fresh plan, which keeps no row;
         ``edits`` maps a round to an edit of the graph made before it.
         Returns the rows each round's walks reused."""
         real = wordlength.estimate_noise_batch
@@ -462,13 +449,12 @@ class TestCrossRoundReuse:
             stats = evaluate_agnostic_batch(plan, deltas)
             reused.append(memo.counters()["rows_reused"] - before)
             fresh = CompiledPlan(graph)
-            with memoization_disabled():
-                dense_psd = evaluate_psd_batch(fresh, n_psd, deltas)
-                dense_stats = evaluate_agnostic_batch(fresh, deltas)
-            assert _same_bytes(psd.ac, dense_psd.ac), len(reused)
-            assert _same_bytes(psd.mean, dense_psd.mean), len(reused)
-            assert _same_bytes(stats.mean, dense_stats.mean), len(reused)
-            assert _same_bytes(stats.variance, dense_stats.variance), \
+            fresh_psd = evaluate_psd_batch(fresh, n_psd, deltas)
+            fresh_stats = evaluate_agnostic_batch(fresh, deltas)
+            assert _same_bytes(psd.ac, fresh_psd.ac), len(reused)
+            assert _same_bytes(psd.mean, fresh_psd.mean), len(reused)
+            assert _same_bytes(stats.mean, fresh_stats.mean), len(reused)
+            assert _same_bytes(stats.variance, fresh_stats.variance), \
                 len(reused)
             return real(plan, method, n_psd, deltas)
 
@@ -487,7 +473,7 @@ class TestCrossRoundReuse:
         (build_polyphase_decimator, "node", 64),
         (_tapped_graph, "node", COMPATIBLE_N_PSD),
     ], ids=["bank-node", "bank-edge", "chain", "polyphase", "tapped"])
-    def test_greedy_rounds_equal_dense_walks(self, monkeypatch, build,
+    def test_greedy_rounds_equal_fresh_plans(self, monkeypatch, build,
                                              granularity, n_psd):
         graph = build()
         firs = [node for node in graph.nodes.values()
@@ -538,15 +524,14 @@ class TestCrossRoundReuse:
         assert len(plan.steps_dirty_since(epoch)) == 0
         assert plan.steps_rebuilt_since(epoch).tolist() == \
             [plan.index_of[node.name]]
-        with memoization_disabled():
-            fresh = CompiledPlan(graph)
-            dense = (evaluate_psd_batch(fresh, 64, deltas),
-                     evaluate_agnostic_batch(fresh, deltas))
-        (psd, stats), (dense_psd, dense_stats) = second, dense
-        assert _same_bytes(psd.ac, dense_psd.ac)
-        assert _same_bytes(psd.mean, dense_psd.mean)
-        assert _same_bytes(stats.mean, dense_stats.mean)
-        assert _same_bytes(stats.variance, dense_stats.variance)
+        fresh = CompiledPlan(graph)
+        psd, stats = second
+        fresh_psd = evaluate_psd_batch(fresh, 64, deltas)
+        fresh_stats = evaluate_agnostic_batch(fresh, deltas)
+        assert _same_bytes(psd.ac, fresh_psd.ac)
+        assert _same_bytes(psd.mean, fresh_psd.mean)
+        assert _same_bytes(stats.mean, fresh_stats.mean)
+        assert _same_bytes(stats.variance, fresh_stats.variance)
         assert not _same_bytes(second[0].ac, first[0].ac)
 
     def test_the_span_and_counters_split_the_rows(self):
@@ -558,9 +543,9 @@ class TestCrossRoundReuse:
             evaluate_psd_batch(plan, 64, deltas)
             plan.requantize({"branch0": 11})
             evaluate_psd_batch(plan, 64, deltas)
-            with memoization_disabled():
-                evaluate_psd_batch(plan, 64, deltas)
-        first, second, dense = [
+            plan_memo(plan).clear()
+            evaluate_psd_batch(plan, 64, deltas)
+        first, second, cleared = [
             entry["attrs"] for entry in session.trace.snapshot()
             if entry["name"] == "analysis.walk_batch"]
         assert (first["rows_computed"], first["rows_reused"]) == (cones, 0)
@@ -568,11 +553,12 @@ class TestCrossRoundReuse:
         # config recomputes only the steps downstream of branch0.
         assert second["rows_reused"] > 0
         assert second["rows_computed"] + second["rows_reused"] < cones
-        assert (dense["rows_computed"], dense["rows_reused"]) == \
-            (len(deltas) * len(plan.steps), 0)
+        # A cleared memo keeps no row: every cone is computed again.
+        assert (cleared["rows_computed"], cleared["rows_reused"]) == \
+            (sum(_cone_size(plan, delta) for delta in deltas), 0)
         counters = plan_memo(plan).counters()
-        assert counters["rows_computed"] == \
-            first["rows_computed"] + second["rows_computed"]
+        assert counters["rows_computed"] == first["rows_computed"] \
+            + second["rows_computed"] + cleared["rows_computed"]
         assert counters["rows_reused"] == second["rows_reused"]
 
     def test_the_store_keeps_only_the_last_walks_rows(self, monkeypatch):
@@ -608,8 +594,7 @@ class TestCrossRoundReuse:
                 for entry in session.trace.snapshot()
                 if entry["name"] == "analysis.walk_batch"] == \
             [(cones, 0), (cones, 0), (0, cones)]
-        with memoization_disabled():
-            dense = evaluate_psd_batch(CompiledPlan(graph), 32, deltas)
+        fresh = evaluate_psd_batch(CompiledPlan(graph), 32, deltas)
         for value in (coarse, again):
-            assert _same_bytes(value.ac, dense.ac)
-            assert _same_bytes(value.mean, dense.mean)
+            assert _same_bytes(value.ac, fresh.ac)
+            assert _same_bytes(value.mean, fresh.mean)

@@ -2,11 +2,12 @@
 
 The differential ``incremental`` check fuzzes the contract over random
 graphs; this suite pins the pieces on hand-built systems: the plan's
-epoch / dirty-cone machinery, the :class:`NoiseMemo` pull rules and
-counters, bitwise identity of cone recomputes against cold walks, the
-memo-backed batched walks, the scoped :func:`memoization_disabled`
-toggle, the flat method's path-function cache and the simulation
-evaluator's reference-run memo.
+epoch / dirty-cone machinery, the :class:`NoiseMemo` pull rules,
+counters and :meth:`~NoiseMemo.clear`, bitwise identity of cone
+recomputes against the cold walks of a fresh plan, the memo-backed
+batched walks, the flat method's path-function cache, the simulation
+evaluator's reference-run and last-measurement memos, and every memo
+against a fresh plan over one edit sequence.
 """
 
 from dataclasses import replace
@@ -14,11 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.analysis._engine import (
-    memoization_disabled,
-    memoization_enabled,
-    plan_memo,
-)
+from repro.analysis._engine import plan_memo
 from repro.analysis.agnostic_method import (
     evaluate_agnostic,
     evaluate_agnostic_batch,
@@ -30,10 +27,14 @@ from repro.analysis.psd_method import (
     evaluate_psd_batch,
     evaluate_psd_tracked,
 )
-from repro.analysis.simulation_method import SimulationEvaluator
+from repro.analysis.simulation_method import (
+    SimulationEvaluator,
+    SimulationResult,
+)
 from repro.data.signals import uniform_white_noise
 from repro.fixedpoint.quantizer import RoundingMode
 from repro.lti.fir_design import design_fir_highpass, design_fir_lowpass
+from repro.lti.transfer_function import TransferFunction
 from repro.obs import observe
 from repro.sfg.builder import SfgBuilder
 from repro.sfg.plan import CompiledPlan, compile_plan
@@ -117,10 +118,10 @@ class TestNoiseMemoPulls:
         warm_psd = evaluate_psd(plan, 64)
         warm_stats = evaluate_agnostic(plan)
         warm_tracked = evaluate_psd_tracked(plan, 64)
-        with memoization_disabled():
-            cold_psd = evaluate_psd(plan, 64)
-            cold_stats = evaluate_agnostic(plan)
-            cold_tracked = evaluate_psd_tracked(plan, 64)
+        fresh = CompiledPlan(plan.graph)
+        cold_psd = evaluate_psd(fresh, 64)
+        cold_stats = evaluate_agnostic(fresh)
+        cold_tracked = evaluate_psd_tracked(fresh, 64)
         assert np.array_equal(warm_psd.ac, cold_psd.ac)
         assert warm_psd.mean == cold_psd.mean
         assert warm_stats.mean == cold_stats.mean
@@ -155,8 +156,7 @@ class TestNoiseMemoPulls:
         warm = evaluate_psd(plan, 64)
         assert memo.counters()["steps_recomputed"] - built \
             == len(plan.steps) - 1
-        with memoization_disabled():
-            cold = evaluate_psd(plan, 64)
+        cold = evaluate_psd(CompiledPlan(plan.graph), 64)
         assert np.array_equal(warm.ac, cold.ac)
         assert warm.mean == cold.mean
 
@@ -165,8 +165,7 @@ class TestNoiseMemoPulls:
         evaluate_psd(plan, 64)
         plan.requantize({"g0": 9})
         warm = evaluate_psd(plan, 64)
-        with memoization_disabled():
-            cold = evaluate_psd(plan, 64)
+        cold = evaluate_psd(CompiledPlan(plan.graph), 64)
         assert np.array_equal(warm.ac, cold.ac)
         assert warm.mean == cold.mean
 
@@ -192,13 +191,12 @@ class TestScalabilityChain:
 
 
 class TestBatchedWalksWithMemo:
-    def test_batch_rows_match_memo_blind_batch_bitwise(self):
+    def test_batch_rows_match_a_fresh_plans_batch_bitwise(self):
         plan = compile_plan(_fork_graph())
         evaluate_psd(plan, 64)  # warm the scalar memo the batch broadcasts
         assignments = [{"hp": 9}, {"hp": 12, "g": 7}, {}]
         warm = evaluate_psd_batch(plan, 64, assignments)
-        with memoization_disabled():
-            cold = evaluate_psd_batch(plan, 64, assignments)
+        cold = evaluate_psd_batch(CompiledPlan(plan.graph), 64, assignments)
         assert np.array_equal(warm.ac, cold.ac)
         assert np.array_equal(warm.mean, cold.mean)
 
@@ -215,21 +213,73 @@ class TestBatchedWalksWithMemo:
         assert stack.mean[0] == scalar.mean
 
 
-class TestMemoizationToggle:
-    def test_scoped_and_reentrant(self):
-        assert memoization_enabled()
-        with memoization_disabled():
-            assert not memoization_enabled()
-            with memoization_disabled():
-                assert not memoization_enabled()
-            assert not memoization_enabled()
-        assert memoization_enabled()
+class TestMemoClear:
+    """``NoiseMemo.clear`` forgets every value and keeps the counters and
+    the plan's responses: the cold side of the timing baselines."""
 
-    def test_disabled_walks_do_not_touch_the_memo(self):
+    def test_next_pull_is_a_cold_walk_with_the_same_bytes(self,
+                                                           monkeypatch):
         plan = compile_plan(_fork_graph())
-        with memoization_disabled():
-            evaluate_psd(plan, 64)
-        assert plan_memo(plan).counters()["full_walks"] == 0
+        memo = plan_memo(plan)
+        warm = evaluate_psd(plan, 64)
+        evaluate_flat(plan)
+        evaluate_psd_batch(plan, 64, [{"hp": 9}])
+        before = memo.counters()
+        memo.clear()
+        assert memo.counters() == before
+        assert not memo.path_functions and not memo.stores
+        responses = []
+        real = TransferFunction.frequency_response
+        monkeypatch.setattr(
+            TransferFunction, "frequency_response",
+            lambda tf, *args: responses.append(tf) or real(tf, *args))
+        cold = evaluate_psd(plan, 64)
+        after = memo.counters()
+        assert after["full_walks"] == before["full_walks"] + 1
+        assert after["cone_recomputes"] == before["cone_recomputes"]
+        assert responses == []  # the plan's response caches stay warm
+        assert _same_bits(cold.ac, warm.ac)
+        assert cold.mean.hex() == warm.mean.hex()
+
+    def test_cleared_batch_walk_reuses_no_row(self):
+        plan = compile_plan(_fork_graph())
+        deltas = [{"hp": 9}, {"g": 8}]
+        warm = evaluate_psd_batch(plan, 64, deltas)
+        plan_memo(plan).clear()
+        with observe() as session:
+            cold = evaluate_psd_batch(plan, 64, deltas)
+        (walk,) = [entry["attrs"] for entry in session.trace.snapshot()
+                   if entry["name"] == "analysis.walk_batch"]
+        assert walk["rows_reused"] == 0 and walk["rows_computed"] > 0
+        assert _same_bits(cold.ac, warm.ac)
+        assert _same_bits(cold.mean, warm.mean)
+
+
+class TestPublishedResults:
+    """What the evaluations hand back cannot reach the memo."""
+
+    def test_evaluate_psd_bins_are_read_only(self):
+        graph = build_scalability_bank(branches=8)
+        psd = evaluate_psd(graph, 64)
+        with pytest.raises(ValueError, match="read-only"):
+            psd.ac *= 2
+        again = evaluate_psd(graph, 64)
+        fresh = evaluate_psd(CompiledPlan(graph), 64)
+        assert _same_bits(again.ac, fresh.ac)
+        assert again.mean.hex() == fresh.mean.hex()
+
+    def test_tracked_and_batched_results_are_the_callers(self):
+        graph = build_scalability_bank(branches=8)
+        deltas = [{"branch0": 9}, {}]
+        for evaluate in (lambda system: evaluate_psd_tracked(system, 64),
+                         lambda system: evaluate_psd_batch(system, 64,
+                                                           deltas)):
+            mine = evaluate(graph)
+            mine.ac *= 2
+            again = evaluate(graph)
+            fresh = evaluate(CompiledPlan(graph))
+            assert _same_bits(again.ac, fresh.ac)
+            assert not _same_bits(mine.ac, fresh.ac)
 
 
 _EVALUATIONS = {
@@ -273,8 +323,7 @@ class TestOneRefreshPerEvaluation:
         node = plan.graph.node("hp")
         node.quantization = node.quantization.with_fractional_bits(8)
         after = evaluate_psd(plan, 64)
-        with memoization_disabled():
-            cold = evaluate_psd(plan, 64)
+        cold = evaluate_psd(CompiledPlan(plan.graph), 64)
         assert after.total_power > before.total_power
         np.testing.assert_array_equal(after.ac, cold.ac)
 
@@ -319,12 +368,6 @@ class TestFlatPathFunctionCache:
         _flat_paths(plan)
         assert len(plan_memo(plan).path_functions) == 2
 
-    def test_disabled_bypasses_the_cache(self):
-        plan = compile_plan(_fork_graph())
-        with memoization_disabled():
-            _flat_paths(plan)
-        assert len(plan_memo(plan).path_functions) == 0
-
     def test_requantizing_an_input_keeps_the_entry(self):
         # An input rounds no coefficients, so its word length is no part
         # of the fingerprint and the requantize loop keeps hitting one
@@ -357,6 +400,12 @@ def _same_bits(a, b) -> bool:
             and a.tobytes() == b.tobytes())
 
 
+def _fresh_evaluator(plan) -> SimulationEvaluator:
+    """An evaluator on a freshly compiled plan of ``plan``'s graph: no
+    reference run or error record of ``plan`` reaches it."""
+    return SimulationEvaluator(CompiledPlan(plan.graph))
+
+
 class TestSimulationReferenceMemo:
     def _evaluator_and_stimulus(self):
         plan = compile_plan(_fork_graph())
@@ -376,8 +425,7 @@ class TestSimulationReferenceMemo:
         calls = _count_runs(monkeypatch, plan)
         edited = evaluator.error_signal(stimulus)
         assert calls == {"double": 0, "fixed": 1}
-        with memoization_disabled():
-            cold = evaluator.error_signal(stimulus)
+        cold = _fresh_evaluator(plan).error_signal(stimulus)
         assert _same_bits(edited, cold)
 
     @pytest.mark.parametrize("node", ["x", "sum"])
@@ -393,8 +441,7 @@ class TestSimulationReferenceMemo:
             edited = evaluator.error_signal(stimulus)
         assert calls == {"double": 0, "fixed": 1}
         assert session.metrics.flattened()["sim.reference_memo.hits"] == 1
-        with memoization_disabled():
-            cold = evaluator.error_signal(stimulus)
+        cold = _fresh_evaluator(plan).error_signal(stimulus)
         assert _same_bits(edited, cold)
 
     def test_coefficient_rounding_requantize_reruns_reference(
@@ -407,13 +454,12 @@ class TestSimulationReferenceMemo:
         evaluator.error_signal(stimulus)
         assert calls == {"double": 1, "fixed": 1}
 
-    def test_memo_results_match_disabled_runs_bitwise(self):
+    def test_memo_results_match_a_fresh_plan_bitwise(self):
         plan, evaluator, stimulus = self._evaluator_and_stimulus()
         evaluator.error_signal(stimulus)  # prime the reference memo
         memoized = evaluator.error_signal(stimulus)
-        with memoization_disabled():
-            cold = evaluator.error_signal(stimulus)
-        assert np.array_equal(memoized, cold)
+        cold = _fresh_evaluator(plan).error_signal(stimulus)
+        assert _same_bits(memoized, cold)
 
     def test_different_stimulus_misses(self, monkeypatch):
         plan, evaluator, stimulus = self._evaluator_and_stimulus()
@@ -429,21 +475,21 @@ class TestSimulationReferenceMemo:
         evaluator.error_signal(stimulus)
         plan.graph.node("g").gain = 0.75
         memoized = evaluator.error_signal(stimulus)
-        with memoization_disabled():
-            cold = evaluator.error_signal(stimulus)
-        assert np.array_equal(memoized, cold)
+        cold = _fresh_evaluator(plan).error_signal(stimulus)
+        assert _same_bits(memoized, cold)
 
-    def test_disabled_batch_runs_double_once_per_coefficient_group(
+    def test_fresh_batch_runs_double_once_per_coefficient_group(
             self, monkeypatch):
         # hp's coefficients follow its data word length, so the two hp
         # widths form two coefficient groups; the input widths share one.
-        plan, evaluator, stimulus = self._evaluator_and_stimulus()
+        # A fresh plan has no reference run to reuse.
+        plan, _, stimulus = self._evaluator_and_stimulus()
         assignments = [{"x": 10}, {"x": 8}, {"hp": 9}, {"hp": 9, "x": 8}]
-        assert plan.config_stack(assignments).coefficient_groups() == \
-            [[0, 1], [2, 3]]
-        calls = _count_runs(monkeypatch, plan)
-        with memoization_disabled():
-            evaluator.evaluate_batch(assignments, stimulus)
+        assert list(plan.config_stack(assignments).coefficient_groups()
+                    .values()) == [[0, 1], [2, 3]]
+        fresh = CompiledPlan(plan.graph)
+        calls = _count_runs(monkeypatch, fresh)
+        SimulationEvaluator(fresh).evaluate_batch(assignments, stimulus)
         assert calls["double"] == 2
 
 
@@ -515,8 +561,7 @@ class TestSimulationErrorMemo:
             memoized = evaluator.error_signal(**call)
         assert calls["fixed"] == 1
         assert session.metrics.flattened()["sim.error_memo.misses"] == 1
-        with memoization_disabled():
-            cold = evaluator.error_signal(**call)
+        cold = _fresh_evaluator(plan).error_signal(**call)
         assert _same_bits(memoized, cold)
 
     def test_compare_at_two_resolutions_runs_one_fixed_run(self, monkeypatch):
@@ -524,22 +569,23 @@ class TestSimulationErrorMemo:
         stimulus = uniform_white_noise(4096, seed=5)
         calls = _count_runs(monkeypatch, system.evaluator.plan)
 
-        def measure():
+        def measure(make):
             # compare measures the power only; the error PSD at each
             # resolution comes from simulate on the same stimulus.
-            comparisons = [system.compare(stimulus, methods=("psd",),
+            comparisons = [make().compare(stimulus, methods=("psd",),
                                           n_psd=n_psd)
                            for n_psd in (16, 1024)]
-            psds = [system.evaluator.simulate(
+            psds = [make().evaluator.simulate(
                 {"x": stimulus}, n_psd=n_psd, discard_transient=64).error_psd
                 for n_psd in (16, 1024)]
             return [c.simulation for c in comparisons], psds
 
-        memoized, memoized_psds = measure()
+        memoized, memoized_psds = measure(lambda: system)
         assert calls == {"double": 1, "fixed": 1}
         assert all(warm.error_psd is None for warm in memoized)
-        with memoization_disabled():
-            cold, cold_psds = measure()
+        # Every cold measurement runs on a system of its own.
+        cold, cold_psds = measure(lambda: FrequencyDomainFilter(
+            fractional_bits=12, n_psd=1024))
         for warm, fresh in zip(memoized, cold):
             assert warm.error_power == fresh.error_power
             assert warm.error_mean == fresh.error_mean
@@ -547,24 +593,11 @@ class TestSimulationErrorMemo:
             assert _same_bits(warm.ac, fresh.ac)
             assert warm.mean == fresh.mean
 
-    def test_disabled_neither_reads_nor_stores(self, monkeypatch):
-        plan, evaluator, stimulus = self._setup()
-        calls = _count_runs(monkeypatch, plan)
-        with memoization_disabled():
-            cold = evaluator.error_signal(stimulus, output="y")
-        memoized = evaluator.error_signal(stimulus, output="y")
-        assert calls["fixed"] == 2  # the disabled call stored nothing
-        with memoization_disabled():
-            evaluator.error_signal(stimulus, output="y")
-        assert calls["fixed"] == 3  # and a disabled call reads nothing
-        assert _same_bits(cold, memoized)
-
     def test_records_are_read_only(self):
         plan, evaluator, stimulus = self._setup()
-        with memoization_disabled():
-            cold = evaluator.error_signal(stimulus, output="y")
+        measured = evaluator.error_signal(stimulus, output="y")
         memoized = evaluator.error_signal(stimulus, output="y")
-        for record in (cold, memoized):
+        for record in (measured, memoized):
             assert not record.flags.writeable
             with pytest.raises(ValueError):
                 record[0] = 1.0
@@ -582,3 +615,72 @@ class TestSimulationErrorMemo:
         assert calls["fixed"] == 2
         assert again is measured
         assert batch[0].error_power == noise_power(measured)
+
+
+def _requantize_coefficients(plan):
+    # hp's coefficients follow its data word length.
+    plan.requantize({"hp": 9})
+    return {}
+
+
+def _raw(value) -> bytes:
+    """Raw bytes of an evaluation's result: a PSD, moments, an error
+    record or a list of simulation results."""
+    if isinstance(value, list):
+        return b"".join(_raw(item) for item in value)
+    if isinstance(value, SimulationResult):
+        fields = (value.error_power, value.error_mean)
+    elif hasattr(value, "ac"):
+        fields = (value.ac, value.mean)
+    elif hasattr(value, "variance"):
+        fields = (value.mean, value.variance)
+    else:
+        fields = (value,)
+    return b"".join(np.asarray(field).tobytes() for field in fields)
+
+
+class TestMemosEqualFreshPlans:
+    """After each edit of one sequence, every memoized answer of a plan —
+    the psd, stats and tracked channels, the flat path functions, the
+    batched walks' kept rows, the reference-run and last-measurement
+    memos — has the raw bytes of a freshly compiled plan's."""
+
+    _DELTAS = [{"hp": 8}, {"g": 9}, {"lp->hp": 7}, {"x": 11}, {}]
+
+    @classmethod
+    def _answers(cls, plan, stimulus) -> dict:
+        evaluator = SimulationEvaluator(plan)
+        return {
+            "psd": evaluate_psd(plan, 64),
+            "stats": evaluate_agnostic(plan),
+            "tracked": evaluate_psd_tracked(plan, 64),
+            "flat": evaluate_flat(plan),
+            "psd_batch": evaluate_psd_batch(plan, 64, cls._DELTAS),
+            "stats_batch": evaluate_agnostic_batch(plan, cls._DELTAS),
+            "error": evaluator.error_signal(stimulus),
+            "simulated_batch": evaluator.evaluate_batch(cls._DELTAS[:2],
+                                                        stimulus),
+        }
+
+    def test_edit_sequence(self):
+        plan = compile_plan(_fork_graph())
+        stimulus = {"x": uniform_white_noise(512, seed=3)}
+        edits = [lambda plan: {}, _requantize_data_path, _tap_edge,
+                 _truncate_sum, _edit_gain_in_place, _requantize_coefficients]
+        with observe(trace=False) as session:
+            for edit in edits:
+                edit(plan)
+                fresh = self._answers(CompiledPlan(plan.graph), stimulus)
+                # The first pass after an edit pulls dirty cones and
+                # reuses rows; the second hits every memo.
+                for _ in range(2):
+                    memoized = self._answers(plan, stimulus)
+                    for name, value in fresh.items():
+                        assert _raw(memoized[name]) == _raw(value), \
+                            (edit, name)
+        counters = plan_memo(plan).counters()
+        assert counters["cone_recomputes"] > 0
+        assert counters["rows_reused"] > 0
+        hits = session.metrics.flattened()
+        assert hits["sim.reference_memo.hits"] > 0
+        assert hits["sim.error_memo.hits"] > 0

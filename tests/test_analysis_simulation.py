@@ -1,11 +1,8 @@
 """Unit tests for the simulation-based evaluator."""
 
-from contextlib import nullcontext
-
 import numpy as np
 import pytest
 
-from repro.analysis._engine import memoization_disabled
 from repro.analysis.evaluator import AccuracyEvaluator
 from repro.analysis.simulation_method import (
     MAX_SIMULATED_FRACTIONAL_BITS,
@@ -16,6 +13,7 @@ from repro.analysis.simulation_method import (
 from repro.lti.fir_design import design_fir_lowpass
 from repro.data.signals import uniform_white_noise
 from repro.sfg.builder import SfgBuilder
+from repro.sfg.plan import CompiledPlan
 from repro.systems.filter_bank import build_filter_graph, generate_iir_bank
 
 
@@ -230,16 +228,18 @@ class TestValidation:
 
 
 class TestOneMeasurementPath:
-    @pytest.mark.parametrize("memoized", [True, False])
+    @pytest.mark.parametrize("fresh", [False, True])
     def test_evaluate_equals_one_config_batch(self, short_white_noise,
-                                              memoized):
-        evaluator = SimulationEvaluator(_graph())
-        context = nullcontext() if memoized else memoization_disabled()
-        with context:
-            single = evaluator.evaluate(short_white_noise, n_psd=64,
-                                        discard_transient=16)
-            (batched,) = evaluator.evaluate_batch(
-                [{}], short_white_noise, n_psd=64, discard_transient=16)
+                                              fresh):
+        # On one evaluator the batch reads the reference run the single
+        # measurement kept; on two fresh ones each runs its own.
+        graph = _graph()
+        single = SimulationEvaluator(graph).evaluate(
+            short_white_noise, n_psd=64, discard_transient=16)
+        evaluator = (SimulationEvaluator(CompiledPlan(graph)) if fresh
+                     else SimulationEvaluator(graph))
+        (batched,) = evaluator.evaluate_batch(
+            [{}], short_white_noise, n_psd=64, discard_transient=16)
         assert np.float64(single.error_power).tobytes() == \
             np.float64(batched.error_power).tobytes()
         assert np.float64(single.error_mean).tobytes() == \

@@ -180,14 +180,17 @@ class TestRegisteredBenches:
     @pytest.mark.parametrize("function", [bench_sim_engine_ff,
                                           bench_sim_engine_iir])
     def test_fixed_run_guard_refuses_memo_hits(self, monkeypatch, function):
-        # With memoization left on, the timed call repeats the warm-up's
-        # measurement: the plan's last-measurement memo serves it and no
-        # bit-true leg runs.
-        from contextlib import nullcontext
+        # An evaluator that measures on the graph's cached plan, whatever
+        # plan it is handed, times the warm-up's plan again: its
+        # last-measurement memo serves the call and no bit-true leg runs.
+        from repro.analysis import simulation_method
 
-        from repro.analysis import _engine
+        class CachedPlanEvaluator(simulation_method.SimulationEvaluator):
+            def __init__(self, system):
+                super().__init__(getattr(system, "graph", system))
 
-        monkeypatch.setattr(_engine, "memoization_disabled", nullcontext)
+        monkeypatch.setattr(simulation_method, "SimulationEvaluator",
+                            CachedPlanEvaluator)
         with pytest.raises(RuntimeError, match="ran no bit-true plan run"):
             function(samples=1000)
 

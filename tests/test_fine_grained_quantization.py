@@ -12,7 +12,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.analysis._engine import memoization_disabled
 from repro.analysis.agnostic_method import (
     evaluate_agnostic,
     evaluate_agnostic_batch,
@@ -22,7 +21,7 @@ from repro.analysis.psd_method import evaluate_psd, evaluate_psd_batch
 from repro.data.signals import uniform_white_noise
 from repro.lti.fir_design import design_fir_highpass, design_fir_lowpass
 from repro.sfg.builder import SfgBuilder
-from repro.sfg.plan import compile_plan, parse_edge_key
+from repro.sfg.plan import CompiledPlan, compile_plan, parse_edge_key
 from repro.systems.families import build_scalability_bank
 from repro.systems.wordlength import WordLengthOptimizer
 
@@ -218,10 +217,10 @@ class TestTapAnalysis:
             warm_psd = evaluate_psd(plan, 128)
             warm_stats = evaluate_agnostic(plan)
             warm_flat = evaluate_flat(plan)
-            with memoization_disabled():
-                cold_psd = evaluate_psd(plan, 128)
-                cold_stats = evaluate_agnostic(plan)
-                cold_flat = evaluate_flat(plan)
+            fresh = CompiledPlan(plan.graph)
+            cold_psd = evaluate_psd(fresh, 128)
+            cold_stats = evaluate_agnostic(fresh)
+            cold_flat = evaluate_flat(fresh)
             assert np.array_equal(warm_psd.ac, cold_psd.ac)
             assert warm_psd.mean == cold_psd.mean
             assert warm_stats.variance == cold_stats.variance
@@ -275,9 +274,9 @@ class TestEdgeGranularitySearch:
         assert any("->" in key for key in edge_result.assignment)
 
     def test_three_modes_identical_at_edge_granularity(
-            self, sequential_rounds):
-        # Memo-backed row-sparse rounds, cold dense rounds, and one cold
-        # scalar evaluation per candidate.
+            self, fresh_plan_search, sequential_rounds):
+        # Memo-backed row-sparse rounds, every evaluation on a fresh
+        # plan, and one cold scalar evaluation per candidate.
         probe = build_scalability_bank(branches=4, taps=9)
         budget = float(evaluate_psd(probe, 128).total_power) * 16.0
 
@@ -287,8 +286,8 @@ class TestEdgeGranularitySearch:
                 granularity="edge").optimize(budget)
 
         results = [search()]
-        with memoization_disabled():
-            results.append(search())
+        fresh_plan_search()
+        results.append(search())
         sequential_rounds()
         results.append(search())
         for other in results[1:]:

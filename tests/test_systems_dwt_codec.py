@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.analysis._engine import memoization_disabled
 from repro.analysis.agnostic_method import evaluate_agnostic
 from repro.analysis.psd_method import evaluate_psd
 from repro.data.images import ImageGenerator, natural_image
@@ -308,15 +307,23 @@ class TestCodecPowerMemo:
                            coefficient_fractional_bits=12)
         assert power == fresh.simulated_error_power(images)
 
-    def test_disabled_runs_every_time(self, monkeypatch):
-        images = [natural_image(16, seed=2)]
-        codec = Dwt97Codec(fractional_bits=12)
-        codec.simulated_error_power(images)
-        simulated = self._count_error_images(monkeypatch, codec)
-        with memoization_disabled():
-            codec.simulated_error_power(images)
-            codec.simulated_error_power(images)
-        assert len(simulated) == 2
+    def test_edit_sequence_equals_fresh_codecs(self):
+        # Each step edits what the last one measured; the memoized power
+        # after each has the bytes of a fresh codec's.
+        images = ImageGenerator(size=16, seed=4).corpus(2)
+        codec = Dwt97Codec(fractional_bits=12, levels=2)
+        steps = [{}, {"fractional_bits": 10},
+                 {"rounding": RoundingMode.TRUNCATE}, {"levels": 1}, {}]
+        for step, edit in enumerate(steps):
+            for name, value in edit.items():
+                setattr(codec, name, value)
+            subset = images[:1] if step == len(steps) - 1 else images
+            fresh = Dwt97Codec(fractional_bits=codec.fractional_bits,
+                               levels=codec.levels, rounding=codec.rounding,
+                               coefficient_fractional_bits=12)
+            for _ in range(2):
+                assert codec.simulated_error_power(subset).hex() == \
+                    fresh.simulated_error_power(subset).hex()
 
 
 def _bad_image(kind: str) -> np.ndarray:

@@ -5,7 +5,6 @@ import dataclasses
 import pytest
 
 import repro.analysis.evaluator as evaluator_module
-from repro.analysis._engine import memoization_disabled
 from repro.analysis.psd_method import evaluate_psd
 from repro.campaign.registry import build_scenario
 from repro.fixedpoint.quantizer import RoundingMode
@@ -178,16 +177,17 @@ class TestBatchedGreedyEquivalence:
 
     @pytest.mark.parametrize("granularity", ["node", "edge"])
     @pytest.mark.parametrize("method", ["psd", "flat", "agnostic"])
-    def test_identical_to_cold_run(self, method, granularity):
-        # Memo-backed row-sparse rounds vs the same search on cold, dense
-        # walks.
+    def test_identical_to_cold_run(self, method, granularity,
+                                   fresh_plan_search):
+        # Memo-backed row-sparse rounds vs the same search with every
+        # evaluation on a freshly compiled plan.
         budget = 1e-6
         warm = WordLengthOptimizer(_fork_graph(), method=method, n_psd=128,
                                    granularity=granularity).optimize(budget)
-        with memoization_disabled():
-            cold = WordLengthOptimizer(
-                _fork_graph(), method=method, n_psd=128,
-                granularity=granularity).optimize(budget)
+        fresh_plan_search()
+        cold = WordLengthOptimizer(
+            _fork_graph(), method=method, n_psd=128,
+            granularity=granularity).optimize(budget)
         _same_search(warm, cold)
         assert (granularity == "edge") == any("->" in key
                                               for key in warm.assignment)
@@ -245,11 +245,6 @@ class TestIncrementalMode:
         second = optimizer.optimize(budget / 4)
         assert second.full_walks == 0
         assert second.cone_recomputes > 0
-        # Cold runs never touch the memo.
-        with memoization_disabled():
-            cold = WordLengthOptimizer(_two_stage_graph(),
-                                       n_psd=128).optimize(budget)
-        assert cold.full_walks == cold.cone_recomputes == 0
 
 
 class TestEvaluationAccounting:
