@@ -7,10 +7,12 @@ and injecting each node's own quantization-noise source at its output.
 The traversal runs over a :class:`~repro.sfg.plan.CompiledPlan`:
 validation, topological ordering and noise-source discovery happen once at
 plan compilation, and each walk simply replays the index-based schedule.
-Per-node frequency responses (block responses and IIR noise-shaping
-responses) come from the plan's memoized cache, so repeated evaluations of
-the same graph — the word-length optimizer's inner loop, the execution-time
-benchmark — skip every FFT-sized computation after the first call.
+Per-node transfer behaviour of each kind — the block function and the
+IIR noise shaping — comes from the plan's one content cache
+(:meth:`~repro.sfg.plan.CompiledPlan.response` and its siblings take the
+``kind``), so repeated evaluations of the same graph — the word-length
+optimizer's inner loop, the execution-time benchmark — skip every
+FFT-sized computation after the first call.
 
 One propagation rule
 --------------------
@@ -19,9 +21,10 @@ every walk runs one step rule, :func:`_step`: fanout-tap noise enters a
 node's input, the node's rule per type (an LTI block, an adder's signed
 sum, an output, a decimator or an expander) carries the noise across,
 and the node's own source joins at its output, IIR-shaped by
-``1 / A(z)``.  A representation supplies the rest — its zero, its block
-and IIR-shaping operands, the sum of an adder's terms, and its white
-sources with their injection:
+``1 / A(z)``.  A representation supplies the rest — its zero, its one
+``filtered`` operand of each kind (``"block"`` or IIR ``"shaping"``),
+the sum of an adder's terms, and its white sources with their
+injection:
 
 * the stacked :class:`~repro.psd.spectrum.DiscretePsd` of the proposed
   method (white injection, Eq. 10; ``|H|^2`` shaping, Eq. 11;
@@ -40,14 +43,16 @@ no deltas, whose row 0 the public APIs hand back as a plain value.
 
 Incremental re-evaluation
 -------------------------
-On top of the response cache, each plan carries one :class:`NoiseMemo`: a
+On top of the content cache, each plan carries one :class:`NoiseMemo`: a
 pull-based cache of the *propagated* per-node ``K = 1`` values themselves,
 one channel per ``(representation, n_bins)``.  A pull recomputes only the
-downstream cone of the steps dirtied since the channel last synced,
+downstream cone of the steps the plan rebuilt since the channel last
+synced (:meth:`~repro.sfg.plan.CompiledPlan.steps_rebuilt_since`, the
+plan's one change record, which the batched walks' kept rows go by too),
 reusing every other node's cached value as-is.  It expects the plan to be
 refreshed already: every public entry point compiles its system first,
 and :func:`~repro.sfg.plan.compile_plan` folds pending spec/coefficient
-mutations in (``plan.refresh()``, which stamps the edited steps with a
+mutations in (``plan.refresh()``, which records the rebuilt steps at a
 new plan epoch) — once per evaluation.  Because a cone recompute replays
 exactly the same operations the full walk would, on bit-identical cached
 inputs, the result is bit-identical to a cold walk — the ``incremental``
@@ -81,7 +86,7 @@ kept from the previous walk and the memo's ``K = 1`` rows; it applies
 :func:`_step` once to the group's flattened rows; and the
 representation writes the value in place into free store rows
 allocated for the group.  ``|H|^2`` and DC gains come from
-the plan's magnitude cache.  Every row still applies the operations of
+the plan's content cache.  Every row still applies the operations of
 its own ``K = 1`` walk, in the same order, so the results are unchanged
 to the bit.  The ``K = 1`` walks — memo pulls and cold walks — keep
 their step-by-step loop and allocate their values, which the memo
@@ -92,9 +97,9 @@ grouping the cold walk alone would shrink the cold/warm ratios that
 
 The memo is always on, and exact.  A cold evaluation is an evaluation of
 a fresh :class:`~repro.sfg.plan.CompiledPlan` — empty memo, empty
-response caches: the reference side of the differential checks and the
+content cache: the reference side of the differential checks and the
 tests — or one right after :meth:`NoiseMemo.clear`, which leaves the
-plan's response caches warm: the cold side of the timing harnesses.
+plan's content cache warm: the cold side of the timing harnesses.
 
 Returned representations are shared with the memo: treat them as
 immutable (which every representation class already is by convention).
@@ -138,9 +143,11 @@ def _step(rep, group, rows, inputs):
 
     This is the one propagation rule of every analytical method; ``rep``
     supplies what differs between them (the representations below):
-    its ``zero``, its ``block`` and IIR-``shaped`` operands, its ``add``
-    of an adder's terms, and the ``white`` sources it injects for fanout
-    taps (``edge_noise``) and for the node's own quantizer (``noise``).
+    its ``zero``, its ``filtered`` operand of a ``kind`` — ``"block"``
+    for an LTI block's function, ``"shaping"`` for the ``1 / A(z)`` an
+    IIR block's own noise sees — its ``add`` of an adder's terms, and
+    the ``white`` sources it injects for fanout taps (``edge_noise``)
+    and for the node's own quantizer (``noise``).
     Adders, outputs and resamplers use the algebra the values themselves
     carry: ``scaled``, ``downsampled`` and ``upsampled``.
 
@@ -168,7 +175,7 @@ def _step(rep, group, rows, inputs):
         acc = rep.zero(rows)
     elif isinstance(node, _LtiMixin):
         (value,) = inputs
-        acc = rep.block(rows, value)
+        acc = rep.filtered(rows, value, "block")
     elif isinstance(node, AddNode):
         acc = rep.zero(rows, inputs[0])
         for sign, value in zip(node.signs, inputs):
@@ -191,7 +198,7 @@ def _step(rep, group, rows, inputs):
         if isinstance(node, IirNode):
             # The quantizer sits inside the recursion: 1 / A(z) shapes
             # its noise before it reaches the output.
-            own = rep.shaped(rows, own)
+            own = rep.filtered(rows, own, "shaping")
         acc = rep.inject(acc, own, noise)
     return acc
 
@@ -347,10 +354,11 @@ class _Stacked:
             np.add(target, term, out=target)
         return acc
 
-    def _out(self, rows, key):
-        """The store rows allocated for a group's value (``None`` without
-        a store: the algebra allocates)."""
-        if self.store is None:
+    def _out(self, rows, key, kind="block"):
+        """The store rows allocated for a group's value: its zero or its
+        block output, not the IIR-shaped source injected into that
+        (``None`` for it, and without a store: the algebra allocates)."""
+        if self.store is None or kind != "block":
             return None
         block = self._block(key)
         start = block.allocate(rows.size)
@@ -444,16 +452,12 @@ class _StackedPsd(_Stacked):
     def white(self, key, noise, like) -> DiscretePsd:
         return DiscretePsd.white_view(*noise, like.n_bins)
 
-    def block(self, rows, value) -> DiscretePsd:
+    def filtered(self, rows, value, kind) -> DiscretePsd:
         # The PSD may live on fewer bins than n_psd when the signal was
         # decimated upstream: the response is sampled on its own grid.
         return value.weighted(
-            *self.stack.block_magnitudes(rows, value.n_bins),
-            out=self._out(rows, value.n_bins))
-
-    def shaped(self, rows, value) -> DiscretePsd:
-        return value.weighted(
-            *self.stack.shaping_magnitudes(rows, value.n_bins))
+            *self.stack.magnitudes(rows, kind, value.n_bins),
+            out=self._out(rows, value.n_bins, kind))
 
     def add(self, acc, value):
         if value.ac.shape != acc.ac.shape:
@@ -490,12 +494,9 @@ class _StackedStats(_Stacked):
     def white(self, key, noise, like) -> NoiseStats:
         return NoiseStats(*noise)
 
-    def block(self, rows, value) -> NoiseStats:
-        return value.filtered(*self.stack.block_gains(rows),
-                              out=self._out(rows, None))
-
-    def shaped(self, rows, value) -> NoiseStats:
-        return value.filtered(*self.stack.shaping_gains(rows))
+    def filtered(self, rows, value, kind) -> NoiseStats:
+        return value.filtered(*self.stack.gains(rows, kind),
+                              out=self._out(rows, None, kind))
 
 
 class _Live:
@@ -528,11 +529,9 @@ class _Tracked(_Live):
     def white(self, key, noise, like) -> TrackedSpectrum:
         return TrackedSpectrum.from_source(key, noise, self.n_psd)
 
-    def block(self, step, value) -> TrackedSpectrum:
-        return value.filtered(self.plan.block_response(step, self.n_psd))
-
-    def shaped(self, step, value) -> TrackedSpectrum:
-        return value.filtered(self.plan.shaping_response(step, self.n_psd))
+    def filtered(self, step, value, kind) -> TrackedSpectrum:
+        return value.filtered(self.plan.response(
+            step, kind, step.node.quantization.fractional_bits, self.n_psd))
 
     def noise(self, step):
         return step.noise
@@ -587,11 +586,9 @@ class _Paths(_Live):
     def white(self, key, noise, like) -> _PathFunctions:
         return _PathFunctions({key: TransferFunction.identity()})
 
-    def block(self, step, value) -> _PathFunctions:
-        return value.filtered(self.plan.block_tf(step))
-
-    def shaped(self, step, value) -> _PathFunctions:
-        return value.filtered(self.plan.shaping_tf(step))
+    def filtered(self, step, value, kind) -> _PathFunctions:
+        return value.filtered(self.plan.transfer_function(
+            step, kind, step.node.quantization.fractional_bits))
 
     def noise(self, step):
         return step.name if step.name in self.sources else None
@@ -630,10 +627,11 @@ class NoiseMemo:
     One memo lives on each plan (see :func:`plan_memo`); channels are
     keyed by representation and bin count, e.g. ``("psd", 512)``.  The
     counters make the work split observable: ``full_walks`` counts cold
-    channel builds, ``cone_recomputes`` counts pulls that re-evaluated a
-    dirty cone, and ``steps_recomputed`` / ``steps_reused`` count the
-    per-step work either way — the word-length optimizer surfaces the
-    first two in :class:`~repro.systems.wordlength.WordLengthResult`.
+    channel builds, ``cone_recomputes`` counts pulls that re-evaluated
+    the cone of rebuilt steps, and ``steps_recomputed`` /
+    ``steps_reused`` count the per-step work either way — the
+    word-length optimizer surfaces the first two in
+    :class:`~repro.systems.wordlength.WordLengthResult`.
     The batched walks that use the memo as their baseline add
     ``rows_computed`` (config rows a walk evaluated), ``rows_reused``
     (rows of a config's cone taken from the previous walk's store rows)
@@ -710,7 +708,7 @@ class NoiseMemo:
         """Drop every cached value — the channels, the flat path
         functions and the batched walks' stores — and keep the counters.
 
-        The plan's response caches stay warm, so the next pull is a cold
+        The plan's content cache stays warm, so the next pull is a cold
         walk that computes no response: the cold side of the timing
         baselines.
         """
@@ -719,7 +717,8 @@ class NoiseMemo:
         self.stores.clear()
 
     def _pull(self, key: tuple, make_step) -> list:
-        """Per-step values of one channel, recomputing only dirty cones.
+        """Per-step values of one channel, recomputing only the cone of
+        the steps rebuilt since it last synced.
 
         ``make_step()`` returns the channel's ``compute_step(step,
         values)`` rule; it runs only when the pull has something to
@@ -742,10 +741,10 @@ class NoiseMemo:
             metric_inc("memo.full_walks")
             metric_inc("memo.steps_recomputed", len(plan.steps))
             return values
-        dirty = plan.steps_dirty_since(channel.epoch)
-        if len(dirty):
+        rebuilt = plan.steps_rebuilt_since(channel.epoch)
+        if len(rebuilt):
             compute_step = make_step()
-            cone = plan.downstream_cone(dirty)
+            cone = plan.downstream_cone(rebuilt)
             with span("analysis.cone_pull", channel=key[0], cone=len(cone),
                       steps=len(plan.steps)):
                 values = list(channel.values)

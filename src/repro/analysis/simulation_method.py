@@ -205,6 +205,7 @@ class SimulationEvaluator:
         output = plan.resolve_output(output)
         check_simulated_word_lengths(data_path_word_lengths(plan.graph))
         digest = _stimulus_digest(stimulus)
+        # The one refresh of the call: the legs run the plan as it stands.
         plan.refresh()
         # Everything the two legs read.
         key = (plan.coefficient_fingerprint(),
@@ -259,7 +260,8 @@ class SimulationEvaluator:
         *once per group* (the reference only depends on the quantized
         coefficients), so ``K`` configs sharing coefficients cost
         ``1 + K`` runs instead of ``2 K``.  The plan's quantization
-        state is restored afterwards.
+        state is restored afterwards.  Resolving the stack refreshes the
+        plan once; the legs run it as the requantizes leave it.
 
         Parameters
         ----------
@@ -305,10 +307,10 @@ class SimulationEvaluator:
 
         Served from the plan's reference memo when a record of the
         stimulus ``digest`` is there; the second value tells whether it
-        was.
+        was.  The plan must be refreshed already: the legs do not
+        refresh it.
         """
         plan = self.plan
-        plan.refresh()
         memo = _reference_memo(plan)
         key = (plan.coefficient_fingerprint(), digest, output)
         reference = memo.get(key)
@@ -317,7 +319,7 @@ class SimulationEvaluator:
             metric_inc("sim.reference_memo.hits")
             return reference, True
         metric_inc("sim.reference_memo.misses")
-        reference = plan.run(stimulus, mode="double").output(output)
+        reference = plan._run(stimulus, "double", False).output(output)
         memo[key] = reference
         while len(memo) > REFERENCE_MEMO_LIMIT:
             memo.popitem(last=False)
@@ -326,7 +328,7 @@ class SimulationEvaluator:
     def _fixed_error(self, stimulus: dict, reference: np.ndarray,
                      output: str) -> np.ndarray:
         """Bit-true output of the plan's current state minus ``reference``."""
-        fixed = self.plan.run(stimulus, mode="fixed").output(output)
+        fixed = self.plan._run(stimulus, "fixed", False).output(output)
         if reference.shape != fixed.shape:
             # Both modes run the same schedule on the same stimulus, so a
             # length mismatch can only be a node implementation bug.

@@ -155,7 +155,7 @@ def _replay_edits(plan, edits, n_psd: int, cold: bool = False) -> list:
     sequence, the plan's quantization restored at the end.
 
     ``cold`` clears the plan's noise memo before each evaluation, so each
-    one is a cold walk on warm response caches (the pre-memo cost); a
+    one is a cold walk on a warm content cache (the pre-memo cost); a
     warm replay pulls each edit's dirty cone.
     """
     from repro.analysis._engine import plan_memo

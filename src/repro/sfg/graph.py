@@ -11,6 +11,7 @@ validation, topological ordering and predecessor lookup.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from repro.sfg.nodes import (
@@ -160,18 +161,25 @@ class SignalFlowGraph:
             If the graph contains a cycle.  Graphs are acyclic: a feedback
             loop is written as an :class:`~repro.sfg.nodes.IirNode`.
         """
-        in_degree = {name: len(self.predecessors(name)) for name in self._nodes}
-        ready = [name for name, degree in in_degree.items() if degree == 0]
+        # Nodes are ints, their insertion positions: of the ready nodes
+        # the earliest inserted comes first, for deterministic results.
+        names = list(self._nodes)
+        position = {name: index for index, name in enumerate(names)}
+        in_degree = [0] * len(names)
+        successors: list[list[int]] = [[] for _ in names]
+        for edge in self._edges:
+            in_degree[position[edge.target]] += 1
+            successors[position[edge.source]].append(position[edge.target])
+        ready = [index for index, degree in enumerate(in_degree)
+                 if degree == 0]
         order: list[str] = []
         while ready:
-            # Pop in insertion order for deterministic results.
-            ready.sort(key=lambda n: list(self._nodes).index(n))
-            current = ready.pop(0)
-            order.append(current)
-            for edge in self.successors(current):
-                in_degree[edge.target] -= 1
-                if in_degree[edge.target] == 0:
-                    ready.append(edge.target)
+            current = heapq.heappop(ready)
+            order.append(names[current])
+            for target in successors[current]:
+                in_degree[target] -= 1
+                if in_degree[target] == 0:
+                    heapq.heappush(ready, target)
         if len(order) != len(self._nodes):
             unresolved = sorted(set(self._nodes) - set(order))
             raise ValueError(

@@ -20,19 +20,22 @@ times.
 * predecessor edges are resolved to integer signal slots, not names;
 * per-node data-path quantizers are pre-constructed;
 * the noise-generating nodes and their moments are precomputed;
-* per-node frequency responses (block responses and IIR noise-shaping
-  responses) are memoized by content — node type, coefficient state,
-  effective coefficient precision and bin count — so nodes of one design
-  share an entry and re-quantizing the data path never invalidates one.
+* per-node transfer behaviour of each kind (the block function and the
+  IIR noise shaping: transfer functions, frequency responses, ``|H|^2``
+  and impulse-response gains) is memoized in one content cache — keyed
+  by quantity, node type, coefficient state, kind, effective
+  coefficient precision and bin count — so nodes of one design share an
+  entry and re-quantizing the data path never invalidates one.
 
 Re-quantization — the word-length optimizer's inner loop — is supported in
 place through :meth:`CompiledPlan.requantize`; in-place *coefficient*
 edits (assigning to ``GainNode.gain`` and the like) are detected by
 :meth:`CompiledPlan.refresh`, which records the edited steps' new
-coefficient state (so their responses are looked up under new keys) and
-stamps those steps with a new plan epoch so the pull-based analytical
-engines (:mod:`repro.analysis._engine`) recompute only the dirty
-downstream cone instead of re-walking the whole graph; any *structural*
+coefficient state (so their responses are looked up under new keys).
+Either way the plan records which steps it rebuilt, at a new plan epoch
+(:meth:`CompiledPlan.steps_rebuilt_since`), so the pull-based analytical
+engines (:mod:`repro.analysis._engine`) recompute only the rebuilt
+steps' downstream cone instead of re-walking the whole graph; any *structural*
 change to the graph (adding / removing nodes or edges, swapping node
 objects) requires a new plan, which :func:`compile_plan` detects
 automatically.
@@ -127,16 +130,6 @@ class EdgeTap:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"EdgeTap({self.key!r}, bits={self.bits})"
-
-
-def _taps_signature(taps) -> tuple | None:
-    if taps is None:
-        return None
-    return tuple(
-        None if tap is None else
-        (tap.bits, tap.rounding, tap.input_bits,
-         None if tap.noise is None else (tap.noise.mean, tap.noise.variance))
-        for tap in taps)
 
 
 class PlanStep:
@@ -356,7 +349,7 @@ class CompiledPlan:
         # Downstream-cone index: integer successor adjacency, the dual of
         # each step's predecessor tuple.  The incremental engines use it to
         # bound what an edit can influence (everything reachable from the
-        # dirty steps); like the schedule itself it is frozen at compile
+        # rebuilt steps); like the schedule itself it is frozen at compile
         # time because structural edits always produce a new plan.
         successors: list[set[int]] = [set() for _ in steps]
         for step in steps:
@@ -385,32 +378,22 @@ class CompiledPlan:
         self._positions = [0] * len(steps)
         for position, index in enumerate(self._node_order):
             self._positions[index] = position
-        # Dirty tracking for the pull-based evaluation engines: the plan
-        # epoch counts refreshes that rebuilt some step, and each step
-        # records the epoch at which its *local evaluation signature*
-        # (coefficients, effective coefficient precision, own noise
-        # moments) last changed.  Consumers snapshot the epoch and later
-        # ask steps_dirty_since() for the steps to re-pull.
+        # The one change record of the pull-based evaluation engines: the
+        # plan epoch counts refreshes that rebuilt some step, and each
+        # step records the epoch of its last rebuild.  Consumers snapshot
+        # the epoch and later ask steps_rebuilt_since() what to re-pull.
         self._epoch = 0
-        self._step_epochs = np.zeros(len(steps), dtype=np.int64)
-        # The epoch of each step's last rebuild, signature moved or not
-        # (what the batched walks' kept rows go by).
         self._rebuild_epochs = np.zeros(len(steps), dtype=np.int64)
-        self._local_signatures: list[tuple | None] = [None] * len(steps)
         self._structure_signature = structure_signature(graph)
         self._quantization_signature: tuple = ()
         self._coefficient_signature: tuple = ()
-        # Frequency responses and impulse-response scalars depend only on
-        # the node type, its coefficients and their effective precision,
-        # so entries are keyed by that content (_content_key): nodes of
-        # one design share them, re-quantization looks up other keys, and
-        # a coefficient edit looks up new ones while the old entries stay
-        # until the plan is dropped.
-        self._response_cache: dict[tuple, np.ndarray] = {}
-        self._tf_cache: dict[tuple, TransferFunction] = {}
-        self._gain_cache: dict[tuple, tuple[float, float]] = {}
-        # (|H|^2, DC gain) of each cached response, read by the PSD walks.
-        self._magnitude_cache: dict[tuple, tuple[np.ndarray, float]] = {}
+        # Transfer behaviour depends only on the node type, its
+        # coefficients and their effective precision, so every quantity
+        # derived from it is kept in one cache keyed by that content
+        # (_cached): nodes of one design share entries, re-quantization
+        # looks up other keys, and a coefficient edit looks up new ones
+        # while the old entries stay until the plan is dropped.
+        self._content_cache: dict[tuple, object] = {}
         # PQN moments per step and data bits: they depend on the step's
         # spec and coefficients, so a rebuild (_rebuild) drops a step's
         # entries whenever it rebuilds that step's noise.
@@ -430,16 +413,16 @@ class CompiledPlan:
     def refresh(self) -> bool:
         """Re-read the quantization specs and coefficients of every node.
 
-        Dirty marking is per step: quantizers and noise moments are
-        rebuilt only for the steps whose spec or coefficients actually
-        changed since the last refresh, an in-place coefficient change
-        (e.g. assigning to ``GainNode.gain``) records the step's new
-        coefficient state, under which its transfer functions and
-        frequency responses are then looked up, and the plan epoch is
-        bumped so pull-based consumers
+        Rebuilds are per step: quantizers and noise moments are rebuilt
+        only for the steps whose spec or coefficients actually changed
+        since the last refresh (:meth:`_spec_changes`), an in-place
+        coefficient change (e.g. assigning to ``GainNode.gain``) records
+        the step's new coefficient state, under which its transfer
+        functions and frequency responses are then looked up, and the
+        rebuild is recorded at a new plan epoch so pull-based consumers
         (:class:`~repro.analysis._engine.NoiseMemo`) can recompute just
-        the downstream cone of the dirty steps.  Returns whether anything
-        was rebuilt.
+        the downstream cone of the rebuilt steps.  Returns whether
+        anything was rebuilt.
         """
         num_steps = len(self.steps)
         changed: set[int] = set()
@@ -478,38 +461,43 @@ class CompiledPlan:
         """The steps to rebuild for ``(step index, previous, current)``
         quantization-signature entries of the nodes whose spec changed.
 
-        A fanout tap's noise lives on the *target* step but depends on
-        the source's word length, rounding and edge entries (entry
-        components 0, 1 and 4): a change to any of them marks the tapped
-        targets too, so a one-edge edit dirties exactly the target's cone
-        while the source step's own value stays cached.
+        A fanout tap lives on its *target* step, so the edits rebuild
+        what each one reaches and no more: the source step when a field
+        other than its edge entries (component 4) changed, a target when
+        its own ``(target, bits)`` entry changed, and every tapped target
+        when the source's word length or rounding (components 0 and 1,
+        which each tap reads) changed.  A one-edge edit thus rebuilds
+        exactly the target, and the source's own value stays cached.
         """
         changed = set()
         for index, was, now in edits:
-            changed.add(index)
-            if (was[0], was[1], was[4]) != (now[0], now[1], now[4]):
-                source = self.steps[index].name
-                for target in {t for t, _ in was[4]} | {t for t, _ in now[4]}:
-                    changed.add(self._resolve_edge(source, target)[0])
+            if was[:4] != now[:4] or was[5:] != now[5:]:
+                changed.add(index)
+            entries = set(was[4]) ^ set(now[4])
+            if was[:2] != now[:2]:
+                entries.update(now[4])
+            source = self.steps[index].name
+            for target, _ in entries:
+                changed.add(self._resolve_edge(source, target)[0])
         return changed
 
     def _rebuild(self, changed: set[int]) -> bool:
         """Rebuild the quantizers, noise and taps of the ``changed``
-        steps; bump the epoch and stamp the steps whose local signature
-        moved.  Returns whether anything was rebuilt.
+        steps, and record the rebuild: the epoch moves and becomes the
+        steps' rebuild epoch.  Returns whether anything was rebuilt.
 
-        The epoch moves on every rebuild, also one that leaves every
-        local signature as it was (a coefficient precision pinned to the
-        live width, a rounding change on a silent quantizer): what such
-        an edit changes shows only at other word lengths, which is where
-        the word-length optimizer's table of uniform-width powers reads.
+        A rebuild is recorded also when it leaves the step's live value
+        as it was (a coefficient precision pinned to the live width, a
+        rounding change on a silent quantizer): what such an edit changes
+        shows at other word lengths, which is what a configuration stack
+        and the word-length optimizer's table of uniform-width powers
+        read.
         """
         if not changed:
             return False
         self._epoch += 1
         self._rebuild_epochs[list(changed)] = self._epoch
-        stamped = []
-        for index in sorted(changed):
+        for index in changed:
             self._noise_cache.pop(index, None)
             step = self.steps[index]
             spec = step.node.quantization
@@ -518,25 +506,8 @@ class CompiledPlan:
             step.noise = own if (own.variance > 0.0
                                  or own.mean != 0.0) else None
             step.edge_taps = self._build_edge_taps(step)
-            # The local evaluation signature is what a step contributes to
-            # an analytical walk beyond its inputs: coefficient state,
-            # effective coefficient precision, own noise moments, and the
-            # taps on its incoming edges.  Spec edits that leave it
-            # untouched (e.g. a rounding-mode change on a disabled
-            # quantizer, or an integer-width change — overflow is NONE,
-            # so values never change) rebuild the quantizer but do not
-            # dirty the analytical caches.
-            local = (_node_coefficient_state(step.node),
-                     self._coeff_key(step),
-                     None if step.noise is None
-                     else (step.noise.mean, step.noise.variance),
-                     _taps_signature(step.edge_taps))
-            if local != self._local_signatures[index]:
-                self._local_signatures[index] = local
-                stamped.append(index)
         self.noise_steps = tuple(step for step in self.steps
                                  if step.noise is not None)
-        self._step_epochs[stamped] = self._epoch
         return True
 
     def requantize(self, assignment: dict[str, int | None],
@@ -548,8 +519,8 @@ class CompiledPlan:
         — to their new fractional bit counts (``None`` disables the
         node's quantizer / removes the fanout tap).  This is the
         sanctioned mutation path of the word-length optimizer's inner
-        loop: the schedule and the frequency-response cache are reused
-        across search iterations.
+        loop: the schedule and the content cache of transfer behaviour
+        are reused across search iterations.
 
         Only the assigned nodes' specs are re-read: their steps and the
         targets of their fanout taps are rebuilt as :meth:`refresh`
@@ -658,35 +629,24 @@ class CompiledPlan:
             self.refresh()
 
     # ------------------------------------------------------------------
-    # Dirty tracking (pull-based consumers)
+    # Change record (pull-based consumers)
     # ------------------------------------------------------------------
     @property
     def epoch(self) -> int:
-        """Monotonic counter of refreshes that changed some step.
+        """Monotonic counter of refreshes that rebuilt some step.
 
         Pull-based consumers snapshot this after syncing and pass the
-        snapshot to :meth:`steps_dirty_since` on the next pull.
+        snapshot to :meth:`steps_rebuilt_since` on the next pull.
         """
         return self._epoch
 
-    def steps_dirty_since(self, epoch: int) -> np.ndarray:
-        """Indices of steps whose local signature changed after ``epoch``.
+    def steps_rebuilt_since(self, epoch: int) -> np.ndarray:
+        """Indices of steps rebuilt after ``epoch``: the seeds of the
+        cone a consumer synced at ``epoch`` recomputes.
 
         Call :meth:`refresh` first (or go through a path that does, such
         as :meth:`requantize`) so pending in-place spec or coefficient
-        mutations are folded into the epoch counters.
-        """
-        return np.nonzero(self._step_epochs > epoch)[0]
-
-    def steps_rebuilt_since(self, epoch: int) -> np.ndarray:
-        """Indices of steps rebuilt after ``epoch``, whether or not their
-        local signature moved.
-
-        A superset of :meth:`steps_dirty_since`: a rebuild that leaves
-        the live value as it was (a rounding change on a silent
-        quantizer, a coefficient precision pinned at the live width) can
-        still change what the step gives at *other* word lengths, which
-        is what a configuration stack reads from it.
+        mutations are folded into the record.
         """
         return np.nonzero(self._rebuild_epochs > epoch)[0]
 
@@ -772,15 +732,13 @@ class CompiledPlan:
         :meth:`refresh` first so pending mutations are folded in.
         """
         return (self._coefficient_signature,
-                tuple(self._coeff_key(step)
+                tuple(self.coeff_key_for_bits(
+                          step, step.node.quantization.fractional_bits)
                       for step in self.coefficient_steps))
 
-    def _coeff_key(self, step: PlanStep):
-        spec = step.node.quantization
-        return spec.coeff_bits if spec.enabled else None
-
     def coeff_key_for_bits(self, step: PlanStep, bits: int | None):
-        """Effective coefficient precision for a hypothetical word length.
+        """Effective coefficient precision at a data word length (the
+        live one included).
 
         Mirrors :attr:`QuantizationSpec.coeff_bits` after
         ``with_fractional_bits(bits)``: ``None`` when quantization would be
@@ -812,119 +770,78 @@ class CompiledPlan:
             node.quantization = spec
 
     # ------------------------------------------------------------------
-    # Memoized per-node transfer functions / responses
+    # Memoized per-node transfer behaviour, by kind ("block", "shaping")
     # ------------------------------------------------------------------
-    def _content_key(self, step: PlanStep, kind: str, bits: int | None,
-                     *extra) -> tuple:
-        """Cache key of a step's ``kind`` transfer behaviour at ``bits``
-        data bits: node type, the coefficient state the step's last
-        rebuild recorded, ``kind``, the effective coefficient precision
-        and ``extra`` (a bin count).
+    def _cached(self, quantity: str, step: PlanStep, kind: str,
+                bits: int | None, compute, *extra):
+        """``quantity`` of a step's ``kind`` transfer behaviour at ``bits``
+        data bits: from the content cache, else ``compute()``.
 
-        A cached value is a deterministic function of its key, so nodes
-        of one design share an entry, and a coefficient edit, once
-        refreshed, looks up a new key (the old entries stay until the
-        plan is dropped).
+        The key is ``quantity``, the node type, the coefficient state the
+        last refresh recorded for the step, ``kind``, the effective
+        coefficient precision and ``extra`` (a bin count).  A cached
+        value is a deterministic function of its key, so nodes of one
+        design share an entry, and a coefficient edit, once refreshed,
+        looks up a new key (the old entries stay until the plan is
+        dropped).  A value computed while an in-place coefficient edit of
+        the step is pending (no refresh since) describes other
+        coefficients than the key's: it is returned but not kept.
         """
-        return (type(step.node), self._local_signatures[step.index][0],
-                kind, self.coeff_key_for_bits(step, bits), *extra)
-
-    @staticmethod
-    def _store(cache: dict, key: tuple, step: PlanStep, value):
-        """``value``, stored under ``key`` unless an in-place coefficient
-        edit of the step is pending (no refresh since): then it describes
-        other coefficients than the key's."""
-        if key[1] == _node_coefficient_state(step.node):
-            cache[key] = value
+        state = self._coefficient_signature[self._positions[step.index]]
+        key = (quantity, type(step.node), state, kind,
+               self.coeff_key_for_bits(step, bits), *extra)
+        value = self._content_cache.get(key)
+        if value is None:
+            value = compute()
+            if state == _node_coefficient_state(step.node):
+                self._content_cache[key] = value
         return value
 
-    def _tf(self, step: PlanStep, kind: str,
-            bits: int | None) -> TransferFunction:
-        key = self._content_key(step, kind, bits)
-        tf = self._tf_cache.get(key)
-        if tf is None:
-            tf = self._compute_with_bits(step, bits, _TRANSFER_FUNCTIONS[kind])
+    def transfer_function(self, step: PlanStep, kind: str,
+                          bits: int | None) -> TransferFunction:
+        """The step's ``kind`` transfer function at ``bits`` data bits:
+        ``"block"``, its coefficients rounded at the effective precision,
+        or ``"shaping"``, the IIR noise shaping of its internal
+        quantizer."""
+        def compute():
+            tf = self._compute_with_bits(step, bits,
+                                         _TRANSFER_FUNCTIONS[kind])
             # A copy: a node may hand out its own transfer function, whose
             # arrays an in-place edit would change under this key.
-            tf = self._store(self._tf_cache, key, step,
-                             TransferFunction(tf.b, tf.a))
-        return tf
+            return TransferFunction(tf.b, tf.a)
+        return self._cached("tf", step, kind, bits, compute)
 
-    def block_tf(self, step: PlanStep) -> TransferFunction:
-        """Effective (coefficient-quantized) transfer function of a block."""
-        return self._tf(step, "block", step.node.quantization.fractional_bits)
-
-    def shaping_tf(self, step: PlanStep) -> TransferFunction:
-        """Noise-shaping function of an IIR block's internal quantizer."""
-        return self._tf(step, "shaping",
-                        step.node.quantization.fractional_bits)
-
-    def _response(self, step: PlanStep, kind: str, bits: int | None,
-                  n_bins: int) -> np.ndarray:
-        key = self._content_key(step, kind, bits, n_bins)
-        response = self._response_cache.get(key)
-        if response is None:
-            response = self._tf(step, kind, bits).frequency_response(n_bins)
+    def response(self, step: PlanStep, kind: str, bits: int | None,
+                 n_bins: int) -> np.ndarray:
+        """Complex frequency response (read-only) of
+        :meth:`transfer_function` on ``n_bins`` bins."""
+        def compute():
+            response = self.transfer_function(
+                step, kind, bits).frequency_response(n_bins)
             response.flags.writeable = False
-            response = self._store(self._response_cache, key, step, response)
-        return response
+            return response
+        return self._cached("response", step, kind, bits, compute, n_bins)
 
-    def block_response(self, step: PlanStep, n_bins: int) -> np.ndarray:
-        """Complex frequency response of a block on ``n_bins`` bins."""
-        return self._response(step, "block",
-                              step.node.quantization.fractional_bits, n_bins)
-
-    def shaping_response(self, step: PlanStep, n_bins: int) -> np.ndarray:
-        """Noise-shaping frequency response of an IIR block."""
-        return self._response(step, "shaping",
-                              step.node.quantization.fractional_bits, n_bins)
-
-    def block_magnitude_for_bits(self, step: PlanStep, bits: int | None,
-                                 n_bins: int) -> tuple[np.ndarray, float]:
-        """``(|H|^2, Re H[0])`` of the block response at a word length:
-        the squared magnitude and DC gain a PSD is filtered by (cached
-        beside the complex response it is derived from, so no walk takes
-        ``np.abs`` of a response twice)."""
-        return self._magnitude(step, "block", bits, n_bins)
-
-    def shaping_magnitude_for_bits(self, step: PlanStep, bits: int | None,
-                                   n_bins: int) -> tuple[np.ndarray, float]:
-        """``(|H|^2, Re H[0])`` of the noise-shaping response."""
-        return self._magnitude(step, "shaping", bits, n_bins)
-
-    def _magnitude(self, step: PlanStep, kind: str, bits: int | None,
-                   n_bins: int) -> tuple[np.ndarray, float]:
-        key = self._content_key(step, kind, bits, n_bins)
-        entry = self._magnitude_cache.get(key)
-        if entry is None:
-            # From the cached complex response, so a plan read by the PSD
-            # and the tracked walks computes each response once.
-            response = self._response(step, kind, bits, n_bins)
+    def magnitude(self, step: PlanStep, kind: str, bits: int | None,
+                  n_bins: int) -> tuple[np.ndarray, float]:
+        """``(|H|^2, Re H[0])`` of :meth:`response`: the squared magnitude
+        and DC gain a PSD is filtered by.  Derived from the cached complex
+        response, so a plan read by the PSD and the tracked walks
+        computes each response once and takes its ``np.abs`` once."""
+        def compute():
+            response = self.response(step, kind, bits, n_bins)
             squared = np.abs(response) ** 2
             squared.flags.writeable = False
-            entry = self._store(self._magnitude_cache, key, step,
-                                (squared, float(np.real(response[0]))))
-        return entry
+            return squared, float(np.real(response[0]))
+        return self._cached("magnitude", step, kind, bits, compute, n_bins)
 
-    def block_gains_for_bits(self, step: PlanStep,
-                             bits: int | None) -> tuple[float, float]:
-        """``(energy, coefficient_sum)`` at a hypothetical word length."""
-        return self._gains(step, "block", bits)
-
-    def shaping_gains_for_bits(self, step: PlanStep,
-                               bits: int | None) -> tuple[float, float]:
-        """Noise-shaping ``(energy, coefficient_sum)`` at a word length."""
-        return self._gains(step, "shaping", bits)
-
-    def _gains(self, step: PlanStep, kind: str,
-               bits: int | None) -> tuple[float, float]:
-        key = self._content_key(step, kind, bits)
-        gains = self._gain_cache.get(key)
-        if gains is None:
-            tf = self._tf(step, kind, bits)
-            gains = self._store(self._gain_cache, key, step,
-                                (tf.energy(), tf.coefficient_sum()))
-        return gains
+    def gains(self, step: PlanStep, kind: str,
+              bits: int | None) -> tuple[float, float]:
+        """``(energy, coefficient_sum)`` of :meth:`transfer_function`."""
+        def compute():
+            tf = self.transfer_function(step, kind, bits)
+            return tf.energy(), tf.coefficient_sum()
+        return self._cached("gains", step, kind, bits, compute)
 
     def noise_for_bits(self, step: PlanStep, bits: int | None) -> NoiseStats:
         """Moments the step would generate with ``bits`` fractional bits
@@ -1030,6 +947,13 @@ class CompiledPlan:
         # Pick up quantization-spec mutations made since the last run (a
         # cheap signature comparison when nothing changed).
         self.refresh()
+        return self._run(inputs, mode, keep_signals)
+
+    def _run(self, inputs: dict, mode: str,
+             keep_signals: bool) -> ExecutionResult:
+        """:meth:`run` on the plan as it stands, without the refresh: for
+        a caller that has just refreshed it, or edited it through
+        :meth:`requantize` only (the legs of a simulated measurement)."""
         fixed = mode == "fixed"
         stimulus = dict(zip(self.input_names, self._stimulus_slots(inputs)))
         metric_inc("plan.runs", mode=mode)
@@ -1062,9 +986,10 @@ class CompiledPlan:
 
     def run_pair(self, inputs: dict, keep_signals: bool = False
                  ) -> tuple[ExecutionResult, ExecutionResult]:
-        """``(reference, fixed)``: a ``double`` run, then a ``fixed`` run."""
-        return (self.run(inputs, mode="double", keep_signals=keep_signals),
-                self.run(inputs, mode="fixed", keep_signals=keep_signals))
+        """``(reference, fixed)``: a ``double`` run, then a ``fixed`` run
+        (one refresh for both)."""
+        return (self.run(inputs, "double", keep_signals),
+                self._run(inputs, "fixed", keep_signals))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"CompiledPlan({self.graph.name!r}, steps={len(self.steps)}, "
@@ -1083,15 +1008,16 @@ class ConfigStack:
     shared across the configs that agree on the node's effective
     coefficient precision (they always do when
     ``coefficient_fractional_bits`` is pinned; otherwise each distinct
-    precision gets its own response row, served from the plan's memoized
+    precision gets its own response row, served from the plan's content
     cache).
 
     The stack is stored *sparsely*, as each config's deviations from the
     plan's live quantization (:attr:`deviations`: per config, the
     frozenset of its ``(step index or (target, port) tap slot, bits)``
-    pairs), so building it costs O(assignment keys) rather than
-    O(K x steps) — a round of one-key optimizer candidates stays cheap
-    on a wide graph.  A config's *cone* is the downstream
+    pairs), so building it costs O(steps + assignment keys) — one
+    snapshot of every step's live bits, noise and taps, then the keys —
+    rather than O(K x steps): a round of one-key optimizer candidates
+    stays cheap on a wide graph.  A config's *cone* is the downstream
     cone of the steps where its own or incoming-tap word lengths differ
     from the live plan; outside it the config's walk provably equals the
     live one.  :meth:`cone_mask` marks those cones per step, and the
@@ -1362,43 +1288,33 @@ class ConfigStack:
     # ------------------------------------------------------------------
     # Per-row responses / gains (shared when every row has the same)
     # ------------------------------------------------------------------
-    def _per_row(self, rows: StepRows, lookup, stacked):
+    def _per_row(self, rows: StepRows, lookup):
         """``lookup(step, bits)`` of every row: one answer for all rows of
-        a step without deltas, else the per-row answers ``stacked``."""
+        a step without deltas, else the per-row answers stacked."""
         steps = self.plan.steps
         index = rows.step
         if index is not None and index not in self._deltas:
             return lookup(steps[index], self._live_bits[index])
-        return stacked([lookup(steps[index], bits)
-                        for index, bits in zip(rows.steps.tolist(),
-                                               self._row_bits(rows))])
+        return _stacked([lookup(steps[index], bits)
+                         for index, bits in zip(rows.steps.tolist(),
+                                                self._row_bits(rows))])
 
-    def block_magnitudes(self, rows: StepRows, n_bins: int):
-        """``(|H|^2, DC gain)`` of each row's block response on
-        ``n_bins`` bins: one ``(n_bins,)`` row and a float when every row
-        has the same response, ``(rows, n_bins)`` and ``(rows,)`` arrays
-        otherwise."""
+    def magnitudes(self, rows: StepRows, kind: str, n_bins: int):
+        """``(|H|^2, DC gain)`` of each row's ``kind`` response on
+        ``n_bins`` bins (:meth:`CompiledPlan.magnitude`): one
+        ``(n_bins,)`` row and a float when every row has the same
+        response, ``(rows, n_bins)`` and ``(rows,)`` arrays otherwise."""
         plan = self.plan
-        return self._per_row(
-            rows, lambda step, bits: plan.block_magnitude_for_bits(
-                step, bits, n_bins), _stacked_magnitudes)
+        return self._per_row(rows, lambda step, bits: plan.magnitude(
+            step, kind, bits, n_bins))
 
-    def shaping_magnitudes(self, rows: StepRows, n_bins: int):
-        """Noise-shaping counterpart of :meth:`block_magnitudes`."""
+    def gains(self, rows: StepRows, kind: str):
+        """``(energy, dc)`` of each row's ``kind`` function
+        (:meth:`CompiledPlan.gains`): scalars when shared, per-row arrays
+        else."""
         plan = self.plan
-        return self._per_row(
-            rows, lambda step, bits: plan.shaping_magnitude_for_bits(
-                step, bits, n_bins), _stacked_magnitudes)
-
-    def block_gains(self, rows: StepRows):
-        """``(energy, dc)`` scalars when shared, per-row arrays else."""
-        return self._per_row(rows, self.plan.block_gains_for_bits,
-                             _stacked_gains)
-
-    def shaping_gains(self, rows: StepRows):
-        """Noise-shaping ``(energy, dc)``, shared or per-row arrays."""
-        return self._per_row(rows, self.plan.shaping_gains_for_bits,
-                             _stacked_gains)
+        return self._per_row(rows, lambda step, bits: plan.gains(
+            step, kind, bits))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"ConfigStack(size={self.size}, "
@@ -1412,21 +1328,13 @@ def _noisy(means: np.ndarray, variances: np.ndarray):
     return means, variances
 
 
-def _stacked_magnitudes(entries: list):
+def _stacked(entries: list):
+    """The entry every row shares, else each field of the entries as an
+    array with a leading row axis."""
     first = entries[0]
     if all(entry is first for entry in entries):
         return first
-    return (np.concatenate([squared for squared, _ in entries]).reshape(
-                len(entries), -1),
-            np.array([dc for _, dc in entries]))
-
-
-def _stacked_gains(pairs: list):
-    first = pairs[0]
-    if all(pair is first for pair in pairs):
-        return first
-    return (np.array([pair[0] for pair in pairs]),
-            np.array([pair[1] for pair in pairs]))
+    return tuple(np.array(field) for field in zip(*entries))
 
 
 # ----------------------------------------------------------------------
@@ -1454,10 +1362,10 @@ def quantization_signature(graph: SignalFlowGraph) -> tuple:
     """Cheap fingerprint of every node's quantization specification.
 
     Component order matters to :meth:`CompiledPlan.refresh`, which
-    decomposes a per-node diff: indices 0 (word length), 1 (rounding) and
-    4 (edge entries) also dirty the node's tapped fanout targets, index 5
-    (integer width) rebuilds the quantizer without dirtying analytical
-    caches (overflow is NONE, so values never change).
+    decomposes a per-node diff (:meth:`CompiledPlan._spec_changes`):
+    index 4 (edge entries) rebuilds the targets whose entries changed,
+    indices 0 (word length) and 1 (rounding) also rebuild every tapped
+    fanout target, and every index but 4 rebuilds the node's own step.
     """
     return tuple(_spec_signature(node.quantization)
                  for node in graph.nodes.values())

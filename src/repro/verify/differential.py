@@ -33,11 +33,13 @@ graphs of :mod:`repro.systems.random_graphs`):
 5. **ed_band** — the proposed PSD estimate tracks the Monte-Carlo
    measurement within the paper's sub-one-bit ``Ed`` band
    ``(-300 %, +75 %)``;
-6. **incremental** — the memoized dirty-cone re-evaluation
-   (:class:`~repro.analysis._engine.NoiseMemo`) stays *bitwise
+6. **incremental** — the memoized re-evaluation of the rebuilt steps'
+   cones (:class:`~repro.analysis._engine.NoiseMemo`) stays *bitwise
    identical* to the cold walks of a freshly compiled plan across a
-   seeded sequence of ``requantize`` edits (multirate graphs included),
-   and so do the configuration-batched walks.
+   seeded sequence of ``requantize`` edits and one seeded rounding
+   change made through a node's spec, which only the evaluation's
+   refresh finds (multirate graphs included), and so do the
+   configuration-batched walks.
 
 Every check is exception-safe: an engine that crashes on a generated
 graph is reported as that check's failure (with the exception text), not
@@ -48,7 +50,7 @@ broken graph.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -67,6 +69,7 @@ from repro.analysis.psd_method import (
 )
 from repro.analysis.simulation_method import SimulationEvaluator
 from repro.data.signals import uniform_white_noise
+from repro.fixedpoint.quantizer import RoundingMode
 from repro.obs import span
 from repro.sfg.graph import SignalFlowGraph, is_multirate
 from repro.sfg.plan import CompiledPlan, compile_plan
@@ -365,13 +368,25 @@ def _check_incremental(graph, plan, *, seed, n_psd, batch_configs,
         if single_rate:
             evaluate_psd_tracked(plan, n_psd)
         before = memo.counters()["cone_recomputes"]
-        for index, assignment in enumerate(edits):
-            plan.requantize(assignment, allow_enable=True)
+
+        def compare(edit):
             fresh = CompiledPlan(graph)
             for name, evaluate in engines.items():
                 _require(_same_fields(evaluate(plan), evaluate(fresh)),
-                         f"memoized {name} evaluation after edit {index} "
+                         f"memoized {name} evaluation after {edit} "
                          "differs from a freshly compiled plan's")
+
+        for index, assignment in enumerate(edits):
+            plan.requantize(assignment, allow_enable=True)
+            compare(f"edit {index}")
+        # The last edit goes through the node's spec, so the evaluations'
+        # refresh is what finds it.  On a node that does not quantize it
+        # moves no live value, only what the node and its taps give at
+        # other word lengths, which the batched walks below read.
+        rounded, rounding = _rounding_change(graph, seed + 8)
+        node = graph.node(rounded)
+        node.quantization = replace(node.quantization, rounding=rounding)
+        compare(f"a rounding change on {rounded!r}")
         cones = memo.counters()["cone_recomputes"] - before
 
         # The batched walks copy the memo's values outside each config's
@@ -387,8 +402,19 @@ def _check_incremental(graph, plan, *, seed, n_psd, batch_configs,
                               evaluate_agnostic_batch(fresh, stacks)),
                  "memoized agnostic batch walk differs from a freshly "
                  "compiled plan's")
-    return (f"{len(edits)} edits bit-identical to fresh plans "
-            f"({cones} cone recomputes)")
+    return (f"{len(edits)} edits and a rounding change bit-identical to "
+            f"fresh plans ({cones} cone recomputes)")
+
+
+def _rounding_change(graph, seed: int) -> tuple:
+    """A seeded ``(node name, rounding mode)``: any node of ``graph``,
+    any mode but the node's current one."""
+    rng = np.random.default_rng(seed)
+    names = list(graph.nodes)
+    name = names[int(rng.integers(len(names)))]
+    current = graph.node(name).quantization.rounding
+    modes = [mode for mode in RoundingMode if mode != current]
+    return name, modes[int(rng.integers(len(modes)))]
 
 
 def _same_fields(a, b) -> bool:

@@ -83,13 +83,13 @@ class TestCompareChecksMethodsFirst:
     @pytest.fixture
     def runs(self, monkeypatch):
         calls = []
-        original = CompiledPlan.run
+        original = CompiledPlan._run
 
-        def counted(plan, *args, **kwargs):
-            calls.append(kwargs.get("mode"))
-            return original(plan, *args, **kwargs)
+        def counted(plan, inputs, mode, keep_signals):
+            calls.append(mode)
+            return original(plan, inputs, mode, keep_signals)
 
-        monkeypatch.setattr(CompiledPlan, "run", counted)
+        monkeypatch.setattr(CompiledPlan, "_run", counted)
         return calls
 
     def test_valid_methods_simulate_once(self, runs, short_white_noise):

@@ -71,7 +71,7 @@ class TestPlanEpochs:
         epoch = plan.epoch
         plan.requantize({"hp": 10})
         assert plan.epoch == epoch + 1
-        dirty = plan.steps_dirty_since(epoch)
+        dirty = plan.steps_rebuilt_since(epoch)
         assert [plan.steps[i].node.name for i in dirty] == ["hp"]
 
     def test_noop_requantize_does_not_bump_the_epoch(self):
@@ -79,7 +79,7 @@ class TestPlanEpochs:
         epoch = plan.epoch
         plan.requantize({"hp": 12})  # already at 12 bits
         assert plan.epoch == epoch
-        assert plan.steps_dirty_since(epoch).size == 0
+        assert plan.steps_rebuilt_since(epoch).size == 0
 
     def test_downstream_cone_is_topological_and_transitive(self):
         plan = compile_plan(_fork_graph())
@@ -93,7 +93,45 @@ class TestPlanEpochs:
 
     def test_fresh_plan_starts_clean(self):
         plan = CompiledPlan(_fork_graph())
-        assert plan.steps_dirty_since(plan.epoch).size == 0
+        assert plan.steps_rebuilt_since(plan.epoch).size == 0
+
+    @staticmethod
+    def _rebuilt(plan, epoch) -> list:
+        return [plan.steps[i].name for i in plan.steps_rebuilt_since(epoch)]
+
+    def test_a_tap_edit_rebuilds_only_its_target(self):
+        # The k-th tap edit from x changes x's entry toward one branch:
+        # neither x nor the branches tapped before are rebuilt.
+        plan = compile_plan(build_scalability_bank(branches=16))
+        for k in range(5):
+            epoch = plan.epoch
+            plan.requantize({f"x->branch{k}": 8 + k})
+            assert self._rebuilt(plan, epoch) == [f"branch{k}"]
+        # Through the spec, the refresh finds the same.
+        node = plan.graph.node("x")
+        node.quantization = node.quantization.with_edge_fractional_bits(
+            "branch2", 6)
+        epoch = plan.epoch
+        assert plan.refresh()
+        assert self._rebuilt(plan, epoch) == ["branch2"]
+
+    def test_source_fields_rebuild_what_reads_them(self):
+        plan = compile_plan(build_scalability_bank(branches=16))
+        plan.requantize({"x->branch3": 9, "x->branch5": 10})
+        tapped = ["x", "branch3", "branch5"]
+        node = plan.graph.node("x")
+        # Every tap reads the source's word length and rounding ...
+        for change in ({"fractional_bits": 12},
+                       {"rounding": RoundingMode.TRUNCATE}):
+            node.quantization = replace(node.quantization, **change)
+            epoch = plan.epoch
+            plan.refresh()
+            assert self._rebuilt(plan, epoch) == tapped
+        # ... while no tap reads its integer width.
+        node.quantization = replace(node.quantization, integer_bits=3)
+        epoch = plan.epoch
+        plan.refresh()
+        assert self._rebuilt(plan, epoch) == ["x"]
 
 
 class TestNoiseMemoPulls:
@@ -168,6 +206,36 @@ class TestNoiseMemoPulls:
         cold = evaluate_psd(CompiledPlan(plan.graph), 64)
         assert np.array_equal(warm.ac, cold.ac)
         assert warm.mean == cold.mean
+
+    @pytest.mark.parametrize("edit", ["rounding", "pinned"])
+    def test_a_rebuild_that_moves_no_live_value_recomputes_its_cone(
+            self, edit):
+        # x is silent (its input grid is no finer than its width) and
+        # h's coefficient precision gets pinned at its live width: the
+        # live values stay, yet the pull goes by the rebuild.
+        builder = SfgBuilder("silent-edits")
+        x = builder.input("x", fractional_bits=10)
+        builder.output("y", builder.fir("h", design_fir_lowpass(9, 0.4), x,
+                                        fractional_bits=10))
+        graph = builder.build()
+        graph.node("x").quantization = replace(
+            graph.node("x").quantization, input_fractional_bits=10)
+        plan = compile_plan(graph)
+        memo = plan_memo(plan)
+        evaluate_psd(plan, 64)
+        before = memo.counters()
+        if edit == "rounding":
+            node, change = graph.node("x"), {"rounding": RoundingMode.TRUNCATE}
+        else:
+            node, change = graph.node("h"), {"coefficient_fractional_bits": 10}
+        node.quantization = replace(node.quantization, **change)
+        psd = evaluate_psd(plan, 64)
+        after = memo.counters()
+        assert after["cone_recomputes"] == before["cone_recomputes"] + 1
+        assert after["full_walks"] == before["full_walks"]
+        fresh = evaluate_psd(CompiledPlan(graph), 64)
+        assert _same_bits(psd.ac, fresh.ac)
+        assert psd.mean.hex() == fresh.mean.hex()
 
     def test_memo_is_per_plan_and_rebuilt_with_it(self):
         graph = _fork_graph()
@@ -327,6 +395,39 @@ class TestOneRefreshPerEvaluation:
         assert after.total_power > before.total_power
         np.testing.assert_array_equal(after.ac, cold.ac)
 
+    def test_one_refresh_per_simulated_measurement(self, monkeypatch):
+        # The memo key's refresh is the call's one: the reference and
+        # the fixed leg run the plan as it stands, and still count runs.
+        plan = compile_plan(build_scalability_bank(branches=8))
+        evaluator = SimulationEvaluator(plan)
+        stimulus = {"x": uniform_white_noise(256, seed=5)}
+        calls = self._count_refreshes(monkeypatch)
+        with observe(trace=False) as session:
+            error = evaluator.error_signal(stimulus)
+        assert calls == [plan]
+        counters = session.metrics.flattened()
+        assert counters["sim.error_memo.misses"] == 1
+        assert counters["plan.runs{mode=double}"] == 1
+        assert counters["plan.runs{mode=fixed}"] == 1
+        assert _same_bits(error, _fresh_evaluator(plan).error_signal(
+            stimulus))
+
+    def test_one_refresh_per_simulated_batch(self, monkeypatch):
+        # The stack's refresh, and preserve_quantization's on exit.
+        plan = compile_plan(build_scalability_bank(branches=8))
+        evaluator = SimulationEvaluator(plan)
+        stimulus = {"x": uniform_white_noise(256, seed=5)}
+        assignments = [{"branch0": 9}, {"branch1": 10}, {"x": 12}]
+        calls = self._count_refreshes(monkeypatch)
+        results = evaluator.evaluate_batch(assignments, stimulus)
+        assert calls == [plan, plan]
+        monkeypatch.undo()
+        for assignment, result in zip(assignments, results):
+            graph = build_scalability_bank(branches=8)
+            compile_plan(graph).requantize(assignment)
+            expected = SimulationEvaluator(graph).evaluate(stimulus)
+            assert result.error_power.hex() == expected.error_power.hex()
+
     def test_config_stack_folds_pending_edits_in(self):
         plan = compile_plan(_fork_graph(bits=12))
         node = plan.graph.node("hp")
@@ -382,15 +483,16 @@ class TestFlatPathFunctionCache:
 
 
 def _count_runs(monkeypatch, plan) -> dict:
-    """Count ``plan.run`` calls per mode from now on."""
-    real_run = plan.run
+    """Count the plan's runs per mode from now on: ``run`` and the legs
+    of a simulated measurement all go through ``_run``."""
+    real_run = plan._run
     calls = {"double": 0, "fixed": 0}
 
-    def counting_run(inputs, mode="double", **kwargs):
+    def counting_run(inputs, mode, keep_signals):
         calls[mode] += 1
-        return real_run(inputs, mode=mode, **kwargs)
+        return real_run(inputs, mode, keep_signals)
 
-    monkeypatch.setattr(plan, "run", counting_run)
+    monkeypatch.setattr(plan, "_run", counting_run)
     return calls
 
 

@@ -148,7 +148,7 @@ class TestValidation:
         def no_run(*args, **kwargs):
             raise AssertionError("the plan ran before the output check")
 
-        monkeypatch.setattr(evaluator.plan, "run", no_run)
+        monkeypatch.setattr(evaluator.plan, "_run", no_run)
         match = "'nope' is not an output node"
         with pytest.raises(ValueError, match=match):
             evaluator.evaluate(short_white_noise, output="nope")
@@ -165,14 +165,14 @@ class TestValidation:
         def no_run(*args, **kwargs):
             raise AssertionError("the plan ran before the word-length check")
 
-        monkeypatch.setattr(evaluator.plan, "run", no_run)
+        monkeypatch.setattr(evaluator.plan, "_run", no_run)
         match = "node '.*' quantizes to 80 fractional bits"
         with pytest.raises(ValueError, match=match):
             evaluator.evaluate(short_white_noise)
         with pytest.raises(ValueError, match=match):
             evaluator.evaluate_batch([{}], short_white_noise)
         shallow = SimulationEvaluator(_iir_graph(12))
-        monkeypatch.setattr(shallow.plan, "run", no_run)
+        monkeypatch.setattr(shallow.plan, "_run", no_run)
         with pytest.raises(ValueError,
                            match="node 'filter' quantizes to 53"):
             shallow.evaluate_batch([{"filter": 12}, {"filter": 53}],

@@ -99,7 +99,7 @@ class TestEdgeRequantize:
         plan = compile_plan(_fork_graph())
         epoch = plan.epoch
         plan.requantize({"lp->g": 8})
-        dirty = plan.steps_dirty_since(epoch)
+        dirty = plan.steps_rebuilt_since(epoch)
         assert {plan.steps[i].name for i in dirty} == {"g"}
         # hp (the other fanout branch) is untouched: its cone is clean.
         cone = {plan.steps[i].name for i in plan.downstream_cone(dirty)}

@@ -137,6 +137,29 @@ class TestValidationAndOrdering:
         order = graph.topological_order()
         assert order.index("x") < order.index("h") < order.index("y")
 
+    def test_topological_ties_go_to_the_earliest_inserted(self):
+        # Insertion order differs from name order, and q, inserted
+        # second, becomes ready only after b: of the ready nodes the
+        # earliest inserted comes first, not the first named or the first
+        # found ready.
+        graph = SignalFlowGraph("ties")
+        graph.add_node(InputNode("x"))
+        graph.add_node(FirNode("q", [0.5]))
+        graph.add_node(FirNode("p", [0.5]))
+        graph.add_node(FirNode("b", [0.5]))
+        graph.add_node(InputNode("w"))
+        graph.add_node(AddNode("s", num_inputs=3))
+        graph.add_node(OutputNode("y"))
+        graph.connect("x", "p")
+        graph.connect("x", "b")
+        graph.connect("p", "q")
+        graph.connect("q", "s", port=0)
+        graph.connect("b", "s", port=1)
+        graph.connect("w", "s", port=2)
+        graph.connect("s", "y")
+        assert graph.topological_order() == ["x", "p", "q", "b", "w", "s",
+                                             "y"]
+
     def test_cycle_detected_by_topological_sort(self):
         graph = SignalFlowGraph()
         graph.add_node(InputNode("x"))

@@ -70,6 +70,14 @@ def _mixed_graph(bits=10, rounding=RoundingMode.ROUND, name="plan-mixed"):
     return builder.build()
 
 
+def _cached(plan, quantity):
+    """The plan's content-cache entries of one quantity, keyed by their
+    content key: ``(node type, coefficient state, kind, effective
+    coefficient precision[, n_bins])``."""
+    return {key[1:]: value for key, value in plan._content_cache.items()
+            if key[0] == quantity}
+
+
 def _white(samples=512, seed=11):
     return {"x": uniform_white_noise(samples, seed=seed)}
 
@@ -145,25 +153,26 @@ class TestBlockResponses:
         plan = compile_plan(graph)
         step = plan.steps[plan.index_of["h"]]
         rounded = graph.node("h")._effective_transfer_function().b
-        response = plan.block_response(step, 64)
+        response = plan.response(step, "block", 6, 64)
         np.testing.assert_allclose(response, np.fft.fft(rounded, 64),
                                    atol=1e-12)
-        assert plan.block_response(step, 64) is response  # memoized
+        assert plan.response(step, "block", 6, 64) is response  # memoized
         # A hypothetical word length rounds the taps differently and
         # leaves the live response alone.
-        finer, _ = plan.block_magnitude_for_bits(step, 16, 64)
+        finer, _ = plan.magnitude(step, "block", 16, 64)
         assert not np.allclose(finer, np.abs(response) ** 2)
-        assert plan.block_response(step, 64) is response
+        assert plan.response(step, "block", 6, 64) is response
 
     def test_shaping_response_of_an_iir_block_is_one_over_a(self):
         graph = _graph()
         plan = compile_plan(graph)
         step = plan.steps[plan.index_of["i"]]
         denominator = graph.node("i")._effective_transfer_function().a
-        np.testing.assert_allclose(plan.shaping_response(step, 128),
+        np.testing.assert_allclose(plan.response(step, "shaping", 10, 128),
                                    1.0 / np.fft.fft(denominator, 128),
                                    rtol=1e-12)
-        assert plan.shaping_tf(step).b.tolist() == [1.0]
+        assert plan.transfer_function(step, "shaping", 10).b.tolist() == \
+            [1.0]
 
 
 class TestPlanCache:
@@ -260,7 +269,7 @@ class TestRequantize:
         evaluate_psd(plan, 128)
         # The PSD walks read |H|^2 and the DC gain, one entry per block
         # and kind: h's block, i's block and i's noise shaping.
-        cached = dict(plan._magnitude_cache)
+        cached = _cached(plan, "magnitude")
         assert len(cached) == 3
         # Moving only the data word length back and forth reuses every
         # cached entry (they are keyed by coefficient precision, which
@@ -269,10 +278,11 @@ class TestRequantize:
         evaluate_psd(plan, 128)
         plan.requantize({"x": 12, "h": 12, "i": 12})
         evaluate_psd(plan, 128)
-        assert len(plan._magnitude_cache) == 6
+        magnitudes = _cached(plan, "magnitude")
+        assert len(magnitudes) == 6
         for key, (squared, dc) in cached.items():
-            assert plan._magnitude_cache[key][0] is squared
-            assert plan._magnitude_cache[key][1] == dc
+            assert magnitudes[key][0] is squared
+            assert magnitudes[key][1] == dc
 
     def test_requantize_does_not_fingerprint_the_graph(self, monkeypatch):
         import repro.sfg.plan as plan_module
@@ -288,9 +298,10 @@ class TestRequantize:
         epoch = plan.epoch
         plan.requantize({"h": 9, "g->h": 7})
         assert calls == []
-        # The assigned node and the tap's target are rebuilt and stamped.
+        # The assigned node, which is the tap's target, is rebuilt; the
+        # tap's source is not.
         assert {plan.steps[i].name
-                for i in plan.steps_dirty_since(epoch)} == {"h"}
+                for i in plan.steps_rebuilt_since(epoch)} == {"h"}
         assert plan.steps[plan.index_of["h"]].edge_taps[0].bits == 7
         # The refresh of the next evaluation finds nothing left to do.
         assert plan.refresh() is False
@@ -333,17 +344,17 @@ class TestContentKeys:
             lambda tf, *args: calls.append(tf) or real(tf, *args))
         evaluate_psd(plan, 64)
         # The 16 FIR branches cycle through 7 cutoffs.
-        assert len(plan._magnitude_cache) == 7
+        assert len(_cached(plan, "magnitude")) == 7
         assert len(calls) == 7
         branches = [name for name in plan.index_of if "branch" in name]
         plan.requantize({name: 10 for name in branches})
         evaluate_psd(plan, 64)
-        assert len(plan._magnitude_cache) == len(calls) == 14
+        assert len(_cached(plan, "magnitude")) == len(calls) == 14
         # Branches 0 and 7 share a design, hence one entry.
         first, eighth = (plan.steps[plan.index_of[name]]
                          for name in ("branch0", "branch7"))
-        assert plan.block_magnitude_for_bits(first, 10, 64) is \
-            plan.block_magnitude_for_bits(eighth, 10, 64)
+        assert plan.magnitude(first, "block", 10, 64) is \
+            plan.magnitude(eighth, "block", 10, 64)
         assert len(calls) == 14
 
     def test_psd_and_tracked_walks_compute_each_response_once(
@@ -368,9 +379,11 @@ class TestContentKeys:
         # The 16 branches share 7 designs; the magnitudes the PSD walk
         # reads come from the complex responses the tracked walk reads.
         assert len(calls) == 7
-        assert len(plan._response_cache) == len(plan._magnitude_cache) == 7
-        for key, (squared, dc) in plan._magnitude_cache.items():
-            response = plan._response_cache[key]
+        responses = _cached(plan, "response")
+        magnitudes = _cached(plan, "magnitude")
+        assert len(responses) == len(magnitudes) == 7
+        for key, (squared, dc) in magnitudes.items():
+            response = responses[key]
             assert squared.tobytes() == (np.abs(response) ** 2).tobytes()
             assert dc == float(np.real(response[0]))
         _same_psd(tracked, expected[0])
@@ -390,34 +403,34 @@ class TestContentKeys:
         builder.output("y", builder.add("s", [h, "f"]))
         plan = compile_plan(builder.build())
         evaluate_psd(plan, 64)
-        keys = sorted(plan._magnitude_cache, key=lambda key: key[0].__name__)
+        magnitudes = _cached(plan, "magnitude")
+        keys = sorted(magnitudes, key=lambda key: key[0].__name__)
         assert [key[0].__name__ for key in keys] == \
             ["FirNode", "FrequencyDomainFirNode"]
         # Equal taps; the frequency-domain node's state adds its FFT size.
         assert keys[0][1] == (taps.tobytes(), None)
         assert keys[1][1] == (taps.tobytes(), 16)
         assert keys[0][2:] == keys[1][2:]
-        assert plan._magnitude_cache[keys[0]] is not \
-            plan._magnitude_cache[keys[1]]
+        assert magnitudes[keys[0]] is not magnitudes[keys[1]]
 
     @pytest.mark.parametrize("n_psd", [64, 128])
     def test_gain_assignment_matches_a_fresh_plan(self, n_psd):
         graph = _mixed_graph(bits=11, name="mixed-gain-edit")
         plan = compile_plan(graph)
         before = evaluate_psd(plan, n_psd)
-        kept = dict(plan._magnitude_cache)
+        kept = _cached(plan, "magnitude")
         graph.node("g").gain = -1.3
         edited = evaluate_psd(plan, n_psd)
         _same_psd(edited, evaluate_psd(CompiledPlan(graph), n_psd))
         assert edited.total_power != before.total_power
         # No eviction: the old design's entries stay, the edit adds one.
-        assert all(plan._magnitude_cache[key] is entry
-                   for key, entry in kept.items())
-        assert len(plan._magnitude_cache) == len(kept) + 1
+        magnitudes = _cached(plan, "magnitude")
+        assert all(magnitudes[key] is entry for key, entry in kept.items())
+        assert len(magnitudes) == len(kept) + 1
         # Assigning the old gain back looks the old entries up again.
         graph.node("g").gain = 0.71
         _same_psd(evaluate_psd(plan, n_psd), before)
-        assert len(plan._magnitude_cache) == len(kept) + 1
+        assert len(_cached(plan, "magnitude")) == len(kept) + 1
 
     @pytest.mark.parametrize("bits", [12, None], ids=["quantized", "exact"])
     def test_in_place_tap_edit_matches_a_fresh_plan(self, bits):
@@ -456,7 +469,7 @@ class TestContentKeys:
         evaluate_psd(plan, 64)
         original = graph.node("h").taps[0]
         graph.node("h").taps[0] = 0.5
-        plan.block_magnitude_for_bits(step, 10, 32)
+        plan.magnitude(step, "block", 10, 32)
         graph.node("h").taps[0] = original
         plan.requantize({"h": 10})
         _same_psd(evaluate_psd(plan, 32),

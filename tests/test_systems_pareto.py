@@ -207,9 +207,10 @@ class TestSweepReuse:
         front = sweep_noise_budgets(graph, budgets, n_psd=64)
         assert len(front.points) == 4
         # One response per content key: the 16 branches share 7 designs.
-        cache = compile_plan(graph)._magnitude_cache
+        cache = [key for key in compile_plan(graph)._content_cache
+                 if key[0] == "magnitude"]
         assert len(responses) == len(cache)
-        assert len({key[1] for key in cache}) == 7
+        assert len({key[2] for key in cache}) == 7
         # No uniform width is evaluated twice.
         assert len(widths) == len(set(widths))
         monkeypatch.setattr(WordLengthOptimizer, "_noise_power", real_power)
