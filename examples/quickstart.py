@@ -50,7 +50,6 @@ def main() -> None:
         stimulus,
         methods=("psd", "flat", "agnostic"),
         discard_transient=64,
-        metadata={"fractional_bits": fractional_bits},
     )
 
     print(f"System: {graph.name} with d = {fractional_bits} fractional bits")

@@ -217,8 +217,7 @@ class AccuracyEvaluator:
     # ------------------------------------------------------------------
     def compare(self, stimulus, methods=("psd", "agnostic"),
                 n_psd: int | None = None, output: str | None = None,
-                discard_transient: int = 0,
-                metadata: dict | None = None) -> MethodComparison:
+                discard_transient: int = 0) -> MethodComparison:
         """Compare analytical estimates against the simulation reference.
 
         The estimates run first: they take milliseconds, so a method that
@@ -237,7 +236,6 @@ class AccuracyEvaluator:
                 system=self.name,
                 simulated_power=simulation.error_power,
                 estimate=estimate,
-                metadata=dict(metadata or {}),
             )
             for method, estimate in estimates.items()}
         return MethodComparison(simulation=simulation, reports=reports)

@@ -8,7 +8,7 @@ paper's tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.analysis.metrics import ed_deviation, is_sub_one_bit
 
@@ -54,14 +54,11 @@ class AccuracyReport:
         Ground-truth output error power from simulation.
     estimate:
         The analytical estimate being compared.
-    metadata:
-        Free-form experiment parameters (word lengths, sample counts, ...).
     """
 
     system: str
     simulated_power: float
     estimate: EstimateResult
-    metadata: dict = field(default_factory=dict)
 
     @property
     def ed(self) -> float:

@@ -29,10 +29,10 @@ import numpy as np
 from repro.analysis.metrics import noise_power
 from repro.analysis.psd_method import check_n_psd
 from repro.obs import metric_inc, span
-from repro.psd.estimation import estimate_psd
+from repro.psd.estimation import welch
 from repro.psd.spectrum import DiscretePsd
 from repro.sfg.graph import SignalFlowGraph
-from repro.sfg.plan import CompiledPlan, compile_plan, quantization_signature
+from repro.sfg.plan import CompiledPlan, compile_plan
 
 
 # ----------------------------------------------------------------------
@@ -205,11 +205,12 @@ class SimulationEvaluator:
         output = plan.resolve_output(output)
         check_simulated_word_lengths(data_path_word_lengths(plan.graph))
         digest = _stimulus_digest(stimulus)
-        # The one refresh of the call: the legs run the plan as it stands.
+        # The one refresh of the call: the legs run the plan as it stands,
+        # and the key reads the quantization signature it recorded.
         plan.refresh()
         # Everything the two legs read.
         key = (plan.coefficient_fingerprint(),
-               quantization_signature(plan.graph), digest, output)
+               plan._quantization_signature, digest, output)
         with span("sim.error_signal", output=output) as sim_span:
             memo = getattr(plan, _ERROR_MEMO_ATTRIBUTE, None)
             hit = memo is not None and memo[0] == key
@@ -345,7 +346,7 @@ class SimulationEvaluator:
                     f"cannot discard {discard_transient} samples from a "
                     f"record of length {len(error)}")
             error = error[discard_transient:]
-        psd = estimate_psd(error, n_psd) if n_psd is not None else None
+        psd = welch(error, n_psd) if n_psd is not None else None
         return SimulationResult(
             error_power=noise_power(error),
             error_mean=float(np.mean(error)),

@@ -14,8 +14,7 @@ layer that actually runs such explorations at scale.  The data flow is
 
 * :mod:`~repro.campaign.registry` — parameterized scenario generators
   registered by name; each builds a signal-flow graph plus a stimulus
-  specification and default noise budgets, with a stable parameter
-  signature.
+  specification, with a stable parameter signature.
 * :mod:`~repro.campaign.jobs` — a campaign specification (scenarios x
   methods x word-length grid) expanded into content-addressed jobs.
 * :mod:`~repro.campaign.cache` — the content-addressed disk cache that

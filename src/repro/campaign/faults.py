@@ -39,6 +39,7 @@ Fault semantics:
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -103,8 +104,9 @@ class RetryPolicy:
         deterministically from ``(seed, payload key, attempt)`` — two
         identical runs back off on identical schedules.
     payload_timeout:
-        Wall-clock seconds a pool payload may run before it is declared
-        hung and its pool abandoned; ``None`` disables the watchdog.
+        Wall-clock seconds (positive and finite) a pool payload may run
+        before it is declared hung and its pool abandoned; ``None``
+        disables the watchdog.
         Inline execution has no enforcement point and ignores it.
     seed:
         Seed of the deterministic jitter stream.
@@ -121,8 +123,13 @@ class RetryPolicy:
     def __post_init__(self):
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
-        if self.payload_timeout is not None and self.payload_timeout <= 0:
-            raise ValueError("payload_timeout must be positive (or None)")
+        # A NaN deadline never expires and makes the supervisor poll
+        # without waiting; an infinite one overflows the wait.
+        if self.payload_timeout is not None and not (
+                0.0 < self.payload_timeout < math.inf):
+            raise ValueError(
+                "payload_timeout must be positive and finite (or None), got "
+                f"{self.payload_timeout}")
 
     def delay(self, key: str, attempt: int) -> float:
         """Backoff (seconds) before re-dispatch number ``attempt``."""

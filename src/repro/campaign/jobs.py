@@ -270,7 +270,8 @@ def expand_campaign(spec: CampaignSpec):
     callers can surface it instead of silently shrinking the grid.
 
     A grid is rejected, before any job runs, when a method fails
-    :func:`~repro.analysis.evaluator.check_method`, or has ``simulation``
+    :func:`~repro.analysis.evaluator.check_method`, when its ``samples``
+    override is not positive, or when it has ``simulation``
     jobs and a word length exceeds what a bit-true simulation can measure
     (:func:`~repro.analysis.simulation_method.check_simulated_word_lengths`).
 
@@ -287,6 +288,9 @@ def expand_campaign(spec: CampaignSpec):
         check_method(method, spec.n_psd, methods=JOB_METHODS)
     if not spec.wordlengths:
         raise ValueError("campaign needs at least one wordlength")
+    if spec.samples is not None and spec.samples < 1:
+        raise ValueError(
+            f"campaign samples must be positive, got {spec.samples}")
     prepared: list[PreparedScenario] = []
     jobs: list[Job] = []
     skipped = 0

@@ -1,13 +1,12 @@
 """Scenario registry: named, parameterized system-family generators.
 
 A *scenario* is a named recipe for one system under exploration: given a
-parameter set it builds the signal-flow graph, the stimulus specification
-used by simulation-based jobs and a list of default noise budgets for
-word-length searches.  Scenarios are registered by name so campaigns can
-be described as data (``{"scenario": "polyphase_decimator",
-"params": {"factor": 8}}``) and so every family gets a *stable parameter
-signature* — the canonical hash that content-addresses its jobs in the
-campaign cache.
+parameter set it builds the signal-flow graph and the stimulus
+specification used by simulation-based jobs.  Scenarios are registered
+by name so campaigns can be described as data (``{"scenario":
+"polyphase_decimator", "params": {"factor": 8}}``) and so every family
+gets a *stable parameter signature* — the canonical hash that
+content-addresses its jobs in the campaign cache.
 
 The built-in families cover the paper's two benchmarks (Table-I filters,
 the 9/7 DWT bank) plus the four families of
@@ -17,7 +16,7 @@ function::
     @register_scenario("my_family", description="...", taps=32)
     def _build_my_family(params):
         graph = ...
-        return graph, StimulusSpec(num_samples=20_000), (1e-4, 1e-6)
+        return graph, StimulusSpec(num_samples=20_000)
 """
 
 from __future__ import annotations
@@ -72,16 +71,12 @@ class ScenarioInstance:
         The built signal-flow graph.
     stimulus:
         Stimulus specification for simulation-based evaluation.
-    default_budgets:
-        Suggested noise-power budgets for word-length searches, loosest
-        first.
     """
 
     name: str
     params: dict = field(hash=False)
     graph: SignalFlowGraph = field(hash=False)
     stimulus: StimulusSpec
-    default_budgets: tuple
 
     @property
     def signature(self) -> str:
@@ -108,18 +103,17 @@ class ScenarioFamily:
                 f"scenario {self.name!r} has no parameter(s) {unknown}; "
                 f"known parameters: {sorted(self.defaults)}")
         resolved = {**self.defaults, **overrides}
-        graph, stimulus, budgets = self.builder(resolved)
+        graph, stimulus = self.builder(resolved)
         return ScenarioInstance(name=self.name, params=resolved, graph=graph,
-                                stimulus=stimulus,
-                                default_budgets=tuple(budgets))
+                                stimulus=stimulus)
 
 
 _REGISTRY: dict[str, ScenarioFamily] = {}
 
 
 def register_scenario(name: str, description: str = "", **defaults):
-    """Decorator registering ``builder(params) -> (graph, stimulus,
-    budgets)`` as the scenario family ``name``.
+    """Decorator registering ``builder(params) -> (graph, stimulus)`` as
+    the scenario family ``name``.
 
     ``defaults`` declares the family's parameters and their default
     values; build-time overrides are validated against it.
@@ -164,8 +158,7 @@ def _scenario_cascaded_sos_bank(params):
         channels=int(params["channels"]), order=int(params["order"]),
         fractional_bits=int(params["fractional_bits"]),
         family=params["family"])
-    return graph, StimulusSpec(num_samples=20_000, discard_transient=400), \
-        (1e-4, 1e-6, 1e-8)
+    return graph, StimulusSpec(num_samples=20_000, discard_transient=400)
 
 
 @register_scenario(
@@ -177,8 +170,7 @@ def _scenario_polyphase_decimator(params):
     graph = build_polyphase_decimator(
         taps=int(params["taps"]), factor=int(params["factor"]),
         fractional_bits=int(params["fractional_bits"]))
-    return graph, StimulusSpec(num_samples=24_000, discard_transient=64), \
-        (1e-5, 1e-7, 1e-9)
+    return graph, StimulusSpec(num_samples=24_000, discard_transient=64)
 
 
 @register_scenario(
@@ -190,8 +182,7 @@ def _scenario_interpolator_chain(params):
     graph = build_interpolator_chain(
         stages=int(params["stages"]), taps=int(params["taps"]),
         fractional_bits=int(params["fractional_bits"]))
-    return graph, StimulusSpec(num_samples=8_000, discard_transient=256), \
-        (1e-5, 1e-7, 1e-9)
+    return graph, StimulusSpec(num_samples=8_000, discard_transient=256)
 
 
 @register_scenario(
@@ -203,8 +194,7 @@ def _scenario_fft_butterfly(params):
     graph = build_fft_butterfly(
         stages=int(params["stages"]), bin_index=int(params["bin_index"]),
         fractional_bits=int(params["fractional_bits"]))
-    return graph, StimulusSpec(num_samples=32_000, discard_transient=32), \
-        (1e-5, 1e-7, 1e-9)
+    return graph, StimulusSpec(num_samples=32_000, discard_transient=32)
 
 
 @register_scenario(
@@ -231,8 +221,7 @@ def _scenario_table1_fir(params):
     builder.output("y", node)
     graph = builder.build()
     return graph, StimulusSpec(num_samples=20_000,
-                               discard_transient=4 * taps), \
-        (1e-4, 1e-6, 1e-8)
+                               discard_transient=4 * taps)
 
 
 @register_scenario(
@@ -246,8 +235,7 @@ def _scenario_table1_iir(params):
     graph = build_filter_graph(entry, int(params["fractional_bits"]),
                                RoundingMode.ROUND)
     return graph, StimulusSpec(num_samples=20_000,
-                               discard_transient=4 * entry.order + 64), \
-        (1e-4, 1e-6, 1e-8)
+                               discard_transient=4 * entry.order + 64)
 
 
 @register_scenario(
@@ -261,8 +249,7 @@ def _scenario_random(params):
     graph = build_random_graph(
         int(params["seed"]), blocks=int(params["blocks"]),
         multirate=bool(int(params["multirate"])), factors=(2,))
-    return graph, StimulusSpec(num_samples=18_000, discard_transient=384), \
-        (1e-4, 1e-6, 1e-8)
+    return graph, StimulusSpec(num_samples=18_000, discard_transient=384)
 
 
 @register_scenario(
@@ -282,8 +269,7 @@ def _scenario_scalability_bank(params):
     # and the shape the dirty-cone ablation times.
     node = graph.node("x")
     node.quantization = node.quantization.with_fractional_bits(None)
-    return graph, StimulusSpec(num_samples=16_000, discard_transient=128), \
-        (1e-4, 1e-6, 1e-8)
+    return graph, StimulusSpec(num_samples=16_000, discard_transient=128)
 
 
 @register_scenario(
@@ -294,5 +280,4 @@ def _scenario_scalability_bank(params):
 def _scenario_dwt97_bank(params):
     graph = build_dwt97_bank(
         fractional_bits=int(params["fractional_bits"]))
-    return graph, StimulusSpec(num_samples=16_000, discard_transient=64), \
-        (1e-4, 1e-6, 1e-8)
+    return graph, StimulusSpec(num_samples=16_000, discard_transient=64)

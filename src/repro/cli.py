@@ -406,6 +406,9 @@ def _command_sweep(args) -> int:
     graph = load_graph(args.system)
     if args.budget_range is not None:
         loosest, tightest, count = args.budget_range
+        if not count.is_integer():
+            raise ValueError(
+                f"--budget-range COUNT must be a whole number, got {count}")
         budgets = budget_range(loosest, tightest, int(count))
     else:
         budgets = args.budgets
@@ -485,15 +488,14 @@ def _command_campaign(args) -> int:
     spec = CampaignSpec(scenarios=scenarios, methods=tuple(args.methods),
                         wordlengths=tuple(args.wordlengths),
                         n_psd=args.n_psd,
-                        samples=args.samples if args.samples > 0 else None,
+                        samples=args.samples or None,
                         seed=args.seed)
     if args.max_retries < 0:
         print("error: --max-retries must be non-negative", file=sys.stderr)
         return 1
     policy = RetryPolicy(
         max_attempts=args.max_retries + 1,
-        payload_timeout=args.payload_timeout
-        if args.payload_timeout > 0 else None,
+        payload_timeout=args.payload_timeout or None,
         seed=args.seed)
     injector = FaultInjector.parse(args.chaos) if args.chaos else None
     result = run_campaign(spec, cache_dir=args.cache_dir,

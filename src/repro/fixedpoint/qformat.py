@@ -6,8 +6,9 @@ signed) and *n* fractional bits.  The value of a word with integer mantissa
 ``k`` is ``k * 2**-n``.
 
 The accuracy-evaluation techniques of the paper only care about the
-quantization *step* (``2**-n``) and, for overflow analysis, about the
-representable range; both are exposed as properties.
+quantization *step* (``2**-n``): they measure precision errors and
+assume every integer part is sized so that nothing overflows.  The
+integer width labels the format and counts towards its word length.
 """
 
 from __future__ import annotations
@@ -38,10 +39,6 @@ class QFormat:
     0.03125
     >>> fmt.total_bits
     8
-    >>> fmt.max_value
-    3.96875
-    >>> fmt.min_value
-    -4.0
     """
 
     integer_bits: int
@@ -70,28 +67,6 @@ class QFormat:
     def step(self) -> float:
         """Quantization step (weight of the least-significant bit)."""
         return 2.0 ** (-self.fractional_bits)
-
-    @property
-    def max_value(self) -> float:
-        """Largest representable value."""
-        return 2.0 ** self.integer_bits - self.step
-
-    @property
-    def min_value(self) -> float:
-        """Smallest representable value (0 for unsigned formats)."""
-        if self.signed:
-            return -(2.0 ** self.integer_bits)
-        return 0.0
-
-    @property
-    def max_mantissa(self) -> int:
-        """Largest integer mantissa representable in this format."""
-        return int(round(self.max_value / self.step))
-
-    @property
-    def min_mantissa(self) -> int:
-        """Smallest integer mantissa representable in this format."""
-        return int(round(self.min_value / self.step))
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         sign = "s" if self.signed else "u"

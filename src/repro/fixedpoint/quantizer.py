@@ -7,6 +7,11 @@ fixed-point *simulation* method applies these quantizers sample by sample;
 the analytical methods replace each of them by an additive noise source
 whose first two moments (and PSD) are given by
 :mod:`repro.fixedpoint.noise_model`.
+
+A quantizer rounds and rescales; it has no overflow handling.  The
+paper measures precision errors only and assumes every integer part is
+sized so that nothing overflows, so a value outside the format's range
+is left as it is.
 """
 
 from __future__ import annotations
@@ -34,22 +39,6 @@ class RoundingMode(str, enum.Enum):
     ROUND = "round"
     TRUNCATE = "truncate"
     CONVERGENT = "convergent"
-
-
-class OverflowMode(str, enum.Enum):
-    """Supported overflow handling modes.
-
-    * ``SATURATE`` — clip to the representable range.
-    * ``WRAP`` — two's-complement wrap-around.
-    * ``NONE`` — assume range analysis already guarantees no overflow
-      (values outside the range are left untouched).  This is the mode
-      used throughout the paper, which focuses purely on precision
-      (fractional) errors.
-    """
-
-    SATURATE = "saturate"
-    WRAP = "wrap"
-    NONE = "none"
 
 
 def round_half_away(mantissa: np.ndarray,
@@ -91,22 +80,6 @@ def apply_rounding(mantissa: np.ndarray, mode: RoundingMode,
     raise ValueError(f"unknown rounding mode {mode!r}")
 
 
-def _apply_overflow(mantissa: np.ndarray, fmt: QFormat, mode: OverflowMode,
-                    out: np.ndarray | None = None) -> np.ndarray:
-    """Apply one :class:`OverflowMode`; ``out`` may be ``mantissa`` itself."""
-    if mode is OverflowMode.NONE:
-        return mantissa
-    lo = fmt.min_mantissa
-    hi = fmt.max_mantissa
-    if mode is OverflowMode.SATURATE:
-        return np.clip(mantissa, lo, hi, out=out)
-    if mode is OverflowMode.WRAP:
-        span = hi - lo + 1
-        shifted = np.subtract(mantissa, lo, out=out)
-        return np.add(lo, np.mod(shifted, span, out=out), out=out)
-    raise ValueError(f"unknown overflow mode {mode!r}")
-
-
 @dataclass(frozen=True)
 class Quantizer:
     """A quantizer mapping real values onto a :class:`QFormat` grid.
@@ -114,11 +87,9 @@ class Quantizer:
     Parameters
     ----------
     fmt:
-        Target fixed-point format.
+        Target fixed-point format (only its step is read).
     rounding:
         Rounding mode applied to the fractional part.
-    overflow:
-        Overflow handling applied to the integer part.
 
     Examples
     --------
@@ -130,7 +101,6 @@ class Quantizer:
 
     fmt: QFormat
     rounding: RoundingMode = RoundingMode.ROUND
-    overflow: OverflowMode = OverflowMode.NONE
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         return self.quantize(values)
@@ -170,9 +140,8 @@ class Quantizer:
 
     def _rescaled(self, mantissa: np.ndarray,
                   out: np.ndarray | None = None) -> np.ndarray:
-        """Round, bound and rescale step mantissas (into ``out`` if given)."""
+        """Round and rescale step mantissas (into ``out`` if given)."""
         rounded = apply_rounding(mantissa, self.rounding, out=out)
-        rounded = _apply_overflow(rounded, self.fmt, self.overflow, out=out)
         return np.multiply(rounded, self.fmt.step, out=out)
 
     def error(self, values: np.ndarray) -> np.ndarray:
@@ -185,29 +154,3 @@ class Quantizer:
         """Quantization step of the target format."""
         return self.fmt.step
 
-
-def quantize(values: np.ndarray, fractional_bits: int,
-             rounding: RoundingMode | str = RoundingMode.ROUND,
-             overflow: OverflowMode | str = OverflowMode.NONE,
-             integer_bits: int = 15, signed: bool = True) -> np.ndarray:
-    """Convenience one-shot quantization.
-
-    Parameters
-    ----------
-    values:
-        Input samples (any shape).
-    fractional_bits:
-        Number of fractional bits of the target format.
-    rounding, overflow:
-        Quantization behaviour, see :class:`RoundingMode` and
-        :class:`OverflowMode`.
-    integer_bits, signed:
-        Integer part of the target format; only relevant when overflow
-        handling is enabled.
-    """
-    quantizer = Quantizer(
-        QFormat(integer_bits, fractional_bits, signed),
-        rounding=RoundingMode(rounding),
-        overflow=OverflowMode(overflow),
-    )
-    return quantizer.quantize(values)

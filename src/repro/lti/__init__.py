@@ -3,7 +3,8 @@
 This subpackage contains every DSP building block required by the paper's
 benchmark systems:
 
-* :mod:`~repro.lti.windows` — window functions for FIR design.
+* :mod:`~repro.lti.windows` — the Hamming window of the FIR design and
+  the Hann window of the Welch estimator.
 * :mod:`~repro.lti.fir_design` — windowed-sinc FIR design (low-pass,
   high-pass, band-pass).
 * :mod:`~repro.lti.iir_design` — Butterworth / Chebyshev-I IIR design via
@@ -25,7 +26,6 @@ from repro.lti.fir_design import (
     design_fir_lowpass,
 )
 from repro.lti.iir_design import design_iir_filter
-from repro.lti.windows import get_window
 from repro.lti.multirate import downsample, upsample
 from repro.lti.convolution import overlap_save
 from repro.lti.sos import build_sos_graph, sos_to_tf, tf_to_sos
@@ -39,7 +39,6 @@ __all__ = [
     "design_fir_highpass",
     "design_fir_bandpass",
     "design_iir_filter",
-    "get_window",
     "downsample",
     "upsample",
     "overlap_save",

@@ -7,14 +7,15 @@ designs used to generate that bank.
 
 All cutoff frequencies are normalized to the Nyquist frequency, i.e. a
 value of 1.0 corresponds to half the sampling rate (MATLAB ``fir1``
-convention).
+convention).  Every design windows the ideal response with a Hamming
+window.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.lti.windows import get_window
+from repro.lti.windows import hamming
 
 
 def _ideal_lowpass(num_taps: int, cutoff: float) -> np.ndarray:
@@ -41,8 +42,7 @@ def _normalize_gain(taps: np.ndarray, frequency: float) -> np.ndarray:
     return taps / gain
 
 
-def design_fir_lowpass(num_taps: int, cutoff: float,
-                       window: str = "hamming") -> np.ndarray:
+def design_fir_lowpass(num_taps: int, cutoff: float) -> np.ndarray:
     """Design a linear-phase low-pass FIR filter.
 
     Parameters
@@ -51,15 +51,12 @@ def design_fir_lowpass(num_taps: int, cutoff: float,
         Filter length.
     cutoff:
         Normalized cutoff frequency (1.0 = Nyquist).
-    window:
-        Window name, see :func:`repro.lti.windows.get_window`.
     """
-    taps = _ideal_lowpass(num_taps, cutoff) * get_window(window, num_taps)
+    taps = _ideal_lowpass(num_taps, cutoff) * hamming(num_taps)
     return _normalize_gain(taps, 0.0)
 
 
-def design_fir_highpass(num_taps: int, cutoff: float,
-                        window: str = "hamming") -> np.ndarray:
+def design_fir_highpass(num_taps: int, cutoff: float) -> np.ndarray:
     """Design a linear-phase high-pass FIR filter.
 
     High-pass designs require an odd number of taps (type-I linear phase);
@@ -68,15 +65,15 @@ def design_fir_highpass(num_taps: int, cutoff: float,
     """
     if num_taps % 2 == 0:
         num_taps += 1
-    lowpass = _ideal_lowpass(num_taps, cutoff) * get_window(window, num_taps)
+    lowpass = _ideal_lowpass(num_taps, cutoff) * hamming(num_taps)
     # Spectral inversion: delta at the center minus the low-pass response.
     taps = -lowpass
     taps[(num_taps - 1) // 2] += 1.0
     return _normalize_gain(taps, 1.0)
 
 
-def design_fir_bandpass(num_taps: int, low_cutoff: float, high_cutoff: float,
-                        window: str = "hamming") -> np.ndarray:
+def design_fir_bandpass(num_taps: int, low_cutoff: float,
+                        high_cutoff: float) -> np.ndarray:
     """Design a linear-phase band-pass FIR filter.
 
     Parameters
@@ -85,14 +82,11 @@ def design_fir_bandpass(num_taps: int, low_cutoff: float, high_cutoff: float,
         Filter length.
     low_cutoff, high_cutoff:
         Normalized band edges, ``0 < low < high < 1``.
-    window:
-        Window name.
     """
     if not 0.0 < low_cutoff < high_cutoff < 1.0:
         raise ValueError("band edges must satisfy 0 < low < high < 1, got "
                          f"({low_cutoff}, {high_cutoff})")
-    win = get_window(window, num_taps)
     taps = (_ideal_lowpass(num_taps, high_cutoff)
-            - _ideal_lowpass(num_taps, low_cutoff)) * win
+            - _ideal_lowpass(num_taps, low_cutoff)) * hamming(num_taps)
     center_frequency = (low_cutoff + high_cutoff) / 2.0
     return _normalize_gain(taps, center_frequency)

@@ -9,8 +9,8 @@ each source-to-output path, either
   method, Eq. 11: ``S_out = S_in * |H|^2``).
 
 :class:`TransferFunction` provides both, together with composition
-(cascade, parallel addition, feedback) so that path transfer functions can
-be assembled from block transfer functions.
+(cascade and parallel addition) so that path transfer functions can be
+assembled from block transfer functions.
 """
 
 from __future__ import annotations
@@ -102,12 +102,13 @@ class TransferFunction:
             return np.array([], dtype=complex)
         return np.roots(self.b)
 
-    def is_stable(self, margin: float = 1e-9) -> bool:
-        """Whether all poles lie strictly inside the unit circle."""
+    def is_stable(self) -> bool:
+        """Whether all poles lie inside the unit circle, by a margin of
+        ``1e-9`` in magnitude."""
         poles = self.poles()
         if len(poles) == 0:
             return True
-        return bool(np.all(np.abs(poles) < 1.0 - margin))
+        return bool(np.all(np.abs(poles) < 1.0 - 1e-9))
 
     def dc_gain(self) -> float:
         """Gain at zero frequency."""
@@ -116,38 +117,28 @@ class TransferFunction:
     # ------------------------------------------------------------------
     # Responses
     # ------------------------------------------------------------------
-    def frequency_response(self, n_points: int, whole: bool = True) -> np.ndarray:
-        """Complex frequency response sampled on ``n_points`` bins.
-
-        Parameters
-        ----------
-        n_points:
-            Number of frequency samples.
-        whole:
-            If true (default), sample the full circle ``[0, 2*pi)`` — this
-            matches the discrete-PSD convention where bin ``k`` corresponds
-            to normalized frequency ``k / n_points``.  If false, sample
-            ``[0, pi)`` only.
-        """
+    def frequency_response(self, n_points: int) -> np.ndarray:
+        """Complex frequency response sampled on ``n_points`` bins of the
+        full circle ``[0, 2*pi)``: the discrete-PSD convention, where bin
+        ``k`` is normalized frequency ``k / n_points``."""
         if n_points < 1:
             raise ValueError(f"n_points must be positive, got {n_points}")
-        span = 2.0 * np.pi if whole else np.pi
-        omega = span * np.arange(n_points) / n_points
+        omega = 2.0 * np.pi * np.arange(n_points) / n_points
         z = np.exp(1j * omega)
         zinv = 1.0 / z
         numerator = np.polyval(self.b[::-1], zinv)
         denominator = np.polyval(self.a[::-1], zinv)
         return numerator / denominator
 
-    def impulse_response(self, n_samples: int | None = None,
-                         tol: float = 1e-12) -> np.ndarray:
+    def impulse_response(self, n_samples: int | None = None) -> np.ndarray:
         """Impulse response truncated to ``n_samples`` samples.
 
         For FIR systems the exact response is returned (padded or truncated
         to ``n_samples`` when requested).  For IIR systems the response is
         computed recursively; if ``n_samples`` is ``None`` the recursion is
-        run until the tail contributes less than ``tol`` of the accumulated
-        energy (with a hard cap to protect against unstable systems).
+        run until the tail contributes less than ``1e-12`` of the
+        accumulated energy (with a hard cap to protect against unstable
+        systems).
         """
         if self.is_fir:
             h = self.b.copy()
@@ -168,7 +159,7 @@ class TransferFunction:
             h = self._iir_impulse(length)
             total = np.dot(h, h)
             tail = np.dot(h[-length // 4:], h[-length // 4:])
-            if total == 0.0 or tail <= tol * total or length >= hard_cap:
+            if total == 0.0 or tail <= 1e-12 * total or length >= hard_cap:
                 return h
             length *= 2
 
@@ -192,12 +183,12 @@ class TransferFunction:
     # ------------------------------------------------------------------
     # Derived scalar quantities used by the analytical methods
     # ------------------------------------------------------------------
-    def energy(self, n_samples: int | None = None) -> float:
+    def energy(self) -> float:
         """Energy of the impulse response ``sum_k h(k)^2`` (Eq. 5)."""
-        h = self.impulse_response(n_samples)
+        h = self.impulse_response()
         return float(np.dot(h, h))
 
-    def coefficient_sum(self, n_samples: int | None = None) -> float:
+    def coefficient_sum(self) -> float:
         """Sum of the impulse response ``sum_k h(k)``, equal to the DC gain."""
         if self.is_fir:
             return float(np.sum(self.b))
@@ -221,22 +212,6 @@ class TransferFunction:
         b = np.zeros(length)
         b[:len(b1)] += b1
         b[:len(b2)] += b2
-        return TransferFunction(b, a)
-
-    def feedback(self, other: "TransferFunction" = None) -> "TransferFunction":
-        """Negative feedback loop ``self / (1 + self * other)``.
-
-        ``other`` defaults to the identity (unity feedback).
-        """
-        if other is None:
-            other = TransferFunction.identity()
-        open_loop_b = np.convolve(self.b, other.b)
-        denominator = np.convolve(self.a, other.a)
-        length = max(len(denominator), len(open_loop_b))
-        a = np.zeros(length)
-        a[:len(denominator)] += denominator
-        a[:len(open_loop_b)] += open_loop_b
-        b = np.convolve(self.b, other.a)
         return TransferFunction(b, a)
 
     def scaled(self, gain: float) -> "TransferFunction":

@@ -1,21 +1,13 @@
-"""Window functions used by the windowed-sinc FIR design.
+"""Window functions: Hamming for the windowed-sinc FIR design, Hann for
+the Welch segments of :mod:`repro.psd.estimation`.
 
-All windows are symmetric (filter-design convention) and returned as
-length-``n`` float arrays.  Only numpy is used, so the implementations
-double as a reference for the fixed-point versions used in tests.
+Both windows are symmetric (filter-design convention) and returned as
+length-``n`` float arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-_WINDOW_NAMES = ("rectangular", "hamming", "hann", "blackman", "kaiser")
-
-
-def rectangular(n: int) -> np.ndarray:
-    """Rectangular (boxcar) window."""
-    _check_length(n)
-    return np.ones(n, dtype=float)
 
 
 def hamming(n: int) -> np.ndarray:
@@ -34,54 +26,6 @@ def hann(n: int) -> np.ndarray:
         return np.ones(1)
     k = np.arange(n)
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * k / (n - 1))
-
-
-def blackman(n: int) -> np.ndarray:
-    """Blackman window (three-term cosine sum)."""
-    _check_length(n)
-    if n == 1:
-        return np.ones(1)
-    k = np.arange(n)
-    x = 2.0 * np.pi * k / (n - 1)
-    return 0.42 - 0.5 * np.cos(x) + 0.08 * np.cos(2.0 * x)
-
-
-def kaiser(n: int, beta: float = 8.6) -> np.ndarray:
-    """Kaiser window with shape parameter ``beta``."""
-    _check_length(n)
-    if n == 1:
-        return np.ones(1)
-    k = np.arange(n)
-    alpha = (n - 1) / 2.0
-    argument = beta * np.sqrt(np.clip(1.0 - ((k - alpha) / alpha) ** 2, 0.0, None))
-    return np.i0(argument) / np.i0(beta)
-
-
-def get_window(name: str, n: int, beta: float = 8.6) -> np.ndarray:
-    """Return the window ``name`` of length ``n``.
-
-    Parameters
-    ----------
-    name:
-        One of ``rectangular``, ``hamming``, ``hann``, ``blackman``,
-        ``kaiser``.
-    n:
-        Window length.
-    beta:
-        Kaiser shape parameter (ignored for the other windows).
-    """
-    name = name.lower()
-    if name == "rectangular":
-        return rectangular(n)
-    if name == "hamming":
-        return hamming(n)
-    if name == "hann":
-        return hann(n)
-    if name == "blackman":
-        return blackman(n)
-    if name == "kaiser":
-        return kaiser(n, beta=beta)
-    raise ValueError(f"unknown window {name!r}; expected one of {_WINDOW_NAMES}")
 
 
 def _check_length(n: int) -> None:

@@ -128,8 +128,13 @@ def summarize_trace(document: dict, top: int = 0) -> str:
     Also reports the trace extent, the share of wall time covered by
     top-level (depth-0) spans, and — when campaign job spans are present
     — the cache-hit ratio, which is what the CI obs-smoke job asserts.
+    ``top`` keeps the table to the spans with the largest total time; 0
+    keeps every span.
     """
 
+    if top < 0:
+        raise ValueError("top must be non-negative (0 shows every span), "
+                         f"got {top}")
     events = [event for event in document.get("traceEvents", [])
               if event.get("ph") == "X"]
     if not events:

@@ -10,27 +10,20 @@ provides:
   and its algebra (filtering, addition, scaling, multirate
   transformations), written once over an optional leading configuration
   axis so the batched analytical walks and the scalar ones share it.
-* :mod:`~repro.psd.estimation` — periodogram / Welch estimation of a
-  :class:`DiscretePsd` from sample data (used to build reference spectra
-  from simulation).
+* :mod:`~repro.psd.estimation` — Welch estimation (Hann window, 50 %
+  overlap) of a :class:`DiscretePsd` from sample data, the reference
+  spectra of simulation.
 * :mod:`~repro.psd.propagation` — the per-source tracked propagation used
   when re-convergent (correlated) noise paths must be handled exactly
   (Eqs. 12–13).
 """
 
 from repro.psd.spectrum import DiscretePsd
-from repro.psd.estimation import (
-    estimate_psd,
-    periodogram,
-    welch,
-    welch_batched,
-)
+from repro.psd.estimation import welch, welch_batched
 from repro.psd.propagation import TrackedSpectrum
 
 __all__ = [
     "DiscretePsd",
-    "estimate_psd",
-    "periodogram",
     "welch",
     "welch_batched",
     "TrackedSpectrum",

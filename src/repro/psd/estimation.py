@@ -5,10 +5,10 @@ signal and, for Fig. 7, its spectral repartition.  These estimators turn a
 sample record into the same discrete-PSD representation used by the
 analytical engine so that both can be compared bin by bin.
 
-Both a raw periodogram and Welch's averaged, windowed periodogram are
-provided.  All estimates are normalized so that the bins of the returned
-PSD sum to the sample variance (library-wide convention) and the mean is
-the sample mean.
+The one estimator of a record is Welch's averaged periodogram over
+Hann-windowed segments with 50 % overlap.  Every estimate is normalized
+so that the bins of the returned PSD sum to the sample variance
+(library-wide convention) and the mean is the sample mean.
 
 The Welch estimator streams its segments: they are rows of one strided
 view of the record (no segment is copied out), windowed and transformed
@@ -27,29 +27,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.lti.windows import get_window
+from repro.lti.windows import hann
 from repro.obs import span
 from repro.psd.spectrum import DiscretePsd
 from repro.simkernel.fft import chunk_rows
 
 
-def periodogram(x: np.ndarray, n_bins: int) -> DiscretePsd:
-    """Single-segment periodogram estimate.
-
-    Parameters
-    ----------
-    x:
-        Sample record (1-D).  If longer than ``n_bins`` only full segments
-        are used and averaged (rectangular window, no overlap), which makes
-        this a Bartlett estimate; if shorter, the record is zero-padded.
-    n_bins:
-        Number of frequency bins of the estimate (at least 2).
-    """
-    return welch(x, n_bins, window="rectangular", overlap=0.0)
-
-
-def _welch_stack(records: np.ndarray, n_bins: int, window: str,
-                 overlap: float) -> tuple[np.ndarray, np.ndarray]:
+def _welch_stack(records: np.ndarray,
+                 n_bins: int) -> tuple[np.ndarray, np.ndarray]:
     """Streamed Welch core over a stack of records.
 
     ``records`` has shape ``(trials, samples)``; returns ``(ac, means)``
@@ -64,8 +49,6 @@ def _welch_stack(records: np.ndarray, n_bins: int, window: str,
         raise ValueError(f"n_bins must be at least 2, got {n_bins}")
     if records.shape[-1] == 0:
         raise ValueError("cannot estimate the PSD of an empty record")
-    if not 0.0 <= overlap < 1.0:
-        raise ValueError(f"overlap must be in [0, 1), got {overlap}")
 
     # A non-finite record would otherwise come back as a PSD of zeros:
     # the renormalization below blanks the bins of a NaN variance.
@@ -84,15 +67,15 @@ def _welch_stack(records: np.ndarray, n_bins: int, window: str,
         centered = np.concatenate(
             [centered, np.zeros(centered.shape[:-1] + (pad,))], axis=-1)
 
-    win = get_window(window, n_bins)
+    win = hann(n_bins)
     window_power = float(np.mean(win ** 2))
     if not window_power > 0.0:
-        # e.g. a 2-point Hann window is all zeros: every segment would
-        # be blanked out and the estimate silently all-zero.
+        # A 2-point Hann window is all zeros: every segment would be
+        # blanked out and the estimate silently all-zero.
         raise ValueError(
-            f"the {window!r} window has zero power on {n_bins} bins; use "
-            "more bins or another window")
-    hop = max(1, int(round(n_bins * (1.0 - overlap))))
+            f"the Hann window has zero power on {n_bins} bins; use more "
+            "bins")
+    hop = round(n_bins / 2)
 
     # One strided view per record: (trials, segments, n_bins), every
     # segment starting hop samples after the previous one.
@@ -126,21 +109,18 @@ def _welch_stack(records: np.ndarray, n_bins: int, window: str,
     return ac, means
 
 
-def welch(x: np.ndarray, n_bins: int, window: str = "hann",
-          overlap: float = 0.5) -> DiscretePsd:
-    """Welch's averaged periodogram estimate.
+def welch(x: np.ndarray, n_bins: int) -> DiscretePsd:
+    """Welch's averaged periodogram estimate: Hann-windowed segments of
+    ``n_bins`` samples, each starting half a segment after the previous.
 
     Parameters
     ----------
     x:
-        Sample record (flattened to 1-D).
+        Sample record (flattened to 1-D); a record shorter than
+        ``n_bins`` is zero-padded to one segment.
     n_bins:
         Segment length and number of frequency bins of the estimate (at
-        least 2).
-    window:
-        Window applied to each segment (see :mod:`repro.lti.windows`).
-    overlap:
-        Fractional overlap between consecutive segments, in ``[0, 1)``.
+        least 3: the 2-point Hann window is all zeros).
 
     Returns
     -------
@@ -150,12 +130,11 @@ def welch(x: np.ndarray, n_bins: int, window: str = "hann",
     """
     x = np.asarray(x, dtype=float).ravel()
     with span("psd.welch", samples=x.shape[0], n_bins=n_bins):
-        ac, means = _welch_stack(x[None, :], n_bins, window, overlap)
+        ac, means = _welch_stack(x[None, :], n_bins)
     return DiscretePsd(ac[0], float(means[0]))
 
 
-def welch_batched(x: np.ndarray, n_bins: int, window: str = "hann",
-                  overlap: float = 0.5) -> list[DiscretePsd]:
+def welch_batched(x: np.ndarray, n_bins: int) -> list[DiscretePsd]:
     """Per-record Welch estimates of a stack of records, in one pass.
 
     ``x`` has shape ``(..., samples)``; leading axes are independent
@@ -166,13 +145,12 @@ def welch_batched(x: np.ndarray, n_bins: int, window: str = "hann",
     records = x.reshape(-1, x.shape[-1]) if x.ndim > 1 else x[None, :]
     with span("psd.welch", samples=records.shape[-1], n_bins=n_bins,
               records=records.shape[0]):
-        ac, means = _welch_stack(records, n_bins, window, overlap)
+        ac, means = _welch_stack(records, n_bins)
     return [DiscretePsd(ac[row], float(means[row]))
             for row in range(records.shape[0])]
 
 
-def _welch_reference(x: np.ndarray, n_bins: int, window: str = "hann",
-                     overlap: float = 0.5) -> DiscretePsd:
+def _welch_reference(x: np.ndarray, n_bins: int) -> DiscretePsd:
     """The historical per-segment Welch loop (kept as the ground truth).
 
     The vectorized :func:`welch` must match this loop bit for bit; the
@@ -182,8 +160,6 @@ def _welch_reference(x: np.ndarray, n_bins: int, window: str = "hann",
     x = np.asarray(x, dtype=float).ravel()
     if len(x) == 0:
         raise ValueError("cannot estimate the PSD of an empty record")
-    if not 0.0 <= overlap < 1.0:
-        raise ValueError(f"overlap must be in [0, 1), got {overlap}")
 
     mean = float(np.mean(x))
     centered = x - mean
@@ -194,9 +170,9 @@ def _welch_reference(x: np.ndarray, n_bins: int, window: str = "hann",
     if len(centered) < n_bins:
         centered = np.concatenate([centered, np.zeros(n_bins - len(centered))])
 
-    win = get_window(window, n_bins)
+    win = hann(n_bins)
     window_power = float(np.mean(win ** 2))
-    hop = max(1, int(round(n_bins * (1.0 - overlap))))
+    hop = max(1, round(n_bins / 2))
 
     accumulated = np.zeros(n_bins)
     count = 0
@@ -213,29 +189,6 @@ def _welch_reference(x: np.ndarray, n_bins: int, window: str = "hann",
     if total > 0.0:
         ac *= variance / total
     return DiscretePsd(ac, mean)
-
-
-def estimate_psd(x: np.ndarray, n_bins: int, method: str = "welch",
-                 window: str = "hann", overlap: float = 0.5) -> DiscretePsd:
-    """Estimate the discrete PSD of a sample record.
-
-    Parameters
-    ----------
-    x:
-        Sample record.
-    n_bins:
-        Number of frequency bins.
-    method:
-        ``welch`` (default) or ``periodogram``.
-    window, overlap:
-        Parameters forwarded to :func:`welch`.
-    """
-    method = method.lower()
-    if method == "welch":
-        return welch(x, n_bins, window=window, overlap=overlap)
-    if method == "periodogram":
-        return periodogram(x, n_bins)
-    raise ValueError(f"unknown PSD estimation method {method!r}")
 
 
 def estimate_psd_2d(image_error: np.ndarray) -> np.ndarray:

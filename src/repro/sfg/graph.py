@@ -124,10 +124,6 @@ class SignalFlowGraph:
         """Edges leaving ``name``'s output."""
         return [edge for edge in self._edges if edge.source == name]
 
-    def fanout(self, name: str) -> int:
-        """Number of consumers of ``name``'s output."""
-        return len(self.successors(name))
-
     # ------------------------------------------------------------------
     # Validation / structure
     # ------------------------------------------------------------------

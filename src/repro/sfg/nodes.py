@@ -67,9 +67,9 @@ class QuantizationSpec:
         Per-signal integer width of the data-path quantizer (sized by
         :func:`repro.fixedpoint.range_analysis.integer_bits_for_range`
         and carried by graph JSON); ``None`` keeps the legacy 15-bit
-        default.  Overflow handling is ``OverflowMode.NONE``, so the
-        integer width never changes simulated values — it only
-        documents/sizes the datapath.
+        default.  Quantizers do not handle overflow, so the integer
+        width never changes simulated values — it only documents/sizes
+        the datapath.
     """
 
     fractional_bits: int | None
@@ -103,19 +103,18 @@ class QuantizationSpec:
             return self.fractional_bits
         return self.coefficient_fractional_bits
 
-    def quantizer(self, integer_bits: int | None = None) -> Quantizer:
+    def quantizer(self) -> Quantizer:
         """Data-path quantizer described by this spec.
 
         Specs are frozen value objects, so the quantizer is memoized: the
         execution hot paths get one pre-constructed quantizer per distinct
-        specification instead of building a fresh object per call.  The
-        integer width defaults to the spec's own :attr:`integer_bits`
-        (the legacy 15 when unset).
+        specification instead of building a fresh object per call.  Its
+        format carries the spec's :attr:`integer_bits` (the legacy 15
+        when unset).
         """
         if not self.enabled:
             raise ValueError("cannot build a quantizer from a disabled spec")
-        if integer_bits is None:
-            integer_bits = 15 if self.integer_bits is None else self.integer_bits
+        integer_bits = 15 if self.integer_bits is None else self.integer_bits
         return _build_quantizer(self.fractional_bits, self.rounding,
                                 integer_bits)
 

@@ -103,28 +103,23 @@ class EdgeTap:
         The ``"source->target"`` assignment key of this tap.
     bits:
         Fractional word length of the tap.
-    rounding, input_bits:
-        Rounding mode and input-grid precision inherited from the source
-        spec (``input_bits`` is the source's own output word length, or
-        ``None`` when the source does not quantize).
     quantizer:
         Pre-constructed quantizer applied to the tapped value in fixed
-        point.
+        point; it inherits the source spec's rounding mode.
     noise:
         PQN moments the tap injects, or ``None`` when the tap is a no-op
         (at least as fine as the source grid — then the quantizer is
-        numerically the identity and the noise is exactly zero).
+        numerically the identity and the noise is exactly zero).  The
+        source's own output word length is the grid the tap input lives
+        on, so it decides these moments.
     """
 
-    __slots__ = ("key", "bits", "rounding", "input_bits", "quantizer",
-                 "noise")
+    __slots__ = ("key", "bits", "quantizer", "noise")
 
-    def __init__(self, key: str, bits: int, rounding, input_bits,
-                 quantizer, noise: NoiseStats | None):
+    def __init__(self, key: str, bits: int, quantizer,
+                 noise: NoiseStats | None):
         self.key = key
         self.bits = bits
-        self.rounding = rounding
-        self.input_bits = input_bits
         self.quantizer = quantizer
         self.noise = noise
 
@@ -603,8 +598,6 @@ class CompiledPlan:
             taps[port] = EdgeTap(
                 key=f"{source_step.name}->{step.name}",
                 bits=bits,
-                rounding=spec.rounding,
-                input_bits=spec.fractional_bits,
                 quantizer=spec.edge_quantizer(bits),
                 noise=stats if (stats.variance > 0.0
                                 or stats.mean != 0.0) else None,

@@ -51,23 +51,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.fixedpoint.quantizer import RoundingMode
+from repro.fixedpoint.quantizer import RoundingMode, apply_rounding
 from repro.simkernel.reference import causal_fir_reference as causal_fir
 from repro.simkernel.reference import iir_df1_reference
-
-
-def _round_array(rounding: RoundingMode, values: np.ndarray,
-                 out: np.ndarray) -> None:
-    """Round step mantissas elementwise into ``out`` (may alias a view)."""
-    if rounding is RoundingMode.TRUNCATE:
-        np.floor(values, out=out)
-    elif rounding is RoundingMode.ROUND:
-        magnitude = np.abs(values)
-        magnitude += 0.5
-        np.floor(magnitude, out=magnitude)
-        np.copysign(magnitude, values, out=out)
-    else:
-        np.rint(values, out=out)
 
 
 # ----------------------------------------------------------------------
@@ -161,9 +147,7 @@ def iir_df1_fixed(x: np.ndarray, b: np.ndarray, a: np.ndarray, step: float,
     if len(feedback_taps) == 0:
         # No recursion: the whole "loop" collapses to one vectorized
         # rounding pass over the feed-forward mantissas.
-        mantissas = np.empty_like(scaled_ff)
-        _round_array(rounding, scaled_ff, mantissas)
-        return mantissas * step
+        return apply_rounding(scaled_ff, rounding) * step
     try:
         mantissas = _recursion(scaled_ff, feedback_taps, rounding)
     except (OverflowError, ValueError):

@@ -74,6 +74,9 @@ def _check_images(images) -> list[np.ndarray]:
 class Dwt97Codec:
     """Fixed-point 2-D Daubechies 9/7 encoder + decoder.
 
+    Its quantizers carry 7 integer bits, a label only: images live in
+    ``[0, 1)`` and quantizers do not handle overflow.
+
     Parameters
     ----------
     fractional_bits:
@@ -86,15 +89,11 @@ class Dwt97Codec:
     coefficient_fractional_bits:
         Precision of the stored filter coefficients; defaults to the data
         precision.
-    integer_bits:
-        Integer bits of the data path (only used to build the quantizers;
-        the experiments never overflow because images live in ``[0, 1)``).
     """
 
     def __init__(self, fractional_bits: int, levels: int = 2,
                  rounding: RoundingMode | str = RoundingMode.ROUND,
-                 coefficient_fractional_bits: int | None = None,
-                 integer_bits: int = 7):
+                 coefficient_fractional_bits: int | None = None):
         if levels < 1:
             raise ValueError(f"levels must be at least 1, got {levels}")
         self.fractional_bits = int(fractional_bits)
@@ -103,7 +102,6 @@ class Dwt97Codec:
         self.coefficient_fractional_bits = (
             self.fractional_bits if coefficient_fractional_bits is None
             else int(coefficient_fractional_bits))
-        self.integer_bits = int(integer_bits)
         self.filters: WaveletFilters = daubechies_9_7_filters().quantized(
             self.coefficient_fractional_bits)
         # The last simulated power, as one (key, power) entry.
@@ -113,7 +111,7 @@ class Dwt97Codec:
     # Execution
     # ------------------------------------------------------------------
     def _data_quantizer(self) -> Quantizer:
-        return Quantizer(QFormat(self.integer_bits, self.fractional_bits),
+        return Quantizer(QFormat(7, self.fractional_bits),
                          rounding=self.rounding)
 
     def run_reference(self, image: np.ndarray) -> np.ndarray:
@@ -258,8 +256,7 @@ class Dwt97Codec:
         """Everything the two runs read, and the images' content."""
         filters = tuple(value.tobytes() if isinstance(value, np.ndarray)
                         else value for value in astuple(self.filters))
-        return (self.fractional_bits, self.integer_bits, self.rounding,
-                self.levels, filters,
+        return (self.fractional_bits, self.rounding, self.levels, filters,
                 content_digest((str(index), image)
                                for index, image in enumerate(images)))
 

@@ -175,7 +175,7 @@ class LiftingDwt97Codec:
     """
 
     def __init__(self, fractional_bits: int, levels: int = 2,
-                 rounding="round", integer_bits: int = 7):
+                 rounding="round"):
         from repro.fixedpoint.qformat import QFormat
         from repro.fixedpoint.quantizer import RoundingMode
 
@@ -184,9 +184,7 @@ class LiftingDwt97Codec:
         self.fractional_bits = int(fractional_bits)
         self.levels = int(levels)
         self.rounding = RoundingMode(rounding)
-        self.integer_bits = int(integer_bits)
-        self._quantizer = Quantizer(QFormat(self.integer_bits,
-                                            self.fractional_bits),
+        self._quantizer = Quantizer(QFormat(7, self.fractional_bits),
                                     rounding=self.rounding)
 
     def _transform(self, image: np.ndarray,

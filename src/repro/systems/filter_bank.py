@@ -242,7 +242,6 @@ def evaluate_filter_bank(entries: list[FilterBankEntry],
         transient = min(4 * entry.order + 16, num_samples // 4)
         comparison = evaluator.compare(
             stimulus, methods=(method,), n_psd=n_psd,
-            discard_transient=transient,
-            metadata={"fractional_bits": fractional_bits})
+            discard_transient=transient)
         result.add(entry.name, comparison.reports[method].ed)
     return result

@@ -299,5 +299,4 @@ class FrequencyDomainFilter:
         """Simulation-vs-estimation comparison (see AccuracyEvaluator)."""
         return self.evaluator.compare(
             {"x": stimulus}, methods=methods, n_psd=n_psd,
-            discard_transient=64,
-            metadata={"fractional_bits": self.fractional_bits})
+            discard_transient=64)

@@ -199,7 +199,8 @@ def sweep_noise_budgets(system: SignalFlowGraph, budgets,
         the powers of the uniform widths earlier budgets evaluated.
     validate_samples:
         When positive, cross-validate every swept point by a Monte-Carlo
-        run of that many samples (batched, reference runs shared).
+        run of that many samples (batched, reference runs shared); 0
+        skips the validation and a negative count is rejected.
     seed:
         Seed of the validation stimulus.
 
@@ -208,6 +209,9 @@ def sweep_noise_budgets(system: SignalFlowGraph, budgets,
     ParetoFront
         One point per feasible budget, sorted loosest first.
     """
+    if validate_samples < 0:
+        raise ValueError("validate_samples must be non-negative, got "
+                         f"{validate_samples}")
     budgets = {float(b) for b in budgets}
     # Validate before sorting: NaN both defeats the `<= 0` check and
     # makes the sort order (hence the "tightest budget" break below)

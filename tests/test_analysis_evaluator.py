@@ -63,12 +63,6 @@ class TestCompare:
         assert report.sub_one_bit
         assert abs(report.ed_percent) < 20.0
 
-    def test_metadata_recorded(self, short_white_noise):
-        evaluator = AccuracyEvaluator(_graph(), n_psd=64)
-        comparison = evaluator.compare(short_white_noise, methods=("psd",),
-                                       metadata={"d": 10})
-        assert comparison.reports["psd"].metadata == {"d": 10}
-
     def test_describe_mentions_each_method(self, short_white_noise):
         evaluator = AccuracyEvaluator(_graph(), n_psd=64)
         comparison = evaluator.compare(short_white_noise,

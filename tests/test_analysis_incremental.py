@@ -648,6 +648,31 @@ class TestSimulationErrorMemo:
         assert counters["sim.error_memo.hits"] == 1
         assert "sim.error_memo.misses" not in counters
 
+    def test_memo_key_reads_the_signature_of_the_refresh(self, monkeypatch):
+        # A miss and a hit each fingerprint the specs once, in the
+        # refresh; the memo key reads the signature the refresh stored.
+        import repro.analysis.simulation_method as simulation_module
+        import repro.sfg.plan as plan_module
+
+        plan, evaluator, stimulus = self._setup()
+        real = plan_module.quantization_signature
+        calls = []
+
+        def counted(graph):
+            calls.append(graph)
+            return real(graph)
+
+        monkeypatch.setattr(plan_module, "quantization_signature", counted)
+        monkeypatch.setattr(simulation_module, "quantization_signature",
+                            counted, raising=False)
+        for outcome in ("misses", "hits"):
+            calls.clear()
+            with observe(trace=False) as session:
+                evaluator.error_signal(stimulus, output="y")
+            assert session.metrics.flattened()[
+                f"sim.error_memo.{outcome}"] == 1
+            assert calls == [plan.graph]
+
     @pytest.mark.parametrize("edit", [
         _requantize_data_path, _tap_edge, _truncate_sum,
         _edit_gain_in_place, _other_stimulus, _other_output,

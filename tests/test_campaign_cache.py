@@ -295,6 +295,13 @@ class TestExpansion:
         with pytest.raises(ValueError, match="wordlength"):
             expand_campaign(_tiny_spec(wordlengths=()))
 
+    @pytest.mark.parametrize("samples", [-5, 0])
+    def test_non_positive_samples_rejected(self, samples):
+        # Rejected before any job runs, not measured three times and
+        # quarantined.
+        with pytest.raises(ValueError, match="samples must be positive"):
+            expand_campaign(_tiny_spec(stimulus=None, samples=samples))
+
     def test_samples_override_is_length_only(self):
         # Regression: --samples must keep each scenario's stimulus kind,
         # amplitude and transient handling, not reset them to defaults.

@@ -355,6 +355,64 @@ class TestErrorPaths:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert "80 fractional bits" in err
 
+    @staticmethod
+    def _assert_one_error_line(capsys, code, *words):
+        assert code == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        for word in words:
+            assert word in lines[0]
+        return captured
+
+    def test_sweep_negative_validate_samples_is_one_error_line(
+            self, capsys, system_path):
+        code = main(["sweep", system_path, "--budgets", "1e-5",
+                     "--validate-samples", "-5"])
+        captured = self._assert_one_error_line(capsys, code,
+                                               "validate_samples", "-5")
+        assert captured.out == ""
+
+    def test_sweep_fractional_budget_count_is_one_error_line(
+            self, capsys, system_path):
+        code = main(["sweep", system_path,
+                     "--budget-range", "1e-5", "1e-8", "2.5"])
+        captured = self._assert_one_error_line(capsys, code, "COUNT", "2.5")
+        assert captured.out == ""
+
+    def test_campaign_negative_samples_fails_before_any_job(self, capsys,
+                                                            tmp_path):
+        cache = tmp_path / "cache"
+        code = main(["campaign", "--scenarios", "table1_fir",
+                     "--wordlengths", "8", "--samples", "-5",
+                     "--cache-dir", str(cache)])
+        captured = self._assert_one_error_line(capsys, code, "samples", "-5")
+        assert captured.out == ""
+        assert not cache.exists() or not any(cache.iterdir())
+
+    # -1 turned the watchdog off, NaN armed one that never fires and
+    # inf overflows the supervisor's wait (with a pool) in a traceback.
+    @pytest.mark.parametrize("timeout", ["-1", "nan", "inf"])
+    def test_campaign_bad_payload_timeout_is_one_error_line(
+            self, capsys, tmp_path, timeout):
+        cache = tmp_path / "cache"
+        code = main(["campaign", "--scenarios", "table1_fir",
+                     "--wordlengths", "8", "--samples", "2000",
+                     "--payload-timeout", timeout, "--cache-dir", str(cache)])
+        captured = self._assert_one_error_line(capsys, code,
+                                               "payload_timeout")
+        assert captured.out == ""
+        assert not cache.exists() or not any(cache.iterdir())
+
+    def test_obs_negative_top_is_one_error_line(self, capsys, tmp_path):
+        trace = tmp_path / "trace.json"
+        trace.write_text(json.dumps({"traceEvents": [
+            {"ph": "X", "name": name, "ts": 0, "dur": duration}
+            for name, duration in (("a", 3), ("b", 2), ("c", 1))]}))
+        code = main(["obs", str(trace), "--top", "-1"])
+        captured = self._assert_one_error_line(capsys, code, "top", "-1")
+        assert captured.out == ""
+
     def test_unknown_backend_rejected_by_argparse(self, capsys):
         # There is no backend flag left to choose with.
         for name in ("fortran", "codegen"):

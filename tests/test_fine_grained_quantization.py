@@ -19,6 +19,8 @@ from repro.analysis.agnostic_method import (
 from repro.analysis.flat_method import evaluate_flat, evaluate_flat_batch
 from repro.analysis.psd_method import evaluate_psd, evaluate_psd_batch
 from repro.data.signals import uniform_white_noise
+from repro.fixedpoint.noise_model import quantization_noise_stats
+from repro.fixedpoint.quantizer import RoundingMode
 from repro.lti.fir_design import design_fir_highpass, design_fir_lowpass
 from repro.sfg.builder import SfgBuilder
 from repro.sfg.plan import CompiledPlan, compile_plan, parse_edge_key
@@ -72,8 +74,9 @@ class TestEdgeRequantize:
         assert port == 0
         assert tap.key == "lp->g"
         assert tap.bits == 8
-        assert tap.input_bits == 12
-        assert tap.noise is not None
+        # The tap re-quantizes lp's 12-bit grid, not a continuous value.
+        assert tap.noise == quantization_noise_stats(
+            8, rounding=RoundingMode.ROUND, input_fractional_bits=12)
 
     def test_noop_tap_carries_no_noise(self):
         plan = compile_plan(_fork_graph(bits=12))
@@ -125,7 +128,9 @@ class TestEdgeRequantize:
         plan = compile_plan(graph)
         plan.requantize({"lp->g": 8})
         (entry,) = _active_taps(plan)
-        assert entry[2].input_bits is None
+        # An unquantized source is a continuous-amplitude tap input.
+        assert entry[2].noise == quantization_noise_stats(
+            8, rounding=RoundingMode.ROUND)
 
     def test_preserve_quantization_restores_taps(self):
         plan = compile_plan(_fork_graph())
@@ -348,7 +353,7 @@ class TestIntegerBitAssignment:
                 node.quantization,
                 integer_bits=integer_bits_for_range(interval) + 1)
         plan.refresh()
-        # Overflow handling is OverflowMode.NONE: integer widths label
-        # the format, they never clamp, so the samples are bitwise equal.
+        # Quantizers do not handle overflow: integer widths label the
+        # format, they never clamp, so the samples are bitwise equal.
         assert np.array_equal(reference,
                               plan.run(stimulus, mode="fixed").output("y"))

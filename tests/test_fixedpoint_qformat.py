@@ -13,21 +13,6 @@ class TestBasics:
         assert QFormat(2, 5, signed=True).total_bits == 8
         assert QFormat(2, 5, signed=False).total_bits == 7
 
-    def test_signed_range(self):
-        fmt = QFormat(3, 4)
-        assert fmt.min_value == -8.0
-        assert fmt.max_value == 8.0 - 2.0 ** -4
-
-    def test_unsigned_range_starts_at_zero(self):
-        fmt = QFormat(3, 4, signed=False)
-        assert fmt.min_value == 0.0
-        assert fmt.max_value == 8.0 - 2.0 ** -4
-
-    def test_mantissa_bounds_match_values(self):
-        fmt = QFormat(2, 3)
-        assert fmt.max_mantissa == 31
-        assert fmt.min_mantissa == -32
-
     def test_negative_fractional_bits_rejected(self):
         with pytest.raises(ValueError):
             QFormat(2, -1)

@@ -5,13 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.fixedpoint.qformat import QFormat
-from repro.fixedpoint.quantizer import (
-    OverflowMode,
-    Quantizer,
-    RoundingMode,
-    apply_rounding,
-    quantize,
-)
+from repro.fixedpoint.quantizer import Quantizer, RoundingMode, apply_rounding
 
 _INF, _NAN = np.inf, np.nan
 
@@ -101,30 +95,24 @@ class TestRounding:
         assert np.all(errors > -q.step)
 
 
-class TestOverflow:
-    def test_saturation_clips(self):
-        q = Quantizer(QFormat(1, 2), overflow=OverflowMode.SATURATE)
-        np.testing.assert_allclose(q(np.array([5.0, -5.0])), [1.75, -2.0])
+class TestNoOverflowHandling:
+    def test_out_of_range_values_are_only_rounded(self):
+        # Range of Q(1, 2) is [-2, 1.75]: values past it keep their size.
+        q = Quantizer(QFormat(1, 2))
+        np.testing.assert_allclose(q(np.array([5.0, -5.1])), [5.0, -5.0])
 
-    def test_wrap_is_modular(self):
-        q = Quantizer(QFormat(1, 0), overflow=OverflowMode.WRAP)
-        # Range is [-2, 1]; 2 wraps to -2.
-        np.testing.assert_allclose(q(np.array([2.0])), [-2.0])
-
-    def test_none_leaves_out_of_range_values(self):
-        q = Quantizer(QFormat(1, 2), overflow=OverflowMode.NONE)
-        np.testing.assert_allclose(q(np.array([5.0])), [5.0])
-
-
-class TestConvenienceFunction:
-    def test_quantize_matches_class(self):
-        x = np.array([0.33, -0.77, 0.123])
-        expected = Quantizer(QFormat(15, 8)).quantize(x)
-        np.testing.assert_array_equal(quantize(x, 8), expected)
-
-    def test_string_modes_accepted(self):
-        x = np.array([0.3])
-        np.testing.assert_allclose(quantize(x, 2, rounding="truncate"), [0.25])
+    @pytest.mark.parametrize("mode", list(RoundingMode))
+    @pytest.mark.parametrize("integer_bits", [0, 1, 4, 15])
+    def test_integer_width_changes_no_value(self, mode, integer_bits):
+        # Values up to 2**20 steps past every range: each output is the
+        # rounded step mantissa rescaled, whatever the integer width.
+        q = Quantizer(QFormat(integer_bits, 6), rounding=mode)
+        values = np.random.default_rng(integer_bits).uniform(
+            -2.0 ** 14, 2.0 ** 14, 500)
+        expected = apply_rounding(values / q.step, mode) * q.step
+        assert np.array_equal(_bits(q(values)), _bits(expected))
+        errors = q(values) - values
+        assert np.all(np.abs(errors) < q.step)
 
 
 class TestProperties:
@@ -184,18 +172,6 @@ class TestInPlaceComplexQuantizer:
         assert np.array_equal(_bits(in_place), _bits(expected))
         assert np.array_equal(_bits(with_work), _bits(expected))
 
-    @pytest.mark.parametrize("overflow", [OverflowMode.SATURATE,
-                                          OverflowMode.WRAP])
-    def test_overflow_modes_match_literal_composition(self, overflow):
-        quantizer = Quantizer(QFormat(2, 6), overflow=overflow)
-        rng = np.random.default_rng(8)
-        values = (rng.uniform(-20.0, 20.0, 300)
-                  + 1j * rng.uniform(-20.0, 20.0, 300))
-        expected = _literal(quantizer, values)
-        assert np.array_equal(
-            _bits(quantizer.quantize_complex(values.copy())),
-            _bits(expected))
-
     def test_quantizes_in_place_over_a_stack(self):
         quantizer = Quantizer(QFormat(15, 5))
         rng = np.random.default_rng(9)
@@ -240,10 +216,8 @@ class TestInPlaceComplexQuantizer:
             apply_rounding(mantissas, RoundingMode.ROUND, out=mantissas)
 
     @pytest.mark.parametrize("mode", list(RoundingMode))
-    @pytest.mark.parametrize("overflow", list(OverflowMode))
-    def test_quantize_leaves_its_input_untouched(self, mode, overflow):
-        quantizer = Quantizer(QFormat(2, 4), rounding=mode,
-                              overflow=overflow)
+    def test_quantize_leaves_its_input_untouched(self, mode):
+        quantizer = Quantizer(QFormat(2, 4), rounding=mode)
         values = np.concatenate([_MANTISSAS * quantizer.step,
                                  [-0.0, 9.3, -9.3]])
         before = values.copy()

@@ -88,10 +88,42 @@ class TestBandpass:
             design_fir_bandpass(33, low, high)
 
 
-class TestWindows:
-    @pytest.mark.parametrize("window", ["rectangular", "hamming", "hann",
-                                        "blackman", "kaiser"])
-    def test_all_windows_produce_valid_lowpass(self, window):
-        taps = design_fir_lowpass(49, 0.35, window=window)
-        assert np.sum(taps) == pytest.approx(1.0)
-        assert _gain_at(taps, 0.9) < 0.1
+def _hamming_windowed_ideal(num_taps, lowpass_cutoffs):
+    """Sum of signed ideal low-pass responses, times a Hamming window."""
+    n = np.arange(num_taps)
+    k = n - (num_taps - 1) / 2.0
+    ideal = sum(sign * cutoff * np.sinc(cutoff * k)
+                for sign, cutoff in lowpass_cutoffs)
+    return ideal * (0.54 - 0.46 * np.cos(2.0 * np.pi * n / (num_taps - 1)))
+
+
+def _unit_gain_at(taps, frequency):
+    n = np.arange(len(taps))
+    return taps / abs(np.sum(taps * np.exp(-1j * np.pi * frequency * n)))
+
+
+class TestHammingWindow:
+    """Every design windows its ideal response with a Hamming window."""
+
+    @pytest.mark.parametrize("num_taps", [16, 33, 64, 127])
+    def test_lowpass(self, num_taps):
+        expected = _unit_gain_at(
+            _hamming_windowed_ideal(num_taps, [(1, 0.35)]), 0.0)
+        np.testing.assert_allclose(design_fir_lowpass(num_taps, 0.35),
+                                   expected, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("num_taps", [16, 33, 64, 127])
+    def test_highpass(self, num_taps):
+        length = num_taps + 1 - num_taps % 2
+        taps = -_hamming_windowed_ideal(length, [(1, 0.35)])
+        taps[(length - 1) // 2] += 1.0
+        np.testing.assert_allclose(design_fir_highpass(num_taps, 0.35),
+                                   _unit_gain_at(taps, 1.0),
+                                   rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("num_taps", [16, 33, 64, 127])
+    def test_bandpass(self, num_taps):
+        expected = _unit_gain_at(
+            _hamming_windowed_ideal(num_taps, [(1, 0.6), (-1, 0.3)]), 0.45)
+        np.testing.assert_allclose(design_fir_bandpass(num_taps, 0.3, 0.6),
+                                   expected, rtol=1e-12, atol=1e-15)

@@ -131,11 +131,6 @@ class TestComposition:
         combined = a + a
         assert combined.dc_gain() == pytest.approx(2.0)
 
-    def test_feedback_unity(self):
-        # H = 0.5 -> closed loop = 0.5 / 1.5
-        tf = TransferFunction.gain(0.5).feedback()
-        assert tf.dc_gain() == pytest.approx(1.0 / 3.0)
-
     def test_cascade_of_iir_keeps_poles(self):
         a = TransferFunction([1.0], [1.0, -0.5])
         b = TransferFunction([1.0], [1.0, -0.25])

@@ -1,15 +1,9 @@
-"""Unit tests for PSD estimation (periodogram / Welch / 2-D)."""
+"""Unit tests for PSD estimation (Welch / 2-D)."""
 
 import numpy as np
 import pytest
 
-from repro.psd.estimation import (
-    estimate_psd,
-    estimate_psd_2d,
-    periodogram,
-    welch,
-    welch_batched,
-)
+from repro.psd.estimation import estimate_psd_2d, welch, welch_batched
 
 
 class TestWelch:
@@ -32,7 +26,7 @@ class TestWelch:
         n = 64
         t = np.arange(50_000)
         x = np.sin(2 * np.pi * t * (8 / n)) + 0.001 * rng.standard_normal(50_000)
-        psd = welch(x, n, window="hann")
+        psd = welch(x, n)
         dominant = np.argsort(psd.ac)[-2:]
         assert set(dominant) == {8, n - 8}
 
@@ -59,14 +53,9 @@ class TestWelch:
     def test_bin_count_below_two_rejected(self, rng, n_bins):
         x = rng.standard_normal(100)
         for estimate in (lambda: welch(x, n_bins),
-                         lambda: welch_batched(x.reshape(4, 25), n_bins),
-                         lambda: periodogram(x, n_bins)):
+                         lambda: welch_batched(x.reshape(4, 25), n_bins)):
             with pytest.raises(ValueError, match="n_bins must be at least 2"):
                 estimate()
-
-    def test_invalid_overlap_rejected(self, rng):
-        with pytest.raises(ValueError):
-            welch(rng.standard_normal(100), 16, overlap=1.0)
 
     def test_short_record_padded(self, rng):
         psd = welch(rng.standard_normal(10), 64)
@@ -93,20 +82,6 @@ class TestWelch:
         assert psd.n_bins == 64
         assert psd.variance == pytest.approx(float(np.var(x)), rel=1e-9)
 
-    def test_overlap_near_one_clamps_hop_to_one_sample(self, rng):
-        # n_bins * (1 - overlap) rounds to zero here; the hop must clamp
-        # to one sample instead of looping forever or dividing by zero.
-        x = rng.standard_normal(200)
-        psd = welch(x, 64, overlap=0.999)
-        assert psd.n_bins == 64
-        assert psd.variance == pytest.approx(float(np.var(x)), rel=1e-9)
-
-    def test_high_overlap_matches_variance(self, rng):
-        x = rng.standard_normal(4096)
-        for overlap in (0.9, 0.99):
-            psd = welch(x, 128, overlap=overlap)
-            assert psd.variance == pytest.approx(float(np.var(x)), rel=1e-9)
-
     def test_constant_record_gives_zero_variance(self):
         psd = welch(np.full(1000, 0.25), 32)
         assert psd.variance == 0.0
@@ -119,9 +94,6 @@ class TestWelch:
         x[1000] = bad
         stack = np.stack([rng.standard_normal(4096), x])
         for estimate in (lambda: welch(x, 64),
-                         lambda: estimate_psd(x, 64),
-                         lambda: estimate_psd(x, 64, method="periodogram"),
-                         lambda: periodogram(x, 64),
                          lambda: welch_batched(stack, 64)):
             with pytest.raises(ValueError, match="mean is not finite"):
                 estimate()
@@ -132,20 +104,6 @@ class TestWelch:
         with np.errstate(over="ignore"), \
                 pytest.raises(ValueError, match="variance is not finite"):
             welch(x, 64)
-
-
-class TestPeriodogram:
-    def test_variance_recovered(self, rng):
-        x = rng.standard_normal(40_000)
-        psd = periodogram(x, 256)
-        assert psd.variance == pytest.approx(1.0, rel=0.05)
-
-    def test_estimate_psd_dispatch(self, rng):
-        x = rng.standard_normal(5_000)
-        assert estimate_psd(x, 64, method="welch").n_bins == 64
-        assert estimate_psd(x, 64, method="periodogram").n_bins == 64
-        with pytest.raises(ValueError):
-            estimate_psd(x, 64, method="multitaper")
 
 
 class TestPsd2d:

@@ -7,26 +7,27 @@ out the ``__init__.py`` files, whose re-exports would read as uses.  It
 collects, from the other modules under ``src/repro``, the public
 module-level functions and classes and the public methods of public
 classes, skipping functions whose decorator is a call (registrations
-such as ``@_registered(...)``).  It counts the words of the code of the
-``.py`` files under ``src/``, ``examples/``, ``benchmarks/`` and
-``e2ebench/`` once: the names and the words of string literals, not of
-comments or docstrings, so a name that only prose mentions stays
-unreached.  String literals count because ``e2ebench/traced.py`` binds
-functions by their dotted names.  A name whose only occurrence is its
-definition is unreached.
+such as ``@_registered(...)``).  It counts the references in the syntax
+trees of the ``.py`` files under ``src/``, ``examples/``,
+``benchmarks/`` and ``e2ebench/`` once: names, attributes, imported
+names and definitions, plus the qualified-name parts of every string
+literal that is a ``package.module:qualname`` path, which is how
+``e2ebench/traced.py`` binds functions.  The expressions of an f-string
+are code in the tree, so they count; the words of other string
+literals, comments and docstrings do not, so a name that only an error
+message or prose mentions stays unreached.  A name whose only reference
+is its definition is unreached.
 
-This is a guard, not a proof: a word search cannot tell a call from a
-mention, so a name that is also a common word (``frequencies``,
-``widen``, ``contains``) or that another definition shares reads as
+This is a guard, not a proof: a reference is matched by name, not
+resolved to its definition, so a name that another definition or an
+unrelated attribute shares (``compare``, ``contains``) reads as
 reached.  ``ALLOWED`` holds the unreached names that stay, each with
 its reason; an entry whose name is gone or reached now is stale and
 fails too.
 """
 
 import ast
-import io
 import re
-import tokenize
 from collections import Counter
 from functools import lru_cache
 from pathlib import Path
@@ -35,6 +36,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SCANNED = ("src", "examples", "benchmarks", "e2ebench")
+# A whole string literal naming ``package.module:qualname``.
+_BINDING_PATH = re.compile(r"[A-Za-z_][\w.]*:([A-Za-z_][\w.]*)")
 
 ALLOWED = {
     "CampaignReport.from_jsonl": "the reader of the runner's JSONL stream",
@@ -46,6 +49,10 @@ ALLOWED = {
     "SignalFlowGraph.remove_node":
         "the graph mutation that the plan-cache and evaluator recompile "
         "tests rely on",
+    "SfgBuilder.lti":
+        "graph JSON carries `lti` nodes, and the serialization, "
+        "plan-equivalence and builder tests build their LtiNode fixtures "
+        "through it",
 }
 
 
@@ -80,31 +87,22 @@ def _walk_definitions():
                         yield f"{node.name}.{item.name}", item.name
 
 
-def _docstring_starts(tree) -> set:
-    """``(line, column)`` of every module, class and function docstring."""
-    starts = set()
+def _references(tree):
+    """The names a syntax tree references or defines."""
     for node in ast.walk(tree):
-        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
-                             ast.AsyncFunctionDef)) and node.body:
-            first = node.body[0]
-            if (isinstance(first, ast.Expr)
-                    and isinstance(first.value, ast.Constant)
-                    and isinstance(first.value.value, str)):
-                starts.add((first.lineno, first.col_offset))
-    return starts
-
-
-def _code_words(text: str):
-    """The names and string-literal words of a source, without its
-    comments and docstrings."""
-    docstrings = _docstring_starts(ast.parse(text))
-    # f-string parts are tokens of their own from Python 3.12 on.
-    literal = {tokenize.STRING, getattr(tokenize, "FSTRING_MIDDLE", None)}
-    for token in tokenize.generate_tokens(io.StringIO(text).readline):
-        if token.type == tokenize.NAME:
-            yield token.string
-        elif token.type in literal and token.start not in docstrings:
-            yield from re.findall(r"\w+", token.string)
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from node.name.split(".")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            path = _BINDING_PATH.fullmatch(node.value)
+            if path is not None:
+                yield from path.group(1).split(".")
 
 
 @lru_cache(maxsize=None)
@@ -112,7 +110,8 @@ def _words() -> Counter:
     words = Counter()
     for folder in SCANNED:
         for path in _sources(folder):
-            words.update(_code_words(path.read_text(encoding="utf-8")))
+            words.update(_references(
+                ast.parse(path.read_text(encoding="utf-8"))))
     return words
 
 
