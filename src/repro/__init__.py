@@ -6,8 +6,7 @@ Spectral Density for Scalable System-Level Accuracy Evaluation*, DATE
 
 The library is organized in layers:
 
-* :mod:`repro.fixedpoint` — fixed-point data types, quantizers and the
-  Widrow PQN noise model;
+* :mod:`repro.fixedpoint` — quantizers and the Widrow PQN noise model;
 * :mod:`repro.lti` — filters, transfer functions, FFTs, multirate and
   block-convolution building blocks;
 * :mod:`repro.sfg` — signal-flow-graph description and dual-mode
@@ -37,7 +36,7 @@ from repro.analysis import AccuracyEvaluator, SimulationEvaluator
 from repro.analysis.psd_method import evaluate_psd
 from repro.analysis.agnostic_method import evaluate_agnostic
 from repro.analysis.flat_method import evaluate_flat
-from repro.fixedpoint import QFormat, Quantizer, RoundingMode
+from repro.fixedpoint import Quantizer, RoundingMode
 from repro.psd import DiscretePsd
 from repro.sfg import CompiledPlan, SfgBuilder, SignalFlowGraph, compile_plan
 
@@ -69,7 +68,6 @@ __all__ = [
     "evaluate_psd",
     "evaluate_agnostic",
     "evaluate_flat",
-    "QFormat",
     "Quantizer",
     "RoundingMode",
     "DiscretePsd",

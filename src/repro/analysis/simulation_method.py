@@ -320,7 +320,7 @@ class SimulationEvaluator:
             metric_inc("sim.reference_memo.hits")
             return reference, True
         metric_inc("sim.reference_memo.misses")
-        reference = plan._run(stimulus, "double", False).output(output)
+        reference = plan._run(stimulus, "double").output(output)
         memo[key] = reference
         while len(memo) > REFERENCE_MEMO_LIMIT:
             memo.popitem(last=False)
@@ -329,7 +329,7 @@ class SimulationEvaluator:
     def _fixed_error(self, stimulus: dict, reference: np.ndarray,
                      output: str) -> np.ndarray:
         """Bit-true output of the plan's current state minus ``reference``."""
-        fixed = self.plan._run(stimulus, "fixed", False).output(output)
+        fixed = self.plan._run(stimulus, "fixed").output(output)
         if reference.shape != fixed.shape:
             # Both modes run the same schedule on the same stimulus, so a
             # length mismatch can only be a node implementation bug.

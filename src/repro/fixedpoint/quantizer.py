@@ -8,10 +8,11 @@ the analytical methods replace each of them by an additive noise source
 whose first two moments (and PSD) are given by
 :mod:`repro.fixedpoint.noise_model`.
 
-A quantizer rounds and rescales; it has no overflow handling.  The
-paper measures precision errors only and assumes every integer part is
-sized so that nothing overflows, so a value outside the format's range
-is left as it is.
+A quantizer is a fractional width and a rounding mode: it rounds onto
+the grid of ``2**-fractional_bits`` steps and rescales.  It has no
+integer width and no overflow handling.  The paper measures precision
+errors only and assumes every integer part is sized so that nothing
+overflows, so a value of any magnitude is only rounded.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-
-from repro.fixedpoint.qformat import QFormat
 
 
 class RoundingMode(str, enum.Enum):
@@ -82,25 +81,31 @@ def apply_rounding(mantissa: np.ndarray, mode: RoundingMode,
 
 @dataclass(frozen=True)
 class Quantizer:
-    """A quantizer mapping real values onto a :class:`QFormat` grid.
+    """A quantizer mapping real values onto the grid of a fractional width.
 
     Parameters
     ----------
-    fmt:
-        Target fixed-point format (only its step is read).
+    fractional_bits:
+        Number of fractional bits; the quantization step is
+        ``2**-fractional_bits``.  A negative width is refused.
     rounding:
         Rounding mode applied to the fractional part.
 
     Examples
     --------
     >>> import numpy as np
-    >>> q = Quantizer(QFormat(2, 3), rounding=RoundingMode.TRUNCATE)
+    >>> q = Quantizer(3, rounding=RoundingMode.TRUNCATE)
     >>> q(np.array([0.3, -0.3]))
     array([ 0.25 , -0.375])
     """
 
-    fmt: QFormat
+    fractional_bits: int
     rounding: RoundingMode = RoundingMode.ROUND
+
+    def __post_init__(self) -> None:
+        if self.fractional_bits < 0:
+            raise ValueError("fractional_bits must be non-negative, "
+                             f"got {self.fractional_bits}")
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         return self.quantize(values)
@@ -108,7 +113,7 @@ class Quantizer:
     def quantize(self, values: np.ndarray) -> np.ndarray:
         """Quantize ``values`` and return the result as floating point."""
         values = np.asarray(values, dtype=float)
-        return self._rescaled(values / self.fmt.step)
+        return self._rescaled(values / self.step)
 
     def quantize_complex(self, values: np.ndarray,
                          work: np.ndarray | None = None) -> np.ndarray:
@@ -131,7 +136,7 @@ class Quantizer:
         lanes = values.view(np.float64)
         scratch = (np.empty(lanes.shape) if work is None
                    else work.view(np.float64))
-        mantissa = np.divide(lanes, self.fmt.step, out=scratch)
+        mantissa = np.divide(lanes, self.step, out=scratch)
         self._rescaled(mantissa, out=lanes)
         imag = lanes[..., 1::2]
         zero_times_imag = np.multiply(imag, 0.0,
@@ -142,15 +147,9 @@ class Quantizer:
                   out: np.ndarray | None = None) -> np.ndarray:
         """Round and rescale step mantissas (into ``out`` if given)."""
         rounded = apply_rounding(mantissa, self.rounding, out=out)
-        return np.multiply(rounded, self.fmt.step, out=out)
-
-    def error(self, values: np.ndarray) -> np.ndarray:
-        """Quantization error ``quantize(values) - values``."""
-        values = np.asarray(values, dtype=float)
-        return self.quantize(values) - values
+        return np.multiply(rounded, self.step, out=out)
 
     @property
     def step(self) -> float:
-        """Quantization step of the target format."""
-        return self.fmt.step
-
+        """Quantization step (weight of the least-significant bit)."""
+        return 2.0 ** (-self.fractional_bits)

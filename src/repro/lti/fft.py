@@ -17,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.fixedpoint.quantizer import Quantizer, RoundingMode
-from repro.fixedpoint.qformat import QFormat
 from repro.simkernel.fft import (
     bit_reverse_permutation as _bit_reverse_permutation,
     fixed_fft_forward,
@@ -64,9 +63,8 @@ class FixedPointFft:
             fractional_bits if twiddle_fractional_bits is None
             else twiddle_fractional_bits)
         self.rounding = rounding
-        self._data_quantizer = Quantizer(QFormat(15, fractional_bits),
-                                         rounding=rounding)
-        twiddle_quantizer = Quantizer(QFormat(2, self.twiddle_fractional_bits),
+        self._data_quantizer = Quantizer(fractional_bits, rounding=rounding)
+        twiddle_quantizer = Quantizer(self.twiddle_fractional_bits,
                                       rounding=rounding)
         self._twiddle_cache = {}
         size_ = 2

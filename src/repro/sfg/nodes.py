@@ -24,6 +24,7 @@ corresponding additive noise source is returned by
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -31,7 +32,6 @@ import numpy as np
 
 from repro.fixedpoint.noise_model import NoiseStats, quantization_noise_stats
 from repro.fixedpoint.quantizer import Quantizer, RoundingMode, round_half_away
-from repro.fixedpoint.qformat import QFormat
 from repro.lti.transfer_function import TransferFunction
 from repro.simkernel.iir import iir_df1_fixed
 
@@ -39,6 +39,12 @@ from repro.simkernel.iir import iir_df1_fixed
 @dataclass(frozen=True)
 class QuantizationSpec:
     """Word-length specification of a node's output.
+
+    Every width is an integer >= 0, checked when the spec is made: a
+    negative, non-integral or boolean width raises a ``ValueError``
+    naming the field (and the target, for a tap).  A width is fractional
+    only; the integer part of every signal is taken as sized so that
+    nothing overflows.
 
     Attributes
     ----------
@@ -63,13 +69,6 @@ class QuantizationSpec:
         node output is a no-op (the value already lives on the coarser
         grid) and injects exactly zero noise.  Stored as a tuple so the
         spec stays hashable; dicts are normalized on construction.
-    integer_bits:
-        Per-signal integer width of the data-path quantizer (sized by
-        :func:`repro.fixedpoint.range_analysis.integer_bits_for_range`
-        and carried by graph JSON); ``None`` keeps the legacy 15-bit
-        default.  Quantizers do not handle overflow, so the integer
-        width never changes simulated values — it only documents/sizes
-        the datapath.
     """
 
     fractional_bits: int | None
@@ -77,14 +76,19 @@ class QuantizationSpec:
     coefficient_fractional_bits: int | None = None
     input_fractional_bits: int | None = None
     edge_fractional_bits: tuple = ()
-    integer_bits: int | None = None
 
     def __post_init__(self):
+        for name in _WIDTH_FIELDS:
+            bits = getattr(self, name)
+            if bits is not None:
+                _check_width(bits, name)
         entries = self.edge_fractional_bits
         if isinstance(entries, dict):
             entries = entries.items()
-        normalized = tuple(sorted((str(target), int(bits))
-                                  for target, bits in entries))
+        normalized = tuple(sorted(
+            (str(target),
+             int(_check_width(bits, "edge_fractional_bits", target)))
+            for target, bits in entries))
         if len({target for target, _ in normalized}) != len(normalized):
             raise ValueError(
                 "duplicate target in edge_fractional_bits: "
@@ -108,15 +112,11 @@ class QuantizationSpec:
 
         Specs are frozen value objects, so the quantizer is memoized: the
         execution hot paths get one pre-constructed quantizer per distinct
-        specification instead of building a fresh object per call.  Its
-        format carries the spec's :attr:`integer_bits` (the legacy 15
-        when unset).
+        specification instead of building a fresh object per call.
         """
         if not self.enabled:
             raise ValueError("cannot build a quantizer from a disabled spec")
-        integer_bits = 15 if self.integer_bits is None else self.integer_bits
-        return _build_quantizer(self.fractional_bits, self.rounding,
-                                integer_bits)
+        return _build_quantizer(self.fractional_bits, self.rounding)
 
     def quantize_coefficients(self, values) -> np.ndarray:
         """Constant coefficients (gains, filter taps) as the node uses them.
@@ -138,10 +138,9 @@ class QuantizationSpec:
         """Quantizer of a fanout tap carrying this node's output.
 
         The tap re-quantizes the *source* signal, so it inherits the
-        source spec's rounding mode and integer width.
+        source spec's rounding mode.
         """
-        integer = 15 if self.integer_bits is None else self.integer_bits
-        return _build_quantizer(int(bits), self.rounding, integer)
+        return _build_quantizer(int(bits), self.rounding)
 
     def edge_noise_stats(self, bits: int) -> NoiseStats:
         """PQN moments of the noise a fanout tap of ``bits`` bits injects.
@@ -188,18 +187,33 @@ class QuantizationSpec:
         if bits is None:
             entries.pop(str(target), None)
         else:
-            entries[str(target)] = int(bits)
+            entries[str(target)] = bits
         return replace(self, edge_fractional_bits=tuple(sorted(entries.items())))
+
+
+_WIDTH_FIELDS = ("fractional_bits", "coefficient_fractional_bits",
+                 "input_fractional_bits")
+
+
+def _check_width(bits, field: str, target: str | None = None):
+    """``bits`` when it is an integer >= 0 (not a bool), else a
+    ``ValueError`` naming ``field`` and, for a tap, its ``target``."""
+    integral = type(bits) is int or (isinstance(bits, numbers.Integral)
+                                     and not isinstance(bits, bool))
+    if integral and bits >= 0:
+        return bits
+    where = "" if target is None else f" toward {target!r}"
+    raise ValueError(f"{field}{where} must be an integer >= 0, "
+                     f"got {bits!r}")
 
 
 _NO_QUANTIZATION = QuantizationSpec(fractional_bits=None)
 
 
 @lru_cache(maxsize=None)
-def _build_quantizer(fractional_bits: int, rounding: RoundingMode,
-                     integer_bits: int) -> Quantizer:
-    return Quantizer(QFormat(integer_bits, fractional_bits),
-                     rounding=rounding)
+def _build_quantizer(fractional_bits: int,
+                     rounding: RoundingMode) -> Quantizer:
+    return Quantizer(fractional_bits, rounding=rounding)
 
 
 class Node:

@@ -54,7 +54,7 @@ flattened ``(step, config)`` rows of a whole group (:class:`StepRows`).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 from operator import methodcaller
 
@@ -275,14 +275,11 @@ class ExecutionResult:
     Attributes
     ----------
     outputs:
-        Mapping from output-node name to its signal.
-    signals:
-        Mapping from every node name to its output signal (only populated
-        when the run is asked to keep intermediate signals).
+        Mapping from output-node name to its signal.  A signal inside the
+        graph is read through an output node of its own.
     """
 
     outputs: dict[str, np.ndarray]
-    signals: dict[str, np.ndarray] = field(default_factory=dict)
 
     def output(self, name: str | None = None) -> np.ndarray:
         """Return a single output signal.
@@ -466,7 +463,7 @@ class CompiledPlan:
         """
         changed = set()
         for index, was, now in edits:
-            if was[:4] != now[:4] or was[5:] != now[5:]:
+            if was[:4] != now[:4]:
                 changed.add(index)
             entries = set(was[4]) ^ set(now[4])
             if was[:2] != now[:2]:
@@ -910,8 +907,7 @@ class CompiledPlan:
                     "infinite samples")
         return slots
 
-    def run(self, inputs: dict, mode: str = "double",
-            keep_signals: bool = False) -> ExecutionResult:
+    def run(self, inputs: dict, mode: str = "double") -> ExecutionResult:
         """Execute the schedule on one stimulus.
 
         This is the only way the library executes a graph: both
@@ -930,20 +926,18 @@ class CompiledPlan:
         mode:
             ``double`` for the infinite-precision reference or ``fixed``
             for bit-true fixed-point execution.
-        keep_signals:
-            Whether to retain every intermediate node output in the
-            result (useful for debugging, range measurement and
-            block-level validation tests).
+
+        The result holds the output nodes' signals; the values inside
+        the graph are dropped as the walk ends.
         """
         if mode not in ("double", "fixed"):
             raise ValueError(f"unknown execution mode {mode!r}")
         # Pick up quantization-spec mutations made since the last run (a
         # cheap signature comparison when nothing changed).
         self.refresh()
-        return self._run(inputs, mode, keep_signals)
+        return self._run(inputs, mode)
 
-    def _run(self, inputs: dict, mode: str,
-             keep_signals: bool) -> ExecutionResult:
+    def _run(self, inputs: dict, mode: str) -> ExecutionResult:
         """:meth:`run` on the plan as it stands, without the refresh: for
         a caller that has just refreshed it, or edited it through
         :meth:`requantize` only (the legs of a simulated measurement)."""
@@ -968,21 +962,15 @@ class CompiledPlan:
                 simulate = (step.node.simulate_fixed if fixed
                             else step.node.simulate)
                 signals[step.index] = simulate(node_inputs)
-        outputs = {name: signals[index]
-                   for name, index in zip(self.output_names,
-                                          self.output_indices)}
-        return ExecutionResult(
-            outputs=outputs,
-            signals={step.name: signals[step.index] for step in self.steps}
-            if keep_signals else {},
-        )
+        return ExecutionResult({name: signals[index]
+                                for name, index in zip(self.output_names,
+                                                       self.output_indices)})
 
-    def run_pair(self, inputs: dict, keep_signals: bool = False
+    def run_pair(self, inputs: dict
                  ) -> tuple[ExecutionResult, ExecutionResult]:
         """``(reference, fixed)``: a ``double`` run, then a ``fixed`` run
         (one refresh for both)."""
-        return (self.run(inputs, "double", keep_signals),
-                self._run(inputs, "fixed", keep_signals))
+        return self.run(inputs, "double"), self._run(inputs, "fixed")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"CompiledPlan({self.graph.name!r}, steps={len(self.steps)}, "
@@ -1358,7 +1346,7 @@ def quantization_signature(graph: SignalFlowGraph) -> tuple:
     decomposes a per-node diff (:meth:`CompiledPlan._spec_changes`):
     index 4 (edge entries) rebuilds the targets whose entries changed,
     indices 0 (word length) and 1 (rounding) also rebuild every tapped
-    fanout target, and every index but 4 rebuilds the node's own step.
+    fanout target, and indices 0-3 rebuild the node's own step.
     """
     return tuple(_spec_signature(node.quantization)
                  for node in graph.nodes.values())
@@ -1368,7 +1356,7 @@ def _spec_signature(spec) -> tuple:
     """One node's entry of :func:`quantization_signature`."""
     return (spec.fractional_bits, spec.rounding,
             spec.coefficient_fractional_bits, spec.input_fractional_bits,
-            spec.edge_fractional_bits, spec.integer_bits)
+            spec.edge_fractional_bits)
 
 
 def _node_coefficient_state(node: Node) -> tuple:

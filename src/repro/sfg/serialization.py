@@ -24,6 +24,15 @@ Schema (version 1)::
       ]
     }
 
+Every node type but ``output`` takes the word-length keys
+``fractional_bits``, ``rounding``, ``coefficient_fractional_bits``,
+``input_fractional_bits`` and ``edge_fractional_bits`` (a map from a
+fanout target to its tap width); each width is an integer >= 0.  A node
+carries these, ``name``, ``type`` and its type's own parameters, an edge
+``source``, ``target`` and ``port``.  The loader refuses any other key
+with a ``ValueError`` naming the node or edge and the key, so a typo or
+a key of another schema cannot load and be ignored.
+
 The command-line front end (:mod:`repro.cli`) consumes these files.
 """
 
@@ -58,26 +67,23 @@ SCHEMA_VERSION = 1
 # Serialization
 # ----------------------------------------------------------------------
 def _spec_to_dict(spec: QuantizationSpec) -> dict:
+    # A disabled spec keeps its fields too: a fanout tap on an
+    # unquantized source inherits its rounding mode, and a batched
+    # evaluation that enables the node reads them all.  A disabled spec
+    # whose other fields are defaults serializes as ``{}``.
     data: dict = {}
     if spec.enabled:
         data["fractional_bits"] = spec.fractional_bits
         data["rounding"] = spec.rounding.value
-        if spec.coefficient_fractional_bits is not None:
-            data["coefficient_fractional_bits"] = spec.coefficient_fractional_bits
-        if spec.input_fractional_bits is not None:
-            data["input_fractional_bits"] = spec.input_fractional_bits
-    # Fine-grained fields are emitted independently of `enabled`: a
-    # fanout tap on an unquantized source is legitimate (the tap then
-    # quantizes a full-precision signal).  Specs without them serialize
-    # byte-identically to the pre-edge schema.
+    if spec.coefficient_fractional_bits is not None:
+        data["coefficient_fractional_bits"] = spec.coefficient_fractional_bits
+    if spec.input_fractional_bits is not None:
+        data["input_fractional_bits"] = spec.input_fractional_bits
     if spec.edge_fractional_bits:
         data["edge_fractional_bits"] = {target: bits for target, bits
                                         in spec.edge_fractional_bits}
-        # Taps inherit the spec's rounding mode, which would otherwise
-        # be dropped for disabled specs.
+    if spec.edge_fractional_bits or spec.rounding is not RoundingMode.ROUND:
         data.setdefault("rounding", spec.rounding.value)
-    if spec.integer_bits is not None:
-        data["integer_bits"] = spec.integer_bits
     return data
 
 
@@ -210,27 +216,35 @@ def assignment_fingerprint(assignment: dict) -> str:
 # ----------------------------------------------------------------------
 # Deserialization
 # ----------------------------------------------------------------------
+_GRAPH_KEYS = ("version", "name", "nodes", "edges")
+_EDGE_KEYS = ("source", "target", "port")
+_SPEC_KEYS = ("fractional_bits", "rounding", "coefficient_fractional_bits",
+              "input_fractional_bits", "edge_fractional_bits")
+# The keys each node type reads besides ``name``, ``type`` and, on every
+# type but ``output``, the spec keys.
+_NODE_KEYS = {
+    "input": (), "output": (), "add": ("signs",), "gain": ("gain",),
+    "delay": ("delay",), "fir": ("taps",), "iir": ("b", "a"),
+    "lti": ("b", "a"), "downsample": ("factor", "phase"),
+    "upsample": ("factor",),
+}
+
+
+def _refuse_unread(data: dict, read: tuple, where: str) -> None:
+    """Raise a ``ValueError`` naming ``where`` and the first key of
+    ``data`` that the loader does not read."""
+    unread = sorted(set(data) - set(read))
+    if unread:
+        raise ValueError(f"{where}: unknown key {unread[0]!r}")
+
+
 def _spec_from_dict(data: dict) -> QuantizationSpec:
-    edge_bits = {str(target): int(bits) for target, bits
-                 in data.get("edge_fractional_bits", {}).items()}
-    integer_bits = data.get("integer_bits")
-    integer_bits = None if integer_bits is None else int(integer_bits)
-    if "fractional_bits" not in data or data["fractional_bits"] is None:
-        if not edge_bits and integer_bits is None:
-            return QuantizationSpec(None)
-        return QuantizationSpec(
-            None,
-            rounding=RoundingMode(data.get("rounding", "round")),
-            edge_fractional_bits=edge_bits,
-            integer_bits=integer_bits,
-        )
     return QuantizationSpec(
-        fractional_bits=int(data["fractional_bits"]),
+        fractional_bits=data.get("fractional_bits"),
         rounding=RoundingMode(data.get("rounding", "round")),
         coefficient_fractional_bits=data.get("coefficient_fractional_bits"),
         input_fractional_bits=data.get("input_fractional_bits"),
-        edge_fractional_bits=edge_bits,
-        integer_bits=integer_bits,
+        edge_fractional_bits=data.get("edge_fractional_bits", {}),
     )
 
 
@@ -239,24 +253,25 @@ def _node_from_dict(data: dict) -> Node:
     name = data.get("name")
     if not name:
         raise ValueError("every node needs a non-empty 'name'")
-    spec = _spec_from_dict(data)
+    if node_type not in _NODE_KEYS:
+        raise ValueError(f"unknown node type {node_type!r} for node {name!r}")
+    if node_type == "output":
+        _refuse_unread(data, ("name", "type"), f"node {name!r}")
+        return OutputNode(name)
+    _refuse_unread(data, ("name", "type", *_SPEC_KEYS, *_NODE_KEYS[node_type]),
+                   f"node {name!r}")
+    try:
+        spec = _spec_from_dict(data)
+    except ValueError as error:
+        raise ValueError(f"node {name!r}: {error}") from None
     if node_type == "input":
         return InputNode(name, spec)
-    if node_type == "output":
-        return OutputNode(name)
     if node_type == "add":
         signs = data.get("signs", [1.0, 1.0])
         return AddNode(name, num_inputs=len(signs), signs=signs,
                        quantization=spec)
     if node_type == "gain":
         return GainNode(name, float(data["gain"]), quantization=spec)
-    if node_type == "delay":
-        node = DelayNode(name, int(data.get("delay", 1)))
-        # Delay nodes never quantize their own output, but their spec
-        # may still carry fanout-tap widths — reattach it so the
-        # round-trip stays loss-free.
-        node.quantization = spec
-        return node
     if node_type == "fir":
         return FirNode(name, data["taps"], quantization=spec)
     if node_type == "iir":
@@ -264,16 +279,27 @@ def _node_from_dict(data: dict) -> Node:
     if node_type == "lti":
         return LtiNode(name, TransferFunction(data["b"], data.get("a", [1.0])),
                        quantization=spec)
-    if node_type == "downsample":
-        return DownsampleNode(name, int(data.get("factor", 2)),
+    if node_type == "delay":
+        node = DelayNode(name, int(data.get("delay", 1)))
+    elif node_type == "downsample":
+        node = DownsampleNode(name, int(data.get("factor", 2)),
                               int(data.get("phase", 0)))
-    if node_type == "upsample":
-        return UpsampleNode(name, int(data.get("factor", 2)))
-    raise ValueError(f"unknown node type {node_type!r} for node {name!r}")
+    else:
+        node = UpsampleNode(name, int(data.get("factor", 2)))
+    # Delays and resamplers take no spec when built, but theirs may
+    # carry fanout-tap widths: reattach it so the round-trip stays
+    # loss-free.
+    node.quantization = spec
+    return node
 
 
 def graph_from_dict(data: dict) -> SignalFlowGraph:
-    """Rebuild a graph from its dictionary representation."""
+    """Rebuild a graph from its dictionary representation.
+
+    A key that the loader does not read, at the top level, on a node
+    (by its type) or on an edge, raises a ``ValueError`` naming it.
+    """
+    _refuse_unread(data, _GRAPH_KEYS, "graph")
     version = data.get("version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {version}")
@@ -281,6 +307,8 @@ def graph_from_dict(data: dict) -> SignalFlowGraph:
     for node_data in data.get("nodes", []):
         graph.add_node(_node_from_dict(node_data))
     for edge in data.get("edges", []):
+        _refuse_unread(edge, _EDGE_KEYS,
+                       f"edge {edge.get('source')!r} -> {edge.get('target')!r}")
         graph.connect(edge["source"], edge["target"], int(edge.get("port", 0)))
     graph.validate()
     return graph

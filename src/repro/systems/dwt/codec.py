@@ -32,7 +32,6 @@ from repro.analysis.metrics import ed_deviation, noise_power
 from repro.analysis.simulation_method import content_digest
 from repro.fixedpoint.noise_model import NoiseStats, quantization_noise_stats
 from repro.fixedpoint.quantizer import Quantizer, RoundingMode
-from repro.fixedpoint.qformat import QFormat
 from repro.obs import metric_inc
 from repro.psd.estimation import estimate_psd_2d
 from repro.systems.dwt.daubechies97 import WaveletFilters, daubechies_9_7_filters
@@ -74,9 +73,6 @@ def _check_images(images) -> list[np.ndarray]:
 class Dwt97Codec:
     """Fixed-point 2-D Daubechies 9/7 encoder + decoder.
 
-    Its quantizers carry 7 integer bits, a label only: images live in
-    ``[0, 1)`` and quantizers do not handle overflow.
-
     Parameters
     ----------
     fractional_bits:
@@ -111,8 +107,7 @@ class Dwt97Codec:
     # Execution
     # ------------------------------------------------------------------
     def _data_quantizer(self) -> Quantizer:
-        return Quantizer(QFormat(7, self.fractional_bits),
-                         rounding=self.rounding)
+        return Quantizer(self.fractional_bits, rounding=self.rounding)
 
     def run_reference(self, image: np.ndarray) -> np.ndarray:
         """Encode + decode in double precision."""

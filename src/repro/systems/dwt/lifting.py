@@ -176,7 +176,6 @@ class LiftingDwt97Codec:
 
     def __init__(self, fractional_bits: int, levels: int = 2,
                  rounding="round"):
-        from repro.fixedpoint.qformat import QFormat
         from repro.fixedpoint.quantizer import RoundingMode
 
         if levels < 1:
@@ -184,7 +183,7 @@ class LiftingDwt97Codec:
         self.fractional_bits = int(fractional_bits)
         self.levels = int(levels)
         self.rounding = RoundingMode(rounding)
-        self._quantizer = Quantizer(QFormat(7, self.fractional_bits),
+        self._quantizer = Quantizer(self.fractional_bits,
                                     rounding=self.rounding)
 
     def _transform(self, image: np.ndarray,

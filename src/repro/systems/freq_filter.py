@@ -36,7 +36,6 @@ import numpy as np
 
 from repro.fixedpoint.noise_model import NoiseStats
 from repro.fixedpoint.quantizer import Quantizer, RoundingMode
-from repro.fixedpoint.qformat import QFormat
 from repro.lti.convolution import overlap_save
 from repro.lti.fft import FixedPointFft
 from repro.simkernel.fft import chunk_rows, overlap_save_frames
@@ -120,11 +119,11 @@ class FrequencyDomainFirNode(FirNode):
         """``(data quantizer, quantized taps, quantized spectrum, FFT
         engine)`` of the fixed-point pipeline."""
         spec = self.quantization
-        data_quantizer = Quantizer(QFormat(15, spec.fractional_bits),
+        data_quantizer = Quantizer(spec.fractional_bits,
                                    rounding=spec.rounding)
         # Coefficients (time-domain taps and their spectrum) are design-time
         # constants shared with the reference path, hence round-to-nearest.
-        coeff_quantizer = Quantizer(QFormat(15, spec.coeff_bits),
+        coeff_quantizer = Quantizer(spec.coeff_bits,
                                     rounding=RoundingMode.ROUND)
         taps = coeff_quantizer.quantize(self.taps)
         n = self.fft_size

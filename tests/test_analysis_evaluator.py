@@ -79,9 +79,9 @@ class TestCompareChecksMethodsFirst:
         calls = []
         original = CompiledPlan._run
 
-        def counted(plan, inputs, mode, keep_signals):
+        def counted(plan, inputs, mode):
             calls.append(mode)
-            return original(plan, inputs, mode, keep_signals)
+            return original(plan, inputs, mode)
 
         monkeypatch.setattr(CompiledPlan, "_run", counted)
         return calls

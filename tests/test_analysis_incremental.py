@@ -127,8 +127,9 @@ class TestPlanEpochs:
             epoch = plan.epoch
             plan.refresh()
             assert self._rebuilt(plan, epoch) == tapped
-        # ... while no tap reads its integer width.
-        node.quantization = replace(node.quantization, integer_bits=3)
+        # ... while no tap reads its input grid.
+        node.quantization = replace(node.quantization,
+                                    input_fractional_bits=14)
         epoch = plan.epoch
         plan.refresh()
         assert self._rebuilt(plan, epoch) == ["x"]
@@ -488,9 +489,9 @@ def _count_runs(monkeypatch, plan) -> dict:
     real_run = plan._run
     calls = {"double": 0, "fixed": 0}
 
-    def counting_run(inputs, mode, keep_signals):
+    def counting_run(inputs, mode):
         calls[mode] += 1
-        return real_run(inputs, mode, keep_signals)
+        return real_run(inputs, mode)
 
     monkeypatch.setattr(plan, "_run", counting_run)
     return calls

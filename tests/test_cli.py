@@ -404,6 +404,27 @@ class TestErrorPaths:
         assert captured.out == ""
         assert not cache.exists() or not any(cache.iterdir())
 
+    @pytest.mark.parametrize("key, value", [
+        ("coefficient_fractional_bits", -2),
+        ("coefficient_fractional_bits", "8"),
+        ("fractional_bits", 8.7),
+        ("integer_bits", 3),
+    ])
+    def test_evaluate_bad_graph_key_is_one_error_line(self, capsys, tmp_path,
+                                                      key, value):
+        system = tmp_path / "system.json"
+        system.write_text(json.dumps({
+            "version": 1, "name": "bad",
+            "nodes": [{"name": "x", "type": "input", "fractional_bits": 12},
+                      {"name": "g", "type": "gain", "gain": 0.3,
+                       "fractional_bits": 8, key: value},
+                      {"name": "y", "type": "output"}],
+            "edges": [{"source": "x", "target": "g"},
+                      {"source": "g", "target": "y"}]}))
+        code = main(["evaluate", str(system)])
+        captured = self._assert_one_error_line(capsys, code, "'g'", key)
+        assert captured.out == ""
+
     def test_obs_negative_top_is_one_error_line(self, capsys, tmp_path):
         trace = tmp_path / "trace.json"
         trace.write_text(json.dumps({"traceEvents": [

@@ -3,11 +3,9 @@
 Covers the fine-grained quantization tentpole end to end: edge-key
 requantize and fanout taps on :class:`CompiledPlan`, dirty-cone targeting
 of tap edits, scalar/batch/simulation agreement with taps in play, tapped
-bit-true runs against the reference loops, integer-width pinning from
-range analysis, and the edge-granularity word-length search.
+bit-true runs against the reference loops, and the edge-granularity
+word-length search.
 """
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -139,19 +137,14 @@ class TestEdgeRequantize:
         assert _active_taps(plan) == []
         assert plan.graph.node("lp").quantization.fractional_bits == 12
 
-    def test_quantization_signature_tracks_edges_and_integers(self):
+    def test_quantization_signature_tracks_edges(self):
         from repro.sfg.plan import quantization_signature
 
         graph = _fork_graph()
         plan = compile_plan(graph)
         base = quantization_signature(graph)
         plan.requantize({"lp->g": 8})
-        tapped = quantization_signature(graph)
-        assert tapped != base
-        graph.node("lp").quantization = replace(
-            graph.node("lp").quantization, integer_bits=3)
-        plan.refresh()
-        assert quantization_signature(graph) != tapped
+        assert quantization_signature(graph) != base
 
 
 class TestTapSimulation:
@@ -333,27 +326,3 @@ class TestEdgeGranularitySearch:
         widened = dict(assignment)
         widened["lp->g"] = 14  # no-op tap: costs nothing
         assert optimizer.assignment_cost(widened) == base
-
-
-class TestIntegerBitAssignment:
-    def test_pinned_integer_bits_do_not_change_values(self):
-        from repro.fixedpoint.range_analysis import (
-            analyze_ranges,
-            integer_bits_for_range,
-        )
-
-        graph = _fork_graph()
-        stimulus = _stimulus(graph)
-        plan = compile_plan(graph)
-        reference = plan.run(stimulus, mode="fixed").output("y")
-        for name, interval in analyze_ranges(graph,
-                                             {"x": (-1.0, 1.0)}).items():
-            node = graph.node(name)
-            node.quantization = replace(
-                node.quantization,
-                integer_bits=integer_bits_for_range(interval) + 1)
-        plan.refresh()
-        # Quantizers do not handle overflow: integer widths label the
-        # format, they never clamp, so the samples are bitwise equal.
-        assert np.array_equal(reference,
-                              plan.run(stimulus, mode="fixed").output("y"))

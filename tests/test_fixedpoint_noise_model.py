@@ -10,7 +10,6 @@ from repro.fixedpoint.noise_model import (
     quantization_noise_stats,
     quantization_step,
 )
-from repro.fixedpoint.qformat import QFormat
 from repro.fixedpoint.quantizer import Quantizer, RoundingMode
 from repro.psd.spectrum import DiscretePsd
 
@@ -88,8 +87,8 @@ class TestDiscreteInputModel:
         q_in = 2.0 ** -in_bits
         mantissas = np.arange(-2 ** in_bits, 2 ** in_bits)  # [-1, 1) grid
         x = mantissas * q_in
-        quantizer = Quantizer(QFormat(4, out_bits), rounding=RoundingMode.ROUND)
-        error = quantizer.error(x)
+        quantizer = Quantizer(out_bits, rounding=RoundingMode.ROUND)
+        error = quantizer.quantize(x) - x
         model = quantization_noise_stats(out_bits, RoundingMode.ROUND,
                                          input_fractional_bits=in_bits)
         assert np.mean(error) == pytest.approx(model.mean, abs=1e-15)
@@ -105,7 +104,7 @@ class TestAgainstEmpiricalQuantization:
     def test_continuous_input_moments(self, frac, mode):
         rng = np.random.default_rng(frac)
         x = rng.uniform(-1.0, 1.0, 200_000)
-        error = Quantizer(QFormat(4, frac), rounding=mode).error(x)
+        error = Quantizer(frac, rounding=mode).quantize(x) - x
         model = quantization_noise_stats(frac, mode)
         assert np.mean(error) == pytest.approx(model.mean, abs=3e-2 * 2.0 ** -frac)
         assert np.mean(error ** 2) == pytest.approx(model.power, rel=0.05)
@@ -117,9 +116,9 @@ class TestAgainstEmpiricalQuantization:
     def test_requantization_moments(self, out_bits, extra_bits, mode):
         in_bits = out_bits + extra_bits
         rng = np.random.default_rng(out_bits * 13 + extra_bits)
-        x = Quantizer(QFormat(4, in_bits)).quantize(
+        x = Quantizer(in_bits).quantize(
             rng.uniform(-1.0, 1.0, 200_000))
-        error = Quantizer(QFormat(4, out_bits), rounding=mode).error(x)
+        error = Quantizer(out_bits, rounding=mode).quantize(x) - x
         model = quantization_noise_stats(out_bits, mode,
                                          input_fractional_bits=in_bits)
         assert np.mean(error) == pytest.approx(model.mean,

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.fixedpoint.qformat import QFormat
 from repro.fixedpoint.quantizer import Quantizer, RoundingMode, apply_rounding
 
 _INF, _NAN = np.inf, np.nan
@@ -44,71 +43,84 @@ def _literal(quantizer: Quantizer, values: np.ndarray) -> np.ndarray:
 
 class TestRounding:
     def test_round_to_nearest(self):
-        q = Quantizer(QFormat(2, 2), rounding=RoundingMode.ROUND)
+        q = Quantizer(2, rounding=RoundingMode.ROUND)
         np.testing.assert_allclose(q(np.array([0.3, 0.4, -0.3])),
                                    [0.25, 0.5, -0.25])
 
     def test_round_ties_away_from_zero(self):
         # MATLAB round semantics: ties go away from zero on both sides.
-        q = Quantizer(QFormat(2, 1), rounding=RoundingMode.ROUND)
+        q = Quantizer(1, rounding=RoundingMode.ROUND)
         np.testing.assert_allclose(q(np.array([0.25, -0.25, 0.75, -0.75])),
                                    [0.5, -0.5, 1.0, -1.0])
 
     def test_round_is_odd_characteristic(self):
-        q = Quantizer(QFormat(4, 5), rounding=RoundingMode.ROUND)
+        q = Quantizer(5, rounding=RoundingMode.ROUND)
         x = np.linspace(-3.0, 3.0, 1537)  # includes exact tie values
         np.testing.assert_array_equal(q(-x), -q(x))
 
     def test_round_negative_ties_regression(self):
         # -0.5 * step used to round towards +inf (floor(x + 0.5)); the
         # corrected mode must match MATLAB round on every negative tie.
-        q = Quantizer(QFormat(4, 3), rounding=RoundingMode.ROUND)
+        q = Quantizer(3, rounding=RoundingMode.ROUND)
         step = q.step
         ties = -np.array([0.5, 1.5, 2.5, 7.5]) * step
         np.testing.assert_allclose(q(ties),
                                    -np.array([1.0, 2.0, 3.0, 8.0]) * step)
 
     def test_truncate_goes_towards_minus_infinity(self):
-        q = Quantizer(QFormat(2, 2), rounding=RoundingMode.TRUNCATE)
+        q = Quantizer(2, rounding=RoundingMode.TRUNCATE)
         np.testing.assert_allclose(q(np.array([0.3, -0.3])), [0.25, -0.5])
 
     def test_convergent_ties_to_even(self):
-        q = Quantizer(QFormat(3, 0), rounding=RoundingMode.CONVERGENT)
+        q = Quantizer(0, rounding=RoundingMode.CONVERGENT)
         np.testing.assert_allclose(q(np.array([0.5, 1.5, 2.5, -0.5])),
                                    [0.0, 2.0, 2.0, 0.0])
 
     def test_values_on_grid_unchanged(self):
-        q = Quantizer(QFormat(3, 4))
+        q = Quantizer(4)
         values = np.array([0.0625, -2.5, 3.9375, 0.0])
         np.testing.assert_array_equal(q(values), values)
 
     def test_error_bounded_by_step(self):
-        q = Quantizer(QFormat(4, 6), rounding=RoundingMode.ROUND)
+        q = Quantizer(6, rounding=RoundingMode.ROUND)
         x = np.linspace(-7, 7, 1001)
-        assert np.max(np.abs(q.error(x))) <= q.step / 2 + 1e-15
+        assert np.max(np.abs(q.quantize(x) - x)) <= q.step / 2 + 1e-15
 
     def test_truncation_error_sign(self):
-        q = Quantizer(QFormat(4, 6), rounding=RoundingMode.TRUNCATE)
+        q = Quantizer(6, rounding=RoundingMode.TRUNCATE)
         x = np.linspace(-7, 7, 1001)
-        errors = q.error(x)
+        errors = q.quantize(x) - x
         assert np.all(errors <= 0.0)
         assert np.all(errors > -q.step)
 
 
+class TestWidth:
+    def test_step_is_a_power_of_two(self):
+        assert Quantizer(5).step == 2.0 ** -5
+        assert Quantizer(0).step == 1.0
+
+    def test_negative_width_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            Quantizer(-1)
+
+    def test_equality_and_hash(self):
+        assert Quantizer(3) == Quantizer(3)
+        assert hash(Quantizer(3)) == hash(Quantizer(3))
+        assert Quantizer(3) != Quantizer(4)
+        assert Quantizer(3) != Quantizer(3, RoundingMode.TRUNCATE)
+
+
 class TestNoOverflowHandling:
     def test_out_of_range_values_are_only_rounded(self):
-        # Range of Q(1, 2) is [-2, 1.75]: values past it keep their size.
-        q = Quantizer(QFormat(1, 2))
+        q = Quantizer(2)
         np.testing.assert_allclose(q(np.array([5.0, -5.1])), [5.0, -5.0])
 
     @pytest.mark.parametrize("mode", list(RoundingMode))
-    @pytest.mark.parametrize("integer_bits", [0, 1, 4, 15])
-    def test_integer_width_changes_no_value(self, mode, integer_bits):
-        # Values up to 2**20 steps past every range: each output is the
-        # rounded step mantissa rescaled, whatever the integer width.
-        q = Quantizer(QFormat(integer_bits, 6), rounding=mode)
-        values = np.random.default_rng(integer_bits).uniform(
-            -2.0 ** 14, 2.0 ** 14, 500)
+    def test_large_values_are_only_rounded(self, mode):
+        # Values up to 2**20 steps from zero: each output is the rounded
+        # step mantissa rescaled.
+        q = Quantizer(6, rounding=mode)
+        values = np.random.default_rng(4).uniform(-2.0 ** 14, 2.0 ** 14, 500)
         expected = apply_rounding(values / q.step, mode) * q.step
         assert np.array_equal(_bits(q(values)), _bits(expected))
         errors = q(values) - values
@@ -122,7 +134,7 @@ class TestProperties:
            st.integers(min_value=0, max_value=20),
            st.sampled_from(list(RoundingMode)))
     def test_idempotent(self, values, frac, mode):
-        q = Quantizer(QFormat(15, frac), rounding=mode)
+        q = Quantizer(frac, rounding=mode)
         once = q(np.array(values))
         twice = q(once)
         np.testing.assert_array_equal(once, twice)
@@ -132,7 +144,7 @@ class TestProperties:
                     min_size=1, max_size=50),
            st.integers(min_value=0, max_value=20))
     def test_output_on_grid(self, values, frac):
-        q = Quantizer(QFormat(15, frac))
+        q = Quantizer(frac)
         output = q(np.array(values))
         mantissa = output / q.step
         np.testing.assert_allclose(mantissa, np.round(mantissa), atol=1e-6)
@@ -140,8 +152,8 @@ class TestProperties:
     @given(st.integers(min_value=0, max_value=18))
     def test_finer_grid_gives_smaller_error(self, frac):
         x = np.linspace(-1, 1, 257)
-        coarse = Quantizer(QFormat(3, frac)).error(x)
-        fine = Quantizer(QFormat(3, frac + 2)).error(x)
+        coarse = Quantizer(frac).quantize(x) - x
+        fine = Quantizer(frac + 2).quantize(x) - x
         assert np.mean(fine ** 2) <= np.mean(coarse ** 2) + 1e-18
 
 
@@ -162,7 +174,7 @@ class TestInPlaceComplexQuantizer:
     @pytest.mark.parametrize("mode", list(RoundingMode))
     @pytest.mark.parametrize("bits", [0, 4, 12, 52])
     def test_matches_literal_composition(self, mode, bits):
-        quantizer = Quantizer(QFormat(15, bits), rounding=mode)
+        quantizer = Quantizer(bits, rounding=mode)
         values = self._values(quantizer.step)
         expected = _literal(quantizer, values)
         with np.errstate(invalid="ignore"):
@@ -173,7 +185,7 @@ class TestInPlaceComplexQuantizer:
         assert np.array_equal(_bits(with_work), _bits(expected))
 
     def test_quantizes_in_place_over_a_stack(self):
-        quantizer = Quantizer(QFormat(15, 5))
+        quantizer = Quantizer(5)
         rng = np.random.default_rng(9)
         values = rng.standard_normal((4, 3, 16)) + 1j * rng.standard_normal(
             (4, 3, 16))
@@ -186,7 +198,7 @@ class TestInPlaceComplexQuantizer:
         # The real lane is q(re) + 0.0 * q(im), which keeps the NaN that
         # 0.0 * inf gives; a copysign(0.0, q(im)) form agrees on signed
         # zeros but not there, and the grid tells the two apart.
-        quantizer = Quantizer(QFormat(15, 4))
+        quantizer = Quantizer(4)
         values = _lane_grid(quantizer.step)
         q_re, q_im = (quantizer.quantize(values.real),
                       quantizer.quantize(values.imag))
@@ -217,7 +229,7 @@ class TestInPlaceComplexQuantizer:
 
     @pytest.mark.parametrize("mode", list(RoundingMode))
     def test_quantize_leaves_its_input_untouched(self, mode):
-        quantizer = Quantizer(QFormat(2, 4), rounding=mode)
+        quantizer = Quantizer(4, rounding=mode)
         values = np.concatenate([_MANTISSAS * quantizer.step,
                                  [-0.0, 9.3, -9.3]])
         before = values.copy()

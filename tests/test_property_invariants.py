@@ -22,7 +22,6 @@ from repro.analysis.agnostic_method import evaluate_agnostic
 from repro.analysis.flat_method import evaluate_flat
 from repro.analysis.psd_method import evaluate_psd
 from repro.fixedpoint.noise_model import NoiseStats, quantization_noise_stats
-from repro.fixedpoint.qformat import QFormat
 from repro.fixedpoint.quantizer import (
     Quantizer,
     RoundingMode,
@@ -119,7 +118,7 @@ class TestFixedPointInvariants:
            st.integers(min_value=0, max_value=2 ** 31 - 1))
     def test_quantizer_is_idempotent(self, bits, rounding, seed):
         """Re-quantizing at the same format must be the identity."""
-        quantizer = Quantizer(QFormat(15, bits), rounding=rounding)
+        quantizer = Quantizer(bits, rounding=rounding)
         values = np.random.default_rng(seed).uniform(-4.0, 4.0, 512)
         once = quantizer.quantize(values)
         np.testing.assert_array_equal(quantizer.quantize(once), once)
@@ -145,9 +144,9 @@ class TestFixedPointInvariants:
                                                           rounding, seed):
         """Model moments vs measured moments, continuous-amplitude input."""
         model = quantization_noise_stats(bits, rounding=rounding)
-        quantizer = Quantizer(QFormat(15, bits), rounding=rounding)
+        quantizer = Quantizer(bits, rounding=rounding)
         values = np.random.default_rng(seed).uniform(-0.9, 0.9, 200_000)
-        error = quantizer.error(values)
+        error = quantizer.quantize(values) - values
         step = 2.0 ** -bits
         # Mean to five standard errors of the uniform error distribution;
         # variance to 5 % (exact for a uniform continuous input).
@@ -167,11 +166,11 @@ class TestFixedPointInvariants:
         input_bits = bits + extra
         model = quantization_noise_stats(bits, rounding=rounding,
                                          input_fractional_bits=input_bits)
-        fine = Quantizer(QFormat(15, input_bits), rounding=rounding)
-        coarse = Quantizer(QFormat(15, bits), rounding=rounding)
+        fine = Quantizer(input_bits, rounding=rounding)
+        coarse = Quantizer(bits, rounding=rounding)
         values = fine.quantize(
             np.random.default_rng(seed).uniform(-0.9, 0.9, 400_000))
-        error = coarse.error(values)
+        error = coarse.quantize(values) - values
         step = 2.0 ** -bits
         tolerance = 5.0 * step / np.sqrt(12.0 * error.size)
         if rounding is RoundingMode.CONVERGENT:

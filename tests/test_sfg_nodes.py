@@ -77,7 +77,6 @@ class TestQuantizationSpec:
             "coefficient_fractional_bits": 13,
             "input_fractional_bits": 9,
             "edge_fractional_bits": {"consumer": 7},
-            "integer_bits": 3,
         }
         missing = [f.name for f in dataclasses.fields(QuantizationSpec)
                    if f.name not in non_defaults]
@@ -107,23 +106,54 @@ class TestQuantizationSpec:
         with pytest.raises(ValueError, match="duplicate target"):
             QuantizationSpec(10, edge_fractional_bits=(("a", 6), ("a", 8)))
 
-    def test_integer_bits_override_quantizer_format(self):
-        default = QuantizationSpec(10)
-        pinned = QuantizationSpec(10, integer_bits=3)
-        assert default.quantizer().fmt.integer_bits == 15
-        assert pinned.quantizer().fmt.integer_bits == 3
-        assert replace(pinned, integer_bits=None).quantizer() \
-            .fmt.integer_bits == 15
-
     def test_edge_quantizer_and_noise_stats(self):
         spec = QuantizationSpec(10, rounding=RoundingMode.TRUNCATE,
                                 edge_fractional_bits={"b": 8})
-        assert spec.edge_quantizer(8).fmt.fractional_bits == 8
+        assert spec.edge_quantizer(8).fractional_bits == 8
+        assert spec.edge_quantizer(8).rounding is RoundingMode.TRUNCATE
         noisy = spec.edge_noise_stats(8)
         assert noisy.variance > 0.0
         # A tap at (or above) the source width is a numerical no-op.
         assert spec.edge_noise_stats(10).power == 0.0
         assert spec.edge_noise_stats(12).power == 0.0
+
+
+class TestSpecWidths:
+    """Every width is an integer >= 0, checked when the spec is made."""
+
+    @pytest.mark.parametrize("field", ["fractional_bits",
+                                       "coefficient_fractional_bits",
+                                       "input_fractional_bits"])
+    @pytest.mark.parametrize("bits", [-2, -1, 7.5, 8.0, True, False, "8",
+                                      np.float64(8)])
+    def test_bad_width_names_its_field(self, field, bits):
+        widths = {"fractional_bits": 8, field: bits}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            QuantizationSpec(**widths)
+
+    @pytest.mark.parametrize("bits", [-1, 7.5, True, "8"])
+    def test_bad_tap_width_names_field_and_target(self, bits):
+        with pytest.raises(ValueError, match="^edge_fractional_bits toward "
+                                             "'g1' must be an integer"):
+            QuantizationSpec(8, edge_fractional_bits={"g2": 4, "g1": bits})
+        with pytest.raises(ValueError, match="toward 'g1'"):
+            QuantizationSpec(None).with_edge_fractional_bits("g1", bits)
+
+    def test_bad_width_through_a_copy(self):
+        spec = QuantizationSpec(8)
+        with pytest.raises(ValueError, match="^fractional_bits"):
+            spec.with_fractional_bits(-1)
+        with pytest.raises(ValueError, match="^coefficient_fractional_bits"):
+            replace(spec, coefficient_fractional_bits=-2)
+
+    def test_zero_none_and_numpy_integers_accepted(self):
+        spec = QuantizationSpec(np.int64(0), coefficient_fractional_bits=0,
+                                input_fractional_bits=np.int32(3),
+                                edge_fractional_bits={"g": np.int16(2)})
+        assert spec.enabled and spec.coeff_bits == 0
+        assert spec.edge_fractional_bits == (("g", 2),)
+        assert type(spec.edge_fractional_bits[0][1]) is int
+        assert not QuantizationSpec(None).enabled
 
 
 class TestSimulationBehaviour:

@@ -17,7 +17,7 @@ from repro.fixedpoint.quantizer import RoundingMode
 from repro.lti.fir_design import design_fir_lowpass
 from repro.lti.iir_design import design_iir_filter
 from repro.sfg.builder import SfgBuilder
-from repro.sfg.nodes import FirNode, InputNode
+from repro.sfg.nodes import FirNode, InputNode, OutputNode
 from repro.sfg.plan import (
     CompiledPlan,
     compile_plan,
@@ -141,7 +141,7 @@ class TestCompilation:
         plan = compile_plan(_graph(bits=8))
         by_name = {step.name: step for step in plan.steps}
         assert by_name["x"].quantizer is not None
-        assert by_name["x"].quantizer.fmt.fractional_bits == 8
+        assert by_name["x"].quantizer.fractional_bits == 8
         assert by_name["y"].quantizer is None
 
 
@@ -485,15 +485,6 @@ class TestExecution:
         np.testing.assert_allclose(result.output("y"),
                                    np.convolve(x, taps)[:300])
 
-    def test_keep_signals(self, rng):
-        x = rng.uniform(-0.9, 0.9, 50)
-        result = compile_plan(_fir_graph()).run({"x": x}, keep_signals=True)
-        assert set(result.signals) == {"x", "h", "y"}
-
-    def test_signals_not_kept_by_default(self, rng):
-        result = compile_plan(_fir_graph()).run({"x": rng.uniform(-1, 1, 10)})
-        assert result.signals == {}
-
     def test_multi_output_requires_name(self, rng):
         builder = SfgBuilder()
         x = builder.input("x")
@@ -508,10 +499,15 @@ class TestExecution:
         assert len(result.output("y2")) == 5
 
     def test_all_signals_on_grid(self, rng):
+        # Every signal is read through an output node of its own.
+        graph = _graph(bits=8)
+        for name in ("x", "h", "i"):
+            graph.add_node(OutputNode(f"probe_{name}"))
+            graph.connect(name, f"probe_{name}")
         x = rng.uniform(-0.9, 0.9, 200)
-        result = compile_plan(_fir_graph(bits=8)).run(
-            {"x": x}, mode="fixed", keep_signals=True)
-        for name, signal in result.signals.items():
+        result = compile_plan(graph).run({"x": x}, mode="fixed")
+        assert set(result.outputs) == {"y", "probe_x", "probe_h", "probe_i"}
+        for name, signal in result.outputs.items():
             scaled = signal * 2 ** 8
             np.testing.assert_allclose(scaled, np.round(scaled), atol=1e-9,
                                        err_msg=f"signal {name} off grid")

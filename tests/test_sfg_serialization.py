@@ -1,7 +1,6 @@
 """Unit tests for graph serialization and the CLI front end."""
 
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -324,6 +323,114 @@ class TestValidation:
             graph_to_dict(graph)
 
 
+def _tapped_resampler_graph(node_type: str):
+    """``x -> resampler d -> {g1, g2} -> add``, tap ``d->g1`` at 4 bits."""
+    builder = SfgBuilder("tapped-resampler")
+    x = builder.input("x", fractional_bits=12)
+    if node_type == "downsample":
+        d = builder.downsample("d", x, factor=2)
+    else:
+        d = builder.upsample("d", x, factor=2)
+    g1 = builder.gain("g1", 0.5, d, fractional_bits=12)
+    g2 = builder.gain("g2", 0.25, d, fractional_bits=12)
+    builder.output("y", builder.add("s", [g1, g2], fractional_bits=12))
+    graph = builder.build()
+    node = graph.node("d")
+    node.quantization = node.quantization.with_edge_fractional_bits("g1", 4)
+    return graph
+
+
+def _json_graph(**node_keys) -> dict:
+    """``x -> gain g -> y`` as graph JSON, with extra keys on ``g``."""
+    return {"version": 1, "name": "json",
+            "nodes": [{"name": "x", "type": "input", "fractional_bits": 12},
+                      {"name": "g", "type": "gain", "gain": 0.3,
+                       "fractional_bits": 8, **node_keys},
+                      {"name": "y", "type": "output"}],
+            "edges": [{"source": "x", "target": "g", "port": 0},
+                      {"source": "g", "target": "y", "port": 0}]}
+
+
+class TestResamplerSpecsRoundTrip:
+    @pytest.mark.parametrize("node_type", ["downsample", "upsample"])
+    def test_fanout_tap_on_a_resampler_survives_save_and_load(
+            self, node_type, tmp_path):
+        graph = _tapped_resampler_graph(node_type)
+        path = tmp_path / "system.json"
+        save_graph(graph, path)
+        restored = load_graph(path)
+        assert restored.node("d").quantization == graph.node("d").quantization
+        assert restored.node("d").quantization.edge_bits_for("g1") == 4
+        before, after = evaluate_psd(graph, 128), evaluate_psd(restored, 128)
+        np.testing.assert_array_equal(after.ac, before.ac)
+        assert after.mean == before.mean
+        assert graph_fingerprint(restored) == graph_fingerprint(graph)
+
+
+class TestLoaderRefusesUnreadKeys:
+    @pytest.mark.parametrize("key", ["integer_bits", "frac_bits", "taps",
+                                     "factor"])
+    def test_unread_node_key_names_node_and_key(self, key):
+        with pytest.raises(ValueError,
+                           match=f"^node 'g': unknown key '{key}'$"):
+            graph_from_dict(_json_graph(**{key: 3}))
+
+    def test_type_parameter_of_another_type_refused(self):
+        data = _json_graph()
+        data["nodes"].insert(2, {"name": "u", "type": "upsample",
+                                 "factor": 2, "phase": 1})
+        with pytest.raises(ValueError, match="^node 'u': unknown key 'phase'"):
+            graph_from_dict(data)
+
+    @pytest.mark.parametrize("key, value", [("fractional_bits", 8),
+                                            ("rounding", "round"),
+                                            ("edge_fractional_bits", {})])
+    def test_spec_key_on_an_output_refused(self, key, value):
+        data = _json_graph()
+        data["nodes"][2][key] = value
+        with pytest.raises(ValueError, match=f"^node 'y': unknown key '{key}'"):
+            graph_from_dict(data)
+
+    def test_unread_edge_key_names_the_edge(self):
+        data = _json_graph()
+        data["edges"][0]["weight"] = 1.0
+        with pytest.raises(ValueError, match="^edge 'x' -> 'g': unknown key "
+                                             "'weight'$"):
+            graph_from_dict(data)
+
+    def test_unread_top_level_key_refused(self):
+        data = _json_graph()
+        data["node"] = []
+        with pytest.raises(ValueError, match="^graph: unknown key 'node'$"):
+            graph_from_dict(data)
+
+
+class TestJsonWidths:
+    """Graph JSON hands widths to the spec as they are, and the spec
+    refuses what is not an integer >= 0."""
+
+    @pytest.mark.parametrize("key, bits", [
+        ("coefficient_fractional_bits", -2),
+        ("coefficient_fractional_bits", 7.5),
+        ("coefficient_fractional_bits", True),
+        ("coefficient_fractional_bits", "8"),
+        ("input_fractional_bits", 9.5),
+        ("fractional_bits", 8.7),
+        ("fractional_bits", -1),
+    ])
+    def test_bad_width_names_node_and_field(self, key, bits):
+        with pytest.raises(ValueError,
+                           match=f"^node 'g': {key} must be an integer"):
+            graph_from_dict(_json_graph(**{key: bits}))
+
+    def test_bad_tap_width_names_node_field_and_target(self):
+        data = _json_graph()
+        data["nodes"][0]["edge_fractional_bits"] = {"g": 4.5}
+        with pytest.raises(ValueError, match="^node 'x': edge_fractional_bits "
+                                             "toward 'g' must be an integer"):
+            graph_from_dict(data)
+
+
 class TestCli:
     @pytest.fixture
     def system_file(self, tmp_path):
@@ -374,17 +481,20 @@ class TestFineGrainedSpecSerialization:
         builder.output("y", g)
         graph = builder.build()
         node = graph.node("x")
-        node.quantization = replace(
-            node.quantization.with_edge_fractional_bits("f", 8),
-            integer_bits=2)
+        node.quantization = node.quantization.with_edge_fractional_bits("f", 8)
         return graph
 
-    def test_round_trip_preserves_every_spec_field(self, tmp_path):
+    @pytest.mark.parametrize("fractional_bits, taps", [
+        (10, {"f": 7}), (None, {"f": 7}), (None, {})])
+    def test_round_trip_preserves_every_spec_field(self, tmp_path,
+                                                   fractional_bits, taps):
         """Completeness: a new spec field must survive save -> load.
 
         Driven by ``dataclasses.fields()`` so that adding a field to
         :class:`QuantizationSpec` without teaching the serializer fails
-        here instead of silently dropping the field.
+        here instead of silently dropping the field.  A disabled spec
+        keeps its other fields too: a batched evaluation that enables
+        the node reads them.
         """
         import dataclasses
 
@@ -392,12 +502,11 @@ class TestFineGrainedSpecSerialization:
         from repro.sfg.nodes import QuantizationSpec
 
         non_defaults = {
-            "fractional_bits": 10,
+            "fractional_bits": fractional_bits,
             "rounding": RoundingMode.TRUNCATE,
             "coefficient_fractional_bits": 13,
             "input_fractional_bits": 9,
-            "edge_fractional_bits": {"f": 7},
-            "integer_bits": 3,
+            "edge_fractional_bits": taps,
         }
         missing = [f.name for f in dataclasses.fields(QuantizationSpec)
                    if f.name not in non_defaults]
@@ -429,7 +538,6 @@ class TestFineGrainedSpecSerialization:
         assert not spec.enabled
         assert spec.edge_bits_for("g") == 6
         assert restored.node("x").quantization.edge_bits_for("f") == 8
-        assert restored.node("x").quantization.integer_bits == 2
 
     def test_plain_specs_serialize_as_before(self):
         """Absent fine-grained fields leave the schema byte-identical."""
@@ -440,7 +548,6 @@ class TestFineGrainedSpecSerialization:
         data = graph_to_dict(builder.build())
         for node in data["nodes"]:
             assert "edge_fractional_bits" not in node
-            assert "integer_bits" not in node
 
     def test_fingerprint_tracks_fine_grained_fields(self):
         base = self._graph_with_fine_grained_specs()
@@ -448,10 +555,6 @@ class TestFineGrainedSpecSerialization:
         node = tapped.node("x")
         node.quantization = node.quantization.with_edge_fractional_bits("f", 6)
         assert graph_fingerprint(base) != graph_fingerprint(tapped)
-        unpinned = self._graph_with_fine_grained_specs()
-        node = unpinned.node("x")
-        node.quantization = replace(node.quantization, integer_bits=None)
-        assert graph_fingerprint(base) != graph_fingerprint(unpinned)
 
     def test_assignment_fingerprint_accepts_edge_keys(self):
         first = assignment_fingerprint({"f": 10, "x->f": 8})

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.data.images import natural_image
-from repro.fixedpoint.qformat import QFormat
 from repro.fixedpoint.quantizer import Quantizer
 from repro.systems.dwt.codec import Dwt97Codec
 from repro.systems.dwt.lifting import (
@@ -108,7 +107,7 @@ class TestLiftingCodec:
             LiftingDwt97Codec(fractional_bits=10, levels=0)
 
     def test_quantized_analysis_through_quantizer_argument(self, small_image):
-        quantizer = Quantizer(QFormat(7, 8))
+        quantizer = Quantizer(8)
         subbands = lifting_analyze_2d(small_image, quantizer=quantizer)
         scaled = subbands["ll"] * 2 ** 8
         np.testing.assert_allclose(scaled, np.round(scaled), atol=1e-9)

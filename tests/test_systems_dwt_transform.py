@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.fixedpoint.qformat import QFormat
 from repro.fixedpoint.quantizer import Quantizer
 from repro.systems.dwt.daubechies97 import daubechies_9_7_filters
 from repro.systems.dwt.dwt1d import analyze_1d, circular_filter, synthesize_1d
@@ -60,7 +59,7 @@ class TestCircularFilter:
                                           quantized):
         x = rng.standard_normal(shape)
         taps = rng.standard_normal(num_taps)
-        quantizer = Quantizer(QFormat(7, 6)) if quantized else None
+        quantizer = Quantizer(6) if quantized else None
         for axis in range(-len(shape), len(shape)):
             for center in sorted({0, num_taps // 2, num_taps - 1}):
                 assert _same_bits(
@@ -84,7 +83,7 @@ class TestCircularFilter:
     def test_empty_axis_returns_empty(self, shape, axis):
         x = np.zeros(shape)
         result = circular_filter(x, np.ones(9), 4, axis=axis,
-                                 quantizer=Quantizer(QFormat(7, 6)))
+                                 quantizer=Quantizer(6))
         assert result.shape == shape
 
     def test_identity_filter(self, rng):
@@ -106,7 +105,7 @@ class TestCircularFilter:
 
     def test_quantizer_applied(self, rng):
         x = rng.uniform(-1, 1, 32)
-        quantizer = Quantizer(QFormat(3, 4))
+        quantizer = Quantizer(4)
         y = circular_filter(x, np.array([0.3, 0.7]), 0, quantizer=quantizer)
         scaled = y * 2 ** 4
         np.testing.assert_allclose(scaled, np.round(scaled), atol=1e-9)
@@ -163,7 +162,7 @@ class TestPerfectReconstruction2d:
         """With a quantizer every band lands on its grid and stays within
         a few steps of the double-precision pyramid."""
         filters = daubechies_9_7_filters()
-        quantizer = Quantizer(QFormat(3, 12))
+        quantizer = Quantizer(12)
         fixed = analyze_multilevel(quantizer.quantize(small_image), filters,
                                    2, quantizer=quantizer)
         exact = analyze_multilevel(small_image, filters, 2)

@@ -15,8 +15,12 @@ literal that is a ``package.module:qualname`` path, which is how
 ``e2ebench/traced.py`` binds functions.  The expressions of an f-string
 are code in the tree, so they count; the words of other string
 literals, comments and docstrings do not, so a name that only an error
-message or prose mentions stays unreached.  A name whose only reference
-is its definition is unreached.
+message or prose mentions stays unreached.  A function or class whose
+only reference is its definition is unreached.  A method is reached only
+through an attribute reference ``.name`` or a part of a binding path: a
+bare name (a variable, a parameter, a definition) that shares its word
+does not reach it, so a local ``error`` does not hide a method
+``error``.
 
 This is a guard, not a proof: a reference is matched by name, not
 resolved to its definition, so a name that another definition or an
@@ -88,37 +92,50 @@ def _walk_definitions():
 
 
 def _references(tree):
-    """The names a syntax tree references or defines."""
+    """``(name, attribute)`` for each name a syntax tree references or
+    defines: ``attribute`` marks an attribute reference ``.name`` and the
+    qualified-name parts of a binding path."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id
+            yield node.id, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr
+            yield node.attr, True
         elif isinstance(node, ast.alias):
-            yield from node.name.split(".")
+            for part in node.name.split("."):
+                yield part, False
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                ast.ClassDef)):
-            yield node.name
+            yield node.name, False
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             path = _BINDING_PATH.fullmatch(node.value)
             if path is not None:
-                yield from path.group(1).split(".")
+                for part in path.group(1).split("."):
+                    yield part, True
 
 
 @lru_cache(maxsize=None)
-def _words() -> Counter:
-    words = Counter()
+def _words() -> tuple:
+    """``(every reference, attribute references)`` as word counts."""
+    words, attributes = Counter(), Counter()
     for folder in SCANNED:
         for path in _sources(folder):
-            words.update(_references(
-                ast.parse(path.read_text(encoding="utf-8"))))
-    return words
+            for word, attribute in _references(
+                    ast.parse(path.read_text(encoding="utf-8"))):
+                words[word] += 1
+                attributes[word] += attribute
+    return words, attributes
+
+
+def _reached(name: str, word: str) -> bool:
+    words, attributes = _words()
+    if "." in name:  # a method
+        return attributes[word] > 0
+    return words[word] > 1
 
 
 def test_every_public_name_is_reached():
-    words = _words()
     unreached = sorted(name for name, word in _definitions()
-                       if words[word] == 1)
+                       if not _reached(name, word))
     extra = [name for name in unreached if name not in ALLOWED]
     assert not extra, f"reached by no source outside the tests: {extra}"
 
@@ -129,4 +146,4 @@ def test_allowed_name_is_still_unreached(name):
     is stale: drop it, so that it cannot excuse a later definition."""
     definitions = dict(_definitions())
     assert name in definitions, f"{name} is no longer defined under src/"
-    assert _words()[definitions[name]] == 1, f"{name} is reached now"
+    assert not _reached(name, definitions[name]), f"{name} is reached now"
