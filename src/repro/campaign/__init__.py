@@ -20,10 +20,10 @@ layer that actually runs such explorations at scale.  The data flow is
 * :mod:`~repro.campaign.cache` — the content-addressed disk cache that
   makes re-runs and overlapping campaigns incremental.
 * :mod:`~repro.campaign.runner` — supervised, cache-aware execution,
-  inline or on a :class:`~concurrent.futures.ProcessPoolExecutor`,
-  streaming results to JSONL so interrupted campaigns resume from the
-  cache; failing payloads are retried, bisected and quarantined instead
-  of aborting the run.
+  inline or on a :class:`~concurrent.futures.ProcessPoolExecutor` of at
+  most one process per missed scenario, streaming results to JSONL so
+  interrupted campaigns resume from the cache; failing payloads are
+  retried, bisected and quarantined instead of aborting the run.
 * :mod:`~repro.campaign.faults` — the supervision knobs
   (:class:`~repro.campaign.faults.RetryPolicy`) and the seeded chaos
   harness (:class:`~repro.campaign.faults.FaultInjector`) that proves

@@ -30,10 +30,11 @@ Fault semantics:
 * ``corrupt`` faults never fail a job: they garble the job's cache
   record *after* it is written, exercising the cache's self-healing
   read path on the next run.
-* Inline execution (``workers <= 1`` or the supervisor's degraded mode)
-  converts ``crash`` and ``hang`` to plain exceptions — ``os._exit`` in
-  the driver process would kill the campaign itself, and an inline hang
-  has no supervising timeout to cut it short.
+* Inline execution (a pool width of 1 — one worker or a single missed
+  scenario — or the supervisor's degraded mode) converts ``crash`` and
+  ``hang`` to plain exceptions — ``os._exit`` in the driver process
+  would kill the campaign itself, and an inline hang has no supervising
+  timeout to cut it short.
 """
 
 from __future__ import annotations

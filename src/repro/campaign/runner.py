@@ -18,7 +18,10 @@ Execution strategy:
   point (the intra-graph counterpart of the cross-run content cache);
 * with ``workers > 1`` the per-scenario payloads run on a
   :class:`~concurrent.futures.ProcessPoolExecutor` (payloads are plain
-  JSON-compatible dicts, so they pickle under any start method);
+  JSON-compatible dicts, so they pickle under any start method).  The
+  pool opens with one process per payload at most, so a warm pass or a
+  single missed scenario runs inline and starts no process; the command
+  line's default width is the usable cores;
 * every completed record is written to the cache *and* appended to a
   JSONL stream immediately, so a killed campaign loses at most the jobs
   in flight — re-running the same spec resumes from the cache.
@@ -91,7 +94,8 @@ class CampaignResult:
     duplicates are counted as cache hits (served from the first
     computation).  Quarantined jobs appear as ``status="failed"``
     records and are counted in ``failed`` — they are never cached, so a
-    re-run retries them.
+    re-run retries them.  ``workers`` is the process-pool width that
+    ran: 1 when the payloads ran inline.
     """
 
     records: list = field(default_factory=list)
@@ -102,6 +106,7 @@ class CampaignResult:
     retries: int = 0
     bisections: int = 0
     pool_rebuilds: int = 0
+    workers: int = 1
     elapsed_seconds: float = 0.0
 
     @property
@@ -335,6 +340,7 @@ class _Supervisor:
         self.policy = policy
         self.injector = injector
         self.workers = workers
+        self.width = 1
         self.observed = observed
         self.trace_on = trace_on
         self.absorb = absorb
@@ -353,11 +359,22 @@ class _Supervisor:
     # Entry point
     # ------------------------------------------------------------------
     def run(self, payloads: list[dict]) -> None:
+        # One process per payload at most: a warm pass or a single miss
+        # runs inline and starts no process.
+        self.width = max(1, min(self.workers, len(payloads)))
+        if (self.width > 1 and self.injector is not None
+                and "hang" in self.injector.kinds
+                and self.policy.payload_timeout is None):
+            # Inline, a hang fault is raised as an exception instead.
+            logger.warning(
+                "chaos includes hang faults but no payload_timeout is set; "
+                "a hung payload blocks for the full hang_seconds (%.3g s)",
+                self.injector.hang_seconds)
         for payload in payloads:
             base = {key: value for key, value in payload.items()
                     if key != "jobs"}
             self.queue.append(_WorkItem(base=base, jobs=payload["jobs"]))
-        if self.workers > 1 and len(payloads) > 1:
+        if self.width > 1:
             self._run_pool()
         # Inline covers the single-payload / single-worker case and the
         # remainder after the pool path degraded.
@@ -379,7 +396,7 @@ class _Supervisor:
         try:
             while (self.queue or self.active) and not self.degraded:
                 if self.pool is None:
-                    self.pool = ProcessPoolExecutor(max_workers=self.workers)
+                    self.pool = ProcessPoolExecutor(max_workers=self.width)
                 self._submit_ready()
                 if not self.active:
                     continue
@@ -395,10 +412,10 @@ class _Supervisor:
                 self.pool = None
 
     def _submit_ready(self) -> None:
-        # At most ``workers`` payloads in flight: the per-payload
-        # timeout clock starts at submission, so queueing more than the
-        # pool can start would charge wait time against the deadline.
-        while self.queue and len(self.active) < self.workers:
+        # At most ``width`` payloads in flight: the per-payload timeout
+        # clock starts at submission, so queueing more than the pool can
+        # start would charge wait time against the deadline.
+        while self.queue and len(self.active) < self.width:
             item = self.queue.popleft()
             payload = self._payload(item, inline=False)
             try:
@@ -596,8 +613,10 @@ def run_campaign(spec: CampaignSpec,
         When given, every record (cached, computed or failed) is
         appended to this JSONL file as soon as it is known.
     workers:
-        Process-pool width for the per-scenario payloads; ``<= 1`` runs
-        inline in this process (identical results).
+        Largest process-pool width for the per-scenario payloads.  The
+        pool opens with at most one process per payload that misses the
+        cache, and a width of 1 runs inline in this process (identical
+        results); ``CampaignResult.workers`` is the width that ran.
     retry_policy:
         Supervision parameters (attempts, backoff, payload timeout);
         ``None`` uses :class:`RetryPolicy` defaults seeded from the
@@ -618,12 +637,6 @@ def run_campaign(spec: CampaignSpec,
         cache = ResultCache(cache_dir)
     policy = retry_policy if retry_policy is not None \
         else RetryPolicy(seed=spec.seed)
-    if (fault_injector is not None and "hang" in fault_injector.kinds
-            and policy.payload_timeout is None and workers > 1):
-        logger.warning(
-            "chaos includes hang faults but no payload_timeout is set; "
-            "a hung payload blocks for the full hang_seconds (%.3g s)",
-            fault_injector.hang_seconds)
     started = time.perf_counter()
     # Per-campaign accounting registry: always live (exact counts whether
     # or not observability is enabled), published into the process-wide
@@ -639,8 +652,7 @@ def run_campaign(spec: CampaignSpec,
     skip_counter.inc(skipped)
     try:
         with _JsonlWriter(output_path) as writer, \
-                span("campaign.run", scenarios=len(prepared),
-                     workers=workers):
+                span("campaign.run", scenarios=len(prepared)) as run_span:
             records_by_key: dict[str, dict] = {}
             pending: list[tuple[PreparedScenario, list]] = []
             scheduled: set[str] = set()
@@ -709,6 +721,7 @@ def run_campaign(spec: CampaignSpec,
                 observed=obs.enabled(), trace_on=trace_on,
                 registry=registry, absorb=absorb, quarantine=quarantine)
             supervisor.run(payloads)
+            run_span.set(workers=supervisor.width)
     except KeyboardInterrupt:
         # The JSONL tail is already flushed per record (and the writer
         # closed by its context manager); leave an accounting trail so
@@ -752,6 +765,7 @@ def run_campaign(spec: CampaignSpec,
         retries=retry_counter.value,
         bisections=registry.counter("campaign.payload.bisections").value,
         pool_rebuilds=registry.counter("campaign.pool.rebuilds").value,
+        workers=supervisor.width,
         elapsed_seconds=elapsed)
     obs.publish_metrics(registry.snapshot())
     logger.info(

@@ -77,6 +77,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from repro.analysis.evaluator import (
@@ -218,8 +219,11 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--samples", type=int, default=0,
                           help="override the per-scenario stimulus length "
                                "(0 keeps each scenario's default)")
-    campaign.add_argument("--workers", type=int, default=1,
-                          help="process-pool width (<= 1 runs inline)")
+    campaign.add_argument("--workers", type=int, default=None,
+                          help="largest process-pool width (default: the "
+                               "usable cores); the pool starts at most one "
+                               "process per scenario that misses the cache, "
+                               "and 1 runs inline")
     campaign.add_argument("--cache-dir", default=None,
                           help="content-addressed result cache directory "
                                "(repeat runs are served from it)")
@@ -456,6 +460,14 @@ def _parse_scenario_argument(text: str):
     return ScenarioSpec(name, params)
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity where the
+    platform reports one, else the machine's core count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _command_campaign(args) -> int:
     from repro.campaign import (
         CampaignReport,
@@ -493,13 +505,18 @@ def _command_campaign(args) -> int:
     if args.max_retries < 0:
         print("error: --max-retries must be non-negative", file=sys.stderr)
         return 1
+    if args.workers is not None and args.workers < 1:
+        print("error: --workers must be at least 1", file=sys.stderr)
+        return 1
     policy = RetryPolicy(
         max_attempts=args.max_retries + 1,
         payload_timeout=args.payload_timeout or None,
         seed=args.seed)
     injector = FaultInjector.parse(args.chaos) if args.chaos else None
     result = run_campaign(spec, cache_dir=args.cache_dir,
-                          output_path=args.output, workers=args.workers,
+                          output_path=args.output,
+                          workers=(_usable_cores() if args.workers is None
+                                   else args.workers),
                           retry_policy=policy, fault_injector=injector)
     report = CampaignReport(result.records)
     print(report.describe())
@@ -509,7 +526,7 @@ def _command_campaign(args) -> int:
         print(f"skipped {result.skipped_unsupported} unsupported grid "
               "point(s) (single-rate methods on multirate scenarios)")
     print(f"campaign time: {result.elapsed_seconds:.3f} s "
-          f"({result.computed} computed, workers={args.workers})")
+          f"({result.computed} computed, workers={result.workers})")
     if result.retries or result.bisections or result.pool_rebuilds:
         print(f"faults: {result.retries} retries, {result.bisections} "
               f"bisections, {result.pool_rebuilds} pool rebuilds")

@@ -40,6 +40,24 @@ class RoundingMode(str, enum.Enum):
     CONVERGENT = "convergent"
 
 
+def rounding_mode(value) -> RoundingMode:
+    """``value`` as a :class:`RoundingMode`: a member, or its string
+    value.  Anything else raises a ``ValueError`` naming ``rounding``.
+
+    A member equals and hashes like its string value, so a cache keyed on
+    the mode would hand a quantizer built with the string to a caller
+    passing the member; every quantizer and spec coerces through here.
+    """
+    if isinstance(value, RoundingMode):
+        return value  # the common case, without the enum lookup's cost
+    try:
+        return RoundingMode(value)
+    except ValueError:
+        modes = ", ".join(repr(mode.value) for mode in RoundingMode)
+        raise ValueError(f"rounding must be one of {modes}, "
+                         f"got {value!r}") from None
+
+
 def round_half_away(mantissa: np.ndarray,
                     out: np.ndarray | None = None) -> np.ndarray:
     """Round to nearest integer with ties going away from zero.
@@ -89,7 +107,8 @@ class Quantizer:
         Number of fractional bits; the quantization step is
         ``2**-fractional_bits``.  A negative width is refused.
     rounding:
-        Rounding mode applied to the fractional part.
+        Rounding mode applied to the fractional part: a
+        :class:`RoundingMode` or its string value, stored as the member.
 
     Examples
     --------
@@ -106,6 +125,7 @@ class Quantizer:
         if self.fractional_bits < 0:
             raise ValueError("fractional_bits must be non-negative, "
                              f"got {self.fractional_bits}")
+        object.__setattr__(self, "rounding", rounding_mode(self.rounding))
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         return self.quantize(values)

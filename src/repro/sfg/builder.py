@@ -34,7 +34,7 @@ def _spec(fractional_bits, rounding, coefficient_fractional_bits=None
           ) -> QuantizationSpec:
     return QuantizationSpec(
         fractional_bits=fractional_bits,
-        rounding=RoundingMode(rounding),
+        rounding=rounding,
         coefficient_fractional_bits=coefficient_fractional_bits,
     )
 

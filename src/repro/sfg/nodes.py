@@ -31,7 +31,12 @@ from functools import lru_cache
 import numpy as np
 
 from repro.fixedpoint.noise_model import NoiseStats, quantization_noise_stats
-from repro.fixedpoint.quantizer import Quantizer, RoundingMode, round_half_away
+from repro.fixedpoint.quantizer import (
+    Quantizer,
+    RoundingMode,
+    round_half_away,
+    rounding_mode,
+)
 from repro.lti.transfer_function import TransferFunction
 from repro.simkernel.iir import iir_df1_fixed
 
@@ -44,7 +49,9 @@ class QuantizationSpec:
     negative, non-integral or boolean width raises a ``ValueError``
     naming the field (and the target, for a tap).  A width is fractional
     only; the integer part of every signal is taken as sized so that
-    nothing overflows.
+    nothing overflows.  ``rounding`` is stored as a :class:`RoundingMode`
+    member; its string value is accepted, and any other value raises a
+    ``ValueError`` naming the field.
 
     Attributes
     ----------
@@ -78,6 +85,7 @@ class QuantizationSpec:
     edge_fractional_bits: tuple = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "rounding", rounding_mode(self.rounding))
         for name in _WIDTH_FIELDS:
             bits = getattr(self, name)
             if bits is not None:

@@ -27,7 +27,9 @@ Schema (version 1)::
 Every node type but ``output`` takes the word-length keys
 ``fractional_bits``, ``rounding``, ``coefficient_fractional_bits``,
 ``input_fractional_bits`` and ``edge_fractional_bits`` (a map from a
-fanout target to its tap width); each width is an integer >= 0.  A node
+fanout target to its tap width); each width is an integer >= 0, and so
+is a node's ``delay``, ``factor`` and ``phase`` and an edge's ``port``
+(JSON ``2.7``, ``true`` or ``"3"`` is refused, not rounded).  A node
 carries these, ``name``, ``type`` and its type's own parameters, an edge
 ``source``, ``target`` and ``port``.  The loader refuses any other key
 with a ``ValueError`` naming the node or edge and the key, so a typo or
@@ -57,6 +59,7 @@ from repro.sfg.nodes import (
     OutputNode,
     QuantizationSpec,
     UpsampleNode,
+    _check_width,
 )
 from repro.lti.transfer_function import TransferFunction
 
@@ -238,10 +241,20 @@ def _refuse_unread(data: dict, read: tuple, where: str) -> None:
         raise ValueError(f"{where}: unknown key {unread[0]!r}")
 
 
+def _integer(data: dict, key: str, default: int, where: str) -> int:
+    """``data[key]`` (``default`` when absent) under the rule of the
+    spec widths: an integer >= 0, not a bool.  Anything else raises a
+    ``ValueError`` naming ``where`` and ``key``."""
+    try:
+        return int(_check_width(data.get(key, default), key))
+    except ValueError as error:
+        raise ValueError(f"{where}: {error}") from None
+
+
 def _spec_from_dict(data: dict) -> QuantizationSpec:
     return QuantizationSpec(
         fractional_bits=data.get("fractional_bits"),
-        rounding=RoundingMode(data.get("rounding", "round")),
+        rounding=data.get("rounding", RoundingMode.ROUND),
         coefficient_fractional_bits=data.get("coefficient_fractional_bits"),
         input_fractional_bits=data.get("input_fractional_bits"),
         edge_fractional_bits=data.get("edge_fractional_bits", {}),
@@ -255,15 +268,16 @@ def _node_from_dict(data: dict) -> Node:
         raise ValueError("every node needs a non-empty 'name'")
     if node_type not in _NODE_KEYS:
         raise ValueError(f"unknown node type {node_type!r} for node {name!r}")
+    where = f"node {name!r}"
     if node_type == "output":
-        _refuse_unread(data, ("name", "type"), f"node {name!r}")
+        _refuse_unread(data, ("name", "type"), where)
         return OutputNode(name)
     _refuse_unread(data, ("name", "type", *_SPEC_KEYS, *_NODE_KEYS[node_type]),
-                   f"node {name!r}")
+                   where)
     try:
         spec = _spec_from_dict(data)
     except ValueError as error:
-        raise ValueError(f"node {name!r}: {error}") from None
+        raise ValueError(f"{where}: {error}") from None
     if node_type == "input":
         return InputNode(name, spec)
     if node_type == "add":
@@ -280,12 +294,12 @@ def _node_from_dict(data: dict) -> Node:
         return LtiNode(name, TransferFunction(data["b"], data.get("a", [1.0])),
                        quantization=spec)
     if node_type == "delay":
-        node = DelayNode(name, int(data.get("delay", 1)))
+        node = DelayNode(name, _integer(data, "delay", 1, where))
     elif node_type == "downsample":
-        node = DownsampleNode(name, int(data.get("factor", 2)),
-                              int(data.get("phase", 0)))
+        node = DownsampleNode(name, _integer(data, "factor", 2, where),
+                              _integer(data, "phase", 0, where))
     else:
-        node = UpsampleNode(name, int(data.get("factor", 2)))
+        node = UpsampleNode(name, _integer(data, "factor", 2, where))
     # Delays and resamplers take no spec when built, but theirs may
     # carry fanout-tap widths: reattach it so the round-trip stays
     # loss-free.
@@ -307,9 +321,10 @@ def graph_from_dict(data: dict) -> SignalFlowGraph:
     for node_data in data.get("nodes", []):
         graph.add_node(_node_from_dict(node_data))
     for edge in data.get("edges", []):
-        _refuse_unread(edge, _EDGE_KEYS,
-                       f"edge {edge.get('source')!r} -> {edge.get('target')!r}")
-        graph.connect(edge["source"], edge["target"], int(edge.get("port", 0)))
+        where = f"edge {edge.get('source')!r} -> {edge.get('target')!r}"
+        _refuse_unread(edge, _EDGE_KEYS, where)
+        graph.connect(edge["source"], edge["target"],
+                      _integer(edge, "port", 0, where))
     graph.validate()
     return graph
 

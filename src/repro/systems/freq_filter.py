@@ -239,7 +239,6 @@ def build_frequency_filter_graph(fractional_bits: int,
     rounding:
         Rounding mode of every quantizer.
     """
-    rounding = RoundingMode(rounding)
     if time_taps is None:
         time_taps = default_time_domain_taps()
     if freq_taps is None:

@@ -6,21 +6,27 @@ import os
 import subprocess
 import sys
 import textwrap
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.analysis.psd_method import evaluate_psd
 from repro.campaign import (
     CampaignReport,
     CampaignSpec,
+    FaultInjector,
     ScenarioSpec,
     StimulusSpec,
     build_scenario,
     run_campaign,
+    runner,
 )
 from repro.cli import build_parser, main
 from repro.sfg.plan import compile_plan
+
+VOLATILE = ("elapsed_seconds", "batched_with", "cached")
 
 
 def _spec(**overrides):
@@ -425,3 +431,129 @@ class TestCli:
     def test_campaign_unknown_scenario_reports_error(self, capsys):
         assert main(["campaign", "--scenarios", "nope"]) == 1
         assert "unknown scenario" in capsys.readouterr().err
+
+
+def _cores(monkeypatch, count):
+    """Make this process report ``count`` usable cores."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)), raising=False)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Replace the runner's executor by an in-process stand-in.
+
+    Each pool it opens is appended to the yielded list with the width it
+    was opened at and the scenarios submitted to it, in order; every
+    payload runs when it is submitted.
+    """
+    opened = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            self.submitted = []
+            opened.append(self)
+
+        def submit(self, function, payload, *args):
+            self.submitted.append(payload["scenario"])
+            future = Future()
+            try:
+                future.set_result(function(payload, *args))
+            except Exception as error:
+                future.set_exception(error)
+            return future
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", InlinePool)
+    return opened
+
+
+def _campaign(tmp_path, *extra,
+              scenarios=("table1_iir", "table1_fir:taps=8")):
+    return ["campaign", "--scenarios", *scenarios,
+            "--methods", "psd", "simulation", "--wordlengths", "8", "12",
+            "--samples", "1000", "--n-psd", "64", "--seed", "3",
+            "--json-report", str(tmp_path / "report.json"), *extra]
+
+
+def _records(tmp_path):
+    payload = json.loads((tmp_path / "report.json").read_text())
+    return [{key: value for key, value in record.items()
+             if key not in VOLATILE} for record in payload["records"]]
+
+
+class TestPoolWidth:
+    """The default ``--workers`` is the usable cores, and the pool opens
+    with one process per payload that missed the cache at most."""
+
+    def test_default_width_is_capped_at_missed_scenarios(
+            self, tmp_path, monkeypatch, pools, capsys):
+        _cores(monkeypatch, 8)
+        assert main(_campaign(tmp_path)) == 0
+        assert [pool.max_workers for pool in pools] == [2]
+        assert "workers=2)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("case", ["warm", "one scenario", "one worker"])
+    def test_no_pool_when_one_payload_or_worker_runs(
+            self, tmp_path, monkeypatch, pools, capsys, case):
+        _cores(monkeypatch, 8)
+        argv = _campaign(tmp_path, "--cache-dir", str(tmp_path / "cache"))
+        if case == "warm":
+            assert main(argv) == 0
+            pools.clear()
+            capsys.readouterr()
+        elif case == "one scenario":
+            argv = _campaign(tmp_path, scenarios=("table1_iir",))
+        else:
+            argv += ["--workers", "1"]
+        assert main(argv) == 0
+        assert pools == []
+        assert "workers=1)" in capsys.readouterr().out
+
+    def test_default_run_records_equal_one_worker_records(
+            self, tmp_path, monkeypatch):
+        _cores(monkeypatch, 2)  # a real two-process pool
+        assert main(_campaign(tmp_path, "--workers", "1")) == 0
+        inline = _records(tmp_path)
+        assert main(_campaign(tmp_path)) == 0
+        assert _records(tmp_path) == inline
+
+    def test_one_worker_stream_keeps_expansion_order(self, tmp_path):
+        stream = tmp_path / "stream.jsonl"
+        assert main(_campaign(tmp_path, "--workers", "1",
+                              "--output", str(stream))) == 0
+        lines = [json.loads(line)["key"]
+                 for line in stream.read_text().splitlines()]
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert lines == [record["key"] for record in report["records"]]
+
+    def test_run_span_carries_the_width_that_ran(self, tmp_path, pools):
+        spec = _spec(methods=("psd",))
+        with obs.observe() as session:
+            cold = run_campaign(spec, cache_dir=tmp_path, workers=8)
+            warm = run_campaign(spec, cache_dir=tmp_path, workers=8)
+        widths = [entry["attrs"]["workers"]
+                  for entry in session.trace.snapshot()
+                  if entry["name"] == "campaign.run"]
+        assert widths == [cold.workers, warm.workers] == [2, 1]
+
+    @pytest.mark.parametrize("case", ["cold", "warm", "one scenario"])
+    def test_hang_warning_only_when_a_pool_runs(
+            self, tmp_path, pools, caplog, case):
+        # Inline, a hang fault is raised as an exception, so only a pool
+        # pass can block for hang_seconds.  Rate 0 fires no fault.
+        spec = _spec(methods=("psd",))
+        if case == "warm":
+            run_campaign(spec, cache_dir=tmp_path, workers=8)
+        elif case == "one scenario":
+            spec = _spec(methods=("psd",), scenarios=spec.scenarios[:1])
+        injector = FaultInjector(rate=0.0, kinds=("hang",))
+        with caplog.at_level("WARNING", logger="repro.campaign.runner"):
+            result = run_campaign(spec, cache_dir=tmp_path, workers=8,
+                                  fault_injector=injector)
+        warned = any("hang faults" in message
+                     for message in caplog.messages)
+        assert warned == (result.workers > 1) == (case == "cold")

@@ -404,6 +404,18 @@ class TestErrorPaths:
         assert captured.out == ""
         assert not cache.exists() or not any(cache.iterdir())
 
+    # -3 ran inline, exited 0 and printed workers=-3.
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_campaign_workers_below_one_is_one_error_line(
+            self, capsys, tmp_path, workers):
+        cache = tmp_path / "cache"
+        code = main(["campaign", "--scenarios", "table1_fir",
+                     "--wordlengths", "8", "--samples", "2000",
+                     "--workers", workers, "--cache-dir", str(cache)])
+        captured = self._assert_one_error_line(capsys, code, "--workers")
+        assert captured.out == ""
+        assert not cache.exists() or not any(cache.iterdir())
+
     @pytest.mark.parametrize("key, value", [
         ("coefficient_fractional_bits", -2),
         ("coefficient_fractional_bits", "8"),

@@ -7,7 +7,8 @@ import pytest
 
 from repro.analysis.agnostic_method import evaluate_agnostic
 from repro.analysis.psd_method import evaluate_psd, evaluate_psd_tracked
-from repro.fixedpoint.quantizer import RoundingMode
+from repro.fixedpoint.quantizer import Quantizer, RoundingMode
+from repro.sfg import nodes
 from repro.sfg.graph import SignalFlowGraph
 from repro.sfg.nodes import (
     AddNode,
@@ -154,6 +155,35 @@ class TestSpecWidths:
         assert spec.edge_fractional_bits == (("g", 2),)
         assert type(spec.edge_fractional_bits[0][1]) is int
         assert not QuantizationSpec(None).enabled
+
+
+class TestRoundingMode:
+    """A spec and a quantizer store the rounding mode as the member,
+    whether it was given as the member or as its string value."""
+
+    @pytest.fixture(autouse=True)
+    def _cold_quantizer_cache(self):
+        nodes._build_quantizer.cache_clear()
+
+    @pytest.mark.parametrize("first, second", [
+        ("truncate", RoundingMode.TRUNCATE),
+        (RoundingMode.TRUNCATE, "truncate"),
+    ])
+    def test_string_and_member_build_the_same_quantizer(self, first,
+                                                        second):
+        values = np.array([0.3, -0.3])
+        for rounding in (first, second):
+            quantizer = QuantizationSpec(3, rounding=rounding).quantizer()
+            assert quantizer.rounding is RoundingMode.TRUNCATE
+            np.testing.assert_array_equal(quantizer(values), [0.25, -0.375])
+
+    def test_unknown_mode_names_the_field(self):
+        with pytest.raises(ValueError, match="^rounding must be one of "
+                                             "'round', 'truncate', "
+                                             "'convergent', got 'floor'$"):
+            QuantizationSpec(3, rounding="floor")
+        with pytest.raises(ValueError, match="^rounding must be one of"):
+            Quantizer(3, rounding="floor")
 
 
 class TestSimulationBehaviour:

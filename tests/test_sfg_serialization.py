@@ -431,7 +431,70 @@ class TestJsonWidths:
             graph_from_dict(data)
 
 
+def _resampling_json() -> dict:
+    """``x -> delay d -> downsample down -> upsample up -> y`` as graph
+    JSON."""
+    return {"version": 1, "name": "json",
+            "nodes": [{"name": "x", "type": "input", "fractional_bits": 12},
+                      {"name": "d", "type": "delay", "delay": 1},
+                      {"name": "down", "type": "downsample", "factor": 2,
+                       "phase": 0},
+                      {"name": "up", "type": "upsample", "factor": 2},
+                      {"name": "y", "type": "output"}],
+            "edges": [{"source": "x", "target": "d", "port": 0},
+                      {"source": "d", "target": "down", "port": 0},
+                      {"source": "down", "target": "up", "port": 0},
+                      {"source": "up", "target": "y", "port": 0}]}
+
+
+# Each value loaded as a rounded integer before the integer rule.
+_BAD_INTEGERS = [("d", "delay", 2.7), ("down", "factor", 2.9),
+                 ("down", "phase", 1.5), ("up", "factor", True),
+                 ("d", "delay", "3"), ("edge 'down' -> 'up'", "port", 0.7)]
+
+
+def _with_bad_integer(where, key, value) -> dict:
+    data = _resampling_json()
+    if where.startswith("edge"):
+        data["edges"][2][key] = value
+    else:
+        next(node for node in data["nodes"] if node["name"] == where)[key] \
+            = value
+    return data
+
+
+class TestJsonIntegers:
+    """A node's ``delay``, ``factor`` and ``phase`` and an edge's
+    ``port`` follow the widths' rule: an integer >= 0, not a bool."""
+
+    def test_integers_load(self):
+        graph = graph_from_dict(_resampling_json())
+        assert graph.node("d").delay == 1
+        assert graph.node("down").factor == graph.node("up").factor == 2
+
+    @pytest.mark.parametrize("where, key, value", _BAD_INTEGERS)
+    def test_bad_integer_names_node_or_edge_and_key(self, where, key,
+                                                    value):
+        location = where if where.startswith("edge") else f"node {where!r}"
+        with pytest.raises(ValueError) as raised:
+            graph_from_dict(_with_bad_integer(where, key, value))
+        assert str(raised.value) == (f"{location}: {key} must be an "
+                                     f"integer >= 0, got {value!r}")
+
+
 class TestCli:
+    @pytest.mark.parametrize("where, key, value", _BAD_INTEGERS)
+    def test_evaluate_bad_integer_is_one_error_line(self, capsys, tmp_path,
+                                                    where, key, value):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(_with_bad_integer(where, key, value)))
+        assert cli_main(["evaluate", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert f"{key} must be an integer" in lines[0]
+
     @pytest.fixture
     def system_file(self, tmp_path):
         path = tmp_path / "system.json"
